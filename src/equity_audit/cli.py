@@ -74,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_score = sub.add_parser("score", help="gated search over declared model spaces")
     p_score.add_argument("spaces", help="JSON document declaring the two spaces")
-    p_score.add_argument("--tau", type=float, default=0.85)
-    p_score.add_argument("--tau-o", type=float, default=0.15)
+    p_score.add_argument("--tau", type=float, default=None)
+    p_score.add_argument("--tau-o", type=float, default=None)
     p_score.add_argument("--max-outer", type=int, default=100)
     p_score.add_argument("--max-inner", type=int, default=25)
 
@@ -100,6 +100,8 @@ def _load_config(args) -> RunConfig:
         seed=args.seed,
         out_dir=args.out,
         formats=(args.format,) if args.format else None,
+        tau=getattr(args, "tau", None),  # only `score` has the tau flags
+        tau_o=getattr(args, "tau_o", None),
     )
 
 
@@ -134,11 +136,12 @@ def _policy_from_value(value) -> Policy:
     return Policy(float(value))
 
 
-def _space_from_doc(doc: dict, label: str) -> ModelSpace:
+def _space_from_doc(doc: dict, label: str, base: Path) -> ModelSpace:
+    """Build one space; a relative ``dataset`` path is read from ``base``."""
     for key in ("dataset", "alpha", "specs", "policies"):
         if key not in doc:
             raise DataFormatError(f"{label} space is missing {key!r}")
-    pop = load_population_csv(doc["dataset"])
+    pop = load_population_csv(base / doc["dataset"])
     alpha = np.asarray(doc["alpha"], dtype=float)
     if "affected_features" in doc:
         om = ObstacleModel(alpha, frozenset(int(i) for i in doc["affected_features"]))
@@ -168,8 +171,8 @@ def _cmd_score(args, cfg: RunConfig) -> int:
         if key not in doc:
             raise DataFormatError(f"spaces document is missing {key!r}")
     scoring_cfg = ScoringConfig(
-        tau=args.tau,
-        tau_o=args.tau_o,
+        tau=cfg.tau,
+        tau_o=cfg.tau_o,
         max_outer_iters=args.max_outer,
         max_inner_iters=args.max_inner,
         epsilon_outcomes=cfg.epsilon,
@@ -177,8 +180,8 @@ def _cmd_score(args, cfg: RunConfig) -> int:
         train_fraction=cfg.train_fraction,
     )
     trace = run_equity_scoring(
-        _space_from_doc(doc["proxy"], "proxy"),
-        _space_from_doc(doc["intended"], "intended"),
+        _space_from_doc(doc["proxy"], "proxy", path.parent),
+        _space_from_doc(doc["intended"], "intended", path.parent),
         scoring_cfg,
     )
     out = _out_dir(cfg)

@@ -14,8 +14,13 @@ alleviation budget ``delta``, and the alleviated residual is
 ``max(magnitude - delta, 0)``. An individual whose magnitude is zero, or
 whose residual after alleviation is zero, interacts with the decision model
 at full capacity and reveals ``(z, y_prime)``; everyone else reveals
-``(x, y)``. That piecewise rule is :func:`reveal` and everything downstream
-(access rates, trained models, utilization checks) consumes its output.
+``(x, y)``. One kernel, :func:`_obstacle_access`, applies that rule to a
+block of rows, one row or a whole population, so every path gives a
+person the same bits.
+
+A :class:`Population` stores people as read-only columns, validated once;
+hand-built :class:`Individual` rows come in through
+:meth:`Population.from_individuals`.
 
 All functions in this module are pure; nothing mutates its inputs, so the
 operations are safe to call concurrently.
@@ -23,6 +28,7 @@ operations are safe to call concurrently.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,71 +100,95 @@ class Individual:
         return self.z.shape[0]
 
 
-@dataclass(frozen=True)
 class Population:
-    """An ordered collection of individuals over one feature space."""
+    """An ordered population over one feature space, stored as columns.
 
-    individuals: tuple[Individual, ...]
-    feature_names: tuple[str, ...]
-    group_name: str = "group"
+    ``x`` and ``z`` are (n, d) float blocks, ``y``, ``y_prime`` and ``grp``
+    length-n 0/1 columns and ``ids`` n unique identifiers. The constructor
+    copies and validates its inputs once; the accessors return the stored
+    read-only arrays without copying.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "individuals", tuple(self.individuals))
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        d = len(self.feature_names)
-        for ind in self.individuals:
-            if ind.dim != d:
-                raise ValidationError(
-                    f"individual {ind.id!r} has {ind.dim} features, expected {d}"
-                )
-        ids = [ind.id for ind in self.individuals]
-        if len(set(ids)) != len(ids):
+    def __init__(self, x, z, y, y_prime, grp, ids, feature_names, group_name: str = "group"):
+        ids, feature_names = tuple(ids), tuple(feature_names)
+        n, d = len(ids), len(feature_names)
+        columns = {"z": np.array(z, dtype=float), "x": np.array(x, dtype=float),
+                   "y_prime": np.array(y_prime), "y": np.array(y), "grp": np.array(grp)}
+        faults = []
+        for name, col in columns.items():
+            shape = (n, d) if name in ("x", "z") else (n,)
+            if col.shape != shape:
+                raise ValidationError(f"{name} must have shape {shape}, got {col.shape}")
+            if col.ndim == 2:
+                faults.append((f"{name} contains non-finite values", ~np.isfinite(col).all(axis=1)))
+            else:
+                faults.append((f"{name} must be 0 or 1", ~np.isin(col, (0, 1))))
+                columns[name] = col.astype(int)
+        bad = np.logical_or.reduce([mask for _, mask in faults])
+        if bad.any():
+            row = int(np.argmax(bad))
+            message = next(message for message, mask in faults if mask[row])
+            raise ValidationError(f"{message} for individual {ids[row]!r}", row=row)
+        if len(set(ids)) != n:
             raise ValidationError("individual ids must be unique")
+        for name, col in columns.items():
+            col.flags.writeable = False
+        self.__dict__.update({"_" + name: col for name, col in columns.items()})
+        self.__dict__.update(_ids=ids, feature_names=feature_names, group_name=group_name)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Population is immutable; cannot set {name!r}")
+
+    @classmethod
+    def from_individuals(cls, rows, feature_names, group_name: str = "group") -> "Population":
+        """Stack hand-built :class:`Individual` rows into a population."""
+        rows, d = tuple(rows), len(feature_names)
+        for ind in rows:
+            if ind.dim != d:
+                raise ValidationError(f"individual {ind.id!r} has {ind.dim} features, expected {d}")
+        x, z, y, y_prime, grp, ids = (
+            [getattr(ind, f) for ind in rows] for f in ("x", "z", "y", "y_prime", "grp", "id")
+        )
+        shape = (len(rows), d)
+        return cls(
+            np.reshape(x, shape), np.reshape(z, shape), y, y_prime, grp, ids, feature_names, group_name
+        )
+
+    @property
+    def individuals(self) -> tuple[Individual, ...]:
+        """One :class:`Individual` per row, built on each access and not kept."""
+        rows = zip(self._z, self._x, self._y_prime, self._y, self._grp, self._ids)
+        return tuple(Individual(*row) for row in rows)
 
     def __len__(self) -> int:
-        return len(self.individuals)
+        return len(self._ids)
 
     def x_matrix(self) -> np.ndarray:
-        return np.array([ind.x for ind in self.individuals], dtype=float).reshape(
-            len(self), len(self.feature_names)
-        )
+        return self._x
 
     def z_matrix(self) -> np.ndarray:
-        return np.array([ind.z for ind in self.individuals], dtype=float).reshape(
-            len(self), len(self.feature_names)
-        )
+        return self._z
 
     def labels(self) -> np.ndarray:
-        return np.array([ind.y for ind in self.individuals], dtype=int)
+        return self._y
 
     def labels_prime(self) -> np.ndarray:
-        return np.array([ind.y_prime for ind in self.individuals], dtype=int)
+        return self._y_prime
 
     def groups(self) -> np.ndarray:
-        return np.array([ind.grp for ind in self.individuals], dtype=int)
+        return self._grp
 
     def ids(self) -> list[str]:
-        return [ind.id for ind in self.individuals]
+        return list(self._ids)  # kept as a tuple, so callers cannot reorder it
 
     def restrict(self, feature_names: list[str] | tuple[str, ...]) -> "Population":
-        """Project the population onto a subset of its features.
-
-        Used when a candidate model only consumes some columns; labels,
-        groups and ids are untouched.
-        """
+        """Column slice onto a subset of the features; nothing is revalidated."""
         idx = [self.feature_names.index(f) for f in feature_names]
-        inds = tuple(
-            Individual(
-                z=ind.z[idx],
-                x=ind.x[idx],
-                y_prime=ind.y_prime,
-                y=ind.y,
-                grp=ind.grp,
-                id=ind.id,
-            )
-            for ind in self.individuals
-        )
-        return Population(inds, tuple(feature_names), self.group_name)
+        x, z = self._x[:, idx], self._z[:, idx]
+        x.flags.writeable = z.flags.writeable = False
+        view = copy.copy(self)
+        view.__dict__.update(_x=x, _z=z, feature_names=tuple(feature_names))
+        return view
 
 
 @dataclass(frozen=True)
@@ -233,6 +263,32 @@ def dominates(z, x) -> bool:
     return bool(np.all(z >= x) and np.any(z > x))
 
 
+def _obstacle_access(
+    x: np.ndarray, z: np.ndarray, alpha: np.ndarray, delta: float, ids
+) -> tuple[np.ndarray, np.ndarray]:
+    """Obstacle magnitudes and access mask for an (n, d) block of people.
+
+    Magnitudes are summed over columns in a fixed order, so a row's bits do
+    not depend on the rows around it or on the BLAS build.
+    """
+    if alpha.shape[0] != x.shape[1]:
+        raise ValidationError(
+            f"obstacle model has {alpha.shape[0]} weights, data has {x.shape[1]} features"
+        )
+    diff = z - x
+    if np.any(diff < 0):
+        row, col = np.argwhere(diff < 0)[0]
+        raise DominanceError(
+            f"z must dominate-or-equal x componentwise; violation at "
+            f"individual {ids[int(row)]!r}, feature {int(col)}"
+        )
+    magnitude = np.zeros(x.shape[0])
+    for j in range(x.shape[1]):
+        magnitude = magnitude + alpha[j] * diff[:, j]
+    residual = np.maximum(magnitude - delta, 0.0)
+    return magnitude, (magnitude == 0.0) | (residual == 0.0)
+
+
 def obstacle_magnitude(model: ObstacleModel, ind: Individual) -> float:
     """Scalar obstacle size ``<alpha, z - x>`` for one individual.
 
@@ -240,19 +296,8 @@ def obstacle_magnitude(model: ObstacleModel, ind: Individual) -> float:
         ValidationError: if dimensions disagree.
         DominanceError: if any coordinate has ``z_i < x_i``.
     """
-    if model.alpha.shape[0] != ind.dim:
-        raise ValidationError(
-            f"obstacle model has {model.alpha.shape[0]} weights, "
-            f"individual has {ind.dim} features"
-        )
-    diff = ind.z - ind.x
-    if np.any(diff < 0):
-        bad = int(np.argmax(diff < 0))
-        raise DominanceError(
-            f"z must dominate-or-equal x componentwise; z[{bad}] < x[{bad}] "
-            f"for individual {ind.id!r}"
-        )
-    return float(model.alpha @ diff)
+    magnitude, _ = _obstacle_access(ind.x[None], ind.z[None], model.alpha, 0.0, (ind.id,))
+    return float(magnitude[0])
 
 
 def apply_policy(obstacle: float, policy: Policy) -> float:
@@ -269,8 +314,8 @@ def reveal(ind: Individual, model: ObstacleModel, policy: Policy) -> RevealedPai
     magnitude is zero or fully alleviated by the policy, and ``(x, y)`` with
     ``fully_accessed=False`` otherwise. Deterministic.
     """
-    magnitude = obstacle_magnitude(model, ind)
-    if magnitude == 0.0 or apply_policy(magnitude, policy) == 0.0:
+    _, accessed = _obstacle_access(ind.x[None], ind.z[None], model.alpha, policy.delta, (ind.id,))
+    if accessed[0]:
         return RevealedPair(ind.z.copy(), ind.y_prime, True)
     return RevealedPair(ind.x.copy(), ind.y, False)
 
@@ -281,26 +326,11 @@ def reveal_population(
     """Vectorized :func:`reveal` over a population.
 
     Returns ``(X_rev, y_rev, fully_accessed)`` where rows follow the
-    population's order. Semantically identical to calling :func:`reveal`
-    per individual.
+    population's order. Runs the same kernel as :func:`reveal`, so it
+    agrees with :func:`reveal` per individual bit for bit.
     """
-    if model.alpha.shape[0] != len(pop.feature_names):
-        raise ValidationError(
-            f"obstacle model has {model.alpha.shape[0]} weights, "
-            f"population has {len(pop.feature_names)} features"
-        )
-    z = pop.z_matrix()
-    x = pop.x_matrix()
-    diff = z - x
-    if np.any(diff < 0):
-        row, col = np.argwhere(diff < 0)[0]
-        raise DominanceError(
-            f"z must dominate-or-equal x componentwise; violation at "
-            f"individual {pop.individuals[int(row)].id!r}, feature {int(col)}"
-        )
-    magnitude = diff @ model.alpha
-    residual = np.maximum(magnitude - policy.delta, 0.0)
-    accessed = (magnitude == 0.0) | (residual == 0.0)
+    x, z = pop.x_matrix(), pop.z_matrix()
+    _, accessed = _obstacle_access(x, z, model.alpha, policy.delta, pop._ids)
     x_rev = np.where(accessed[:, None], z, x)
-    y_rev = np.where(accessed, pop.labels_prime(), pop.labels()).astype(int)
+    y_rev = np.where(accessed, pop.labels_prime(), pop.labels())
     return x_rev, y_rev, accessed

@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .core import Individual, ObstacleModel, Policy, Population, reveal_population
+from .core import ObstacleModel, Policy, Population, reveal_population
 from .errors import (
     DataFormatError,
     SingleClassError,
@@ -64,6 +64,7 @@ from .metrics import (
     model_access,
     utilization,
 )
+from .scoring import _split_indices
 
 UCI_NUMERIC_COLUMNS = (
     "age", "Medu", "Fedu", "traveltime", "studytime", "failures", "famrel",
@@ -305,20 +306,12 @@ def build_case_study_views(table: StudentTable, cfg: RunConfig) -> CaseStudyView
     groups = sex.astype(int)
 
     proxy_pop = Population(
-        tuple(
-            Individual(z=proxy_z[i], x=proxy_x[i], y_prime=int(y_prime[i]), y=int(y[i]), grp=int(groups[i]), id=ids[i])
-            for i in range(n)
-        ),
-        PROXY_FEATURES,
-        group_name="sex",
+        x=proxy_x, z=proxy_z, y=y, y_prime=y_prime, grp=groups, ids=ids,
+        feature_names=PROXY_FEATURES, group_name="sex",
     )
     intended_pop = Population(
-        tuple(
-            Individual(z=intended_z[i], x=intended_x[i], y_prime=int(y_prime[i]), y=int(y[i]), grp=int(groups[i]), id=ids[i])
-            for i in range(n)
-        ),
-        INTENDED_FEATURES,
-        group_name="sex",
+        x=intended_x, z=intended_z, y=y, y_prime=y_prime, grp=groups, ids=ids,
+        feature_names=INTENDED_FEATURES, group_name="sex",
     )
     alpha_p = np.array([1.0 if f in PROXY_AFFECTED else 0.0 for f in PROXY_FEATURES])
     alpha_t = np.array([1.0 if f in INTENDED_AFFECTED else 0.0 for f in INTENDED_FEATURES])
@@ -393,13 +386,6 @@ class CaseStudyResult:
             "regimes": [r.to_dict() for r in self.regimes],
             "gaps": self.gaps.to_dict(),
         }
-
-
-def _split_indices(n: int, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng([seed, 17])
-    perm = rng.permutation(n)
-    n_train = max(1, min(n - 1, int(round(train_fraction * n))))
-    return perm[:n_train], perm[n_train:]
 
 
 def _regime_settings(cfg: RunConfig) -> list[tuple[bool, bool, bool]]:
@@ -647,24 +633,26 @@ def load_population_csv(path: str | Path, group_name: str = "group") -> Populati
         for col in ("id", "group", "y", "y_prime"):
             if col not in reader.fieldnames:
                 raise DataFormatError(f"missing expected columns: {col}")
-        individuals = []
+        rows = []
         for rownum, row in enumerate(reader, start=1):
             try:
-                x = np.array([float(row[f"x_{f}"]) for f in feature_names])
-                z = np.array([float(row[f"z_{f}"]) for f in feature_names])
-                individuals.append(
-                    Individual(
-                        z=z,
-                        x=x,
-                        y_prime=int(row["y_prime"]),
-                        y=int(row["y"]),
-                        grp=int(row["group"]),
-                        id=str(row["id"]),
-                    )
-                )
-            except (TypeError, ValueError, ValidationError) as exc:
+                rows.append((
+                    [float(row[f"x_{f}"]) for f in feature_names],
+                    [float(row[f"z_{f}"]) for f in feature_names],
+                    int(row["y"]), int(row["y_prime"]), int(row["group"]), str(row["id"]),
+                ))
+            except (TypeError, ValueError) as exc:
                 raise DataFormatError(f"bad row: {exc}", row=rownum) from None
-    return Population(tuple(individuals), tuple(feature_names), group_name)
+    x, z, y, y_prime, grp, ids = zip(*rows) if rows else ((),) * 6
+    shape = (len(rows), len(feature_names))
+    try:
+        return Population(
+            np.reshape(x, shape), np.reshape(z, shape), y, y_prime, grp, ids, feature_names, group_name
+        )
+    except ValidationError as exc:  # a value check failed: name its data row
+        if exc.row is None:
+            raise
+        raise DataFormatError(f"bad row: {exc}", row=exc.row + 1) from None
 
 
 def load_model_document(path: str | Path) -> tuple[list[str], np.ndarray, ObstacleModel | None]:

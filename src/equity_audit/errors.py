@@ -17,6 +17,10 @@ class EquityAuditError(Exception):
 class ValidationError(EquityAuditError, ValueError):
     """Inputs violate a documented contract (shape, domain, config)."""
 
+    def __init__(self, message: str = "", *, row: int | None = None):
+        super().__init__(message)
+        self.row = row  # 0-based index of the offending row of a columnar input
+
 
 class DominanceError(ValidationError):
     """Obstacle-free features must dominate obstacle-refrained features."""

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObstacleModel, Policy, Individual, Population, reveal_population
+from .core import ObstacleModel, Policy, Population, reveal_population
 from .errors import UndefinedRateError, ValidationError
 from .learner import (
     ModelSpec,
@@ -279,18 +279,12 @@ def generate_cohort(cfg: SyntheticConfig, round: int) -> Cohort:
 
     ids = [f"r{round}-{k}" for k in range(n)]
     proxy = Population(
-        tuple(
-            Individual(z=z_p[i], x=x_p[i], y_prime=int(y_prime_p[i]), y=int(y_p[i]), grp=int(grp[i]), id=ids[i])
-            for i in range(n)
-        ),
-        _proxy_feature_names(cfg),
+        x=x_p, z=z_p, y=y_p, y_prime=y_prime_p, grp=grp, ids=ids,
+        feature_names=_proxy_feature_names(cfg),
     )
     intended = Population(
-        tuple(
-            Individual(z=z_t[i], x=x_t_full[i], y_prime=int(y_prime_t[i]), y=int(y_t[i]), grp=int(grp[i]), id=ids[i])
-            for i in range(n)
-        ),
-        _intended_feature_names(cfg),
+        x=x_t_full, z=z_t, y=y_t, y_prime=y_prime_t, grp=grp, ids=ids,
+        feature_names=_intended_feature_names(cfg),
     )
     return Cohort(
         proxy=proxy,

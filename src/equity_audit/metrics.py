@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObstacleModel, Policy, Population, apply_policy, obstacle_magnitude
+from .core import ObstacleModel, Policy, Population, _obstacle_access
 from .errors import NoPositivesError, UndefinedRateError, ValidationError
 
 DEFAULT_OUTCOME_EPSILON = 1e-9
@@ -165,18 +165,14 @@ def model_access(pop: Population, om: ObstacleModel, policy: Policy) -> AccessRe
     """Fraction of the population with zero or fully alleviated obstacles."""
     if len(pop) == 0:
         raise ValidationError("model_access requires a nonempty population")
-    flags = []
-    for ind in pop.individuals:
-        residual = apply_policy(obstacle_magnitude(om, ind), policy)
-        flags.append(residual == 0.0)
-    flags_arr = np.array(flags, dtype=bool)
+    _, flags = _obstacle_access(pop.x_matrix(), pop.z_matrix(), om.alpha, policy.delta, pop.ids())
     groups = pop.groups()
     per_group = {
-        int(g): float(np.mean(flags_arr[groups == g])) for g in np.unique(groups)
+        int(g): float(np.mean(flags[groups == g])) for g in np.unique(groups)
     }
     return AccessReport(
-        psi=float(np.mean(flags_arr)),
-        per_individual=tuple(bool(v) for v in flags),
+        psi=float(np.mean(flags)),
+        per_individual=tuple(flags.tolist()),
         per_group=per_group,
     )
 

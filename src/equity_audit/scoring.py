@@ -261,6 +261,20 @@ def run_equity_scoring(
     def spent() -> bool:
         return budget <= 0
 
+    def record(phase, spec_id, policy_id, psi, omega, zeta, reason=""):
+        """Log one candidate evaluation; an empty reason means accepted."""
+        records.append(
+            IterationRecord(outer, phase, spec_id, policy_id, psi, omega, zeta, not reason, reason)
+        )
+
+    def next_spec_view(policy: Policy):
+        """Draw the next proxy spec, its feature view and its revealed rows."""
+        spec_id = proxy_sampler.next_spec()
+        spec = proxy_space.candidate_specs[spec_id]
+        view, view_om = _spec_view(proxy_space, spec)
+        x_rev, y_rev, _ = reveal_population(view, view_om, policy)
+        return spec_id, spec, view, view_om, x_rev, y_rev
+
     for outer in range(1, cfg.max_outer_iters + 1):
         if spent():
             break
@@ -275,13 +289,9 @@ def run_equity_scoring(
         budget -= 1
         psi = model_access(view, view_om, policy).psi
         if psi < cfg.tau:
-            records.append(
-                IterationRecord(outer, "access", spec_id, policy_id, psi, None, None, False, REJECT_ACCESS)
-            )
+            record("access", spec_id, policy_id, psi, None, None, REJECT_ACCESS)
             continue
-        records.append(
-            IterationRecord(outer, "access", spec_id, policy_id, psi, None, None, True, "")
-        )
+        record("access", spec_id, policy_id, psi, None, None)
 
         # outcome phase: re-sample the model function while omega > tau_o.
         # A re-sampled spec may read different features, so its access rate
@@ -299,13 +309,8 @@ def run_equity_scoring(
             if fresh_spec:
                 psi = model_access(view, view_om, policy).psi
                 if psi < cfg.tau:
-                    records.append(
-                        IterationRecord(outer, "outcome", spec_id, policy_id, psi, None, None, False, REJECT_ACCESS)
-                    )
-                    spec_id = proxy_sampler.next_spec()
-                    spec = proxy_space.candidate_specs[spec_id]
-                    view, view_om = _spec_view(proxy_space, spec)
-                    x_rev, y_rev, _ = reveal_population(view, view_om, policy)
+                    record("outcome", spec_id, policy_id, psi, None, None, REJECT_ACCESS)
+                    spec_id, spec, view, view_om, x_rev, y_rev = next_spec_view(policy)
                     continue
             try:
                 model = train(spec, x_rev[train_idx], y_rev[train_idx], cfg.seed)
@@ -314,30 +319,18 @@ def run_equity_scoring(
                     preds, y_rev[test_idx], groups[test_idx], cfg.epsilon_outcomes
                 )
             except (SingleClassError, UndefinedRateError):
-                records.append(
-                    IterationRecord(outer, "outcome", spec_id, policy_id, psi, None, None, False, REJECT_DEGENERATE)
-                )
-                spec_id = proxy_sampler.next_spec()
-                spec = proxy_space.candidate_specs[spec_id]
-                view, view_om = _spec_view(proxy_space, spec)
-                x_rev, y_rev, _ = reveal_population(view, view_om, policy)
+                record("outcome", spec_id, policy_id, psi, None, None, REJECT_DEGENERATE)
+                spec_id, spec, view, view_om, x_rev, y_rev = next_spec_view(policy)
                 fresh_spec = True
                 continue
             omega = report.eo_violation
             if omega <= cfg.tau_o:
                 accepted_omega = omega
                 preds_test = preds
-                records.append(
-                    IterationRecord(outer, "outcome", spec_id, policy_id, psi, omega, None, True, "")
-                )
+                record("outcome", spec_id, policy_id, psi, omega, None)
                 break
-            records.append(
-                IterationRecord(outer, "outcome", spec_id, policy_id, psi, omega, None, False, REJECT_OUTCOME)
-            )
-            spec_id = proxy_sampler.next_spec()
-            spec = proxy_space.candidate_specs[spec_id]
-            view, view_om = _spec_view(proxy_space, spec)
-            x_rev, y_rev, _ = reveal_population(view, view_om, policy)
+            record("outcome", spec_id, policy_id, psi, omega, None, REJECT_OUTCOME)
+            spec_id, spec, view, view_om, x_rev, y_rev = next_spec_view(policy)
             fresh_spec = True
         if accepted_omega is None:
             continue
@@ -345,9 +338,7 @@ def run_equity_scoring(
         # utilization phase on the accepted model's held-out positives
         positive_rows = test_idx[np.asarray(preds_test) == 1]
         if positive_rows.size == 0:
-            records.append(
-                IterationRecord(outer, "utilization", spec_id, policy_id, psi, accepted_omega, None, False, REJECT_DEGENERATE)
-            )
+            record("utilization", spec_id, policy_id, psi, accepted_omega, None, REJECT_DEGENERATE)
             continue
         b_ids = [proxy_ids[int(row)] for row in positive_rows]
         missing = [ind_id for ind_id in b_ids if ind_id not in intended_ids]
@@ -357,6 +348,9 @@ def run_equity_scoring(
                 f"(first: {missing[0]!r})"
             )
         b_groups = groups[positive_rows]
+        b_rows = np.array([intended_ids[ind_id] for ind_id in b_ids], dtype=int)
+        fit_mask = np.ones(len(intended_space.dataset), dtype=bool)
+        fit_mask[b_rows] = False
 
         converged_zeta = None
         for _ in range(cfg.max_inner_iters):
@@ -365,20 +359,13 @@ def run_equity_scoring(
             ispec_id, ipolicy_id = intended_sampler.sample()
             ispec = intended_space.candidate_specs[ispec_id]
             ipolicy = intended_space.candidate_policies[ipolicy_id]
-            iview, iview_om = _spec_view(intended_space, ispec)
-            ix_rev, iy_rev, _ = reveal_population(iview, iview_om, ipolicy)
-
-            b_rows = np.array([intended_ids[ind_id] for ind_id in b_ids], dtype=int)
-            fit_mask = np.ones(len(iview), dtype=bool)
-            fit_mask[b_rows] = False
+            ix_rev, iy_rev, _ = reveal_population(*_spec_view(intended_space, ispec), ipolicy)
 
             budget -= 1
             try:
                 imodel = train(ispec, ix_rev[fit_mask], iy_rev[fit_mask], cfg.seed)
             except (SingleClassError, ValidationError):
-                records.append(
-                    IterationRecord(outer, "utilization", ispec_id, ipolicy_id, psi, accepted_omega, None, False, REJECT_DEGENERATE)
-                )
+                record("utilization", ispec_id, ipolicy_id, psi, accepted_omega, None, REJECT_DEGENERATE)
                 continue
             y_tt = np.asarray(predict(imodel, ix_rev[b_rows]))
             evaluation = [
@@ -388,13 +375,9 @@ def run_equity_scoring(
             zeta = utilization(evaluation).zeta
             if zeta >= cfg.tau:
                 converged_zeta = zeta
-                records.append(
-                    IterationRecord(outer, "utilization", ispec_id, ipolicy_id, psi, accepted_omega, zeta, True, "")
-                )
+                record("utilization", ispec_id, ipolicy_id, psi, accepted_omega, zeta)
                 break
-            records.append(
-                IterationRecord(outer, "utilization", ispec_id, ipolicy_id, psi, accepted_omega, zeta, False, REJECT_UTILIZATION)
-            )
+            record("utilization", ispec_id, ipolicy_id, psi, accepted_omega, zeta, REJECT_UTILIZATION)
         if converged_zeta is None:
             continue
 

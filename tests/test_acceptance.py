@@ -66,7 +66,7 @@ def test_metric_oracle_equivalence():
         x = rng.normal(size=(n, d))
         z = x + rng.exponential(size=(n, d)) * (rng.random((n, d)) < 0.5)
         delta = float(rng.uniform(0, 3))
-        pop = Population(
+        pop = Population.from_individuals(
             tuple(
                 Individual(z=z[i], x=x[i], y_prime=1, y=0, grp=int(i % 2), id=f"i{i}")
                 for i in range(n)
@@ -101,7 +101,7 @@ def test_metric_oracle_equivalence():
 def test_two_person_counterexample():
     a = Individual(z=[6.0, 0.0], x=[5.0, 0.0], y_prime=1, y=0, grp=0, id="a")
     b = Individual(z=[6.0, 0.0], x=[6.0, 0.0], y_prime=1, y=1, grp=1, id="b")
-    pop = Population((a, b), ("f1", "f2"))
+    pop = Population.from_individuals((a, b), ("f1", "f2"))
     om = ObstacleModel.from_alpha([1.0, 1.0])
     fit_X = np.array([[5.0, 0.0], [6.0, 0.0]])
     fit_y = np.array([0, 1])

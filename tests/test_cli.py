@@ -20,21 +20,25 @@ def audit_csv(tmp_path):
     return path
 
 
-@pytest.fixture()
-def spaces_json(tmp_path):
-    pop_csv = tmp_path / "pop.csv"
+def write_population(path, obstructed=()):
+    """40 rows over one feature ``a``; rows in ``obstructed`` have z_a = x_a + 1."""
     lines = ["id,group,y,y_prime,x_a,z_a"]
     for k in range(40):
         grp = k % 2
         positive = (k // 2) % 2 == 0
         x = 3.0 if positive else 1.0
         y = 1 if positive else 0
-        lines.append(f"i{k},{grp},{y},{y},{x},{x}")
-    pop_csv.write_text("\n".join(lines) + "\n")
+        z = x + 1.0 if k in obstructed else x
+        lines.append(f"i{k},{grp},{y},{y},{x},{z}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def write_spaces(path, dataset, proxy_alpha=0.0):
     doc = {
         "proxy": {
-            "dataset": str(pop_csv),
-            "alpha": [0.0],
+            "dataset": dataset,
+            "alpha": [proxy_alpha],
             "specs": [
                 {"features": ["a"], "function_class": "norm_threshold",
                  "hyperparams": {"threshold": 2.0}}
@@ -42,7 +46,7 @@ def spaces_json(tmp_path):
             "policies": [0],
         },
         "intended": {
-            "dataset": str(pop_csv),
+            "dataset": dataset,
             "alpha": [0.0],
             "specs": [
                 {"features": ["a"], "function_class": "norm_threshold",
@@ -51,9 +55,14 @@ def spaces_json(tmp_path):
             "policies": ["inf"],
         },
     }
-    path = tmp_path / "spaces.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+@pytest.fixture()
+def spaces_json(tmp_path):
+    pop_csv = write_population(tmp_path / "pop.csv")
+    return write_spaces(tmp_path / "spaces.json", str(pop_csv))
 
 
 class TestQuestions:
@@ -108,6 +117,45 @@ class TestScore:
         path = tmp_path / "spaces.json"
         path.write_text('{"proxy": {}}')
         assert run_cli("--out", str(tmp_path / "r"), "score", str(path)) == 2
+
+    def test_relative_dataset_is_read_beside_the_spaces_file(self, tmp_path, monkeypatch):
+        rel = tmp_path / "rel"
+        rel.mkdir()
+        write_population(rel / "pop.csv")
+        write_spaces(rel / "spaces.json", "pop.csv")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert run_cli("--out", str(tmp_path / "r"), "score", "../rel/spaces.json") == 0
+
+    def test_duplicate_ids_exit_2(self, tmp_path):
+        pop_csv = tmp_path / "pop.csv"
+        pop_csv.write_text("id,group,y,y_prime,x_a,z_a\nd,0,1,1,1.0,1.0\nd,1,0,0,1.0,1.0\n")
+        spaces = write_spaces(tmp_path / "spaces.json", str(pop_csv))
+        assert run_cli("--out", str(tmp_path / "r"), "score", str(spaces)) == 2
+
+    def test_tau_from_config_reaches_the_search(self, tmp_path):
+        # every other row is obstructed and the only policy is 0, so psi = 0.5
+        pop_csv = write_population(tmp_path / "pop.csv", obstructed=range(0, 40, 2))
+        spaces = write_spaces(tmp_path / "spaces.json", str(pop_csv), proxy_alpha=1.0)
+        config = tmp_path / "run.toml"
+        config.write_text("tau = 0.5\n")
+
+        def access_accepted(name, config_flags=(), tau_flags=()):
+            out = tmp_path / name
+            code = run_cli(
+                "--out", str(out), *config_flags, "score", str(spaces),
+                "--max-outer", "1", "--max-inner", "1", *tau_flags,
+            )
+            assert code == 0
+            record = json.loads((out / "scoring_trace.json").read_text())["records"][0]
+            assert record["phase"] == "access" and record["psi"] == 0.5
+            return record["accepted"]
+
+        from_toml = ("--config", str(config))
+        assert access_accepted("default") is False  # default tau 0.85
+        assert access_accepted("toml", from_toml) is True
+        assert access_accepted("flag", from_toml, ("--tau", "0.9")) is False
 
 
 class TestCasestudy:

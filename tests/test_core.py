@@ -15,6 +15,8 @@ from equity_audit.core import (
     reveal_population,
 )
 from equity_audit.errors import DominanceError, ValidationError
+from equity_audit.metrics import model_access
+from oracles import psi_oracle
 
 
 def make_individual(z, x, y_prime=1, y=0, grp=0, id="i0"):
@@ -118,7 +120,7 @@ class TestReveal:
             individuals.append(
                 Individual(z=z, x=x, y_prime=1, y=int(rng.integers(2)), grp=k % 2, id=f"i{k}")
             )
-        pop = Population(tuple(individuals), ("a", "b", "c"))
+        pop = Population.from_individuals(tuple(individuals), ("a", "b", "c"))
         om = ObstacleModel.from_alpha([0.5, 1.0, 0.0])
         policy = Policy(1.0)
         x_rev, y_rev, accessed = reveal_population(pop, om, policy)
@@ -139,11 +141,27 @@ class TestValidation:
     def test_population_requires_unique_ids(self):
         inds = [make_individual(z=[1], x=[1], id="dup") for _ in range(2)]
         with pytest.raises(ValidationError):
-            Population(tuple(inds), ("f",))
+            Population.from_individuals(tuple(inds), ("f",))
 
     def test_population_dimension_check(self):
         with pytest.raises(ValidationError):
-            Population((make_individual(z=[1, 2], x=[1, 2]),), ("f",))
+            Population.from_individuals((make_individual(z=[1, 2], x=[1, 2]),), ("f",))
+
+    def test_population_arrays_are_read_only(self):
+        pop = Population.from_individuals((make_individual(z=[2.0], x=[1.0]),), ("f",))
+        with pytest.raises(ValueError):
+            pop.x_matrix()[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            pop.restrict(["f"]).z_matrix()[0, 0] = 5.0
+
+    def test_array_constructor_names_the_bad_row(self):
+        with pytest.raises(ValidationError) as excinfo:
+            Population(
+                x=[[1.0], [np.nan]], z=[[1.0], [1.0]], y=[0, 1], y_prime=[0, 1],
+                grp=[0, 1], ids=["a", "b"], feature_names=("f",),
+            )
+        assert excinfo.value.row == 1
+        assert "'b'" in str(excinfo.value)
 
     def test_alpha_must_be_nonnegative(self):
         with pytest.raises(ValidationError):
@@ -223,3 +241,43 @@ def test_zero_obstacle_when_features_equal(pair):
     ind, om = pair
     same = make_individual(z=ind.x, x=ind.x)
     assert obstacle_magnitude(om, same) == 0.0
+
+
+@st.composite
+def boundary_cases(draw):
+    """A population, an obstacle model with some zero weights, and one person.
+
+    Hypothesis picks the sizes, the zero patterns and a seed; the values
+    themselves are drawn from that seed, since summation order only shows
+    on values with full mantissas.
+    """
+    d = draw(st.integers(min_value=1, max_value=12))
+    n = draw(st.integers(min_value=1, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    alpha = rng.uniform(0, 2, size=d) * (rng.random(d) < draw(st.floats(0.2, 1.0)))
+    x = rng.normal(scale=3, size=(n, d))
+    bump = rng.exponential(size=(n, d)) * (rng.random((n, d)) < draw(st.floats(0.0, 1.0)))
+    rows = [
+        make_individual(z=x[k] + bump[k], x=x[k], grp=k % 2, id=f"i{k}") for k in range(n)
+    ]
+    pop = Population.from_individuals(rows, [f"f{j}" for j in range(d)])
+    pivot = draw(st.integers(min_value=0, max_value=n - 1))
+    return pop, ObstacleModel.from_alpha(alpha), pivot
+
+
+@given(boundary_cases())
+@settings(max_examples=300, deadline=None)
+def test_access_paths_agree_at_the_boundary(case):
+    # delta equal to one person's magnitude is where summation order shows
+    pop, om, pivot = case
+    policy = Policy(obstacle_magnitude(om, pop.individuals[pivot]))
+    per_row = [reveal(ind, om, policy).fully_accessed for ind in pop.individuals]
+    _, _, vectorized = reveal_population(pop, om, policy)
+    oracle = [
+        psi_oracle(om.alpha.tolist(), [z], [x], policy.delta) == 1.0
+        for z, x in zip(pop.z_matrix().tolist(), pop.x_matrix().tolist())
+    ]
+    assert per_row[pivot]
+    assert per_row == vectorized.tolist()
+    assert per_row == list(model_access(pop, om, policy).per_individual)
+    assert per_row == oracle

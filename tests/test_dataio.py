@@ -242,6 +242,20 @@ class TestAuxiliaryLoaders:
         assert pop.ids() == ["u1", "u2"]
         assert pop.individuals[1].y_prime == 1
 
+    @pytest.mark.parametrize("bad_cells", ["5,1,1.0,1.0", "1,1,nan,1.0"])
+    def test_population_csv_names_the_bad_row(self, tmp_path, bad_cells):
+        # columns after id,group: y,y_prime,x_a,z_a; data row 2 has y=5 or x_a=nan
+        path = tmp_path / "pop.csv"
+        path.write_text(
+            "id,group,y,y_prime,x_a,z_a\n"
+            "u1,0,1,1,1.0,1.0\n"
+            f"u2,0,{bad_cells}\n"
+            "u3,1,0,0,1.0,1.0\n"
+        )
+        with pytest.raises(DataFormatError) as excinfo:
+            load_population_csv(path)
+        assert excinfo.value.row == 2
+
     def test_population_csv_missing_z(self, tmp_path):
         path = tmp_path / "pop.csv"
         path.write_text("id,group,y,y_prime,x_a\nu1,0,1,1,1.0\n")

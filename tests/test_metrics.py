@@ -29,7 +29,7 @@ def population_with_obstacles(magnitudes, groups=None):
         individuals.append(
             Individual(z=[float(mag)], x=[0.0], y_prime=1, y=0, grp=grp, id=f"i{i}")
         )
-    return Population(tuple(individuals), ("f",))
+    return Population.from_individuals(tuple(individuals), ("f",))
 
 
 OM_UNIT = ObstacleModel.from_alpha([1.0])
@@ -52,7 +52,7 @@ class TestModelAccess:
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValidationError):
-            model_access(Population((), ("f",)), OM_UNIT, Policy(0.0))
+            model_access(Population.from_individuals((), ("f",)), OM_UNIT, Policy(0.0))
 
     def test_per_group_rates(self):
         pop = population_with_obstacles([0, 4, 0, 4], groups=[0, 0, 1, 1])
@@ -117,7 +117,7 @@ class TestAccessOutcomeDecoupling:
     def setup_method(self):
         self.a = Individual(z=[6.0, 0.0], x=[5.0, 0.0], y_prime=1, y=0, grp=0, id="a")
         self.b = Individual(z=[6.0, 0.0], x=[6.0, 0.0], y_prime=1, y=1, grp=1, id="b")
-        self.pop = Population((self.a, self.b), ("f1", "f2"))
+        self.pop = Population.from_individuals((self.a, self.b), ("f1", "f2"))
         self.om = ObstacleModel.from_alpha([1.0, 1.0])
         X = np.array([[5.0, 0.0], [6.0, 0.0]])
         y = np.array([0, 1])

@@ -35,8 +35,8 @@ def perfect_spaces():
         intended.append(
             Individual(z=xt, x=xt, y_prime=y, y=y, grp=grp, id=f"p{k}")
         )
-    proxy_pop = Population(tuple(individuals), ("f1", "f2"))
-    intended_pop = Population(tuple(intended), ("g1",))
+    proxy_pop = Population.from_individuals(tuple(individuals), ("f1", "f2"))
+    intended_pop = Population.from_individuals(tuple(intended), ("g1",))
     proxy_space = ModelSpace(
         (ModelSpec(("f1", "f2"), "norm_threshold", {"threshold": 2.0}),),
         proxy_pop,
@@ -58,7 +58,7 @@ def starved_space():
         Individual(z=[10.0 + (k % 3)], x=[k % 3], y_prime=1, y=k % 2, grp=k % 2, id=f"s{k}")
         for k in range(20)
     ]
-    pop = Population(tuple(individuals), ("f",))
+    pop = Population.from_individuals(tuple(individuals), ("f",))
     return ModelSpace(
         (ModelSpec(("f",)), ModelSpec(("f",), "norm_threshold", {"threshold": 1.0})),
         pop,
@@ -89,7 +89,7 @@ class TestSampler:
             Individual(z=[1.0], x=[1.0], y_prime=1, y=1, grp=0, id=f"d{k}")
             for k in range(3)
         ]
-        pop = Population(tuple(individuals), ("f",))
+        pop = Population.from_individuals(tuple(individuals), ("f",))
         specs = tuple(
             ModelSpec(("f",), "norm_threshold", {"threshold": float(t)}) for t in (1, 2, 3)
         )
