@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Print one sha256 per report file of a fixed set of runs, and of the listing.
+
+Runs, in this process and into a temporary directory, one operation of
+every kind the benchmark times (the four ``simulate-loop`` regimes, the
+eight ``score`` search seeds, ``casestudy`` followed by ``gaps``, and
+``audit``, on inputs made by ``perfbench/workloads.py``), plus
+``casestudy --seed 7`` on the bundled student sample in both report
+formats. It then prints ``<sha256>  <path>`` for every output file, sorted
+by path, and last the sha256 of those lines. Two checkouts that print the
+same listing hash wrote byte-identical reports. Run from anywhere:
+
+    python3 scripts/output_digest.py [--seed N]
+
+``--seed`` is the benchmark run seed the inputs derive from (default 1).
+The program is imported from ``src/`` of the same checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLE = ROOT / "tests" / "data" / "student_sample.csv"
+
+
+def commands(run_seed: int, base: Path) -> list[list[str]]:
+    """Every command to run, in order, writing under ``base``."""
+    import workloads
+
+    argvs = []
+    for name, wl in workloads.WORKLOADS.items():
+        for kind in range(wl.kinds):
+            op = wl.make_op(run_seed, kind, kind, base / name / f"op{kind}")
+            argvs += op.argvs
+    for fmt in ("json", "csv"):
+        argvs.append(["--seed", "7", "--format", fmt, "--out", str(base / "sample" / fmt / "out"), "casestudy", str(SAMPLE)])
+    return argvs
+
+
+def digest_lines(base: Path) -> list[str]:
+    """``<sha256>  <path>`` for every output file under ``base``; inputs are left out."""
+    files = sorted(p for p in base.rglob("*") if p.is_file() and "out" in p.relative_to(base).parts)
+    return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(base).as_posix()}" for p in files]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=1, help="benchmark run seed of the inputs")
+    args = parser.parse_args(argv)
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from equity_audit import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        for argv_ in commands(args.seed, base):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv_)
+            if code:
+                print(f"error: exit {code} from {' '.join(argv_)}", file=sys.stderr)
+                return 1
+        lines = digest_lines(base)
+    for line in lines:
+        print(line)
+    listing = "".join(line + "\n" for line in lines)
+    print(f"{hashlib.sha256(listing.encode()).hexdigest()}  listing")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

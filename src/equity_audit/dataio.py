@@ -59,9 +59,9 @@ from .metrics import (
     EquityReport,
     EvaluationRecord,
     GapReport,
+    access_from_mask,
     compute_gap_report,
     eo_violation,
-    model_access,
     utilization,
 )
 from .scoring import _split_indices
@@ -464,8 +464,8 @@ def run_case_study(cfg: RunConfig, table: StudentTable | None = None) -> CaseStu
         degenerate: list[str] = []
 
         access_policy = Policy(float("inf")) if eq_access else Policy(0.0)
-        x_rev, y_rev, _ = reveal_population(views.proxy, views.om_proxy, access_policy)
-        access_report = model_access(views.proxy, views.om_proxy, access_policy)
+        x_rev, y_rev, accessed = reveal_population(views.proxy, views.om_proxy, access_policy)
+        access_report = access_from_mask(accessed, groups)
 
         # the audit measures the odds gap against obstacle-free labels:
         # received labels would let an unequal-access deployment look

@@ -4,10 +4,13 @@ Two classes are supported. ``logistic_regression`` fits a regularized
 logistic model by full-batch gradient descent on standardized features
 (zero mean, unit variance computed from the training rows), which keeps
 runs deterministic and makes coefficient magnitudes comparable across
-features. ``norm_threshold`` is the fixed rule "predict 1 iff the L2 norm
-of the input is at least the configured threshold"; it has no fitted
-parameters and exists so simple worked scenarios can be expressed in the
-same API as trained models.
+features. Each descent step evaluates only the gradient;
+:func:`logistic_loss_and_gradient` pairs that same gradient with the loss
+it differentiates, and is the reference the tests check by differencing.
+``norm_threshold`` is the fixed rule "predict 1 iff the L2 norm of the
+input is at least the configured threshold"; it has no fitted parameters
+and exists so simple worked scenarios can be expressed in the same API as
+trained models.
 
 Feature importance is the vector of signed coefficients rescaled to unit
 L1 norm; it feeds the label-gap comparison between a deployed model and
@@ -163,17 +166,26 @@ def _normalize_importance(coefficients: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(scores: np.ndarray) -> np.ndarray:
-    out = np.empty_like(scores)
-    pos = scores >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-scores[pos]))
-    expv = np.exp(scores[~pos])
-    out[~pos] = expv / (1.0 + expv)
-    return out
+    # exp(-|s|) cannot overflow, and -|s| is exactly -s for s >= 0 and s
+    # for s < 0, so this matches 1/(1+e^-s) and e^s/(1+e^s) bit for bit
+    e = np.exp(-np.abs(scores))
+    return np.where(scores >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softplus(scores: np.ndarray) -> np.ndarray:
     # log(1 + e^s), computed without overflow for large |s|
     return np.maximum(scores, 0.0) + np.log1p(np.exp(-np.abs(scores)))
+
+
+def _logistic_gradient(
+    weights: np.ndarray, X: np.ndarray, y: np.ndarray, l2: float
+) -> np.ndarray:
+    """Gradient of :func:`logistic_loss_and_gradient`'s loss; one descent step."""
+    w, b = weights[:-1], weights[-1]
+    resid = _sigmoid(X @ w + b) - y
+    grad_w = X.T @ resid / X.shape[0] + l2 * w
+    grad_b = float(np.mean(resid))
+    return np.append(grad_w, grad_b)
 
 
 def logistic_loss_and_gradient(
@@ -182,18 +194,15 @@ def logistic_loss_and_gradient(
     """Mean log-loss plus an L2 penalty on the non-intercept weights.
 
     ``weights`` is ``[w_1..w_d, intercept]``. Returns the loss value and its
-    exact gradient; gradient-check tests difference this pair numerically.
+    exact gradient, computed by the same helper :func:`train` steps with;
+    gradient-check tests difference this pair numerically.
     """
     w, b = weights[:-1], weights[-1]
     scores = X @ w + b
     # mean[ softplus(s) - y*s ] == mean[-y log p - (1-y) log(1-p)]
     data_loss = float(np.mean(_softplus(scores) - y * scores))
     penalty = 0.5 * l2 * float(w @ w)
-    p = _sigmoid(scores)
-    resid = p - y
-    grad_w = X.T @ resid / X.shape[0] + l2 * w
-    grad_b = float(np.mean(resid))
-    return data_loss + penalty, np.append(grad_w, grad_b)
+    return data_loss + penalty, _logistic_gradient(weights, X, y, l2)
 
 
 def _validate_training_inputs(spec: ModelSpec, features, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -221,10 +230,13 @@ def _validate_training_inputs(spec: ModelSpec, features, labels) -> tuple[np.nda
 def train(spec: ModelSpec, features, labels, seed: int = 0) -> TrainedModel:
     """Fit a model of the spec's class.
 
-    Logistic regression runs full-batch gradient descent from a zero start
-    on standardized features, so the result is a deterministic function of
-    (spec, data); the seed is accepted for interface stability. The
-    threshold class performs no fitting and just validates its inputs.
+    Logistic regression runs ``iterations`` full-batch gradient descent
+    steps from a zero start on standardized features, so the result is a
+    deterministic function of (spec, data); the seed is accepted for
+    interface stability. Each step evaluates only the gradient, never the
+    loss; :func:`logistic_loss_and_gradient` is the loss-and-gradient
+    reference for the same step. The threshold class performs no fitting
+    and just validates its inputs.
     """
     X, y = _validate_training_inputs(spec, features, labels)
     hp = spec.resolved_hyperparams()
@@ -253,8 +265,7 @@ def train(spec: ModelSpec, features, labels, seed: int = 0) -> TrainedModel:
     lr = float(hp["learning_rate"])
     l2 = float(hp["l2"])
     for _ in range(int(hp["iterations"])):
-        _, grad = logistic_loss_and_gradient(weights, Xs, y, l2)
-        weights = weights - lr * grad
+        weights = weights - lr * _logistic_gradient(weights, Xs, y, l2)
 
     coef = weights[:-1]
     return TrainedModel(
@@ -328,7 +339,7 @@ def _group_threshold_grid(
     scores = np.asarray(predict_proba(model, features), dtype=float)
     y = np.asarray(labels, dtype=int)
     g = np.asarray(groups, dtype=int)
-    present = sorted(set(int(v) for v in g))
+    present = np.unique(g).tolist()
     if present != [0, 1]:
         raise ValidationError(f"need both groups 0 and 1, got {present}")
 
@@ -420,8 +431,16 @@ def candidate_group_thresholds(
 def predict_with_group_thresholds(
     model: TrainedModel, features, groups, thresholds: dict[int, float]
 ) -> np.ndarray:
-    """Binary decisions using a per-group score cutoff."""
+    """Binary decisions using a per-group score cutoff.
+
+    Raises ``ValidationError`` naming the first group label that has no
+    threshold.
+    """
     scores = np.asarray(predict_proba(model, features), dtype=float)
     g = np.asarray(groups, dtype=int)
-    cuts = np.array([thresholds[int(v)] for v in g])
+    cuts = np.empty(g.shape)
+    for label in np.unique(g).tolist():
+        if label not in thresholds:
+            raise ValidationError(f"no decision threshold for group {label}")
+        cuts[g == label] = thresholds[label]
     return (scores >= cuts).astype(int)

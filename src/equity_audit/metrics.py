@@ -161,20 +161,28 @@ class EquityReport:
         }
 
 
+def access_from_mask(accessed: np.ndarray, groups: np.ndarray) -> AccessReport:
+    """psi, per-person flags and per-group rates of a nonempty access mask.
+
+    The mask is the one :func:`~equity_audit.core.reveal_population`
+    returns, so a caller that reveals need not compute access again.
+    """
+    per_group = {
+        int(g): float(np.mean(accessed[groups == g])) for g in np.unique(groups)
+    }
+    return AccessReport(
+        psi=float(np.mean(accessed)),
+        per_individual=tuple(accessed.tolist()),
+        per_group=per_group,
+    )
+
+
 def model_access(pop: Population, om: ObstacleModel, policy: Policy) -> AccessReport:
     """Fraction of the population with zero or fully alleviated obstacles."""
     if len(pop) == 0:
         raise ValidationError("model_access requires a nonempty population")
     _, flags = _obstacle_access(pop.x_matrix(), pop.z_matrix(), om.alpha, policy.delta, pop.ids())
-    groups = pop.groups()
-    per_group = {
-        int(g): float(np.mean(flags[groups == g])) for g in np.unique(groups)
-    }
-    return AccessReport(
-        psi=float(np.mean(flags)),
-        per_individual=tuple(flags.tolist()),
-        per_group=per_group,
-    )
+    return access_from_mask(flags, pop.groups())
 
 
 def eo_violation(

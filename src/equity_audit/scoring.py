@@ -38,7 +38,7 @@ import numpy as np
 from .core import ObstacleModel, Policy, Population, reveal_population
 from .errors import JoinError, SingleClassError, UndefinedRateError, ValidationError
 from .learner import ModelSpec, predict, train
-from .metrics import EvaluationRecord, eo_violation, model_access, utilization
+from .metrics import EvaluationRecord, access_from_mask, eo_violation, utilization
 
 REJECT_ACCESS = "access_gate"
 REJECT_OUTCOME = "outcome_gate"
@@ -255,6 +255,8 @@ def run_equity_scoring(
     proxy_ids = proxy_space.dataset.ids()
     intended_ids = {ind_id: row for row, ind_id in enumerate(intended_space.dataset.ids())}
 
+    groups = proxy_space.dataset.groups()
+
     records: list[IterationRecord] = []
     budget = cfg.max_outer_iters * cfg.max_inner_iters
 
@@ -267,13 +269,28 @@ def run_equity_scoring(
             IterationRecord(outer, phase, spec_id, policy_id, psi, omega, zeta, not reason, reason)
         )
 
-    def next_spec_view(policy: Policy):
-        """Draw the next proxy spec, its feature view and its revealed rows."""
-        spec_id = proxy_sampler.next_spec()
+    def spec_view(spec_id: int, policy: Policy):
+        """A proxy spec, its revealed rows under the policy and its access rate."""
         spec = proxy_space.candidate_specs[spec_id]
         view, view_om = _spec_view(proxy_space, spec)
-        x_rev, y_rev, _ = reveal_population(view, view_om, policy)
-        return spec_id, spec, view, view_om, x_rev, y_rev
+        x_rev, y_rev, accessed = reveal_population(view, view_om, policy)
+        return spec, x_rev, y_rev, access_from_mask(accessed, groups).psi
+
+    def evaluation_zeta(ispec_id: int, ipolicy_id: int) -> float | None:
+        """zeta of one evaluation candidate on the accepted rows; None if degenerate."""
+        ispec = intended_space.candidate_specs[ispec_id]
+        ipolicy = intended_space.candidate_policies[ipolicy_id]
+        ix_rev, iy_rev, _ = reveal_population(*_spec_view(intended_space, ispec), ipolicy)
+        try:
+            imodel = train(ispec, ix_rev[fit_mask], iy_rev[fit_mask], cfg.seed)
+        except (SingleClassError, ValidationError):
+            return None
+        y_tt = np.asarray(predict(imodel, ix_rev[b_rows]))
+        evaluation = [
+            EvaluationRecord(id=b_ids[k], y_pt=1, y_tt=int(y_tt[k]), grp=int(b_groups[k]))
+            for k in range(len(b_ids))
+        ]
+        return utilization(evaluation).zeta
 
     for outer in range(1, cfg.max_outer_iters + 1):
         if spent():
@@ -282,12 +299,10 @@ def run_equity_scoring(
         intended_sampler.reset()
 
         spec_id, policy_id = proxy_sampler.sample()
-        spec = proxy_space.candidate_specs[spec_id]
         policy = proxy_space.candidate_policies[policy_id]
-        view, view_om = _spec_view(proxy_space, spec)
+        spec, x_rev, y_rev, psi = spec_view(spec_id, policy)
 
         budget -= 1
-        psi = model_access(view, view_om, policy).psi
         if psi < cfg.tau:
             record("access", spec_id, policy_id, psi, None, None, REJECT_ACCESS)
             continue
@@ -297,21 +312,17 @@ def run_equity_scoring(
         # A re-sampled spec may read different features, so its access rate
         # is re-checked; a spec that breaks the access gate is rejected
         # within this phase.
-        x_rev, y_rev, _ = reveal_population(view, view_om, policy)
-        groups = view.groups()
         accepted_omega = None
         preds_test = None
-        fresh_spec = False
         for _ in range(cfg.max_inner_iters):
             if spent():
                 break
             budget -= 1
-            if fresh_spec:
-                psi = model_access(view, view_om, policy).psi
-                if psi < cfg.tau:
-                    record("outcome", spec_id, policy_id, psi, None, None, REJECT_ACCESS)
-                    spec_id, spec, view, view_om, x_rev, y_rev = next_spec_view(policy)
-                    continue
+            if psi < cfg.tau:
+                record("outcome", spec_id, policy_id, psi, None, None, REJECT_ACCESS)
+                spec_id = proxy_sampler.next_spec()
+                spec, x_rev, y_rev, psi = spec_view(spec_id, policy)
+                continue
             try:
                 model = train(spec, x_rev[train_idx], y_rev[train_idx], cfg.seed)
                 preds = np.asarray(predict(model, x_rev[test_idx]))
@@ -320,8 +331,8 @@ def run_equity_scoring(
                 )
             except (SingleClassError, UndefinedRateError):
                 record("outcome", spec_id, policy_id, psi, None, None, REJECT_DEGENERATE)
-                spec_id, spec, view, view_om, x_rev, y_rev = next_spec_view(policy)
-                fresh_spec = True
+                spec_id = proxy_sampler.next_spec()
+                spec, x_rev, y_rev, psi = spec_view(spec_id, policy)
                 continue
             omega = report.eo_violation
             if omega <= cfg.tau_o:
@@ -330,8 +341,8 @@ def run_equity_scoring(
                 record("outcome", spec_id, policy_id, psi, omega, None)
                 break
             record("outcome", spec_id, policy_id, psi, omega, None, REJECT_OUTCOME)
-            spec_id, spec, view, view_om, x_rev, y_rev = next_spec_view(policy)
-            fresh_spec = True
+            spec_id = proxy_sampler.next_spec()
+            spec, x_rev, y_rev, psi = spec_view(spec_id, policy)
         if accepted_omega is None:
             continue
 
@@ -352,32 +363,27 @@ def run_equity_scoring(
         fit_mask = np.ones(len(intended_space.dataset), dtype=bool)
         fit_mask[b_rows] = False
 
+        # the sampler's streams reshuffle independently, so a pair can be
+        # drawn twice in one iteration; on the same rows it reaches the same
+        # zeta, so a repeat is charged and recorded but not refitted
+        zetas: dict[tuple[int, int], float | None] = {}
         converged_zeta = None
         for _ in range(cfg.max_inner_iters):
             if spent():
                 break
-            ispec_id, ipolicy_id = intended_sampler.sample()
-            ispec = intended_space.candidate_specs[ispec_id]
-            ipolicy = intended_space.candidate_policies[ipolicy_id]
-            ix_rev, iy_rev, _ = reveal_population(*_spec_view(intended_space, ispec), ipolicy)
-
+            candidate = intended_sampler.sample()
             budget -= 1
-            try:
-                imodel = train(ispec, ix_rev[fit_mask], iy_rev[fit_mask], cfg.seed)
-            except (SingleClassError, ValidationError):
-                record("utilization", ispec_id, ipolicy_id, psi, accepted_omega, None, REJECT_DEGENERATE)
+            if candidate not in zetas:
+                zetas[candidate] = evaluation_zeta(*candidate)
+            zeta = zetas[candidate]
+            if zeta is None:
+                record("utilization", *candidate, psi, accepted_omega, None, REJECT_DEGENERATE)
                 continue
-            y_tt = np.asarray(predict(imodel, ix_rev[b_rows]))
-            evaluation = [
-                EvaluationRecord(id=b_ids[k], y_pt=1, y_tt=int(y_tt[k]), grp=int(b_groups[k]))
-                for k in range(len(b_ids))
-            ]
-            zeta = utilization(evaluation).zeta
             if zeta >= cfg.tau:
                 converged_zeta = zeta
-                record("utilization", ispec_id, ipolicy_id, psi, accepted_omega, zeta)
+                record("utilization", *candidate, psi, accepted_omega, zeta)
                 break
-            record("utilization", ispec_id, ipolicy_id, psi, accepted_omega, zeta, REJECT_UTILIZATION)
+            record("utilization", *candidate, psi, accepted_omega, zeta, REJECT_UTILIZATION)
         if converged_zeta is None:
             continue
 

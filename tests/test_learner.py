@@ -7,15 +7,18 @@ from equity_audit.errors import SingleClassError, ValidationError
 from equity_audit.learner import (
     ModelSpec,
     TrainedModel,
+    _sigmoid,
     candidate_group_thresholds,
     feature_importance,
     fit_group_thresholds,
     logistic_loss_and_gradient,
     loss,
     predict,
+    predict_proba,
     predict_with_group_thresholds,
     train,
 )
+from oracles import logistic_fit_reference, two_branch_sigmoid
 
 
 def separable_1d(n=60, seed=3):
@@ -131,6 +134,54 @@ class TestGradient:
                 assert abs(numeric - grad[k]) / denom < 1e-5
 
 
+def _reference_cases(student_path):
+    """(name, X, y, hyperparams) of the shapes the package trains on."""
+    from equity_audit.config import RunConfig
+    from equity_audit.dataio import build_case_study_views, load_uci_students
+    from equity_audit.loopsim import default_config, generate_cohort
+
+    rng = np.random.default_rng(13)
+    const = np.column_stack([rng.normal(size=50), np.full(50, 2.5)])
+    wide = np.concatenate([rng.uniform(-3, -1, 40), rng.uniform(1, 3, 40)])[:, None]
+    cohort = generate_cohort(default_config(seed=42), 0).proxy
+    views = build_case_study_views(load_uci_students(student_path), RunConfig())
+    return [
+        ("n2_d1", np.array([[0.0], [1.0]]), np.array([0, 1]), {}),
+        ("constant_column", const, (const[:, 0] > 0).astype(int), {"iterations": 300}),
+        # scores reach about +-150, where the sigmoid saturates
+        ("saturating", wide, (wide[:, 0] > 0).astype(int),
+         {"iterations": 300, "learning_rate": 200.0, "l2": 0.0}),
+        ("loop", cohort.x_matrix(), cohort.labels(), {"iterations": 800}),
+        ("case_study", views.proxy.x_matrix(), views.proxy.labels(), {}),
+    ]
+
+
+def test_train_matches_reference_bit_for_bit(student_path):
+    for name, X, y, hyperparams in _reference_cases(student_path):
+        spec = ModelSpec(tuple(f"f{j}" for j in range(X.shape[1])), hyperparams=hyperparams)
+        hp = spec.resolved_hyperparams()
+        model = train(spec, X, y, seed=0)
+        coef, intercept, mu, sigma = logistic_fit_reference(
+            X, y, hp["iterations"], hp["learning_rate"], hp["l2"]
+        )
+        assert np.array_equal(model.coefficients, coef), name
+        assert model.intercept == intercept, name
+        assert np.array_equal(model.mu, mu), name
+        assert np.array_equal(model.sigma, sigma), name
+
+
+def test_sigmoid_bit_identical_to_two_branch_form():
+    edges = np.array([0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 745.0, -745.0])
+    rng = np.random.default_rng(17)
+    arrays = [edges] + [
+        rng.normal(scale=scale, size=n)
+        for n in (1, 2, 7, 1000, 100_001)
+        for scale in (1.0, 50.0, 800.0)
+    ]
+    for s in arrays:
+        assert np.array_equal(_sigmoid(s).view(np.int64), two_branch_sigmoid(s).view(np.int64))
+
+
 class TestImportance:
     def test_normalized_signed(self):
         spec = ModelSpec(("a", "b"))
@@ -234,3 +285,17 @@ class TestGroupThresholds:
             fit_group_thresholds(
                 train(ModelSpec(("f",)), x, y, seed=0), x, y, np.zeros(len(y)), tau_o=0.1
             )
+
+    def test_group_without_threshold_named(self):
+        x, y, g = self._data()
+        model = train(ModelSpec(("f",)), x, y, seed=0)
+        with pytest.raises(ValidationError, match="group 1"):
+            predict_with_group_thresholds(model, x, g, {0: 0.5})
+
+    def test_group_thresholds_apply_per_row(self):
+        x, _, g = self._data()
+        model = train(ModelSpec(("f",)), x, (x[:, 0] > 0.4).astype(int), seed=0)
+        cuts = {0: 0.3, 1: 0.7}
+        scores = predict_proba(model, x)
+        expected = [int(s >= cuts[int(v)]) for s, v in zip(scores, g)]
+        assert predict_with_group_thresholds(model, x, g, cuts).tolist() == expected

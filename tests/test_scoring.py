@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from equity_audit import scoring
 from equity_audit.core import Individual, ObstacleModel, Policy, Population
 from equity_audit.errors import ValidationError
 from equity_audit.learner import ModelSpec
@@ -204,3 +207,45 @@ class TestSyntheticBenchmark:
 
 
 GOLDEN_BENCHMARK_SCORE = 2.7831667356716157  # frozen from the first verified run
+
+
+def repeating_spaces():
+    """The synthetic benchmark with four evaluation candidates, none of which
+    confirms 99.9 % of the admitted: every utilization phase walks its full
+    25 draws, so most draws repeat a pair already tried."""
+    proxy_space, intended_space = synthetic_benchmark_spaces()
+    intended_space = ModelSpace(
+        (
+            ModelSpec(("if0", "if1", "if2"), hyperparams={"iterations": 400}),
+            ModelSpec(("if2",), hyperparams={"iterations": 400}),
+        ),
+        intended_space.dataset,
+        intended_space.obstacle_model,
+        (Policy(0.0), Policy(float("inf"))),
+    )
+    return proxy_space, intended_space
+
+
+# sha256 of the trace's JSON when every repeat was refitted (72 fits, not 15)
+REPEATING_TRACE_SHA256 = "7083cf48e2a249ce0e7780c0372eb79f4f0ea8a1b0501e69461b5e798d0144ac"
+
+
+def test_repeated_utilization_candidates_fitted_once(monkeypatch):
+    fits = []
+    real_train = scoring.train
+
+    def counting_train(spec, *args, **kwargs):
+        fits.append(spec)
+        return real_train(spec, *args, **kwargs)
+
+    monkeypatch.setattr(scoring, "train", counting_train)
+    cfg = ScoringConfig(seed=42, tau=0.999, tau_o=0.2, max_outer_iters=3)
+    trace = run_equity_scoring(*repeating_spaces(), cfg)
+
+    util = [(r.iter, r.spec_id, r.policy_id) for r in trace.records if r.phase == "utilization"]
+    assert len(util) > len(set(util))  # the walk repeats candidates
+    outcome_fits = sum(
+        r.phase == "outcome" and r.reason != "access_gate" for r in trace.records
+    )
+    assert len(fits) == outcome_fits + len(set(util))
+    assert hashlib.sha256(trace.to_json().encode()).hexdigest() == REPEATING_TRACE_SHA256
