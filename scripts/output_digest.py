@@ -7,8 +7,10 @@ eight ``score`` search seeds, ``casestudy`` followed by ``gaps``, and
 ``audit``, on inputs made by ``perfbench/workloads.py``), plus
 ``casestudy --seed 7`` on the bundled student sample in both report
 formats. It then prints ``<sha256>  <path>`` for every output file, sorted
-by path, and last the sha256 of those lines. Two checkouts that print the
-same listing hash wrote byte-identical reports. Run from anywhere:
+by path, then ``<sha256>  stdout/<nn>-<command>`` for what the nn-th
+command printed, and last the sha256 of all those lines. Two checkouts
+that print the same listing hash wrote byte-identical reports and printed
+the same text. Run from anywhere:
 
     python3 scripts/output_digest.py [--seed N]
 
@@ -57,15 +59,19 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from equity_audit import cli
 
+    parser = cli.build_parser()
+    printed = []
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
-        for argv_ in commands(args.seed, base):
-            with contextlib.redirect_stdout(io.StringIO()):
+        for k, argv_ in enumerate(commands(args.seed, base)):
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
                 code = cli.main(argv_)
             if code:
                 print(f"error: exit {code} from {' '.join(argv_)}", file=sys.stderr)
                 return 1
-        lines = digest_lines(base)
+            sha = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+            printed.append(f"{sha}  stdout/{k:02d}-{parser.parse_args(argv_).command}")
+        lines = digest_lines(base) + printed
     for line in lines:
         print(line)
     listing = "".join(line + "\n" for line in lines)

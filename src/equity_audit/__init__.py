@@ -60,6 +60,7 @@ from .metrics import (
     model_access,
     obstacle_gap,
     utilization,
+    utilization_from_labels,
 )
 from .scoring import (
     CandidateSampler,

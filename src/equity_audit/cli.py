@@ -42,7 +42,7 @@ from .errors import (
 )
 from .learner import ModelSpec
 from .loopsim import REGIMES, default_config, run_inequity_loop, trajectory_to_csv
-from .metrics import EvaluationRecord, compute_gap_report, eo_violation, utilization
+from .metrics import compute_gap_report, eo_violation, utilization_from_labels
 from .reports import equity_report_rows, long_csv, write_json
 from .scoring import ModelSpace, ScoringConfig, run_equity_scoring
 
@@ -116,12 +116,14 @@ def _cmd_audit(args, cfg: RunConfig) -> int:
     outcome = eo_violation(preds, labels, groups, cfg.epsilon)
     doc = {"outcome": outcome.to_dict()}
     if y_tt is not None:
-        accepted = preds == 1
-        records = [
-            EvaluationRecord(id=str(i), y_pt=1, y_tt=int(t), grp=int(g))
-            for i, (t, g) in enumerate(zip(y_tt[accepted], groups[accepted]))
-        ]
-        doc["utilization"] = utilization(records).to_dict()
+        accepted = np.flatnonzero(preds == 1)
+        try:
+            util = utilization_from_labels(y_tt[accepted], groups[accepted])
+        except ValidationError as exc:  # a non-binary y_tt: name its file row
+            if exc.row is None:
+                raise
+            raise DataFormatError(str(exc), row=int(accepted[exc.row]) + 1, column="y_tt") from None
+        doc["utilization"] = util.to_dict()
     out = _out_dir(cfg)
     write_json(doc, out / "audit.json")
     print(json.dumps(doc, sort_keys=True, indent=2))

@@ -9,6 +9,9 @@ Anything outside that subset is rejected with a line-numbered error.
 
 from __future__ import annotations
 
+import numbers
+import types
+import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -113,6 +116,19 @@ def parse_toml_subset(text: str) -> dict:
     return root
 
 
+def _has_type(value, hint) -> bool:
+    """``isinstance`` against an annotation; bool is no int, an int is a float."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_has_type(value, arg) for arg in args)
+    if origin is tuple:  # tuple[T, ...]
+        return isinstance(value, tuple) and all(_has_type(v, args[0]) for v in value)
+    if hint in (int, float):
+        number = numbers.Integral if hint is int else numbers.Real
+        return isinstance(value, number) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Settings shared by the CLI commands.
@@ -139,6 +155,11 @@ class RunConfig:
     train_fraction: float = 0.7
 
     def __post_init__(self):
+        hints = typing.get_type_hints(RunConfig)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, hints[f.name]):
+                raise DataFormatError(f"config value {f.name} must be {f.type}, got {value!r}")
         if not 0 < self.tau <= 1:
             raise ValidationError("tau must be in (0, 1]")
         if not 0 <= self.tau_o < 1:

@@ -33,8 +33,10 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -57,12 +59,11 @@ from .learner import (
 )
 from .metrics import (
     EquityReport,
-    EvaluationRecord,
     GapReport,
     access_from_mask,
     compute_gap_report,
     eo_violation,
-    utilization,
+    utilization_from_labels,
 )
 from .scoring import _split_indices
 
@@ -116,23 +117,38 @@ class StudentTable:
         return [row[name] for row in self.rows]
 
 
+@contextmanager
+def _csv_reader(path: Path, **fmtparams):
+    """``csv.reader`` over a UTF-8 file; undecodable bytes raise DataFormatError."""
+    if not path.exists():
+        raise DataFormatError(f"input file not found: {path}")
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            yield csv.reader(fh, **fmtparams)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
+def _header_row(reader, path: Path) -> list[str]:
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
+        raise DataFormatError(f"unreadable header row: {exc}") from None
+    if header is None:
+        raise DataFormatError(f"{path} is empty (no header row)")
+    return header
+
+
 def load_uci_students(path: str | Path) -> StudentTable:
-    """Read a semicolon-delimited student file with a quoted header row.
+    """Read a semicolon-delimited UTF-8 student file with a quoted header row.
 
     Known numeric columns are converted to int; everything else stays a
     string. Malformed cells raise with the data row number (1-based) and
     column name.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"input file not found: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh, delimiter=";")
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path} is empty (no header row)") from None
-        columns = tuple(col.strip().strip('"') for col in header)
+    with _csv_reader(path, delimiter=";") as reader:
+        columns = tuple(col.strip().strip('"') for col in _header_row(reader, path))
         missing = [c for c in REQUIRED_COLUMNS if c not in columns]
         if missing:
             raise DataFormatError(
@@ -140,24 +156,28 @@ def load_uci_students(path: str | Path) -> StudentTable:
             )
         numeric = set(UCI_NUMERIC_COLUMNS) & set(columns)
         rows = []
-        for rownum, raw in enumerate(reader, start=1):
-            if len(raw) != len(columns):
-                raise DataFormatError(
-                    f"expected {len(columns)} fields, found {len(raw)}", row=rownum
-                )
-            parsed = {}
-            for col, cell in zip(columns, raw):
-                cell = cell.strip().strip('"')
-                if col in numeric:
-                    try:
-                        parsed[col] = int(cell)
-                    except ValueError:
-                        raise DataFormatError(
-                            f"expected an integer, got {cell!r}", row=rownum, column=col
-                        ) from None
-                else:
-                    parsed[col] = cell
-            rows.append(parsed)
+        rownum = 0
+        try:
+            for rownum, raw in enumerate(reader, start=1):
+                if len(raw) != len(columns):
+                    raise DataFormatError(
+                        f"expected {len(columns)} fields, found {len(raw)}", row=rownum
+                    )
+                parsed = {}
+                for col, cell in zip(columns, raw):
+                    cell = cell.strip().strip('"')
+                    if col in numeric:
+                        try:
+                            parsed[col] = int(cell)
+                        except ValueError:
+                            raise DataFormatError(
+                                f"expected an integer, got {cell!r}", row=rownum, column=col
+                            ) from None
+                    else:
+                        parsed[col] = cell
+                rows.append(parsed)
+        except csv.Error as exc:
+            raise DataFormatError(f"unreadable row: {exc}", row=rownum + 1) from None
     return StudentTable(columns=columns, rows=tuple(rows))
 
 
@@ -427,7 +447,6 @@ def run_case_study(cfg: RunConfig, table: StudentTable | None = None) -> CaseStu
     train_idx, test_idx = _split_indices(n, cfg.train_fraction, cfg.seed)
 
     groups = views.proxy.groups()
-    ids = views.proxy.ids()
     y_all = views.proxy.labels()
     y_free = views.proxy.labels_prime()
     x_proxy = views.proxy.x_matrix()
@@ -534,13 +553,7 @@ def run_case_study(cfg: RunConfig, table: StudentTable | None = None) -> CaseStu
             alleviated = ACCESS_CARRY_FRACTION * eq_access + (1 - ACCESS_CARRY_FRACTION) * eq_util
             x_eval = x_intended + alleviated * uplift_t
             y_tt = np.asarray(predict(intended_model, x_eval[accepted_rows]))
-            records = [
-                EvaluationRecord(
-                    id=ids[int(r)], y_pt=1, y_tt=int(y_tt[k]), grp=int(groups[int(r)])
-                )
-                for k, r in enumerate(accepted_rows)
-            ]
-            util_report = utilization(records)
+            util_report = utilization_from_labels(y_tt, groups[accepted_rows])
             tp_share = util_report.true_positive_share
             fp_share = util_report.false_positive_share
             fp_by_group = util_report.per_group_fp_share
@@ -573,81 +586,149 @@ def run_case_study(cfg: RunConfig, table: StudentTable | None = None) -> CaseStu
     )
 
 
+# data rows converted at a time; bounds the raw cells held in memory
+_BATCH_ROWS = 4096
+_INT64 = range(-(2**63), 2**63)
+_DTYPES = {int: np.int64, float: np.float64, str: object}
+
+
+def _convert_batch(batch: list, first_row: int, cols: list, fault) -> list[np.ndarray]:
+    """Convert the chosen columns of non-blank rows numbered from ``first_row``."""
+    try:
+        return [
+            np.fromiter(map(convert, map(itemgetter(i), batch)), _DTYPES[convert], len(batch))
+            for _, i, convert in cols
+        ]
+    except (IndexError, TypeError, ValueError, OverflowError):
+        pass
+    # a short row or a bad cell: convert row by row, so the first fault in
+    # row order (and within a row, in column order) is the one reported
+    values = [[] for _ in cols]
+    for rownum, row in enumerate(batch, start=first_row):
+        for (name, i, convert), out in zip(cols, values):
+            cell = row[i] if i < len(row) else None
+            try:
+                value = convert(cell)
+            except (TypeError, ValueError) as exc:
+                raise fault(exc, cell, rownum, name) from None
+            if convert is int and value not in _INT64:
+                raise DataFormatError(f"integer out of range, got {cell!r}", row=rownum, column=name)
+            out.append(value)
+    return [np.fromiter(out, _DTYPES[convert], len(out)) for (_, _, convert), out in zip(cols, values)]
+
+
+def _store(column: np.ndarray, start: int, values: np.ndarray) -> np.ndarray:
+    """``column`` with ``values`` written from ``start``, doubled in length when full.
+
+    Growing one buffer per column, rather than keeping every batch's arrays
+    until the end, leaves no trail of small blocks behind in the heap.
+    """
+    end = start + len(values)
+    if end > len(column):
+        grown = np.empty(max(end, 2 * len(column)), dtype=column.dtype)
+        grown[:start] = column[:start]
+        column = grown
+    column[start:end] = values
+    return column
+
+
+def _read_csv_columns(path: Path, plan, fault) -> tuple[list[str], list]:
+    """Read chosen columns of a comma-delimited UTF-8 file, a batch of rows at a time.
+
+    ``plan(header)`` checks the header row and returns ``(name, convert)``
+    pairs, ``convert`` being int, float or str, in the order the cells of a
+    row are checked; ``fault(exc, cell, row, name)`` builds the error for a
+    cell ``convert`` rejects. Returns the header and one column per pair:
+    an int64 or float64 array, or a list of str.
+
+    Rows read as ``csv.DictReader`` reads them: blank lines are skipped and
+    not counted, a name given twice reads its last column, a short row
+    reads None in its missing cells and extra cells are ignored. Cells go
+    through Python's own ``int()``/``float()``; an integer outside the
+    int64 range is a fault too.
+    """
+    with _csv_reader(path) as reader:
+        header = _header_row(reader, path)
+        columns = plan(header)
+        index = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last column
+        cols = [(name, index[name], convert) for name, convert in columns]
+        stored = [np.empty(_BATCH_ROWS, dtype=_DTYPES[convert]) for _, _, convert in cols]
+        done = 0
+        while True:
+            chunk = []
+            try:
+                chunk.extend(islice(reader, _BATCH_ROWS))
+            except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
+                raise DataFormatError(
+                    f"unreadable row: {exc}", row=done + sum(map(bool, chunk)) + 1
+                ) from None
+            if not chunk:
+                break
+            batch = list(filter(None, chunk))
+            for k, values in enumerate(_convert_batch(batch, done + 1, cols, fault)):
+                stored[k] = _store(stored[k], done, values)
+            done += len(batch)
+    return header, [
+        column[:done].tolist() if convert is str else column[:done]
+        for (_, _, convert), column in zip(cols, stored)
+    ]
+
+
+def _integer_fault(exc, cell, row, column) -> DataFormatError:
+    return DataFormatError(f"expected an integer, got {cell!r}", row=row, column=column)
+
+
 def load_audit_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Read a generic audit file: comma-delimited with pred,label,group.
+    """Read a generic audit file: comma-delimited UTF-8 with pred,label,group.
 
     An optional ``y_tt`` column enables the utilization report. Returns
-    (preds, labels, groups, y_tt-or-None).
+    (preds, labels, groups, y_tt-or-None) as int64 arrays.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"input file not found: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataFormatError(f"{path} is empty (no header row)")
-        required = ("pred", "label", "group")
-        missing = [c for c in required if c not in reader.fieldnames]
+
+    def plan(header):
+        missing = [c for c in ("pred", "label", "group") if c not in header]
         if missing:
             raise DataFormatError(f"missing expected columns: {', '.join(missing)}")
-        has_ytt = "y_tt" in reader.fieldnames
-        preds, labels, groups, ytt = [], [], [], []
-        for rownum, row in enumerate(reader, start=1):
-            for col, target in (("pred", preds), ("label", labels), ("group", groups)):
-                try:
-                    target.append(int(row[col]))
-                except (TypeError, ValueError):
-                    raise DataFormatError(
-                        f"expected an integer, got {row[col]!r}", row=rownum, column=col
-                    ) from None
-            if has_ytt:
-                try:
-                    ytt.append(int(row["y_tt"]))
-                except (TypeError, ValueError):
-                    raise DataFormatError(
-                        f"expected an integer, got {row['y_tt']!r}", row=rownum, column="y_tt"
-                    ) from None
-    return (
-        np.array(preds, dtype=int),
-        np.array(labels, dtype=int),
-        np.array(groups, dtype=int),
-        np.array(ytt, dtype=int) if has_ytt else None,
-    )
+        names = ("pred", "label", "group", "y_tt") if "y_tt" in header else ("pred", "label", "group")
+        return [(name, int) for name in names]
+
+    _, (preds, labels, groups, *y_tt) = _read_csv_columns(path, plan, _integer_fault)
+    return preds, labels, groups, y_tt[0] if y_tt else None
+
+
+def _row_fault(exc, cell, row, column) -> DataFormatError:
+    return DataFormatError(f"bad row: {exc}", row=row)
+
+
+def _x_features(header: list[str]) -> list[str]:
+    return [c[2:] for c in header if c.startswith("x_")]
 
 
 def load_population_csv(path: str | Path, group_name: str = "group") -> Population:
-    """Read a population file: id, group, y, y_prime, x_<f>..., z_<f>... columns."""
+    """Read a UTF-8 population file: id, group, y, y_prime, x_<f>..., z_<f>... columns."""
     path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"input file not found: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataFormatError(f"{path} is empty (no header row)")
-        feature_names = [c[2:] for c in reader.fieldnames if c.startswith("x_")]
+
+    def plan(header):
+        feature_names = _x_features(header)
         if not feature_names:
             raise DataFormatError("no x_<feature> columns found")
         for f in feature_names:
-            if f"z_{f}" not in reader.fieldnames:
+            if f"z_{f}" not in header:
                 raise DataFormatError(f"missing expected columns: z_{f}")
         for col in ("id", "group", "y", "y_prime"):
-            if col not in reader.fieldnames:
+            if col not in header:
                 raise DataFormatError(f"missing expected columns: {col}")
-        rows = []
-        for rownum, row in enumerate(reader, start=1):
-            try:
-                rows.append((
-                    [float(row[f"x_{f}"]) for f in feature_names],
-                    [float(row[f"z_{f}"]) for f in feature_names],
-                    int(row["y"]), int(row["y_prime"]), int(row["group"]), str(row["id"]),
-                ))
-            except (TypeError, ValueError) as exc:
-                raise DataFormatError(f"bad row: {exc}", row=rownum) from None
-    x, z, y, y_prime, grp, ids = zip(*rows) if rows else ((),) * 6
-    shape = (len(rows), len(feature_names))
+        features = [f"x_{f}" for f in feature_names] + [f"z_{f}" for f in feature_names]
+        labels = [("y", int), ("y_prime", int), ("group", int), ("id", str)]
+        return [(name, float) for name in features] + labels
+
+    header, (*xz, y, y_prime, grp, ids) = _read_csv_columns(path, plan, _row_fault)
+    d = len(xz) // 2
     try:
         return Population(
-            np.reshape(x, shape), np.reshape(z, shape), y, y_prime, grp, ids, feature_names, group_name
+            np.column_stack(xz[:d]), np.column_stack(xz[d:]), y, y_prime, grp, ids,
+            _x_features(header), group_name,
         )
     except ValidationError as exc:  # a value check failed: name its data row
         if exc.row is None:

@@ -10,7 +10,9 @@ Definitions, all computed by exact counting:
   undefined) or no negatives (FPR undefined) raises
   :class:`~equity_audit.errors.UndefinedRateError` rather than defaulting.
 * model utilization ``zeta``: among individuals the deployed model accepted,
-  the fraction the evaluation model also marks positive.
+  the fraction the evaluation model also marks positive, counted from the
+  evaluation labels and groups of the accepted rows
+  (:func:`utilization_from_labels`).
 * feature gap ``gamma_x``: per evaluation-model feature, 0 when the deployed
   model reads a feature of the same (normalized) name, 1 otherwise.
 * label gap ``gamma_l``: per evaluation-model feature, the importance
@@ -222,12 +224,45 @@ def eo_violation(
     )
 
 
-def utilization(records: list[EvaluationRecord]) -> UtilizationReport:
-    """Share of accepted individuals confirmed positive by the evaluation model."""
-    if len(records) == 0:
+def utilization_from_labels(y_tt, groups) -> UtilizationReport:
+    """Utilization of the accepted individuals, by counting their evaluation labels.
+
+    ``y_tt[k]`` is what the evaluation model said of the k-th individual the
+    deployed model accepted, and ``groups[k]`` is that individual's group.
+    A non-binary label raises ``ValidationError`` whose ``row`` is its index.
+    """
+    y, g = np.asarray(y_tt), np.asarray(groups)
+    if y.ndim != 1 or g.shape != y.shape:
+        raise ValidationError("y_tt and groups must be equal-length vectors")
+    m = len(y)
+    if m == 0:
         raise NoPositivesError(
             "utilization is undefined: no proxy-positive records (m = 0)"
         )
+    bad = ~np.isin(y, (0, 1))
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValidationError(f"y_tt must be 0 or 1, got {y[row].item()!r}", row=row)
+    fp = y == 0
+    n_fp = int(np.count_nonzero(fp))
+    agree = m - n_fp
+    keys = np.unique(g)
+    if n_fp:
+        counts = np.bincount(np.searchsorted(keys, g[fp]), minlength=len(keys))
+        per_group_fp = {k: c / n_fp for k, c in zip(keys.tolist(), counts.tolist())}
+    else:
+        per_group_fp = {k: 0.0 for k in keys.tolist()}
+    return UtilizationReport(
+        zeta=agree / m,
+        m=m,
+        true_positive_share=agree / m,
+        false_positive_share=n_fp / m,
+        per_group_fp_share=per_group_fp,
+    )
+
+
+def utilization(records: list[EvaluationRecord]) -> UtilizationReport:
+    """:func:`utilization_from_labels` over one record per accepted individual."""
     for rec in records:
         if rec.y_pt != 1:
             raise ValidationError(
@@ -236,25 +271,7 @@ def utilization(records: list[EvaluationRecord]) -> UtilizationReport:
             )
         if rec.y_tt not in (0, 1):
             raise ValidationError(f"record {rec.id!r} has non-binary y_tt")
-    m = len(records)
-    agree = sum(1 for rec in records if rec.y_tt == rec.y_pt)
-    zeta = agree / m
-    fp_records = [rec for rec in records if rec.y_tt == 0]
-    groups = sorted({rec.grp for rec in records})
-    if fp_records:
-        per_group_fp = {
-            g: sum(1 for rec in fp_records if rec.grp == g) / len(fp_records)
-            for g in groups
-        }
-    else:
-        per_group_fp = {g: 0.0 for g in groups}
-    return UtilizationReport(
-        zeta=zeta,
-        m=m,
-        true_positive_share=agree / m,
-        false_positive_share=len(fp_records) / m,
-        per_group_fp_share=per_group_fp,
-    )
+    return utilization_from_labels([rec.y_tt for rec in records], [rec.grp for rec in records])
 
 
 _NAME_SQUASH = re.compile(r"[\s_]+")

@@ -38,7 +38,7 @@ import numpy as np
 from .core import ObstacleModel, Policy, Population, reveal_population
 from .errors import JoinError, SingleClassError, UndefinedRateError, ValidationError
 from .learner import ModelSpec, predict, train
-from .metrics import EvaluationRecord, access_from_mask, eo_violation, utilization
+from .metrics import access_from_mask, eo_violation, utilization_from_labels
 
 REJECT_ACCESS = "access_gate"
 REJECT_OUTCOME = "outcome_gate"
@@ -286,11 +286,7 @@ def run_equity_scoring(
         except (SingleClassError, ValidationError):
             return None
         y_tt = np.asarray(predict(imodel, ix_rev[b_rows]))
-        evaluation = [
-            EvaluationRecord(id=b_ids[k], y_pt=1, y_tt=int(y_tt[k]), grp=int(b_groups[k]))
-            for k in range(len(b_ids))
-        ]
-        return utilization(evaluation).zeta
+        return utilization_from_labels(y_tt, b_groups).zeta
 
     for outer in range(1, cfg.max_outer_iters + 1):
         if spent():

@@ -95,6 +95,36 @@ class TestAudit:
         path.write_text("pred,label,group\n1,1,0\n0,0,0\n1,1,1\n0,1,1\n")
         assert run_cli("--out", str(tmp_path / "r"), "audit", str(path)) == 3
 
+    def test_non_binary_y_tt_names_the_file_row(self, tmp_path, capsys):
+        # data row 7 is the fourth accepted row; rows 2 and 5 are not accepted
+        path = tmp_path / "ytt.csv"
+        path.write_text(
+            "pred,label,group,y_tt\n"
+            "1,1,0,1\n0,0,0,9\n1,0,0,0\n\n1,1,1,1\n0,0,1,1\n1,0,1,1\n1,1,1,3\n"
+        )
+        assert run_cli("--out", str(tmp_path / "r"), "audit", str(path)) == 2
+        err = capsys.readouterr().err
+        assert "(row 7, column 'y_tt')" in err
+        assert "got 3" in err
+
+    def test_undecodable_input_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(b"pred,label,group\n1,1,0\n\xff,1,1\n")
+        assert run_cli("--out", str(tmp_path / "r"), "audit", str(path)) == 2
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_oversized_cell_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("pred,label,group\n1,1,0\n1," + "0" * 140_000 + ",1\n")
+        assert run_cli("--out", str(tmp_path / "r"), "audit", str(path)) == 2
+        assert "row 2" in capsys.readouterr().err
+
+    def test_mistyped_config_value_exit_2(self, audit_csv, tmp_path, capsys):
+        config = tmp_path / "run.toml"
+        config.write_text('tau = "abc"\n')
+        assert run_cli("--config", str(config), "--out", str(tmp_path / "r"), "audit", str(audit_csv)) == 2
+        assert "tau" in capsys.readouterr().err
+
     def test_usage_error_exit_1(self):
         assert run_cli("audit") == 1
         assert run_cli("definitely-not-a-command") == 1

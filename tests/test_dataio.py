@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from equity_audit.config import RunConfig, parse_toml_subset
 from equity_audit.core import dominates
@@ -17,7 +19,7 @@ from equity_audit.dataio import (
     load_uci_students,
     run_case_study,
 )
-from equity_audit.errors import DataFormatError, ValidationError
+from equity_audit.errors import DataFormatError, EquityAuditError, ValidationError
 
 UCI_HEADER = (
     '"school";"sex";"age";"address";"famsize";"Pstatus";"Medu";"Fedu";"Mjob";"Fjob";'
@@ -274,6 +276,264 @@ class TestAuxiliaryLoaders:
         assert om is not None and om.affected_features == frozenset({0})
 
 
+def _error_text(convert, cell) -> str:
+    """The message Python's own ``int()``/``float()`` gives for a bad cell."""
+    try:
+        convert(cell)
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+    raise AssertionError(f"{cell!r} converts")
+
+
+def _raises(loader, path) -> DataFormatError:
+    with pytest.raises(DataFormatError) as excinfo:
+        loader(path)
+    return excinfo.value
+
+
+class TestAuditCsvContract:
+    """How ``load_audit_csv`` reads a file, pinned cell by cell."""
+
+    def test_blank_lines_skipped_and_not_counted(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("pred,label,group,y_tt\n\n1,1,0,1\n\n\n0,1,1,0\n\nx,0,0,0\n")
+        err = _raises(load_audit_csv, path)
+        assert (err.row, err.column) == (3, "pred")
+        path.write_text("pred,label,group,y_tt\n\n1,1,0,1\n\n\n0,1,1,0\n\n")
+        preds, labels, groups, y_tt = load_audit_csv(path)
+        assert (preds.tolist(), labels.tolist(), groups.tolist(), y_tt.tolist()) == (
+            [1, 0], [1, 1], [0, 1], [1, 0]
+        )
+
+    def test_short_row_reads_none(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("pred,label,group,y_tt\n1,1,0,1\n1,1\n")
+        err = _raises(load_audit_csv, path)
+        assert (err.row, err.column) == (2, "group")
+        assert str(err) == "expected an integer, got None (row 2, column 'group')"
+
+    def test_short_row_missing_only_y_tt(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("pred,label,group,y_tt\n1,1,0\n")
+        err = _raises(load_audit_csv, path)
+        assert (err.row, err.column) == (1, "y_tt")
+
+    def test_extra_cells_ignored(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("pred,label,group\n1,1,0,9,junk\n0,0,1,,\n")
+        preds, labels, groups, y_tt = load_audit_csv(path)
+        assert (preds.tolist(), labels.tolist(), groups.tolist(), y_tt) == ([1, 0], [1, 0], [0, 1], None)
+
+    def test_duplicate_header_reads_last_column(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("pred,label,group,pred\n0,1,0,1\nx,0,1,0\n")
+        preds, _, _, _ = load_audit_csv(path)
+        assert preds.tolist() == [1, 0]
+        path.write_text("pred,label,group,pred\n0,1,0\n")
+        err = _raises(load_audit_csv, path)
+        assert (err.row, err.column) == (1, "pred")
+        assert "got None" in str(err)
+
+    def test_python_int_syntax(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("pred,label,group,y_tt\n 1,+1,0 ,1_0\n")
+        preds, labels, groups, y_tt = load_audit_csv(path)
+        assert (preds.tolist(), labels.tolist(), groups.tolist(), y_tt.tolist()) == ([1], [1], [0], [10])
+
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("pred,label,group,y_tt\n")
+        arrays = load_audit_csv(path)
+        assert [a.tolist() for a in arrays] == [[], [], [], []]
+        path.write_text("pred,label,group\n")
+        assert load_audit_csv(path)[3] is None
+
+    def test_empty_file_and_blank_header(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("")
+        assert "empty" in str(_raises(load_audit_csv, path))
+        path.write_text("\npred,label,group\n")
+        assert "missing expected columns: pred, label, group" in str(_raises(load_audit_csv, path))
+
+    def test_earlier_bad_row_wins_over_earlier_bad_column(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("pred,label,group,y_tt\n1,1,0,1\n1,1,0,q\nz,1,0,1\n")
+        err = _raises(load_audit_csv, path)
+        assert (err.row, err.column) == (2, "y_tt")
+        assert str(err) == "expected an integer, got 'q' (row 2, column 'y_tt')"
+
+    def test_columns_checked_in_order_within_a_row(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("y_tt,group,label,pred\nq,r,s,t\n")
+        err = _raises(load_audit_csv, path)
+        assert (err.row, err.column) == (1, "pred")
+
+    def test_long_file_values_and_row_numbers(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 20_011
+        cols = rng.integers(0, 2, size=(n, 4))
+        lines = ["pred,label,group,y_tt"]
+        for k, row in enumerate(cols.tolist()):
+            lines.append(",".join(map(str, row)))
+            if k % 997 == 0:
+                lines.append("")
+        path = tmp_path / "a.csv"
+        path.write_text("\n".join(lines) + "\n")
+        arrays = load_audit_csv(path)
+        assert [a.tolist() for a in arrays] == [cols[:, j].tolist() for j in range(4)]
+        assert all(a.dtype.kind == "i" for a in arrays)
+        lines[-1] = "1,1,,1"  # data row n: an empty group cell
+        path.write_text("\n".join(lines) + "\n")
+        err = _raises(load_audit_csv, path)
+        assert (err.row, err.column) == (n, "group")
+
+
+class TestPopulationCsvContract:
+    """How ``load_population_csv`` reads a file, pinned cell by cell."""
+
+    HEADER = "id,group,y,y_prime,x_a,z_a"
+
+    def _write(self, tmp_path, *rows, header=HEADER):
+        path = tmp_path / "pop.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        return path
+
+    def test_blank_lines_skipped_and_not_counted(self, tmp_path):
+        path = self._write(tmp_path, "", "u1,0,1,1,1.0,1.0", "", "", "u2,1,0,0,x,1.0")
+        err = _raises(load_population_csv, path)
+        assert err.row == 2 and err.column is None
+        assert str(err) == f"bad row: {_error_text(float, 'x')} (row 2)"
+        path = self._write(tmp_path, "", "u1,0,1,1,1.0,1.0", "", "u2,1,0,0,2.0,2.5", "")
+        pop = load_population_csv(path)
+        assert pop.ids() == ["u1", "u2"]
+        assert pop.z_matrix().tolist() == [[1.0], [2.5]]
+
+    def test_short_row_reads_none(self, tmp_path):
+        path = self._write(tmp_path, "u1,0,1,1,1.0,1.0", "u2,1,0,0,1.0")
+        err = _raises(load_population_csv, path)
+        assert str(err) == f"bad row: {_error_text(float, None)} (row 2)"
+
+    def test_extra_cells_ignored(self, tmp_path):
+        path = self._write(tmp_path, "u1,0,1,1,1.0,1.5,junk,9", "u2,1,0,0,2.0,2.0,")
+        pop = load_population_csv(path)
+        assert pop.x_matrix().tolist() == [[1.0], [2.0]]
+        assert pop.z_matrix().tolist() == [[1.5], [2.0]]
+
+    def test_duplicate_header_reads_last_column(self, tmp_path):
+        path = self._write(tmp_path, "u1,0,5,1,1.0,1.0,1", header=self.HEADER + ",y")
+        assert load_population_csv(path).labels().tolist() == [1]
+
+    def test_python_number_syntax(self, tmp_path):
+        path = self._write(tmp_path, "u1, 1,+1,1 , 1.5 ,1_5.0")
+        pop = load_population_csv(path)
+        assert pop.groups().tolist() == [1]
+        assert pop.labels().tolist() == [1]
+        assert (pop.x_matrix().tolist(), pop.z_matrix().tolist()) == ([[1.5]], [[15.0]])
+
+    def test_header_only_file(self, tmp_path):
+        pop = load_population_csv(self._write(tmp_path, header="id,group,y,y_prime,x_a,x_b,z_a,z_b"))
+        assert len(pop) == 0
+        assert pop.feature_names == ("a", "b")
+        assert pop.x_matrix().shape == (0, 2)
+
+    def test_earlier_bad_row_wins_over_earlier_bad_column(self, tmp_path):
+        # row 1 fails at group (checked after x_a), row 2 at x_a
+        path = self._write(tmp_path, "u1,g,1,1,1.0,1.0", "u2,0,1,1,bad,1.0")
+        err = _raises(load_population_csv, path)
+        assert str(err) == f"bad row: {_error_text(int, 'g')} (row 1)"
+
+    def test_features_checked_before_labels_within_a_row(self, tmp_path):
+        path = self._write(tmp_path, "u1,0,zz,1,1.0,qq")
+        err = _raises(load_population_csv, path)
+        assert str(err) == f"bad row: {_error_text(float, 'qq')} (row 1)"
+
+    def test_unparseable_cell_wins_over_earlier_value_fault(self, tmp_path):
+        path = self._write(tmp_path, "u1,0,5,1,1.0,1.0", "u2,0,1,1,1.0,1.0", "u3,0,1,1,abc,1.0")
+        assert _raises(load_population_csv, path).row == 3
+
+    def test_long_file_values_and_row_numbers(self, tmp_path):
+        rng = np.random.default_rng(9)
+        n = 12_007
+        lines = [self.HEADER]
+        x = rng.uniform(0, 4, size=n).round(3).tolist()
+        for k in range(n):
+            lines.append(f"p{k},{k % 2},{k % 3 % 2},1,{x[k]!r},{x[k] + 1!r}")
+            if k % 1009 == 0:
+                lines.append("")
+        path = tmp_path / "pop.csv"
+        path.write_text("\n".join(lines) + "\n")
+        pop = load_population_csv(path)
+        assert pop.ids()[-1] == f"p{n - 1}"
+        assert pop.x_matrix()[:, 0].tolist() == x
+        lines[-1] = f"p{n - 1},0,1,1,1.0"  # data row n is short
+        path.write_text("\n".join(lines) + "\n")
+        assert _raises(load_population_csv, path).row == n
+
+
+class TestUnreadableInput:
+    """Undecodable bytes and oversized cells are format errors, never tracebacks."""
+
+    def test_undecodable_byte(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"pred,label,group\n1,1,0\n1,\xff,0\n")
+        assert "UTF-8" in str(_raises(load_audit_csv, path))
+        path.write_bytes(b"id,group,y,y_prime,x_a,z_a\nu\xff,0,1,1,1.0,1.0\n")
+        assert "UTF-8" in str(_raises(load_population_csv, path))
+        path.write_bytes((UCI_HEADER + "\n").encode() + b"\xfe\xff\n")
+        assert "UTF-8" in str(_raises(load_uci_students, path))
+
+    def test_oversized_cell_names_the_row(self, tmp_path):
+        huge = "1" * 200_000
+        path = tmp_path / "a.csv"
+        path.write_text(f"pred,label,group\n1,1,0\n\n0,1,{huge}\n")
+        err = _raises(load_audit_csv, path)
+        assert err.row == 2 and "field limit" in str(err)
+        path.write_text(f"id,group,y,y_prime,x_a,z_a\nu1,0,1,1,1.0,{huge}\n")
+        assert _raises(load_population_csv, path).row == 1
+        path.write_text(UCI_HEADER + "\n" + uci_row() + "\n" + uci_row(G3=huge) + "\n")
+        assert _raises(load_uci_students, path).row == 2
+
+    def test_integer_beyond_int64_names_the_cell(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text(f"pred,label,group\n1,1,0\n1,{2 ** 63},0\n")
+        err = _raises(load_audit_csv, path)
+        assert (err.row, err.column) == (2, "label")
+        path.write_text(f"id,group,y,y_prime,x_a,z_a\nu1,0,1,{-(2 ** 70)},1.0,1.0\n")
+        assert _raises(load_population_csv, path).row == 1
+
+
+_CSV_ALPHABET = st.sampled_from(
+    [b"0", b"1", b"2", b"-", b"+", b" ", b".", b"e", b"nan", b",", b"\n", b"\r", b'"', b"\xff", b"\x00", b"u", b"x_"]
+)
+
+
+def _fuzz_files(header: bytes):
+    body = st.lists(_CSV_ALPHABET, max_size=60).map(b"".join)
+    return st.one_of(st.binary(max_size=200), body.map(lambda b: header + b))
+
+
+@pytest.mark.parametrize(
+    "loader, header",
+    [
+        (load_audit_csv, b"pred,label,group,y_tt\n"),
+        (load_population_csv, b"id,group,y,y_prime,x_a,z_a\n"),
+    ],
+)
+def test_arbitrary_bytes_raise_only_package_errors(tmp_path_factory, loader, header):
+    path = tmp_path_factory.mktemp("fuzz") / "input.csv"
+
+    @given(_fuzz_files(header))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def check(data):
+        path.write_bytes(data)
+        try:
+            loader(path)
+        except EquityAuditError:
+            pass
+
+    check()
+
+
 class TestRunConfigToml:
     def test_parse_subset(self, tmp_path):
         text = (
@@ -309,6 +569,20 @@ class TestRunConfigToml:
             RunConfig(tau=2.0)
         with pytest.raises(ValidationError):
             RunConfig(formats=("yaml",))
+
+    @pytest.mark.parametrize(
+        "line", ['tau = "abc"', "seed = 1.5", "seed = true", "equal_access = 1", 'formats = ["json", 2]']
+    )
+    def test_mistyped_value_is_a_format_error(self, tmp_path, line):
+        path = tmp_path / "run.toml"
+        path.write_text(line + "\n")
+        with pytest.raises(DataFormatError, match=line.split()[0]):
+            RunConfig.from_toml(path)
+
+    def test_int_accepted_where_a_float_is_expected(self):
+        assert RunConfig(tau=1, epsilon=0).tau == 1
+        with pytest.raises(DataFormatError):
+            RunConfig(tau=True)
 
     def test_override(self):
         cfg = RunConfig().override(seed=3, out_dir=None)

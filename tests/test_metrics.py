@@ -17,6 +17,7 @@ from equity_audit.metrics import (
     model_access,
     obstacle_gap,
     utilization,
+    utilization_from_labels,
 )
 from oracles import eo_violation_oracle, psi_oracle, zeta_oracle
 
@@ -401,3 +402,39 @@ def test_reports_invariant_under_reordering(seed):
         model_access(pop, OM_UNIT, Policy(1.0)).psi
         == model_access(pop_shuffled, OM_UNIT, Policy(1.0)).psi
     )
+
+
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(-2, 3)), max_size=60))
+@settings(max_examples=200)
+def test_utilization_kernel_matches_records_and_oracle(rows):
+    y_tt = [t for t, _ in rows]
+    groups = [g for _, g in rows]
+    records = [EvaluationRecord(id=f"r{i}", y_pt=1, y_tt=t, grp=g) for i, (t, g) in enumerate(rows)]
+    if not rows:
+        with pytest.raises(NoPositivesError):
+            utilization_from_labels(np.array(y_tt, dtype=int), np.array(groups, dtype=int))
+        with pytest.raises(NoPositivesError):
+            utilization(records)
+        return
+    report = utilization_from_labels(np.array(y_tt), np.array(groups))
+    assert report == utilization(records)
+    assert report.zeta == zeta_oracle(y_tt)
+    assert list(report.per_group_fp_share) == sorted(set(groups))
+    assert all(type(k) is int for k in report.per_group_fp_share)
+
+
+class TestUtilizationKernel:
+    def test_single_group(self):
+        report = utilization_from_labels(np.array([1, 0, 0, 1, 1]), np.array([4, 4, 4, 4, 4]))
+        assert (report.zeta, report.m, report.false_positive_share) == (0.6, 5, 0.4)
+        assert report.per_group_fp_share == {4: 1.0}
+
+    def test_non_binary_label_names_its_index(self):
+        with pytest.raises(ValidationError) as excinfo:
+            utilization_from_labels(np.array([1, 0, 2, 7]), np.array([0, 1, 0, 1]))
+        assert excinfo.value.row == 2
+        assert "got 2" in str(excinfo.value)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValidationError):
+            utilization_from_labels(np.array([1, 0]), np.array([0]))
