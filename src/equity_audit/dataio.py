@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, open_error, read_utf8
 from .core import ObstacleModel, Policy, Population, reveal_population
 from .errors import (
     DataFormatError,
@@ -119,11 +119,13 @@ class StudentTable:
 
 @contextmanager
 def _csv_reader(path: Path, **fmtparams):
-    """``csv.reader`` over a UTF-8 file; undecodable bytes raise DataFormatError."""
-    if not path.exists():
-        raise DataFormatError(f"input file not found: {path}")
+    """``csv.reader`` over a UTF-8 file; an unopenable path or undecodable bytes raise DataFormatError."""
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        fh = path.open(newline="", encoding="utf-8")
+    except OSError as exc:
+        raise open_error(path, exc) from None
+    try:
+        with fh:
             yield csv.reader(fh, **fmtparams)
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path} is not UTF-8 text ({exc.reason})") from None
@@ -423,7 +425,7 @@ def _regime_settings(cfg: RunConfig) -> list[tuple[bool, bool, bool]]:
 ACCESS_CARRY_FRACTION = 0.5
 
 
-def run_case_study(cfg: RunConfig, table: StudentTable | None = None) -> CaseStudyResult:
+def run_case_study(cfg: RunConfig, views: CaseStudyViews | None = None) -> CaseStudyResult:
     """Audit every requested regime combination on one student file.
 
     Both models are fitted once, on the train split: the decision model on
@@ -437,10 +439,13 @@ def run_case_study(cfg: RunConfig, table: StudentTable | None = None) -> CaseStu
     whether evaluation-side obstacles are alleviated before the evaluation
     model scores the admitted students. Obstacles not alleviated at
     decision time carry into the evaluation (``ACCESS_CARRY_FRACTION``).
+
+    ``cfg.seed`` seeds the train/test split and, unless ``views`` are
+    given, the views built from ``cfg.input_path``; views built with
+    another seed vary the uplift draws apart from the split.
     """
-    if table is None:
-        table = load_uci_students(cfg.input_path)
-    views = build_case_study_views(table, cfg)
+    if views is None:
+        views = build_case_study_views(load_uci_students(cfg.input_path), cfg)
     n = len(views.proxy)
     if n < 10:
         raise ValidationError("case study needs at least 10 students")
@@ -736,6 +741,17 @@ def load_population_csv(path: str | Path, group_name: str = "group") -> Populati
         raise DataFormatError(f"bad row: {exc}", row=exc.row + 1) from None
 
 
+def _read_json(path: Path) -> dict:
+    """The JSON object in a UTF-8 file; any other content is a DataFormatError."""
+    try:
+        doc = json.loads(read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"invalid JSON in {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def load_model_document(path: str | Path) -> tuple[list[str], np.ndarray, ObstacleModel | None]:
     """Read a model JSON document for gap computation.
 
@@ -744,12 +760,7 @@ def load_model_document(path: str | Path) -> tuple[list[str], np.ndarray, Obstac
     ``affected_features`` describing its obstacle structure).
     """
     path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"input file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"invalid JSON in {path}: {exc}") from None
+    doc = _read_json(path)
     if "feature_names" not in doc or "importance" not in doc:
         raise DataFormatError(f"{path} must contain feature_names and importance")
     features = [str(f) for f in doc["feature_names"]]
