@@ -188,6 +188,27 @@ class CuratedDataset:
             source_ids=(),
         )
 
+    @classmethod
+    def from_columns(
+        cls, feature_names: tuple[str, ...], X, y, round: int, source_ids
+    ) -> "CuratedDataset":
+        """One curation round's rows, given as columns.
+
+        ``X`` holds one row of deployed-view features per individual, ``y``
+        their 0/1 evaluation labels and ``source_ids`` their ids, in the
+        same order.
+        """
+        y = np.asarray(y, dtype=int)
+        if not np.all(np.isin(y, (0, 1))):
+            raise ValidationError("curated labels must be binary")
+        return cls(
+            feature_names=tuple(feature_names),
+            X=np.asarray(X, dtype=float),
+            y=y,
+            rounds=np.full(len(y), round, dtype=int),
+            source_ids=tuple(source_ids),
+        )
+
     def concat(self, other: "CuratedDataset") -> "CuratedDataset":
         if self.feature_names != other.feature_names:
             raise ValidationError("cannot concatenate datasets over different features")
@@ -277,7 +298,7 @@ def generate_cohort(cfg: SyntheticConfig, round: int) -> Cohort:
     y_prime_t = ((z_t @ w_t >= 0) ^ flip_t).astype(int)
     y_t = ((x_t_full @ w_t >= 0) ^ flip_t).astype(int)
 
-    ids = [f"r{round}-{k}" for k in range(n)]
+    ids = list(map(f"r{round}-".__add__, map(str, range(n))))
     proxy = Population(
         x=x_p, z=z_p, y=y_p, y_prime=y_prime_p, grp=grp, ids=ids,
         feature_names=_proxy_feature_names(cfg),
@@ -308,7 +329,8 @@ def curate_ground_truth(
 
     Each entry is ``(individual id, deployed-view features, y_tt)``; only
     accepted (proxy-positive) individuals belong here, so an empty input
-    yields an empty dataset rather than an error.
+    yields an empty dataset rather than an error. A row-wise adapter to
+    :meth:`CuratedDataset.from_columns`, which the loop calls directly.
     """
     if not positives:
         if feature_names is None:
@@ -318,16 +340,13 @@ def curate_ground_truth(
     names = tuple(feature_names) if feature_names is not None else tuple(
         f"pf{i}" for i in range(d)
     )
-    X = np.array([np.asarray(feats, dtype=float) for _, feats, _ in positives])
-    y = np.array([int(label) for _, _, label in positives], dtype=int)
-    if not np.all(np.isin(y, (0, 1))):
-        raise ValidationError("curated labels must be binary")
-    return CuratedDataset(
-        feature_names=names,
-        X=X,
-        y=y,
-        rounds=np.full(len(positives), round, dtype=int),
-        source_ids=tuple(str(pid) for pid, _, _ in positives),
+    ids, features, labels = zip(*positives)
+    return CuratedDataset.from_columns(
+        names,
+        np.array([np.asarray(feats, dtype=float) for feats in features]),
+        [int(label) for label in labels],
+        round,
+        map(str, ids),
     )
 
 
@@ -450,14 +469,12 @@ def run_inequity_loop(
         y_tt = np.asarray(predict(env_model, x_eval[b_mask]), dtype=int)
         zeta = float(np.mean(y_tt == 1))
 
-        ids = cohort.proxy.ids()
-        batch = curate_ground_truth(
-            [
-                (ids[int(i)], x_rev[int(i)], int(y_tt[k]))
-                for k, i in enumerate(np.nonzero(b_mask)[0])
-            ],
-            t,
+        batch = CuratedDataset.from_columns(
             feature_names,
+            x_rev[b_mask],
+            y_tt,
+            t,
+            map(cohort.proxy.ids().__getitem__, np.flatnonzero(b_mask).tolist()),
         )
         b_groups = groups[b_mask]
         curated = curated.concat(batch)
