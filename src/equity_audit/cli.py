@@ -28,6 +28,7 @@ from .checklist import emit_checklist
 from .config import RunConfig
 from .core import ObstacleModel, Policy
 from .dataio import (
+    _read_json,
     load_audit_csv,
     load_model_document,
     load_population_csv,
@@ -140,6 +141,8 @@ def _policy_from_value(value) -> Policy:
 
 def _space_from_doc(doc: dict, label: str, base: Path) -> ModelSpace:
     """Build one space; a relative ``dataset`` path is read from ``base``."""
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{label} space must be a JSON object")
     for key in ("dataset", "alpha", "specs", "policies"):
         if key not in doc:
             raise DataFormatError(f"{label} space is missing {key!r}")
@@ -163,12 +166,7 @@ def _space_from_doc(doc: dict, label: str, base: Path) -> ModelSpace:
 
 def _cmd_score(args, cfg: RunConfig) -> int:
     path = Path(args.spaces)
-    if not path.exists():
-        raise DataFormatError(f"input file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"invalid JSON in {path}: {exc}") from None
+    doc = _read_json(path)
     for key in ("proxy", "intended"):
         if key not in doc:
             raise DataFormatError(f"spaces document is missing {key!r}")

@@ -125,6 +125,18 @@ class TestAudit:
         assert run_cli("--config", str(config), "--out", str(tmp_path / "r"), "audit", str(audit_csv)) == 2
         assert "tau" in capsys.readouterr().err
 
+    def test_directory_input_exit_2(self, tmp_path, capsys):
+        folder = tmp_path / "some_dir.csv"
+        folder.mkdir()
+        assert run_cli("--out", str(tmp_path / "r"), "audit", str(folder)) == 2
+        assert "cannot open" in capsys.readouterr().err
+
+    def test_undecodable_config_exit_2(self, audit_csv, tmp_path, capsys):
+        config = tmp_path / "run.toml"
+        config.write_bytes(b"seed = 7 # \xff\n")
+        assert run_cli("--config", str(config), "--out", str(tmp_path / "r"), "audit", str(audit_csv)) == 2
+        assert "UTF-8" in capsys.readouterr().err
+
     def test_usage_error_exit_1(self):
         assert run_cli("audit") == 1
         assert run_cli("definitely-not-a-command") == 1
@@ -147,6 +159,20 @@ class TestScore:
         path = tmp_path / "spaces.json"
         path.write_text('{"proxy": {}}')
         assert run_cli("--out", str(tmp_path / "r"), "score", str(path)) == 2
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"5", "must hold a JSON object"),
+            (b'{"proxy": \xff}', "UTF-8"),
+            (b'{"proxy": 5, "intended": 5}', "proxy space must be a JSON object"),
+        ],
+    )
+    def test_malformed_spaces_file_exit_2(self, tmp_path, capsys, content, message):
+        path = tmp_path / "spaces.json"
+        path.write_bytes(content)
+        assert run_cli("--out", str(tmp_path / "r"), "score", str(path)) == 2
+        assert message in capsys.readouterr().err
 
     def test_relative_dataset_is_read_beside_the_spaces_file(self, tmp_path, monkeypatch):
         rel = tmp_path / "rel"
@@ -245,6 +271,24 @@ class TestGaps:
         assert doc["gamma_x"] == [1, 0, 1, 0, 0]
         assert doc["gamma_l"] == pytest.approx([0.5, 0.0, 0.2, 0.0, 0.0])
         assert doc["notes"]
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"5", "must hold a JSON object, got int"),
+            (b"[]", "must hold a JSON object, got list"),
+            (b'{"feature_names": ["\xff"]}', "UTF-8"),
+        ],
+    )
+    def test_malformed_model_document_exit_2(self, tmp_path, capsys, content, message):
+        path = tmp_path / "m.json"
+        path.write_bytes(content)
+        assert run_cli("--out", str(tmp_path / "r"), "gaps", str(path), str(path)) == 2
+        assert message in capsys.readouterr().err
+
+    def test_directory_model_document_exit_2(self, tmp_path, capsys):
+        assert run_cli("--out", str(tmp_path / "r"), "gaps", str(tmp_path), str(tmp_path)) == 2
+        assert "cannot open" in capsys.readouterr().err
 
     def test_saved_case_study_models_feed_gaps(self, tmp_path, student_path):
         out = tmp_path / "r"
