@@ -90,15 +90,24 @@ def case_study_claims(result) -> dict[str, bool]:
     else:
         best = reports[(True, True)].outcome.eo_violation
         lowest_omega = all(best < r.outcome.eo_violation for k, r in reports.items() if k != (True, True))
+    uneq_util = [regime_name(a, o, False) for a in (True, False) for o in (True, False)]
     if any(v is None for v in tp.values()):
-        highest = lowest = above = spread = ordered = monotone = False
+        highest = lowest = above = spread = ordered = beats = raises_util = False
+        full_access = access_none = False
     else:
         highest = all(tp[full] > v for name, v in tp.items() if name != full)
         lowest = all(tp[none] < v for name, v in tp.items() if name != none)
         above = tp[full] >= 0.90
         spread = tp[full] - tp[none] >= 0.15
         ordered = tp[full] > tp[none]
-        monotone = tp[full] >= tp[access_only] >= tp[none]
+        beats = all(tp[full] > tp[name] for name in uneq_util)
+        raises_util = all(
+            tp[regime_name(a, o, True)] > tp[regime_name(a, o, False)]
+            for a in (True, False)
+            for o in (True, False)
+        )
+        full_access = tp[full] >= tp[access_only]
+        access_none = tp[access_only] >= tp[none]
     return {
         "5(a) equal access raises both groups' admission rate": raises,
         "5(b) eq_acc+eq_out has the strictly lowest omega": lowest_omega,
@@ -108,7 +117,11 @@ def case_study_claims(result) -> dict[str, bool]:
         "5(c) tp(full) - tp(none) >= 0.15": spread,
         "5(c) as a whole": highest and lowest and above and spread,
         "tp(full) > tp(none)": ordered,
-        "tp(full) >= tp(access only) >= tp(none)": monotone,
+        "tp(full) > tp of every regime with unequal utilization": beats,
+        "equal utilization raises tp_share at every access/outcome setting": raises_util,
+        "tp(full) >= tp(access only)": full_access,
+        "tp(access only) >= tp(none)": access_none,
+        "tp(full) >= tp(access only) >= tp(none)": full_access and access_none,
     }
 
 
