@@ -1,12 +1,20 @@
 """Model function classes: training, prediction, loss, feature importance.
 
 Two classes are supported. ``logistic_regression`` fits a regularized
-logistic model by full-batch gradient descent on standardized features
-(zero mean, unit variance computed from the training rows), which keeps
-runs deterministic and makes coefficient magnitudes comparable across
-features. Each descent step evaluates only the gradient;
-:func:`logistic_loss_and_gradient` pairs that same gradient with the loss
-it differentiates, and is the reference the tests check by differencing.
+logistic model on standardized features (zero mean, unit variance
+computed from the training rows), which makes coefficient magnitudes
+comparable across features. The fit is damped Newton (iteratively
+reweighted least squares; Hastie, Tibshirani & Friedman, *The Elements of
+Statistical Learning*, 4.4.1) from a zero start, with Armijo backtracking
+on the loss of :func:`logistic_loss_and_gradient`. It stops when the
+Newton decrement says the loss is within ``NEWTON_TOL`` of its minimum
+(Boyd & Vandenberghe, *Convex Optimization*, 9.5), so the result is a
+deterministic function of (spec, data) and not of a step count; the
+``iterations`` hyperparameter only caps the Newton steps. A fit that
+reaches the cap, whose line search fails or whose Hessian is singular
+(separable data with ``l2 = 0`` has no finite optimum) stops there and
+reports ``converged=False``. The ``learning_rate`` hyperparameter of
+earlier gradient-descent versions is accepted and ignored.
 ``norm_threshold`` is the fixed rule "predict 1 iff the L2 norm of the
 input is at least the configured threshold"; it has no fitted parameters
 and exists so simple worked scenarios can be expressed in the same API as
@@ -29,7 +37,6 @@ from .errors import SingleClassError, ValidationError
 FUNCTION_CLASSES = ("logistic_regression", "norm_threshold")
 
 DEFAULT_HYPERPARAMS = {
-    "learning_rate": 0.1,
     "iterations": 2000,
     "l2": 1e-4,
     "decision_threshold": 0.5,
@@ -37,6 +44,16 @@ DEFAULT_HYPERPARAMS = {
 
 # standardization guard for constant columns
 _VARIANCE_FLOOR = 1e-12
+
+# Converged when half the Newton decrement, g' H^-1 g / 2 (the loss a full
+# Newton step is predicted to remove), is at most this. Far above the
+# loss's rounding (about 1e-16), so every line search before the stop can
+# still see the loss fall.
+NEWTON_TOL = 1e-12
+# Armijo backtracking: a step t is taken when the loss falls by at least
+# _ARMIJO * t * (Newton decrement); t halves at most _MAX_HALVINGS times
+_ARMIJO = 0.25
+_MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -74,6 +91,13 @@ class TrainedModel:
     parameters remembered from training. For the threshold class only
     ``threshold`` is meaningful. ``importance`` is the signed, L1-normalized
     coefficient vector (all zeros when no coefficient is nonzero).
+
+    A fitted logistic model carries its fit diagnostics: ``n_iter`` Newton
+    steps taken, ``grad_norm`` the Euclidean norm of the loss gradient at
+    the returned weights (standardized coordinates) and ``converged``
+    whether the stopping rule was met. They are None for a model that was
+    not fitted (the threshold class, given coefficients, or a document
+    written before fits reported them).
     """
 
     spec: ModelSpec
@@ -84,6 +108,9 @@ class TrainedModel:
     importance: np.ndarray
     decision_threshold: float = 0.5
     threshold: float | None = None
+    n_iter: int | None = None
+    grad_norm: float | None = None
+    converged: bool | None = None
 
     @property
     def dim(self) -> int:
@@ -130,6 +157,9 @@ class TrainedModel:
             "importance": [float(v) for v in self.importance],
             "decision_threshold": float(self.decision_threshold),
             "threshold": None if self.threshold is None else float(self.threshold),
+            "n_iter": self.n_iter,
+            "grad_norm": self.grad_norm,
+            "converged": self.converged,
         }
 
     def to_json(self) -> str:
@@ -151,6 +181,9 @@ class TrainedModel:
             importance=np.asarray(doc["importance"], dtype=float),
             decision_threshold=float(doc.get("decision_threshold", 0.5)),
             threshold=None if doc.get("threshold") is None else float(doc["threshold"]),
+            n_iter=None if doc.get("n_iter") is None else int(doc["n_iter"]),
+            grad_norm=None if doc.get("grad_norm") is None else float(doc["grad_norm"]),
+            converged=None if doc.get("converged") is None else bool(doc["converged"]),
         )
 
     @classmethod
@@ -177,15 +210,18 @@ def _softplus(scores: np.ndarray) -> np.ndarray:
     return np.maximum(scores, 0.0) + np.log1p(np.exp(-np.abs(scores)))
 
 
-def _logistic_gradient(
+def _logistic_terms(
     weights: np.ndarray, X: np.ndarray, y: np.ndarray, l2: float
-) -> np.ndarray:
-    """Gradient of :func:`logistic_loss_and_gradient`'s loss; one descent step."""
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Loss, gradient and positive-class probabilities at ``weights``."""
     w, b = weights[:-1], weights[-1]
-    resid = _sigmoid(X @ w + b) - y
-    grad_w = X.T @ resid / X.shape[0] + l2 * w
-    grad_b = float(np.mean(resid))
-    return np.append(grad_w, grad_b)
+    scores = X @ w + b
+    proba = _sigmoid(scores)
+    resid = proba - y
+    grad = np.append(X.T @ resid / X.shape[0] + l2 * w, np.mean(resid))
+    # mean[ softplus(s) - y*s ] == mean[-y log p - (1-y) log(1-p)]
+    data_loss = float(np.mean(_softplus(scores) - y * scores))
+    return data_loss + 0.5 * l2 * float(w @ w), grad, proba
 
 
 def logistic_loss_and_gradient(
@@ -194,15 +230,58 @@ def logistic_loss_and_gradient(
     """Mean log-loss plus an L2 penalty on the non-intercept weights.
 
     ``weights`` is ``[w_1..w_d, intercept]``. Returns the loss value and its
-    exact gradient, computed by the same helper :func:`train` steps with;
-    gradient-check tests difference this pair numerically.
+    exact gradient, the pair :func:`train`'s Newton steps and line search
+    evaluate; gradient-check tests difference this pair numerically.
     """
-    w, b = weights[:-1], weights[-1]
-    scores = X @ w + b
-    # mean[ softplus(s) - y*s ] == mean[-y log p - (1-y) log(1-p)]
-    data_loss = float(np.mean(_softplus(scores) - y * scores))
-    penalty = 0.5 * l2 * float(w @ w)
-    return data_loss + penalty, _logistic_gradient(weights, X, y, l2)
+    loss_value, grad, _ = _logistic_terms(weights, X, y, l2)
+    return loss_value, grad
+
+
+def _logistic_hessian(X: np.ndarray, proba: np.ndarray, l2: float) -> np.ndarray:
+    """Hessian of the loss in ``[w_1..w_d, intercept]``; the intercept is unpenalized."""
+    n, d = X.shape
+    curvature = proba * (1.0 - proba)
+    weighted = X * curvature[:, None]  # the one n x d weighted copy
+    hess = np.empty((d + 1, d + 1))
+    hess[:d, :d] = weighted.T @ X / n + l2 * np.eye(d)
+    hess[:d, d] = hess[d, :d] = weighted.sum(axis=0) / n
+    hess[d, d] = curvature.sum() / n
+    return hess
+
+
+def _newton_fit(
+    X: np.ndarray, y: np.ndarray, l2: float, max_steps: int
+) -> tuple[np.ndarray, int, float, bool]:
+    """Damped Newton from zero: ``(weights, steps, gradient norm, converged)``."""
+    weights = np.zeros(X.shape[1] + 1)
+    loss_value, grad, proba = _logistic_terms(weights, X, y, l2)
+    steps = 0
+    converged = False
+    while True:
+        try:
+            direction = np.linalg.solve(_logistic_hessian(X, proba, l2), grad)
+        except np.linalg.LinAlgError:  # singular Hessian: no Newton step exists
+            break
+        decrement = float(grad @ direction)
+        if not np.isfinite(decrement):
+            break
+        if decrement / 2.0 <= NEWTON_TOL * loss_value:
+            converged = True
+            break
+        if steps == max_steps:
+            break
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = weights - t * direction
+            trial_loss, trial_grad, trial_proba = _logistic_terms(trial, X, y, l2)
+            if trial_loss <= loss_value - _ARMIJO * t * decrement:
+                break
+            t /= 2.0
+        else:  # no step length lowers the loss enough: stop where we are
+            break
+        weights, loss_value, grad, proba = trial, trial_loss, trial_grad, trial_proba
+        steps += 1
+    return weights, steps, float(np.linalg.norm(grad)), converged
 
 
 def _validate_training_inputs(spec: ModelSpec, features, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -230,13 +309,13 @@ def _validate_training_inputs(spec: ModelSpec, features, labels) -> tuple[np.nda
 def train(spec: ModelSpec, features, labels, seed: int = 0) -> TrainedModel:
     """Fit a model of the spec's class.
 
-    Logistic regression runs ``iterations`` full-batch gradient descent
-    steps from a zero start on standardized features, so the result is a
-    deterministic function of (spec, data); the seed is accepted for
-    interface stability. Each step evaluates only the gradient, never the
-    loss; :func:`logistic_loss_and_gradient` is the loss-and-gradient
-    reference for the same step. The threshold class performs no fitting
-    and just validates its inputs.
+    Logistic regression runs damped Newton steps from a zero start on
+    standardized features until half the Newton decrement is at most
+    ``NEWTON_TOL``, taking at most ``iterations`` steps; the model records
+    the steps taken, the final gradient norm and whether the rule was met.
+    The result is a deterministic function of (spec, data); the seed is
+    accepted for interface stability. The threshold class performs no
+    fitting and just validates its inputs.
     """
     X, y = _validate_training_inputs(spec, features, labels)
     hp = spec.resolved_hyperparams()
@@ -261,12 +340,9 @@ def train(spec: ModelSpec, features, labels, seed: int = 0) -> TrainedModel:
     sigma = np.sqrt(np.maximum(var, _VARIANCE_FLOOR))
     Xs = (X - mu) / sigma
 
-    weights = np.zeros(X.shape[1] + 1)
-    lr = float(hp["learning_rate"])
-    l2 = float(hp["l2"])
-    for _ in range(int(hp["iterations"])):
-        weights = weights - lr * _logistic_gradient(weights, Xs, y, l2)
-
+    weights, n_iter, grad_norm, converged = _newton_fit(
+        Xs, y, float(hp["l2"]), int(hp["iterations"])
+    )
     coef = weights[:-1]
     return TrainedModel(
         spec=spec,
@@ -276,6 +352,9 @@ def train(spec: ModelSpec, features, labels, seed: int = 0) -> TrainedModel:
         sigma=sigma,
         importance=_normalize_importance(coef),
         decision_threshold=float(hp["decision_threshold"]),
+        n_iter=n_iter,
+        grad_norm=grad_norm,
+        converged=converged,
     )
 
 

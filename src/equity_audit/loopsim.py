@@ -377,7 +377,7 @@ def run_inequity_loop(
     om_p = ObstacleModel.from_alpha(cfg.alpha_proxy)
     proxy_policy = Policy(math.inf) if access_alleviated else Policy(0.0)
     feature_names = _proxy_feature_names(cfg)
-    spec = ModelSpec(feature_names, "logistic_regression", {"iterations": 800})
+    spec = ModelSpec(feature_names)
     env_model = TrainedModel.from_coefficients(
         ModelSpec(_intended_feature_names(cfg)),
         cfg.true_model_coefficients[1],

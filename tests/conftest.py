@@ -30,3 +30,21 @@ def student_file() -> Path:
 @pytest.fixture(scope="session")
 def student_path() -> Path:
     return student_file()
+
+
+# Case-study seeds the multi-seed tp_share claims are checked over: the
+# default range of scripts/claim_sweep.py, whose tables in README.md give
+# how often each claim holds there
+SWEEP_SEEDS = range(20)
+
+
+@pytest.fixture(scope="session")
+def tp_share_sweep(student_path) -> list[dict]:
+    """tp_share by regime name of the case study at every seed of SWEEP_SEEDS."""
+    from equity_audit.config import RunConfig
+    from equity_audit.dataio import run_case_study
+
+    return [
+        {r.name: r.tp_share for r in run_case_study(RunConfig(input_path=str(student_path), seed=s)).regimes}
+        for s in SWEEP_SEEDS
+    ]

@@ -4,13 +4,15 @@ Everything here is deliberate pure-Python looping over rows: no numpy
 vectorization, no shared helpers with the package. These are the reference
 implementations the fast paths are checked against.
 
-The one exception is the logistic trainer at the end. Its iterates are
-compared bit for bit, and the matrix products that produce them are only
-reproducible by the same numpy calls in the same order, so it is written in
-numpy, as the plain step the package took before its step was streamlined.
+The one exception is the gradient-descent trainer at the end: a long-run
+reference for the package's Newton fit, written in numpy because a
+pure-Python loop would need minutes for the thousands of full-batch steps
+it takes.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -69,12 +71,46 @@ def two_branch_sigmoid(scores):
     return out
 
 
+def logistic_gradient_oracle(X, y, coefficients, intercept, mu, sigma, l2) -> list[float]:
+    """Gradient of the mean log-loss plus ``l2/2 * |w|^2`` at a fitted model.
+
+    Row by row: standardize with ``mu``/``sigma``, score, and accumulate
+    ``(p - y) * x``. Returned as ``[d/dw_1 .. d/dw_d, d/dintercept]`` in the
+    standardized coordinates the model's coefficients act on.
+    """
+    d = len(coefficients)
+    sums = [0.0] * (d + 1)
+    for row, label in zip(X, y):
+        xs = [(float(v) - float(m)) / float(s) for v, m, s in zip(row, mu, sigma)]
+        score = float(intercept) + sum(float(w) * v for w, v in zip(coefficients, xs))
+        if score >= 0:
+            p = 1.0 / (1.0 + math.exp(-score))
+        else:
+            p = math.exp(score) / (1.0 + math.exp(score))
+        resid = p - float(label)
+        for j in range(d):
+            sums[j] += resid * xs[j]
+        sums[d] += resid
+    n = len(y)
+    return [sums[j] / n + l2 * float(coefficients[j]) for j in range(d)] + [sums[d] / n]
+
+
+def logistic_loss_oracle(X, y, coefficients, intercept, mu, sigma, l2) -> float:
+    """Mean log-loss plus ``l2/2 * |w|^2`` at a fitted model, row by row."""
+    total = 0.0
+    for row, label in zip(X, y):
+        xs = [(float(v) - float(m)) / float(s) for v, m, s in zip(row, mu, sigma)]
+        score = float(intercept) + sum(float(w) * v for w, v in zip(coefficients, xs))
+        # log(1 + e^s) - y*s, without overflow
+        total += max(score, 0.0) + math.log1p(math.exp(-abs(score))) - float(label) * score
+    return total / len(y) + 0.5 * l2 * sum(float(w) ** 2 for w in coefficients)
+
+
 def logistic_fit_reference(X, y, iterations, learning_rate, l2, variance_floor=1e-12):
     """Standardize, then take ``iterations`` full-batch gradient steps from zero.
 
     Returns ``(coefficients, intercept, mu, sigma)``. Each step evaluates the
-    mean log-loss gradient with an L2 penalty on the non-intercept weights;
-    the loss value itself never feeds the iterate and is not computed.
+    mean log-loss gradient with an L2 penalty on the non-intercept weights.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -2,13 +2,16 @@
 
 Each test prints a single ``[acceptance] criterion N (...): PASS|FAIL``
 line; run with ``pytest tests/test_acceptance.py -v -s`` to see them all.
-Directional case-study and loop checks run at their pinned seeds against
-the bundled data and configuration defaults; the asserted bounds were
-verified once at those seeds and are frozen as regression values.
+Directional loop checks and case-study checks (a) and (b) run at their
+pinned seeds against the bundled data and configuration defaults; the
+asserted bounds were verified once at those seeds and are frozen as
+regression values. Case-study check (c) is a claim over seeds 0-19, the
+form in which ``scripts/claim_sweep.py`` finds it holding.
 """
 
 import functools
 import re
+import statistics
 import time
 
 import numpy as np
@@ -186,7 +189,7 @@ def test_gap_claim_sweep():
 
 
 @criterion(5, "case-study directional reproduction")
-def test_case_study_directional(student_path):
+def test_case_study_directional(student_path, tp_share_sweep):
     started = time.perf_counter()
     result = run_case_study(RunConfig(input_path=str(student_path), seed=7))
     elapsed = time.perf_counter() - started
@@ -216,22 +219,27 @@ def test_case_study_directional(student_path):
         if key != (True, True):
             assert best < value
 
-    # (c) confirmed-positive share: full equity maximal, fully unequal
-    # minimal, with the frozen regression bounds
-    tp = {r.name: r.tp_share for r in result.regimes}
+    # (c) confirmed-positive share, over seeds 0-19: at every seed full
+    # equity beats fully unequal and every regime that leaves utilization
+    # obstacles, and in the median it confirms at least 90 % of its admits,
+    # 10 points more than fully unequal. "Full equity strictly highest and
+    # fully unequal strictly lowest" held at one seed of the 20 (seed 7)
+    # under the gradient-descent learner and at none under Newton.
     full = regime_name(True, True, True)
     none = regime_name(False, False, False)
-    for name, value in tp.items():
-        if name != full:
-            assert tp[full] > value
-        if name != none:
-            assert tp[none] < value
-    assert tp[full] >= 0.90
-    assert tp[full] - tp[none] >= 0.15
+    unequal_util = [regime_name(a, o, False) for a in (True, False) for o in (True, False)]
+    for tp in tp_share_sweep:
+        assert tp[full] > tp[none]
+        for name in unequal_util:
+            assert tp[full] > tp[name]
+    median_full = statistics.median(tp[full] for tp in tp_share_sweep)
+    median_none = statistics.median(tp[none] for tp in tp_share_sweep)
+    assert median_full >= 0.90
+    assert median_full - median_none >= 0.10
     print(
         f"\n[acceptance] criterion 5 reference points (reported, not asserted): "
-        f"tp(full)=0.993, tp(none)=0.555; "
-        f"this run tp(full)={tp[full]:.3f}, tp(none)={tp[none]:.3f}"
+        f"median tp(full)=0.918, tp(none)=0.778 under gradient descent; "
+        f"this run median tp(full)={median_full:.3f}, tp(none)={median_none:.3f}"
     )
 
 

@@ -301,6 +301,25 @@ class TestGaps:
         doc = json.loads((out / "gaps.json").read_text())
         assert doc["gamma_x"] == [0, 1, 1, 1, 1, 1, 1, 1, 1, 1]
 
+    def test_model_documents_without_fit_diagnostics_feed_gaps(self, tmp_path, student_path, capsys):
+        out = tmp_path / "r"
+        assert run_cli("--seed", "7", "--out", str(out), "casestudy", str(student_path)) == 0
+        docs = [out / "proxy_model.json", out / "intended_model.json"]
+        for doc in docs:
+            fitted = json.loads(doc.read_text())
+            assert fitted["converged"] is True and fitted["n_iter"] >= 1
+        capsys.readouterr()
+        assert run_cli("--out", str(out), "gaps", *map(str, docs)) == 0
+        with_diagnostics = capsys.readouterr().out
+        # the documents as versions before the Newton fit wrote them
+        for doc in docs:
+            fitted = json.loads(doc.read_text())
+            for key in ("n_iter", "grad_norm", "converged"):
+                del fitted[key]
+            doc.write_text(json.dumps(fitted))
+        assert run_cli("--out", str(out), "gaps", *map(str, docs)) == 0
+        assert capsys.readouterr().out == with_diagnostics
+
     def test_config_file_round_trip(self, tmp_path, student_path):
         config = tmp_path / "run.toml"
         config.write_text('seed = 7\nformats = ["json"]\n')

@@ -192,14 +192,21 @@ class TestRunCaseStudy:
         assert result.gaps.gamma_x == (0, 1, 1, 1, 1, 1, 1, 1, 1, 1)
         assert result.gaps.obstacle_gap.unmatched_affected_features == 4
 
-    def test_tp_share_monotone_in_equalized_dimensions(self, result):
+    def test_tp_share_monotone_in_equalized_dimensions(self, tp_share_sweep):
+        """At every seed of 0-19, equal utilization raises tp_share at each
+        access/outcome setting and full equity is at least access-only.
+
+        Access alone does not order tp_share: access-only >= fully unequal
+        held at 7 of these seeds under the gradient-descent learner and 5
+        under Newton (scripts/claim_sweep.py).
+        """
         from equity_audit.dataio import regime_name
 
-        tp = {r.name: r.tp_share for r in result.regimes}
-        full = tp[regime_name(True, True, True)]
-        access_only = tp[regime_name(True, False, False)]
-        none = tp[regime_name(False, False, False)]
-        assert full >= access_only >= none
+        for tp in tp_share_sweep:
+            for access in (True, False):
+                for outcome in (True, False):
+                    assert tp[regime_name(access, outcome, True)] > tp[regime_name(access, outcome, False)]
+            assert tp[regime_name(True, True, True)] >= tp[regime_name(True, False, False)]
 
     def test_regime_filter(self, student_path):
         cfg = RunConfig(

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from equity_audit.errors import SingleClassError, ValidationError
 from equity_audit.learner import (
+    NEWTON_TOL,
     ModelSpec,
     TrainedModel,
     _sigmoid,
@@ -18,7 +19,12 @@ from equity_audit.learner import (
     predict_with_group_thresholds,
     train,
 )
-from oracles import logistic_fit_reference, two_branch_sigmoid
+from oracles import (
+    logistic_fit_reference,
+    logistic_gradient_oracle,
+    logistic_loss_oracle,
+    two_branch_sigmoid,
+)
 
 
 def separable_1d(n=60, seed=3):
@@ -148,26 +154,68 @@ def _reference_cases(student_path):
     return [
         ("n2_d1", np.array([[0.0], [1.0]]), np.array([0, 1]), {}),
         ("constant_column", const, (const[:, 0] > 0).astype(int), {"iterations": 300}),
-        # scores reach about +-150, where the sigmoid saturates
-        ("saturating", wide, (wide[:, 0] > 0).astype(int),
-         {"iterations": 300, "learning_rate": 200.0, "l2": 0.0}),
-        ("loop", cohort.x_matrix(), cohort.labels(), {"iterations": 800}),
+        # separable with no penalty: no finite optimum, scores grow until
+        # the sigmoid saturates
+        ("saturating", wide, (wide[:, 0] > 0).astype(int), {"iterations": 300, "l2": 0.0}),
+        ("loop", cohort.x_matrix(), cohort.labels(), {}),
         ("case_study", views.proxy.x_matrix(), views.proxy.labels(), {}),
     ]
 
 
-def test_train_matches_reference_bit_for_bit(student_path):
+def _fit_case(X, y, hyperparams):
+    spec = ModelSpec(tuple(f"f{j}" for j in range(X.shape[1])), hyperparams=hyperparams)
+    return train(spec, X, y, seed=0), spec.resolved_hyperparams()["l2"]
+
+
+def test_train_meets_kkt_bound(student_path):
+    """At return the loss gradient (recomputed row by row) is within the stopping rule's bound.
+
+    The fit stops once g' H^-1 g / 2 <= NEWTON_TOL * loss. Since
+    |g|^2 <= (g' H^-1 g) * lambda_max(H), lambda_max(H) <= (d + 1) / 4 + l2
+    on standardized features, and the loss never exceeds its value log 2
+    at the zero start, |g| <= sqrt(2 * NEWTON_TOL * log 2 * ((d + 1) / 4 + l2)).
+    The separable shape has no finite optimum and must say so.
+    """
     for name, X, y, hyperparams in _reference_cases(student_path):
-        spec = ModelSpec(tuple(f"f{j}" for j in range(X.shape[1])), hyperparams=hyperparams)
-        hp = spec.resolved_hyperparams()
-        model = train(spec, X, y, seed=0)
-        coef, intercept, mu, sigma = logistic_fit_reference(
-            X, y, hp["iterations"], hp["learning_rate"], hp["l2"]
+        model, l2 = _fit_case(X, y, hyperparams)
+        grad = logistic_gradient_oracle(
+            X, y, model.coefficients, model.intercept, model.mu, model.sigma, l2
         )
-        assert np.array_equal(model.coefficients, coef), name
-        assert model.intercept == intercept, name
-        assert np.array_equal(model.mu, mu), name
-        assert np.array_equal(model.sigma, sigma), name
+        d = X.shape[1]
+        bound = np.sqrt(2 * NEWTON_TOL * np.log(2) * ((d + 1) / 4 + l2))
+        assert np.linalg.norm(grad) <= bound, name
+        assert model.grad_norm == pytest.approx(np.linalg.norm(grad), abs=1e-12), name
+        assert model.converged is (name != "saturating"), name
+        assert 1 <= model.n_iter <= hyperparams.get("iterations", 2000), name
+
+
+def test_train_agrees_with_long_run_gd(student_path):
+    """Newton's loss is the long-run gradient-descent loss, to GD's own error bound.
+
+    Plain GD from zero with step 1/L (L = lambda_max(A'A) / (4n) + l2 with
+    A the standardized design plus an intercept column) satisfies
+    f(w_K) - f(u) <= L |u|^2 / (2K) for every u, so with u the Newton
+    weights the GD loss may exceed Newton's by at most that, and may fall
+    below it by no more than Newton's stopping bound NEWTON_TOL * loss. On
+    the loop shape, whose loss is well conditioned, 1000 steps also settle
+    the weights, which must agree to 1e-6.
+    """
+    steps = 1000
+    for name, X, y, hyperparams in _reference_cases(student_path):
+        model, l2 = _fit_case(X, y, hyperparams)
+        Xs = (X - X.mean(axis=0)) / np.sqrt(np.maximum(X.var(axis=0), 1e-12))
+        design = np.column_stack([Xs, np.ones(len(y))])
+        lipschitz = np.linalg.eigvalsh(design.T @ design / len(y)).max() / 4 + l2
+        coef, intercept, mu, sigma = logistic_fit_reference(X, y, steps, 1 / lipschitz, l2)
+        newton_loss = logistic_loss_oracle(
+            X, y, model.coefficients, model.intercept, model.mu, model.sigma, l2
+        )
+        gd_loss = logistic_loss_oracle(X, y, coef, intercept, mu, sigma, l2)
+        weights = np.append(model.coefficients, model.intercept)
+        assert gd_loss - newton_loss <= lipschitz * (weights @ weights) / (2 * steps), name
+        assert newton_loss - gd_loss <= NEWTON_TOL * newton_loss, name
+        if name == "loop":
+            assert np.max(np.abs(np.append(coef, intercept) - weights)) <= 1e-6
 
 
 def test_sigmoid_bit_identical_to_two_branch_form():
@@ -241,6 +289,42 @@ def test_case_study_features_beat_majority_rate(student_path):
     assert accuracy > majority
 
 
+class TestFitDiagnostics:
+    def test_separable_without_penalty_ends_unconverged(self):
+        X, y = separable_1d()
+        for cap in (2000, 5):
+            model = train(ModelSpec(("f",), hyperparams={"l2": 0.0, "iterations": cap}), X, y)
+            assert model.converged is False
+            assert model.n_iter <= cap
+            assert np.all(np.isfinite(model.coefficients))
+
+    def test_well_conditioned_fit_converges_in_a_few_steps(self):
+        # like the score workload's two-feature candidates: two low-noise
+        # copies of a latent score, weights near their optimum after a few
+        # steps; the loss cannot resolve a gradient norm of 1e-10 here
+        rng = np.random.default_rng(62)
+        latent = rng.normal(size=1400)
+        X = latent[:, None] + rng.normal(scale=0.15, size=(1400, 2))
+        y = (latent + rng.normal(scale=1.0, size=1400) > 0).astype(int)
+        model = train(ModelSpec(("a0", "a1")), X, y)
+        assert model.converged is True
+        assert model.n_iter <= 8
+        assert model.grad_norm < 1e-6
+
+    def test_cap_is_honoured(self):
+        X, y = separable_1d()
+        model = train(ModelSpec(("f",), hyperparams={"iterations": 1}), X, y)
+        assert model.n_iter == 1
+        assert model.converged is False
+
+    def test_unfitted_models_carry_no_diagnostics(self):
+        spec = ModelSpec(("a",), "norm_threshold", {"threshold": 1.0})
+        fixed = train(spec, np.array([[0.0], [2.0]]), np.array([0, 1]))
+        given = TrainedModel.from_coefficients(ModelSpec(("a",)), [1.0])
+        for model in (fixed, given):
+            assert (model.n_iter, model.grad_norm, model.converged) == (None, None, None)
+
+
 class TestSerialization:
     def test_round_trip(self):
         X, y = separable_1d()
@@ -249,6 +333,20 @@ class TestSerialization:
         assert np.array_equal(clone.coefficients, model.coefficients)
         assert clone.mu.tolist() == model.mu.tolist()
         assert np.array_equal(predict(clone, X), predict(model, X))
+        assert (clone.n_iter, clone.grad_norm, clone.converged) == (
+            model.n_iter, model.grad_norm, model.converged
+        )
+        assert isinstance(clone.n_iter, int) and isinstance(clone.converged, bool)
+
+    def test_document_without_diagnostics_loads(self):
+        # a model document as versions before the Newton fit wrote it
+        X, y = separable_1d()
+        doc = train(ModelSpec(("f",)), X, y).to_dict()
+        for key in ("n_iter", "grad_norm", "converged"):
+            del doc[key]
+        clone = TrainedModel.from_dict(doc)
+        assert (clone.n_iter, clone.grad_norm, clone.converged) == (None, None, None)
+        assert np.array_equal(predict(clone, X), predict(TrainedModel.from_dict(doc), X))
 
 
 class TestGroupThresholds:
@@ -261,16 +359,35 @@ class TestGroupThresholds:
         return x, y, g
 
     def test_reduces_gap(self):
-        x, y, g = self._data()
-        model = train(ModelSpec(("f",)), x, y, seed=0)
+        """The pair returned is the most accurate candidate whose gap clears tau_o.
+
+        The candidates are the pairs ``candidate_group_thresholds`` ranks;
+        each is scored here by counting decisions per group.
+        """
         from equity_audit.metrics import eo_violation
 
-        base = eo_violation(np.asarray(predict(model, x)), y, g).eo_violation
-        cuts = fit_group_thresholds(model, x, y, g, tau_o=0.1)
-        tuned = eo_violation(
-            predict_with_group_thresholds(model, x, g, cuts), y, g
-        ).eo_violation
-        assert tuned <= base
+        x, y, g = self._data()
+        model = train(ModelSpec(("f",)), x, y, seed=0)
+        tau_o = 0.1
+        cuts = fit_group_thresholds(model, x, y, g, tau_o=tau_o)
+        preds = predict_with_group_thresholds(model, x, g, cuts)
+        assert eo_violation(preds, y, g).eo_violation <= tau_o
+        accuracy = float(np.mean(preds == y))
+
+        scores = predict_proba(model, x)
+        counted = {}
+
+        def rates(grp, cut):  # (TPR, FPR, correct decisions) of one group at one cutoff
+            if (grp, cut) not in counted:
+                dec, pos = scores[g == grp] >= cut, y[g == grp] == 1
+                counted[grp, cut] = (dec[pos].mean(), dec[~pos].mean(), int(np.sum(dec == pos)))
+            return counted[grp, cut]
+
+        for pair in candidate_group_thresholds(model, x, y, g, tau_o=tau_o, k=10**6):
+            tpr0, fpr0, right0 = rates(0, pair[0])
+            tpr1, fpr1, right1 = rates(1, pair[1])
+            if abs(tpr0 - tpr1) + abs(fpr0 - fpr1) <= tau_o - 1e-12:
+                assert (right0 + right1) / len(y) <= accuracy + 1e-12, pair
 
     def test_candidates_ranked_by_gap(self):
         x, y, g = self._data()
