@@ -7,13 +7,13 @@ comparable across features. The fit is damped Newton (iteratively
 reweighted least squares; Hastie, Tibshirani & Friedman, *The Elements of
 Statistical Learning*, 4.4.1) from a zero start, with Armijo backtracking
 on the loss of :func:`logistic_loss_and_gradient`. It stops when the
-Newton decrement says the loss is within ``NEWTON_TOL`` of its minimum
-(Boyd & Vandenberghe, *Convex Optimization*, 9.5), so the result is a
-deterministic function of (spec, data) and not of a step count; the
-``iterations`` hyperparameter only caps the Newton steps. A fit that
-reaches the cap, whose line search fails or whose Hessian is singular
-(separable data with ``l2 = 0`` has no finite optimum) stops there and
-reports ``converged=False``. The ``learning_rate`` hyperparameter of
+Newton decrement says the loss is within ``NEWTON_TOL`` times itself of
+its minimum (Boyd & Vandenberghe, *Convex Optimization*, 9.5), so the
+result is a deterministic function of (spec, data) and not of a step
+count; the ``iterations`` hyperparameter only caps the Newton steps. A
+fit that reaches the cap, whose line search fails or whose Hessian is
+singular (separable data with ``l2 = 0`` has no finite optimum) stops
+there and reports ``converged=False``. The ``learning_rate`` hyperparameter of
 earlier gradient-descent versions is accepted and ignored.
 ``norm_threshold`` is the fixed rule "predict 1 iff the L2 norm of the
 input is at least the configured threshold"; it has no fitted parameters
@@ -46,9 +46,11 @@ DEFAULT_HYPERPARAMS = {
 _VARIANCE_FLOOR = 1e-12
 
 # Converged when half the Newton decrement, g' H^-1 g / 2 (the loss a full
-# Newton step is predicted to remove), is at most this. Far above the
-# loss's rounding (about 1e-16), so every line search before the stop can
-# still see the loss fall.
+# Newton step is predicted to remove), is at most this times the loss.
+# Relative, because the loss's rounding is (about 1e-16 of it): far above
+# that, every line search before the stop can still see the loss fall. On
+# separable data without a penalty the loss tends to 0 with no minimizer,
+# and the relative decrement stays near 1/2, so such a fit never converges.
 NEWTON_TOL = 1e-12
 # Armijo backtracking: a step t is taken when the loss falls by at least
 # _ARMIJO * t * (Newton decrement); t halves at most _MAX_HALVINGS times
@@ -311,11 +313,11 @@ def train(spec: ModelSpec, features, labels, seed: int = 0) -> TrainedModel:
 
     Logistic regression runs damped Newton steps from a zero start on
     standardized features until half the Newton decrement is at most
-    ``NEWTON_TOL``, taking at most ``iterations`` steps; the model records
-    the steps taken, the final gradient norm and whether the rule was met.
-    The result is a deterministic function of (spec, data); the seed is
-    accepted for interface stability. The threshold class performs no
-    fitting and just validates its inputs.
+    ``NEWTON_TOL`` times the loss, taking at most ``iterations`` steps; the
+    model records the steps taken, the final gradient norm and whether the
+    rule was met. The result is a deterministic function of (spec, data);
+    the seed is accepted for interface stability. The threshold class
+    performs no fitting and just validates its inputs.
     """
     X, y = _validate_training_inputs(spec, features, labels)
     hp = spec.resolved_hyperparams()

@@ -298,7 +298,7 @@ def generate_cohort(cfg: SyntheticConfig, round: int) -> Cohort:
     y_prime_t = ((z_t @ w_t >= 0) ^ flip_t).astype(int)
     y_t = ((x_t_full @ w_t >= 0) ^ flip_t).astype(int)
 
-    ids = list(map(f"r{round}-".__add__, map(str, range(n))))
+    ids = [f"r{round}-{k}" for k in range(n)]
     proxy = Population(
         x=x_p, z=z_p, y=y_p, y_prime=y_prime_p, grp=grp, ids=ids,
         feature_names=_proxy_feature_names(cfg),

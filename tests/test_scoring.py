@@ -227,8 +227,6 @@ def repeating_spaces():
 
 
 # sha256 of the trace's JSON when every repeat was refitted (72 fits, not 15)
-# by the Newton learner; the gradient-descent learner's trace hashed to
-# 7083cf48e2a249ce0e7780c0372eb79f4f0ea8a1b0501e69461b5e798d0144ac
 REPEATING_TRACE_SHA256 = "7c5cca0a73b63424eee9e21be53c0ecca817905fb85bc5d3e98ad6f822f223b0"
 
 
