@@ -248,7 +248,7 @@ def main(argv=None) -> int:
     lines = []
     for kind, label in (("seed", "case study, one seed"), ("split", "case study, split seed"),
                         ("uplift", "case study, uplift seed")):
-        lines += table(f"{label}", case[kind])
+        lines += table(label, case[kind])
     if loop is not None:
         lines += table(f"loop, {args.rounds} rounds", loop)
     print("\n".join(lines), end="")
