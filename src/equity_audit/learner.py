@@ -11,9 +11,11 @@ Newton decrement says the loss is within ``NEWTON_TOL`` times itself of
 its minimum (Boyd & Vandenberghe, *Convex Optimization*, 9.5), so the
 result is a deterministic function of (spec, data) and not of a step
 count; the ``iterations`` hyperparameter only caps the Newton steps. A
-fit that reaches the cap, whose line search fails or whose Hessian is
-singular (separable data with ``l2 = 0`` has no finite optimum) stops
-there and reports ``converged=False``. The ``learning_rate`` hyperparameter of
+fit that reaches the cap or whose line search fails (separable data with
+``l2 = 0`` has no finite optimum) stops there and reports
+``converged=False``. A constant column keeps weight 0 and stays out of
+the fit; any other singular Hessian (duplicated columns with ``l2 = 0``)
+gives the least-norm Newton step. The ``learning_rate`` hyperparameter of
 earlier gradient-descent versions is accepted and ignored.
 ``norm_threshold`` is the fixed rule "predict 1 iff the L2 norm of the
 input is at least the configured threshold"; it has no fitted parameters
@@ -260,17 +262,18 @@ def _newton_fit(
     steps = 0
     converged = False
     while True:
+        hess = _logistic_hessian(X, proba, l2)
         try:
-            direction = np.linalg.solve(_logistic_hessian(X, proba, l2), grad)
-        except np.linalg.LinAlgError:  # singular Hessian: no Newton step exists
-            break
+            direction = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:  # singular: take the least-norm step
+            direction = np.linalg.lstsq(hess, grad, rcond=None)[0]
         decrement = float(grad @ direction)
         if not np.isfinite(decrement):
             break
         if decrement / 2.0 <= NEWTON_TOL * loss_value:
             converged = True
             break
-        if steps == max_steps:
+        if steps >= max_steps:
             break
         t = 1.0
         for _ in range(_MAX_HALVINGS):
@@ -341,11 +344,17 @@ def train(spec: ModelSpec, features, labels, seed: int = 0) -> TrainedModel:
     var = X.var(axis=0)
     sigma = np.sqrt(np.maximum(var, _VARIANCE_FLOOR))
     Xs = (X - mu) / sigma
+    # a constant column carries nothing to fit and, with l2 = 0, would make
+    # the Hessian singular: it keeps weight 0 and stays out of the fit
+    varying = var > _VARIANCE_FLOOR
+    if not varying.all():
+        Xs = Xs[:, varying]
 
     weights, n_iter, grad_norm, converged = _newton_fit(
         Xs, y, float(hp["l2"]), int(hp["iterations"])
     )
-    coef = weights[:-1]
+    coef = np.zeros(X.shape[1])
+    coef[varying] = weights[:-1]
     return TrainedModel(
         spec=spec,
         coefficients=coef,

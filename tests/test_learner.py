@@ -319,6 +319,46 @@ class TestFitDiagnostics:
         assert model.n_iter == 1
         assert model.converged is False
 
+    def test_negative_cap_takes_no_step(self):
+        X, y = separable_1d()
+        model = train(ModelSpec(("f",), hyperparams={"iterations": -1}), X, y)
+        assert model.n_iter == 0
+        assert model.converged is False
+
+    @staticmethod
+    def noisy_two_features(n=500, seed=0):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, 2))
+        y = (X[:, 0] + 0.5 * X[:, 1] + rng.normal(size=n) > 0).astype(int)
+        return X, y
+
+    def test_constant_column_without_penalty_fits_the_others(self):
+        # a constant integer column standardizes to exact zeros, a zero row
+        # of the unpenalized Hessian
+        X, y = self.noisy_two_features()
+        reference = train(ModelSpec(("a", "b"), hyperparams={"l2": 0.0}), X, y)
+        for value in (3.0, 0.1):
+            with_const = np.column_stack([X[:, 0], np.full(len(y), value), X[:, 1]])
+            model = train(ModelSpec(("a", "c", "b"), hyperparams={"l2": 0.0}), with_const, y)
+            assert model.converged is True
+            assert model.coefficients[1] == 0.0
+            np.testing.assert_allclose(
+                model.coefficients[[0, 2]], reference.coefficients, rtol=1e-9
+            )
+            assert model.intercept == pytest.approx(reference.intercept, rel=1e-9)
+
+    def test_duplicate_column_without_penalty_splits_the_weight(self):
+        # an exactly singular Hessian: the least-norm Newton step shares
+        # the weight equally between the two copies
+        X, y = self.noisy_two_features()
+        reference = train(ModelSpec(("a", "b"), hyperparams={"l2": 0.0}), X, y)
+        doubled = np.column_stack([X, X[:, 0]])
+        model = train(ModelSpec(("a", "b", "a2"), hyperparams={"l2": 0.0}), doubled, y)
+        assert model.converged is True
+        assert model.coefficients[0] == pytest.approx(model.coefficients[2], rel=1e-9)
+        assert model.coefficients[0] * 2 == pytest.approx(reference.coefficients[0], rel=1e-9)
+        assert model.coefficients[1] == pytest.approx(reference.coefficients[1], rel=1e-9)
+
     def test_unfitted_models_carry_no_diagnostics(self):
         spec = ModelSpec(("a",), "norm_threshold", {"threshold": 1.0})
         fixed = train(spec, np.array([[0.0], [2.0]]), np.array([0, 1]))
