@@ -28,7 +28,6 @@ from .checklist import emit_checklist
 from .config import RunConfig
 from .core import ObstacleModel, Policy
 from .dataio import (
-    _read_json,
     load_audit_csv,
     load_model_document,
     load_population_csv,
@@ -41,6 +40,7 @@ from .errors import (
     UndefinedRateError,
     ValidationError,
 )
+from .inputs import read_json
 from .learner import ModelSpec
 from .loopsim import REGIMES, default_config, run_inequity_loop, trajectory_to_csv
 from .metrics import compute_gap_report, eo_violation, utilization_from_labels
@@ -166,7 +166,7 @@ def _space_from_doc(doc: dict, label: str, base: Path) -> ModelSpace:
 
 def _cmd_score(args, cfg: RunConfig) -> int:
     path = Path(args.spaces)
-    doc = _read_json(path)
+    doc = read_json(path)
     for key in ("proxy", "intended"):
         if key not in doc:
             raise DataFormatError(f"spaces document is missing {key!r}")

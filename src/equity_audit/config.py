@@ -16,23 +16,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import DataFormatError, ValidationError
-
-
-def open_error(path, exc: OSError) -> DataFormatError:
-    """The error for an input path that cannot be opened (missing, a directory, ...)."""
-    if isinstance(exc, FileNotFoundError):
-        return DataFormatError(f"input file not found: {path}")
-    return DataFormatError(f"cannot open {path}: {exc.strerror or exc}")
-
-
-def read_utf8(path) -> str:
-    """Whole text of a UTF-8 input file; every read fault is a DataFormatError."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise open_error(path, exc) from None
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path} is not UTF-8 text ({exc.reason})") from None
+from .inputs import read_utf8
 
 
 def _parse_scalar(token: str, lineno: int):

@@ -32,7 +32,6 @@ the README; they make runs reproducible but are not measurements.
 from __future__ import annotations
 
 import csv
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice, product
@@ -41,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, open_error, read_utf8
+from .config import RunConfig
 from .core import ObstacleModel, Policy, Population, reveal_population
 from .errors import (
     DataFormatError,
@@ -49,6 +48,7 @@ from .errors import (
     UndefinedRateError,
     ValidationError,
 )
+from .inputs import decode_error, open_error, read_json
 from .learner import (
     ModelSpec,
     TrainedModel,
@@ -128,7 +128,7 @@ def _csv_reader(path: Path, **fmtparams):
         with fh:
             yield csv.reader(fh, **fmtparams)
     except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path} is not UTF-8 text ({exc.reason})") from None
+        raise decode_error(path, exc) from None
 
 
 def _header_row(reader, path: Path) -> list[str]:
@@ -741,17 +741,6 @@ def load_population_csv(path: str | Path, group_name: str = "group") -> Populati
         raise DataFormatError(f"bad row: {exc}", row=exc.row + 1) from None
 
 
-def _read_json(path: Path) -> dict:
-    """The JSON object in a UTF-8 file; any other content is a DataFormatError."""
-    try:
-        doc = json.loads(read_utf8(path))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"invalid JSON in {path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise DataFormatError(f"{path} must hold a JSON object, got {type(doc).__name__}")
-    return doc
-
-
 def load_model_document(path: str | Path) -> tuple[list[str], np.ndarray, ObstacleModel | None]:
     """Read a model JSON document for gap computation.
 
@@ -760,7 +749,7 @@ def load_model_document(path: str | Path) -> tuple[list[str], np.ndarray, Obstac
     ``affected_features`` describing its obstacle structure).
     """
     path = Path(path)
-    doc = _read_json(path)
+    doc = read_json(path)
     if "feature_names" not in doc or "importance" not in doc:
         raise DataFormatError(f"{path} must contain feature_names and importance")
     features = [str(f) for f in doc["feature_names"]]

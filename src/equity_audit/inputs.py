@@ -1,0 +1,48 @@
+"""How an input file is opened and decoded.
+
+Every file the CLI reads (CSV logs and cohorts, the student file, model
+and spaces documents, TOML configs) is UTF-8 text. A path that cannot be
+opened or bytes that do not decode are data errors, raised as
+:class:`DataFormatError` (exit 2), never as a bare ``OSError`` or
+``UnicodeDecodeError``.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+from .errors import DataFormatError
+
+
+def open_error(path, exc: OSError) -> DataFormatError:
+    """The error for an input path that cannot be opened (missing, a directory, ...)."""
+    if isinstance(exc, FileNotFoundError):
+        return DataFormatError(f"input file not found: {path}")
+    return DataFormatError(f"cannot open {path}: {exc.strerror or exc}")
+
+
+def decode_error(path, exc: UnicodeDecodeError) -> DataFormatError:
+    """The error for an input file whose bytes are not UTF-8."""
+    return DataFormatError(f"{path} is not UTF-8 text ({exc.reason})")
+
+
+def read_utf8(path) -> str:
+    """Whole text of a UTF-8 input file; every read fault is a DataFormatError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise open_error(path, exc) from None
+    except UnicodeDecodeError as exc:
+        raise decode_error(path, exc) from None
+
+
+def read_json(path) -> dict:
+    """The JSON object in a UTF-8 file; any other content is a DataFormatError."""
+    try:
+        doc = json.loads(read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"invalid JSON in {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
