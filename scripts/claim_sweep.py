@@ -12,15 +12,16 @@ study tests) are swept three ways on the student file:
 
 - ``seed``: one seed drives both the train/test split and the uplift
   draws, as ``equity-audit --seed N casestudy`` does;
-- ``split``: the split seed varies, the uplift draws stay at ``--fixed``;
-- ``uplift``: the uplift seed varies, the split stays at ``--fixed``.
+- ``split``: the split seed varies, the uplift draws stay at ``FIXED_SEED``;
+- ``uplift``: the uplift seed varies, the split stays at ``FIXED_SEED``.
 
-Loop claims (criterion 6 and the loop tests) are swept over the seed of
-the default loop configuration; zeta and omega are each run's mean over
-its rounds. The output carries no timings, so a rerun on the same code
+Loop claims (criterion 6 and the loop tests) are swept over
+``LOOP_SEEDS``, the seed of the default loop configuration, with
+``LOOP_ROUNDS`` rounds; zeta and omega are each run's mean over its
+rounds. The output carries no timings, so a rerun on the same code
 prints the same bytes. Run from anywhere:
 
-    python3 scripts/claim_sweep.py [--seeds 20] [--loop-seeds 10] [--json PATH]
+    python3 scripts/claim_sweep.py [--input FILE] [--seeds 20] [--json PATH]
 """
 
 from __future__ import annotations
@@ -34,7 +35,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE = ROOT / "tests" / "data" / "student_sample.csv"
+FIXED_SEED = 7  # held while the other seed varies; the acceptance suite's seed
 LOOP_REGIMES = ("no_equity", "access_only", "access_and_outcome", "full_equity")
+LOOP_SEEDS = range(40, 50)
+LOOP_ROUNDS = 10
 CONFIDENCE = 0.95
 
 
@@ -136,19 +140,19 @@ def case_study_values(result) -> dict[str, dict[str, float | None]]:
     return out
 
 
-def sweep_case_study(path: Path, seeds: list[int], fixed: int) -> dict:
+def sweep_case_study(path: Path, seeds: list[int]) -> dict:
     from equity_audit.config import RunConfig
     from equity_audit.dataio import build_case_study_views, load_uci_students, run_case_study
 
     table = load_uci_students(path)
-    fixed_views = build_case_study_views(table, RunConfig(seed=fixed))
+    fixed_views = build_case_study_views(table, RunConfig(seed=FIXED_SEED))
 
     def run(kind: str, seed: int):
         if kind == "seed":
             return run_case_study(RunConfig(seed=seed), build_case_study_views(table, RunConfig(seed=seed)))
         if kind == "split":
             return run_case_study(RunConfig(seed=seed), fixed_views)
-        return run_case_study(RunConfig(seed=fixed), build_case_study_views(table, RunConfig(seed=seed)))
+        return run_case_study(RunConfig(seed=FIXED_SEED), build_case_study_views(table, RunConfig(seed=seed)))
 
     sweeps = {}
     for kind in ("seed", "split", "uplift"):
@@ -179,18 +183,18 @@ def _mean(values: list[float]) -> float | None:
     return sum(vals) / len(vals) if vals else None
 
 
-def sweep_loop(seeds: list[int], rounds: int) -> dict:
+def sweep_loop() -> dict:
     from equity_audit.loopsim import default_config, run_inequity_loop
 
     claims, values = [], []
-    for seed in seeds:
-        traj = {reg: run_inequity_loop(default_config(seed=seed), rounds, reg)[0] for reg in LOOP_REGIMES}
+    for seed in LOOP_SEEDS:
+        traj = {reg: run_inequity_loop(default_config(seed=seed), LOOP_ROUNDS, reg)[0] for reg in LOOP_REGIMES}
         claims.append(loop_claims(traj))
         values.append({
             reg: {"zeta": _mean([r.zeta for r in t.rounds]), "omega": _mean([r.omega for r in t.rounds])}
             for reg, t in traj.items()
         })
-    return summarize(claims, values, seeds)
+    return summarize(claims, values, list(LOOP_SEEDS))
 
 
 # -------------------------------------------------------------------- summary
@@ -235,22 +239,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--input", type=Path, default=SAMPLE, help="student file (default: the bundled sample)")
     parser.add_argument("--seeds", type=int, default=20, help="case-study seeds 0..N-1")
-    parser.add_argument("--fixed", type=int, default=7, help="the seed held fixed while the other varies")
-    parser.add_argument("--loop-seeds", type=int, default=10, help="loop seeds 40..40+N-1")
-    parser.add_argument("--rounds", type=int, default=10, help="loop rounds per run")
     parser.add_argument("--json", type=Path, default=None, help="also write the full result here")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
 
-    case = sweep_case_study(args.input, list(range(args.seeds)), args.fixed)
-    loop = sweep_loop(list(range(40, 40 + args.loop_seeds)), args.rounds) if args.loop_seeds > 0 else None
-    doc = {"input": args.input.name, "fixed_seed": args.fixed, "rounds": args.rounds, "case_study": case, "loop": loop}
+    case = sweep_case_study(args.input, list(range(args.seeds)))
+    loop = sweep_loop()
+    doc = {"input": args.input.name, "fixed_seed": FIXED_SEED, "rounds": LOOP_ROUNDS, "case_study": case, "loop": loop}
     lines = []
     for kind, label in (("seed", "case study, one seed"), ("split", "case study, split seed"),
                         ("uplift", "case study, uplift seed")):
         lines += table(label, case[kind])
-    if loop is not None:
-        lines += table(f"loop, {args.rounds} rounds", loop)
+    lines += table(f"loop, {LOOP_ROUNDS} rounds", loop)
     print("\n".join(lines), end="")
     if args.json is not None:
         args.json.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
