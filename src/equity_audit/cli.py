@@ -131,36 +131,68 @@ def _cmd_audit(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _policy_from_value(value) -> Policy:
-    if isinstance(value, str):
-        if value != "inf":
-            raise DataFormatError(f"policy delta must be a number or 'inf', got {value!r}")
+def _is_number(value) -> bool:
+    """A JSON number; a bool is no number, as in ``RunConfig``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_list_of(value, check) -> bool:
+    return isinstance(value, list) and all(map(check, value))
+
+
+def _policy_from_value(value, where: str) -> Policy:
+    if value == "inf":
         return Policy(math.inf)
+    if not _is_number(value):
+        raise DataFormatError(f"{where}: policy delta must be a number or 'inf', got {value!r}")
     return Policy(float(value))
 
 
+def _spec_from_doc(spec, where: str) -> ModelSpec:
+    if not isinstance(spec, dict) or "features" not in spec:
+        raise DataFormatError(f"{where} must be a JSON object with 'features'")
+    if not _is_list_of(spec["features"], lambda f: isinstance(f, str)):
+        raise DataFormatError(f"{where}: 'features' must be a list of feature names")
+    function_class = spec.get("function_class", "logistic_regression")
+    if not isinstance(function_class, str):
+        raise DataFormatError(f"{where}: 'function_class' must be a string")
+    hyperparams = spec.get("hyperparams", {})
+    if not isinstance(hyperparams, dict) or not all(map(_is_number, hyperparams.values())):
+        raise DataFormatError(f"{where}: 'hyperparams' must be an object of numbers")
+    return ModelSpec(tuple(spec["features"]), function_class, dict(hyperparams))
+
+
 def _space_from_doc(doc: dict, label: str, base: Path) -> ModelSpace:
-    """Build one space; a relative ``dataset`` path is read from ``base``."""
+    """Build one space from its document, its shape checked first.
+
+    A relative ``dataset`` path is read from ``base``. Every fault in the
+    document is a DataFormatError (exit 2).
+    """
     if not isinstance(doc, dict):
         raise DataFormatError(f"{label} space must be a JSON object")
     for key in ("dataset", "alpha", "specs", "policies"):
         if key not in doc:
             raise DataFormatError(f"{label} space is missing {key!r}")
+    if not isinstance(doc["dataset"], str):
+        raise DataFormatError(f"{label} space: 'dataset' must be a path string")
     pop = load_population_csv(base / doc["dataset"])
+    d = len(pop.feature_names)
+    if not _is_list_of(doc["alpha"], _is_number) or len(doc["alpha"]) != d:
+        raise DataFormatError(f"{label} space: 'alpha' must list one number per dataset feature ({d})")
     alpha = np.asarray(doc["alpha"], dtype=float)
     if "affected_features" in doc:
-        om = ObstacleModel(alpha, frozenset(int(i) for i in doc["affected_features"]))
+        affected = doc["affected_features"]
+        if not _is_list_of(affected, lambda i: isinstance(i, int) and not isinstance(i, bool)):
+            raise DataFormatError(f"{label} space: 'affected_features' must be a list of feature indices")
+        om = ObstacleModel(alpha, frozenset(affected))
     else:
         om = ObstacleModel.from_alpha(alpha)
-    specs = tuple(
-        ModelSpec(
-            tuple(spec["features"]),
-            spec.get("function_class", "logistic_regression"),
-            dict(spec.get("hyperparams", {})),
-        )
-        for spec in doc["specs"]
-    )
-    policies = tuple(_policy_from_value(v) for v in doc["policies"])
+    if not isinstance(doc["specs"], list):
+        raise DataFormatError(f"{label} space: 'specs' must be a list")
+    specs = tuple(_spec_from_doc(spec, f"{label} space: spec {k}") for k, spec in enumerate(doc["specs"]))
+    if not isinstance(doc["policies"], list):
+        raise DataFormatError(f"{label} space: 'policies' must be a list")
+    policies = tuple(_policy_from_value(v, f"{label} space") for v in doc["policies"])
     return ModelSpace(specs, pop, om, policies)
 
 

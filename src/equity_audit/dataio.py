@@ -32,9 +32,11 @@ the README; they make runs reproducible but are not measurements.
 from __future__ import annotations
 
 import csv
+import io
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import chain, islice, product
 from operator import itemgetter
 from pathlib import Path
 
@@ -118,15 +120,15 @@ class StudentTable:
 
 
 @contextmanager
-def _csv_reader(path: Path, **fmtparams):
-    """``csv.reader`` over a UTF-8 file; an unopenable path or undecodable bytes raise DataFormatError."""
+def _text_file(path: Path):
+    """A UTF-8 file opened for ``csv.reader``; an unopenable path or undecodable bytes raise DataFormatError."""
     try:
         fh = path.open(newline="", encoding="utf-8")
     except OSError as exc:
         raise open_error(path, exc) from None
     try:
         with fh:
-            yield csv.reader(fh, **fmtparams)
+            yield fh
     except UnicodeDecodeError as exc:
         raise decode_error(path, exc) from None
 
@@ -149,7 +151,8 @@ def load_uci_students(path: str | Path) -> StudentTable:
     column name.
     """
     path = Path(path)
-    with _csv_reader(path, delimiter=";") as reader:
+    with _text_file(path) as fh:
+        reader = csv.reader(fh, delimiter=";")
         columns = tuple(col.strip().strip('"') for col in _header_row(reader, path))
         missing = [c for c in REQUIRED_COLUMNS if c not in columns]
         if missing:
@@ -593,6 +596,13 @@ def run_case_study(cfg: RunConfig, views: CaseStudyViews | None = None) -> CaseS
 
 # data rows converted at a time; bounds the raw cells held in memory
 _BATCH_ROWS = 4096
+# characters of text offered to numpy's reader at a time, completed to a line end
+_BLOCK_CHARS = 1 << 16
+# characters numpy's reader takes otherwise than csv.reader and int()/float()
+# do: the quote, '\r', and the separators \x1c-\x1f, which numpy's number
+# parser skips as whitespace. Non-ASCII text is kept from numpy as well: its
+# integer parser reads some code points as digits.
+_NOT_PLAIN = '"\r\x1c\x1d\x1e\x1f'
 _INT64 = range(-(2**63), 2**63)
 _DTYPES = {int: np.int64, float: np.float64, str: object}
 
@@ -622,6 +632,76 @@ def _convert_batch(batch: list, first_row: int, cols: list, fault) -> list[np.nd
     return [np.fromiter(out, _DTYPES[convert], len(out)) for (_, _, convert), out in zip(cols, values)]
 
 
+def _plain_columns(block: str, cols: list) -> list[np.ndarray] | None:
+    """The chosen columns of a block of whole lines, read by numpy's C reader.
+
+    None unless the block is plain: ASCII with none of ``_NOT_PLAIN``, no
+    line longer than the csv module's field size limit, and read by
+    ``np.loadtxt`` without an error or a warning. On plain text numpy
+    accepts a subset of what ``csv.reader`` and ``int()``/``float()``
+    accept and gives the same values, so any other block (a bad cell, a
+    short row, ``1_0``) goes to the csv path, which reports the fault.
+    """
+    limit = csv.field_size_limit()
+    if (
+        not block.isascii()
+        or any(c in block for c in _NOT_PLAIN)
+        or len(block) > limit and max(map(len, block.split("\n"))) > limit
+    ):
+        return None
+    dtype = [(str(k), _DTYPES[convert]) for k, (_, _, convert) in enumerate(cols)]
+    with warnings.catch_warnings():
+        # e.g. "input contained no data", or an older numpy's float-as-int DeprecationWarning
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(
+                io.StringIO(block), dtype=dtype, delimiter=",", comments=None,
+                quotechar=None, usecols=[i for _, i, _ in cols], ndmin=1,
+            )
+        except (ValueError, Warning):  # what numpy rejects, the csv path reads or reports
+            return None
+    return [table[name] for name, _ in dtype]
+
+
+def _read_block(fh) -> str:
+    """About ``_BLOCK_CHARS`` characters of ``fh`` up to a line end (or the end); "" at the end."""
+    block = fh.read(_BLOCK_CHARS)
+    if block and block[-1] != "\n":
+        block += fh.readline()
+    return block
+
+
+def _column_batches(fh, cols: list, fault):
+    """Yield the chosen columns of the data rows of ``fh``, some rows at a time.
+
+    Plain blocks are read by numpy (``_plain_columns``). From the first
+    block that is not plain on, every line goes through ``csv.reader`` and
+    ``_convert_batch``: a quoted cell may span lines, so the csv path never
+    hands back.
+    """
+    rows = 0
+    while block := _read_block(fh):
+        values = _plain_columns(block, cols)
+        if values is None:
+            break
+        yield values
+        rows += len(values[0])
+    reader = csv.reader(chain(io.StringIO(block, newline=""), fh))
+    while True:
+        chunk = []
+        try:
+            chunk.extend(islice(reader, _BATCH_ROWS))
+        except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
+            raise DataFormatError(
+                f"unreadable row: {exc}", row=rows + sum(map(bool, chunk)) + 1
+            ) from None
+        if not chunk:
+            return
+        batch = list(filter(None, chunk))
+        yield _convert_batch(batch, rows + 1, cols, fault)
+        rows += len(batch)
+
+
 def _store(column: np.ndarray, start: int, values: np.ndarray) -> np.ndarray:
     """``column`` with ``values`` written from ``start``, doubled in length when full.
 
@@ -638,7 +718,7 @@ def _store(column: np.ndarray, start: int, values: np.ndarray) -> np.ndarray:
 
 
 def _read_csv_columns(path: Path, plan, fault) -> tuple[list[str], list]:
-    """Read chosen columns of a comma-delimited UTF-8 file, a batch of rows at a time.
+    """Read chosen columns of a comma-delimited UTF-8 file, a block of lines at a time.
 
     ``plan(header)`` checks the header row and returns ``(name, convert)``
     pairs, ``convert`` being int, float or str, in the order the cells of a
@@ -650,29 +730,21 @@ def _read_csv_columns(path: Path, plan, fault) -> tuple[list[str], list]:
     not counted, a name given twice reads its last column, a short row
     reads None in its missing cells and extra cells are ignored. Cells go
     through Python's own ``int()``/``float()``; an integer outside the
-    int64 range is a fault too.
+    int64 range is a fault too. Plain text is parsed by numpy instead
+    (``_column_batches``), with the same values and the same faults. The
+    file is read once, front to back, so a pipe works as an input.
     """
-    with _csv_reader(path) as reader:
-        header = _header_row(reader, path)
+    with _text_file(path) as fh:
+        header = _header_row(csv.reader(fh), path)
         columns = plan(header)
         index = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last column
         cols = [(name, index[name], convert) for name, convert in columns]
         stored = [np.empty(_BATCH_ROWS, dtype=_DTYPES[convert]) for _, _, convert in cols]
         done = 0
-        while True:
-            chunk = []
-            try:
-                chunk.extend(islice(reader, _BATCH_ROWS))
-            except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
-                raise DataFormatError(
-                    f"unreadable row: {exc}", row=done + sum(map(bool, chunk)) + 1
-                ) from None
-            if not chunk:
-                break
-            batch = list(filter(None, chunk))
-            for k, values in enumerate(_convert_batch(batch, done + 1, cols, fault)):
+        for batch in _column_batches(fh, cols, fault):
+            for k, values in enumerate(batch):
                 stored[k] = _store(stored[k], done, values)
-            done += len(batch)
+            done += len(batch[0])
     return header, [
         column[:done].tolist() if convert is str else column[:done]
         for (_, _, convert), column in zip(cols, stored)

@@ -48,3 +48,20 @@ def tp_share_sweep(student_path) -> list[dict]:
         {r.name: r.tp_share for r in run_case_study(RunConfig(input_path=str(student_path), seed=s)).regimes}
         for s in SWEEP_SEEDS
     ]
+
+
+@pytest.fixture()
+def plain_blocks(monkeypatch) -> list[bool]:
+    """Whether numpy's reader read each block of CSV text offered to it, in order."""
+    from equity_audit import dataio
+
+    taken = []
+    plain_columns = dataio._plain_columns
+
+    def counted(block, cols):
+        values = plain_columns(block, cols)
+        taken.append(values is not None)
+        return values
+
+    monkeypatch.setattr(dataio, "_plain_columns", counted)
+    return taken

@@ -1,7 +1,12 @@
 import json
+import os
+import threading
+import time
 
+import numpy as np
 import pytest
 
+from equity_audit import dataio
 from equity_audit.cli import main
 
 
@@ -32,6 +37,15 @@ def write_population(path, obstructed=()):
         lines.append(f"i{k},{grp},{y},{y},{x},{z}")
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def rewrite(text: str, how: str) -> str:
+    """``text``, a plain CSV file, written ``how``: plain, with CRLF line ends, or every cell quoted."""
+    if how == "crlf":
+        return text.replace("\n", "\r\n")
+    if how == "quoted":
+        return "".join(",".join(f'"{c}"' for c in line.split(",")) + "\n" for line in text.splitlines())
+    return text
 
 
 def write_spaces(path, dataset, proxy_alpha=0.0):
@@ -89,6 +103,59 @@ class TestAudit:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert run_cli("--out", str(tmp_path), "audit", str(tmp_path / "nope.csv")) == 2
+
+    @staticmethod
+    def _log_text(n=3000) -> str:
+        rng = np.random.default_rng(11)
+        rows = rng.integers(0, 2, size=(n, 4)).tolist()
+        return "pred,label,group,y_tt\n" + "".join(",".join(map(str, r)) + "\n" for r in rows)
+
+    def test_plain_crlf_and_quoted_logs_give_one_report(self, tmp_path, monkeypatch, plain_blocks):
+        monkeypatch.setattr(dataio, "_BLOCK_CHARS", 4096)  # several blocks per file
+        text = self._log_text()
+        reports = {}
+        for how in ("plain", "crlf", "quoted"):
+            plain_blocks.clear()
+            path = tmp_path / f"{how}.csv"
+            path.write_bytes(rewrite(text, how).encode())
+            assert run_cli("--out", str(tmp_path / how), "audit", str(path)) == 0
+            reports[how] = (tmp_path / how / "audit.json").read_bytes()
+            # plain text is read by numpy; CRLF and quotes send the file to the csv path
+            assert plain_blocks == ([True] * len(plain_blocks) if how == "plain" else [False])
+        assert reports["plain"] == reports["crlf"] == reports["quoted"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reads_a_pipe_once(self, tmp_path):
+        text = self._log_text()
+        regular = tmp_path / "log.csv"
+        regular.write_text(text)
+        assert run_cli("--out", str(tmp_path / "file"), "audit", str(regular)) == 0
+        fifo = tmp_path / "log.fifo"
+        os.mkfifo(fifo)
+        fed = threading.Event()
+
+        def feed():
+            with open(fifo, "w") as fh:
+                fh.write(text)
+            fed.set()
+            # a second open of the pipe reads an empty file instead of waiting forever
+            while not stop.is_set():
+                try:
+                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                except OSError:
+                    time.sleep(0.01)
+
+        stop = threading.Event()
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            code = run_cli("--out", str(tmp_path / "fifo"), "audit", str(fifo))
+        finally:
+            stop.set()
+            writer.join(timeout=10)
+        assert not writer.is_alive() and fed.is_set()
+        assert code == 0
+        assert (tmp_path / "fifo" / "audit.json").read_bytes() == (tmp_path / "file" / "audit.json").read_bytes()
 
     def test_degenerate_group_exit_3(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -212,6 +279,69 @@ class TestScore:
         assert access_accepted("default") is False  # default tau 0.85
         assert access_accepted("toml", from_toml) is True
         assert access_accepted("flag", from_toml, ("--tau", "0.9")) is False
+
+    def test_plain_crlf_and_quoted_populations_give_one_trace(self, tmp_path, monkeypatch, plain_blocks):
+        monkeypatch.setattr(dataio, "_BLOCK_CHARS", 2048)
+        rng = np.random.default_rng(3)
+        n = 300
+        x = rng.normal(size=(n, 2)).round(6)
+        grp = rng.integers(0, 2, size=n)
+        y = (x.sum(axis=1) + rng.normal(scale=0.5, size=n) > 0).astype(int)
+        z = x + np.where(rng.random((n, 1)) < 0.3, rng.exponential(1.0, size=(n, 2)), 0.0).round(6)
+        lines = ["id,group,y,y_prime,x_a,x_b,z_a,z_b"]
+        for i in range(n):
+            cells = [f"p{i}", str(grp[i]), str(y[i]), str(y[i]), *map(repr, x[i].tolist()), *map(repr, z[i].tolist())]
+            lines.append(",".join(cells))
+        text = "\n".join(lines) + "\n"
+        space = {
+            "dataset": "pop.csv",
+            "alpha": [1.0, 0.0],
+            "specs": [{"features": ["a", "b"]}, {"features": ["a"]}],
+            "policies": [0, 0.5, "inf"],
+        }
+        traces = {}
+        for how in ("plain", "crlf", "quoted"):
+            plain_blocks.clear()
+            folder = tmp_path / how
+            folder.mkdir()
+            (folder / "pop.csv").write_bytes(rewrite(text, how).encode())
+            (folder / "spaces.json").write_text(json.dumps({"proxy": space, "intended": space}))
+            code = run_cli(
+                "--out", str(folder / "r"), "--format", "json", "score", str(folder / "spaces.json"),
+                "--max-outer", "3", "--max-inner", "3",
+            )
+            assert code == 0
+            traces[how] = (folder / "r" / "scoring_trace.json").read_bytes()
+            assert any(plain_blocks) == (how == "plain")
+        assert traces["plain"] == traces["crlf"] == traces["quoted"]
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("alpha", ["a"], "'alpha' must list one number per dataset feature (1)"),
+            ("alpha", [], "'alpha' must list one number per dataset feature (1)"),
+            ("policies", [[1]], "policy delta must be a number or 'inf', got [1]"),
+            ("policies", [None], "policy delta must be a number or 'inf', got None"),
+            ("policies", [{}], "policy delta must be a number or 'inf', got {}"),
+            ("policies", [True], "policy delta must be a number or 'inf', got True"),
+            ("specs", [5], "spec 0 must be a JSON object with 'features'"),
+            ("specs", [{"features": "a0"}], "spec 0: 'features' must be a list of feature names"),
+            ("dataset", 5, "'dataset' must be a path string"),
+            ("affected_features", ["x"], "'affected_features' must be a list of feature indices"),
+        ],
+        ids=[
+            "alpha-string", "alpha-short", "policy-list", "policy-null", "policy-object",
+            "policy-bool", "spec-number", "features-string", "dataset-number", "affected-string",
+        ],
+    )
+    def test_malformed_space_exit_2(self, tmp_path, capsys, key, value, message):
+        pop_csv = write_population(tmp_path / "pop.csv")
+        spaces = write_spaces(tmp_path / "spaces.json", str(pop_csv))
+        doc = json.loads(spaces.read_text())
+        doc["proxy"][key] = value
+        spaces.write_text(json.dumps(doc))
+        assert run_cli("--out", str(tmp_path / "r"), "score", str(spaces)) == 2
+        assert f"error: proxy space: {message}" in capsys.readouterr().err
 
 
 class TestCasestudy:

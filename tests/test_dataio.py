@@ -1,10 +1,14 @@
+import csv
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from equity_audit import dataio
 from equity_audit.config import RunConfig, parse_toml_subset
-from equity_audit.core import dominates
+from equity_audit.core import Population, dominates
 from equity_audit.dataio import (
     INTENDED_AFFECTED,
     INTENDED_FEATURES,
@@ -539,6 +543,156 @@ def test_arbitrary_bytes_raise_only_package_errors(tmp_path_factory, loader, hea
             pass
 
     check()
+
+
+def _float_columns(path):
+    """The reader itself over float columns a, b and a str column id: NaN bits and all."""
+
+    def plan(header):
+        if not {"a", "b", "id"} <= set(header):
+            raise DataFormatError("missing expected columns")
+        return [("a", float), ("b", float), ("id", str)]
+
+    return dataio._read_csv_columns(path, plan, dataio._row_fault)[1]
+
+
+def _outcome(loader, path):
+    """What ``loader`` makes of ``path``: its values (floats as bits), or its error."""
+    try:
+        result = loader(path)
+    except EquityAuditError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+    if isinstance(result, Population):
+        result = [
+            result.x_matrix(), result.z_matrix(), result.labels(), result.labels_prime(),
+            result.groups(), result.ids(), result.feature_names,
+        ]
+    return [
+        (c.dtype.str, c.shape, c.tobytes()) if isinstance(c, np.ndarray) else c for c in result
+    ]
+
+
+def _csv_path_only():
+    return mock.patch.object(dataio, "_plain_columns", lambda block, cols: None)
+
+
+# over-long cells are over a field size limit lowered to this while the fuzz runs
+_FIELD_LIMIT = 40
+_CELL_TOKENS = [
+    "0", "1", "2", "7", ",", '"', "\r", "\n", " ", "_", ".", "e", "+", "-", "nan", "inf",
+    "\x00", "\x1c", "\x1d", "\x1e", "\x1f", "١", "ᅰ", "1" * (_FIELD_LIMIT + 1),
+]
+_INT_CELLS = ["0", "1", "1", " 1", "+1", "007", "-0"]
+_FLOAT_CELLS = _INT_CELLS + ["1.5", ".5", "1e400", "nan", "-nan", "-Infinity", "1_0", "3.25"]
+
+
+def _wedge(cells: list, k: int, token: str, after: bool) -> list:
+    """``cells`` with ``token`` put before or after cell ``k``."""
+    cells = list(cells)
+    cells[k] = cells[k] + token if after else token + cells[k]
+    return cells
+
+
+def _csv_texts(names: list[str], good: list[str]):
+    """CSV-like text: a header from ``names`` (repeats allowed), then rows.
+
+    A row is ``good`` cells, or such a row with a token of ``_CELL_TOKENS``
+    wedged into one cell, or ``good`` cells one short of the header to one
+    over it.
+    """
+    good_row = st.lists(st.sampled_from(good), min_size=len(names), max_size=len(names))
+    wedged = st.builds(
+        _wedge, good_row, st.integers(0, len(names) - 1), st.sampled_from(_CELL_TOKENS), st.booleans()
+    )
+    ragged = st.lists(st.sampled_from(good), min_size=len(names) - 1, max_size=len(names) + 1)
+    row = st.one_of(good_row, wedged, ragged).map(",".join)
+    line_end = st.sampled_from(["\n", "\n", "\n", "\r\n", "\n\n"])
+    header = st.one_of(
+        st.just(names), st.just(names),
+        st.lists(st.sampled_from(names + ["junk"]), max_size=len(names) + 2),
+    ).map(",".join)
+    return st.tuples(header, st.lists(st.tuples(row, line_end), max_size=12), st.booleans()).map(
+        lambda t: t[0] + "\n" + "".join(r + e for r, e in t[1]) + ("\n" if t[2] else "")
+    )
+
+
+@pytest.mark.parametrize(
+    "loader, names, good",
+    [
+        (load_audit_csv, ["pred", "label", "group", "y_tt"], _INT_CELLS),
+        (load_population_csv, ["id", "group", "y", "y_prime", "x_a", "z_a"], _INT_CELLS),
+        (_float_columns, ["a", "b", "id"], _FLOAT_CELLS),
+    ],
+)
+def test_numpy_and_csv_paths_agree(tmp_path_factory, plain_blocks, loader, names, good):
+    """Values, or the error with its message, row and column, do not depend on the path taken."""
+    path = tmp_path_factory.mktemp("paths") / "input.csv"
+
+    @given(_csv_texts(names, good), st.sampled_from([8, 40, 1 << 16]))
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def check(text, block_chars):
+        path.write_bytes(text.encode())
+        with mock.patch.object(dataio, "_BLOCK_CHARS", block_chars):
+            either = _outcome(loader, path)
+            with _csv_path_only():
+                assert either == _outcome(loader, path)
+
+    old_limit = csv.field_size_limit(_FIELD_LIMIT)
+    try:
+        check()
+    finally:
+        csv.field_size_limit(old_limit)
+    # the fuzz reaches both paths
+    assert any(plain_blocks) and not all(plain_blocks)
+
+
+class TestReadPaths:
+    """Files read by numpy block by block give what the csv path gives."""
+
+    def _lines(self, n):
+        return [f"{k % 2},{k // 2 % 2},{k % 3 % 2},1" for k in range(n)]
+
+    def test_late_fault_after_plain_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio, "_BLOCK_CHARS", 24)  # three lines a block
+        lines = self._lines(40)
+        lines[33] = "1,1,0,x"
+        path = tmp_path / "a.csv"
+        path.write_text("pred,label,group,y_tt\n" + "\n".join(lines) + "\n")
+        err = _raises(load_audit_csv, path)
+        assert str(err) == "expected an integer, got 'x' (row 34, column 'y_tt')"
+        lines[33] = "1,1,0,1"
+        lines[20:20] = ["", ""]  # blank lines before the fault are not counted
+        lines[35] = "1,1,0"
+        path.write_text("pred,label,group,y_tt\n" + "\n".join(lines) + "\n")
+        assert str(_raises(load_audit_csv, path)) == "expected an integer, got None (row 34, column 'y_tt')"
+
+    def test_quoted_cell_spanning_a_block_end(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio, "_BLOCK_CHARS", 24)
+        lines = self._lines(20)
+        lines[9] = '1,"1\n",0,1'  # int() strips the newline in the quoted cell
+        path = tmp_path / "a.csv"
+        path.write_text("pred,label,group,y_tt\n" + "\n".join(lines) + "\n")
+        arrays = load_audit_csv(path)
+        with _csv_path_only():
+            assert [a.tolist() for a in arrays] == [a.tolist() for a in load_audit_csv(path)]
+        assert len(arrays[0]) == 20 and arrays[1][9] == 1
+
+    def test_cell_over_the_field_limit(self, tmp_path):
+        # numpy would read this cell as 1.0; the csv module refuses it
+        path = tmp_path / "a.csv"
+        path.write_text("a,b,id\n1,2,u\n1." + "0" * 140_000 + ",2,v\n")
+        with pytest.raises(DataFormatError, match="field larger than field limit") as excinfo:
+            _float_columns(path)
+        assert excinfo.value.row == 2
+
+    @pytest.mark.parametrize("cell", ["\x1c1", "1\x1f", "ᅰ", "1_0", "١"])
+    def test_cells_numpy_would_misread(self, tmp_path, cell):
+        # numpy reads "\x1c1" as 1 and "ᅰ" as 4416; Python rejects both
+        path = tmp_path / "a.csv"
+        path.write_text(f"pred,label,group\n1,{cell},0\n", encoding="utf-8")
+        with _csv_path_only():
+            expected = _outcome(load_audit_csv, path)
+        assert _outcome(load_audit_csv, path) == expected
 
 
 class TestRunConfigToml:
