@@ -12,10 +12,14 @@ command printed, and last the sha256 of all those lines. Two checkouts
 that print the same listing hash wrote byte-identical reports and printed
 the same text. Run from anywhere:
 
-    python3 scripts/output_digest.py [--seed N]
+    python3 scripts/output_digest.py [--seed N] [--against FILE]
 
 ``--seed`` is the benchmark run seed the inputs derive from (default 1).
-The program is imported from ``src/`` of the same checkout.
+``--against FILE`` compares with a listing this script printed before
+(saved to FILE, say from another checkout at the same seed): it prints
+only the paths whose hashes differ, each marked ``changed``, ``new`` (not
+in FILE) or ``gone`` (only in FILE), and then a count. The program is
+imported from ``src/`` of the same checkout.
 """
 
 from __future__ import annotations
@@ -52,10 +56,32 @@ def digest_lines(base: Path) -> list[str]:
     return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(base).as_posix()}" for p in files]
 
 
+def parse_listing(text: str) -> dict[str, str]:
+    """``{path: sha256}`` of a listing; its closing ``listing`` line is left out."""
+    pairs = (line.split("  ", 1) for line in text.splitlines() if line.strip())
+    return {path: sha for sha, path in pairs if path != "listing"}
+
+
+def compare(saved: dict[str, str], current: dict[str, str]) -> list[str]:
+    """One line per path whose hash differs between the listings, then a count."""
+    lines = []
+    for path in sorted(saved.keys() | current.keys()):
+        if path not in saved:
+            lines.append(f"new      {path}")
+        elif path not in current:
+            lines.append(f"gone     {path}")
+        elif saved[path] != current[path]:
+            lines.append(f"changed  {path}")
+    total = len(saved.keys() | current.keys())
+    return lines + [f"{len(lines)} of {total} paths differ"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1, help="benchmark run seed of the inputs")
+    parser.add_argument("--against", type=Path, help="a saved listing to compare with")
     args = parser.parse_args(argv)
+    saved = None if args.against is None else parse_listing(args.against.read_text())
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from equity_audit import cli
 
@@ -72,6 +98,10 @@ def main(argv=None) -> int:
             sha = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
             printed.append(f"{sha}  stdout/{k:02d}-{parser.parse_args(argv_).command}")
         lines = digest_lines(base) + printed
+    if saved is not None:
+        for line in compare(saved, parse_listing("\n".join(lines))):
+            print(line)
+        return 0
     for line in lines:
         print(line)
     listing = "".join(line + "\n" for line in lines)

@@ -40,7 +40,7 @@ from .errors import (
     UndefinedRateError,
     ValidationError,
 )
-from .inputs import read_json
+from .inputs import is_index, is_list_of, is_number, read_json
 from .learner import ModelSpec
 from .loopsim import REGIMES, default_config, run_inequity_loop, trajectory_to_csv
 from .metrics import compute_gap_report, eo_violation, utilization_from_labels
@@ -131,19 +131,10 @@ def _cmd_audit(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _is_number(value) -> bool:
-    """A JSON number; a bool is no number, as in ``RunConfig``."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_list_of(value, check) -> bool:
-    return isinstance(value, list) and all(map(check, value))
-
-
 def _policy_from_value(value, where: str) -> Policy:
     if value == "inf":
         return Policy(math.inf)
-    if not _is_number(value):
+    if not is_number(value):
         raise DataFormatError(f"{where}: policy delta must be a number or 'inf', got {value!r}")
     return Policy(float(value))
 
@@ -151,13 +142,13 @@ def _policy_from_value(value, where: str) -> Policy:
 def _spec_from_doc(spec, where: str) -> ModelSpec:
     if not isinstance(spec, dict) or "features" not in spec:
         raise DataFormatError(f"{where} must be a JSON object with 'features'")
-    if not _is_list_of(spec["features"], lambda f: isinstance(f, str)):
+    if not is_list_of(spec["features"], lambda f: isinstance(f, str)):
         raise DataFormatError(f"{where}: 'features' must be a list of feature names")
     function_class = spec.get("function_class", "logistic_regression")
     if not isinstance(function_class, str):
         raise DataFormatError(f"{where}: 'function_class' must be a string")
     hyperparams = spec.get("hyperparams", {})
-    if not isinstance(hyperparams, dict) or not all(map(_is_number, hyperparams.values())):
+    if not isinstance(hyperparams, dict) or not all(map(is_number, hyperparams.values())):
         raise DataFormatError(f"{where}: 'hyperparams' must be an object of numbers")
     return ModelSpec(tuple(spec["features"]), function_class, dict(hyperparams))
 
@@ -177,12 +168,12 @@ def _space_from_doc(doc: dict, label: str, base: Path) -> ModelSpace:
         raise DataFormatError(f"{label} space: 'dataset' must be a path string")
     pop = load_population_csv(base / doc["dataset"])
     d = len(pop.feature_names)
-    if not _is_list_of(doc["alpha"], _is_number) or len(doc["alpha"]) != d:
+    if not is_list_of(doc["alpha"], is_number) or len(doc["alpha"]) != d:
         raise DataFormatError(f"{label} space: 'alpha' must list one number per dataset feature ({d})")
     alpha = np.asarray(doc["alpha"], dtype=float)
     if "affected_features" in doc:
         affected = doc["affected_features"]
-        if not _is_list_of(affected, lambda i: isinstance(i, int) and not isinstance(i, bool)):
+        if not is_list_of(affected, is_index):
             raise DataFormatError(f"{label} space: 'affected_features' must be a list of feature indices")
         om = ObstacleModel(alpha, frozenset(affected))
     else:

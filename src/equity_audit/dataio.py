@@ -50,7 +50,7 @@ from .errors import (
     UndefinedRateError,
     ValidationError,
 )
-from .inputs import decode_error, open_error, read_json
+from .inputs import decode_error, is_index, is_list_of, is_number, open_error, read_json
 from .learner import (
     ModelSpec,
     TrainedModel,
@@ -824,17 +824,22 @@ def load_model_document(path: str | Path) -> tuple[list[str], np.ndarray, Obstac
     doc = read_json(path)
     if "feature_names" not in doc or "importance" not in doc:
         raise DataFormatError(f"{path} must contain feature_names and importance")
-    features = [str(f) for f in doc["feature_names"]]
+    if not is_list_of(doc["feature_names"], lambda f: isinstance(f, str)):
+        raise DataFormatError(f"{path}: 'feature_names' must be a list of feature names")
+    features = doc["feature_names"]
+    for key in ("importance", "alpha"):
+        if key in doc and not (is_list_of(doc[key], is_number) and len(doc[key]) == len(features)):
+            raise DataFormatError(
+                f"{path}: '{key}' must list one number per feature name ({len(features)})"
+            )
+    if "affected_features" in doc and not is_list_of(doc["affected_features"], is_index):
+        raise DataFormatError(f"{path}: 'affected_features' must be a list of feature indices")
     importance = np.asarray(doc["importance"], dtype=float)
-    if importance.shape != (len(features),):
-        raise DataFormatError(f"{path}: importance length must match feature_names")
     om = None
     if "alpha" in doc:
         alpha = np.asarray(doc["alpha"], dtype=float)
-        if alpha.shape != (len(features),):
-            raise DataFormatError(f"{path}: alpha length must match feature_names")
         if "affected_features" in doc:
-            om = ObstacleModel(alpha, frozenset(int(i) for i in doc["affected_features"]))
+            om = ObstacleModel(alpha, frozenset(doc["affected_features"]))
         else:
             om = ObstacleModel.from_alpha(alpha)
     return features, importance, om

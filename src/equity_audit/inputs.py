@@ -4,7 +4,8 @@ Every file the CLI reads (CSV logs and cohorts, the student file, model
 and spaces documents, TOML configs) is UTF-8 text. A path that cannot be
 opened or bytes that do not decode are data errors, raised as
 :class:`DataFormatError` (exit 2), never as a bare ``OSError`` or
-``UnicodeDecodeError``.
+``UnicodeDecodeError``. The JSON documents are shape-checked with
+:func:`is_number` and :func:`is_list_of` before any value is converted.
 """
 
 from __future__ import annotations
@@ -46,3 +47,18 @@ def read_json(path) -> dict:
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path} must hold a JSON object, got {type(doc).__name__}")
     return doc
+
+
+def is_number(value) -> bool:
+    """A JSON number; a bool is no number, as in ``RunConfig``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_list_of(value, check) -> bool:
+    """A JSON list whose every item passes ``check``."""
+    return isinstance(value, list) and all(map(check, value))
+
+
+def is_index(value) -> bool:
+    """A JSON integer; a bool is no index."""
+    return isinstance(value, int) and not isinstance(value, bool)

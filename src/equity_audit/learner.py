@@ -13,10 +13,14 @@ result is a deterministic function of (spec, data) and not of a step
 count; the ``iterations`` hyperparameter only caps the Newton steps. A
 fit that reaches the cap or whose line search fails (separable data with
 ``l2 = 0`` has no finite optimum) stops there and reports
-``converged=False``. A constant column keeps weight 0 and stays out of
-the fit; any other singular Hessian (duplicated columns with ``l2 = 0``)
-gives the least-norm Newton step. The ``learning_rate`` hyperparameter of
-earlier gradient-descent versions is accepted and ignored.
+``converged=False``. The fit runs feature-major, on a C-contiguous
+(d, n) copy of the standardized features, so its reductions run along
+the contiguous axis and the result does not depend on the layout of the
+input. A constant column keeps weight 0 and stays out of the fit; without
+a penalty, linearly dependent columns (a duplicated one) make the Hessian
+singular, and the fit then takes least-norm Newton steps. The
+``learning_rate`` hyperparameter of earlier gradient-descent versions is
+accepted and ignored.
 ``norm_threshold`` is the fixed rule "predict 1 iff the L2 norm of the
 input is at least the configured threshold"; it has no fitted parameters
 and exists so simple worked scenarios can be expressed in the same API as
@@ -60,6 +64,15 @@ _ARMIJO = 0.25
 _MAX_HALVINGS = 30
 
 
+def _is_step_cap(value) -> bool:
+    """An integer, or a float with no fractional part; a bool is neither."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    if isinstance(value, (int, np.integer)):
+        return True
+    return isinstance(value, (float, np.floating)) and float(value).is_integer()
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A candidate model: which features it reads and how it decides."""
@@ -78,6 +91,11 @@ class ModelSpec:
             raise ValidationError(
                 f"unknown function_class {self.function_class!r}; "
                 f"expected one of {FUNCTION_CLASSES}"
+            )
+        if "iterations" in self.hyperparams and not _is_step_cap(self.hyperparams["iterations"]):
+            raise ValidationError(
+                "hyperparameter 'iterations' must be a whole number of Newton steps, "
+                f"got {self.hyperparams['iterations']!r}"
             )
 
     def resolved_hyperparams(self) -> dict:
@@ -215,16 +233,25 @@ def _softplus(scores: np.ndarray) -> np.ndarray:
 
 
 def _logistic_terms(
-    weights: np.ndarray, X: np.ndarray, y: np.ndarray, l2: float
+    weights: np.ndarray, XT: np.ndarray, y: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss, gradient and positive-class probabilities at ``weights``."""
+    """Loss, gradient and positive-class probabilities at ``weights``.
+
+    ``XT`` is feature-major, one C-contiguous row per feature, so every
+    reduction over the samples runs along the contiguous axis. The
+    gradient is an elementwise product summed per feature, so two equal
+    feature rows get bit-equal gradient entries.
+    """
     w, b = weights[:-1], weights[-1]
-    scores = X @ w + b
-    proba = _sigmoid(scores)
+    scores = w @ XT + b
+    e = np.exp(-np.abs(scores))  # shared by the sigmoid and the softplus
+    proba = np.where(scores >= 0, 1.0, e) / (1.0 + e)
     resid = proba - y
-    grad = np.append(X.T @ resid / X.shape[0] + l2 * w, np.mean(resid))
+    n = XT.shape[1]
+    grad = np.append((XT * resid).sum(axis=1) / n + l2 * w, np.mean(resid))
     # mean[ softplus(s) - y*s ] == mean[-y log p - (1-y) log(1-p)]
-    data_loss = float(np.mean(_softplus(scores) - y * scores))
+    softplus = np.maximum(scores, 0.0) + np.log1p(e)
+    data_loss = float(np.mean(softplus - y * scores))
     return data_loss + 0.5 * l2 * float(w @ w), grad, proba
 
 
@@ -233,39 +260,65 @@ def logistic_loss_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Mean log-loss plus an L2 penalty on the non-intercept weights.
 
-    ``weights`` is ``[w_1..w_d, intercept]``. Returns the loss value and its
-    exact gradient, the pair :func:`train`'s Newton steps and line search
-    evaluate; gradient-check tests difference this pair numerically.
+    ``weights`` is ``[w_1..w_d, intercept]`` and ``X`` holds one row per
+    sample. Returns the loss value and its exact gradient, the pair
+    :func:`train`'s Newton steps and line search evaluate; gradient-check
+    tests difference this pair numerically.
     """
-    loss_value, grad, _ = _logistic_terms(weights, X, y, l2)
+    XT = np.ascontiguousarray(np.asarray(X, dtype=float).T)
+    loss_value, grad, _ = _logistic_terms(weights, XT, np.asarray(y, dtype=float), l2)
     return loss_value, grad
 
 
-def _logistic_hessian(X: np.ndarray, proba: np.ndarray, l2: float) -> np.ndarray:
-    """Hessian of the loss in ``[w_1..w_d, intercept]``; the intercept is unpenalized."""
-    n, d = X.shape
+def _logistic_hessian(XT: np.ndarray, proba: np.ndarray, l2: float) -> np.ndarray:
+    """Hessian of the loss in ``[w_1..w_d, intercept]``; the intercept is unpenalized.
+
+    Bit-symmetric: the Gram block's upper triangle is mirrored into its
+    lower one.
+    """
+    d, n = XT.shape
     curvature = proba * (1.0 - proba)
-    weighted = X * curvature[:, None]  # the one n x d weighted copy
+    weighted = XT * curvature  # the one d x n weighted copy
+    gram = weighted @ XT.T
+    for i in range(1, d):
+        gram[i, :i] = gram[:i, i]
     hess = np.empty((d + 1, d + 1))
-    hess[:d, :d] = weighted.T @ X / n + l2 * np.eye(d)
-    hess[:d, d] = hess[d, :d] = weighted.sum(axis=0) / n
+    hess[:d, :d] = gram / n + l2 * np.eye(d)
+    hess[:d, d] = hess[d, :d] = weighted.sum(axis=1) / n
     hess[d, d] = curvature.sum() / n
     return hess
 
 
 def _newton_fit(
-    X: np.ndarray, y: np.ndarray, l2: float, max_steps: int
+    XT: np.ndarray, y: np.ndarray, l2: float, max_steps: int
 ) -> tuple[np.ndarray, int, float, bool]:
-    """Damped Newton from zero: ``(weights, steps, gradient norm, converged)``."""
-    weights = np.zeros(X.shape[1] + 1)
-    loss_value, grad, proba = _logistic_terms(weights, X, y, l2)
+    """Damped Newton from zero: ``(weights, steps, gradient norm, converged)``.
+
+    ``XT`` is the feature-major design of :func:`_logistic_terms`. With a
+    positive ``l2`` the Hessian is positive definite. Without a penalty,
+    linearly dependent features (a duplicated column) make every Hessian
+    of the fit singular with the same null space; the rank of the first
+    one decides, once, that each step is the least-norm one, since LU can
+    return an arbitrary split of the weight instead of failing. A
+    Hessian that ``solve`` still finds singular also gets the least-norm
+    step.
+    """
+    weights = np.zeros(XT.shape[0] + 1)
+    loss_value, grad, proba = _logistic_terms(weights, XT, y, l2)
     steps = 0
     converged = False
+    least_norm = None
     while True:
-        hess = _logistic_hessian(X, proba, l2)
-        try:
-            direction = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:  # singular: take the least-norm step
+        hess = _logistic_hessian(XT, proba, l2)
+        if least_norm is None:
+            least_norm = l2 <= 0.0 and np.linalg.matrix_rank(hess) < len(hess)
+        direction = None
+        if not least_norm:
+            try:
+                direction = np.linalg.solve(hess, grad)
+            except np.linalg.LinAlgError:
+                pass
+        if direction is None:
             direction = np.linalg.lstsq(hess, grad, rcond=None)[0]
         decrement = float(grad @ direction)
         if not np.isfinite(decrement):
@@ -278,7 +331,7 @@ def _newton_fit(
         t = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = weights - t * direction
-            trial_loss, trial_grad, trial_proba = _logistic_terms(trial, X, y, l2)
+            trial_loss, trial_grad, trial_proba = _logistic_terms(trial, XT, y, l2)
             if trial_loss <= loss_value - _ARMIJO * t * decrement:
                 break
             t /= 2.0
@@ -340,18 +393,21 @@ def train(spec: ModelSpec, features, labels, seed: int = 0) -> TrainedModel:
             threshold=float(hp["threshold"]),
         )
 
-    mu = X.mean(axis=0)
-    var = X.var(axis=0)
+    # feature-major: the mean, the variance, the gradient and the Hessian
+    # reduce along the contiguous axis, whatever the layout of ``features``
+    XT = np.ascontiguousarray(X.T)
+    mu = XT.mean(axis=1)
+    var = XT.var(axis=1)
     sigma = np.sqrt(np.maximum(var, _VARIANCE_FLOOR))
-    Xs = (X - mu) / sigma
+    XsT = (XT - mu[:, None]) / sigma[:, None]
     # a constant column carries nothing to fit and, with l2 = 0, would make
     # the Hessian singular: it keeps weight 0 and stays out of the fit
     varying = var > _VARIANCE_FLOOR
     if not varying.all():
-        Xs = Xs[:, varying]
+        XsT = XsT[varying]
 
     weights, n_iter, grad_norm, converged = _newton_fit(
-        Xs, y, float(hp["l2"]), int(hp["iterations"])
+        XsT, y, float(hp["l2"]), int(hp["iterations"])
     )
     coef = np.zeros(X.shape[1])
     coef[varying] = weights[:-1]
@@ -425,31 +481,41 @@ def feature_importance(model: TrainedModel) -> np.ndarray:
 def _group_threshold_grid(
     model: TrainedModel, features, labels, groups, n_candidates: int
 ) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Per-group cutoff candidates with their TPR/FPR/accuracy curves."""
+    """Per-group cutoff candidates with their TPR/FPR/accuracy curves.
+
+    The curves are counted: with each group's positive and negative
+    scores sorted once, the rows scoring at least a candidate are those
+    past its ``searchsorted`` position, so no candidate-by-row decision
+    matrix is built.
+    """
     scores = np.asarray(predict_proba(model, features), dtype=float)
     y = np.asarray(labels, dtype=int)
     g = np.asarray(groups, dtype=int)
-    present = np.unique(g).tolist()
-    if present != [0, 1]:
-        raise ValidationError(f"need both groups 0 and 1, got {present}")
+    masks = (g == 0, g == 1)
+    sizes = [int(np.count_nonzero(mask)) for mask in masks]
+    if 0 in sizes or sum(sizes) != g.size:
+        raise ValidationError(f"need both groups 0 and 1, got {np.unique(g).tolist()}")
 
     per_group = {}
-    for grp in (0, 1):
-        mask = g == grp
-        if not np.any(y[mask] == 1) or not np.any(y[mask] == 0):
+    for grp, mask in enumerate(masks):
+        s, y_g = scores[mask], y[mask]
+        pos = y_g == 1
+        if not np.any(pos) or not np.any(y_g == 0):
             raise ValidationError(
                 f"group {grp} lacks a label class; per-group thresholds undefined"
             )
-        s = scores[mask]
-        qs = np.quantile(s, np.linspace(0.0, 1.0, min(n_candidates, s.size)))
+        # a quantile depends only on the order statistics; sorted input
+        # makes numpy's partition step cheap
+        qs = np.quantile(np.sort(s), np.linspace(0.0, 1.0, min(n_candidates, s.size)))
         cands = np.unique(np.concatenate([qs, [model.decision_threshold, 0.0, 1.0 + 1e-12]]))
-        # decisions for every candidate at once: n_cands x n_rows
-        dec = s[None, :] >= cands[:, None]
-        pos = y[mask] == 1
-        tpr = dec[:, pos].mean(axis=1)
-        fpr = dec[:, ~pos].mean(axis=1)
-        acc = (dec == pos[None, :]).mean(axis=1)
-        per_group[grp] = (cands, tpr, fpr, acc, float(np.mean(mask)))
+        s_pos, s_neg = np.sort(s[pos]), np.sort(s[~pos])
+        # rows of each label class scoring below each candidate
+        below_pos = np.searchsorted(s_pos, cands)
+        below_neg = np.searchsorted(s_neg, cands)
+        tpr = (s_pos.size - below_pos) / s_pos.size
+        fpr = (s_neg.size - below_neg) / s_neg.size
+        acc = (s_pos.size - below_pos + below_neg) / s.size
+        per_group[grp] = (cands, tpr, fpr, acc, sizes[grp] / g.size)
 
     c0, tpr0, fpr0, acc0, w0 = per_group[0]
     c1, tpr1, fpr1, acc1, w1 = per_group[1]

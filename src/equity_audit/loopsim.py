@@ -32,9 +32,11 @@ labeling that lets the loop feed on its own decisions.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -124,6 +126,15 @@ class SyntheticConfig:
                 raise ValidationError(
                     "obstacle probabilities are positive but alpha_intended has no support"
                 )
+
+    @functools.cached_property
+    def id_suffixes(self) -> tuple[str, ...]:
+        """``"0"`` .. ``str(n_per_round - 1)``: each round's ids are ``r<round>-`` + these.
+
+        Made once per config and kept with it, so a config's rounds share it
+        and nothing outlives the config.
+        """
+        return tuple(map(str, range(self.n_per_round)))
 
 
 def default_config(seed: int = 42) -> SyntheticConfig:
@@ -298,7 +309,7 @@ def generate_cohort(cfg: SyntheticConfig, round: int) -> Cohort:
     y_prime_t = ((z_t @ w_t >= 0) ^ flip_t).astype(int)
     y_t = ((x_t_full @ w_t >= 0) ^ flip_t).astype(int)
 
-    ids = [f"r{round}-{k}" for k in range(n)]
+    ids = list(map(f"r{round}-".__add__, cfg.id_suffixes))
     proxy = Population(
         x=x_p, z=z_p, y=y_p, y_prime=y_prime_p, grp=grp, ids=ids,
         feature_names=_proxy_feature_names(cfg),
@@ -330,7 +341,7 @@ def curate_ground_truth(
     Each entry is ``(individual id, deployed-view features, y_tt)``; only
     accepted (proxy-positive) individuals belong here, so an empty input
     yields an empty dataset rather than an error. A row-wise adapter to
-    :meth:`CuratedDataset.from_columns`, which the loop calls directly.
+    :meth:`CuratedDataset.from_columns`.
     """
     if not positives:
         if feature_names is None:
@@ -384,21 +395,27 @@ def run_inequity_loop(
     )
 
     seed_cohort = generate_cohort(cfg, 0)
-    seed_X = seed_cohort.proxy.x_matrix()
-    seed_y = seed_cohort.proxy.labels()
-    seed_groups = seed_cohort.proxy.groups()
-
-    curated = CuratedDataset.empty(feature_names)
-    curated_groups = np.empty((0,), dtype=int)
+    n_seed = len(seed_cohort.proxy)
+    # the training pool, seed rows first and then each round's curated
+    # rows with their round, grows in place; every round trains on a
+    # leading view of it
+    capacity = n_seed + rounds * cfg.n_per_round
+    pool_X = np.empty((capacity, cfg.d_proxy))
+    pool_y = np.empty(capacity, dtype=int)
+    pool_groups = np.empty(capacity, dtype=int)
+    pool_rounds = np.zeros(capacity, dtype=int)
+    pool_X[:n_seed] = seed_cohort.proxy.x_matrix()
+    pool_y[:n_seed] = seed_cohort.proxy.labels()
+    pool_groups[:n_seed] = seed_cohort.proxy.groups()
+    size = n_seed
+    batch_ids: list[list[str]] = []
     records: list[LoopRound] = []
 
     for t in range(1, rounds + 1):
         events: list[str] = []
-        pool_X = np.vstack([seed_X, curated.X])
-        pool_y = np.concatenate([seed_y, curated.y])
-        pool_groups = np.concatenate([seed_groups, curated_groups])
+        X, y, pool_g = pool_X[:size], pool_y[:size], pool_groups[:size]
 
-        if np.all(pool_y == pool_y[0]):
+        if np.all(y == y[0]):
             records.append(
                 LoopRound(
                     round=t,
@@ -408,17 +425,17 @@ def run_inequity_loop(
                     pos_rate_by_group={0: float("nan"), 1: float("nan")},
                     fp_share_by_group={0: 0.0, 1: 0.0},
                     curated_pos_share_by_group={0: 0.0, 1: 0.0},
-                    curated_size=int(len(seed_y) + len(curated)),
+                    curated_size=size,
                     events=("round skipped: single-class training pool",),
                 )
             )
             continue
 
-        model = train(spec, pool_X, pool_y, cfg.seed)
+        model = train(spec, X, y, cfg.seed)
         thresholds = None
         if outcome_equalized:
             try:
-                thresholds = fit_group_thresholds(model, pool_X, pool_y, pool_groups, tau_o=0.15)
+                thresholds = fit_group_thresholds(model, X, y, pool_g, tau_o=0.15)
             except ValidationError as exc:
                 events.append(f"outcome equalization skipped: {exc}")
 
@@ -460,7 +477,7 @@ def run_inequity_loop(
                     pos_rate_by_group={g: _group_rate(preds, groups, g) for g in (0, 1)},
                     fp_share_by_group={0: 0.0, 1: 0.0},
                     curated_pos_share_by_group={0: 0.0, 1: 0.0},
-                    curated_size=int(len(seed_y) + len(curated)),
+                    curated_size=size,
                     events=tuple(events),
                 )
             )
@@ -469,16 +486,13 @@ def run_inequity_loop(
         y_tt = np.asarray(predict(env_model, x_eval[b_mask]), dtype=int)
         zeta = float(np.mean(y_tt == 1))
 
-        batch = CuratedDataset.from_columns(
-            feature_names,
-            x_rev[b_mask],
-            y_tt,
-            t,
-            map(cohort.proxy.ids().__getitem__, np.flatnonzero(b_mask).tolist()),
-        )
         b_groups = groups[b_mask]
-        curated = curated.concat(batch)
-        curated_groups = np.concatenate([curated_groups, b_groups])
+        pool_X[size : size + m] = x_rev[b_mask]
+        pool_y[size : size + m] = y_tt
+        pool_groups[size : size + m] = b_groups
+        pool_rounds[size : size + m] = t
+        size += m
+        batch_ids.append(list(map(cohort.proxy.ids().__getitem__, np.flatnonzero(b_mask).tolist())))
 
         fp_share = {}
         for g in (0, 1):
@@ -499,13 +513,18 @@ def run_inequity_loop(
                 pos_rate_by_group={g: _group_rate(preds, groups, g) for g in (0, 1)},
                 fp_share_by_group=fp_share,
                 curated_pos_share_by_group=pos_share,
-                curated_size=int(len(seed_y) + len(curated)),
+                curated_size=size,
                 events=tuple(events),
             )
         )
 
-    trajectory = LoopTrajectory(
-        regime=regime, seed_size=int(len(seed_y)), rounds=tuple(records)
+    trajectory = LoopTrajectory(regime=regime, seed_size=n_seed, rounds=tuple(records))
+    curated = CuratedDataset(
+        feature_names=feature_names,
+        X=pool_X[n_seed:size].copy(),
+        y=pool_y[n_seed:size].copy(),
+        rounds=pool_rounds[n_seed:size].copy(),
+        source_ids=tuple(chain.from_iterable(batch_ids)),
     )
     return trajectory, curated
 

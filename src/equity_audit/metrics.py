@@ -196,24 +196,25 @@ def eo_violation(
     g = np.asarray(groups, dtype=int)
     if not (p.shape == y.shape == g.shape) or p.ndim != 1:
         raise ValidationError("preds, labels and groups must be equal-length vectors")
-    if not np.all(np.isin(p, (0, 1))) or not np.all(np.isin(y, (0, 1))):
+    if not np.all((p == 0) | (p == 1)) or not np.all((y == 0) | (y == 1)):
         raise ValidationError("preds and labels must be binary (0/1)")
-    present = sorted(int(v) for v in np.unique(g))
-    if present != [0, 1]:
+    # the confusion table of both groups in one pass: cell 4*g + 2*y + p
+    in_pair = np.all((g == 0) | (g == 1))
+    cells = np.bincount(4 * g + 2 * y + p, minlength=8).tolist() if in_pair else []
+    if not in_pair or not sum(cells[:4]) or not sum(cells[4:]):
+        present = sorted(int(v) for v in np.unique(g))
         raise ValidationError(f"both groups 0 and 1 must be present, got {present}")
 
     tpr: dict[int, float] = {}
     fpr: dict[int, float] = {}
     for grp in (0, 1):
-        mask = g == grp
-        pos = mask & (y == 1)
-        neg = mask & (y == 0)
-        if not np.any(pos):
+        neg_0, neg_1, pos_0, pos_1 = cells[4 * grp : 4 * grp + 4]
+        if not pos_0 + pos_1:
             raise UndefinedRateError(grp, "tpr")
-        if not np.any(neg):
+        if not neg_0 + neg_1:
             raise UndefinedRateError(grp, "fpr")
-        tpr[grp] = float(np.mean(p[pos]))
-        fpr[grp] = float(np.mean(p[neg]))
+        tpr[grp] = pos_1 / (pos_0 + pos_1)
+        fpr[grp] = neg_1 / (neg_0 + neg_1)
 
     omega = abs(tpr[0] - tpr[1]) + abs(fpr[0] - fpr[1])
     return OutcomeReport(

@@ -4,10 +4,12 @@ Everything here is deliberate pure-Python looping over rows: no numpy
 vectorization, no shared helpers with the package. These are the reference
 implementations the fast paths are checked against.
 
-The one exception is the gradient-descent trainer at the end: a long-run
-reference for the package's Newton fit, written in numpy because a
-pure-Python loop would need minutes for the thousands of full-batch steps
-it takes.
+Three exceptions are written in numpy. The gradient-descent trainer is a
+long-run reference for the package's Newton fit: a pure-Python loop would
+need minutes for the thousands of full-batch steps it takes. The mask-based
+equalized-odds violation and the decision-matrix threshold grid are the
+package's earlier implementations, kept to pin their counting replacements
+bit for bit.
 """
 
 from __future__ import annotations
@@ -125,3 +127,78 @@ def logistic_fit_reference(X, y, iterations, learning_rate, l2, variance_floor=1
         grad_b = float(np.mean(resid))
         weights = weights - learning_rate * np.append(grad_w, grad_b)
     return weights[:-1], float(weights[-1]), mu, sigma
+
+
+class UndefinedRate(Exception):
+    """A group-conditional rate with an empty denominator."""
+
+    def __init__(self, group: int, rate: str):
+        super().__init__(group, rate)
+        self.group, self.rate = group, rate
+
+
+def eo_violation_masks(preds, labels, groups) -> tuple[float, dict, dict]:
+    """``(omega, tpr, fpr)`` from one boolean mask per group and label class.
+
+    Raises ValueError with the package's message for malformed input and
+    :class:`UndefinedRate` for a group without positives or negatives.
+    """
+    p = np.asarray(preds, dtype=int)
+    y = np.asarray(labels, dtype=int)
+    g = np.asarray(groups, dtype=int)
+    if not (p.shape == y.shape == g.shape) or p.ndim != 1:
+        raise ValueError("preds, labels and groups must be equal-length vectors")
+    if not np.all(np.isin(p, (0, 1))) or not np.all(np.isin(y, (0, 1))):
+        raise ValueError("preds and labels must be binary (0/1)")
+    present = sorted(int(v) for v in np.unique(g))
+    if present != [0, 1]:
+        raise ValueError(f"both groups 0 and 1 must be present, got {present}")
+    tpr, fpr = {}, {}
+    for grp in (0, 1):
+        mask = g == grp
+        pos = mask & (y == 1)
+        neg = mask & (y == 0)
+        if not np.any(pos):
+            raise UndefinedRate(grp, "tpr")
+        if not np.any(neg):
+            raise UndefinedRate(grp, "fpr")
+        tpr[grp] = float(np.mean(p[pos]))
+        fpr[grp] = float(np.mean(p[neg]))
+    return abs(tpr[0] - tpr[1]) + abs(fpr[0] - fpr[1]), tpr, fpr
+
+
+def threshold_grid_dense(scores, labels, groups, decision_threshold, n_candidates):
+    """Per-group cutoff curves from an ``n_candidates x n_rows`` decision matrix.
+
+    Returns ``(per_group, gap, combined_acc)`` shaped as the package's
+    threshold grid: ``per_group[g] = (cands, tpr, fpr, acc, weight)``.
+    Raises ValueError with the package's message when a group is missing
+    or lacks a label class.
+    """
+    scores = np.asarray(scores, dtype=float)
+    y = np.asarray(labels, dtype=int)
+    g = np.asarray(groups, dtype=int)
+    present = np.unique(g).tolist()
+    if present != [0, 1]:
+        raise ValueError(f"need both groups 0 and 1, got {present}")
+    per_group = {}
+    for grp in (0, 1):
+        mask = g == grp
+        if not np.any(y[mask] == 1) or not np.any(y[mask] == 0):
+            raise ValueError(
+                f"group {grp} lacks a label class; per-group thresholds undefined"
+            )
+        s = scores[mask]
+        qs = np.quantile(s, np.linspace(0.0, 1.0, min(n_candidates, s.size)))
+        cands = np.unique(np.concatenate([qs, [decision_threshold, 0.0, 1.0 + 1e-12]]))
+        dec = s[None, :] >= cands[:, None]
+        pos = y[mask] == 1
+        tpr = dec[:, pos].mean(axis=1)
+        fpr = dec[:, ~pos].mean(axis=1)
+        acc = (dec == pos[None, :]).mean(axis=1)
+        per_group[grp] = (cands, tpr, fpr, acc, float(np.mean(mask)))
+    c0, tpr0, fpr0, acc0, w0 = per_group[0]
+    c1, tpr1, fpr1, acc1, w1 = per_group[1]
+    gap = np.abs(tpr0[:, None] - tpr1[None, :]) + np.abs(fpr0[:, None] - fpr1[None, :])
+    combined_acc = w0 * acc0[:, None] + w1 * acc1[None, :]
+    return per_group, gap, combined_acc

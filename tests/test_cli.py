@@ -344,6 +344,16 @@ class TestScore:
         assert f"error: proxy space: {message}" in capsys.readouterr().err
 
 
+    def test_non_integral_iterations_exit_2(self, tmp_path, capsys):
+        pop_csv = write_population(tmp_path / "pop.csv")
+        spaces = write_spaces(tmp_path / "spaces.json", str(pop_csv))
+        doc = json.loads(spaces.read_text())
+        doc["proxy"]["specs"] = [{"features": ["a"], "hyperparams": {"iterations": 2.5}}]
+        spaces.write_text(json.dumps(doc))
+        assert run_cli("--out", str(tmp_path / "r"), "score", str(spaces)) == 2
+        assert "hyperparameter 'iterations' must be a whole number" in capsys.readouterr().err
+
+
 class TestCasestudy:
     def test_runs_and_is_byte_stable(self, student_path, tmp_path, capsys):
         out_a = tmp_path / "a"
@@ -415,6 +425,34 @@ class TestGaps:
         path.write_bytes(content)
         assert run_cli("--out", str(tmp_path / "r"), "gaps", str(path), str(path)) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"feature_names": 5}, "'feature_names' must be a list of feature names"),
+            ({"feature_names": [[1], [2]]}, "'feature_names' must be a list of feature names"),
+            ({"importance": ["x", "y"]}, "'importance' must list one number per feature name (2)"),
+            ({"importance": [0.5]}, "'importance' must list one number per feature name (2)"),
+            ({"importance": [True, 0.5]}, "'importance' must list one number per feature name (2)"),
+            ({"alpha": ["x"]}, "'alpha' must list one number per feature name (2)"),
+            ({"alpha": [1.0, 0.0], "affected_features": 5}, "'affected_features' must be a list of feature indices"),
+            ({"affected_features": 5}, "'affected_features' must be a list of feature indices"),
+            ({"alpha": [1.0, 0.0], "affected_features": ["x"]}, "'affected_features' must be a list of feature indices"),
+        ],
+        ids=[
+            "names-number", "names-lists", "importance-strings", "importance-short", "importance-bool",
+            "alpha-string", "affected-number", "affected-without-alpha", "affected-string",
+        ],
+    )
+    def test_misshapen_model_document_exit_2(self, tmp_path, capsys, fields, message):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"feature_names": ["a", "b"], "importance": [0.5, 0.5]}))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"feature_names": ["a", "b"], "importance": [0.5, 0.5], **fields}))
+        assert run_cli("--out", str(tmp_path / "r"), "gaps", str(good), str(good)) == 0
+        capsys.readouterr()
+        assert run_cli("--out", str(tmp_path / "r"), "gaps", str(bad), str(good)) == 2
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
 
     def test_directory_model_document_exit_2(self, tmp_path, capsys):
         assert run_cli("--out", str(tmp_path / "r"), "gaps", str(tmp_path), str(tmp_path)) == 2

@@ -8,6 +8,7 @@ from equity_audit.learner import (
     NEWTON_TOL,
     ModelSpec,
     TrainedModel,
+    _group_threshold_grid,
     _sigmoid,
     candidate_group_thresholds,
     feature_importance,
@@ -23,6 +24,7 @@ from oracles import (
     logistic_fit_reference,
     logistic_gradient_oracle,
     logistic_loss_oracle,
+    threshold_grid_dense,
     two_branch_sigmoid,
 )
 
@@ -458,3 +460,80 @@ class TestGroupThresholds:
         scores = predict_proba(model, x)
         expected = [int(s >= cuts[int(v)]) for s, v in zip(scores, g)]
         assert predict_with_group_thresholds(model, x, g, cuts).tolist() == expected
+
+
+# sigmoid(0) is the default decision threshold exactly, and repeated
+# values tie, so candidates coincide with scores
+_GRID_FEATURES = st.one_of(
+    st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.5]),
+    st.floats(min_value=-40, max_value=40, allow_nan=False),
+)
+
+
+@given(
+    st.lists(
+        st.tuples(_GRID_FEATURES, st.integers(0, 1), st.sampled_from([0, 1, 0, 1, 2])),
+        min_size=1,
+        max_size=40,
+    ),
+    st.integers(1, 70),
+)
+@settings(max_examples=300, deadline=None)
+def test_counted_threshold_grid_equals_the_decision_matrix(rows, n_candidates):
+    # groups of 1-3 rows, groups lacking a label class and a missing or
+    # third group all occur among these draws
+    x, labels, groups = (np.array(col) for col in zip(*rows))
+    model = TrainedModel.from_coefficients(ModelSpec(("f",)), [1.0])
+    features = x[:, None]
+    try:
+        expected = threshold_grid_dense(
+            predict_proba(model, features), labels, groups, model.decision_threshold, n_candidates
+        )
+    except ValueError as exc:
+        with pytest.raises(ValidationError) as excinfo:
+            _group_threshold_grid(model, features, labels, groups, n_candidates)
+        assert str(excinfo.value) == str(exc)
+        return
+    per_group, gap, combined_acc = _group_threshold_grid(model, features, labels, groups, n_candidates)
+    for grp in (0, 1):
+        *curves, weight = per_group[grp]
+        *expected_curves, expected_weight = expected[0][grp]
+        assert weight == expected_weight
+        for got, want in zip(curves, expected_curves):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(gap, expected[1]) and np.array_equal(combined_acc, expected[2])
+
+
+class TestTrainLayout:
+    def test_layout_and_views_do_not_change_the_fit(self):
+        # the loop trains on a leading row view of its preallocated pool
+        rng = np.random.default_rng(8)
+        buffer = rng.normal(size=(700, 3))
+        labels = (buffer @ [1.0, -0.5, 0.25] + rng.normal(size=700) > 0).astype(int)
+        X, y = buffer[:500].copy(), labels[:500]
+        layouts = (
+            X,
+            np.asfortranarray(X),
+            buffer[:500],
+            np.asfortranarray(buffer)[:500],  # neither C- nor F-contiguous
+        )
+        spec = ModelSpec(("a", "b", "c"))
+        reference = train(spec, X, y)
+        assert reference.converged is True
+        for features in layouts[1:]:
+            model = train(spec, features, y)
+            assert model.to_json() == reference.to_json()
+            assert np.array_equal(model.mu, reference.mu)
+            assert np.array_equal(model.sigma, reference.sigma)
+
+
+class TestIterationsHyperparameter:
+    @pytest.mark.parametrize("cap", [2.5, True, False, "3", None, float("inf"), float("nan")])
+    def test_non_integral_cap_is_rejected(self, cap):
+        with pytest.raises(ValidationError, match="'iterations'"):
+            ModelSpec(("f",), hyperparams={"iterations": cap})
+
+    def test_integral_float_is_a_cap(self):
+        X, y = separable_1d()
+        model = train(ModelSpec(("f",), hyperparams={"iterations": 1.0}), X, y)
+        assert model.n_iter == 1

@@ -133,6 +133,26 @@ class TestRunInequityLoop:
             }
             assert batch_ids <= cohort_ids
 
+    def test_each_round_trains_on_the_seed_then_earlier_batches_in_order(self, monkeypatch):
+        import equity_audit.loopsim as loopsim
+
+        pools = []
+        train = loopsim.train
+
+        def recording_train(spec, X, y, seed=0):
+            pools.append((np.array(X), np.array(y)))
+            return train(spec, X, y, seed)
+
+        monkeypatch.setattr(loopsim, "train", recording_train)
+        cfg = small_config()
+        _, curated = run_inequity_loop(cfg, 3, "access_and_outcome")
+        seed = generate_cohort(cfg, 0).proxy
+        for t, (X, y) in enumerate(pools, start=1):
+            earlier = curated.rounds < t
+            assert np.array_equal(X, np.vstack([seed.x_matrix(), curated.X[earlier]]))
+            assert np.array_equal(y, np.concatenate([seed.labels(), curated.y[earlier]]))
+        assert len(pools) == 3 and np.all(np.diff(curated.rounds) >= 0)
+
     def test_single_class_seed_skips_rounds(self):
         cfg = small_config(
             n_per_round=50,

@@ -19,7 +19,7 @@ from equity_audit.metrics import (
     utilization,
     utilization_from_labels,
 )
-from oracles import eo_violation_oracle, psi_oracle, zeta_oracle
+from oracles import UndefinedRate, eo_violation_masks, eo_violation_oracle, psi_oracle, zeta_oracle
 
 
 def population_with_obstacles(magnitudes, groups=None):
@@ -402,6 +402,44 @@ def test_reports_invariant_under_reordering(seed):
         model_access(pop, OM_UNIT, Policy(1.0)).psi
         == model_access(pop_shuffled, OM_UNIT, Policy(1.0)).psi
     )
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0, 1, 1, 0, 2]),
+            st.sampled_from([0, 1, 0, 1, -1]),
+            st.sampled_from([0, 1, 0, 1, 2]),
+        ),
+        max_size=40,
+    ),
+    st.sampled_from(["equal", "binary", "pair", "pair", "pair", "short"]),
+)
+@settings(max_examples=500)
+def test_eo_violation_counts_like_the_masks_and_the_oracle(rows, shape):
+    # "binary" keeps p and y in {0, 1}, "pair" also g; "short" drops one pred
+    if shape in ("binary", "pair"):
+        rows = [(p % 2, y % 2, g % 2 if shape == "pair" else g) for p, y, g in rows]
+    preds, labels, groups = (list(col) for col in zip(*rows)) if rows else ([], [], [])
+    if shape == "short" and preds:
+        preds = preds[:-1]
+    try:
+        expected = eo_violation_masks(preds, labels, groups)
+    except ValueError as exc:
+        with pytest.raises(ValidationError) as excinfo:
+            eo_violation(preds, labels, groups)
+        assert type(excinfo.value) is ValidationError
+        assert str(excinfo.value) == str(exc)
+        return
+    except UndefinedRate as exc:
+        with pytest.raises(UndefinedRateError) as excinfo:
+            eo_violation(preds, labels, groups)
+        assert (excinfo.value.group, excinfo.value.rate) == (exc.group, exc.rate)
+        assert str(excinfo.value) == str(UndefinedRateError(exc.group, exc.rate))
+        return
+    report = eo_violation(preds, labels, groups)
+    assert (report.eo_violation, report.tpr_by_group, report.fpr_by_group) == expected
+    assert report.eo_violation == eo_violation_oracle(preds, labels, groups)
 
 
 @given(st.lists(st.tuples(st.integers(0, 1), st.integers(-2, 3)), max_size=60))
