@@ -305,18 +305,16 @@ def _newton_fit(
     """
     weights = np.zeros(XT.shape[0] + 1)
     loss_value, grad, proba = _logistic_terms(weights, XT, y, l2)
+    hess = _logistic_hessian(XT, proba, l2)
+    least_norm = l2 <= 0.0 and np.linalg.matrix_rank(hess) < len(hess)
     steps = 0
     converged = False
-    least_norm = None
     while True:
-        hess = _logistic_hessian(XT, proba, l2)
-        if least_norm is None:
-            least_norm = l2 <= 0.0 and np.linalg.matrix_rank(hess) < len(hess)
         direction = None
         if not least_norm:
             try:
                 direction = np.linalg.solve(hess, grad)
-            except np.linalg.LinAlgError:
+            except np.linalg.LinAlgError:  # singular in floating point after all
                 pass
         if direction is None:
             direction = np.linalg.lstsq(hess, grad, rcond=None)[0]
@@ -338,6 +336,7 @@ def _newton_fit(
         else:  # no step length lowers the loss enough: stop where we are
             break
         weights, loss_value, grad, proba = trial, trial_loss, trial_grad, trial_proba
+        hess = _logistic_hessian(XT, proba, l2)
         steps += 1
     return weights, steps, float(np.linalg.norm(grad)), converged
 
