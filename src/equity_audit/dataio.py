@@ -818,7 +818,9 @@ def load_model_document(path: str | Path) -> tuple[list[str], np.ndarray, Obstac
 
     Accepts either a serialized trained model or a minimal document with
     ``feature_names`` and ``importance`` (optionally ``alpha`` /
-    ``affected_features`` describing its obstacle structure).
+    ``affected_features`` describing its obstacle structure). The shape of
+    every field is checked before any value is converted: each fault is a
+    DataFormatError (exit 2) naming the field.
     """
     path = Path(path)
     doc = read_json(path)
