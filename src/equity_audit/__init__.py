@@ -13,15 +13,10 @@ only accepted individuals feed the next training set.
 __version__ = "0.1.0"
 
 from .core import (
-    Individual,
     ObstacleModel,
     Policy,
     Population,
-    RevealedPair,
-    apply_policy,
     dominates,
-    obstacle_magnitude,
-    reveal,
     reveal_population,
 )
 from .errors import (
@@ -37,8 +32,6 @@ from .errors import (
 from .learner import (
     ModelSpec,
     TrainedModel,
-    feature_importance,
-    loss,
     predict,
     predict_proba,
     train,
@@ -68,7 +61,6 @@ from .scoring import (
     ScoringConfig,
     ScoringTrace,
     run_equity_scoring,
-    sample_candidate,
 )
 from .loopsim import (
     CuratedDataset,
@@ -77,7 +69,6 @@ from .loopsim import (
     curate_ground_truth,
     default_config,
     generate_cohort,
-    generate_population,
     run_inequity_loop,
 )
 

@@ -140,7 +140,6 @@ class RunConfig:
     """
 
     input_path: str = ""
-    dialect: str = "uci-semicolon"
     equal_access: bool | None = None
     equal_outcome: bool | None = None
     equal_utilization: bool | None = None

@@ -15,12 +15,10 @@ alleviation budget ``delta``, and the alleviated residual is
 whose residual after alleviation is zero, interacts with the decision model
 at full capacity and reveals ``(z, y_prime)``; everyone else reveals
 ``(x, y)``. One kernel, :func:`_obstacle_access`, applies that rule to a
-block of rows, one row or a whole population, so every path gives a
-person the same bits.
+block of rows; :func:`reveal_population` and ``metrics.model_access`` both
+run it, so they give a person the same bits.
 
-A :class:`Population` stores people as read-only columns, validated once;
-hand-built :class:`Individual` rows come in through
-:meth:`Population.from_individuals`.
+A :class:`Population` stores people as read-only columns, validated once.
 
 All functions in this module are pure; nothing mutates its inputs, so the
 operations are safe to call concurrently.
@@ -36,15 +34,10 @@ import numpy as np
 from .errors import DominanceError, ValidationError
 
 __all__ = [
-    "Individual",
     "Population",
     "ObstacleModel",
     "Policy",
-    "RevealedPair",
-    "obstacle_magnitude",
     "dominates",
-    "apply_policy",
-    "reveal",
     "reveal_population",
 ]
 
@@ -56,48 +49,6 @@ def _as_float_vector(values, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite values")
     return arr
-
-
-def _check_binary(value: int, name: str) -> int:
-    if value not in (0, 1):
-        raise ValidationError(f"{name} must be 0 or 1, got {value!r}")
-    return int(value)
-
-
-@dataclass(frozen=True)
-class Individual:
-    """One person as seen by a decision pipeline.
-
-    Attributes:
-        z: obstacle-free feature values
-        x: obstacle-refrained feature values (same length as ``z``)
-        y_prime: label attached to the obstacle-free state
-        y: label attached to the obstacle-refrained state
-        grp: protected-group membership, 0 or 1
-        id: opaque unique identifier
-    """
-
-    z: np.ndarray
-    x: np.ndarray
-    y_prime: int
-    y: int
-    grp: int
-    id: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", _as_float_vector(self.z, "z"))
-        object.__setattr__(self, "x", _as_float_vector(self.x, "x"))
-        if self.z.shape != self.x.shape:
-            raise ValidationError(
-                f"z and x must have equal length ({self.z.shape[0]} != {self.x.shape[0]})"
-            )
-        object.__setattr__(self, "y_prime", _check_binary(self.y_prime, "y_prime"))
-        object.__setattr__(self, "y", _check_binary(self.y, "y"))
-        object.__setattr__(self, "grp", _check_binary(self.grp, "grp"))
-
-    @property
-    def dim(self) -> int:
-        return self.z.shape[0]
 
 
 class Population:
@@ -138,27 +89,6 @@ class Population:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Population is immutable; cannot set {name!r}")
-
-    @classmethod
-    def from_individuals(cls, rows, feature_names, group_name: str = "group") -> "Population":
-        """Stack hand-built :class:`Individual` rows into a population."""
-        rows, d = tuple(rows), len(feature_names)
-        for ind in rows:
-            if ind.dim != d:
-                raise ValidationError(f"individual {ind.id!r} has {ind.dim} features, expected {d}")
-        x, z, y, y_prime, grp, ids = (
-            [getattr(ind, f) for ind in rows] for f in ("x", "z", "y", "y_prime", "grp", "id")
-        )
-        shape = (len(rows), d)
-        return cls(
-            np.reshape(x, shape), np.reshape(z, shape), y, y_prime, grp, ids, feature_names, group_name
-        )
-
-    @property
-    def individuals(self) -> tuple[Individual, ...]:
-        """One :class:`Individual` per row, built on each access and not kept."""
-        rows = zip(self._z, self._x, self._y_prime, self._y, self._grp, self._ids)
-        return tuple(Individual(*row) for row in rows)
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -242,18 +172,6 @@ class Policy:
             raise ValidationError(f"delta must be >= 0, got {self.delta!r}")
 
 
-@dataclass(frozen=True)
-class RevealedPair:
-    """What one individual presents to a model after alleviation.
-
-    ``fully_accessed`` is true exactly when the pair is ``(z, y_prime)``.
-    """
-
-    x_rev: np.ndarray
-    y_rev: int
-    fully_accessed: bool
-
-
 def dominates(z, x) -> bool:
     """True iff ``z_i >= x_i`` everywhere and ``z_i > x_i`` somewhere."""
     z = _as_float_vector(z, "z")
@@ -265,8 +183,8 @@ def dominates(z, x) -> bool:
 
 def _obstacle_access(
     x: np.ndarray, z: np.ndarray, alpha: np.ndarray, delta: float, ids
-) -> tuple[np.ndarray, np.ndarray]:
-    """Obstacle magnitudes and access mask for an (n, d) block of people.
+) -> np.ndarray:
+    """Access mask for an (n, d) block of people.
 
     Magnitudes are summed over columns in a fixed order, so a row's bits do
     not depend on the rows around it or on the BLAS build.
@@ -286,51 +204,21 @@ def _obstacle_access(
     for j in range(x.shape[1]):
         magnitude = magnitude + alpha[j] * diff[:, j]
     residual = np.maximum(magnitude - delta, 0.0)
-    return magnitude, (magnitude == 0.0) | (residual == 0.0)
-
-
-def obstacle_magnitude(model: ObstacleModel, ind: Individual) -> float:
-    """Scalar obstacle size ``<alpha, z - x>`` for one individual.
-
-    Raises:
-        ValidationError: if dimensions disagree.
-        DominanceError: if any coordinate has ``z_i < x_i``.
-    """
-    magnitude, _ = _obstacle_access(ind.x[None], ind.z[None], model.alpha, 0.0, (ind.id,))
-    return float(magnitude[0])
-
-
-def apply_policy(obstacle: float, policy: Policy) -> float:
-    """Residual obstacle after spending the budget: ``max(obstacle - delta, 0)``."""
-    if not obstacle >= 0:
-        raise ValidationError(f"obstacle must be >= 0, got {obstacle!r}")
-    return max(obstacle - policy.delta, 0.0)
-
-
-def reveal(ind: Individual, model: ObstacleModel, policy: Policy) -> RevealedPair:
-    """Piecewise reveal rule for one individual.
-
-    Returns ``(z, y_prime)`` with ``fully_accessed=True`` when the obstacle
-    magnitude is zero or fully alleviated by the policy, and ``(x, y)`` with
-    ``fully_accessed=False`` otherwise. Deterministic.
-    """
-    _, accessed = _obstacle_access(ind.x[None], ind.z[None], model.alpha, policy.delta, (ind.id,))
-    if accessed[0]:
-        return RevealedPair(ind.z.copy(), ind.y_prime, True)
-    return RevealedPair(ind.x.copy(), ind.y, False)
+    return (magnitude == 0.0) | (residual == 0.0)
 
 
 def reveal_population(
     pop: Population, model: ObstacleModel, policy: Policy
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`reveal` over a population.
+    """The piecewise reveal rule over a population.
 
     Returns ``(X_rev, y_rev, fully_accessed)`` where rows follow the
-    population's order. Runs the same kernel as :func:`reveal`, so it
-    agrees with :func:`reveal` per individual bit for bit.
+    population's order: a row whose obstacle magnitude is zero or fully
+    alleviated by the policy reveals ``(z, y_prime)`` and is marked
+    accessed; every other row reveals ``(x, y)``. Deterministic.
     """
     x, z = pop.x_matrix(), pop.z_matrix()
-    _, accessed = _obstacle_access(x, z, model.alpha, policy.delta, pop._ids)
+    accessed = _obstacle_access(x, z, model.alpha, policy.delta, pop._ids)
     x_rev = np.where(accessed[:, None], z, x)
     y_rev = np.where(accessed, pop.labels_prime(), pop.labels())
     return x_rev, y_rev, accessed

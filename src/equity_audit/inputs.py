@@ -50,8 +50,14 @@ def read_json(path) -> dict:
 
 
 def is_number(value) -> bool:
-    """A JSON number; a bool is no number, as in ``RunConfig``."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number that converts to a float; a bool is no number, as in ``RunConfig``."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+    return True
 
 
 def is_list_of(value, check) -> bool:

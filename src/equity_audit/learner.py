@@ -34,6 +34,7 @@ the evaluation model it stands in for.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +74,16 @@ def _is_step_cap(value) -> bool:
     return isinstance(value, (float, np.floating)) and float(value).is_integer()
 
 
+def _is_finite_number(value) -> bool:
+    """A real number that is finite as a float; a bool is no number."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A candidate model: which features it reads and how it decides."""
@@ -92,11 +103,17 @@ class ModelSpec:
                 f"unknown function_class {self.function_class!r}; "
                 f"expected one of {FUNCTION_CLASSES}"
             )
-        if "iterations" in self.hyperparams and not _is_step_cap(self.hyperparams["iterations"]):
+        hp = self.hyperparams
+        if "iterations" in hp and not _is_step_cap(hp["iterations"]):
             raise ValidationError(
                 "hyperparameter 'iterations' must be a whole number of Newton steps, "
-                f"got {self.hyperparams['iterations']!r}"
+                f"got {hp['iterations']!r}"
             )
+        if "l2" in hp and not (_is_finite_number(hp["l2"]) and hp["l2"] >= 0):
+            raise ValidationError(f"hyperparameter 'l2' must be a finite number >= 0, got {hp['l2']!r}")
+        for name in ("decision_threshold", "threshold"):
+            if name in hp and not _is_finite_number(hp[name]):
+                raise ValidationError(f"hyperparameter {name!r} must be a finite number, got {hp[name]!r}")
 
     def resolved_hyperparams(self) -> dict:
         merged = dict(DEFAULT_HYPERPARAMS)
@@ -225,11 +242,6 @@ def _sigmoid(scores: np.ndarray) -> np.ndarray:
     # for s < 0, so this matches 1/(1+e^-s) and e^s/(1+e^s) bit for bit
     e = np.exp(-np.abs(scores))
     return np.where(scores >= 0, 1.0, e) / (1.0 + e)
-
-
-def _softplus(scores: np.ndarray) -> np.ndarray:
-    # log(1 + e^s), computed without overflow for large |s|
-    return np.maximum(scores, 0.0) + np.log1p(np.exp(-np.abs(scores)))
 
 
 def _logistic_terms(
@@ -454,27 +466,6 @@ def predict(model: TrainedModel, x_rev) -> int | np.ndarray:
     if np.ndim(scores) == 0:
         return int(decided)
     return decided.astype(int)
-
-
-def loss(model: TrainedModel, features, labels) -> float:
-    """Mean log-loss for logistic models, 0/1 error for threshold models."""
-    X = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValidationError("loss requires a nonempty 2-D feature matrix")
-    if y.shape != (X.shape[0],):
-        raise ValidationError("labels must match the feature rows")
-    if model.spec.function_class == "norm_threshold":
-        preds = predict(model, X)
-        return float(np.mean(preds != y.astype(int)))
-    Xs = (X - model.mu) / model.sigma
-    scores = Xs @ model.coefficients + model.intercept
-    return float(np.mean(_softplus(scores) - y * scores))
-
-
-def feature_importance(model: TrainedModel) -> np.ndarray:
-    """Signed importances with unit L1 norm (all-zero for zero coefficients)."""
-    return model.importance.copy()
 
 
 def _group_threshold_grid(

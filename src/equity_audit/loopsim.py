@@ -156,17 +156,18 @@ def default_config(seed: int = 42) -> SyntheticConfig:
 
 @dataclass(frozen=True)
 class Cohort:
-    """One round's arrivals: both feature views plus evaluation-side state.
+    """One round's arrivals: the deployed-model view plus evaluation-side features.
 
-    ``intended.x`` holds the worst-case evaluation-side features (nothing
-    alleviated anywhere). ``x_intended_after_access`` holds the
-    evaluation-side features of the same individuals when their
-    decision-time obstacles were cleared, so only evaluation-specific
-    degradation remains.
+    The evaluation view is three (n, d_intended) blocks in the proxy's row
+    order: ``z_intended`` with no obstacle anywhere, ``x_intended`` the
+    worst case (nothing alleviated anywhere) and ``x_intended_after_access``
+    the same individuals with their decision-time obstacles cleared, so
+    only evaluation-specific degradation remains.
     """
 
     proxy: Population
-    intended: Population
+    x_intended: np.ndarray
+    z_intended: np.ndarray
     x_intended_after_access: np.ndarray
     obstacle_flags: np.ndarray
 
@@ -218,17 +219,6 @@ class CuratedDataset:
             y=y,
             rounds=np.full(len(y), round, dtype=int),
             source_ids=tuple(source_ids),
-        )
-
-    def concat(self, other: "CuratedDataset") -> "CuratedDataset":
-        if self.feature_names != other.feature_names:
-            raise ValidationError("cannot concatenate datasets over different features")
-        return CuratedDataset(
-            feature_names=self.feature_names,
-            X=np.vstack([self.X, other.X]),
-            y=np.concatenate([self.y, other.y]),
-            rounds=np.concatenate([self.rounds, other.rounds]),
-            source_ids=self.source_ids + other.source_ids,
         )
 
 
@@ -301,34 +291,22 @@ def generate_cohort(cfg: SyntheticConfig, round: int) -> Cohort:
     x_t_after_access = np.where(mask_t, z_t - deg_util, z_t)
 
     w_p = np.asarray(cfg.true_model_coefficients[0], dtype=float)
-    w_t = np.asarray(cfg.true_model_coefficients[1], dtype=float)
     flip_p = rng.random(n) < cfg.label_noise
-    flip_t = rng.random(n) < cfg.label_noise
     y_prime_p = ((z_p @ w_p >= 0) ^ flip_p).astype(int)
     y_p = ((x_p @ w_p >= 0) ^ flip_p).astype(int)
-    y_prime_t = ((z_t @ w_t >= 0) ^ flip_t).astype(int)
-    y_t = ((x_t_full @ w_t >= 0) ^ flip_t).astype(int)
 
     ids = list(map(f"r{round}-".__add__, cfg.id_suffixes))
     proxy = Population(
         x=x_p, z=z_p, y=y_p, y_prime=y_prime_p, grp=grp, ids=ids,
         feature_names=_proxy_feature_names(cfg),
     )
-    intended = Population(
-        x=x_t_full, z=z_t, y=y_t, y_prime=y_prime_t, grp=grp, ids=ids,
-        feature_names=_intended_feature_names(cfg),
-    )
     return Cohort(
         proxy=proxy,
-        intended=intended,
+        x_intended=x_t_full,
+        z_intended=z_t,
         x_intended_after_access=x_t_after_access,
         obstacle_flags=flagged,
     )
-
-
-def generate_population(cfg: SyntheticConfig, round: int) -> Population:
-    """Deployed-model view of one generated cohort."""
-    return generate_cohort(cfg, round).proxy
 
 
 def curate_ground_truth(
@@ -458,11 +436,11 @@ def run_inequity_loop(
         # evaluation-side features: cleared entirely under full equity;
         # otherwise the decision-time residue depends on the access regime
         if utilization_alleviated:
-            x_eval = cohort.intended.z_matrix()
+            x_eval = cohort.z_intended
         elif access_alleviated:
             x_eval = cohort.x_intended_after_access
         else:
-            x_eval = cohort.intended.x_matrix()
+            x_eval = cohort.x_intended
 
         b_mask = preds == 1
         m = int(np.sum(b_mask))

@@ -183,7 +183,7 @@ def model_access(pop: Population, om: ObstacleModel, policy: Policy) -> AccessRe
     """Fraction of the population with zero or fully alleviated obstacles."""
     if len(pop) == 0:
         raise ValidationError("model_access requires a nonempty population")
-    _, flags = _obstacle_access(pop.x_matrix(), pop.z_matrix(), om.alpha, policy.delta, pop.ids())
+    flags = _obstacle_access(pop.x_matrix(), pop.z_matrix(), om.alpha, policy.delta, pop.ids())
     return access_from_mask(flags, pop.groups())
 
 
@@ -331,7 +331,7 @@ def label_proxy_gap(omega_p, omega_t, matching: dict[int, int | None]) -> np.nda
     wt = np.asarray(omega_t, dtype=float)
     for vec, name in ((wp, "omega_p"), (wt, "omega_t")):
         total = float(np.sum(np.abs(vec)))
-        if total != 0.0 and abs(total - 1.0) > 1e-6:
+        if not (total == 0.0 or abs(total - 1.0) <= 1e-6):  # NaN fails both
             raise ValidationError(
                 f"{name} must be L1-normalized or all-zero (sum |w| = {total:.6g})"
             )

@@ -13,7 +13,6 @@ import json
 import math
 from pathlib import Path
 
-from .errors import EquityAuditError, ValidationError
 from .metrics import EquityReport
 
 LONG_CSV_COLUMNS = ("regime", "metric", "group", "value")
@@ -62,28 +61,3 @@ def long_csv(rows: list[tuple]) -> str:
 def write_json(doc: dict, path: Path) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
-
-def emit_report(
-    reports: dict[str, EquityReport], format: str, out_dir: str | Path
-) -> list[Path]:
-    """Write one file per named report; returns the written paths."""
-    if format not in ("json", "csv"):
-        raise ValidationError(f"unknown report format {format!r}")
-    out = Path(out_dir)
-    written: list[Path] = []
-    if not reports:
-        return written
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        for name in sorted(reports):
-            report = reports[name]
-            if format == "json":
-                path = out / f"{name}.json"
-                write_json(report.to_dict(), path)
-            else:
-                path = out / f"{name}.csv"
-                path.write_text(long_csv(equity_report_rows(name, report)))
-            written.append(path)
-    except OSError as exc:
-        raise EquityAuditError(f"failed writing reports under {out}: {exc}") from exc
-    return written

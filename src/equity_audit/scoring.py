@@ -201,24 +201,6 @@ class CandidateSampler:
         return self.next_spec(), self.next_policy()
 
 
-def sample_candidate(
-    space: ModelSpace, rng_state: "CandidateSampler | np.random.Generator"
-) -> tuple[ModelSpec, Policy]:
-    """Draw one (spec, policy) candidate.
-
-    Passing a :class:`CandidateSampler` keeps the without-replacement state
-    across calls; passing a bare generator wraps it in a fresh sampler for a
-    single draw.
-    """
-    sampler = (
-        rng_state
-        if isinstance(rng_state, CandidateSampler)
-        else CandidateSampler(space, rng_state)
-    )
-    spec_id, policy_id = sampler.sample()
-    return space.candidate_specs[spec_id], space.candidate_policies[policy_id]
-
-
 def _spec_view(space: ModelSpace, spec: ModelSpec) -> tuple[Population, ObstacleModel]:
     """Restrict the dataset and obstacle model to the spec's features."""
     indices = [space.dataset.feature_names.index(f) for f in spec.feature_names]

@@ -19,6 +19,25 @@ import math
 import numpy as np
 
 
+def magnitude_oracle(alphas, z, x) -> float:
+    """One person's obstacle ``<alpha, z - x>``, summed in column order."""
+    magnitude = 0.0
+    for a, zi, xi in zip(alphas, z, x):
+        magnitude += a * (zi - xi)
+    return magnitude
+
+
+def reveal_oracle(alphas, z, x, y_prime, y, delta) -> tuple[list, int, bool]:
+    """One person's ``(features, label, fully_accessed)`` under the piecewise rule."""
+    magnitude = magnitude_oracle(alphas, z, x)
+    residual = magnitude - delta
+    if residual < 0:
+        residual = 0.0
+    if magnitude == 0.0 or residual == 0.0:
+        return list(z), y_prime, True
+    return list(x), y, False
+
+
 def psi_oracle(alphas, zs, xs, delta) -> float:
     """Access rate: count individuals whose obstacle survives the budget."""
     n = len(zs)

@@ -19,7 +19,7 @@ import pytest
 
 from equity_audit.checklist import emit_checklist
 from equity_audit.config import RunConfig
-from equity_audit.core import Individual, ObstacleModel, Policy, Population, reveal
+from equity_audit.core import ObstacleModel, Policy, Population, reveal_population
 from equity_audit.dataio import run_case_study, regime_name
 from equity_audit.learner import ModelSpec, logistic_loss_and_gradient, predict, train
 from equity_audit.loopsim import default_config, run_inequity_loop
@@ -69,12 +69,9 @@ def test_metric_oracle_equivalence():
         x = rng.normal(size=(n, d))
         z = x + rng.exponential(size=(n, d)) * (rng.random((n, d)) < 0.5)
         delta = float(rng.uniform(0, 3))
-        pop = Population.from_individuals(
-            tuple(
-                Individual(z=z[i], x=x[i], y_prime=1, y=0, grp=int(i % 2), id=f"i{i}")
-                for i in range(n)
-            ),
-            tuple(f"f{j}" for j in range(d)),
+        pop = Population(
+            x, z, np.zeros(n, dtype=int), np.ones(n, dtype=int), np.arange(n) % 2,
+            [f"i{i}" for i in range(n)], [f"f{j}" for j in range(d)],
         )
         psi = model_access(pop, ObstacleModel.from_alpha(alpha), Policy(delta)).psi
         assert abs(psi - psi_oracle(alpha, z, x, delta)) <= 1e-12
@@ -102,9 +99,11 @@ def test_metric_oracle_equivalence():
 
 @criterion(2, "two-person access/outcome counterexample")
 def test_two_person_counterexample():
-    a = Individual(z=[6.0, 0.0], x=[5.0, 0.0], y_prime=1, y=0, grp=0, id="a")
-    b = Individual(z=[6.0, 0.0], x=[6.0, 0.0], y_prime=1, y=1, grp=1, id="b")
-    pop = Population.from_individuals((a, b), ("f1", "f2"))
+    # person a faces obstacle 1 (z = [6, 0], x = [5, 0]); person b faces none
+    pop = Population(
+        x=[[5.0, 0.0], [6.0, 0.0]], z=[[6.0, 0.0], [6.0, 0.0]], y=[0, 1], y_prime=[1, 1],
+        grp=[0, 1], ids=["a", "b"], feature_names=("f1", "f2"),
+    )
     om = ObstacleModel.from_alpha([1.0, 1.0])
     fit_X = np.array([[5.0, 0.0], [6.0, 0.0]])
     fit_y = np.array([0, 1])
@@ -128,11 +127,10 @@ def test_two_person_counterexample():
         ("equal", h_equal, Policy(float("inf"))),
         ("unequal", h_unequal, Policy(0.0)),
     ):
-        pairs = [reveal(ind, om, policy) for ind in pop.individuals]
-        preds = [predict(model, pair.x_rev) for pair in pairs]
-        labels = [pair.y_rev for pair in pairs]
-        assert preds == labels
-        agreement[name] = [p == label for p, label in zip(preds, labels)]
+        x_rev, labels, _ = reveal_population(pop, om, policy)
+        preds = predict(model, x_rev)
+        assert preds.tolist() == labels.tolist()
+        agreement[name] = (preds == labels).tolist()
     assert agreement["equal"] == agreement["unequal"]
 
 

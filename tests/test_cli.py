@@ -353,6 +353,26 @@ class TestScore:
         assert run_cli("--out", str(tmp_path / "r"), "score", str(spaces)) == 2
         assert "hyperparameter 'iterations' must be a whole number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "function_class, name, value",
+        [
+            ("logistic_regression", "l2", float("nan")),
+            ("logistic_regression", "l2", -1),
+            ("logistic_regression", "l2", float("inf")),
+            ("logistic_regression", "decision_threshold", float("nan")),
+            ("norm_threshold", "threshold", float("nan")),
+        ],
+    )
+    def test_non_finite_or_negative_hyperparameter_exit_2(self, tmp_path, capsys, function_class, name, value):
+        pop_csv = write_population(tmp_path / "pop.csv")
+        spaces = write_spaces(tmp_path / "spaces.json", str(pop_csv))
+        doc = json.loads(spaces.read_text())
+        hyperparams = {"threshold": 2.0, name: value}
+        doc["proxy"]["specs"] = [{"features": ["a"], "function_class": function_class, "hyperparams": hyperparams}]
+        spaces.write_text(json.dumps(doc))
+        assert run_cli("--out", str(tmp_path / "r"), "score", str(spaces)) == 2
+        assert f"hyperparameter {name!r} must be a finite number" in capsys.readouterr().err
+
 
 class TestCasestudy:
     def test_runs_and_is_byte_stable(self, student_path, tmp_path, capsys):

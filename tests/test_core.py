@@ -3,54 +3,64 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equity_audit.core import (
-    Individual,
-    ObstacleModel,
-    Policy,
-    Population,
-    apply_policy,
-    dominates,
-    obstacle_magnitude,
-    reveal,
-    reveal_population,
-)
+from equity_audit.core import ObstacleModel, Policy, Population, dominates, reveal_population
 from equity_audit.errors import DominanceError, ValidationError
 from equity_audit.metrics import model_access
-from oracles import psi_oracle
+from oracles import magnitude_oracle, psi_oracle, reveal_oracle
 
 
-def make_individual(z, x, y_prime=1, y=0, grp=0, id="i0"):
-    return Individual(z=z, x=x, y_prime=y_prime, y=y, grp=grp, id=id)
+def make_population(z, x, y_prime=1, y=0, grp=0):
+    """One row per entry of ``z``/``x``; a scalar label or group applies to every row."""
+    z, x = np.atleast_2d(np.asarray(z, dtype=float)), np.atleast_2d(np.asarray(x, dtype=float))
+    n, d = x.shape
+    return Population(
+        x, z, np.broadcast_to(y, n), np.broadcast_to(y_prime, n), np.broadcast_to(grp, n),
+        [f"i{k}" for k in range(n)], [f"f{j}" for j in range(d)],
+    )
+
+
+OM_UNIT = ObstacleModel.from_alpha([1.0])
+
+
+def accessed(pop, om, delta) -> list[bool]:
+    return reveal_population(pop, om, Policy(delta))[2].tolist()
+
+
+def assert_magnitude(pop, om, magnitude):
+    """Access switches on exactly at ``delta == magnitude``, so that is the row's obstacle."""
+    assert accessed(pop, om, magnitude) == [True]
+    if magnitude > 0:
+        assert accessed(pop, om, np.nextafter(magnitude, 0.0)) == [False]
+    z, x = pop.z_matrix()[0].tolist(), pop.x_matrix()[0].tolist()
+    assert magnitude_oracle(om.alpha.tolist(), z, x) == magnitude
 
 
 class TestObstacleMagnitude:
     def test_unit_weights(self):
-        ind = make_individual(z=[6, 0], x=[5, 0])
-        assert obstacle_magnitude(ObstacleModel.from_alpha([1, 1]), ind) == 1.0
+        pop = make_population(z=[6, 0], x=[5, 0])
+        assert_magnitude(pop, ObstacleModel.from_alpha([1, 1]), 1.0)
 
     def test_no_difference_is_zero(self):
-        ind = make_individual(z=[4, 2], x=[4, 2])
-        assert obstacle_magnitude(ObstacleModel.from_alpha([3, 7]), ind) == 0.0
+        pop = make_population(z=[4, 2], x=[4, 2])
+        assert_magnitude(pop, ObstacleModel.from_alpha([3, 7]), 0.0)
 
     def test_weighted(self):
-        ind = make_individual(z=[3, 2], x=[1, 1])
-        assert obstacle_magnitude(ObstacleModel.from_alpha([0.5, 2]), ind) == 3.0
+        pop = make_population(z=[3, 2], x=[1, 1])
+        assert_magnitude(pop, ObstacleModel.from_alpha([0.5, 2]), 3.0)
 
     def test_dimension_mismatch(self):
-        ind = make_individual(z=[1, 2], x=[1, 2])
+        pop = make_population(z=[1, 2], x=[1, 2])
         with pytest.raises(ValidationError):
-            obstacle_magnitude(ObstacleModel.from_alpha([1]), ind)
+            reveal_population(pop, ObstacleModel.from_alpha([1]), Policy(0.0))
 
     def test_dominance_violation(self):
-        ind = make_individual(z=[1, 2], x=[2, 1])
+        pop = make_population(z=[1, 2], x=[2, 1])
         with pytest.raises(DominanceError):
-            obstacle_magnitude(ObstacleModel.from_alpha([1, 1]), ind)
+            reveal_population(pop, ObstacleModel.from_alpha([1, 1]), Policy(0.0))
 
     def test_zero_alpha_with_unequal_features_is_no_obstacle(self):
-        ind = make_individual(z=[5, 5], x=[1, 1])
-        om = ObstacleModel.from_alpha([0, 0])
-        assert obstacle_magnitude(om, ind) == 0.0
-        assert reveal(ind, om, Policy(0.0)).fully_accessed
+        pop = make_population(z=[5, 5], x=[1, 1])
+        assert_magnitude(pop, ObstacleModel.from_alpha([0, 0]), 0.0)
 
 
 class TestDominates:
@@ -69,18 +79,25 @@ class TestDominates:
 
 
 class TestApplyPolicy:
+    """The budget spent on one obstacle: a person with ``z = [o]``, ``x = [0]``
+    and unit weight has obstacle ``o``, alleviated exactly when ``delta >= o``."""
+
     def test_surplus_budget(self):
-        assert apply_policy(3.0, Policy(5.0)) == 0.0
+        assert accessed(make_population(z=[3.0], x=[0.0]), OM_UNIT, 5.0) == [True]
 
     def test_partial_budget(self):
-        assert apply_policy(7.0, Policy(5.0)) == 2.0
+        pop = make_population(z=[7.0], x=[0.0])
+        x_rev, _, access = reveal_population(pop, OM_UNIT, Policy(5.0))
+        assert access.tolist() == [False]
+        assert x_rev.tolist() == [[0.0]]
 
     def test_zero_case(self):
-        assert apply_policy(0.0, Policy(0.0)) == 0.0
+        assert accessed(make_population(z=[0.0], x=[0.0]), OM_UNIT, 0.0) == [True]
 
     def test_negative_obstacle_rejected(self):
-        with pytest.raises(ValidationError):
-            apply_policy(-1.0, Policy(0.0))
+        # an obstacle below zero needs z below x, which breaks dominance
+        with pytest.raises(DominanceError):
+            reveal_population(make_population(z=[0.0], x=[1.0]), OM_UNIT, Policy(0.0))
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValidationError):
@@ -89,70 +106,64 @@ class TestApplyPolicy:
 
 class TestReveal:
     def test_alleviated_reveals_obstacle_free_pair(self):
-        ind = make_individual(z=[6, 0], x=[5, 0], y_prime=1, y=0)
-        pair = reveal(ind, ObstacleModel.from_alpha([1, 1]), Policy(5.0))
-        assert pair.fully_accessed
-        assert np.array_equal(pair.x_rev, [6, 0])
-        assert pair.y_rev == 1
+        pop = make_population(z=[6, 0], x=[5, 0], y_prime=1, y=0)
+        x_rev, y_rev, access = reveal_population(pop, ObstacleModel.from_alpha([1, 1]), Policy(5.0))
+        assert access.tolist() == [True]
+        assert x_rev.tolist() == [[6, 0]]
+        assert y_rev.tolist() == [1]
 
     def test_no_obstacle_reveals_obstacle_free_pair(self):
-        ind = make_individual(z=[6, 0], x=[6, 0], y_prime=1, y=1)
-        pair = reveal(ind, ObstacleModel.from_alpha([1, 1]), Policy(0.0))
-        assert pair.fully_accessed
-        assert np.array_equal(pair.x_rev, [6, 0])
+        pop = make_population(z=[6, 0], x=[6, 0], y_prime=1, y=1)
+        x_rev, _, access = reveal_population(pop, ObstacleModel.from_alpha([1, 1]), Policy(0.0))
+        assert access.tolist() == [True]
+        assert x_rev.tolist() == [[6, 0]]
 
     def test_residual_obstacle_reveals_refrained_pair(self):
         # magnitude 6 against budget 5 leaves residual 1
-        ind = make_individual(z=[9, 3], x=[6, 0], y_prime=1, y=0)
+        pop = make_population(z=[9, 3], x=[6, 0], y_prime=1, y=0)
         om = ObstacleModel.from_alpha([1, 1])
-        assert obstacle_magnitude(om, ind) == 6.0
-        pair = reveal(ind, om, Policy(5.0))
-        assert not pair.fully_accessed
-        assert np.array_equal(pair.x_rev, [6, 0])
-        assert pair.y_rev == 0
+        assert_magnitude(pop, om, 6.0)
+        x_rev, y_rev, access = reveal_population(pop, om, Policy(5.0))
+        assert access.tolist() == [False]
+        assert x_rev.tolist() == [[6, 0]]
+        assert y_rev.tolist() == [0]
 
     def test_vectorized_reveal_matches_per_individual(self):
         rng = np.random.default_rng(11)
-        individuals = []
-        for k in range(40):
-            x = rng.normal(size=3)
-            z = x + rng.exponential(size=3) * (k % 3 == 0)
-            individuals.append(
-                Individual(z=z, x=x, y_prime=1, y=int(rng.integers(2)), grp=k % 2, id=f"i{k}")
-            )
-        pop = Population.from_individuals(tuple(individuals), ("a", "b", "c"))
+        x = rng.normal(size=(40, 3))
+        z = x + rng.exponential(size=(40, 3)) * (np.arange(40) % 3 == 0)[:, None]
+        y = rng.integers(2, size=40)
+        pop = make_population(z=z, x=x, y_prime=1, y=y, grp=np.arange(40) % 2)
         om = ObstacleModel.from_alpha([0.5, 1.0, 0.0])
-        policy = Policy(1.0)
-        x_rev, y_rev, accessed = reveal_population(pop, om, policy)
-        for i, ind in enumerate(pop.individuals):
-            pair = reveal(ind, om, policy)
-            assert np.array_equal(x_rev[i], pair.x_rev)
-            assert y_rev[i] == pair.y_rev
-            assert accessed[i] == pair.fully_accessed
+        x_rev, y_rev, access = reveal_population(pop, om, Policy(1.0))
+        for i in range(40):
+            x_i, y_i, access_i = reveal_oracle(om.alpha.tolist(), z[i].tolist(), x[i].tolist(), 1, int(y[i]), 1.0)
+            assert x_rev[i].tolist() == x_i
+            assert y_rev[i] == y_i
+            assert access[i] == access_i
 
 
 class TestValidation:
     def test_binary_fields_checked(self):
         with pytest.raises(ValidationError):
-            make_individual(z=[1], x=[1], grp=2)
+            make_population(z=[1], x=[1], grp=2)
         with pytest.raises(ValidationError):
-            make_individual(z=[1], x=[1], y=5)
+            make_population(z=[1], x=[1], y=5)
 
     def test_population_requires_unique_ids(self):
-        inds = [make_individual(z=[1], x=[1], id="dup") for _ in range(2)]
         with pytest.raises(ValidationError):
-            Population.from_individuals(tuple(inds), ("f",))
+            Population([[1.0], [1.0]], [[1.0], [1.0]], [0, 0], [1, 1], [0, 0], ["dup", "dup"], ("f",))
 
     def test_population_dimension_check(self):
         with pytest.raises(ValidationError):
-            Population.from_individuals((make_individual(z=[1, 2], x=[1, 2]),), ("f",))
+            Population([[1.0, 2.0]], [[1.0, 2.0]], [0], [1], [0], ["i0"], ("f",))
 
     def test_population_arrays_are_read_only(self):
-        pop = Population.from_individuals((make_individual(z=[2.0], x=[1.0]),), ("f",))
+        pop = make_population(z=[2.0], x=[1.0])
         with pytest.raises(ValueError):
             pop.x_matrix()[0, 0] = 5.0
         with pytest.raises(ValueError):
-            pop.restrict(["f"]).z_matrix()[0, 0] = 5.0
+            pop.restrict(["f0"]).z_matrix()[0, 0] = 5.0
 
     def test_array_constructor_names_the_bad_row(self):
         with pytest.raises(ValidationError) as excinfo:
@@ -179,7 +190,8 @@ class TestValidation:
 )
 def test_policy_monotone_in_obstacle(o1, o2, delta):
     lo, hi = min(o1, o2), max(o1, o2)
-    assert apply_policy(lo, Policy(delta)) <= apply_policy(hi, Policy(delta))
+    access_lo, access_hi = accessed(make_population(z=[[lo], [hi]], x=[[0.0], [0.0]]), OM_UNIT, delta)
+    assert access_lo or not access_hi
 
 
 @given(
@@ -189,7 +201,8 @@ def test_policy_monotone_in_obstacle(o1, o2, delta):
 )
 def test_policy_monotone_in_delta(o, d1, d2):
     lo, hi = min(d1, d2), max(d1, d2)
-    assert apply_policy(o, Policy(lo)) >= apply_policy(o, Policy(hi))
+    pop = make_population(z=[o], x=[0.0])
+    assert accessed(pop, OM_UNIT, hi)[0] or not accessed(pop, OM_UNIT, lo)[0]
 
 
 @given(
@@ -197,11 +210,12 @@ def test_policy_monotone_in_delta(o, d1, d2):
     delta=st.floats(min_value=0, max_value=100),
 )
 def test_policy_zero_iff_budget_covers(o, delta):
-    assert (apply_policy(o, Policy(delta)) == 0.0) == (delta >= o)
+    assert accessed(make_population(z=[o], x=[0.0]), OM_UNIT, delta) == [delta >= o]
 
 
 @st.composite
-def individuals(draw):
+def people(draw):
+    """One person with ``z`` dominating-or-equal ``x``, and an obstacle model."""
     d = draw(st.integers(min_value=1, max_value=4))
     x = draw(
         st.lists(
@@ -215,32 +229,34 @@ def individuals(draw):
     alpha = draw(
         st.lists(st.floats(min_value=0, max_value=2, allow_nan=False), min_size=d, max_size=d)
     )
-    return make_individual(z=z, x=x), ObstacleModel.from_alpha(alpha)
+    return make_population(z=z, x=x), ObstacleModel.from_alpha(alpha)
 
 
-@given(individuals())
+@given(people())
 @settings(max_examples=200)
 def test_reveal_roundtrip_definition(pair):
-    ind, om = pair
-    revealed = reveal(ind, om, Policy(0.5))
-    expected_full = np.array_equal(revealed.x_rev, ind.z) and revealed.y_rev == ind.y_prime
-    assert revealed.fully_accessed == expected_full
+    pop, om = pair
+    (x_rev,), (y_rev,), (access,) = reveal_population(pop, om, Policy(0.5))
+    z, x = pop.z_matrix()[0], pop.x_matrix()[0]
+    expected_full = np.array_equal(x_rev, z) and y_rev == pop.labels_prime()[0]
+    assert access == expected_full
+    assert (x_rev.tolist(), y_rev, access) == reveal_oracle(om.alpha.tolist(), z.tolist(), x.tolist(), 1, 0, 0.5)
 
 
-@given(individuals(), st.floats(min_value=0, max_value=10), st.floats(min_value=0, max_value=10))
+@given(people(), st.floats(min_value=0, max_value=10), st.floats(min_value=0, max_value=10))
 @settings(max_examples=200)
 def test_full_access_preserved_by_larger_budget(pair, d1, d2):
-    ind, om = pair
+    pop, om = pair
     lo, hi = min(d1, d2), max(d1, d2)
-    if reveal(ind, om, Policy(lo)).fully_accessed:
-        assert reveal(ind, om, Policy(hi)).fully_accessed
+    if accessed(pop, om, lo)[0]:
+        assert accessed(pop, om, hi)[0]
 
 
-@given(individuals())
+@given(people())
 def test_zero_obstacle_when_features_equal(pair):
-    ind, om = pair
-    same = make_individual(z=ind.x, x=ind.x)
-    assert obstacle_magnitude(om, same) == 0.0
+    pop, om = pair
+    same = make_population(z=pop.x_matrix(), x=pop.x_matrix())
+    assert_magnitude(same, om, 0.0)
 
 
 @st.composite
@@ -257,10 +273,7 @@ def boundary_cases(draw):
     alpha = rng.uniform(0, 2, size=d) * (rng.random(d) < draw(st.floats(0.2, 1.0)))
     x = rng.normal(scale=3, size=(n, d))
     bump = rng.exponential(size=(n, d)) * (rng.random((n, d)) < draw(st.floats(0.0, 1.0)))
-    rows = [
-        make_individual(z=x[k] + bump[k], x=x[k], grp=k % 2, id=f"i{k}") for k in range(n)
-    ]
-    pop = Population.from_individuals(rows, [f"f{j}" for j in range(d)])
+    pop = make_population(z=x + bump, x=x, grp=np.arange(n) % 2)
     pivot = draw(st.integers(min_value=0, max_value=n - 1))
     return pop, ObstacleModel.from_alpha(alpha), pivot
 
@@ -270,14 +283,12 @@ def boundary_cases(draw):
 def test_access_paths_agree_at_the_boundary(case):
     # delta equal to one person's magnitude is where summation order shows
     pop, om, pivot = case
-    policy = Policy(obstacle_magnitude(om, pop.individuals[pivot]))
-    per_row = [reveal(ind, om, policy).fully_accessed for ind in pop.individuals]
+    alpha, zs, xs = om.alpha.tolist(), pop.z_matrix().tolist(), pop.x_matrix().tolist()
+    policy = Policy(magnitude_oracle(alpha, zs[pivot], xs[pivot]))
     _, _, vectorized = reveal_population(pop, om, policy)
-    oracle = [
-        psi_oracle(om.alpha.tolist(), [z], [x], policy.delta) == 1.0
-        for z, x in zip(pop.z_matrix().tolist(), pop.x_matrix().tolist())
-    ]
-    assert per_row[pivot]
-    assert per_row == vectorized.tolist()
-    assert per_row == list(model_access(pop, om, policy).per_individual)
-    assert per_row == oracle
+    per_row = [reveal_oracle(alpha, z, x, 1, 0, policy.delta)[2] for z, x in zip(zs, xs)]
+    oracle = [psi_oracle(alpha, [z], [x], policy.delta) == 1.0 for z, x in zip(zs, xs)]
+    assert vectorized[pivot]
+    assert vectorized.tolist() == per_row
+    assert vectorized.tolist() == list(model_access(pop, om, policy).per_individual)
+    assert vectorized.tolist() == oracle

@@ -134,16 +134,14 @@ def views(student_path):
 class TestViews:
     def test_unflagged_students_have_equal_views(self, views):
         for pop in (views.proxy, views.intended):
-            for ind, flagged in zip(pop.individuals, views.obstacle_flags):
-                if not flagged:
-                    assert np.array_equal(ind.x, ind.z)
+            unflagged = ~views.obstacle_flags
+            assert np.array_equal(pop.x_matrix()[unflagged], pop.z_matrix()[unflagged])
 
     def test_flagged_students_dominated(self, views):
         assert views.obstacle_flags.any()
         for pop in (views.proxy, views.intended):
-            for ind, flagged in zip(pop.individuals, views.obstacle_flags):
-                if flagged:
-                    assert dominates(ind.z, ind.x)
+            for z, x in zip(pop.z_matrix()[views.obstacle_flags], pop.x_matrix()[views.obstacle_flags]):
+                assert dominates(z, x)
 
     def test_view_alignment(self, views):
         assert views.proxy.ids() == views.intended.ids()
@@ -253,7 +251,8 @@ class TestAuxiliaryLoaders:
         pop = load_population_csv(path)
         assert pop.feature_names == ("a", "b")
         assert pop.ids() == ["u1", "u2"]
-        assert pop.individuals[1].y_prime == 1
+        assert pop.labels_prime().tolist() == [1, 1]
+        assert pop.z_matrix()[1].tolist() == [1.5, 1.0]
 
     @pytest.mark.parametrize("bad_cells", ["5,1,1.0,1.0", "1,1,nan,1.0"])
     def test_population_csv_names_the_bad_row(self, tmp_path, bad_cells):
@@ -719,6 +718,13 @@ class TestRunConfigToml:
         path = tmp_path / "run.toml"
         path.write_text("mystery = 3\n")
         with pytest.raises(DataFormatError, match="mystery"):
+            RunConfig.from_toml(path)
+
+    def test_dialect_is_an_unknown_key(self, tmp_path):
+        # no reader takes a dialect: the student file is semicolon-delimited
+        path = tmp_path / "run.toml"
+        path.write_text('dialect = "uci-semicolon"\n')
+        with pytest.raises(DataFormatError, match="unknown config keys: dialect"):
             RunConfig.from_toml(path)
 
     def test_bad_value_line_numbered(self):

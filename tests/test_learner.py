@@ -11,10 +11,8 @@ from equity_audit.learner import (
     _group_threshold_grid,
     _sigmoid,
     candidate_group_thresholds,
-    feature_importance,
     fit_group_thresholds,
     logistic_loss_and_gradient,
-    loss,
     predict,
     predict_proba,
     predict_with_group_thresholds,
@@ -93,19 +91,24 @@ class TestPredict:
             predict(model, np.array([1.0, 2.0]))
 
 
+def error_rate(model, X, y) -> float:
+    """0/1 error of a model's decisions."""
+    return float(np.mean(predict(model, X) != y))
+
+
 class TestLoss:
     def test_perfect_threshold_classifier(self):
         spec = ModelSpec(("a",), "norm_threshold", {"threshold": 2.0})
         X = np.array([[1.0], [1.5], [2.5], [3.0]])
         y = np.array([0, 0, 1, 1])
         model = train(spec, X, y, seed=0)
-        assert loss(model, X, y) == 0.0
+        assert error_rate(model, X, y) == 0.0
 
     def test_constant_positive_predictor_on_positive_labels(self):
         spec = ModelSpec(("a",), "norm_threshold", {"threshold": 0.0})
         X = np.array([[0.4], [2.0], [5.0], [0.1]])
         model = train(spec, X, np.array([0, 1, 1, 1]), seed=0)
-        assert loss(model, X, np.ones(4)) == 0.0
+        assert error_rate(model, X, np.ones(4)) == 0.0
 
     def test_random_labels_against_constant_predictor(self):
         rng = np.random.default_rng(123)
@@ -113,13 +116,7 @@ class TestLoss:
         spec = ModelSpec(("a",), "norm_threshold", {"threshold": 0.0})
         X = rng.uniform(1, 2, size=(1000, 1))
         model = train(spec, X[:2], np.array([0, 1]), seed=0)
-        assert loss(model, X, y) == pytest.approx(0.5, abs=0.05)
-
-    def test_empty_dataset_rejected(self):
-        X, y = separable_1d()
-        model = train(ModelSpec(("f",)), X, y, seed=0)
-        with pytest.raises(ValidationError):
-            loss(model, np.empty((0, 1)), np.empty(0))
+        assert error_rate(model, X, y) == pytest.approx(0.5, abs=0.05)
 
 
 class TestGradient:
@@ -236,18 +233,18 @@ class TestImportance:
     def test_normalized_signed(self):
         spec = ModelSpec(("a", "b"))
         model = TrainedModel.from_coefficients(spec, [2.0, -2.0])
-        assert np.allclose(feature_importance(model), [0.5, -0.5])
+        assert np.allclose(model.importance, [0.5, -0.5])
 
     def test_all_zero(self):
         spec = ModelSpec(("a", "b"))
         model = TrainedModel.from_coefficients(spec, [0.0, 0.0])
-        assert np.array_equal(feature_importance(model), [0.0, 0.0])
+        assert np.array_equal(model.importance, [0.0, 0.0])
 
     def test_already_normalized_fixture_unchanged(self):
         spec = ModelSpec(("code experience", "team player", "references", "gender", "race"))
         weights = [0.5, 0.2, 0.2, 0.05, 0.05]
         model = TrainedModel.from_coefficients(spec, weights)
-        assert np.allclose(feature_importance(model), weights)
+        assert np.allclose(model.importance, weights)
 
     def test_trained_importance_sums_to_one(self):
         X, y = separable_1d()
@@ -527,11 +524,34 @@ class TestTrainLayout:
             assert np.array_equal(model.sigma, reference.sigma)
 
 
+HUGE_INT = pytest.param(10**400, id="10**400")  # beyond the float range
+
+
 class TestIterationsHyperparameter:
     @pytest.mark.parametrize("cap", [2.5, True, False, "3", None, float("inf"), float("nan")])
     def test_non_integral_cap_is_rejected(self, cap):
         with pytest.raises(ValidationError, match="'iterations'"):
             ModelSpec(("f",), hyperparams={"iterations": cap})
+
+    @pytest.mark.parametrize(
+        "l2", [float("nan"), float("inf"), -float("inf"), -1, -1e-300, HUGE_INT, True, False, "0.1", None]
+    )
+    def test_l2_must_be_a_finite_nonnegative_number(self, l2):
+        with pytest.raises(ValidationError, match="'l2'"):
+            ModelSpec(("f",), hyperparams={"l2": l2})
+
+    @pytest.mark.parametrize("name", ["decision_threshold", "threshold"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), HUGE_INT, True, "0.5", None])
+    def test_thresholds_must_be_finite_numbers(self, name, value):
+        with pytest.raises(ValidationError, match=repr(name)):
+            ModelSpec(("f",), "norm_threshold", hyperparams={name: value})
+
+    def test_finite_hyperparameters_are_accepted(self):
+        X, y = separable_1d()
+        spec = ModelSpec(("f",), hyperparams={"l2": 0, "decision_threshold": -2.0, "iterations": 3})
+        assert train(spec, X, y).decision_threshold == -2.0
+        spec = ModelSpec(("f",), "norm_threshold", {"threshold": np.float64(-1.5), "l2": np.int64(2)})
+        assert train(spec, X, y).threshold == -1.5
 
     def test_integral_float_is_a_cap(self):
         X, y = separable_1d()

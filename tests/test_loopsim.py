@@ -4,12 +4,10 @@ import pytest
 from equity_audit.core import dominates
 from equity_audit.errors import ValidationError
 from equity_audit.loopsim import (
-    CuratedDataset,
     SyntheticConfig,
     curate_ground_truth,
     default_config,
     generate_cohort,
-    generate_population,
     run_inequity_loop,
     trajectory_to_csv,
 )
@@ -33,36 +31,40 @@ def loop_run(regime: str):
 class TestGeneratePopulation:
     def test_no_obstacle_world(self):
         cfg = small_config(obstacle_prob_by_group={0: 0.0, 1: 0.0})
-        pop = generate_population(cfg, 1)
-        for ind in pop.individuals:
-            assert np.array_equal(ind.x, ind.z)
-            assert ind.y == ind.y_prime
+        pop = generate_cohort(cfg, 1).proxy
+        assert np.array_equal(pop.x_matrix(), pop.z_matrix())
+        assert np.array_equal(pop.labels(), pop.labels_prime())
 
     def test_group_fraction_concentrates(self):
         cfg = small_config(n_per_round=10000)
-        pop = generate_population(cfg, 0)
+        pop = generate_cohort(cfg, 0).proxy
         share = np.mean(pop.groups())
         assert 0.48 <= share <= 0.52
 
     def test_deterministic_per_seed_and_round(self):
         cfg = small_config()
-        p1 = generate_population(cfg, 3)
-        p2 = generate_population(cfg, 3)
+        p1 = generate_cohort(cfg, 3).proxy
+        p2 = generate_cohort(cfg, 3).proxy
         assert np.array_equal(p1.x_matrix(), p2.x_matrix())
         assert np.array_equal(p1.z_matrix(), p2.z_matrix())
         assert np.array_equal(p1.labels(), p2.labels())
-        p3 = generate_population(cfg, 4)
+        p3 = generate_cohort(cfg, 4).proxy
         assert not np.array_equal(p1.x_matrix(), p3.x_matrix())
 
     def test_dominance_for_flagged_individuals(self):
         cfg = small_config()
         cohort = generate_cohort(cfg, 2)
-        for view in (cohort.proxy, cohort.intended):
-            for ind, flagged in zip(view.individuals, cohort.obstacle_flags):
+        views = (
+            (cohort.proxy.z_matrix(), cohort.proxy.x_matrix()),
+            (cohort.z_intended, cohort.x_intended),
+            (cohort.z_intended, cohort.x_intended_after_access),
+        )
+        for z, x in views:
+            for z_row, x_row, flagged in zip(z, x, cohort.obstacle_flags):
                 if flagged:
-                    assert dominates(ind.z, ind.x)
+                    assert dominates(z_row, x_row)
                 else:
-                    assert np.array_equal(ind.z, ind.x)
+                    assert np.array_equal(z_row, x_row)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -87,18 +89,13 @@ class TestCurateGroundTruth:
         assert batch.y.tolist() == [0]
 
     def test_provenance_survives_concatenation(self):
-        merged = CuratedDataset.empty(("a",))
-        for r in (1, 2, 3):
-            merged = merged.concat(
-                curate_ground_truth(
-                    [(f"r{r}i{k}", np.array([float(k)]), 1) for k in range(r)],
-                    round=r,
-                    feature_names=("a",),
-                )
-            )
-        assert len(merged) == 6
-        assert np.bincount(merged.rounds)[1:].tolist() == [1, 2, 3]
-        assert len(set(merged.source_ids)) == 6
+        # the loop's pool joins one batch per round; each row keeps its round and id
+        traj, curated = run_inequity_loop(small_config(), 3, "full_equity")
+        seed_size = traj.seed_size
+        sizes = [seed_size] + [r.curated_size for r in traj.rounds]
+        assert np.bincount(curated.rounds, minlength=4)[1:].tolist() == np.diff(sizes).tolist()
+        assert len(set(curated.source_ids)) == len(curated) == sizes[-1] - seed_size
+        assert all(i.startswith(f"r{r}-") for i, r in zip(curated.source_ids, curated.rounds))
 
     def test_empty_batch(self):
         batch = curate_ground_truth([], round=1, feature_names=("a",))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equity_audit.core import Individual, ObstacleModel, Policy, Population, reveal
+from equity_audit.core import ObstacleModel, Policy, Population, reveal_population
 from equity_audit.errors import NoPositivesError, UndefinedRateError, ValidationError
 from equity_audit.learner import ModelSpec, predict, train
 from equity_audit.metrics import (
@@ -24,13 +24,16 @@ from oracles import UndefinedRate, eo_violation_masks, eo_violation_oracle, psi_
 
 def population_with_obstacles(magnitudes, groups=None):
     """1-feature population whose per-person obstacle sizes are as given."""
-    individuals = []
-    for i, mag in enumerate(magnitudes):
-        grp = 0 if groups is None else groups[i]
-        individuals.append(
-            Individual(z=[float(mag)], x=[0.0], y_prime=1, y=0, grp=grp, id=f"i{i}")
-        )
-    return Population.from_individuals(tuple(individuals), ("f",))
+    n = len(magnitudes)
+    return Population(
+        x=np.zeros((n, 1)),
+        z=np.asarray(magnitudes, dtype=float).reshape(n, 1),
+        y=np.zeros(n, dtype=int),
+        y_prime=np.ones(n, dtype=int),
+        grp=np.zeros(n, dtype=int) if groups is None else groups,
+        ids=[f"i{i}" for i in range(n)],
+        feature_names=("f",),
+    )
 
 
 OM_UNIT = ObstacleModel.from_alpha([1.0])
@@ -53,7 +56,7 @@ class TestModelAccess:
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValidationError):
-            model_access(Population.from_individuals((), ("f",)), OM_UNIT, Policy(0.0))
+            model_access(population_with_obstacles([]), OM_UNIT, Policy(0.0))
 
     def test_per_group_rates(self):
         pop = population_with_obstacles([0, 4, 0, 4], groups=[0, 0, 1, 1])
@@ -116,9 +119,11 @@ class TestAccessOutcomeDecoupling:
     """Two-person scenario: tightening access can hide behind equal outcomes."""
 
     def setup_method(self):
-        self.a = Individual(z=[6.0, 0.0], x=[5.0, 0.0], y_prime=1, y=0, grp=0, id="a")
-        self.b = Individual(z=[6.0, 0.0], x=[6.0, 0.0], y_prime=1, y=1, grp=1, id="b")
-        self.pop = Population.from_individuals((self.a, self.b), ("f1", "f2"))
+        # person a faces obstacle 1 (z = [6, 0], x = [5, 0]); person b faces none
+        self.pop = Population(
+            x=[[5.0, 0.0], [6.0, 0.0]], z=[[6.0, 0.0], [6.0, 0.0]], y=[0, 1], y_prime=[1, 1],
+            grp=[0, 1], ids=["a", "b"], feature_names=("f1", "f2"),
+        )
         self.om = ObstacleModel.from_alpha([1.0, 1.0])
         X = np.array([[5.0, 0.0], [6.0, 0.0]])
         y = np.array([0, 1])
@@ -144,11 +149,10 @@ class TestAccessOutcomeDecoupling:
             ("equal_access", self.h_prime, Policy(float("inf"))),
             ("unequal_access", self.h_dprime, Policy(0.0)),
         ):
-            rows = [reveal(ind, self.om, policy) for ind in self.pop.individuals]
-            preds = [predict(model, pair.x_rev) for pair in rows]
-            labels = [pair.y_rev for pair in rows]
-            assert preds == labels
-            agreements[name] = [p == l for p, l in zip(preds, labels)]
+            x_rev, labels, _ = reveal_population(self.pop, self.om, policy)
+            preds = predict(model, x_rev)
+            assert preds.tolist() == labels.tolist()
+            agreements[name] = (preds == labels).tolist()
         assert agreements["equal_access"] == agreements["unequal_access"]
 
 
@@ -254,6 +258,12 @@ class TestLabelProxyGap:
     def test_unnormalized_importances_rejected(self):
         with pytest.raises(ValidationError):
             label_proxy_gap([0.9, 0.9], [1.0, 0.0][:2], {0: 0, 1: 1})
+
+    @pytest.mark.parametrize("bad", [[float("nan"), 1.0], [float("nan"), float("inf")], [float("inf"), 0.0]])
+    def test_non_finite_importances_rejected(self, bad):
+        # a NaN sum passes no comparison, so it is no unit L1 norm
+        with pytest.raises(ValidationError, match="L1-normalized"):
+            label_proxy_gap(bad, [0.5, 0.5], {0: 0, 1: 1})
 
     def test_gap_report_carries_notes(self):
         report = compute_gap_report(

@@ -4,6 +4,7 @@ import re
 import pytest
 
 from equity_audit.checklist import SECTIONS, emit_checklist
+from equity_audit.config import RunConfig
 from equity_audit.errors import ValidationError
 from equity_audit.metrics import (
     EquityReport,
@@ -13,7 +14,7 @@ from equity_audit.metrics import (
     utilization,
 )
 from equity_audit.core import ObstacleModel, Policy
-from equity_audit.reports import emit_report, equity_report_rows, long_csv
+from equity_audit.reports import equity_report_rows, long_csv, write_json
 from test_metrics import population_with_obstacles
 
 
@@ -49,16 +50,12 @@ class TestChecklist:
 
 
 class TestEmitReport:
-    def test_empty_reports_write_nothing(self, tmp_path):
-        out = tmp_path / "reports"
-        assert emit_report({}, "json", out) == []
-        assert not out.exists() or not list(out.iterdir())
+    """Report files as the commands write them, with ``write_json`` and ``long_csv``."""
 
     def test_json_round_trip(self, tmp_path):
         report = sample_report()
-        paths = emit_report({"demo": report}, "json", tmp_path)
-        assert len(paths) == 1
-        parsed = json.loads(paths[0].read_text())
+        write_json(report.to_dict(), tmp_path / "demo.json")
+        parsed = json.loads((tmp_path / "demo.json").read_text())
         assert parsed == report.to_dict()
         assert parsed["access"]["psi"] == report.access.psi
 
@@ -74,14 +71,13 @@ class TestEmitReport:
             + 1
         )
         assert len(rows) == expected
-        paths = emit_report({"demo": report}, "csv", tmp_path)
-        lines = paths[0].read_text().splitlines()
+        lines = long_csv(rows).splitlines()
         assert lines[0] == "regime,metric,group,value"
         assert len(lines) == expected + 1
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValidationError):
-            emit_report({"demo": sample_report()}, "xml", tmp_path)
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValidationError, match="unknown report format 'xml'"):
+            RunConfig(formats=("json", "xml"))
 
     def test_long_csv_formats_values(self):
         text = long_csv([("r", "psi", "", 0.75), ("r", "flag", "1", True)])
@@ -91,6 +87,6 @@ class TestEmitReport:
 
     def test_deterministic_bytes(self, tmp_path):
         report = sample_report()
-        a = emit_report({"demo": report}, "json", tmp_path / "a")[0].read_bytes()
-        b = emit_report({"demo": report}, "json", tmp_path / "b")[0].read_bytes()
-        assert a == b
+        write_json(report.to_dict(), tmp_path / "a.json")
+        write_json(report.to_dict(), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()

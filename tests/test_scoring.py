@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from equity_audit import scoring
-from equity_audit.core import Individual, ObstacleModel, Policy, Population
+from equity_audit.core import ObstacleModel, Policy, Population
 from equity_audit.errors import ValidationError
 from equity_audit.learner import ModelSpec
 from equity_audit.loopsim import default_config, generate_cohort
@@ -13,7 +13,6 @@ from equity_audit.scoring import (
     ModelSpace,
     ScoringConfig,
     run_equity_scoring,
-    sample_candidate,
 )
 
 
@@ -24,22 +23,13 @@ def perfect_spaces():
     reproduces the labels exactly and every accepted individual clears the
     evaluation threshold.
     """
-    individuals = []
-    intended = []
-    for k in range(40):
-        grp = k % 2
-        positive = (k // 2) % 2 == 0
-        x = [3.0, 0.0] if positive else [1.0, 0.0]
-        y = 1 if positive else 0
-        individuals.append(
-            Individual(z=x, x=x, y_prime=y, y=y, grp=grp, id=f"p{k}")
-        )
-        xt = [4.0] if positive else [0.5]
-        intended.append(
-            Individual(z=xt, x=xt, y_prime=y, y=y, grp=grp, id=f"p{k}")
-        )
-    proxy_pop = Population.from_individuals(tuple(individuals), ("f1", "f2"))
-    intended_pop = Population.from_individuals(tuple(intended), ("g1",))
+    k = np.arange(40)
+    y = ((k // 2) % 2 == 0).astype(int)
+    ids = [f"p{i}" for i in k]
+    x = np.where(y[:, None] == 1, [3.0, 0.0], [1.0, 0.0])
+    xt = np.where(y[:, None] == 1, [4.0], [0.5])
+    proxy_pop = Population(x, x, y, y, k % 2, ids, ("f1", "f2"))
+    intended_pop = Population(xt, xt, y, y, k % 2, ids, ("g1",))
     proxy_space = ModelSpace(
         (ModelSpec(("f1", "f2"), "norm_threshold", {"threshold": 2.0}),),
         proxy_pop,
@@ -57,11 +47,9 @@ def perfect_spaces():
 
 def starved_space():
     """Every individual faces obstacle 10 and no policy covers it."""
-    individuals = [
-        Individual(z=[10.0 + (k % 3)], x=[k % 3], y_prime=1, y=k % 2, grp=k % 2, id=f"s{k}")
-        for k in range(20)
-    ]
-    pop = Population.from_individuals(tuple(individuals), ("f",))
+    k = np.arange(20)
+    x = (k % 3).astype(float)[:, None]
+    pop = Population(x, x + 10.0, k % 2, np.ones(20, dtype=int), k % 2, [f"s{i}" for i in k], ("f",))
     return ModelSpace(
         (ModelSpec(("f",)), ModelSpec(("f",), "norm_threshold", {"threshold": 1.0})),
         pop,
@@ -75,9 +63,7 @@ class TestSampler:
         space, _ = perfect_spaces()
         rng = np.random.default_rng(0)
         for _ in range(5):
-            spec, policy = sample_candidate(space, rng)
-            assert spec is space.candidate_specs[0]
-            assert policy is space.candidate_policies[0]
+            assert CandidateSampler(space, rng).sample() == (0, 0)
 
     def test_fixed_seed_reproducible(self):
         space = starved_space()
@@ -88,11 +74,8 @@ class TestSampler:
         assert seq1[0] == s2.__class__(space, np.random.default_rng(5)).sample()
 
     def test_draws_without_replacement_within_window(self):
-        individuals = [
-            Individual(z=[1.0], x=[1.0], y_prime=1, y=1, grp=0, id=f"d{k}")
-            for k in range(3)
-        ]
-        pop = Population.from_individuals(tuple(individuals), ("f",))
+        ones = np.ones((3, 1))
+        pop = Population(ones, ones, [1, 1, 1], [1, 1, 1], [0, 0, 0], ["d0", "d1", "d2"], ("f",))
         specs = tuple(
             ModelSpec(("f",), "norm_threshold", {"threshold": float(t)}) for t in (1, 2, 3)
         )
@@ -167,11 +150,37 @@ def assert_phase_order(trace):
         assert ranks[0] == 0
 
 
+def evaluation_labels(cfg, cohort):
+    """``(y, y_prime)`` of a round-0 cohort's evaluation view, noisy like the proxy's.
+
+    The frozen benchmark values below were recorded when the generator
+    also labelled its evaluation view, with label flips drawn after every
+    other draw of the round; the stream is replayed here to draw them.
+    """
+    n = cfg.n_per_round
+    rng = np.random.default_rng([cfg.seed, 0, 101])
+    rng.normal(size=n)  # latent ability
+    rng.random(n)  # group
+    rng.random(n)  # obstacle flags
+    rng.normal(size=(n, cfg.d_proxy))
+    rng.normal(size=(n, cfg.d_intended))
+    for d in (cfg.d_proxy, cfg.d_intended, cfg.d_intended):  # the three degradations
+        rng.exponential(size=(n, d))
+    rng.random(n)  # the proxy view's flips
+    flip = rng.random(n) < cfg.label_noise
+    w = np.asarray(cfg.true_model_coefficients[1], dtype=float)
+    return (((x @ w >= 0) ^ flip).astype(int) for x in (cohort.x_intended, cohort.z_intended))
+
+
 def synthetic_benchmark_spaces():
     """Two-group benchmark built from the cohort generator (seed 42)."""
     cfg = default_config(seed=42)
     cfg = type(cfg)(**{**cfg.__dict__, "n_per_round": 400})
     cohort = generate_cohort(cfg, 0)
+    intended = Population(
+        cohort.x_intended, cohort.z_intended, *evaluation_labels(cfg, cohort), cohort.proxy.groups(),
+        cohort.proxy.ids(), ("if0", "if1", "if2"),
+    )
     proxy_space = ModelSpace(
         (
             ModelSpec(("pf0", "pf1", "pf2"), hyperparams={"iterations": 400}),
@@ -183,7 +192,7 @@ def synthetic_benchmark_spaces():
     )
     intended_space = ModelSpace(
         (ModelSpec(("if0", "if1", "if2"), hyperparams={"iterations": 400}),),
-        cohort.intended,
+        intended,
         ObstacleModel.from_alpha([1.0, 1.0, 0.0]),
         (Policy(float("inf")),),
     )
