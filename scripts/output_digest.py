@@ -6,11 +6,12 @@ every kind the benchmark times (the four ``simulate-loop`` regimes, the
 eight ``score`` search seeds, ``casestudy`` followed by ``gaps``, and
 ``audit``, on inputs made by ``perfbench/workloads.py``), plus
 ``casestudy --seed 7`` on the bundled student sample in both report
-formats. It then prints ``<sha256>  <path>`` for every output file, sorted
-by path, then ``<sha256>  stdout/<nn>-<command>`` for what the nn-th
-command printed, and last the sha256 of all those lines. Two checkouts
-that print the same listing hash wrote byte-identical reports and printed
-the same text. Run from anywhere:
+formats and under each regime filter of ``FILTERS``, given by a
+``--config`` file. It then prints ``<sha256>  <path>`` for every output
+file, sorted by path, then ``<sha256>  stdout/<nn>-<command>`` for what
+the nn-th command printed, and last the sha256 of all those lines. Two
+checkouts that print the same listing hash wrote byte-identical reports
+and printed the same text. Run from anywhere:
 
     python3 scripts/output_digest.py [--seed N] [--against FILE]
 
@@ -35,6 +36,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE = ROOT / "tests" / "data" / "student_sample.csv"
 
+# regime filters the sample's case study runs under: name -> config file text
+FILTERS = {
+    "eq_acc": "equal_access = true\n",
+    "uneq_out-eq_util": "equal_outcome = false\nequal_utilization = true\n",
+    "uneq_acc-eq_out-uneq_util": "equal_access = false\nequal_outcome = true\nequal_utilization = false\n",
+}
+
 
 def commands(run_seed: int, base: Path) -> list[list[str]]:
     """Every command to run, in order, writing under ``base``."""
@@ -47,6 +55,11 @@ def commands(run_seed: int, base: Path) -> list[list[str]]:
             argvs += op.argvs
     for fmt in ("json", "csv"):
         argvs.append(["--seed", "7", "--format", fmt, "--out", str(base / "sample" / fmt / "out"), "casestudy", str(SAMPLE)])
+    for name, text in FILTERS.items():
+        config = base / "filters" / name / "run.toml"
+        config.parent.mkdir(parents=True)
+        config.write_text(text)
+        argvs.append(["--config", str(config), "--seed", "7", "--out", str(config.parent / "out"), "casestudy", str(SAMPLE)])
     return argvs
 
 

@@ -9,6 +9,7 @@ Anything outside that subset is rejected with a line-numbered error.
 
 from __future__ import annotations
 
+import functools
 import numbers
 import types
 import typing
@@ -155,23 +156,24 @@ class RunConfig:
     train_fraction: float = 0.7
 
     def __post_init__(self):
-        hints = typing.get_type_hints(RunConfig)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not _has_type(value, hints[f.name]):
-                raise DataFormatError(f"config value {f.name} must be {f.type}, got {value!r}")
+        for name, hint, text in _field_types():
+            value = getattr(self, name)
+            if not _has_type(value, hint):
+                raise DataFormatError(f"config value {name} must be {text}, got {value!r}")
         if not 0 < self.tau <= 1:
             raise ValidationError("tau must be in (0, 1]")
         if not 0 <= self.tau_o < 1:
             raise ValidationError("tau_o must be in [0, 1)")
-        if self.epsilon < 0:
-            raise ValidationError("epsilon must be >= 0")
+        if not self.epsilon >= 0:  # a NaN too
+            raise ValidationError(f"epsilon must be >= 0, got {self.epsilon!r}")
         if not 0 < self.train_fraction < 1:
             raise ValidationError("train_fraction must be in (0, 1)")
         if not 0 <= self.pass_mark <= 20:
             raise ValidationError("pass_mark must be within the 0-20 grade scale")
-        if self.uplift_std_fraction < 0 or self.uplift_ordinal_step < 0:
-            raise ValidationError("uplift parameters must be nonnegative")
+        for name, value in (("uplift_std_fraction", self.uplift_std_fraction),
+                            ("uplift_ordinal_step", self.uplift_ordinal_step)):
+            if not value >= 0:  # a NaN too
+                raise ValidationError(f"{name} must be >= 0, got {value!r}")
         for fmt in self.formats:
             if fmt not in ("json", "csv"):
                 raise ValidationError(f"unknown report format {fmt!r}")
@@ -198,3 +200,14 @@ class RunConfig:
     def override(self, **kwargs) -> "RunConfig":
         updates = {k: v for k, v in kwargs.items() if v is not None}
         return replace(self, **updates) if updates else self
+
+
+@functools.cache
+def _field_types() -> tuple[tuple[str, object, str], ...]:
+    """``(name, annotation, annotation text)`` of every RunConfig field.
+
+    The annotations are strings until resolved; resolving them once per
+    process keeps ``typing.get_type_hints`` out of every construction.
+    """
+    hints = typing.get_type_hints(RunConfig)
+    return tuple((f.name, hints[f.name], f.type) for f in fields(RunConfig))

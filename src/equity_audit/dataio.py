@@ -36,7 +36,7 @@ import io
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, islice, product
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -107,16 +107,20 @@ _ORDINAL_AFFECTED = {"health", "study_time", "free_time"}
 
 @dataclass(frozen=True)
 class StudentTable:
-    """Parsed student file: column order plus typed row dicts."""
+    """Parsed student file: column order plus one column per name.
+
+    A known numeric column is an int64 array, any other a list of str. A
+    name given twice keeps its last column.
+    """
 
     columns: tuple[str, ...]
-    rows: tuple[dict, ...]
+    data: dict[str, np.ndarray | list[str]]
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.data[self.columns[0]])
 
-    def column(self, name: str) -> list:
-        return [row[name] for row in self.rows]
+    def column(self, name: str) -> np.ndarray | list[str]:
+        return self.data[name]
 
 
 @contextmanager
@@ -146,9 +150,12 @@ def _header_row(reader, path: Path) -> list[str]:
 def load_uci_students(path: str | Path) -> StudentTable:
     """Read a semicolon-delimited UTF-8 student file with a quoted header row.
 
-    Known numeric columns are converted to int; everything else stays a
-    string. Malformed cells raise with the data row number (1-based) and
-    column name.
+    Every line after the header is a row, a blank one too, and must have
+    as many fields as the header. Each cell is stripped of surrounding
+    whitespace, then of double quotes. Known numeric columns are converted
+    to int, within the int64 range; everything else stays a string. The
+    first fault in row order, and within a row in column order, is raised
+    with its data row number (1-based) and column name.
     """
     path = Path(path)
     with _text_file(path) as fh:
@@ -159,48 +166,96 @@ def load_uci_students(path: str | Path) -> StudentTable:
             raise DataFormatError(
                 f"missing expected columns: {', '.join(missing)}"
             )
-        numeric = set(UCI_NUMERIC_COLUMNS) & set(columns)
-        rows = []
-        rownum = 0
+        rows: list[list[str]] = []
         try:
-            for rownum, raw in enumerate(reader, start=1):
-                if len(raw) != len(columns):
+            rows.extend(reader)
+        except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
+            _student_columns_by_row(rows, columns)  # a fault in an earlier row comes first
+            raise DataFormatError(f"unreadable row: {exc}", row=len(rows) + 1) from None
+        except UnicodeDecodeError:
+            _student_columns_by_row(rows, columns)
+            raise
+    return StudentTable(columns=columns, data=dict(zip(columns, _student_columns(rows, columns))))
+
+
+def _student_columns(rows: list[list[str]], columns: tuple[str, ...]) -> list:
+    """Every column of ``rows``, converted a whole column at a time.
+
+    ``int()`` strips the whitespace ``str.strip`` does and rejects any
+    ``"``, so where it accepts every cell of a column it reads the values
+    the row-by-row check would; anything else goes to that check.
+    """
+    n = len(rows)
+    if set(map(len, rows)) == {len(columns)}:
+        try:
+            return [
+                np.fromiter(map(int, cells), np.int64, n)
+                if name in UCI_NUMERIC_COLUMNS
+                else list(map(str.strip, map(str.strip, cells), repeat('"')))
+                for name, cells in zip(columns, zip(*rows))
+            ]
+        except (ValueError, OverflowError):
+            pass
+    return _student_columns_by_row(rows, columns)
+
+
+def _student_columns_by_row(rows: list[list[str]], columns: tuple[str, ...]) -> list:
+    """The columns of ``rows`` converted cell by cell, raising the first fault in row order."""
+    values: list[list] = [[] for _ in columns]
+    for rownum, raw in enumerate(rows, start=1):
+        if len(raw) != len(columns):
+            raise DataFormatError(f"expected {len(columns)} fields, found {len(raw)}", row=rownum)
+        for name, cell, out in zip(columns, raw, values):
+            cell = cell.strip().strip('"')
+            if name in UCI_NUMERIC_COLUMNS:
+                try:
+                    number = int(cell)
+                except ValueError:
                     raise DataFormatError(
-                        f"expected {len(columns)} fields, found {len(raw)}", row=rownum
-                    )
-                parsed = {}
-                for col, cell in zip(columns, raw):
-                    cell = cell.strip().strip('"')
-                    if col in numeric:
-                        try:
-                            parsed[col] = int(cell)
-                        except ValueError:
-                            raise DataFormatError(
-                                f"expected an integer, got {cell!r}", row=rownum, column=col
-                            ) from None
-                    else:
-                        parsed[col] = cell
-                rows.append(parsed)
-        except csv.Error as exc:
-            raise DataFormatError(f"unreadable row: {exc}", row=rownum + 1) from None
-    return StudentTable(columns=columns, rows=tuple(rows))
+                        f"expected an integer, got {cell!r}", row=rownum, column=name
+                    ) from None
+                if number not in _INT64:
+                    raise DataFormatError(f"integer out of range, got {cell!r}", row=rownum, column=name)
+                out.append(number)
+            else:
+                out.append(cell)
+    return [
+        np.array(out, dtype=np.int64) if name in UCI_NUMERIC_COLUMNS else out
+        for name, out in zip(columns, values)
+    ]
+
+
+def _levels(table: StudentTable, column: str, codes: dict, expected: str) -> np.ndarray:
+    """The float codes of ``column``'s levels; the first unknown level is a fault naming its row."""
+    values = table.column(column)
+    try:
+        return np.fromiter(map(codes.__getitem__, values), float, len(values))
+    except KeyError as exc:
+        level = exc.args[0]
+        raise DataFormatError(
+            f"unknown level {level!r}; expected {expected}",
+            row=values.index(level) + 1,
+            column=column,
+        ) from None
 
 
 def derive_obstacle_flags(table: StudentTable) -> np.ndarray:
-    """Flag students whose family-background sum is strictly below median."""
-    sums = np.empty(len(table), dtype=float)
-    for i, row in enumerate(table.rows):
-        total = row["famrel"] + row["Medu"] + row["Fedu"]
-        for col, mapping in (("paid", YESNO_ORDINAL), ("Mjob", MJOB_ORDINAL), ("Fjob", MJOB_ORDINAL)):
-            level = row[col]
-            if level not in mapping:
-                raise DataFormatError(
-                    f"unknown level {level!r}; expected one of {sorted(mapping)}",
-                    row=i + 1,
-                    column=col,
-                )
-            total += mapping[level]
-        sums[i] = total
+    """Flag students whose family-background sum is strictly below median.
+
+    An unknown paid, Mjob or Fjob level is a fault; of several, the first
+    in row order (within a row, in that column order) is raised.
+    """
+    sums = sum(np.asarray(table.column(c), dtype=float) for c in ("famrel", "Medu", "Fedu"))
+    faults = []
+    for k, (column, codes) in enumerate(
+        (("paid", YESNO_ORDINAL), ("Mjob", MJOB_ORDINAL), ("Fjob", MJOB_ORDINAL))
+    ):
+        try:
+            sums = sums + _levels(table, column, codes, f"one of {sorted(codes)}")
+        except DataFormatError as exc:
+            faults.append((exc.row, k, exc))
+    if faults:
+        raise min(faults)[2]
     if len(table) == 0:
         return np.zeros(0, dtype=bool)
     return sums < np.median(sums)
@@ -217,12 +272,7 @@ class CaseStudyViews:
     om_intended: ObstacleModel
 
 
-def _encode_yes_no(value: str, rownum: int, column: str) -> float:
-    if value not in YESNO_ORDINAL:
-        raise DataFormatError(
-            f"unknown level {value!r}; expected 'yes' or 'no'", row=rownum, column=column
-        )
-    return float(YESNO_ORDINAL[value])
+_YES_OR_NO = "'yes' or 'no'"
 
 
 # per-student severity spread around the base uplift step; a constant
@@ -260,21 +310,12 @@ def build_case_study_views(table: StudentTable, cfg: RunConfig) -> CaseStudyView
     rng = np.random.default_rng([cfg.seed, 7919])
     flags = derive_obstacle_flags(table)
 
-    sex = np.empty(n, dtype=float)
-    for i, row in enumerate(table.rows):
-        if row["sex"] not in ("F", "M"):
-            raise DataFormatError(
-                f"unknown level {row['sex']!r}; expected 'F' or 'M'",
-                row=i + 1,
-                column="sex",
-            )
-        sex[i] = 1.0 if row["sex"] == "F" else 0.0
-
-    g1 = np.array(table.column("G1"), dtype=float)
-    g2 = np.array(table.column("G2"), dtype=float)
-    g3 = np.array(table.column("G3"), dtype=float)
-    studytime = np.array(table.column("studytime"), dtype=float)
-    famrel = np.array(table.column("famrel"), dtype=float)
+    sex = _levels(table, "sex", {"F": 1.0, "M": 0.0}, "'F' or 'M'")
+    g1, g2, g3, studytime, famrel, health, absences, traveltime, freetime, medu, fedu = (
+        np.asarray(table.column(c), dtype=float)
+        for c in ("G1", "G2", "G3", "studytime", "famrel", "health", "absences", "traveltime",
+                  "freetime", "Medu", "Fedu")
+    )
 
     # derived decision columns (seeded, documented in the README)
     test_scores = (g1 + g2) / 2.0
@@ -283,12 +324,7 @@ def build_case_study_views(table: StudentTable, cfg: RunConfig) -> CaseStudyView
     grades = g1.copy()
     letter = famrel.copy()
     if "activities" in table.columns:
-        extracurricular = np.array(
-            [
-                _encode_yes_no(row["activities"], i + 1, "activities")
-                for i, row in enumerate(table.rows)
-            ]
-        )
+        extracurricular = _levels(table, "activities", YESNO_ORDINAL, _YES_OR_NO)
     else:
         extracurricular = (rng.random(n) < 0.5).astype(float)
 
@@ -297,18 +333,8 @@ def build_case_study_views(table: StudentTable, cfg: RunConfig) -> CaseStudyView
     )
     proxy_z = _uplift(proxy_x, flags, PROXY_FEATURES, PROXY_AFFECTED, _PROXY_RANGES, cfg, rng)
 
-    health = np.array(table.column("health"), dtype=float)
-    absences = np.array(table.column("absences"), dtype=float)
-    traveltime = np.array(table.column("traveltime"), dtype=float)
-    freetime = np.array(table.column("freetime"), dtype=float)
-    medu = np.array(table.column("Medu"), dtype=float)
-    fedu = np.array(table.column("Fedu"), dtype=float)
-    paid = np.array(
-        [_encode_yes_no(row["paid"], i + 1, "paid") for i, row in enumerate(table.rows)]
-    )
-    romantic = np.array(
-        [_encode_yes_no(row["romantic"], i + 1, "romantic") for i, row in enumerate(table.rows)]
-    )
+    paid = _levels(table, "paid", YESNO_ORDINAL, _YES_OR_NO)
+    romantic = _levels(table, "romantic", YESNO_ORDINAL, _YES_OR_NO)
 
     intended_x = np.column_stack(
         [sex, health, studytime, -absences, traveltime, paid, freetime, romantic, medu, fedu]
@@ -413,12 +439,12 @@ class CaseStudyResult:
         }
 
 
-def _regime_settings(cfg: RunConfig) -> list[tuple[bool, bool, bool]]:
-    axes = [
+def _regime_axes(cfg: RunConfig) -> list[tuple[bool, ...]]:
+    """The settings each of the access, outcome and utilization switches runs."""
+    return [
         (True, False) if flag is None else (flag,)
         for flag in (cfg.equal_access, cfg.equal_outcome, cfg.equal_utilization)
     ]
-    return list(product(*axes))
 
 
 # Half of a flagged student's uplift is credited to decision-time
@@ -442,6 +468,12 @@ def run_case_study(cfg: RunConfig, views: CaseStudyViews | None = None) -> CaseS
     whether evaluation-side obstacles are alleviated before the evaluation
     model scores the admitted students. Obstacles not alleviated at
     decision time carry into the evaluation (``ACCESS_CARRY_FRACTION``).
+
+    Each side is computed once per setting of the switches it depends on:
+    the revealed data and the access report per access setting, the
+    threshold walk, the outcome report and the admits per (access,
+    outcome), and only the evaluation per regime. Regimes come in the
+    order of ``itertools.product`` over the three switches.
 
     ``cfg.seed`` seeds the train/test split and, unless ``views`` are
     given, the views built from ``cfg.input_path``; views built with
@@ -485,106 +517,109 @@ def run_case_study(cfg: RunConfig, views: CaseStudyViews | None = None) -> CaseS
     x_intended = views.intended.x_matrix()
     uplift_t = views.intended.z_matrix() - x_intended
 
-    regimes: list[RegimeResult] = []
-    for eq_access, eq_outcome, eq_util in _regime_settings(cfg):
-        name = regime_name(eq_access, eq_outcome, eq_util)
-        degenerate: list[str] = []
+    # the audit measures the odds gap against obstacle-free labels:
+    # received labels would let an unequal-access deployment look
+    # outcome-equal on the very data its obstacles distorted
+    def audited_outcome(preds):
+        return eo_violation(preds, y_free[test_idx], groups[test_idx], cfg.epsilon)
 
+    access_axis, outcome_axis, util_axis = _regime_axes(cfg)
+    regimes: list[RegimeResult] = []
+    for eq_access in access_axis:
         access_policy = Policy(float("inf")) if eq_access else Policy(0.0)
         x_rev, y_rev, accessed = reveal_population(views.proxy, views.om_proxy, access_policy)
         access_report = access_from_mask(accessed, groups)
+        base_preds = np.asarray(predict(proxy_model, x_rev[test_idx]))
 
-        # the audit measures the odds gap against obstacle-free labels:
-        # received labels would let an unequal-access deployment look
-        # outcome-equal on the very data its obstacles distorted
-        def audited_outcome(preds):
-            return eo_violation(preds, y_free[test_idx], groups[test_idx], cfg.epsilon)
-
-        preds_test = np.asarray(predict(proxy_model, x_rev[test_idx]))
-        outcome_report = None
-        selected_thresholds = None
-        if eq_outcome:
-            # the decision-maker walks threshold pairs ranked on the data
-            # they receive, stopping once the audited gap clears tau_o;
-            # failing that, the best pair found within the cap stands
-            try:
-                pairs = candidate_group_thresholds(
-                    proxy_model,
-                    x_rev[train_idx],
-                    y_rev[train_idx],
-                    groups[train_idx],
-                    tau_o=cfg.tau_o,
-                    k=25,
-                )
-            except ValidationError as exc:
-                degenerate.append(f"outcome equalization skipped: {exc}")
-                pairs = []
-            best = None
-            for thresholds in pairs:
-                candidate_preds = predict_with_group_thresholds(
-                    proxy_model, x_rev[test_idx], groups[test_idx], thresholds
-                )
+        for eq_outcome in outcome_axis:
+            degenerate: list[str] = []
+            preds_test = base_preds
+            outcome_report = None
+            selected_thresholds = None
+            if eq_outcome:
+                # the decision-maker walks threshold pairs ranked on the data
+                # they receive, stopping once the audited gap clears tau_o;
+                # failing that, the best pair found within the cap stands
                 try:
-                    candidate_report = audited_outcome(candidate_preds)
+                    pairs = candidate_group_thresholds(
+                        proxy_model,
+                        x_rev[train_idx],
+                        y_rev[train_idx],
+                        groups[train_idx],
+                        tau_o=cfg.tau_o,
+                        k=25,
+                    )
+                except ValidationError as exc:
+                    degenerate.append(f"outcome equalization skipped: {exc}")
+                    pairs = []
+                best = None
+                for thresholds in pairs:
+                    candidate_preds = predict_with_group_thresholds(
+                        proxy_model, x_rev[test_idx], groups[test_idx], thresholds
+                    )
+                    try:
+                        candidate_report = audited_outcome(candidate_preds)
+                    except UndefinedRateError as exc:
+                        degenerate.append(f"omega undefined: {exc}")
+                        break
+                    if best is None or candidate_report.eo_violation < best[0].eo_violation:
+                        best = (candidate_report, candidate_preds, thresholds)
+                    if candidate_report.eo_violation <= cfg.tau_o:
+                        break
+                if best is not None:
+                    outcome_report, preds_test, selected_thresholds = best
+            if outcome_report is None:
+                try:
+                    outcome_report = audited_outcome(preds_test)
                 except UndefinedRateError as exc:
                     degenerate.append(f"omega undefined: {exc}")
-                    break
-                if best is None or candidate_report.eo_violation < best[0].eo_violation:
-                    best = (candidate_report, candidate_preds, thresholds)
-                if candidate_report.eo_violation <= cfg.tau_o:
-                    break
-            if best is not None:
-                outcome_report, preds_test, selected_thresholds = best
-        if outcome_report is None:
-            try:
-                outcome_report = audited_outcome(preds_test)
-            except UndefinedRateError as exc:
-                degenerate.append(f"omega undefined: {exc}")
 
-        # admissibility is a population-level figure: who would this
-        # deployment admit, across every student in the file
-        if selected_thresholds is not None:
-            preds_all = predict_with_group_thresholds(
-                proxy_model, x_rev, groups, selected_thresholds
-            )
-        else:
-            preds_all = np.asarray(predict(proxy_model, x_rev))
-        admissibility = {g: float(np.mean(preds_all[groups == g])) for g in (0, 1)}
+            # admissibility is a population-level figure: who would this
+            # deployment admit, across every student in the file
+            if selected_thresholds is not None:
+                preds_all = predict_with_group_thresholds(
+                    proxy_model, x_rev, groups, selected_thresholds
+                )
+            else:
+                preds_all = np.asarray(predict(proxy_model, x_rev))
+            admissibility = {g: float(np.mean(preds_all[groups == g])) for g in (0, 1)}
 
-        util_report = None
-        tp_share = fp_share = None
-        fp_by_group: dict[int, float] = {}
-        accepted_rows = test_idx[preds_test == 1]
-        if accepted_rows.size == 0:
-            degenerate.append("no admitted students to evaluate")
-        else:
-            alleviated = ACCESS_CARRY_FRACTION * eq_access + (1 - ACCESS_CARRY_FRACTION) * eq_util
-            x_eval = x_intended + alleviated * uplift_t
-            y_tt = np.asarray(predict(intended_model, x_eval[accepted_rows]))
-            util_report = utilization_from_labels(y_tt, groups[accepted_rows])
-            tp_share = util_report.true_positive_share
-            fp_share = util_report.false_positive_share
-            fp_by_group = util_report.per_group_fp_share
+            accepted_rows = test_idx[preds_test == 1]
+            if accepted_rows.size == 0:
+                degenerate.append("no admitted students to evaluate")
+            x_accepted, uplift_accepted = x_intended[accepted_rows], uplift_t[accepted_rows]
 
-        report = None
-        if outcome_report is not None and util_report is not None:
-            report = EquityReport.from_reports(
-                access_report, outcome_report, util_report, gaps
-            )
-        regimes.append(
-            RegimeResult(
-                name=name,
-                equal_access=eq_access,
-                equal_outcome=eq_outcome,
-                equal_utilization=eq_util,
-                report=report,
-                admissibility_by_group=admissibility,
-                tp_share=tp_share,
-                fp_share=fp_share,
-                fp_share_by_group=fp_by_group,
-                degenerate=tuple(degenerate),
-            )
-        )
+            for eq_util in util_axis:
+                util_report = None
+                tp_share = fp_share = None
+                fp_by_group: dict[int, float] = {}
+                if accepted_rows.size:
+                    alleviated = ACCESS_CARRY_FRACTION * eq_access + (1 - ACCESS_CARRY_FRACTION) * eq_util
+                    y_tt = np.asarray(predict(intended_model, x_accepted + alleviated * uplift_accepted))
+                    util_report = utilization_from_labels(y_tt, groups[accepted_rows])
+                    tp_share = util_report.true_positive_share
+                    fp_share = util_report.false_positive_share
+                    fp_by_group = util_report.per_group_fp_share
+
+                report = None
+                if outcome_report is not None and util_report is not None:
+                    report = EquityReport.from_reports(
+                        access_report, outcome_report, util_report, gaps
+                    )
+                regimes.append(
+                    RegimeResult(
+                        name=regime_name(eq_access, eq_outcome, eq_util),
+                        equal_access=eq_access,
+                        equal_outcome=eq_outcome,
+                        equal_utilization=eq_util,
+                        report=report,
+                        admissibility_by_group=dict(admissibility),
+                        tp_share=tp_share,
+                        fp_share=fp_share,
+                        fp_share_by_group=fp_by_group,
+                        degenerate=tuple(degenerate),
+                    )
+                )
 
     return CaseStudyResult(
         regimes=tuple(regimes),

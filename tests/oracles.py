@@ -9,7 +9,9 @@ long-run reference for the package's Newton fit: a pure-Python loop would
 need minutes for the thousands of full-batch steps it takes. The mask-based
 equalized-odds violation and the decision-matrix threshold grid are the
 package's earlier implementations, kept to pin their counting replacements
-bit for bit.
+bit for bit. The case-study oracle is the package's earlier per-regime
+loop: it calls the package's training, threshold and metric functions and
+pins only how the loop combines them.
 """
 
 from __future__ import annotations
@@ -221,3 +223,141 @@ def threshold_grid_dense(scores, labels, groups, decision_threshold, n_candidate
     gap = np.abs(tpr0[:, None] - tpr1[None, :]) + np.abs(fpr0[:, None] - fpr1[None, :])
     combined_acc = w0 * acc0[:, None] + w1 * acc1[None, :]
     return per_group, gap, combined_acc
+
+
+def case_study_oracle(cfg, views):
+    """The case study run one regime at a time, every side recomputed per regime.
+
+    The package's earlier ``run_case_study`` loop, kept to pin the one that
+    computes each side once per setting of the axes it depends on. It calls
+    the package's own training, reveal, threshold and metric functions.
+    """
+    from itertools import product
+
+    from equity_audit.core import Policy, reveal_population
+    from equity_audit.dataio import (
+        ACCESS_CARRY_FRACTION,
+        INTENDED_FEATURES,
+        PROXY_FEATURES,
+        CaseStudyResult,
+        RegimeResult,
+        regime_name,
+    )
+    from equity_audit.errors import SingleClassError, UndefinedRateError, ValidationError
+    from equity_audit.learner import (
+        ModelSpec,
+        candidate_group_thresholds,
+        predict,
+        predict_with_group_thresholds,
+        train,
+    )
+    from equity_audit.metrics import (
+        EquityReport,
+        access_from_mask,
+        compute_gap_report,
+        eo_violation,
+        utilization_from_labels,
+    )
+    from equity_audit.scoring import _split_indices
+
+    n = len(views.proxy)
+    if n < 10:
+        raise ValidationError("case study needs at least 10 students")
+    train_idx, test_idx = _split_indices(n, cfg.train_fraction, cfg.seed)
+    groups = views.proxy.groups()
+    y_all = views.proxy.labels()
+    y_free = views.proxy.labels_prime()
+    x_proxy = views.proxy.x_matrix()
+    try:
+        proxy_model = train(ModelSpec(PROXY_FEATURES), x_proxy[train_idx], y_all[train_idx], cfg.seed)
+        intended_model = train(
+            ModelSpec(INTENDED_FEATURES), views.intended.z_matrix()[train_idx], y_free[train_idx], cfg.seed
+        )
+    except SingleClassError as exc:
+        raise ValidationError(f"case study training degenerate: {exc}") from exc
+    gaps = compute_gap_report(
+        list(PROXY_FEATURES), list(INTENDED_FEATURES), proxy_model.importance,
+        intended_model.importance, views.om_proxy, views.om_intended,
+    )
+    x_intended = views.intended.x_matrix()
+    uplift_t = views.intended.z_matrix() - x_intended
+
+    def audited_outcome(preds):
+        return eo_violation(preds, y_free[test_idx], groups[test_idx], cfg.epsilon)
+
+    axes = [
+        (True, False) if flag is None else (flag,)
+        for flag in (cfg.equal_access, cfg.equal_outcome, cfg.equal_utilization)
+    ]
+    regimes = []
+    for eq_access, eq_outcome, eq_util in product(*axes):
+        degenerate = []
+        policy = Policy(float("inf")) if eq_access else Policy(0.0)
+        x_rev, y_rev, accessed = reveal_population(views.proxy, views.om_proxy, policy)
+        access_report = access_from_mask(accessed, groups)
+        preds_test = np.asarray(predict(proxy_model, x_rev[test_idx]))
+        outcome_report = None
+        selected = None
+        if eq_outcome:
+            try:
+                pairs = candidate_group_thresholds(
+                    proxy_model, x_rev[train_idx], y_rev[train_idx], groups[train_idx], tau_o=cfg.tau_o, k=25
+                )
+            except ValidationError as exc:
+                degenerate.append(f"outcome equalization skipped: {exc}")
+                pairs = []
+            best = None
+            for thresholds in pairs:
+                candidate_preds = predict_with_group_thresholds(
+                    proxy_model, x_rev[test_idx], groups[test_idx], thresholds
+                )
+                try:
+                    candidate_report = audited_outcome(candidate_preds)
+                except UndefinedRateError as exc:
+                    degenerate.append(f"omega undefined: {exc}")
+                    break
+                if best is None or candidate_report.eo_violation < best[0].eo_violation:
+                    best = (candidate_report, candidate_preds, thresholds)
+                if candidate_report.eo_violation <= cfg.tau_o:
+                    break
+            if best is not None:
+                outcome_report, preds_test, selected = best
+        if outcome_report is None:
+            try:
+                outcome_report = audited_outcome(preds_test)
+            except UndefinedRateError as exc:
+                degenerate.append(f"omega undefined: {exc}")
+        if selected is not None:
+            preds_all = predict_with_group_thresholds(proxy_model, x_rev, groups, selected)
+        else:
+            preds_all = np.asarray(predict(proxy_model, x_rev))
+        admissibility = {g: float(np.mean(preds_all[groups == g])) for g in (0, 1)}
+
+        util_report = None
+        tp_share = fp_share = None
+        fp_by_group = {}
+        accepted_rows = test_idx[preds_test == 1]
+        if accepted_rows.size == 0:
+            degenerate.append("no admitted students to evaluate")
+        else:
+            alleviated = ACCESS_CARRY_FRACTION * eq_access + (1 - ACCESS_CARRY_FRACTION) * eq_util
+            x_eval = x_intended + alleviated * uplift_t
+            y_tt = np.asarray(predict(intended_model, x_eval[accepted_rows]))
+            util_report = utilization_from_labels(y_tt, groups[accepted_rows])
+            tp_share = util_report.true_positive_share
+            fp_share = util_report.false_positive_share
+            fp_by_group = util_report.per_group_fp_share
+        report = None
+        if outcome_report is not None and util_report is not None:
+            report = EquityReport.from_reports(access_report, outcome_report, util_report, gaps)
+        regimes.append(
+            RegimeResult(
+                name=regime_name(eq_access, eq_outcome, eq_util), equal_access=eq_access,
+                equal_outcome=eq_outcome, equal_utilization=eq_util, report=report,
+                admissibility_by_group=admissibility, tp_share=tp_share, fp_share=fp_share,
+                fp_share_by_group=fp_by_group, degenerate=tuple(degenerate),
+            )
+        )
+    return CaseStudyResult(
+        regimes=tuple(regimes), gaps=gaps, proxy_model=proxy_model, intended_model=intended_model
+    )

@@ -192,6 +192,19 @@ class TestAudit:
         assert run_cli("--config", str(config), "--out", str(tmp_path / "r"), "audit", str(audit_csv)) == 2
         assert "tau" in capsys.readouterr().err
 
+    def test_nan_epsilon_exit_2(self, audit_csv, tmp_path, capsys):
+        config = tmp_path / "run.toml"
+        config.write_text("epsilon = nan\n")
+        assert run_cli("--config", str(config), "--out", str(tmp_path / "r"), "audit", str(audit_csv)) == 2
+        assert "error: epsilon must be >= 0, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_nan_uplift_exit_2(self, student_path, tmp_path, capsys):
+        config = tmp_path / "run.toml"
+        config.write_text("uplift_std_fraction = nan\n")
+        assert run_cli("--config", str(config), "--out", str(tmp_path / "r"), "casestudy", str(student_path)) == 2
+        assert "error: uplift_std_fraction must be >= 0, got nan" in capsys.readouterr().err
+
     def test_directory_input_exit_2(self, tmp_path, capsys):
         folder = tmp_path / "some_dir.csv"
         folder.mkdir()

@@ -1,4 +1,6 @@
 import csv
+import importlib.util
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,12 +10,13 @@ from hypothesis import strategies as st
 
 from equity_audit import dataio
 from equity_audit.config import RunConfig, parse_toml_subset
-from equity_audit.core import Population, dominates
+from equity_audit.core import ObstacleModel, Population, dominates
 from equity_audit.dataio import (
     INTENDED_AFFECTED,
     INTENDED_FEATURES,
     PROXY_AFFECTED,
     PROXY_FEATURES,
+    CaseStudyViews,
     StudentTable,
     build_case_study_views,
     derive_obstacle_flags,
@@ -24,6 +27,7 @@ from equity_audit.dataio import (
     run_case_study,
 )
 from equity_audit.errors import DataFormatError, EquityAuditError, ValidationError
+from oracles import case_study_oracle
 
 UCI_HEADER = (
     '"school";"sex";"age";"address";"famsize";"Pstatus";"Medu";"Fedu";"Mjob";"Fjob";'
@@ -96,8 +100,8 @@ class TestLoader:
 
 class TestObstacleFlags:
     def _table(self, rows):
-        columns = tuple(h.strip('"') for h in UCI_HEADER.split(";"))
-        return StudentTable(columns=columns, rows=tuple(rows))
+        columns = tuple(rows[0])
+        return StudentTable(columns=columns, data={c: [row[c] for row in rows] for c in columns})
 
     def _row(self, paid, famrel, mjob, fjob, medu, fedu):
         return {
@@ -124,6 +128,117 @@ class TestObstacleFlags:
     def test_real_file_flag_rate_interior(self, student_path):
         flags = derive_obstacle_flags(load_uci_students(student_path))
         assert 0.0 < flags.mean() < 1.0
+
+
+def write_students(path, rows):
+    path.write_text(UCI_HEADER + "\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def _view_fault(path) -> DataFormatError:
+    return _raises(lambda p: build_case_study_views(load_uci_students(p), RunConfig()), path)
+
+
+class TestStudentFileFaults:
+    """Which fault a bad student file reports: the first in row order, and
+    within a row the first in file column order. The level checks of the
+    views run after the loader: the obstacle-flag columns (paid, Mjob,
+    Fjob) in row order first, then sex, activities and romantic, one whole
+    column at a time."""
+
+    def test_blank_line_is_a_row_without_fields(self, tmp_path):
+        err = _raises(load_uci_students, write_students(tmp_path / "s.csv", [uci_row(), "", uci_row()]))
+        assert str(err) == "expected 33 fields, found 0 (row 2)"
+        assert (err.row, err.column) == (2, None)
+
+    def test_earlier_bad_cell_wins_over_later_ragged_row(self, tmp_path):
+        rows = [uci_row() for _ in range(10)]
+        rows[4] = uci_row(age="old")
+        rows[7] = uci_row() + ';"extra"'
+        err = _raises(load_uci_students, write_students(tmp_path / "s.csv", rows))
+        assert str(err) == "expected an integer, got 'old' (row 5, column 'age')"
+        rows[4] = uci_row()
+        err = _raises(load_uci_students, write_students(tmp_path / "s.csv", rows))
+        assert str(err) == "expected 33 fields, found 34 (row 8)"
+
+    def test_file_column_order_within_a_row(self, tmp_path):
+        rows = [uci_row(), uci_row(G1="x", absences="y", Medu="z")]
+        err = _raises(load_uci_students, write_students(tmp_path / "s.csv", rows))
+        assert (err.row, err.column) == (2, "Medu")
+        assert "got 'z'" in str(err)
+
+    def test_unreadable_row_named(self, tmp_path):
+        huge = "1" * 200_000
+        path = write_students(tmp_path / "s.csv", [uci_row(), uci_row(G3=huge), uci_row(age="old")])
+        err = _raises(load_uci_students, path)
+        assert err.row == 2 and err.column is None and "unreadable row" in str(err)
+        err = _raises(load_uci_students, write_students(tmp_path / "s.csv", [uci_row(), uci_row(age="old"), uci_row(G3=huge)]))
+        assert (err.row, err.column) == (2, "age")
+
+    def test_integer_beyond_int64_names_the_cell(self, tmp_path):
+        rows = [uci_row(), uci_row(G1=str(2**63), age="old"), uci_row(absences=str(-(2**63) - 1))]
+        err = _raises(load_uci_students, write_students(tmp_path / "s.csv", rows))
+        assert str(err) == "expected an integer, got 'old' (row 2, column 'age')"
+        rows[1] = uci_row(G1=str(2**63))
+        err = _raises(load_uci_students, write_students(tmp_path / "s.csv", rows))
+        assert str(err) == f"integer out of range, got '{2**63}' (row 2, column 'G1')"
+        rows[1] = uci_row(G1=str(2**63 - 1))
+        err = _raises(load_uci_students, write_students(tmp_path / "s.csv", rows))
+        assert (err.row, err.column) == (3, "absences")
+
+    def test_earlier_bad_cell_wins_over_later_undecodable_byte(self, tmp_path):
+        rows = [uci_row() for _ in range(300)]
+        rows[1] = uci_row(age="old")
+        path = tmp_path / "s.csv"
+        path.write_bytes((UCI_HEADER + "\n" + "\n".join(rows) + "\n").encode() + b"\xff\n")
+        err = _raises(load_uci_students, path)
+        assert (err.row, err.column) == (2, "age")
+        rows[1] = uci_row()
+        path.write_bytes((UCI_HEADER + "\n" + "\n".join(rows) + "\n").encode() + b"\xff\n")
+        assert "UTF-8" in str(_raises(load_uci_students, path))
+
+    def test_spaced_and_quoted_cells_accepted(self, tmp_path):
+        table = load_uci_students(write_students(tmp_path / "s.csv", [uci_row(age=' "18" ', sex=" M ")]))
+        assert list(table.column("age")) == [18]
+        assert list(table.column("sex")) == ["M"]
+
+    def test_flag_stage_fault_wins_over_earlier_view_stage_fault(self, tmp_path):
+        rows = [uci_row(sex="F" if i % 2 else "M") for i in range(12)]
+        rows[6] = uci_row(sex="X")
+        rows[9] = uci_row(paid="maybe")
+        err = _view_fault(write_students(tmp_path / "s.csv", rows))
+        assert (err.row, err.column) == (10, "paid")
+        assert "'maybe'" in str(err)
+
+    def test_flag_columns_checked_in_row_order(self, tmp_path):
+        rows = [uci_row() for _ in range(6)]
+        rows[2] = uci_row(Fjob="astronaut")
+        rows[3] = uci_row(paid="maybe")
+        err = _view_fault(write_students(tmp_path / "s.csv", rows))
+        assert (err.row, err.column) == (3, "Fjob")
+        rows[2] = uci_row(paid="maybe", Mjob="astronaut")
+        err = _view_fault(write_students(tmp_path / "s.csv", rows))
+        assert (err.row, err.column) == (3, "paid")
+
+    def test_view_columns_checked_one_column_at_a_time(self, tmp_path):
+        rows = [uci_row() for _ in range(10)]
+        rows[1] = uci_row(activities="often", romantic="maybe")
+        rows[8] = uci_row(sex="X")
+        err = _view_fault(write_students(tmp_path / "s.csv", rows))
+        assert (err.row, err.column) == (9, "sex")
+        rows[8] = uci_row(activities="never")
+        err = _view_fault(write_students(tmp_path / "s.csv", rows))
+        assert (err.row, err.column) == (2, "activities")
+
+    @pytest.mark.parametrize(
+        "column, expected", [("sex", "expected 'F' or 'M'"), ("activities", "expected 'yes' or 'no'"),
+                             ("romantic", "expected 'yes' or 'no'")]
+    )
+    def test_unknown_view_level_names_row_and_column(self, tmp_path, column, expected):
+        rows = [uci_row() for _ in range(5)]
+        rows[2] = uci_row(**{column: "other"})
+        err = _view_fault(write_students(tmp_path / "s.csv", rows))
+        assert str(err) == f"unknown level 'other'; {expected} (row 3, column {column!r})"
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +332,100 @@ class TestRunCaseStudy:
         result = run_case_study(cfg)
         assert len(result.regimes) == 2
         assert all(r.equal_access and r.equal_utilization for r in result.regimes)
+
+
+SETTINGS = [None, True, False]
+ALL_FILTERS = [
+    {"equal_access": a, "equal_outcome": o, "equal_utilization": u}
+    for a in SETTINGS for o in SETTINGS for u in SETTINGS
+]
+
+
+def _student_sample_module():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "make_student_sample.py"
+    spec = importlib.util.spec_from_file_location("make_student_sample", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _assert_matches_oracle(cfg, views):
+    result, expected = run_case_study(cfg, views), case_study_oracle(cfg, views)
+    assert result.to_dict() == expected.to_dict()
+    assert result.proxy_model.to_dict() == expected.proxy_model.to_dict()
+    assert result.intended_model.to_dict() == expected.intended_model.to_dict()
+    return result
+
+
+def _hand_views(y, y_prime, grp, flags, seed=0) -> CaseStudyViews:
+    """Views of random features whose flagged rows carry one unit of uplift on an affected column."""
+    rng = np.random.default_rng(seed)
+    n = len(y)
+    ids = [f"h{i}" for i in range(n)]
+
+    def view(names, affected):
+        x = rng.normal(size=(n, len(names)))
+        z = x.copy()
+        z[flags, names.index(affected[0])] += 1.0
+        alpha = np.array([1.0 if f in affected else 0.0 for f in names])
+        return Population(x, z, y, y_prime, grp, ids, names, "sex"), ObstacleModel.from_alpha(alpha)
+
+    proxy, om_proxy = view(PROXY_FEATURES, PROXY_AFFECTED)
+    intended, om_intended = view(INTENDED_FEATURES, INTENDED_AFFECTED)
+    return CaseStudyViews(proxy, intended, np.asarray(flags), om_proxy, om_intended)
+
+
+def _degenerate_views() -> dict[str, CaseStudyViews]:
+    n = 60
+    grp = np.arange(n) % 2
+    flags = np.arange(n) % 3 == 0
+    mixed = (np.arange(n) // 2) % 2
+    # group 1 is all positive once obstacles are gone, but its flagged
+    # members received negatives: equal access leaves the threshold search
+    # one class short for group 1, and the audit has no group-1 negatives
+    y_prime = np.where(grp == 1, 1, mixed)
+    y = np.where((grp == 1) & flags, 0, y_prime)
+    # about one positive in seven on uninformative features: the plain
+    # model admits nobody
+    rare = (np.arange(n) % 7 == 3).astype(int)
+    return {
+        "one-class group": _hand_views(y, y_prime, grp, flags),
+        "rare positives": _hand_views(rare, rare, grp, flags, seed=1),
+    }
+
+
+class TestCaseStudyAgainstOracle:
+    """The case study equals its per-regime loop (tests/oracles.py) under
+    every regime filter, degenerate regimes included."""
+
+    @pytest.mark.parametrize("filters", ALL_FILTERS, ids=lambda f: "-".join(map(str, f.values())))
+    def test_bundled_sample(self, student_path, result, filters):
+        cfg = RunConfig(input_path=str(student_path), seed=7, **filters)
+        regimes = _assert_matches_oracle(cfg, build_case_study_views(load_uci_students(student_path), cfg)).regimes
+        # a filter selects regimes of the full run and changes none of them
+        assert [r.to_dict() for r in regimes] == [result.regime(r.name).to_dict() for r in regimes]
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_generated_files(self, tmp_path, seed):
+        module = _student_sample_module()
+        path = tmp_path / "students.csv"
+        module.write_csv(module.generate(seed=seed, n=150), path)
+        views = build_case_study_views(load_uci_students(path), RunConfig(seed=seed))
+        for filters in ALL_FILTERS:
+            _assert_matches_oracle(RunConfig(seed=seed, **filters), views)
+
+    def test_degenerate_regimes(self):
+        raised = set()
+        for views in _degenerate_views().values():
+            for seed in (0, 1):
+                for filters in ALL_FILTERS:
+                    for r in _assert_matches_oracle(RunConfig(seed=seed, **filters), views).regimes:
+                        raised |= {m.split(":")[0] for m in r.degenerate}
+                        if any(m.startswith(("omega", "no admitted")) for m in r.degenerate):
+                            assert r.report is None
+        assert raised == {
+            "omega undefined", "no admitted students to evaluate", "outcome equalization skipped",
+        }
 
 
 class TestAuxiliaryLoaders:
@@ -750,6 +959,13 @@ class TestRunConfigToml:
         assert RunConfig(tau=1, epsilon=0).tau == 1
         with pytest.raises(DataFormatError):
             RunConfig(tau=True)
+
+    def test_field_types_resolved_once(self):
+        RunConfig()
+        with mock.patch("typing.get_type_hints", side_effect=AssertionError("resolved again")):
+            assert RunConfig(seed=3).override(tau=0.5).tau == 0.5
+            with pytest.raises(DataFormatError, match=r"config value seed must be int, got 1\.5"):
+                RunConfig(seed=1.5)
 
     def test_override(self):
         cfg = RunConfig().override(seed=3, out_dir=None)
