@@ -166,6 +166,8 @@ class RunConfig:
             raise ValidationError("tau_o must be in [0, 1)")
         if not self.epsilon >= 0:  # a NaN too
             raise ValidationError(f"epsilon must be >= 0, got {self.epsilon!r}")
+        if self.epsilon == float("inf"):  # would call every log outcome-equal
+            raise ValidationError(f"epsilon must be finite, got {self.epsilon!r}")
         if not 0 < self.train_fraction < 1:
             raise ValidationError("train_fraction must be in (0, 1)")
         if not 0 <= self.pass_mark <= 20:

@@ -33,9 +33,12 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import stat
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -55,7 +58,9 @@ from .learner import (
     ModelSpec,
     TrainedModel,
     candidate_group_thresholds,
+    group_cutoffs,
     predict,
+    predict_proba,
     predict_with_group_thresholds,
     train,
 )
@@ -553,10 +558,10 @@ def run_case_study(cfg: RunConfig, views: CaseStudyViews | None = None) -> CaseS
                     degenerate.append(f"outcome equalization skipped: {exc}")
                     pairs = []
                 best = None
+                # scored once, cut per pair as predict_with_group_thresholds cuts
+                test_scores = np.asarray(predict_proba(proxy_model, x_rev[test_idx]), dtype=float)
                 for thresholds in pairs:
-                    candidate_preds = predict_with_group_thresholds(
-                        proxy_model, x_rev[test_idx], groups[test_idx], thresholds
-                    )
+                    candidate_preds = (test_scores >= group_cutoffs(groups[test_idx], thresholds)).astype(int)
                     try:
                         candidate_report = audited_outcome(candidate_preds)
                     except UndefinedRateError as exc:
@@ -638,6 +643,8 @@ _BLOCK_CHARS = 1 << 16
 # parser skips as whitespace. Non-ASCII text is kept from numpy as well: its
 # integer parser reads some code points as digits.
 _NOT_PLAIN = '"\r\x1c\x1d\x1e\x1f'
+# suffixes numpy's reader opens through a decompressor when given a path
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 _INT64 = range(-(2**63), 2**63)
 _DTYPES = {int: np.int64, float: np.float64, str: object}
 
@@ -667,35 +674,87 @@ def _convert_batch(batch: list, first_row: int, cols: list, fault) -> list[np.nd
     return [np.fromiter(out, _DTYPES[convert], len(out)) for (_, _, convert), out in zip(cols, values)]
 
 
-def _plain_columns(block: str, cols: list) -> list[np.ndarray] | None:
-    """The chosen columns of a block of whole lines, read by numpy's C reader.
-
-    None unless the block is plain: ASCII with none of ``_NOT_PLAIN``, no
-    line longer than the csv module's field size limit, and read by
-    ``np.loadtxt`` without an error or a warning. On plain text numpy
-    accepts a subset of what ``csv.reader`` and ``int()``/``float()``
-    accept and gives the same values, so any other block (a bad cell, a
-    short row, ``1_0``) goes to the csv path, which reports the fault.
-    """
+def _is_plain(block: str) -> bool:
+    """Whether a block of whole lines is plain: ASCII, none of ``_NOT_PLAIN``, no line over the field size limit."""
     limit = csv.field_size_limit()
-    if (
-        not block.isascii()
-        or any(c in block for c in _NOT_PLAIN)
-        or len(block) > limit and max(map(len, block.split("\n"))) > limit
-    ):
-        return None
+    return (
+        block.isascii()
+        and not any(c in block for c in _NOT_PLAIN)
+        and not (len(block) > limit and max(map(len, block.split("\n"))) > limit)
+    )
+
+
+def _loadtxt(source, cols: list, skiprows: int = 0) -> list[np.ndarray] | None:
+    """The chosen columns of ``source`` read by ``np.loadtxt``; None on an error or a warning.
+
+    Each column is a view into one structured table. Copying the table
+    into contiguous columns made a 200k-row ``audit`` no faster (2-core
+    VM, numpy 2.4): the copy cost what the strided passes saved.
+    """
     dtype = [(str(k), _DTYPES[convert]) for k, (_, _, convert) in enumerate(cols)]
     with warnings.catch_warnings():
         # e.g. "input contained no data", or an older numpy's float-as-int DeprecationWarning
         warnings.simplefilter("error")
         try:
             table = np.loadtxt(
-                io.StringIO(block), dtype=dtype, delimiter=",", comments=None,
-                quotechar=None, usecols=[i for _, i, _ in cols], ndmin=1,
+                source, dtype=dtype, delimiter=",", comments=None, quotechar=None,
+                usecols=[i for _, i, _ in cols], ndmin=1, skiprows=skiprows, encoding="utf-8",
             )
-        except (ValueError, Warning):  # what numpy rejects, the csv path reads or reports
+        # what numpy rejects, the csv path reads or reports; OSError: a path gone since the scan
+        except (OSError, ValueError, Warning):
             return None
     return [table[name] for name, _ in dtype]
+
+
+def _plain_columns(block: str, cols: list) -> list[np.ndarray] | None:
+    """The chosen columns of a block of whole lines, read by numpy's C reader.
+
+    None unless the block is plain (``_is_plain``) and read by
+    ``np.loadtxt`` without an error or a warning. On plain text numpy
+    accepts a subset of what ``csv.reader`` and ``int()``/``float()``
+    accept and gives the same values, so any other block (a bad cell, a
+    short row, ``1_0``) goes to the csv path, which reports the fault.
+    """
+    return _loadtxt(io.StringIO(block), cols) if _is_plain(block) else None
+
+
+def _file_identity(st: os.stat_result) -> tuple:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _whole_file_columns(fh, path: Path, header_lines: int, cols: list) -> list[np.ndarray] | None:
+    """The chosen columns of a plain regular file, read by numpy from ``path`` in one call.
+
+    ``fh`` is the file opened at ``path``, read up to the end of its
+    header, which took ``header_lines`` physical lines. Its text is first
+    scanned block by block with the plain test, and numpy reads the file
+    only when every block passes. The table is kept only when numpy read
+    it without an error or a warning and ``path`` still names the file
+    scanned: the same device, inode, size and modification time. So
+    numpy never parses text the scan did not clear. Otherwise None, with
+    ``fh`` rewound to the line after the header.
+
+    A pipe or any other file that is not regular, and a path numpy would
+    decompress, get None before anything is read.
+    """
+    before = os.fstat(fh.fileno())
+    if not stat.S_ISREG(before.st_mode) or path.suffix in _COMPRESSED_SUFFIXES:
+        return None
+    try:
+        plain = all(map(_is_plain, iter(partial(_read_block, fh), "")))
+    except UnicodeDecodeError:  # the block path raises it where the row order puts it
+        plain = False
+    if plain and (values := _loadtxt(os.fspath(path), cols, skiprows=header_lines)) is not None:
+        try:
+            same = _file_identity(os.stat(path)) == _file_identity(before)
+        except OSError:
+            same = False
+        if same:
+            return values
+    fh.seek(0)
+    for _ in range(header_lines):
+        fh.readline()
+    return None
 
 
 def _read_block(fh) -> str:
@@ -752,8 +811,19 @@ def _store(column: np.ndarray, start: int, values: np.ndarray) -> np.ndarray:
     return column
 
 
+def _stored_columns(fh, cols: list, fault) -> list[np.ndarray]:
+    """The chosen columns of the data rows of ``fh``, read block by block (``_column_batches``)."""
+    stored = [np.empty(_BATCH_ROWS, dtype=_DTYPES[convert]) for _, _, convert in cols]
+    done = 0
+    for batch in _column_batches(fh, cols, fault):
+        for k, values in enumerate(batch):
+            stored[k] = _store(stored[k], done, values)
+        done += len(batch[0])
+    return [column[:done] for column in stored]
+
+
 def _read_csv_columns(path: Path, plan, fault) -> tuple[list[str], list]:
-    """Read chosen columns of a comma-delimited UTF-8 file, a block of lines at a time.
+    """Read chosen columns of a comma-delimited UTF-8 file.
 
     ``plan(header)`` checks the header row and returns ``(name, convert)``
     pairs, ``convert`` being int, float or str, in the order the cells of a
@@ -765,24 +835,28 @@ def _read_csv_columns(path: Path, plan, fault) -> tuple[list[str], list]:
     not counted, a name given twice reads its last column, a short row
     reads None in its missing cells and extra cells are ignored. Cells go
     through Python's own ``int()``/``float()``; an integer outside the
-    int64 range is a fault too. Plain text is parsed by numpy instead
-    (``_column_batches``), with the same values and the same faults. The
-    file is read once, front to back, so a pipe works as an input.
+    int64 range is a fault too. Plain text is parsed by numpy instead,
+    with the same values and the same faults.
+
+    A regular file whose text after the header is plain throughout is
+    scanned once and then read once more by numpy, from its path, in one
+    call (``_whole_file_columns``). Any other input, a pipe or a file
+    holding a byte that is not plain, is read once, front to back, a
+    block of lines at a time (``_column_batches``); so is a file numpy
+    rejects or one changed since the scan.
     """
     with _text_file(path) as fh:
-        header = _header_row(csv.reader(fh), path)
+        reader = csv.reader(fh)
+        header = _header_row(reader, path)
         columns = plan(header)
         index = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last column
         cols = [(name, index[name], convert) for name, convert in columns]
-        stored = [np.empty(_BATCH_ROWS, dtype=_DTYPES[convert]) for _, _, convert in cols]
-        done = 0
-        for batch in _column_batches(fh, cols, fault):
-            for k, values in enumerate(batch):
-                stored[k] = _store(stored[k], done, values)
-            done += len(batch[0])
+        values = _whole_file_columns(fh, path, reader.line_num, cols)
+        if values is None:
+            values = _stored_columns(fh, cols, fault)
     return header, [
-        column[:done].tolist() if convert is str else column[:done]
-        for (_, _, convert), column in zip(cols, stored)
+        column.tolist() if convert is str else column
+        for (_, _, convert), column in zip(cols, values)
     ]
 
 

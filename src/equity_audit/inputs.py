@@ -40,9 +40,11 @@ def read_utf8(path) -> str:
 
 def read_json(path) -> dict:
     """The JSON object in a UTF-8 file; any other content is a DataFormatError."""
+    text = read_utf8(path)
     try:
-        doc = json.loads(read_utf8(path))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer over Python's digit limit, or nesting deeper than the stack
         raise DataFormatError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path} must hold a JSON object, got {type(doc).__name__}")

@@ -574,19 +574,24 @@ def candidate_group_thresholds(
     return pairs
 
 
-def predict_with_group_thresholds(
-    model: TrainedModel, features, groups, thresholds: dict[int, float]
-) -> np.ndarray:
-    """Binary decisions using a per-group score cutoff.
+def group_cutoffs(groups, thresholds: dict[int, float]) -> np.ndarray:
+    """Each row's score cutoff: the threshold of its group.
 
     Raises ``ValidationError`` naming the first group label that has no
     threshold.
     """
-    scores = np.asarray(predict_proba(model, features), dtype=float)
     g = np.asarray(groups, dtype=int)
     cuts = np.empty(g.shape)
     for label in np.unique(g).tolist():
         if label not in thresholds:
             raise ValidationError(f"no decision threshold for group {label}")
         cuts[g == label] = thresholds[label]
-    return (scores >= cuts).astype(int)
+    return cuts
+
+
+def predict_with_group_thresholds(
+    model: TrainedModel, features, groups, thresholds: dict[int, float]
+) -> np.ndarray:
+    """Binary decisions using a per-group score cutoff (``group_cutoffs``)."""
+    scores = np.asarray(predict_proba(model, features), dtype=float)
+    return (scores >= group_cutoffs(groups, thresholds)).astype(int)

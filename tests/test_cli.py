@@ -120,16 +120,19 @@ class TestAudit:
             path.write_bytes(rewrite(text, how).encode())
             assert run_cli("--out", str(tmp_path / how), "audit", str(path)) == 0
             reports[how] = (tmp_path / how / "audit.json").read_bytes()
-            # plain text is read by numpy; CRLF and quotes send the file to the csv path
-            assert plain_blocks == ([True] * len(plain_blocks) if how == "plain" else [False])
+            # a plain file is read by numpy in one call; CRLF and quotes send it to the csv path
+            assert plain_blocks == (["file"] if how == "plain" else ["csv"])
         assert reports["plain"] == reports["crlf"] == reports["quoted"]
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_reads_a_pipe_once(self, tmp_path):
+    def test_reads_a_pipe_once(self, tmp_path, monkeypatch, plain_blocks):
+        monkeypatch.setattr(dataio, "_BLOCK_CHARS", 4096)  # several blocks per file
         text = self._log_text()
         regular = tmp_path / "log.csv"
         regular.write_text(text)
         assert run_cli("--out", str(tmp_path / "file"), "audit", str(regular)) == 0
+        assert plain_blocks == ["file"]
+        plain_blocks.clear()
         fifo = tmp_path / "log.fifo"
         os.mkfifo(fifo)
         fed = threading.Event()
@@ -155,6 +158,8 @@ class TestAudit:
             writer.join(timeout=10)
         assert not writer.is_alive() and fed.is_set()
         assert code == 0
+        # a pipe cannot be read twice: numpy reads it block by block, the csv module not at all
+        assert len(plain_blocks) > 1 and set(plain_blocks) == {"block"}
         assert (tmp_path / "fifo" / "audit.json").read_bytes() == (tmp_path / "file" / "audit.json").read_bytes()
 
     def test_degenerate_group_exit_3(self, tmp_path):
@@ -198,6 +203,20 @@ class TestAudit:
         assert run_cli("--config", str(config), "--out", str(tmp_path / "r"), "audit", str(audit_csv)) == 2
         assert "error: epsilon must be >= 0, got nan" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    def test_infinite_epsilon_exit_2(self, tmp_path, capsys):
+        # omega is 2 here; an infinite epsilon would call it equal
+        path = tmp_path / "opposite.csv"
+        path.write_text("pred,label,group\n1,1,0\n0,0,0\n0,1,1\n1,0,1\n")
+        config = tmp_path / "run.toml"
+        config.write_text("epsilon = inf\n")
+        assert run_cli("--config", str(config), "--out", str(tmp_path / "r"), "audit", str(path)) == 2
+        assert "error: epsilon must be finite, got inf" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+        config.write_text("epsilon = 2.0\n")  # the largest omega: finite, so accepted, and vacuous
+        assert run_cli("--config", str(config), "--out", str(tmp_path / "r"), "audit", str(path)) == 0
+        doc = json.loads((tmp_path / "r" / "audit.json").read_text())
+        assert doc["outcome"]["eo_violation"] == 2.0 and doc["outcome"]["equal_outcomes"] is True
 
     def test_nan_uplift_exit_2(self, student_path, tmp_path, capsys):
         config = tmp_path / "run.toml"
@@ -325,7 +344,7 @@ class TestScore:
             )
             assert code == 0
             traces[how] = (folder / "r" / "scoring_trace.json").read_bytes()
-            assert any(plain_blocks) == (how == "plain")
+            assert set(plain_blocks) == ({"file"} if how == "plain" else {"csv"})
         assert traces["plain"] == traces["crlf"] == traces["quoted"]
 
     @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
 import csv
 import importlib.util
+import os
+import threading
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from equity_audit import dataio
@@ -753,6 +755,43 @@ def test_arbitrary_bytes_raise_only_package_errors(tmp_path_factory, loader, hea
     check()
 
 
+# TOML and JSON pieces, bytes that do not decode, a BOM, an integer over
+# Python's 4300-digit conversion limit and nesting deeper than the recursion limit
+_DOCUMENT_ALPHABET = st.sampled_from(
+    [
+        b"{", b"}", b"[", b"]", b'"', b"'", b":", b",", b"=", b"#", b"\n", b"\r", b" ", b"1", b"-", b".",
+        b"e", b"inf", b"nan", b"NaN", b"Infinity", b"true", b"null", b'"feature_names"', b'"importance"',
+        b'"alpha"', b'"affected_features"', b'"a"', b"seed", b"epsilon", b"formats", b"[report]",
+        b"\xff", b"\x00", b"\x1e", b"\xef\xbb\xbf", b"\xc3\xa9", b"9" * 5000, b"[" * 3000,
+    ]
+)
+_DOCUMENT_BYTES = st.one_of(st.binary(max_size=200), st.lists(_DOCUMENT_ALPHABET, max_size=30).map(b"".join))
+
+
+def _parse_toml_bytes(path):
+    data = path.read_bytes()
+    for text in (data.decode("utf-8", "surrogateescape"), data.decode("latin-1")):
+        parse_toml_subset(text)
+
+
+@pytest.mark.parametrize("reader", [_parse_toml_bytes, RunConfig.from_toml, load_model_document])
+def test_arbitrary_bytes_in_documents_raise_only_package_errors(tmp_path_factory, reader):
+    path = tmp_path_factory.mktemp("fuzz") / "document"
+
+    @given(_DOCUMENT_BYTES)
+    @example(b'{"feature_names": ["a"], "importance": [' + b"9" * 5000 + b"]}")
+    @example(b"[" * 3000)
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def check(data):
+        path.write_bytes(data)
+        try:
+            reader(path)
+        except EquityAuditError:
+            pass
+
+    check()
+
+
 def _float_columns(path):
     """The reader itself over float columns a, b and a str column id: NaN bits and all."""
 
@@ -781,7 +820,45 @@ def _outcome(loader, path):
 
 
 def _csv_path_only():
-    return mock.patch.object(dataio, "_plain_columns", lambda block, cols: None)
+    """Every line to the csv path: no whole-file read and no block read by numpy."""
+    return mock.patch.multiple(
+        dataio,
+        _whole_file_columns=lambda fh, path, header_lines, cols: None,
+        _plain_columns=lambda block, cols: None,
+    )
+
+
+def _through_fifo(loader, fifo, data: bytes):
+    """``_outcome`` of ``loader`` on ``data`` fed through the named pipe ``fifo``."""
+
+    def feed():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the reader stopped at a fault before the end
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return _outcome(loader, fifo)
+    finally:
+        # release a writer still waiting for a reader, then wait for it
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+def _three_ways(loader, path: Path, fifo: Path) -> list:
+    """``_outcome`` of ``loader`` on the bytes of ``path``: as a regular file, through a pipe, by the csv path only."""
+    as_file = _outcome(loader, path)
+    through_pipe = _through_fifo(loader, fifo, path.read_bytes())
+    with _csv_path_only():
+        csv_only = _outcome(loader, path)
+    return [as_file, through_pipe, csv_only]
+
+
+needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 
 
 # over-long cells are over a field size limit lowered to this while the fuzz runs
@@ -832,30 +909,37 @@ def _csv_texts(names: list[str], good: list[str]):
         (_float_columns, ["a", "b", "id"], _FLOAT_CELLS),
     ],
 )
+@needs_fifo
 def test_numpy_and_csv_paths_agree(tmp_path_factory, plain_blocks, loader, names, good):
-    """Values, or the error with its message, row and column, do not depend on the path taken."""
-    path = tmp_path_factory.mktemp("paths") / "input.csv"
+    """Values, or the error with its message, row and column, do not depend on the path taken.
+
+    The same text is read as a regular file (numpy's whole-file read, or
+    the block reader when that turns it down), through a pipe (the block
+    reader) and by the csv path alone.
+    """
+    folder = tmp_path_factory.mktemp("paths")
+    path, fifo = folder / "input.csv", folder / "input.fifo"
+    os.mkfifo(fifo)
 
     @given(_csv_texts(names, good), st.sampled_from([8, 40, 1 << 16]))
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def check(text, block_chars):
         path.write_bytes(text.encode())
         with mock.patch.object(dataio, "_BLOCK_CHARS", block_chars):
-            either = _outcome(loader, path)
-            with _csv_path_only():
-                assert either == _outcome(loader, path)
+            as_file, through_pipe, csv_only = _three_ways(loader, path, fifo)
+        assert as_file == through_pipe == csv_only
 
     old_limit = csv.field_size_limit(_FIELD_LIMIT)
     try:
         check()
     finally:
         csv.field_size_limit(old_limit)
-    # the fuzz reaches both paths
-    assert any(plain_blocks) and not all(plain_blocks)
+    # the fuzz reaches every path
+    assert set(plain_blocks) == {"file", "block", "csv"}
 
 
 class TestReadPaths:
-    """Files read by numpy block by block give what the csv path gives."""
+    """Files read by numpy, whole or block by block, give what the csv path gives."""
 
     def _lines(self, n):
         return [f"{k % 2},{k // 2 % 2},{k % 3 % 2},1" for k in range(n)]
@@ -892,6 +976,91 @@ class TestReadPaths:
         with pytest.raises(DataFormatError, match="field larger than field limit") as excinfo:
             _float_columns(path)
         assert excinfo.value.row == 2
+
+    @needs_fifo
+    def test_quoted_newline_in_the_header_above_a_plain_body(self, tmp_path, plain_blocks):
+        # the header takes four physical lines, one of them blank
+        path, fifo = tmp_path / "a.csv", tmp_path / "a.fifo"
+        os.mkfifo(fifo)
+        path.write_text('"note\nover\n\nlines",pred,label,group\nx,1,0,1\ny,0,1,0\n')
+        as_file, through_pipe, csv_only = _three_ways(load_audit_csv, path, fifo)
+        assert plain_blocks == ["file", "block"]
+        assert as_file == through_pipe == csv_only
+        assert [a.tolist() for a in load_audit_csv(path)[:3]] == [[1, 0], [0, 1], [1, 0]]
+
+    @needs_fifo
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "\n1,1,0\n0,1,1\n",  # right after the header
+            "1,1,0\n\n\n0,1,1\n",  # between rows
+            "1,1,0\n0,1,1\n\n\n",  # at the end
+            "1,1,0\n0,1,1\n\n",
+            "\n\n",  # nothing else
+            "\n",
+            "",
+        ],
+    )
+    def test_blank_lines_anywhere(self, tmp_path, plain_blocks, body):
+        path, fifo = tmp_path / "a.csv", tmp_path / "a.fifo"
+        os.mkfifo(fifo)
+        path.write_text("pred,label,group\n" + body)
+        as_file, through_pipe, csv_only = _three_ways(load_audit_csv, path, fifo)
+        assert as_file == through_pipe == csv_only
+        preds, labels, groups, _ = load_audit_csv(path)
+        rows = [line.split(",") for line in body.split("\n") if line]
+        assert [preds.tolist(), labels.tolist(), groups.tolist()] == [
+            [int(row[k]) for row in rows] for k in range(3)
+        ]
+        # numpy reads the rows in one call; a body without any warns, and the block reader reads it
+        assert (plain_blocks[:1] == ["file"]) == bool(rows)
+
+    @pytest.mark.parametrize("change", ["replaced", "deleted", "appended"])
+    def test_file_changed_between_the_scan_and_numpys_read(self, tmp_path, monkeypatch, plain_blocks, change):
+        path = tmp_path / "a.csv"
+        path.write_text("pred,label,group\n1,1,0\n0,1,1\n")
+        loadtxt, read_from = dataio._loadtxt, []
+
+        def changing_loadtxt(source, cols, skiprows=0):
+            if isinstance(source, str):  # the whole-file read, after the scan
+                read_from.append(source)
+                if change == "replaced":
+                    (tmp_path / "new.csv").write_text("pred,label,group\n0,0,0\n")
+                    os.replace(tmp_path / "new.csv", path)
+                elif change == "deleted":
+                    path.unlink()
+                else:
+                    with path.open("a") as fh:
+                        fh.write("1,0,0\n")
+            return loadtxt(source, cols, skiprows)
+
+        monkeypatch.setattr(dataio, "_loadtxt", changing_loadtxt)
+        preds, labels, groups, _ = load_audit_csv(path)
+        assert read_from == [str(path)]
+        # numpy's table is dropped; the open file is read again by the block reader
+        assert plain_blocks == ["block"]
+        # a replaced or deleted file is still the open one, an appended one has grown
+        expected = [[1, 0, 1], [1, 1, 0], [0, 1, 0]] if change == "appended" else [[1, 0], [1, 1], [0, 1]]
+        assert [preds.tolist(), labels.tolist(), groups.tolist()] == expected
+
+    @needs_fifo
+    def test_bad_cell_wins_over_a_later_undecodable_byte(self, tmp_path, plain_blocks):
+        # the scan meets the byte first; it leaves the file to the block reader, which meets the cell first
+        path, fifo = tmp_path / "a.csv", tmp_path / "a.fifo"
+        os.mkfifo(fifo)
+        path.write_bytes(b"pred,label,group\nx,1,0\n" + b"1,1,0\n" * 20_000 + b"\xff\n")
+        as_file, through_pipe, csv_only = _three_ways(load_audit_csv, path, fifo)
+        assert as_file == through_pipe == csv_only
+        assert as_file[1] == "expected an integer, got 'x' (row 1, column 'pred')"
+        assert plain_blocks[0] == "csv"
+
+    @pytest.mark.parametrize("suffix", dataio._COMPRESSED_SUFFIXES)
+    def test_compressed_suffix_is_read_as_text(self, tmp_path, plain_blocks, suffix):
+        # given this path numpy would decompress the file; the block reader reads its text
+        path = tmp_path / f"log.csv{suffix}"
+        path.write_text("pred,label,group\n1,1,0\n0,1,1\n")
+        assert [a.tolist() for a in load_audit_csv(path)[:3]] == [[1, 0], [1, 1], [0, 1]]
+        assert plain_blocks == ["block"]
 
     @pytest.mark.parametrize("cell", ["\x1c1", "1\x1f", "ᅰ", "1_0", "١"])
     def test_cells_numpy_would_misread(self, tmp_path, cell):
