@@ -176,6 +176,8 @@ class RunConfig:
                             ("uplift_ordinal_step", self.uplift_ordinal_step)):
             if not value >= 0:  # a NaN too
                 raise ValidationError(f"{name} must be >= 0, got {value!r}")
+        if self.uplift_std_fraction == float("inf"):  # would clip every flagged feature to its top
+            raise ValidationError(f"uplift_std_fraction must be finite, got {self.uplift_std_fraction!r}")
         for fmt in self.formats:
             if fmt not in ("json", "csv"):
                 raise ValidationError(f"unknown report format {fmt!r}")

@@ -32,14 +32,13 @@ the README; they make runs reproducible but are not measurements.
 from __future__ import annotations
 
 import csv
-import io
 import os
 import stat
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -72,7 +71,7 @@ from .metrics import (
     eo_violation,
     utilization_from_labels,
 )
-from .scoring import _split_indices
+from .scoring import split_indices
 
 UCI_NUMERIC_COLUMNS = (
     "age", "Medu", "Fedu", "traveltime", "studytime", "failures", "famrel",
@@ -489,7 +488,7 @@ def run_case_study(cfg: RunConfig, views: CaseStudyViews | None = None) -> CaseS
     n = len(views.proxy)
     if n < 10:
         raise ValidationError("case study needs at least 10 students")
-    train_idx, test_idx = _split_indices(n, cfg.train_fraction, cfg.seed)
+    train_idx, test_idx = split_indices(n, cfg.train_fraction, cfg.seed)
 
     groups = views.proxy.groups()
     y_all = views.proxy.labels()
@@ -636,7 +635,7 @@ def run_case_study(cfg: RunConfig, views: CaseStudyViews | None = None) -> CaseS
 
 # data rows converted at a time; bounds the raw cells held in memory
 _BATCH_ROWS = 4096
-# characters of text offered to numpy's reader at a time, completed to a line end
+# characters the plain scan reads at a time, completed to a line end
 _BLOCK_CHARS = 1 << 16
 # characters numpy's reader takes otherwise than csv.reader and int()/float()
 # do: the quote, '\r', and the separators \x1c-\x1f, which numpy's number
@@ -684,8 +683,13 @@ def _is_plain(block: str) -> bool:
     )
 
 
-def _loadtxt(source, cols: list, skiprows: int = 0) -> list[np.ndarray] | None:
-    """The chosen columns of ``source`` read by ``np.loadtxt``; None on an error or a warning.
+def _loadtxt(path: str, cols: list, skiprows: int) -> list[np.ndarray] | None:
+    """The chosen columns of the file at ``path``, read by ``np.loadtxt``; None on an error or a warning.
+
+    On plain text (``_is_plain``) numpy accepts a subset of what
+    ``csv.reader`` and ``int()``/``float()`` accept and gives the same
+    values, so any other text (a bad cell, a short row, ``1_0``) goes to
+    the csv path, which reports the fault.
 
     Each column is a view into one structured table. Copying the table
     into contiguous columns made a 200k-row ``audit`` no faster (2-core
@@ -697,25 +701,13 @@ def _loadtxt(source, cols: list, skiprows: int = 0) -> list[np.ndarray] | None:
         warnings.simplefilter("error")
         try:
             table = np.loadtxt(
-                source, dtype=dtype, delimiter=",", comments=None, quotechar=None,
+                path, dtype=dtype, delimiter=",", comments=None, quotechar=None,
                 usecols=[i for _, i, _ in cols], ndmin=1, skiprows=skiprows, encoding="utf-8",
             )
         # what numpy rejects, the csv path reads or reports; OSError: a path gone since the scan
         except (OSError, ValueError, Warning):
             return None
     return [table[name] for name, _ in dtype]
-
-
-def _plain_columns(block: str, cols: list) -> list[np.ndarray] | None:
-    """The chosen columns of a block of whole lines, read by numpy's C reader.
-
-    None unless the block is plain (``_is_plain``) and read by
-    ``np.loadtxt`` without an error or a warning. On plain text numpy
-    accepts a subset of what ``csv.reader`` and ``int()``/``float()``
-    accept and gives the same values, so any other block (a bad cell, a
-    short row, ``1_0``) goes to the csv path, which reports the fault.
-    """
-    return _loadtxt(io.StringIO(block), cols) if _is_plain(block) else None
 
 
 def _file_identity(st: os.stat_result) -> tuple:
@@ -742,9 +734,9 @@ def _whole_file_columns(fh, path: Path, header_lines: int, cols: list) -> list[n
         return None
     try:
         plain = all(map(_is_plain, iter(partial(_read_block, fh), "")))
-    except UnicodeDecodeError:  # the block path raises it where the row order puts it
+    except UnicodeDecodeError:  # the csv path raises it where the row order puts it
         plain = False
-    if plain and (values := _loadtxt(os.fspath(path), cols, skiprows=header_lines)) is not None:
+    if plain and (values := _loadtxt(os.fspath(path), cols, header_lines)) is not None:
         try:
             same = _file_identity(os.stat(path)) == _file_identity(before)
         except OSError:
@@ -765,37 +757,6 @@ def _read_block(fh) -> str:
     return block
 
 
-def _column_batches(fh, cols: list, fault):
-    """Yield the chosen columns of the data rows of ``fh``, some rows at a time.
-
-    Plain blocks are read by numpy (``_plain_columns``). From the first
-    block that is not plain on, every line goes through ``csv.reader`` and
-    ``_convert_batch``: a quoted cell may span lines, so the csv path never
-    hands back.
-    """
-    rows = 0
-    while block := _read_block(fh):
-        values = _plain_columns(block, cols)
-        if values is None:
-            break
-        yield values
-        rows += len(values[0])
-    reader = csv.reader(chain(io.StringIO(block, newline=""), fh))
-    while True:
-        chunk = []
-        try:
-            chunk.extend(islice(reader, _BATCH_ROWS))
-        except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
-            raise DataFormatError(
-                f"unreadable row: {exc}", row=rows + sum(map(bool, chunk)) + 1
-            ) from None
-        if not chunk:
-            return
-        batch = list(filter(None, chunk))
-        yield _convert_batch(batch, rows + 1, cols, fault)
-        rows += len(batch)
-
-
 def _store(column: np.ndarray, start: int, values: np.ndarray) -> np.ndarray:
     """``column`` with ``values`` written from ``start``, doubled in length when full.
 
@@ -811,15 +772,24 @@ def _store(column: np.ndarray, start: int, values: np.ndarray) -> np.ndarray:
     return column
 
 
-def _stored_columns(fh, cols: list, fault) -> list[np.ndarray]:
-    """The chosen columns of the data rows of ``fh``, read block by block (``_column_batches``)."""
+def _stored_columns(reader, cols: list, fault) -> list[np.ndarray]:
+    """The chosen columns of the rows ``reader`` yields, converted ``_BATCH_ROWS`` rows at a time."""
     stored = [np.empty(_BATCH_ROWS, dtype=_DTYPES[convert]) for _, _, convert in cols]
     done = 0
-    for batch in _column_batches(fh, cols, fault):
-        for k, values in enumerate(batch):
+    while True:
+        chunk = []
+        try:
+            chunk.extend(islice(reader, _BATCH_ROWS))
+        except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
+            raise DataFormatError(
+                f"unreadable row: {exc}", row=done + sum(map(bool, chunk)) + 1
+            ) from None
+        if not chunk:
+            return [column[:done] for column in stored]
+        batch = list(filter(None, chunk))
+        for k, values in enumerate(_convert_batch(batch, done + 1, cols, fault)):
             stored[k] = _store(stored[k], done, values)
-        done += len(batch[0])
-    return [column[:done] for column in stored]
+        done += len(batch)
 
 
 def _read_csv_columns(path: Path, plan, fault) -> tuple[list[str], list]:
@@ -835,15 +805,16 @@ def _read_csv_columns(path: Path, plan, fault) -> tuple[list[str], list]:
     not counted, a name given twice reads its last column, a short row
     reads None in its missing cells and extra cells are ignored. Cells go
     through Python's own ``int()``/``float()``; an integer outside the
-    int64 range is a fault too. Plain text is parsed by numpy instead,
-    with the same values and the same faults.
+    int64 range is a fault too.
 
-    A regular file whose text after the header is plain throughout is
-    scanned once and then read once more by numpy, from its path, in one
-    call (``_whole_file_columns``). Any other input, a pipe or a file
-    holding a byte that is not plain, is read once, front to back, a
-    block of lines at a time (``_column_batches``); so is a file numpy
-    rejects or one changed since the scan.
+    Two readers give the same values and the same faults. A regular file
+    whose name numpy would not decompress and whose text after the header
+    is plain throughout (``_is_plain``) is scanned once, then read by
+    numpy from its path in one call (``_whole_file_columns``). Every other
+    body is read from the line after the header by the header's own
+    ``csv.reader`` (``_stored_columns``): a pipe, a compressed suffix, a
+    byte that is not plain, a body numpy rejects or warns on, and a file
+    changed since the scan.
     """
     with _text_file(path) as fh:
         reader = csv.reader(fh)
@@ -853,7 +824,7 @@ def _read_csv_columns(path: Path, plan, fault) -> tuple[list[str], list]:
         cols = [(name, index[name], convert) for name, convert in columns]
         values = _whole_file_columns(fh, path, reader.line_num, cols)
         if values is None:
-            values = _stored_columns(fh, cols, fault)
+            values = _stored_columns(reader, cols, fault)
     return header, [
         column.tolist() if convert is str else column
         for (_, _, convert), column in zip(cols, values)

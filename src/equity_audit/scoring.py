@@ -207,9 +207,16 @@ def _spec_view(space: ModelSpace, spec: ModelSpec) -> tuple[Population, Obstacle
     return space.dataset.restrict(spec.feature_names), space.obstacle_model.restrict(indices)
 
 
-def _split_indices(
+def split_indices(
     n: int, train_fraction: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
+    """A seeded train/test split of row indices ``0..n-1``.
+
+    The rows are permuted by a generator seeded with ``[seed, 17]``; the
+    first ``round(train_fraction * n)`` of them, kept within 1 and
+    ``n - 1``, are the train rows and the rest the test rows. The same
+    ``n``, fraction and seed give the same split in every caller.
+    """
     rng = np.random.default_rng([seed, 17])
     perm = rng.permutation(n)
     n_train = max(1, min(n - 1, int(round(train_fraction * n))))
@@ -233,7 +240,7 @@ def run_equity_scoring(
     intended_sampler = CandidateSampler(intended_space, rng)
 
     n = len(proxy_space.dataset)
-    train_idx, test_idx = _split_indices(n, cfg.train_fraction, cfg.seed)
+    train_idx, test_idx = split_indices(n, cfg.train_fraction, cfg.seed)
     proxy_ids = proxy_space.dataset.ids()
     intended_ids = {ind_id: row for row, ind_id in enumerate(intended_space.dataset.ids())}
 

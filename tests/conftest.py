@@ -52,29 +52,20 @@ def tp_share_sweep(student_path) -> list[dict]:
 
 @pytest.fixture()
 def plain_blocks(monkeypatch) -> list[str]:
-    """Which reader took each piece of CSV text offered to numpy, in order.
+    """Which reader took each CSV file read, in order, one entry per file.
 
-    ``"file"``: a whole regular file numpy read from its path. ``"block"``:
-    a block of lines numpy read. ``"csv"``: a block numpy's reader left to
-    the csv path, which then reads the rest of the file. A file the
-    whole-file read turned down adds nothing itself; its blocks follow.
+    ``"file"``: a whole regular file numpy read from its path. ``"csv"``:
+    a file the csv module read, from the line after its header.
     """
     from equity_audit import dataio
 
     taken = []
-    whole_file_columns, plain_columns = dataio._whole_file_columns, dataio._plain_columns
+    whole_file_columns = dataio._whole_file_columns
 
     def whole_file(fh, path, header_lines, cols):
         values = whole_file_columns(fh, path, header_lines, cols)
-        if values is not None:
-            taken.append("file")
-        return values
-
-    def block(text, cols):
-        values = plain_columns(text, cols)
-        taken.append("csv" if values is None else "block")
+        taken.append("csv" if values is None else "file")
         return values
 
     monkeypatch.setattr(dataio, "_whole_file_columns", whole_file)
-    monkeypatch.setattr(dataio, "_plain_columns", block)
     return taken

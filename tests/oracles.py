@@ -258,12 +258,12 @@ def case_study_oracle(cfg, views):
         eo_violation,
         utilization_from_labels,
     )
-    from equity_audit.scoring import _split_indices
+    from equity_audit.scoring import split_indices
 
     n = len(views.proxy)
     if n < 10:
         raise ValidationError("case study needs at least 10 students")
-    train_idx, test_idx = _split_indices(n, cfg.train_fraction, cfg.seed)
+    train_idx, test_idx = split_indices(n, cfg.train_fraction, cfg.seed)
     groups = views.proxy.groups()
     y_all = views.proxy.labels()
     y_free = views.proxy.labels_prime()

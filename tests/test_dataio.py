@@ -820,12 +820,8 @@ def _outcome(loader, path):
 
 
 def _csv_path_only():
-    """Every line to the csv path: no whole-file read and no block read by numpy."""
-    return mock.patch.multiple(
-        dataio,
-        _whole_file_columns=lambda fh, path, header_lines, cols: None,
-        _plain_columns=lambda block, cols: None,
-    )
+    """Every file to the csv path: no whole-file read by numpy."""
+    return mock.patch.object(dataio, "_whole_file_columns", lambda fh, path, header_lines, cols: None)
 
 
 def _through_fifo(loader, fifo, data: bytes):
@@ -914,8 +910,8 @@ def test_numpy_and_csv_paths_agree(tmp_path_factory, plain_blocks, loader, names
     """Values, or the error with its message, row and column, do not depend on the path taken.
 
     The same text is read as a regular file (numpy's whole-file read, or
-    the block reader when that turns it down), through a pipe (the block
-    reader) and by the csv path alone.
+    the csv path when that turns it down), through a pipe (the csv path)
+    and by the csv path alone.
     """
     folder = tmp_path_factory.mktemp("paths")
     path, fifo = folder / "input.csv", folder / "input.fifo"
@@ -935,11 +931,11 @@ def test_numpy_and_csv_paths_agree(tmp_path_factory, plain_blocks, loader, names
     finally:
         csv.field_size_limit(old_limit)
     # the fuzz reaches every path
-    assert set(plain_blocks) == {"file", "block", "csv"}
+    assert set(plain_blocks) == {"file", "csv"}
 
 
 class TestReadPaths:
-    """Files read by numpy, whole or block by block, give what the csv path gives."""
+    """Files the whole-file read takes or turns down give what the csv path gives."""
 
     def _lines(self, n):
         return [f"{k % 2},{k // 2 % 2},{k % 3 % 2},1" for k in range(n)]
@@ -984,7 +980,7 @@ class TestReadPaths:
         os.mkfifo(fifo)
         path.write_text('"note\nover\n\nlines",pred,label,group\nx,1,0,1\ny,0,1,0\n')
         as_file, through_pipe, csv_only = _three_ways(load_audit_csv, path, fifo)
-        assert plain_blocks == ["file", "block"]
+        assert plain_blocks == ["file", "csv"]
         assert as_file == through_pipe == csv_only
         assert [a.tolist() for a in load_audit_csv(path)[:3]] == [[1, 0], [0, 1], [1, 0]]
 
@@ -1012,7 +1008,7 @@ class TestReadPaths:
         assert [preds.tolist(), labels.tolist(), groups.tolist()] == [
             [int(row[k]) for row in rows] for k in range(3)
         ]
-        # numpy reads the rows in one call; a body without any warns, and the block reader reads it
+        # numpy reads the rows in one call; a body without any warns, and the csv path reads it
         assert (plain_blocks[:1] == ["file"]) == bool(rows)
 
     @pytest.mark.parametrize("change", ["replaced", "deleted", "appended"])
@@ -1037,15 +1033,15 @@ class TestReadPaths:
         monkeypatch.setattr(dataio, "_loadtxt", changing_loadtxt)
         preds, labels, groups, _ = load_audit_csv(path)
         assert read_from == [str(path)]
-        # numpy's table is dropped; the open file is read again by the block reader
-        assert plain_blocks == ["block"]
+        # numpy's table is dropped; the open file is read again by the csv path
+        assert plain_blocks == ["csv"]
         # a replaced or deleted file is still the open one, an appended one has grown
         expected = [[1, 0, 1], [1, 1, 0], [0, 1, 0]] if change == "appended" else [[1, 0], [1, 1], [0, 1]]
         assert [preds.tolist(), labels.tolist(), groups.tolist()] == expected
 
     @needs_fifo
     def test_bad_cell_wins_over_a_later_undecodable_byte(self, tmp_path, plain_blocks):
-        # the scan meets the byte first; it leaves the file to the block reader, which meets the cell first
+        # the scan meets the byte first; it leaves the file to the csv path, which meets the cell first
         path, fifo = tmp_path / "a.csv", tmp_path / "a.fifo"
         os.mkfifo(fifo)
         path.write_bytes(b"pred,label,group\nx,1,0\n" + b"1,1,0\n" * 20_000 + b"\xff\n")
@@ -1054,13 +1050,26 @@ class TestReadPaths:
         assert as_file[1] == "expected an integer, got 'x' (row 1, column 'pred')"
         assert plain_blocks[0] == "csv"
 
+    @pytest.mark.parametrize("last_line", ['1,"0",1,1\n', "1,0,1,1\r\n"])
+    def test_one_line_not_plain_sends_the_whole_body_to_the_csv_path(self, tmp_path, plain_blocks, last_line):
+        # every scan block but the last is plain; the csv module still reads every line
+        lines = self._lines(3 * dataio._BLOCK_CHARS // 8)
+        path = tmp_path / "a.csv"
+        path.write_text("pred,label,group,y_tt\n" + "".join(line + "\n" for line in lines) + last_line, newline="")
+        assert path.stat().st_size > 2 * dataio._BLOCK_CHARS
+        as_read = _outcome(load_audit_csv, path)
+        assert plain_blocks == ["csv"]
+        with _csv_path_only():
+            assert as_read == _outcome(load_audit_csv, path)
+        assert as_read[0][1] == (len(lines) + 1,)
+
     @pytest.mark.parametrize("suffix", dataio._COMPRESSED_SUFFIXES)
     def test_compressed_suffix_is_read_as_text(self, tmp_path, plain_blocks, suffix):
-        # given this path numpy would decompress the file; the block reader reads its text
+        # given this path numpy would decompress the file; the csv path reads its text
         path = tmp_path / f"log.csv{suffix}"
         path.write_text("pred,label,group\n1,1,0\n0,1,1\n")
         assert [a.tolist() for a in load_audit_csv(path)[:3]] == [[1, 0], [1, 1], [0, 1]]
-        assert plain_blocks == ["block"]
+        assert plain_blocks == ["csv"]
 
     @pytest.mark.parametrize("cell", ["\x1c1", "1\x1f", "ᅰ", "1_0", "١"])
     def test_cells_numpy_would_misread(self, tmp_path, cell):
