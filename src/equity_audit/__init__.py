@@ -58,7 +58,6 @@ from .metrics import (
 from .scoring import (
     CandidateSampler,
     ModelSpace,
-    ScoringConfig,
     ScoringTrace,
     run_equity_scoring,
 )

@@ -28,9 +28,11 @@ from .checklist import emit_checklist
 from .config import RunConfig
 from .core import ObstacleModel, Policy
 from .dataio import (
+    build_case_study_views,
     load_audit_csv,
     load_model_document,
     load_population_csv,
+    load_uci_students,
     run_case_study,
 )
 from .errors import (
@@ -45,7 +47,7 @@ from .learner import ModelSpec
 from .loopsim import REGIMES, default_config, run_inequity_loop, trajectory_to_csv
 from .metrics import compute_gap_report, eo_violation, utilization_from_labels
 from .reports import equity_report_rows, long_csv, write_json
-from .scoring import ModelSpace, ScoringConfig, run_equity_scoring
+from .scoring import ModelSpace, run_equity_scoring
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -193,19 +195,12 @@ def _cmd_score(args, cfg: RunConfig) -> int:
     for key in ("proxy", "intended"):
         if key not in doc:
             raise DataFormatError(f"spaces document is missing {key!r}")
-    scoring_cfg = ScoringConfig(
-        tau=cfg.tau,
-        tau_o=cfg.tau_o,
-        max_outer_iters=args.max_outer,
-        max_inner_iters=args.max_inner,
-        epsilon_outcomes=cfg.epsilon,
-        seed=cfg.seed,
-        train_fraction=cfg.train_fraction,
-    )
     trace = run_equity_scoring(
         _space_from_doc(doc["proxy"], "proxy", path.parent),
         _space_from_doc(doc["intended"], "intended", path.parent),
-        scoring_cfg,
+        cfg,
+        args.max_outer,
+        args.max_inner,
     )
     out = _out_dir(cfg)
     if "csv" in cfg.formats:
@@ -220,8 +215,7 @@ def _cmd_score(args, cfg: RunConfig) -> int:
 
 
 def _cmd_casestudy(args, cfg: RunConfig) -> int:
-    cfg = cfg.override(input_path=args.input)
-    result = run_case_study(cfg)
+    result = run_case_study(cfg, build_case_study_views(load_uci_students(args.input), cfg))
     out = _out_dir(cfg)
     # fitted models are saved in the document format the gaps command reads
     if result.proxy_model is not None:

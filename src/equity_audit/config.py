@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import sys
 import types
 import typing
 from dataclasses import dataclass, fields, replace
@@ -119,7 +120,7 @@ def parse_toml_subset(text: str) -> dict:
 
 
 def _has_type(value, hint) -> bool:
-    """``isinstance`` against an annotation; bool is no int, an int is a float."""
+    """``isinstance`` against an annotation; bool is no int, an int in the float range is a float."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return any(_has_type(value, arg) for arg in args)
@@ -127,7 +128,8 @@ def _has_type(value, hint) -> bool:
         return isinstance(value, tuple) and all(_has_type(v, args[0]) for v in value)
     if hint in (int, float):
         number = numbers.Integral if hint is int else numbers.Real
-        return isinstance(value, number) and not isinstance(value, bool)
+        too_big = hint is float and isinstance(value, int) and abs(value) > sys.float_info.max
+        return isinstance(value, number) and not isinstance(value, bool) and not too_big
     return isinstance(value, hint)
 
 
@@ -140,7 +142,6 @@ class RunConfig:
     default configuration runs all eight regimes.
     """
 
-    input_path: str = ""
     equal_access: bool | None = None
     equal_outcome: bool | None = None
     equal_utilization: bool | None = None
@@ -164,6 +165,8 @@ class RunConfig:
             raise ValidationError("tau must be in (0, 1]")
         if not 0 <= self.tau_o < 1:
             raise ValidationError("tau_o must be in [0, 1)")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValidationError(f"seed must be >= 0, got {self.seed!r}")
         if not self.epsilon >= 0:  # a NaN too
             raise ValidationError(f"epsilon must be >= 0, got {self.epsilon!r}")
         if self.epsilon == float("inf"):  # would call every log outcome-equal

@@ -32,6 +32,7 @@ the README; they make runs reproducible but are not measurements.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import stat
 import warnings
@@ -285,6 +286,12 @@ _YES_OR_NO = "'yes' or 'no'"
 _UPLIFT_SPREAD = (0.5, 1.5)
 
 
+def _check_largest_draw(largest: float, field: str) -> None:
+    """Reject ``field`` when the largest uplift a draw can give is no finite float."""
+    if not math.isfinite(largest):
+        raise ValidationError(f"{field} is too large: the largest uplift draw overflows")
+
+
 def _uplift(
     x: np.ndarray,
     flags: np.ndarray,
@@ -300,9 +307,15 @@ def _uplift(
         j = names.index(name)
         lo, hi = ranges[name]
         if name in _ORDINAL_AFFECTED:
-            step = float(cfg.uplift_ordinal_step)
+            field = "uplift_ordinal_step"
+            try:
+                step = float(cfg.uplift_ordinal_step)
+            except OverflowError:
+                step = math.inf
         else:
+            field = "uplift_std_fraction"
             step = cfg.uplift_std_fraction * float(np.std(x[:, j]))
+        _check_largest_draw(_UPLIFT_SPREAD[1] * step, field)
         severity = rng.uniform(*_UPLIFT_SPREAD, size=n_flagged)
         z[flags, j] = np.clip(x[flags, j] + severity * step, lo, hi)
     return z
@@ -352,6 +365,9 @@ def build_case_study_views(table: StudentTable, cfg: RunConfig) -> CaseStudyView
     # the final grade before the pass mark
     y = (g3 >= cfg.pass_mark).astype(int)
     g3_free = g3.copy()
+    _check_largest_draw(
+        _UPLIFT_SPREAD[1] * cfg.uplift_std_fraction * float(np.std(g3)), "uplift_std_fraction"
+    )
     g3_severity = rng.uniform(*_UPLIFT_SPREAD, size=int(np.sum(flags)))
     g3_free[flags] = np.clip(
         g3[flags] + g3_severity * cfg.uplift_std_fraction * float(np.std(g3)), 0.0, 20.0
@@ -458,8 +474,8 @@ def _regime_axes(cfg: RunConfig) -> list[tuple[bool, ...]]:
 ACCESS_CARRY_FRACTION = 0.5
 
 
-def run_case_study(cfg: RunConfig, views: CaseStudyViews | None = None) -> CaseStudyResult:
-    """Audit every requested regime combination on one student file.
+def run_case_study(cfg: RunConfig, views: CaseStudyViews) -> CaseStudyResult:
+    """Audit every requested regime combination on the views of one student file.
 
     Both models are fitted once, on the train split: the decision model on
     recorded (obstacle-refrained) features, since its ground truth predates
@@ -479,12 +495,9 @@ def run_case_study(cfg: RunConfig, views: CaseStudyViews | None = None) -> CaseS
     outcome), and only the evaluation per regime. Regimes come in the
     order of ``itertools.product`` over the three switches.
 
-    ``cfg.seed`` seeds the train/test split and, unless ``views`` are
-    given, the views built from ``cfg.input_path``; views built with
-    another seed vary the uplift draws apart from the split.
+    ``cfg.seed`` seeds the train/test split; views built with another
+    seed vary the uplift draws apart from the split.
     """
-    if views is None:
-        views = build_case_study_views(load_uci_students(cfg.input_path), cfg)
     n = len(views.proxy)
     if n < 10:
         raise ValidationError("case study needs at least 10 students")
@@ -781,9 +794,9 @@ def _stored_columns(reader, cols: list, fault) -> list[np.ndarray]:
         try:
             chunk.extend(islice(reader, _BATCH_ROWS))
         except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
-            raise DataFormatError(
-                f"unreadable row: {exc}", row=done + sum(map(bool, chunk)) + 1
-            ) from None
+            batch = list(filter(None, chunk))
+            _convert_batch(batch, done + 1, cols, fault)  # a fault in an earlier row comes first
+            raise DataFormatError(f"unreadable row: {exc}", row=done + len(batch) + 1) from None
         if not chunk:
             return [column[:done] for column in stored]
         batch = list(filter(None, chunk))

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .core import ObstacleModel, Policy, Population, reveal_population
 from .errors import JoinError, SingleClassError, UndefinedRateError, ValidationError
 from .learner import ModelSpec, predict, train
@@ -82,27 +83,6 @@ class ModelSpace:
                 raise ValidationError(
                     f"spec features {missing} not present in the dataset"
                 )
-
-
-@dataclass(frozen=True)
-class ScoringConfig:
-    tau: float = 0.85
-    tau_o: float = 0.15
-    max_outer_iters: int = 100
-    max_inner_iters: int = 25
-    epsilon_outcomes: float = 1e-9
-    seed: int = 0
-    train_fraction: float = 0.7
-
-    def __post_init__(self):
-        if not 0 < self.tau <= 1:
-            raise ValidationError("tau must be in (0, 1]")
-        if not 0 <= self.tau_o < 1:
-            raise ValidationError("tau_o must be in [0, 1)")
-        if self.max_outer_iters < 1 or self.max_inner_iters < 1:
-            raise ValidationError("iteration caps must be positive")
-        if not 0 < self.train_fraction < 1:
-            raise ValidationError("train_fraction must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -224,15 +204,23 @@ def split_indices(
 
 
 def run_equity_scoring(
-    proxy_space: ModelSpace, intended_space: ModelSpace, cfg: ScoringConfig
+    proxy_space: ModelSpace, intended_space: ModelSpace, cfg: RunConfig,
+    max_outer_iters: int, max_inner_iters: int,
 ) -> ScoringTrace:
     """Search the two spaces for a configuration that clears all gates.
+
+    ``cfg`` gives the gates ``tau`` and ``tau_o``, the outcome tolerance
+    ``epsilon``, the ``seed`` and the ``train_fraction``. The search runs at
+    most ``max_outer_iters`` outer iterations of ``max_inner_iters`` draws
+    per phase.
 
     Returns a trace of every candidate evaluation. On convergence the final
     score is ``psi + (1 - min(omega, 1)) + zeta`` for the accepted
     configuration; if no configuration clears all three gates inside the
     evaluation budget, the trace ends with ``iteration_cap`` and no score.
     """
+    if max_outer_iters < 1 or max_inner_iters < 1:
+        raise ValidationError("iteration caps must be positive")
     if len(proxy_space.dataset) < 2:
         raise ValidationError("proxy dataset needs at least 2 rows")
     rng = np.random.default_rng([cfg.seed, 29])
@@ -247,7 +235,7 @@ def run_equity_scoring(
     groups = proxy_space.dataset.groups()
 
     records: list[IterationRecord] = []
-    budget = cfg.max_outer_iters * cfg.max_inner_iters
+    budget = max_outer_iters * max_inner_iters
 
     def spent() -> bool:
         return budget <= 0
@@ -277,7 +265,7 @@ def run_equity_scoring(
         y_tt = np.asarray(predict(imodel, ix_rev[b_rows]))
         return utilization_from_labels(y_tt, b_groups).zeta
 
-    for outer in range(1, cfg.max_outer_iters + 1):
+    for outer in range(1, max_outer_iters + 1):
         if spent():
             break
         proxy_sampler.reset()
@@ -299,7 +287,7 @@ def run_equity_scoring(
         # within this phase.
         accepted_omega = None
         preds_test = None
-        for _ in range(cfg.max_inner_iters):
+        for _ in range(max_inner_iters):
             if spent():
                 break
             budget -= 1
@@ -311,9 +299,7 @@ def run_equity_scoring(
             try:
                 model = train(spec, x_rev[train_idx], y_rev[train_idx], cfg.seed)
                 preds = np.asarray(predict(model, x_rev[test_idx]))
-                report = eo_violation(
-                    preds, y_rev[test_idx], groups[test_idx], cfg.epsilon_outcomes
-                )
+                report = eo_violation(preds, y_rev[test_idx], groups[test_idx], cfg.epsilon)
             except (SingleClassError, UndefinedRateError):
                 record("outcome", spec_id, policy_id, psi, None, None, REJECT_DEGENERATE)
                 spec_id = proxy_sampler.next_spec()
@@ -353,7 +339,7 @@ def run_equity_scoring(
         # zeta, so a repeat is charged and recorded but not refitted
         zetas: dict[tuple[int, int], float | None] = {}
         converged_zeta = None
-        for _ in range(cfg.max_inner_iters):
+        for _ in range(max_inner_iters):
             if spent():
                 break
             candidate = intended_sampler.sample()

@@ -42,12 +42,14 @@ SWEEP_SEEDS = range(20)
 def tp_share_sweep(student_path) -> list[dict]:
     """tp_share by regime name of the case study at every seed of SWEEP_SEEDS."""
     from equity_audit.config import RunConfig
-    from equity_audit.dataio import run_case_study
+    from equity_audit.dataio import build_case_study_views, load_uci_students, run_case_study
 
-    return [
-        {r.name: r.tp_share for r in run_case_study(RunConfig(input_path=str(student_path), seed=s)).regimes}
-        for s in SWEEP_SEEDS
-    ]
+    table = load_uci_students(student_path)
+    sweep = []
+    for s in SWEEP_SEEDS:
+        cfg = RunConfig(seed=s)
+        sweep.append({r.name: r.tp_share for r in run_case_study(cfg, build_case_study_views(table, cfg)).regimes})
+    return sweep
 
 
 @pytest.fixture()

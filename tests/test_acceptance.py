@@ -20,7 +20,7 @@ import pytest
 from equity_audit.checklist import emit_checklist
 from equity_audit.config import RunConfig
 from equity_audit.core import ObstacleModel, Policy, Population, reveal_population
-from equity_audit.dataio import run_case_study, regime_name
+from equity_audit.dataio import build_case_study_views, load_uci_students, regime_name, run_case_study
 from equity_audit.learner import ModelSpec, logistic_loss_and_gradient, predict, train
 from equity_audit.loopsim import default_config, run_inequity_loop
 from equity_audit.metrics import (
@@ -33,10 +33,10 @@ from equity_audit.metrics import (
     model_access,
     utilization,
 )
-from equity_audit.scoring import ScoringConfig, run_equity_scoring
+from equity_audit.scoring import run_equity_scoring
 
 from oracles import eo_violation_oracle, psi_oracle, zeta_oracle
-from test_scoring import assert_phase_order, perfect_spaces, starved_space
+from test_scoring import CAPS, assert_phase_order, perfect_spaces, starved_space
 
 
 def criterion(number, description):
@@ -188,8 +188,9 @@ def test_gap_claim_sweep():
 
 @criterion(5, "case-study directional reproduction")
 def test_case_study_directional(student_path, tp_share_sweep):
+    cfg = RunConfig(seed=7)
     started = time.perf_counter()
-    result = run_case_study(RunConfig(input_path=str(student_path), seed=7))
+    result = run_case_study(cfg, build_case_study_views(load_uci_students(student_path), cfg))
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"case study took {elapsed:.1f}s"
     by_name = {r.name: r for r in result.regimes}
@@ -264,14 +265,14 @@ def test_loop_dynamics():
 @criterion(7, "gated scoring behavior")
 def test_scoring_behavior():
     proxy_space, intended_space = perfect_spaces()
-    trace = run_equity_scoring(proxy_space, intended_space, ScoringConfig(seed=11))
+    trace = run_equity_scoring(proxy_space, intended_space, RunConfig(seed=11), *CAPS)
     assert trace.terminated_reason == "converged"
     assert trace.final_score == pytest.approx(3.0, abs=1e-9)
     assert_phase_order(trace)
 
     starved = starved_space()
     capped = run_equity_scoring(
-        starved, intended_space, ScoringConfig(seed=3, max_outer_iters=20, max_inner_iters=5)
+        starved, intended_space, RunConfig(seed=3), max_outer_iters=20, max_inner_iters=5
     )
     assert capped.terminated_reason == "iteration_cap"
     assert capped.records, "the trace must show the rejected candidates"

@@ -191,6 +191,12 @@ class TestAudit:
         assert run_cli("--out", str(tmp_path / "r"), "audit", str(path)) == 2
         assert "row 2" in capsys.readouterr().err
 
+    def test_bad_cell_before_an_oversized_cell_is_named_first(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("pred,label,group\n1,x,0\n1," + "0" * 140_000 + ",1\n")
+        assert run_cli("--out", str(tmp_path / "r"), "audit", str(path)) == 2
+        assert "error: expected an integer, got 'x' (row 1, column 'label')" in capsys.readouterr().err
+
     def test_mistyped_config_value_exit_2(self, audit_csv, tmp_path, capsys):
         config = tmp_path / "run.toml"
         config.write_text('tau = "abc"\n')
@@ -232,6 +238,19 @@ class TestAudit:
         assert "error: uplift_std_fraction must be finite, got inf" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("uplift_std_fraction", "1e308"), ("uplift_ordinal_step", "1" + "0" * 400)],
+        ids=["uplift_std_fraction", "uplift_ordinal_step"],
+    )
+    def test_overflowing_uplift_exit_2(self, student_path, tmp_path, capsys, field, value):
+        # finite settings whose largest uplift draw is no finite float
+        config = tmp_path / "run.toml"
+        config.write_text(f"{field} = {value}\n")
+        assert run_cli("--config", str(config), "--out", str(tmp_path / "r"), "casestudy", str(student_path)) == 2
+        assert f"error: {field} is too large: the largest uplift draw overflows" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_directory_input_exit_2(self, tmp_path, capsys):
         folder = tmp_path / "some_dir.csv"
         folder.mkdir()
@@ -261,6 +280,11 @@ class TestScore:
         assert "converged" in printed
         trace_csv = (out / "scoring_trace.csv").read_text()
         assert trace_csv.splitlines()[0].startswith("iter,spec_id,policy_id")
+
+    @pytest.mark.parametrize("flag", ["--max-outer", "--max-inner"])
+    def test_zero_iteration_cap_exit_2(self, spaces_json, tmp_path, capsys, flag):
+        assert run_cli("--out", str(tmp_path / "r"), "score", str(spaces_json), flag, "0") == 2
+        assert "error: iteration caps must be positive" in capsys.readouterr().err
 
     def test_bad_spaces_doc_exit_2(self, tmp_path):
         path = tmp_path / "spaces.json"
@@ -451,6 +475,18 @@ class TestSimulateLoop:
         text = (out / "trajectory_no_equity.csv").read_text()
         assert text.splitlines()[0].startswith("round,regime,psi")
         assert len(text.splitlines()) == 2
+
+
+@pytest.mark.parametrize("command", ["casestudy", "score", "simulate-loop"])
+def test_negative_seed_exit_2(student_path, spaces_json, tmp_path, capsys, command):
+    argv = {
+        "casestudy": ["casestudy", str(student_path)],
+        "score": ["score", str(spaces_json)],
+        "simulate-loop": ["simulate-loop", "--regime", "no_equity", "--rounds", "1"],
+    }[command]
+    assert run_cli("--seed", "-1", "--out", str(tmp_path / "r"), *argv) == 2
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 class TestGaps:

@@ -1,7 +1,7 @@
 """Fuzz of the JSON and TOML documents the commands read.
 
-Whatever a model document, a spaces document or a config file holds, the
-command ends with exit 0 (it ran), 2 (a data or validation error) or 3 (a
+Whatever a model document, a spaces document or a config file holds, each
+command that reads it ends with exit 0 (it ran), 2 (a data or validation error) or 3 (a
 rate the data cannot define), and no exception escapes ``cli.main``. The
 suite turns a ``RuntimeWarning`` into an error, so a non-finite value that
 reaches the arithmetic fails here too.
@@ -10,7 +10,7 @@ reaches the arithmetic fails here too.
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from equity_audit.cli import main
@@ -129,10 +129,17 @@ def test_score_hyperparameters(tmp_path, population_csv, proxy_specs, intended_s
 
 
 CONFIG_KEYS = st.sampled_from(
-    ["seed", "tau", "tau_o", "epsilon", "formats", "pass_mark", "equal_access", "out_dir", "input_path", "mystery"]
+    [
+        "seed", "tau", "tau_o", "epsilon", "formats", "pass_mark", "equal_access", "out_dir",
+        "uplift_std_fraction", "uplift_ordinal_step", "train_fraction", "mystery",
+    ]
 )
+HUGE_INTEGER = "1" + "0" * 400  # finite, but no float
 TOML_VALUES = st.sampled_from(
-    ["1", "-3", "0.5", "inf", "nan", "-inf", "1e400", "true", '"x"', "'json'", '["json", "csv"]', "[1, [2]]", '"', "[", ""]
+    [
+        "1", "-3", "0.5", "inf", "nan", "-inf", "1e400", "1e308", HUGE_INTEGER, "true", '"x"', "'json'",
+        '["json", "csv"]', "[1, [2]]", '"', "[", "",
+    ]
 ) | st.text(max_size=8)
 KEY_VALUE = st.tuples(CONFIG_KEYS, TOML_VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}")
 TOML_LINES = st.one_of(
@@ -141,14 +148,28 @@ TOML_LINES = st.one_of(
     st.sampled_from(["[report]", "[", "[]", "# note", "=", "x ="]),
     st.text(max_size=12),
 )
+TOML_TEXTS = st.one_of(
+    st.lists(TOML_LINES, max_size=6).map("\n".join),
+    st.lists(KEY_VALUE, max_size=2).map("\n".join),  # short files, more of which load
+    st.text(),
+)
 
 
-@given(text=st.lists(TOML_LINES, max_size=6).map("\n".join) | st.text())
+@given(text=TOML_TEXTS)
+@example(text="seed = -1")
+@example(text="uplift_std_fraction = 1e308")
+@example(text=f"uplift_ordinal_step = {HUGE_INTEGER}")
+@example(text=f"uplift_std_fraction = {HUGE_INTEGER}")
 @settings(FUZZ, max_examples=200)
-def test_config_toml(tmp_path, text):
+def test_config_toml(tmp_path, student_path, text):
     audit = tmp_path / "audit.csv"
     audit.write_text("pred,label,group\n1,1,0\n0,0,0\n1,1,1\n0,0,1\n")
     config = tmp_path / "run.toml"
     config.write_text(text, encoding="utf-8")
     # --out wins over any out_dir the file names
-    run("--config", config, "--out", tmp_path / "r", "audit", audit)
+    flags = ("--config", config, "--out", tmp_path / "r")
+    # every command loads the config alike, and this audit fails on nothing
+    # else; a config it accepts also runs through the seed and uplift readers
+    if run(*flags, "audit", audit) == 0:
+        run(*flags, "casestudy", student_path)
+        run(*flags, "simulate-loop", "--regime", "access_and_outcome", "--rounds", 1)

@@ -288,7 +288,8 @@ class TestViews:
 
 @pytest.fixture(scope="module")
 def result(student_path):
-    return run_case_study(RunConfig(input_path=str(student_path), seed=7))
+    cfg = RunConfig(seed=7)
+    return run_case_study(cfg, build_case_study_views(load_uci_students(student_path), cfg))
 
 
 class TestRunCaseStudy:
@@ -328,10 +329,8 @@ class TestRunCaseStudy:
             assert tp[regime_name(True, True, True)] >= tp[regime_name(True, False, False)]
 
     def test_regime_filter(self, student_path):
-        cfg = RunConfig(
-            input_path=str(student_path), seed=7, equal_access=True, equal_utilization=True
-        )
-        result = run_case_study(cfg)
+        cfg = RunConfig(seed=7, equal_access=True, equal_utilization=True)
+        result = run_case_study(cfg, build_case_study_views(load_uci_students(student_path), cfg))
         assert len(result.regimes) == 2
         assert all(r.equal_access and r.equal_utilization for r in result.regimes)
 
@@ -402,7 +401,7 @@ class TestCaseStudyAgainstOracle:
 
     @pytest.mark.parametrize("filters", ALL_FILTERS, ids=lambda f: "-".join(map(str, f.values())))
     def test_bundled_sample(self, student_path, result, filters):
-        cfg = RunConfig(input_path=str(student_path), seed=7, **filters)
+        cfg = RunConfig(seed=7, **filters)
         regimes = _assert_matches_oracle(cfg, build_case_study_views(load_uci_students(student_path), cfg)).regimes
         # a filter selects regimes of the full run and changes none of them
         assert [r.to_dict() for r in regimes] == [result.regime(r.name).to_dict() for r in regimes]
@@ -1085,7 +1084,7 @@ class TestRunConfigToml:
     def test_parse_subset(self, tmp_path):
         text = (
             "# audit settings\n"
-            'input_path = "students.csv"\n'
+            'out_dir = "student-reports"\n'
             "seed = 11\n"
             "tau_o = 0.2  # outcomes threshold\n"
             "[report]\n"
@@ -1095,7 +1094,7 @@ class TestRunConfigToml:
         path = tmp_path / "run.toml"
         path.write_text(text)
         cfg = RunConfig.from_toml(path)
-        assert cfg.input_path == "students.csv"
+        assert cfg.out_dir == "student-reports"
         assert cfg.seed == 11
         assert cfg.tau_o == 0.2
         assert cfg.formats == ("json", "csv")
@@ -1112,6 +1111,13 @@ class TestRunConfigToml:
         path = tmp_path / "run.toml"
         path.write_text('dialect = "uci-semicolon"\n')
         with pytest.raises(DataFormatError, match="unknown config keys: dialect"):
+            RunConfig.from_toml(path)
+
+    def test_input_path_is_an_unknown_key(self, tmp_path):
+        # the student file is the casestudy command's argument, not a setting
+        path = tmp_path / "run.toml"
+        path.write_text('input_path = "students.csv"\n')
+        with pytest.raises(DataFormatError, match="unknown config keys: input_path"):
             RunConfig.from_toml(path)
 
     def test_bad_value_line_numbered(self):
@@ -1131,6 +1137,12 @@ class TestRunConfigToml:
         path = tmp_path / "run.toml"
         path.write_text(line + "\n")
         with pytest.raises(DataFormatError, match=line.split()[0]):
+            RunConfig.from_toml(path)
+
+    def test_integer_past_the_float_range_is_no_float(self, tmp_path):
+        path = tmp_path / "run.toml"
+        path.write_text("uplift_std_fraction = 1" + "0" * 400 + "\n")
+        with pytest.raises(DataFormatError, match="config value uplift_std_fraction must be float, got 1000"):
             RunConfig.from_toml(path)
 
     def test_int_accepted_where_a_float_is_expected(self):

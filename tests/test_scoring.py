@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from equity_audit import scoring
+from equity_audit.config import RunConfig
 from equity_audit.core import ObstacleModel, Policy, Population
 from equity_audit.errors import ValidationError
 from equity_audit.learner import ModelSpec
@@ -11,9 +12,11 @@ from equity_audit.loopsim import default_config, generate_cohort
 from equity_audit.scoring import (
     CandidateSampler,
     ModelSpace,
-    ScoringConfig,
     run_equity_scoring,
 )
+
+# the CLI's --max-outer and --max-inner defaults
+CAPS = (100, 25)
 
 
 def perfect_spaces():
@@ -88,16 +91,14 @@ class TestSampler:
 class TestRunEquityScoring:
     def test_perfect_space_converges_to_three(self):
         proxy_space, intended_space = perfect_spaces()
-        cfg = ScoringConfig(seed=11)
-        trace = run_equity_scoring(proxy_space, intended_space, cfg)
+        trace = run_equity_scoring(proxy_space, intended_space, RunConfig(seed=11), *CAPS)
         assert trace.terminated_reason == "converged"
         assert trace.final_score == pytest.approx(3.0, abs=1e-9)
 
     def test_starved_space_hits_iteration_cap(self):
         proxy_space = starved_space()
         _, intended_space = perfect_spaces()
-        cfg = ScoringConfig(seed=3, max_outer_iters=12, max_inner_iters=4)
-        trace = run_equity_scoring(proxy_space, intended_space, cfg)
+        trace = run_equity_scoring(proxy_space, intended_space, RunConfig(seed=3), 12, 4)
         assert trace.terminated_reason == "iteration_cap"
         assert trace.final_score is None
         assert len(trace.records) > 0
@@ -106,26 +107,25 @@ class TestRunEquityScoring:
 
     def test_phase_ordering_in_traces(self):
         proxy_space, intended_space = perfect_spaces()
-        trace = run_equity_scoring(proxy_space, intended_space, ScoringConfig(seed=1))
+        trace = run_equity_scoring(proxy_space, intended_space, RunConfig(seed=1), *CAPS)
         assert_phase_order(trace)
 
     def test_reproducible_trace(self):
         proxy_space, intended_space = perfect_spaces()
-        cfg = ScoringConfig(seed=19)
-        t1 = run_equity_scoring(proxy_space, intended_space, cfg)
-        t2 = run_equity_scoring(proxy_space, intended_space, cfg)
+        cfg = RunConfig(seed=19)
+        t1 = run_equity_scoring(proxy_space, intended_space, cfg, *CAPS)
+        t2 = run_equity_scoring(proxy_space, intended_space, cfg, *CAPS)
         assert t1.to_json() == t2.to_json()
 
     def test_termination_budget(self):
         proxy_space = starved_space()
         _, intended_space = perfect_spaces()
-        cfg = ScoringConfig(seed=0, max_outer_iters=7, max_inner_iters=3)
-        trace = run_equity_scoring(proxy_space, intended_space, cfg)
-        assert len(trace.records) <= cfg.max_outer_iters * cfg.max_inner_iters
+        trace = run_equity_scoring(proxy_space, intended_space, RunConfig(seed=0), 7, 3)
+        assert len(trace.records) <= 7 * 3
 
     def test_trace_serialization(self):
         proxy_space, intended_space = perfect_spaces()
-        trace = run_equity_scoring(proxy_space, intended_space, ScoringConfig(seed=2))
+        trace = run_equity_scoring(proxy_space, intended_space, RunConfig(seed=2), *CAPS)
         csv_text = trace.to_csv()
         header = csv_text.splitlines()[0]
         assert header == "iter,spec_id,policy_id,psi,omega,zeta,phase,accepted,reason"
@@ -133,9 +133,12 @@ class TestRunEquityScoring:
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
-            ScoringConfig(tau=0.0)
+            RunConfig(tau=0.0)
         with pytest.raises(ValidationError):
-            ScoringConfig(tau_o=1.0)
+            RunConfig(tau_o=1.0)
+        for caps in ((0, 25), (100, 0)):
+            with pytest.raises(ValidationError, match="iteration caps must be positive"):
+                run_equity_scoring(*perfect_spaces(), RunConfig(), *caps)
 
 
 def assert_phase_order(trace):
@@ -202,8 +205,8 @@ def synthetic_benchmark_spaces():
 class TestSyntheticBenchmark:
     def test_converged_score_is_stable(self):
         proxy_space, intended_space = synthetic_benchmark_spaces()
-        cfg = ScoringConfig(seed=42, tau=0.8, tau_o=0.2)
-        trace = run_equity_scoring(proxy_space, intended_space, cfg)
+        cfg = RunConfig(seed=42, tau=0.8, tau_o=0.2)
+        trace = run_equity_scoring(proxy_space, intended_space, cfg, *CAPS)
         assert trace.terminated_reason == "converged"
         # frozen regression value for this benchmark (seed 42)
         assert trace.final_score == pytest.approx(GOLDEN_BENCHMARK_SCORE, abs=1e-9)
@@ -248,8 +251,8 @@ def test_repeated_utilization_candidates_fitted_once(monkeypatch):
         return real_train(spec, *args, **kwargs)
 
     monkeypatch.setattr(scoring, "train", counting_train)
-    cfg = ScoringConfig(seed=42, tau=0.999, tau_o=0.2, max_outer_iters=3)
-    trace = run_equity_scoring(*repeating_spaces(), cfg)
+    cfg = RunConfig(seed=42, tau=0.999, tau_o=0.2)
+    trace = run_equity_scoring(*repeating_spaces(), cfg, 3, CAPS[1])
 
     util = [(r.iter, r.spec_id, r.policy_id) for r in trace.records if r.phase == "utilization"]
     assert len(util) > len(set(util))  # the walk repeats candidates
