@@ -51,38 +51,55 @@ def _as_float_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def _row_faults(name: str, col: np.ndarray) -> tuple[str, np.ndarray]:
+    """A checked column's fault, a non-finite feature or a label other than 0/1, and the rows with it."""
+    if col.ndim == 2:
+        return f"{name} contains non-finite values", ~np.isfinite(col).all(axis=1)
+    return f"{name} must be 0 or 1", ~np.isin(col, (0, 1))
+
+
+def _column_passes(col: np.ndarray) -> bool:
+    """Whether no row of the column fails, tested in one pass over it where its dtype allows."""
+    if col.ndim == 2:
+        return bool(np.isfinite(col).all())
+    if col.dtype.kind in "biufc":
+        return bool(((col == 0) | (col == 1)).all())
+    return bool(np.isin(col, (0, 1)).all())
+
+
 class Population:
     """An ordered population over one feature space, stored as columns.
 
     ``x`` and ``z`` are (n, d) float blocks, ``y``, ``y_prime`` and ``grp``
-    length-n 0/1 columns and ``ids`` n unique identifiers. The constructor
+    length-n 0/1 columns and ``ids`` n unique hashable identifiers; a
+    ``range`` is kept as it is, since its ids are unique by construction
+    (the loop's cohorts use their row numbers). The constructor
     copies and validates its inputs once; the accessors return the stored
     read-only arrays without copying.
     """
 
     def __init__(self, x, z, y, y_prime, grp, ids, feature_names, group_name: str = "group"):
-        ids, feature_names = tuple(ids), tuple(feature_names)
+        ids = ids if isinstance(ids, range) else tuple(ids)
+        feature_names = tuple(feature_names)
         n, d = len(ids), len(feature_names)
         columns = {"z": np.array(z, dtype=float), "x": np.array(x, dtype=float),
                    "y_prime": np.array(y_prime), "y": np.array(y), "grp": np.array(grp)}
-        faults = []
         for name, col in columns.items():
             shape = (n, d) if name in ("x", "z") else (n,)
             if col.shape != shape:
                 raise ValidationError(f"{name} must have shape {shape}, got {col.shape}")
-            if col.ndim == 2:
-                faults.append((f"{name} contains non-finite values", ~np.isfinite(col).all(axis=1)))
-            else:
-                faults.append((f"{name} must be 0 or 1", ~np.isin(col, (0, 1))))
-                columns[name] = col.astype(int)
-        bad = np.logical_or.reduce([mask for _, mask in faults])
-        if bad.any():
+        if not all(map(_column_passes, columns.values())):
+            # name the first faulty row and, within it, the first faulty column
+            faults = [_row_faults(name, col) for name, col in columns.items()]
+            bad = np.logical_or.reduce([mask for _, mask in faults])
             row = int(np.argmax(bad))
             message = next(message for message, mask in faults if mask[row])
             raise ValidationError(f"{message} for individual {ids[row]!r}", row=row)
-        if len(set(ids)) != n:
+        if not isinstance(ids, range) and len(set(ids)) != n:
             raise ValidationError("individual ids must be unique")
-        for name, col in columns.items():
+        for name in ("y_prime", "y", "grp"):
+            columns[name] = columns[name].astype(int)
+        for col in columns.values():
             col.flags.writeable = False
         self.__dict__.update({"_" + name: col for name, col in columns.items()})
         self.__dict__.update(_ids=ids, feature_names=feature_names, group_name=group_name)
@@ -108,8 +125,8 @@ class Population:
     def groups(self) -> np.ndarray:
         return self._grp
 
-    def ids(self) -> list[str]:
-        return list(self._ids)  # kept as a tuple, so callers cannot reorder it
+    def ids(self) -> list:
+        return list(self._ids)  # kept as a tuple or range, so callers cannot reorder it
 
     def restrict(self, feature_names: list[str] | tuple[str, ...]) -> "Population":
         """Column slice onto a subset of the features; nothing is revalidated."""

@@ -129,17 +129,34 @@ class StudentTable:
 
 
 @contextmanager
-def _text_file(path: Path):
-    """A UTF-8 file opened for ``csv.reader``; an unopenable path or undecodable bytes raise DataFormatError."""
+def _text_file(path: Path, parse):
+    """A UTF-8 file opened for ``csv.reader``; an unopenable path or undecodable bytes raise DataFormatError.
+
+    The text layer decodes ahead of the reader, so an undecodable byte can
+    surface before the rows above it are checked. On that error a regular
+    file is read again as bytes and ``parse`` runs over its lines, each
+    decoded only when the reader asks for it: the rows complete before the
+    line of the first bad byte are checked by the same reader and
+    converters, and a fault among them is raised instead of the decode
+    error. A pipe cannot be read again; it reports the decode error.
+    """
     try:
         fh = path.open(newline="", encoding="utf-8")
     except OSError as exc:
         raise open_error(path, exc) from None
-    try:
-        with fh:
+    with fh:
+        try:
             yield fh
-    except UnicodeDecodeError as exc:
-        raise decode_error(path, exc) from None
+        except UnicodeDecodeError as exc:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.buffer.seek(0)
+                # bytes.splitlines breaks where a newline="" text file does: \n, \r and \r\n
+                lines = map(partial(bytes.decode, encoding="utf-8"), fh.buffer.read().splitlines(keepends=True))
+                try:
+                    parse(lines)
+                except UnicodeDecodeError:
+                    pass
+            raise decode_error(path, exc) from None
 
 
 def _header_row(reader, path: Path) -> list[str]:
@@ -163,24 +180,35 @@ def load_uci_students(path: str | Path) -> StudentTable:
     with its data row number (1-based) and column name.
     """
     path = Path(path)
-    with _text_file(path) as fh:
-        reader = csv.reader(fh, delimiter=";")
-        columns = tuple(col.strip().strip('"') for col in _header_row(reader, path))
-        missing = [c for c in REQUIRED_COLUMNS if c not in columns]
-        if missing:
-            raise DataFormatError(
-                f"missing expected columns: {', '.join(missing)}"
-            )
-        rows: list[list[str]] = []
-        try:
-            rows.extend(reader)
-        except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
-            _student_columns_by_row(rows, columns)  # a fault in an earlier row comes first
-            raise DataFormatError(f"unreadable row: {exc}", row=len(rows) + 1) from None
-        except UnicodeDecodeError:
-            _student_columns_by_row(rows, columns)
-            raise
+    parse = partial(_student_rows, path=path)
+    with _text_file(path, parse) as fh:
+        columns, rows = parse(fh)
     return StudentTable(columns=columns, data=dict(zip(columns, _student_columns(rows, columns))))
+
+
+def _student_rows(lines, path: Path) -> tuple[tuple[str, ...], list[list[str]]]:
+    """The header's column names and the raw rows of a student file's ``lines``.
+
+    A fault in the header, or a row the csv module or the text layer
+    cannot read, is raised after any fault in an earlier row.
+    """
+    reader = csv.reader(lines, delimiter=";")
+    columns = tuple(col.strip().strip('"') for col in _header_row(reader, path))
+    missing = [c for c in REQUIRED_COLUMNS if c not in columns]
+    if missing:
+        raise DataFormatError(
+            f"missing expected columns: {', '.join(missing)}"
+        )
+    rows: list[list[str]] = []
+    try:
+        rows.extend(reader)
+    except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
+        _student_columns_by_row(rows, columns)  # a fault in an earlier row comes first
+        raise DataFormatError(f"unreadable row: {exc}", row=len(rows) + 1) from None
+    except UnicodeDecodeError:
+        _student_columns_by_row(rows, columns)
+        raise
+    return columns, rows
 
 
 def _student_columns(rows: list[list[str]], columns: tuple[str, ...]) -> list:
@@ -797,6 +825,9 @@ def _stored_columns(reader, cols: list, fault) -> list[np.ndarray]:
             batch = list(filter(None, chunk))
             _convert_batch(batch, done + 1, cols, fault)  # a fault in an earlier row comes first
             raise DataFormatError(f"unreadable row: {exc}", row=done + len(batch) + 1) from None
+        except UnicodeDecodeError:
+            _convert_batch(list(filter(None, chunk)), done + 1, cols, fault)
+            raise
         if not chunk:
             return [column[:done] for column in stored]
         batch = list(filter(None, chunk))
@@ -829,15 +860,19 @@ def _read_csv_columns(path: Path, plan, fault) -> tuple[list[str], list]:
     byte that is not plain, a body numpy rejects or warns on, and a file
     changed since the scan.
     """
-    with _text_file(path) as fh:
-        reader = csv.reader(fh)
+    def parse(lines, fh=None):
+        reader = csv.reader(lines)
         header = _header_row(reader, path)
         columns = plan(header)
         index = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last column
         cols = [(name, index[name], convert) for name, convert in columns]
-        values = _whole_file_columns(fh, path, reader.line_num, cols)
+        values = None if fh is None else _whole_file_columns(fh, path, reader.line_num, cols)
         if values is None:
             values = _stored_columns(reader, cols, fault)
+        return header, cols, values
+
+    with _text_file(path, parse) as fh:
+        header, cols, values = parse(fh, fh)
     return header, [
         column.tolist() if convert is str else column
         for (_, _, convert), column in zip(cols, values)

@@ -16,9 +16,12 @@ fit that reaches the cap or whose line search fails (separable data with
 ``converged=False``. The fit runs feature-major, on a C-contiguous
 (d, n) copy of the standardized features, so its reductions run along
 the contiguous axis and the result does not depend on the layout of the
-input. A constant column keeps weight 0 and stays out of the fit; without
-a penalty, linearly dependent columns (a duplicated one) make the Hessian
-singular, and the fit then takes least-norm Newton steps. The
+input. A fit allocates its n-sized and (d, n) buffers once, and every
+Newton step writes into them in the order the formulas name, so reusing
+them changes no bit. A constant column keeps weight 0 and stays out of
+the fit; without a penalty, linearly dependent columns (a duplicated
+one) make the Hessian singular, and the fit then takes least-norm Newton
+steps. The
 ``learning_rate`` hyperparameter of earlier gradient-descent versions is
 accepted and ignored.
 ``norm_threshold`` is the fixed rule "predict 1 iff the L2 norm of the
@@ -239,31 +242,58 @@ def _normalize_importance(coefficients: np.ndarray) -> np.ndarray:
 
 def _sigmoid(scores: np.ndarray) -> np.ndarray:
     # exp(-|s|) cannot overflow, and -|s| is exactly -s for s >= 0 and s
-    # for s < 0, so this matches 1/(1+e^-s) and e^s/(1+e^s) bit for bit
+    # for s < 0, so this matches 1/(1+e^-s) and e^s/(1+e^s) bit for bit.
+    # The numerator is 1 where s >= 0 and e elsewhere: e lies in [0, 1], so
+    # the larger of e and the 0/1 sign test picks it without a branch, and
+    # a NaN score stays NaN
     e = np.exp(-np.abs(scores))
-    return np.where(scores >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, scores >= 0) / (1.0 + e)
+
+
+class _Workspace:
+    """The buffers one fit's Newton steps write into, allocated once per fit.
+
+    ``proba`` holds the probabilities of the last :func:`_logistic_terms`
+    call until the next one; ``scratch`` and ``dn`` are free between calls.
+    """
+
+    __slots__ = ("scores", "e", "proba", "scratch", "sign", "dn")
+
+    def __init__(self, d: int, n: int):
+        self.scores, self.e, self.proba, self.scratch = np.empty((4, n))
+        self.sign = np.empty(n, dtype=bool)
+        self.dn = np.empty((d, n))
 
 
 def _logistic_terms(
-    weights: np.ndarray, XT: np.ndarray, y: np.ndarray, l2: float
+    weights: np.ndarray, XT: np.ndarray, y: np.ndarray, l2: float, work: _Workspace
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss, gradient and positive-class probabilities at ``weights``.
 
     ``XT`` is feature-major, one C-contiguous row per feature, so every
     reduction over the samples runs along the contiguous axis. The
     gradient is an elementwise product summed per feature, so two equal
-    feature rows get bit-equal gradient entries.
+    feature rows get bit-equal gradient entries. Every n-sized result is
+    written into ``work``, and the returned probabilities are its
+    ``proba``. The operations are those of :func:`_sigmoid` and of the
+    loss formula, in the same order, so the buffers change no bit.
     """
+    scores, e, proba, scratch = work.scores, work.e, work.proba, work.scratch
     w, b = weights[:-1], weights[-1]
-    scores = w @ XT + b
-    e = np.exp(-np.abs(scores))  # shared by the sigmoid and the softplus
-    proba = np.where(scores >= 0, 1.0, e) / (1.0 + e)
-    resid = proba - y
+    np.matmul(w, XT, out=scores)
+    scores += b
+    # e = exp(-|s|), shared by the sigmoid and the softplus
+    np.exp(np.negative(np.abs(scores, out=e), out=e), out=e)
+    np.maximum(e, np.greater_equal(scores, 0, out=work.sign), out=proba)
+    proba /= np.add(e, 1.0, out=scratch)
+    resid = np.subtract(proba, y, out=scratch)
     n = XT.shape[1]
-    grad = np.append((XT * resid).sum(axis=1) / n + l2 * w, np.mean(resid))
+    grad = np.append(np.multiply(XT, resid, out=work.dn).sum(axis=1) / n + l2 * w, np.mean(resid))
     # mean[ softplus(s) - y*s ] == mean[-y log p - (1-y) log(1-p)]
-    softplus = np.maximum(scores, 0.0) + np.log1p(e)
-    data_loss = float(np.mean(softplus - y * scores))
+    softplus = np.maximum(scores, 0.0, out=scratch)
+    softplus += np.log1p(e, out=e)
+    softplus -= np.multiply(y, scores, out=e)
+    data_loss = float(np.mean(softplus))
     return data_loss + 0.5 * l2 * float(w @ w), grad, proba
 
 
@@ -278,19 +308,20 @@ def logistic_loss_and_gradient(
     tests difference this pair numerically.
     """
     XT = np.ascontiguousarray(np.asarray(X, dtype=float).T)
-    loss_value, grad, _ = _logistic_terms(weights, XT, np.asarray(y, dtype=float), l2)
+    loss_value, grad, _ = _logistic_terms(weights, XT, np.asarray(y, dtype=float), l2, _Workspace(*XT.shape))
     return loss_value, grad
 
 
-def _logistic_hessian(XT: np.ndarray, proba: np.ndarray, l2: float) -> np.ndarray:
+def _logistic_hessian(XT: np.ndarray, proba: np.ndarray, l2: float, work: _Workspace) -> np.ndarray:
     """Hessian of the loss in ``[w_1..w_d, intercept]``; the intercept is unpenalized.
 
-    Bit-symmetric: the Gram block's upper triangle is mirrored into its
-    lower one.
+    The curvature and the weighted copy of ``XT`` go into ``work``'s free
+    buffers. Bit-symmetric: the Gram block's upper triangle is mirrored
+    into its lower one.
     """
     d, n = XT.shape
-    curvature = proba * (1.0 - proba)
-    weighted = XT * curvature  # the one d x n weighted copy
+    curvature = np.multiply(proba, np.subtract(1.0, proba, out=work.scratch), out=work.scratch)
+    weighted = np.multiply(XT, curvature, out=work.dn)
     gram = weighted @ XT.T
     for i in range(1, d):
         gram[i, :i] = gram[:i, i]
@@ -316,8 +347,9 @@ def _newton_fit(
     step.
     """
     weights = np.zeros(XT.shape[0] + 1)
-    loss_value, grad, proba = _logistic_terms(weights, XT, y, l2)
-    hess = _logistic_hessian(XT, proba, l2)
+    work = _Workspace(*XT.shape)
+    loss_value, grad, proba = _logistic_terms(weights, XT, y, l2, work)
+    hess = _logistic_hessian(XT, proba, l2, work)
     least_norm = l2 <= 0.0 and np.linalg.matrix_rank(hess) < len(hess)
     steps = 0
     converged = False
@@ -341,14 +373,14 @@ def _newton_fit(
         t = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = weights - t * direction
-            trial_loss, trial_grad, trial_proba = _logistic_terms(trial, XT, y, l2)
+            trial_loss, trial_grad, trial_proba = _logistic_terms(trial, XT, y, l2, work)
             if trial_loss <= loss_value - _ARMIJO * t * decrement:
                 break
             t /= 2.0
         else:  # no step length lowers the loss enough: stop where we are
             break
         weights, loss_value, grad, proba = trial, trial_loss, trial_grad, trial_proba
-        hess = _logistic_hessian(XT, proba, l2)
+        hess = _logistic_hessian(XT, proba, l2, work)
         steps += 1
     return weights, steps, float(np.linalg.norm(grad)), converged
 
@@ -368,7 +400,7 @@ def _validate_training_inputs(spec: ModelSpec, features, labels) -> tuple[np.nda
         raise ValidationError("need at least 2 training rows")
     if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
         raise ValidationError("training data contains non-finite values")
-    if not np.all(np.isin(y, (0.0, 1.0))):
+    if not ((y == 0.0) | (y == 1.0)).all():
         raise ValidationError("labels must be binary (0/1)")
     if np.all(y == y[0]):
         raise SingleClassError("training labels contain a single class")
@@ -410,7 +442,8 @@ def train(spec: ModelSpec, features, labels, seed: int = 0) -> TrainedModel:
     mu = XT.mean(axis=1)
     var = XT.var(axis=1)
     sigma = np.sqrt(np.maximum(var, _VARIANCE_FLOOR))
-    XsT = (XT - mu[:, None]) / sigma[:, None]
+    XsT = XT - mu[:, None]
+    XsT /= sigma[:, None]
     # a constant column carries nothing to fit and, with l2 = 0, would make
     # the Hessian singular: it keeps weight 0 and stays out of the fit
     varying = var > _VARIANCE_FLOOR
@@ -486,19 +519,21 @@ def _group_threshold_grid(
     if 0 in sizes or sum(sizes) != g.size:
         raise ValidationError(f"need both groups 0 and 1, got {np.unique(g).tolist()}")
 
+    positive, zero = y == 1, y == 0
     per_group = {}
     for grp, mask in enumerate(masks):
-        s, y_g = scores[mask], y[mask]
-        pos = y_g == 1
-        if not np.any(pos) or not np.any(y_g == 0):
+        in_pos = mask & positive
+        if not np.any(in_pos) or not np.any(mask & zero):
             raise ValidationError(
                 f"group {grp} lacks a label class; per-group thresholds undefined"
             )
-        # a quantile depends only on the order statistics; sorted input
-        # makes numpy's partition step cheap
-        qs = np.quantile(np.sort(s), np.linspace(0.0, 1.0, min(n_candidates, s.size)))
+        s_pos, s_neg = np.sort(scores[in_pos]), np.sort(scores[mask ^ in_pos])
+        # the group's scores in order: a stable sort merges the two sorted
+        # runs. A quantile depends only on the order statistics; sorted
+        # input makes numpy's partition step cheap
+        s = np.sort(np.concatenate([s_pos, s_neg]), kind="stable")
+        qs = np.quantile(s, np.linspace(0.0, 1.0, min(n_candidates, s.size)))
         cands = np.unique(np.concatenate([qs, [model.decision_threshold, 0.0, 1.0 + 1e-12]]))
-        s_pos, s_neg = np.sort(s[pos]), np.sort(s[~pos])
         # rows of each label class scoring below each candidate
         below_pos = np.searchsorted(s_pos, cands)
         below_neg = np.searchsorted(s_neg, cands)

@@ -32,11 +32,9 @@ labeling that lets the loop feed on its own decisions.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -127,15 +125,6 @@ class SyntheticConfig:
                     "obstacle probabilities are positive but alpha_intended has no support"
                 )
 
-    @functools.cached_property
-    def id_suffixes(self) -> tuple[str, ...]:
-        """``"0"`` .. ``str(n_per_round - 1)``: each round's ids are ``r<round>-`` + these.
-
-        Made once per config and kept with it, so a config's rounds share it
-        and nothing outlives the config.
-        """
-        return tuple(map(str, range(self.n_per_round)))
-
 
 def default_config(seed: int = 42) -> SyntheticConfig:
     """Defaults used by the shipped simulations and regression tests."""
@@ -158,6 +147,7 @@ def default_config(seed: int = 42) -> SyntheticConfig:
 class Cohort:
     """One round's arrivals: the deployed-model view plus evaluation-side features.
 
+    The proxy population's ids are its row numbers, 0 to n - 1.
     The evaluation view is three (n, d_intended) blocks in the proxy's row
     order: ``z_intended`` with no obstacle anywhere, ``x_intended`` the
     worst case (nothing alleviated anywhere) and ``x_intended_after_access``
@@ -176,18 +166,24 @@ class Cohort:
 class CuratedDataset:
     """Feature/label rows harvested from accepted individuals.
 
-    Provenance keeps, per row, the round it was curated in and the id of
-    the individual it came from.
+    Provenance keeps, per row, the round it was curated in (``rounds``)
+    and the individual's row in that round's cohort (``source_rows``, an
+    int64 array).
     """
 
     feature_names: tuple[str, ...]
     X: np.ndarray
     y: np.ndarray
     rounds: np.ndarray
-    source_ids: tuple[str, ...]
+    source_rows: np.ndarray
 
     def __len__(self) -> int:
         return int(self.X.shape[0])
+
+    @property
+    def source_ids(self) -> tuple[str, ...]:
+        """Each row's provenance as ``r<round>-<row>``, formatted when read."""
+        return tuple(map("r{}-{}".format, self.rounds.tolist(), self.source_rows.tolist()))
 
     @classmethod
     def empty(cls, feature_names: tuple[str, ...]) -> "CuratedDataset":
@@ -197,18 +193,18 @@ class CuratedDataset:
             X=np.empty((0, d)),
             y=np.empty((0,), dtype=int),
             rounds=np.empty((0,), dtype=int),
-            source_ids=(),
+            source_rows=np.empty((0,), dtype=np.int64),
         )
 
     @classmethod
     def from_columns(
-        cls, feature_names: tuple[str, ...], X, y, round: int, source_ids
+        cls, feature_names: tuple[str, ...], X, y, round: int, source_rows
     ) -> "CuratedDataset":
         """One curation round's rows, given as columns.
 
         ``X`` holds one row of deployed-view features per individual, ``y``
-        their 0/1 evaluation labels and ``source_ids`` their ids, in the
-        same order.
+        their 0/1 evaluation labels and ``source_rows`` their integer rows
+        in the round's cohort, in the same order.
         """
         y = np.asarray(y, dtype=int)
         if not np.all(np.isin(y, (0, 1))):
@@ -218,7 +214,7 @@ class CuratedDataset:
             X=np.asarray(X, dtype=float),
             y=y,
             rounds=np.full(len(y), round, dtype=int),
-            source_ids=tuple(source_ids),
+            source_rows=np.asarray(source_rows, dtype=np.int64),
         )
 
 
@@ -285,19 +281,22 @@ def generate_cohort(cfg: SyntheticConfig, round: int) -> Cohort:
     mask_p = flagged[:, None] & affected_p[None, :]
     mask_t = flagged[:, None] & affected_t[None, :]
 
-    x_p = np.where(mask_p, z_p - deg_p, z_p)
+    # a draw times its 0/1 mask is the draw or +0.0 (draws are finite and
+    # nonnegative), and z - 0.0 == z bit for bit, -0.0 included: each block
+    # is the masked subtraction without a select
+    x_p = z_p - deg_p * mask_p
     # evaluation-side state: decision-time residue plus evaluation-specific part
-    x_t_full = np.where(mask_t, z_t - deg_carry - deg_util, z_t)
-    x_t_after_access = np.where(mask_t, z_t - deg_util, z_t)
+    util = deg_util * mask_t
+    x_t_full = z_t - deg_carry * mask_t - util
+    x_t_after_access = z_t - util
 
     w_p = np.asarray(cfg.true_model_coefficients[0], dtype=float)
     flip_p = rng.random(n) < cfg.label_noise
     y_prime_p = ((z_p @ w_p >= 0) ^ flip_p).astype(int)
     y_p = ((x_p @ w_p >= 0) ^ flip_p).astype(int)
 
-    ids = list(map(f"r{round}-".__add__, cfg.id_suffixes))
     proxy = Population(
-        x=x_p, z=z_p, y=y_p, y_prime=y_prime_p, grp=grp, ids=ids,
+        x=x_p, z=z_p, y=y_p, y_prime=y_prime_p, grp=grp, ids=range(n),
         feature_names=_proxy_feature_names(cfg),
     )
     return Cohort(
@@ -310,13 +309,13 @@ def generate_cohort(cfg: SyntheticConfig, round: int) -> Cohort:
 
 
 def curate_ground_truth(
-    positives: list[tuple[str, np.ndarray, int]],
+    positives: list[tuple[int, np.ndarray, int]],
     round: int,
     feature_names: tuple[str, ...] | None = None,
 ) -> CuratedDataset:
     """Turn accepted individuals' evaluation outcomes into training rows.
 
-    Each entry is ``(individual id, deployed-view features, y_tt)``; only
+    Each entry is ``(cohort row, deployed-view features, y_tt)``; only
     accepted (proxy-positive) individuals belong here, so an empty input
     yields an empty dataset rather than an error. A row-wise adapter to
     :meth:`CuratedDataset.from_columns`.
@@ -329,13 +328,13 @@ def curate_ground_truth(
     names = tuple(feature_names) if feature_names is not None else tuple(
         f"pf{i}" for i in range(d)
     )
-    ids, features, labels = zip(*positives)
+    rows, features, labels = zip(*positives)
     return CuratedDataset.from_columns(
         names,
         np.array([np.asarray(feats, dtype=float) for feats in features]),
         [int(label) for label in labels],
         round,
-        map(str, ids),
+        rows,
     )
 
 
@@ -352,7 +351,8 @@ def run_inequity_loop(
     """Simulate the curation feedback loop for a number of rounds.
 
     Returns the per-round trajectory and the accumulated curated dataset
-    (seed rows excluded; provenance tags carry the curation round).
+    (seed rows excluded; each row keeps its curation round and its row in
+    that round's cohort).
     """
     if regime not in REGIMES:
         raise ValidationError(f"regime must be one of {REGIMES}, got {regime!r}")
@@ -372,21 +372,26 @@ def run_inequity_loop(
         cfg.true_model_coefficients[1],
     )
 
-    seed_cohort = generate_cohort(cfg, 0)
-    n_seed = len(seed_cohort.proxy)
     # the training pool, seed rows first and then each round's curated
     # rows with their round, grows in place; every round trains on a
     # leading view of it
+    n_seed = cfg.n_per_round
     capacity = n_seed + rounds * cfg.n_per_round
-    pool_X = np.empty((capacity, cfg.d_proxy))
-    pool_y = np.empty(capacity, dtype=int)
-    pool_groups = np.empty(capacity, dtype=int)
-    pool_rounds = np.zeros(capacity, dtype=int)
+    try:
+        pool_X = np.empty((capacity, cfg.d_proxy))
+        pool_y = np.empty(capacity, dtype=int)
+        pool_groups = np.empty(capacity, dtype=int)
+        pool_rounds = np.zeros(capacity, dtype=int)
+    except (ValueError, OverflowError, MemoryError):
+        raise ValidationError(
+            f"rounds={rounds} needs a pool of {capacity} rows, more than can be allocated"
+        ) from None
+    seed_cohort = generate_cohort(cfg, 0)
     pool_X[:n_seed] = seed_cohort.proxy.x_matrix()
     pool_y[:n_seed] = seed_cohort.proxy.labels()
     pool_groups[:n_seed] = seed_cohort.proxy.groups()
     size = n_seed
-    batch_ids: list[list[str]] = []
+    batch_rows = [np.empty(0, dtype=np.int64)]  # each round's accepted cohort rows
     records: list[LoopRound] = []
 
     for t in range(1, rounds + 1):
@@ -470,7 +475,7 @@ def run_inequity_loop(
         pool_groups[size : size + m] = b_groups
         pool_rounds[size : size + m] = t
         size += m
-        batch_ids.append(list(map(cohort.proxy.ids().__getitem__, np.flatnonzero(b_mask).tolist())))
+        batch_rows.append(np.flatnonzero(b_mask))
 
         fp_share = {}
         for g in (0, 1):
@@ -502,7 +507,7 @@ def run_inequity_loop(
         X=pool_X[n_seed:size].copy(),
         y=pool_y[n_seed:size].copy(),
         rounds=pool_rounds[n_seed:size].copy(),
-        source_ids=tuple(chain.from_iterable(batch_ids)),
+        source_rows=np.concatenate(batch_rows),
     )
     return trajectory, curated
 

@@ -4,14 +4,17 @@ Everything here is deliberate pure-Python looping over rows: no numpy
 vectorization, no shared helpers with the package. These are the reference
 implementations the fast paths are checked against.
 
-Three exceptions are written in numpy. The gradient-descent trainer is a
+Some exceptions are written in numpy. The gradient-descent trainer is a
 long-run reference for the package's Newton fit: a pure-Python loop would
 need minutes for the thousands of full-batch steps it takes. The mask-based
 equalized-odds violation and the decision-matrix threshold grid are the
 package's earlier implementations, kept to pin their counting replacements
-bit for bit. The case-study oracle is the package's earlier per-regime
-loop: it calls the package's training, threshold and metric functions and
-pins only how the loop combines them.
+bit for bit. So are the ``np.where`` forms of the sigmoid, the logistic
+terms and the cohort generator, and the per-row population validator:
+they pin the branch-free, buffer-reusing and whole-array replacements.
+The case-study oracle is the package's earlier per-regime loop: it calls
+the package's training, threshold and metric functions and pins only how
+the loop combines them.
 """
 
 from __future__ import annotations
@@ -361,3 +364,75 @@ def case_study_oracle(cfg, views):
     return CaseStudyResult(
         regimes=tuple(regimes), gaps=gaps, proxy_model=proxy_model, intended_model=intended_model
     )
+
+
+def where_sigmoid(scores):
+    """The sigmoid with its numerator picked by ``np.where``."""
+    e = np.exp(-np.abs(scores))
+    return np.where(scores >= 0, 1.0, e) / (1.0 + e)
+
+
+def where_logistic_terms(weights, XT, y, l2):
+    """Loss, gradient and probabilities of a feature-major design, each step a new array."""
+    w, b = weights[:-1], weights[-1]
+    scores = w @ XT + b
+    e = np.exp(-np.abs(scores))
+    proba = np.where(scores >= 0, 1.0, e) / (1.0 + e)
+    resid = proba - y
+    n = XT.shape[1]
+    grad = np.append((XT * resid).sum(axis=1) / n + l2 * w, np.mean(resid))
+    softplus = np.maximum(scores, 0.0) + np.log1p(e)
+    data_loss = float(np.mean(softplus - y * scores))
+    return data_loss + 0.5 * l2 * float(w @ w), grad, proba
+
+
+def where_cohort(cfg, round):
+    """One cohort's arrays as the generator drew them with ``np.where`` selects.
+
+    Returns ``(x_p, z_p, y_p, y_prime_p, grp, x_t_full, z_t,
+    x_t_after_access, flagged)``.
+    """
+    rng = np.random.default_rng([cfg.seed, round, 101])
+    n = cfg.n_per_round
+    latent = rng.normal(size=n)
+    grp = (rng.random(n) < cfg.group_fraction).astype(int)
+    probs = np.array([cfg.obstacle_prob_by_group[0], cfg.obstacle_prob_by_group[1]])
+    flagged = rng.random(n) < probs[grp]
+    z_p = latent[:, None] * 1.0 + rng.normal(scale=0.5, size=(n, cfg.d_proxy))
+    z_t = latent[:, None] * 1.0 + rng.normal(scale=0.5, size=(n, cfg.d_intended))
+    affected_p = np.array([a > 0 for a in cfg.alpha_proxy])
+    affected_t = np.array([a > 0 for a in cfg.alpha_intended])
+    deg_p = rng.exponential(scale=cfg.obstacle_severity, size=(n, cfg.d_proxy))
+    deg_carry = rng.exponential(scale=cfg.obstacle_severity, size=(n, cfg.d_intended))
+    deg_util = rng.exponential(scale=cfg.obstacle_severity, size=(n, cfg.d_intended))
+    mask_p = flagged[:, None] & affected_p[None, :]
+    mask_t = flagged[:, None] & affected_t[None, :]
+    x_p = np.where(mask_p, z_p - deg_p, z_p)
+    x_t_full = np.where(mask_t, z_t - deg_carry - deg_util, z_t)
+    x_t_after_access = np.where(mask_t, z_t - deg_util, z_t)
+    w_p = np.asarray(cfg.true_model_coefficients[0], dtype=float)
+    flip_p = rng.random(n) < cfg.label_noise
+    y_prime_p = ((z_p @ w_p >= 0) ^ flip_p).astype(int)
+    y_p = ((x_p @ w_p >= 0) ^ flip_p).astype(int)
+    return x_p, z_p, y_p, y_prime_p, grp, x_t_full, z_t, x_t_after_access, flagged
+
+
+def population_fault(x, z, y, y_prime, grp, ids):
+    """``(message, row)`` of the first value fault a population holds, or None.
+
+    Per-row masks for every column: the first faulty row wins, and within
+    it the first faulty column in the order z, x, y_prime, y, grp.
+    """
+    columns = {"z": np.array(z, dtype=float), "x": np.array(x, dtype=float),
+               "y_prime": np.array(y_prime), "y": np.array(y), "grp": np.array(grp)}
+    faults = []
+    for name, col in columns.items():
+        if col.ndim == 2:
+            faults.append((f"{name} contains non-finite values", ~np.isfinite(col).all(axis=1)))
+        else:
+            faults.append((f"{name} must be 0 or 1", ~np.isin(col, (0, 1))))
+    for row in range(len(ids)):
+        for message, mask in faults:
+            if mask[row]:
+                return f"{message} for individual {ids[row]!r}", row
+    return None

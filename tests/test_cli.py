@@ -476,6 +476,16 @@ class TestSimulateLoop:
         assert text.splitlines()[0].startswith("round,regime,psi")
         assert len(text.splitlines()) == 2
 
+    # both counts fail in numpy's size check, before any memory is touched
+    @pytest.mark.parametrize("rounds", [10**15, 10**30])
+    def test_unallocatable_round_count_exit_2(self, tmp_path, capsys, rounds):
+        out = tmp_path / "r"
+        code = run_cli("--out", str(out), "simulate-loop", "--regime", "no_equity", "--rounds", str(rounds))
+        assert code == 2
+        rows = 4000 + rounds * 4000
+        assert f"rounds={rounds} needs a pool of {rows} rows, more than can be allocated" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command", ["casestudy", "score", "simulate-loop"])
 def test_negative_seed_exit_2(student_path, spaces_json, tmp_path, capsys, command):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from equity_audit.core import ObstacleModel, Policy, Population, dominates, reveal_population
 from equity_audit.errors import DominanceError, ValidationError
 from equity_audit.metrics import model_access
-from oracles import magnitude_oracle, psi_oracle, reveal_oracle
+from oracles import magnitude_oracle, population_fault, psi_oracle, reveal_oracle
 
 
 def make_population(z, x, y_prime=1, y=0, grp=0):
@@ -181,6 +181,45 @@ class TestValidation:
     def test_alpha_support_must_be_affected(self):
         with pytest.raises(ValidationError):
             ObstacleModel(np.array([1.0, 0.0]), frozenset())
+
+
+# valid values drawn more often, so rows and columns with and without faults mix
+_FEATURE_VALUES = st.sampled_from([0.0, 1.0, -0.0, 3.0, 0.5, 2.0, -1.0, np.nan, np.inf, -np.inf])
+_LABEL_VALUES = {
+    float: st.sampled_from([0.0, 1.0, 0.0, 1.0, -0.0, 0.5, 2.0, -1.0, np.nan, np.inf]),
+    np.int64: st.sampled_from([0, 1, 0, 1, 2, -1]),
+    bool: st.booleans(),
+}
+
+
+@st.composite
+def population_columns(draw):
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+
+    def block():
+        return np.array(draw(st.lists(st.lists(_FEATURE_VALUES, min_size=d, max_size=d), min_size=n, max_size=n)))
+
+    def labels():
+        dtype = draw(st.sampled_from(list(_LABEL_VALUES)))
+        return np.array(draw(st.lists(_LABEL_VALUES[dtype], min_size=n, max_size=n)), dtype=dtype)
+
+    return block(), block(), labels(), labels(), labels(), [f"i{k}" for k in range(n)], d
+
+
+@given(population_columns())
+@settings(max_examples=400, deadline=None)
+def test_population_faults_match_the_row_mask_validator(columns):
+    x, z, y, y_prime, grp, ids, d = columns
+    expected = population_fault(x, z, y, y_prime, grp, ids)
+    names = [f"f{j}" for j in range(d)]
+    if expected is None:
+        pop = Population(x, z, y, y_prime, grp, ids, names)
+        for got, want in ((pop.labels(), y), (pop.labels_prime(), y_prime), (pop.groups(), grp)):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+        return
+    with pytest.raises(ValidationError) as excinfo:
+        Population(x, z, y, y_prime, grp, ids, names)
+    assert (str(excinfo.value), excinfo.value.row) == expected
 
 
 @given(

@@ -702,6 +702,30 @@ class TestUnreadableInput:
         path.write_bytes((UCI_HEADER + "\n").encode() + b"\xfe\xff\n")
         assert "UTF-8" in str(_raises(load_uci_students, path))
 
+    def test_bad_cell_wins_over_an_undecodable_byte_in_a_later_row(self, tmp_path):
+        # the text layer decodes the whole small file before the reader has row 1
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"pred,label,group\n1,x,0\n1,1\xff,1\n")
+        assert str(_raises(load_audit_csv, path)) == "expected an integer, got 'x' (row 1, column 'label')"
+        path.write_bytes(b"id,group,y,y_prime,x_a,z_a\nu1,0,1,1,1.0,oops\nu\xff,0,1,1,1.0,1.0\n")
+        assert _raises(load_population_csv, path).row == 1
+        path.write_bytes(b"pred,label,group\r1,x,0\r1,1\xff,1\r")  # lines end at \r alone too
+        assert _raises(load_audit_csv, path).column == "label"
+
+    def test_student_bad_cell_wins_over_an_undecodable_byte_in_a_later_row(self, tmp_path):
+        path = tmp_path / "s.csv"
+        rows = (UCI_HEADER + "\n" + uci_row(age="old") + "\n" + uci_row(school="G#") + "\n").encode()
+        path.write_bytes(rows.replace(b"G#", b"G\xff"))
+        assert str(_raises(load_uci_students, path)) == "expected an integer, got 'old' (row 1, column 'age')"
+
+    def test_a_row_cut_by_the_undecodable_line_is_not_checked(self, tmp_path):
+        # row 2's quoted cell runs on into the bad line: only row 1 is complete before it
+        path = tmp_path / "a.csv"
+        path.write_bytes(b'pred,label,group\n1,1,0\n"1\n\xff",1,1\n')
+        assert "UTF-8" in str(_raises(load_audit_csv, path))
+        path.write_bytes(b"pred,label\xff,group\n1,x,0\n")
+        assert "UTF-8" in str(_raises(load_audit_csv, path))
+
     def test_oversized_cell_names_the_row(self, tmp_path):
         huge = "1" * 200_000
         path = tmp_path / "a.csv"

@@ -9,7 +9,9 @@ from equity_audit.learner import (
     ModelSpec,
     TrainedModel,
     _group_threshold_grid,
+    _logistic_terms,
     _sigmoid,
+    _Workspace,
     candidate_group_thresholds,
     fit_group_thresholds,
     logistic_loss_and_gradient,
@@ -24,6 +26,8 @@ from oracles import (
     logistic_loss_oracle,
     threshold_grid_dense,
     two_branch_sigmoid,
+    where_logistic_terms,
+    where_sigmoid,
 )
 
 
@@ -227,6 +231,48 @@ def test_sigmoid_bit_identical_to_two_branch_form():
     ]
     for s in arrays:
         assert np.array_equal(_sigmoid(s).view(np.int64), two_branch_sigmoid(s).view(np.int64))
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+# signed zeros, infinities, NaN and scores past +-745, where exp(-|s|) is 0
+_EDGE_SCORES = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 745.2, -745.2, 746.0, -746.0, 1e4, -1e4, 1e308, -1e308]
+)
+
+
+def test_sigmoid_bit_identical_to_where_form():
+    rng = np.random.default_rng(23)
+    for s in (_EDGE_SCORES, rng.normal(scale=500.0, size=1001), rng.normal(size=4)):
+        assert np.array_equal(_bits(_sigmoid(s)), _bits(where_sigmoid(s)))
+
+
+def test_logistic_terms_bit_identical_to_where_form_through_one_workspace():
+    rng = np.random.default_rng(29)
+    d, n = 3, 301
+    XT = np.ascontiguousarray(rng.normal(size=(d, n)))
+    y = (rng.random(n) < 0.4).astype(float)
+    work = _Workspace(d, n)
+    weight_sets = [
+        np.zeros(d + 1),
+        np.array([0.0, 0.0, 0.0, -0.0]),
+        rng.normal(size=d + 1),
+        rng.normal(scale=2e3, size=d + 1),  # most scores beyond +-745
+        np.array([np.inf, 0.0, 0.0, 0.0]),  # scores of +-inf
+        np.array([1e308, 1e308, 0.0, 0.0]),
+        rng.normal(size=d + 1),  # a plain call after the extreme ones
+    ]
+    for l2 in (0.0, 1e-4):
+        for weights in weight_sets:
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = where_logistic_terms(weights, XT, y, l2)
+                got = _logistic_terms(weights, XT, y, l2, work)
+            assert got[2] is work.proba
+            assert _bits(got[0]) == _bits(want[0])
+            assert np.array_equal(_bits(got[1]), _bits(want[1]))
+            assert np.array_equal(_bits(got[2]), _bits(want[2]))
 
 
 class TestImportance:

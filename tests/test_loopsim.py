@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from equity_audit.core import dominates
+from equity_audit.core import ObstacleModel, Policy, dominates, reveal_population
 from equity_audit.errors import ValidationError
 from equity_audit.loopsim import (
     SyntheticConfig,
@@ -11,6 +11,7 @@ from equity_audit.loopsim import (
     run_inequity_loop,
     trajectory_to_csv,
 )
+from oracles import where_cohort
 
 
 def small_config(seed=42, **overrides) -> SyntheticConfig:
@@ -66,6 +67,24 @@ class TestGeneratePopulation:
                 else:
                     assert np.array_equal(z_row, x_row)
 
+    @pytest.mark.parametrize("seed", [0, 7, 42, 1234])
+    @pytest.mark.parametrize("alphas", [None, ((1.0, 0.5, 2.0), (0.3, 1.0, 1.0))])
+    def test_bit_identical_to_the_where_generator(self, seed, alphas):
+        # the second config puts every feature under obstacles
+        overrides = {} if alphas is None else {"alpha_proxy": alphas[0], "alpha_intended": alphas[1]}
+        cfg = small_config(seed=seed, **overrides)
+        for round in (0, 3):
+            cohort = generate_cohort(cfg, round)
+            pop = cohort.proxy
+            got = (
+                pop.x_matrix(), pop.z_matrix(), pop.labels(), pop.labels_prime(), pop.groups(),
+                cohort.x_intended, cohort.z_intended, cohort.x_intended_after_access, cohort.obstacle_flags,
+            )
+            for have, want in zip(got, where_cohort(cfg, round), strict=True):
+                assert have.dtype == want.dtype and have.shape == want.shape
+                assert have.tobytes() == want.tobytes()
+            assert pop.ids() == list(range(cfg.n_per_round))
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             small_config(group_fraction=0.0)
@@ -78,14 +97,14 @@ class TestGeneratePopulation:
 class TestCurateGroundTruth:
     def test_cardinality_and_labels(self):
         batch = curate_ground_truth(
-            [(f"i{k}", np.array([1.0, 2.0]), 1) for k in range(4)], round=2
+            [(k, np.array([1.0, 2.0]), 1) for k in range(4)], round=2
         )
         assert len(batch) == 4
         assert batch.y.tolist() == [1, 1, 1, 1]
         assert batch.rounds.tolist() == [2, 2, 2, 2]
 
     def test_negative_outcome_recorded_despite_acceptance(self):
-        batch = curate_ground_truth([("i0", np.array([5.0]), 0)], round=1)
+        batch = curate_ground_truth([(0, np.array([5.0]), 0)], round=1)
         assert batch.y.tolist() == [0]
 
     def test_provenance_survives_concatenation(self):
@@ -120,15 +139,18 @@ class TestRunInequityLoop:
             assert record.curated_size == traj.seed_size + per_round[1 : r + 1].sum()
 
     def test_selective_labeling_sources(self):
+        # every curated row is its round's cohort row as revealed to the model
         cfg = small_config()
         _, curated = run_inequity_loop(cfg, 3, "no_equity")
+        assert curated.source_rows.dtype == np.int64
         assert len(set(curated.source_ids)) == len(curated)
         for r in (1, 2, 3):
-            cohort_ids = set(generate_cohort(cfg, r).proxy.ids())
-            batch_ids = {
-                sid for sid, rnd in zip(curated.source_ids, curated.rounds) if rnd == r
-            }
-            assert batch_ids <= cohort_ids
+            cohort = generate_cohort(cfg, r).proxy
+            rows = curated.source_rows[curated.rounds == r]
+            assert rows.size and np.all(np.diff(rows) > 0)
+            assert rows[0] >= 0 and rows[-1] < len(cohort)
+            x_rev, _, _ = reveal_population(cohort, ObstacleModel.from_alpha(cfg.alpha_proxy), Policy(0.0))
+            assert np.array_equal(curated.X[curated.rounds == r], x_rev[rows])
 
     def test_each_round_trains_on_the_seed_then_earlier_batches_in_order(self, monkeypatch):
         import equity_audit.loopsim as loopsim
