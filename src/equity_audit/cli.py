@@ -9,8 +9,9 @@ Subcommands:
     gaps           feature/label/obstacle gap between two model documents
     questions      the pre-deployment checklist
 
-Exit codes: 0 success, 1 usage error, 2 data/validation error,
-3 degenerate-metric error (a rate the data cannot define).
+Exit codes: 0 success, 1 usage error, 2 data/validation error (an
+unwritable output directory included), 3 degenerate-metric error (a rate
+the data cannot define).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -108,10 +110,20 @@ def _load_config(args) -> RunConfig:
     )
 
 
-def _out_dir(cfg: RunConfig) -> Path:
+@contextmanager
+def _reports_dir(cfg: RunConfig):
+    """The output directory, made if missing, for the reports written in the block.
+
+    A directory that cannot be made or a report that cannot be written is a
+    DataFormatError (exit 2) naming the path.
+    """
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        yield out
+    except OSError as exc:
+        path = exc.filename or out
+        raise DataFormatError(f"cannot write reports to {path}: {exc.strerror or exc}") from None
 
 
 def _cmd_audit(args, cfg: RunConfig) -> int:
@@ -127,8 +139,8 @@ def _cmd_audit(args, cfg: RunConfig) -> int:
                 raise
             raise DataFormatError(str(exc), row=int(accepted[exc.row]) + 1, column="y_tt") from None
         doc["utilization"] = util.to_dict()
-    out = _out_dir(cfg)
-    write_json(doc, out / "audit.json")
+    with _reports_dir(cfg) as out:
+        write_json(doc, out / "audit.json")
     print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
 
@@ -202,11 +214,11 @@ def _cmd_score(args, cfg: RunConfig) -> int:
         args.max_outer,
         args.max_inner,
     )
-    out = _out_dir(cfg)
-    if "csv" in cfg.formats:
-        (out / "scoring_trace.csv").write_text(trace.to_csv())
-    if "json" in cfg.formats:
-        write_json(trace.to_dict(), out / "scoring_trace.json")
+    with _reports_dir(cfg) as out:
+        if "csv" in cfg.formats:
+            (out / "scoring_trace.csv").write_text(trace.to_csv())
+        if "json" in cfg.formats:
+            write_json(trace.to_dict(), out / "scoring_trace.json")
     print(
         f"terminated: {trace.terminated_reason}; "
         f"score: {'-' if trace.final_score is None else repr(trace.final_score)}"
@@ -216,24 +228,24 @@ def _cmd_score(args, cfg: RunConfig) -> int:
 
 def _cmd_casestudy(args, cfg: RunConfig) -> int:
     result = run_case_study(cfg, build_case_study_views(load_uci_students(args.input), cfg))
-    out = _out_dir(cfg)
-    # fitted models are saved in the document format the gaps command reads
-    if result.proxy_model is not None:
-        write_json(result.proxy_model.to_dict(), out / "proxy_model.json")
-    if result.intended_model is not None:
-        write_json(result.intended_model.to_dict(), out / "intended_model.json")
-    if "json" in cfg.formats:
-        write_json(result.to_dict(), out / "casestudy.json")
-    if "csv" in cfg.formats:
-        rows = []
-        for regime in result.regimes:
-            if regime.report is not None:
-                rows.extend(equity_report_rows(regime.name, regime.report))
-            for g, v in sorted(regime.admissibility_by_group.items()):
-                rows.append((regime.name, "admission_rate", str(g), v))
-            rows.append((regime.name, "tp_share", "", regime.tp_share))
-            rows.append((regime.name, "fp_share", "", regime.fp_share))
-        (out / "casestudy.csv").write_text(long_csv(rows))
+    with _reports_dir(cfg) as out:
+        # fitted models are saved in the document format the gaps command reads
+        if result.proxy_model is not None:
+            write_json(result.proxy_model.to_dict(), out / "proxy_model.json")
+        if result.intended_model is not None:
+            write_json(result.intended_model.to_dict(), out / "intended_model.json")
+        if "json" in cfg.formats:
+            write_json(result.to_dict(), out / "casestudy.json")
+        if "csv" in cfg.formats:
+            rows = []
+            for regime in result.regimes:
+                if regime.report is not None:
+                    rows.extend(equity_report_rows(regime.name, regime.report))
+                for g, v in sorted(regime.admissibility_by_group.items()):
+                    rows.append((regime.name, "admission_rate", str(g), v))
+                rows.append((regime.name, "tp_share", "", regime.tp_share))
+                rows.append((regime.name, "fp_share", "", regime.fp_share))
+            (out / "casestudy.csv").write_text(long_csv(rows))
     for regime in result.regimes:
         score = "-" if regime.report is None else f"{regime.report.score:.4f}"
         tp = "-" if regime.tp_share is None else f"{regime.tp_share:.3f}"
@@ -244,8 +256,8 @@ def _cmd_casestudy(args, cfg: RunConfig) -> int:
 def _cmd_simulate_loop(args, cfg: RunConfig) -> int:
     loop_cfg = default_config(seed=cfg.seed)
     trajectory, _ = run_inequity_loop(loop_cfg, args.rounds, args.regime)
-    out = _out_dir(cfg)
-    (out / f"trajectory_{args.regime}.csv").write_text(trajectory_to_csv(trajectory))
+    with _reports_dir(cfg) as out:
+        (out / f"trajectory_{args.regime}.csv").write_text(trajectory_to_csv(trajectory))
     last = trajectory.rounds[-1]
     print(
         f"{args.regime}: rounds={len(trajectory.rounds)} "
@@ -261,8 +273,8 @@ def _cmd_gaps(args, cfg: RunConfig) -> int:
         p_features, t_features, p_importance, t_importance, p_om, t_om
     )
     doc = report.to_dict()
-    out = _out_dir(cfg)
-    write_json(doc, out / "gaps.json")
+    with _reports_dir(cfg) as out:
+        write_json(doc, out / "gaps.json")
     print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
 
@@ -292,9 +304,6 @@ def main(argv: list[str] | None = None) -> int:
     except (UndefinedRateError, NoPositivesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DEGENERATE_ERROR
-    except (DataFormatError, ValidationError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
     except EquityAuditError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR

@@ -78,7 +78,7 @@ class Population:
     read-only arrays without copying.
     """
 
-    def __init__(self, x, z, y, y_prime, grp, ids, feature_names, group_name: str = "group"):
+    def __init__(self, x, z, y, y_prime, grp, ids, feature_names):
         ids = ids if isinstance(ids, range) else tuple(ids)
         feature_names = tuple(feature_names)
         n, d = len(ids), len(feature_names)
@@ -102,7 +102,7 @@ class Population:
         for col in columns.values():
             col.flags.writeable = False
         self.__dict__.update({"_" + name: col for name, col in columns.items()})
-        self.__dict__.update(_ids=ids, feature_names=feature_names, group_name=group_name)
+        self.__dict__.update(_ids=ids, feature_names=feature_names)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Population is immutable; cannot set {name!r}")

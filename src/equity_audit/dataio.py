@@ -72,6 +72,7 @@ from .metrics import (
     eo_violation,
     utilization_from_labels,
 )
+from .reports import Record, json_form
 from .scoring import split_indices
 
 UCI_NUMERIC_COLUMNS = (
@@ -406,11 +407,11 @@ def build_case_study_views(table: StudentTable, cfg: RunConfig) -> CaseStudyView
 
     proxy_pop = Population(
         x=proxy_x, z=proxy_z, y=y, y_prime=y_prime, grp=groups, ids=ids,
-        feature_names=PROXY_FEATURES, group_name="sex",
+        feature_names=PROXY_FEATURES,
     )
     intended_pop = Population(
         x=intended_x, z=intended_z, y=y, y_prime=y_prime, grp=groups, ids=ids,
-        feature_names=INTENDED_FEATURES, group_name="sex",
+        feature_names=INTENDED_FEATURES,
     )
     alpha_p = np.array([1.0 if f in PROXY_AFFECTED else 0.0 for f in PROXY_FEATURES])
     alpha_t = np.array([1.0 if f in INTENDED_AFFECTED else 0.0 for f in INTENDED_FEATURES])
@@ -434,7 +435,7 @@ def regime_name(access: bool, outcome: bool, util: bool) -> str:
 
 
 @dataclass(frozen=True)
-class RegimeResult:
+class RegimeResult(Record):
     """Everything measured for one (access, outcome, utilization) setting."""
 
     name: str
@@ -447,24 +448,6 @@ class RegimeResult:
     fp_share: float | None
     fp_share_by_group: dict[int, float]
     degenerate: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "equal_access": self.equal_access,
-            "equal_outcome": self.equal_outcome,
-            "equal_utilization": self.equal_utilization,
-            "report": None if self.report is None else self.report.to_dict(),
-            "admissibility_by_group": {
-                str(k): v for k, v in sorted(self.admissibility_by_group.items())
-            },
-            "tp_share": self.tp_share,
-            "fp_share": self.fp_share,
-            "fp_share_by_group": {
-                str(k): v for k, v in sorted(self.fp_share_by_group.items())
-            },
-            "degenerate": list(self.degenerate),
-        }
 
 
 @dataclass(frozen=True)
@@ -480,11 +463,8 @@ class CaseStudyResult:
                 return r
         raise KeyError(name)
 
-    def to_dict(self) -> dict:
-        return {
-            "regimes": [r.to_dict() for r in self.regimes],
-            "gaps": self.gaps.to_dict(),
-        }
+    def to_dict(self) -> dict:  # the fitted models are saved as documents of their own
+        return {"regimes": json_form(self.regimes), "gaps": json_form(self.gaps)}
 
 
 def _regime_axes(cfg: RunConfig) -> list[tuple[bool, ...]]:
@@ -910,7 +890,7 @@ def _x_features(header: list[str]) -> list[str]:
     return [c[2:] for c in header if c.startswith("x_")]
 
 
-def load_population_csv(path: str | Path, group_name: str = "group") -> Population:
+def load_population_csv(path: str | Path) -> Population:
     """Read a UTF-8 population file: id, group, y, y_prime, x_<f>..., z_<f>... columns."""
     path = Path(path)
 
@@ -933,7 +913,7 @@ def load_population_csv(path: str | Path, group_name: str = "group") -> Populati
     try:
         return Population(
             np.column_stack(xz[:d]), np.column_stack(xz[d:]), y, y_prime, grp, ids,
-            _x_features(header), group_name,
+            _x_features(header),
         )
     except ValidationError as exc:  # a value check failed: name its data row
         if exc.row is None:

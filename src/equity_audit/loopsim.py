@@ -31,8 +31,6 @@ labeling that lets the loop feed on its own decisions.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -49,6 +47,7 @@ from .learner import (
     train,
 )
 from .metrics import eo_violation
+from .reports import _csv_text
 
 REGIMES = ("no_equity", "access_only", "access_and_outcome", "full_equity")
 
@@ -514,22 +513,9 @@ def run_inequity_loop(
 
 def trajectory_to_csv(trajectory: LoopTrajectory) -> str:
     """One row per round; plot-ready."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRAJECTORY_CSV_COLUMNS)
-    for r in trajectory.rounds:
-        writer.writerow(
-            [
-                r.round,
-                trajectory.regime,
-                repr(r.psi),
-                repr(r.omega),
-                repr(r.zeta),
-                repr(r.pos_rate_by_group[0]),
-                repr(r.pos_rate_by_group[1]),
-                repr(r.fp_share_by_group[0]),
-                repr(r.fp_share_by_group[1]),
-                r.curated_size,
-            ]
-        )
-    return buf.getvalue()
+    def row(r: LoopRound) -> list:
+        rates = (r.psi, r.omega, r.zeta, r.pos_rate_by_group[0], r.pos_rate_by_group[1],
+                 r.fp_share_by_group[0], r.fp_share_by_group[1])
+        return [r.round, trajectory.regime, *map(repr, rates), r.curated_size]
+
+    return _csv_text(TRAJECTORY_CSV_COLUMNS, map(row, trajectory.rounds))

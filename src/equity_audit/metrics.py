@@ -25,7 +25,8 @@ Definitions, all computed by exact counting:
 * equity score: ``psi + (1 - min(omega, 1)) + zeta`` in [0, 3]; 3 exactly at
   the perfect point psi=1, omega=0, zeta=1.
 
-All reports are immutable values with a ``to_dict`` for JSON emission.
+All reports are immutable :class:`~equity_audit.reports.Record` values, whose
+``to_dict`` gives their JSON form.
 """
 
 from __future__ import annotations
@@ -37,38 +38,24 @@ import numpy as np
 
 from .core import ObstacleModel, Policy, Population, _obstacle_access
 from .errors import NoPositivesError, UndefinedRateError, ValidationError
+from .reports import Record
 
 DEFAULT_OUTCOME_EPSILON = 1e-9
 
 
 @dataclass(frozen=True)
-class AccessReport:
+class AccessReport(Record):
     psi: float
     per_individual: tuple[bool, ...]
     per_group: dict[int, float]
 
-    def to_dict(self) -> dict:
-        return {
-            "psi": self.psi,
-            "per_individual": [bool(v) for v in self.per_individual],
-            "per_group": {str(k): v for k, v in sorted(self.per_group.items())},
-        }
-
 
 @dataclass(frozen=True)
-class OutcomeReport:
+class OutcomeReport(Record):
     eo_violation: float
     tpr_by_group: dict[int, float]
     fpr_by_group: dict[int, float]
     equal_outcomes: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "eo_violation": self.eo_violation,
-            "tpr_by_group": {str(k): v for k, v in sorted(self.tpr_by_group.items())},
-            "fpr_by_group": {str(k): v for k, v in sorted(self.fpr_by_group.items())},
-            "equal_outcomes": self.equal_outcomes,
-        }
 
 
 @dataclass(frozen=True)
@@ -82,55 +69,30 @@ class EvaluationRecord:
 
 
 @dataclass(frozen=True)
-class UtilizationReport:
+class UtilizationReport(Record):
     zeta: float
     m: int
     true_positive_share: float
     false_positive_share: float
     per_group_fp_share: dict[int, float]
 
-    def to_dict(self) -> dict:
-        return {
-            "zeta": self.zeta,
-            "m": self.m,
-            "true_positive_share": self.true_positive_share,
-            "false_positive_share": self.false_positive_share,
-            "per_group_fp_share": {
-                str(k): v for k, v in sorted(self.per_group_fp_share.items())
-            },
-        }
-
 
 @dataclass(frozen=True)
-class ObstacleGap:
+class ObstacleGap(Record):
     unmatched_affected_features: int
     alpha_l1_distance_on_matched: float
 
-    def to_dict(self) -> dict:
-        return {
-            "unmatched_affected_features": self.unmatched_affected_features,
-            "alpha_l1_distance_on_matched": self.alpha_l1_distance_on_matched,
-        }
-
 
 @dataclass(frozen=True)
-class GapReport:
+class GapReport(Record):
     gamma_x: tuple[int, ...]
     gamma_l: tuple[float, ...]
     obstacle_gap: ObstacleGap | None = None
     notes: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "gamma_x": list(self.gamma_x),
-            "gamma_l": list(self.gamma_l),
-            "obstacle_gap": None if self.obstacle_gap is None else self.obstacle_gap.to_dict(),
-            "notes": list(self.notes),
-        }
-
 
 @dataclass(frozen=True)
-class EquityReport:
+class EquityReport(Record):
     access: AccessReport
     outcome: OutcomeReport
     utilization: UtilizationReport
@@ -152,15 +114,6 @@ class EquityReport:
             gaps=gaps,
             score=equity_score(access, outcome, utilization),
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "access": self.access.to_dict(),
-            "outcome": self.outcome.to_dict(),
-            "utilization": self.utilization.to_dict(),
-            "gaps": None if self.gaps is None else self.gaps.to_dict(),
-            "score": self.score,
-        }
 
 
 def access_from_mask(accessed: np.ndarray, groups: np.ndarray) -> AccessReport:
@@ -330,7 +283,8 @@ def label_proxy_gap(omega_p, omega_t, matching: dict[int, int | None]) -> np.nda
     wp = np.asarray(omega_p, dtype=float)
     wt = np.asarray(omega_t, dtype=float)
     for vec, name in ((wp, "omega_p"), (wt, "omega_t")):
-        total = float(np.sum(np.abs(vec)))
+        with np.errstate(over="ignore"):  # a sum past the float range is inf and fails
+            total = float(np.sum(np.abs(vec)))
         if not (total == 0.0 or abs(total - 1.0) <= 1e-6):  # NaN fails both
             raise ValidationError(
                 f"{name} must be L1-normalized or all-zero (sum |w| = {total:.6g})"

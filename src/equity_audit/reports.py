@@ -2,7 +2,8 @@
 
 Output is deterministic for a given input: keys are sorted, no timestamps
 are embedded, and floats are written with ``repr`` so identical runs
-produce byte-identical files.
+produce byte-identical files. A result's JSON form is decided here alone,
+by :func:`json_form`.
 """
 
 from __future__ import annotations
@@ -11,11 +12,49 @@ import csv
 import io
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .metrics import EquityReport
+if TYPE_CHECKING:
+    from .metrics import EquityReport
 
 LONG_CSV_COLUMNS = ("regime", "metric", "group", "value")
+
+_SCALARS = frozenset({bool, int, float, str, type(None)})
+
+
+class Record:
+    """A result with a report form: subclass it with a dataclass."""
+
+    def to_dict(self) -> dict:
+        return json_form(self)
+
+
+def json_form(value):
+    """A record as its fields by name, a tuple or list as a list, a dict key as ``str(key)``.
+
+    Nested values convert the same way; a scalar or None is returned unchanged.
+    """
+    if type(value) in _SCALARS:
+        return value
+    if isinstance(value, Record):
+        return {f.name: json_form(getattr(value, f.name)) for f in fields(value)}
+    # items are mostly scalars: test each inline rather than by a call
+    if isinstance(value, (tuple, list)):
+        return [v if type(v) in _SCALARS else json_form(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): v if type(v) in _SCALARS else json_form(v) for k, v in value.items()}
+    return value
+
+
+def _csv_text(columns, rows) -> str:
+    """CSV text of a header and rows of already formatted cells, one ``\\n`` per line."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _fmt(value) -> str:
@@ -50,14 +89,11 @@ def equity_report_rows(regime: str, report: EquityReport) -> list[tuple]:
 
 
 def long_csv(rows: list[tuple]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(LONG_CSV_COLUMNS)
-    for regime, metric, group, value in rows:
-        writer.writerow([regime, metric, group, _fmt(value)])
-    return buf.getvalue()
+    return _csv_text(
+        LONG_CSV_COLUMNS,
+        ((regime, metric, group, _fmt(value)) for regime, metric, group, value in rows),
+    )
 
 
 def write_json(doc: dict, path: Path) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-

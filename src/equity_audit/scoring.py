@@ -28,8 +28,6 @@ by a model trained on themselves.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 
@@ -40,6 +38,7 @@ from .core import ObstacleModel, Policy, Population, reveal_population
 from .errors import JoinError, SingleClassError, UndefinedRateError, ValidationError
 from .learner import ModelSpec, predict, train
 from .metrics import access_from_mask, eo_violation, utilization_from_labels
+from .reports import Record, _csv_text
 
 REJECT_ACCESS = "access_gate"
 REJECT_OUTCOME = "outcome_gate"
@@ -86,7 +85,7 @@ class ModelSpace:
 
 
 @dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(Record):
     iter: int
     phase: str
     spec_id: int
@@ -97,55 +96,25 @@ class IterationRecord:
     accepted: bool
     reason: str
 
-    def to_dict(self) -> dict:
-        return {
-            "iter": self.iter,
-            "phase": self.phase,
-            "spec_id": self.spec_id,
-            "policy_id": self.policy_id,
-            "psi": self.psi,
-            "omega": self.omega,
-            "zeta": self.zeta,
-            "accepted": self.accepted,
-            "reason": self.reason,
-        }
-
 
 @dataclass(frozen=True)
-class ScoringTrace:
+class ScoringTrace(Record):
     records: tuple[IterationRecord, ...]
     final_score: float | None
     terminated_reason: str  # "converged" or "iteration_cap"
-
-    def to_dict(self) -> dict:
-        return {
-            "records": [r.to_dict() for r in self.records],
-            "final_score": self.final_score,
-            "terminated_reason": self.terminated_reason,
-        }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(TRACE_CSV_COLUMNS)
-        for r in self.records:
-            writer.writerow(
-                [
-                    r.iter,
-                    r.spec_id,
-                    r.policy_id,
-                    "" if r.psi is None else repr(r.psi),
-                    "" if r.omega is None else repr(r.omega),
-                    "" if r.zeta is None else repr(r.zeta),
-                    r.phase,
-                    int(r.accepted),
-                    r.reason,
-                ]
-            )
-        return buf.getvalue()
+        def cell(value):
+            return "" if value is None else repr(value)
+
+        return _csv_text(TRACE_CSV_COLUMNS, (
+            [r.iter, r.spec_id, r.policy_id, cell(r.psi), cell(r.omega), cell(r.zeta),
+             r.phase, int(r.accepted), r.reason]
+            for r in self.records
+        ))
 
 
 class CandidateSampler:

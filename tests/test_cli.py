@@ -603,3 +603,27 @@ class TestGaps:
         )
         assert code == 0
         assert (out / "casestudy.json").exists()
+
+
+UNWRITABLE_OUT = ["out-is-a-file", "out-below-a-file", "report-is-a-directory"]
+
+
+@pytest.mark.parametrize("case", UNWRITABLE_OUT)
+@pytest.mark.parametrize("command", ["audit", "simulate-loop"])
+def test_unwritable_out_exit_2(audit_csv, tmp_path, capsys, command, case):
+    argv, report = {
+        "audit": (["audit", str(audit_csv)], "audit.json"),
+        "simulate-loop": (["simulate-loop", "--regime", "no_equity", "--rounds", "1"], "trajectory_no_equity.csv"),
+    }[command]
+    taken = tmp_path / "taken"
+    if case == "report-is-a-directory":
+        (taken / report).mkdir(parents=True)
+        out, failed, reason = taken, taken / report, "Is a directory"
+    else:
+        taken.write_text("")
+        out, failed, reason = {
+            "out-is-a-file": (taken, taken, "File exists"),
+            "out-below-a-file": (taken / "sub", taken / "sub", "Not a directory"),
+        }[case]
+    assert run_cli("--out", str(out), *argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write reports to {failed}: {reason}\n"

@@ -67,6 +67,11 @@ def model_documents(draw):
 
 
 @given(proxy=model_documents(), intended=model_documents())
+# importances whose L1 sum overflows: a ValidationError, not an overflow warning
+@example(
+    proxy={"feature_names": ["a"], "importance": [1.0]},
+    intended={"feature_names": ["a", "b"], "importance": [8.988465674311579e307, 8.98846567431158e307]},
+)
 @settings(FUZZ, max_examples=150)
 def test_gaps_model_documents(tmp_path, proxy, intended):
     paths = []

@@ -369,7 +369,7 @@ def _hand_views(y, y_prime, grp, flags, seed=0) -> CaseStudyViews:
         z = x.copy()
         z[flags, names.index(affected[0])] += 1.0
         alpha = np.array([1.0 if f in affected else 0.0 for f in names])
-        return Population(x, z, y, y_prime, grp, ids, names, "sex"), ObstacleModel.from_alpha(alpha)
+        return Population(x, z, y, y_prime, grp, ids, names), ObstacleModel.from_alpha(alpha)
 
     proxy, om_proxy = view(PROXY_FEATURES, PROXY_AFFECTED)
     intended, om_intended = view(INTENDED_FEATURES, INTENDED_AFFECTED)

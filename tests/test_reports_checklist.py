@@ -1,20 +1,24 @@
 import json
 import re
+from dataclasses import fields
 
 import pytest
 
+import equity_audit.cli  # noqa: F401  (imports every module a record class lives in)
 from equity_audit.checklist import SECTIONS, emit_checklist
 from equity_audit.config import RunConfig
 from equity_audit.errors import ValidationError
 from equity_audit.metrics import (
     EquityReport,
     EvaluationRecord,
+    GapReport,
+    ObstacleGap,
     eo_violation,
     model_access,
     utilization,
 )
 from equity_audit.core import ObstacleModel, Policy
-from equity_audit.reports import equity_report_rows, long_csv, write_json
+from equity_audit.reports import Record, equity_report_rows, json_form, long_csv, write_json
 from test_metrics import population_with_obstacles
 
 
@@ -90,3 +94,63 @@ class TestEmitReport:
         write_json(report.to_dict(), tmp_path / "a.json")
         write_json(report.to_dict(), tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+# the report keys of every record class, in order: a change here is a
+# change of report format
+RECORD_KEYS = {
+    "AccessReport": ("psi", "per_individual", "per_group"),
+    "OutcomeReport": ("eo_violation", "tpr_by_group", "fpr_by_group", "equal_outcomes"),
+    "UtilizationReport": ("zeta", "m", "true_positive_share", "false_positive_share", "per_group_fp_share"),
+    "ObstacleGap": ("unmatched_affected_features", "alpha_l1_distance_on_matched"),
+    "GapReport": ("gamma_x", "gamma_l", "obstacle_gap", "notes"),
+    "EquityReport": ("access", "outcome", "utilization", "gaps", "score"),
+    "IterationRecord": ("iter", "phase", "spec_id", "policy_id", "psi", "omega", "zeta", "accepted", "reason"),
+    "ScoringTrace": ("records", "final_score", "terminated_reason"),
+    "RegimeResult": (
+        "name", "equal_access", "equal_outcome", "equal_utilization", "report",
+        "admissibility_by_group", "tp_share", "fp_share", "fp_share_by_group", "degenerate",
+    ),
+}
+
+
+class TestJsonForm:
+    def test_keys_become_strings_and_tuples_lists(self):
+        assert json_form({0: (1, 2.5), 1: [("a",)]}) == {"0": [1, 2.5], "1": [["a"]]}
+        assert json.dumps(json_form({1: 0.5, 0: 0.25}), sort_keys=True) == '{"0": 0.25, "1": 0.5}'
+
+    def test_scalars_and_none_are_unchanged(self):
+        for value in (None, 0, -3, 1.5, float("inf"), "x", ""):
+            assert json_form(value) is value
+        assert json_form(True) is True and json_form(False) is False
+        assert json_form((True, 0)) == [True, 0]
+        assert [type(v) for v in json_form((True, 0))] == [bool, int]
+
+    def test_nested_records_and_none_convert(self):
+        report = GapReport((0, 1), (0.5, -0.25), ObstacleGap(2, 0.75), ("note",))
+        assert json_form(report) == {
+            "gamma_x": [0, 1],
+            "gamma_l": [0.5, -0.25],
+            "obstacle_gap": {"unmatched_affected_features": 2, "alpha_l1_distance_on_matched": 0.75},
+            "notes": ["note"],
+        }
+        assert json_form(GapReport((0,), (0.0,)))["obstacle_gap"] is None
+        assert report.to_dict() == json_form(report)
+
+    def test_equity_report_nests_its_parts(self):
+        report = sample_report()
+        doc = report.to_dict()
+        assert doc["access"] == report.access.to_dict()
+        assert doc["access"]["per_individual"] == list(report.access.per_individual)
+        assert all(type(v) is bool for v in doc["access"]["per_individual"])
+        assert set(doc["utilization"]["per_group_fp_share"]) == {"0", "1"}
+        assert doc["gaps"] is None
+
+
+def test_record_keys_are_pinned():
+    """A renamed field fails here instead of silently renaming a report key."""
+    classes = {cls.__name__: cls for cls in Record.__subclasses__()}
+    assert set(classes) == set(RECORD_KEYS)
+    for name, keys in RECORD_KEYS.items():
+        assert tuple(f.name for f in fields(classes[name])) == keys, name
+        assert "to_dict" not in vars(classes[name]), f"{name} writes its own report form"
