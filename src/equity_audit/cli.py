@@ -17,7 +17,6 @@ the data cannot define).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from contextlib import contextmanager
@@ -48,7 +47,7 @@ from .inputs import is_index, is_list_of, is_number, read_json
 from .learner import ModelSpec
 from .loopsim import REGIMES, default_config, run_inequity_loop, trajectory_to_csv
 from .metrics import compute_gap_report, eo_violation, utilization_from_labels
-from .reports import equity_report_rows, long_csv, write_json
+from .reports import equity_report_rows, json_text, long_csv, write_json
 from .scoring import ModelSpace, run_equity_scoring
 
 USAGE_ERROR = 1
@@ -141,7 +140,7 @@ def _cmd_audit(args, cfg: RunConfig) -> int:
         doc["utilization"] = util.to_dict()
     with _reports_dir(cfg) as out:
         write_json(doc, out / "audit.json")
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    print(json_text(doc, indent=2))
     return 0
 
 
@@ -275,7 +274,7 @@ def _cmd_gaps(args, cfg: RunConfig) -> int:
     doc = report.to_dict()
     with _reports_dir(cfg) as out:
         write_json(doc, out / "gaps.json")
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    print(json_text(doc, indent=2))
     return 0
 
 

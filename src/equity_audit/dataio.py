@@ -39,7 +39,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -658,6 +658,8 @@ def run_case_study(cfg: RunConfig, views: CaseStudyViews) -> CaseStudyResult:
 _BATCH_ROWS = 4096
 # characters the plain scan reads at a time, completed to a line end
 _BLOCK_CHARS = 1 << 16
+# characters of scanned blocks the integer kernel decodes at a time
+_KERNEL_CHARS = 1 << 22
 # characters numpy's reader takes otherwise than csv.reader and int()/float()
 # do: the quote, '\r', and the separators \x1c-\x1f, which numpy's number
 # parser skips as whitespace. Non-ASCII text is kept from numpy as well: its
@@ -666,6 +668,9 @@ _NOT_PLAIN = '"\r\x1c\x1d\x1e\x1f'
 # suffixes numpy's reader opens through a decompressor when given a path
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 _INT64 = range(-(2**63), 2**63)
+# the most digits an ``_int_columns`` cell holds: every such number is in int64
+_INT_DIGITS = 18
+_COMMA, _NEWLINE, _MINUS, _ZERO = b",\n-0"
 _DTYPES = {int: np.int64, float: np.float64, str: object}
 
 
@@ -714,7 +719,8 @@ def _loadtxt(path: str, cols: list, skiprows: int) -> list[np.ndarray] | None:
 
     Each column is a view into one structured table. Copying the table
     into contiguous columns made a 200k-row ``audit`` no faster (2-core
-    VM, numpy 2.4): the copy cost what the strided passes saved.
+    VM, numpy 2.4): the copy cost what the strided passes saved. All-integer
+    plans are read by ``_int_columns`` instead.
     """
     dtype = [(str(k), _DTYPES[convert]) for k, (_, _, convert) in enumerate(cols)]
     with warnings.catch_warnings():
@@ -731,43 +737,135 @@ def _loadtxt(path: str, cols: list, skiprows: int) -> list[np.ndarray] | None:
     return [table[name] for name, _ in dtype]
 
 
+def _int_columns(text: str, width: int, indices: list[int]) -> list[np.ndarray] | None:
+    """Columns ``indices`` of plain all-integer text, one C-contiguous int64 array each; else None.
+
+    ``text`` is whole lines the plain scan (``_is_plain``) cleared. It is
+    taken only when every row has exactly ``width`` cells and ends at a
+    newline (the last row may end the text instead) and every cell of
+    ``indices`` matches ``-?[0-9]{1,18}``. Such a cell is one ``int()``
+    reads, to the same value, inside the int64 range. Anything else (a
+    blank, short or long row, a sign or space ``int()`` would strip, a
+    longer number) is None, and the csv path reads the text or reports
+    its fault.
+    """
+    data = np.frombuffer(text.encode("ascii"), np.uint8)
+    if data.size and data[-1] != _NEWLINE:
+        data = np.append(data, np.uint8(_NEWLINE))
+    newline = data == _NEWLINE
+    separator = newline | (data == _COMMA)
+    ends = np.flatnonzero(separator)
+    rows = len(ends) // width
+    # rows of the grid are lines only if its last column holds every newline
+    if len(ends) % width or np.count_nonzero(newline) != rows or not newline[ends[width - 1::width]].all():
+        return None
+    # at each separator: the byte before it as a digit (a byte below "0"
+    # wraps past 9) where that byte is its cell's only one, else 255
+    lone = np.concatenate(([np.uint8(255)], data[:-1] - np.uint8(_ZERO)))
+    lone[2:] |= ~separator[:-2] * np.uint8(255)
+    lone = lone[ends].reshape(rows, width)
+    columns = []
+    for i in indices:
+        column = lone[:, i].astype(np.int64)
+        others = np.flatnonzero(column > 9)  # longer cells, and cells that are no integer
+        if others.size:
+            cells = others * width + i
+            values = _int_cells(data, np.where(cells > 0, ends[cells - 1] + 1, 0), ends[cells])
+            if values is None:
+                return None
+            column[others] = values
+        columns.append(column)
+    return columns
+
+
+def _int_cells(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The integers of the cells ``data[starts:ends]``, decoded by digit position; None if one is no ``-?[0-9]{1,18}``."""
+    digits = ends - starts
+    signed = np.flatnonzero(digits > 1)  # a lone "-" is left to fail as a digit
+    negative = signed[data[starts[signed]] == _MINUS]
+    digits[negative] -= 1
+    if digits.min() < 1 or digits.max() > _INT_DIGITS:
+        return None
+    values = np.zeros(len(ends), np.int64)
+    for k in range(digits.max()):
+        rows = np.flatnonzero(digits > k)
+        place = data[ends[rows] - (k + 1)] - np.uint8(_ZERO)
+        if place.max() > 9:
+            return None
+        values[rows] += place * np.int64(10**k)
+    values[negative] *= -1
+    return values
+
+
 def _file_identity(st: os.stat_result) -> tuple:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
-def _whole_file_columns(fh, path: Path, header_lines: int, cols: list) -> list[np.ndarray] | None:
-    """The chosen columns of a plain regular file, read by numpy from ``path`` in one call.
+def _whole_file_columns(fh, path: Path, header_lines: int, width: int, cols: list) -> list[np.ndarray] | None:
+    """The chosen columns of a plain regular file, read whole by a numpy reader.
 
     ``fh`` is the file opened at ``path``, read up to the end of its
-    header, which took ``header_lines`` physical lines. Its text is first
-    scanned block by block with the plain test, and numpy reads the file
-    only when every block passes. The table is kept only when numpy read
-    it without an error or a warning and ``path`` still names the file
-    scanned: the same device, inode, size and modification time. So
-    numpy never parses text the scan did not clear. Otherwise None, with
-    ``fh`` rewound to the line after the header.
+    header, which took ``header_lines`` physical lines and names ``width``
+    columns. Its text is read block by block and each block must pass the
+    plain test, so no reader parses text the scan did not clear:
 
-    A pipe or any other file that is not regular, and a path numpy would
+    - an all-integer plan is decoded by ``_int_columns`` as the blocks
+      are read, about ``_KERNEL_CHARS`` characters at a time
+      (``_int_blocks``); it reads that very text and never the path
+      again;
+    - any other plan is read by ``np.loadtxt`` from ``path`` once every
+      block has passed, and the table is kept only when numpy read it
+      without an error or a warning and ``path`` still names the file
+      scanned: the same device, inode, size and modification time.
+
+    Otherwise None, with ``fh`` rewound to the line after the header. A
+    pipe or any other file that is not regular, and a path numpy would
     decompress, get None before anything is read.
     """
     before = os.fstat(fh.fileno())
     if not stat.S_ISREG(before.st_mode) or path.suffix in _COMPRESSED_SUFFIXES:
         return None
-    try:
-        plain = all(map(_is_plain, iter(partial(_read_block, fh), "")))
-    except UnicodeDecodeError:  # the csv path raises it where the row order puts it
-        plain = False
-    if plain and (values := _loadtxt(os.fspath(path), cols, header_lines)) is not None:
-        try:
-            same = _file_identity(os.stat(path)) == _file_identity(before)
-        except OSError:
-            same = False
-        if same:
-            return values
-    fh.seek(0)
-    for _ in range(header_lines):
-        fh.readline()
-    return None
+    blocks = iter(partial(_read_block, fh), "")
+    values = None
+    try:  # on a UnicodeDecodeError the csv path raises it where the row order puts it
+        if all(convert is int for _, _, convert in cols):
+            values = _int_blocks(blocks, width, [i for _, i, _ in cols])
+        elif all(map(_is_plain, blocks)):
+            values = _loadtxt(os.fspath(path), cols, header_lines)
+            try:
+                same = _file_identity(os.stat(path)) == _file_identity(before)
+            except OSError:
+                same = False
+            if not same:
+                values = None
+    except UnicodeDecodeError:
+        pass
+    if values is None:
+        fh.seek(0)
+        for _ in range(header_lines):
+            fh.readline()
+    return values
+
+
+def _int_blocks(blocks, width: int, indices: list[int]) -> list[np.ndarray] | None:
+    """Columns ``indices`` of the text of ``blocks``, every block plain, read by ``_int_columns``; else None.
+
+    The blocks are decoded about ``_KERNEL_CHARS`` characters at a time,
+    which bounds the kernel's working arrays on a large file.
+    """
+    pieces, chunk, size = [], [], 0
+    for block in chain(blocks, [""]):  # "" ends the last chunk
+        if not _is_plain(block):
+            return None
+        chunk.append(block)
+        size += len(block)
+        if size >= _KERNEL_CHARS or not block:
+            text, chunk, size = "".join(chunk), [], 0
+            values = _int_columns(text, width, indices)
+            if values is None:
+                return None
+            pieces.append(values)
+    return pieces[0] if len(pieces) == 1 else [np.concatenate(column) for column in zip(*pieces)]
 
 
 def _read_block(fh) -> str:
@@ -831,14 +929,16 @@ def _read_csv_columns(path: Path, plan, fault) -> tuple[list[str], list]:
     through Python's own ``int()``/``float()``; an integer outside the
     int64 range is a fault too.
 
-    Two readers give the same values and the same faults. A regular file
-    whose name numpy would not decompress and whose text after the header
-    is plain throughout (``_is_plain``) is scanned once, then read by
-    numpy from its path in one call (``_whole_file_columns``). Every other
-    body is read from the line after the header by the header's own
-    ``csv.reader`` (``_stored_columns``): a pipe, a compressed suffix, a
-    byte that is not plain, a body numpy rejects or warns on, and a file
-    changed since the scan.
+    Three readers give the same values and the same faults. A regular
+    file whose name numpy would not decompress and whose text after the
+    header is plain throughout (``_is_plain``) is read whole by a numpy
+    reader (``_whole_file_columns``): the integer kernel
+    (``_int_columns``) when every pair converts by int, else
+    ``np.loadtxt`` from the path. Every other body is read from the line
+    after the header by the header's own ``csv.reader``
+    (``_stored_columns``): a pipe, a compressed suffix, a byte that is not
+    plain, a body the kernel or numpy turns down or numpy warns on, and a
+    file changed since the scan.
     """
     def parse(lines, fh=None):
         reader = csv.reader(lines)
@@ -846,7 +946,7 @@ def _read_csv_columns(path: Path, plan, fault) -> tuple[list[str], list]:
         columns = plan(header)
         index = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last column
         cols = [(name, index[name], convert) for name, convert in columns]
-        values = None if fh is None else _whole_file_columns(fh, path, reader.line_num, cols)
+        values = None if fh is None else _whole_file_columns(fh, path, reader.line_num, len(header), cols)
         if values is None:
             values = _stored_columns(reader, cols, fault)
         return header, cols, values

@@ -36,7 +36,6 @@ the evaluation model it stands in for.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -204,9 +203,6 @@ class TrainedModel:
             "converged": self.converged,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainedModel":
         spec = ModelSpec(
@@ -227,10 +223,6 @@ class TrainedModel:
             grad_norm=None if doc.get("grad_norm") is None else float(doc["grad_norm"]),
             converged=None if doc.get("converged") is None else bool(doc["converged"]),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrainedModel":
-        return cls.from_dict(json.loads(text))
 
 
 def _normalize_importance(coefficients: np.ndarray) -> np.ndarray:

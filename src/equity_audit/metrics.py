@@ -31,6 +31,7 @@ All reports are immutable :class:`~equity_audit.reports.Record` values, whose
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -343,7 +344,7 @@ def obstacle_gap(
     Counts evaluation-side affected features whose names have no match among
     deployed-side affected features, and sums |alpha_t - alpha_p| over all
     name-matched features. Larger values mean the two obstacle structures
-    disagree more.
+    disagree more. A sum past the float range is a ValidationError.
     """
     if om_proxy.alpha.shape[0] != len(proxy_features):
         raise ValidationError("proxy obstacle model does not match its feature list")
@@ -362,6 +363,8 @@ def obstacle_gap(
     for i, j in matching.items():
         if j is not None:
             l1 += abs(float(om_intended.alpha[i]) - float(om_proxy.alpha[j]))
+    if not math.isfinite(l1):
+        raise ValidationError("alpha: the L1 distance between matched alpha values overflows the float range")
     return ObstacleGap(unmatched_affected_features=int(unmatched), alpha_l1_distance_on_matched=l1)
 
 

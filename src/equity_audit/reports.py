@@ -3,7 +3,8 @@
 Output is deterministic for a given input: keys are sorted, no timestamps
 are embedded, and floats are written with ``repr`` so identical runs
 produce byte-identical files. A result's JSON form is decided here alone,
-by :func:`json_form`.
+by :func:`json_form`, and all JSON text is built by :func:`json_text`,
+which holds no ``NaN`` or ``Infinity``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import math
 from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
+
+from .errors import ValidationError
 
 if TYPE_CHECKING:
     from .metrics import EquityReport
@@ -95,5 +98,18 @@ def long_csv(rows: list[tuple]) -> str:
     )
 
 
+def json_text(doc, indent: int | None = None) -> str:
+    """``doc`` as JSON text with sorted keys.
+
+    JSON has no non-finite number, so a NaN or an infinity in ``doc`` is a
+    ValidationError (exit 2) instead of the ``NaN``/``Infinity`` tokens
+    Python's encoder writes by default.
+    """
+    try:
+        return json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(f"cannot write the report as JSON: {exc}") from None
+
+
 def write_json(doc: dict, path: Path) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    path.write_text(json_text(doc, indent=2) + "\n")

@@ -28,7 +28,6 @@ by a model trained on themselves.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,7 @@ from .core import ObstacleModel, Policy, Population, reveal_population
 from .errors import JoinError, SingleClassError, UndefinedRateError, ValidationError
 from .learner import ModelSpec, predict, train
 from .metrics import access_from_mask, eo_violation, utilization_from_labels
-from .reports import Record, _csv_text
+from .reports import Record, _csv_text, json_text
 
 REJECT_ACCESS = "access_gate"
 REJECT_OUTCOME = "outcome_gate"
@@ -104,7 +103,7 @@ class ScoringTrace(Record):
     terminated_reason: str  # "converged" or "iteration_cap"
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json_text(self.to_dict())
 
     def to_csv(self) -> str:
         def cell(value):

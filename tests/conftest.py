@@ -56,18 +56,25 @@ def tp_share_sweep(student_path) -> list[dict]:
 def plain_blocks(monkeypatch) -> list[str]:
     """Which reader took each CSV file read, in order, one entry per file.
 
-    ``"file"``: a whole regular file numpy read from its path. ``"csv"``:
-    a file the csv module read, from the line after its header.
+    ``"ints"``: a whole regular file whose scanned text the integer kernel
+    read. ``"file"``: a whole regular file numpy read from its path.
+    ``"csv"``: a file the csv module read, from the line after its header.
     """
     from equity_audit import dataio
 
-    taken = []
-    whole_file_columns = dataio._whole_file_columns
+    taken, loadtxt_calls = [], []
+    whole_file_columns, loadtxt = dataio._whole_file_columns, dataio._loadtxt
 
-    def whole_file(fh, path, header_lines, cols):
-        values = whole_file_columns(fh, path, header_lines, cols)
-        taken.append("csv" if values is None else "file")
+    def counted_loadtxt(*args):
+        loadtxt_calls.append(args)
+        return loadtxt(*args)
+
+    def whole_file(fh, path, header_lines, width, cols):
+        loadtxt_calls.clear()
+        values = whole_file_columns(fh, path, header_lines, width, cols)
+        taken.append("csv" if values is None else "file" if loadtxt_calls else "ints")
         return values
 
+    monkeypatch.setattr(dataio, "_loadtxt", counted_loadtxt)
     monkeypatch.setattr(dataio, "_whole_file_columns", whole_file)
     return taken

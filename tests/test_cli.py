@@ -120,9 +120,18 @@ class TestAudit:
             path.write_bytes(rewrite(text, how).encode())
             assert run_cli("--out", str(tmp_path / how), "audit", str(path)) == 0
             reports[how] = (tmp_path / how / "audit.json").read_bytes()
-            # a plain file is read by numpy in one call; CRLF and quotes send it to the csv path
-            assert plain_blocks == (["file"] if how == "plain" else ["csv"])
+            # the integer kernel reads a plain file; CRLF and quotes send it to the csv path
+            assert plain_blocks == (["ints"] if how == "plain" else ["csv"])
         assert reports["plain"] == reports["crlf"] == reports["quoted"]
+
+    def test_report_is_the_same_whichever_reader_took_the_log(self, tmp_path, monkeypatch, plain_blocks):
+        path = tmp_path / "log.csv"
+        path.write_text(self._log_text())
+        assert run_cli("--out", str(tmp_path / "ints"), "audit", str(path)) == 0
+        monkeypatch.setattr(dataio, "_int_columns", lambda text, width, indices: None)
+        assert run_cli("--out", str(tmp_path / "csv"), "audit", str(path)) == 0
+        assert plain_blocks == ["ints", "csv"]
+        assert (tmp_path / "ints" / "audit.json").read_bytes() == (tmp_path / "csv" / "audit.json").read_bytes()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_reads_a_pipe_once(self, tmp_path, monkeypatch, plain_blocks):
@@ -131,7 +140,7 @@ class TestAudit:
         regular = tmp_path / "log.csv"
         regular.write_text(text)
         assert run_cli("--out", str(tmp_path / "file"), "audit", str(regular)) == 0
-        assert plain_blocks == ["file"]
+        assert plain_blocks == ["ints"]
         plain_blocks.clear()
         fifo = tmp_path / "log.fifo"
         os.mkfifo(fifo)
@@ -158,7 +167,7 @@ class TestAudit:
             writer.join(timeout=10)
         assert not writer.is_alive() and fed.is_set()
         assert code == 0
-        # a pipe cannot be read twice: it is never handed to numpy, the csv module reads it
+        # a pipe cannot be read twice: it is never handed to a whole-file reader, the csv module reads it
         assert plain_blocks == ["csv"]
         assert (tmp_path / "fifo" / "audit.json").read_bytes() == (tmp_path / "file" / "audit.json").read_bytes()
 
@@ -559,6 +568,21 @@ class TestGaps:
         capsys.readouterr()
         assert run_cli("--out", str(tmp_path / "r"), "gaps", str(bad), str(good)) == 2
         assert f"error: {bad}: {message}" in capsys.readouterr().err
+
+    def test_alpha_distance_past_the_float_range_exit_2(self, tmp_path, capsys):
+        # each alpha is finite, their L1 distance is not; JSON has no Infinity to write it with
+        paths = []
+        for name, alpha in (("proxy.json", [0, 0]), ("intended.json", [1e308, 1e308])):
+            paths.append(tmp_path / name)
+            paths[-1].write_text(json.dumps({
+                "feature_names": ["a", "b"], "importance": [0.5, 0.5], "alpha": alpha, "affected_features": [0, 1],
+            }))
+        out = tmp_path / "r"
+        assert run_cli("--out", str(out), "gaps", *map(str, paths)) == 2
+        captured = capsys.readouterr()
+        assert "Infinity" not in captured.out
+        assert "error: alpha: the L1 distance between matched alpha values overflows" in captured.err
+        assert not (out / "gaps.json").exists()
 
     def test_directory_model_document_exit_2(self, tmp_path, capsys):
         assert run_cli("--out", str(tmp_path / "r"), "gaps", str(tmp_path), str(tmp_path)) == 2

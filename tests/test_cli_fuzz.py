@@ -72,6 +72,11 @@ def model_documents(draw):
     proxy={"feature_names": ["a"], "importance": [1.0]},
     intended={"feature_names": ["a", "b"], "importance": [8.988465674311579e307, 8.98846567431158e307]},
 )
+# finite alphas whose L1 distance overflows: a ValidationError, not "Infinity" in the report
+@example(
+    proxy={"feature_names": ["a", "b"], "importance": [0.5, 0.5], "alpha": [0, 0], "affected_features": [0, 1]},
+    intended={"feature_names": ["a", "b"], "importance": [0.5, 0.5], "alpha": [1e308, 1e308], "affected_features": [0, 1]},
+)
 @settings(FUZZ, max_examples=150)
 def test_gaps_model_documents(tmp_path, proxy, intended):
     paths = []
@@ -79,7 +84,13 @@ def test_gaps_model_documents(tmp_path, proxy, intended):
         path = tmp_path / name
         path.write_text(json.dumps(doc))
         paths.append(path)
-    run("--out", tmp_path / "r", "gaps", *paths)
+    if run("--out", tmp_path / "r", "gaps", *paths) == 0:
+        # the report is JSON: no NaN or Infinity token
+        json.loads((tmp_path / "r" / "gaps.json").read_text(), parse_constant=_no_constant)
+
+
+def _no_constant(token):
+    raise AssertionError(f"{token} in a JSON report")
 
 
 @pytest.fixture()

@@ -843,8 +843,8 @@ def _outcome(loader, path):
 
 
 def _csv_path_only():
-    """Every file to the csv path: no whole-file read by numpy."""
-    return mock.patch.object(dataio, "_whole_file_columns", lambda fh, path, header_lines, cols: None)
+    """Every file to the csv path: no integer kernel, no whole-file read by numpy."""
+    return mock.patch.object(dataio, "_whole_file_columns", lambda fh, path, header_lines, width, cols: None)
 
 
 def _through_fifo(loader, fifo, data: bytes):
@@ -887,6 +887,12 @@ _CELL_TOKENS = [
     "\x00", "\x1c", "\x1d", "\x1e", "\x1f", "١", "ᅰ", "1" * (_FIELD_LIMIT + 1),
 ]
 _INT_CELLS = ["0", "1", "1", " 1", "+1", "007", "-0"]
+# cells of the integer kernel's grammar, -?[0-9]{1,18}, and cells at its edges and at int64's
+_KERNEL_CELLS = ["0", "1", "1", "007", "-0", "9" * 18, "-" + "9" * 18]
+_EDGE_INT_CELLS = [
+    "-", "--1", "1-2", "1" * 19, "9223372036854775807", "-9223372036854775807",
+    "-9223372036854775808", "9223372036854775808",
+]
 _FLOAT_CELLS = _INT_CELLS + ["1.5", ".5", "1e400", "nan", "-nan", "-Infinity", "1_0", "3.25"]
 
 
@@ -900,30 +906,58 @@ def _wedge(cells: list, k: int, token: str, after: bool) -> list:
 def _csv_texts(names: list[str], good: list[str]):
     """CSV-like text: a header from ``names`` (repeats allowed), then rows.
 
-    A row is ``good`` cells, or such a row with a token of ``_CELL_TOKENS``
-    wedged into one cell, or ``good`` cells one short of the header to one
-    over it.
+    A body is rows of one of two kinds, each row ending in its line end:
+
+    - mixed rows: ``good`` cells, or such a row with a token of
+      ``_CELL_TOKENS`` wedged into one cell, or ``good`` cells one short
+      of the header to one over it;
+    - rows of ``_KERNEL_CELLS`` ending in ``\n``, which the integer kernel
+      reads, one cell perhaps swapped for one of ``_EDGE_INT_CELLS``.
+
+    The last row ends with its line end, with an extra newline, or with no
+    line end at all.
     """
-    good_row = st.lists(st.sampled_from(good), min_size=len(names), max_size=len(names))
-    wedged = st.builds(
-        _wedge, good_row, st.integers(0, len(names) - 1), st.sampled_from(_CELL_TOKENS), st.booleans()
-    )
-    ragged = st.lists(st.sampled_from(good), min_size=len(names) - 1, max_size=len(names) + 1)
+    width = len(names)
+    good_row = st.lists(st.sampled_from(good), min_size=width, max_size=width)
+    wedged = st.builds(_wedge, good_row, st.integers(0, width - 1), st.sampled_from(_CELL_TOKENS), st.booleans())
+    ragged = st.lists(st.sampled_from(good), min_size=width - 1, max_size=width + 1)
     row = st.one_of(good_row, wedged, ragged).map(",".join)
     line_end = st.sampled_from(["\n", "\n", "\n", "\r\n", "\n\n"])
+    kernel_rows = st.lists(
+        st.lists(st.sampled_from(_KERNEL_CELLS), min_size=width, max_size=width), min_size=1, max_size=12
+    )
+    kernel_body = st.builds(
+        _swap_cell, kernel_rows, st.integers(0, 11), st.integers(0, width - 1),
+        st.one_of(st.none(), st.sampled_from(_EDGE_INT_CELLS)),
+    )
     header = st.one_of(
         st.just(names), st.just(names),
-        st.lists(st.sampled_from(names + ["junk"]), max_size=len(names) + 2),
+        st.lists(st.sampled_from(names + ["junk"]), max_size=width + 2),
     ).map(",".join)
-    return st.tuples(header, st.lists(st.tuples(row, line_end), max_size=12), st.booleans()).map(
-        lambda t: t[0] + "\n" + "".join(r + e for r, e in t[1]) + ("\n" if t[2] else "")
+    return st.builds(
+        _csv_text, header, st.one_of(st.lists(st.tuples(row, line_end), max_size=12), kernel_body),
+        st.sampled_from(["line end", "extra newline", "no line end"]),
     )
+
+
+def _swap_cell(rows: list, r: int, c: int, cell) -> list:
+    """``rows`` as (text, ``\n``) pairs, with ``cell`` put at row ``r`` (wrapped) and column ``c`` unless None."""
+    if cell is not None:
+        rows[r % len(rows)][c] = cell
+    return [(",".join(row), "\n") for row in rows]
+
+
+def _csv_text(header: str, rows: list, last: str) -> str:
+    body = "".join(row + line_end for row, line_end in rows)
+    if last == "no line end" and rows:
+        body = body[: -len(rows[-1][1])]
+    return header + "\n" + body + ("\n" if last == "extra newline" else "")
 
 
 @pytest.mark.parametrize(
     "loader, names, good",
     [
-        (load_audit_csv, ["pred", "label", "group", "y_tt"], _INT_CELLS),
+        (load_audit_csv, ["pred", "label", "group", "y_tt"], _INT_CELLS + _EDGE_INT_CELLS),
         (load_population_csv, ["id", "group", "y", "y_prime", "x_a", "z_a"], _INT_CELLS),
         (_float_columns, ["a", "b", "id"], _FLOAT_CELLS),
     ],
@@ -932,19 +966,20 @@ def _csv_texts(names: list[str], good: list[str]):
 def test_numpy_and_csv_paths_agree(tmp_path_factory, plain_blocks, loader, names, good):
     """Values, or the error with its message, row and column, do not depend on the path taken.
 
-    The same text is read as a regular file (numpy's whole-file read, or
-    the csv path when that turns it down), through a pipe (the csv path)
-    and by the csv path alone.
+    The same text is read as a regular file (the integer kernel for the
+    all-integer audit plan, numpy's whole-file read for the others, or the
+    csv path when either turns it down), through a pipe (the csv path) and
+    by the csv path alone.
     """
     folder = tmp_path_factory.mktemp("paths")
     path, fifo = folder / "input.csv", folder / "input.fifo"
     os.mkfifo(fifo)
 
-    @given(_csv_texts(names, good), st.sampled_from([8, 40, 1 << 16]))
+    @given(_csv_texts(names, good), st.sampled_from([8, 40, 1 << 16]), st.sampled_from([1, 30, 1 << 22]))
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def check(text, block_chars):
+    def check(text, block_chars, kernel_chars):
         path.write_bytes(text.encode())
-        with mock.patch.object(dataio, "_BLOCK_CHARS", block_chars):
+        with mock.patch.multiple(dataio, _BLOCK_CHARS=block_chars, _KERNEL_CHARS=kernel_chars):
             as_file, through_pipe, csv_only = _three_ways(loader, path, fifo)
         assert as_file == through_pipe == csv_only
 
@@ -953,8 +988,8 @@ def test_numpy_and_csv_paths_agree(tmp_path_factory, plain_blocks, loader, names
         check()
     finally:
         csv.field_size_limit(old_limit)
-    # the fuzz reaches every path
-    assert set(plain_blocks) == {"file", "csv"}
+    # the fuzz reaches both paths a regular file can take
+    assert set(plain_blocks) == ({"ints", "csv"} if loader is load_audit_csv else {"file", "csv"})
 
 
 class TestReadPaths:
@@ -1003,7 +1038,7 @@ class TestReadPaths:
         os.mkfifo(fifo)
         path.write_text('"note\nover\n\nlines",pred,label,group\nx,1,0,1\ny,0,1,0\n')
         as_file, through_pipe, csv_only = _three_ways(load_audit_csv, path, fifo)
-        assert plain_blocks == ["file", "csv"]
+        assert plain_blocks == ["ints", "csv"]
         assert as_file == through_pipe == csv_only
         assert [a.tolist() for a in load_audit_csv(path)[:3]] == [[1, 0], [0, 1], [1, 0]]
 
@@ -1031,36 +1066,36 @@ class TestReadPaths:
         assert [preds.tolist(), labels.tolist(), groups.tolist()] == [
             [int(row[k]) for row in rows] for k in range(3)
         ]
-        # numpy reads the rows in one call; a body without any warns, and the csv path reads it
-        assert (plain_blocks[:1] == ["file"]) == bool(rows)
+        # the kernel turns down a blank line, which the csv path skips
+        assert plain_blocks[:1] == (["csv"] if "\n\n" in "\n" + body else ["ints"])
 
     @pytest.mark.parametrize("change", ["replaced", "deleted", "appended"])
     def test_file_changed_between_the_scan_and_numpys_read(self, tmp_path, monkeypatch, plain_blocks, change):
+        # a plan with float or str columns is read by numpy from the path, after the scan
         path = tmp_path / "a.csv"
-        path.write_text("pred,label,group\n1,1,0\n0,1,1\n")
+        path.write_text("a,b,id\n1,1,p\n0,1,q\n")
         loadtxt, read_from = dataio._loadtxt, []
 
         def changing_loadtxt(source, cols, skiprows=0):
-            if isinstance(source, str):  # the whole-file read, after the scan
-                read_from.append(source)
-                if change == "replaced":
-                    (tmp_path / "new.csv").write_text("pred,label,group\n0,0,0\n")
-                    os.replace(tmp_path / "new.csv", path)
-                elif change == "deleted":
-                    path.unlink()
-                else:
-                    with path.open("a") as fh:
-                        fh.write("1,0,0\n")
+            read_from.append(source)
+            if change == "replaced":
+                (tmp_path / "new.csv").write_text("a,b,id\n0,0,r\n")
+                os.replace(tmp_path / "new.csv", path)
+            elif change == "deleted":
+                path.unlink()
+            else:
+                with path.open("a") as fh:
+                    fh.write("1,0,s\n")
             return loadtxt(source, cols, skiprows)
 
         monkeypatch.setattr(dataio, "_loadtxt", changing_loadtxt)
-        preds, labels, groups, _ = load_audit_csv(path)
+        a, b, ids = _float_columns(path)
         assert read_from == [str(path)]
         # numpy's table is dropped; the open file is read again by the csv path
         assert plain_blocks == ["csv"]
         # a replaced or deleted file is still the open one, an appended one has grown
-        expected = [[1, 0, 1], [1, 1, 0], [0, 1, 0]] if change == "appended" else [[1, 0], [1, 1], [0, 1]]
-        assert [preds.tolist(), labels.tolist(), groups.tolist()] == expected
+        expected = [[1, 0, 1], [1, 1, 0], ["p", "q", "s"]] if change == "appended" else [[1, 0], [1, 1], ["p", "q"]]
+        assert [a.tolist(), b.tolist(), ids] == expected
 
     @needs_fifo
     def test_bad_cell_wins_over_a_later_undecodable_byte(self, tmp_path, plain_blocks):
@@ -1102,6 +1137,60 @@ class TestReadPaths:
         with _csv_path_only():
             expected = _outcome(load_audit_csv, path)
         assert _outcome(load_audit_csv, path) == expected
+
+
+class TestIntColumns:
+    """The integer kernel: what it reads, what it turns down, and the arrays it returns."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("1,-2\n007,-0\n", [[1, 7], [-2, 0]]),
+            ("1,-2\n3,4", [[1, 3], [-2, 4]]),  # no final newline
+            ("", [[], []]),
+            ("9" * 18 + ",-" + "9" * 18 + "\n", [[10**18 - 1], [1 - 10**18]]),
+        ],
+    )
+    def test_reads_its_grammar(self, text, expected):
+        assert [c.tolist() for c in dataio._int_columns(text, 2, [0, 1])] == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "+1,2\n", " 1,2\n", "1 ,2\n", "-,2\n", "--1,2\n", "1-2,2\n", ",2\n", "1" * 19 + ",2\n",
+            "1\n", "1,2,3\n", "1,2\n\n", "\n1,2\n", "1,2\n3\n4,5\n", "1,2\n3,4\n\n",
+        ],
+    )
+    def test_turns_down_everything_else(self, text):
+        assert dataio._int_columns(text, 2, [0, 1]) is None
+
+    @pytest.mark.parametrize("kernel_chars", [1, 1 << 22])  # a chunk a row, or one chunk
+    def test_columns_are_contiguous_int64(self, tmp_path, monkeypatch, plain_blocks, kernel_chars):
+        monkeypatch.setattr(dataio, "_KERNEL_CHARS", kernel_chars)
+        path = tmp_path / "a.csv"
+        path.write_text("pred,label,group,y_tt\n1,0,10,1\n0,1,-3,0\n1,1,123456789012,1\n")
+        columns = load_audit_csv(path)
+        assert plain_blocks == ["ints"]
+        assert all(c.dtype == np.int64 and c.flags.c_contiguous for c in columns)
+        with _csv_path_only():
+            assert [c.tolist() for c in columns] == [c.tolist() for c in load_audit_csv(path)]
+
+    def test_int64_bounds(self, tmp_path, plain_blocks):
+        # 19 digits are past the kernel's grammar: the csv path reads the bounds exactly
+        path = tmp_path / "a.csv"
+        path.write_text("pred,label,group\n1,9223372036854775807,0\n0,-9223372036854775808,1\n")
+        assert load_audit_csv(path)[1].tolist() == [2**63 - 1, -(2**63)]
+        path.write_text("pred,label,group\n1,1,0\n0,9223372036854775808,1\n")
+        err = _raises(load_audit_csv, path)
+        assert str(err) == "integer out of range, got '9223372036854775808' (row 2, column 'label')"
+        assert plain_blocks == ["csv", "csv"]
+
+    def test_unused_columns_may_hold_anything_plain(self, tmp_path, plain_blocks):
+        path = tmp_path / "a.csv"
+        path.write_text("note,pred,label,group,score\nfirst row,1,0,1,0.25\n,0,1,0,nan\n-x-,1,1,0,\n")
+        preds, labels, groups, y_tt = load_audit_csv(path)
+        assert plain_blocks == ["ints"]
+        assert [preds.tolist(), labels.tolist(), groups.tolist(), y_tt] == [[1, 0, 1], [0, 1, 1], [1, 0, 0], None]
 
 
 class TestRunConfigToml:

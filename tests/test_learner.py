@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from equity_audit.learner import (
     predict_with_group_thresholds,
     train,
 )
+from equity_audit.reports import json_text
 from oracles import (
     logistic_fit_reference,
     logistic_gradient_oracle,
@@ -416,7 +419,7 @@ class TestSerialization:
     def test_round_trip(self):
         X, y = separable_1d()
         model = train(ModelSpec(("f",), hyperparams={"iterations": 300}), X, y, seed=0)
-        clone = TrainedModel.from_json(model.to_json())
+        clone = TrainedModel.from_dict(json.loads(json_text(model.to_dict())))
         assert np.array_equal(clone.coefficients, model.coefficients)
         assert clone.mu.tolist() == model.mu.tolist()
         assert np.array_equal(predict(clone, X), predict(model, X))
@@ -565,7 +568,7 @@ class TestTrainLayout:
         assert reference.converged is True
         for features in layouts[1:]:
             model = train(spec, features, y)
-            assert model.to_json() == reference.to_json()
+            assert json_text(model.to_dict()) == json_text(reference.to_dict())
             assert np.array_equal(model.mu, reference.mu)
             assert np.array_equal(model.sigma, reference.sigma)
 

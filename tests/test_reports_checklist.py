@@ -18,7 +18,7 @@ from equity_audit.metrics import (
     utilization,
 )
 from equity_audit.core import ObstacleModel, Policy
-from equity_audit.reports import Record, equity_report_rows, json_form, long_csv, write_json
+from equity_audit.reports import Record, equity_report_rows, json_form, json_text, long_csv, write_json
 from test_metrics import population_with_obstacles
 
 
@@ -112,6 +112,18 @@ RECORD_KEYS = {
         "admissibility_by_group", "tp_share", "fp_share", "fp_share_by_group", "degenerate",
     ),
 }
+
+
+class TestJsonText:
+    def test_sorted_keys_and_python_float_text(self):
+        doc = {"b": [0.1, 1e-300, -0.0], "a": {"2": None, "10": True}}
+        assert json_text(doc) == json.dumps(doc, sort_keys=True)
+        assert json_text(doc, indent=2) == json.dumps(doc, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_a_non_finite_number_is_a_validation_error(self, value):
+        with pytest.raises(ValidationError, match="cannot write the report as JSON"):
+            json_text({"gap": [0.5, value]})
 
 
 class TestJsonForm:
