@@ -44,6 +44,7 @@ from .metrics import (
     ObstacleGap,
     OutcomeReport,
     UtilizationReport,
+    audit_reports,
     compute_gap_report,
     eo_violation,
     equity_score,

@@ -46,7 +46,7 @@ from .errors import (
 from .inputs import is_index, is_list_of, is_number, read_json
 from .learner import ModelSpec
 from .loopsim import REGIMES, default_config, run_inequity_loop, trajectory_to_csv
-from .metrics import compute_gap_report, eo_violation, utilization_from_labels
+from .metrics import audit_reports, compute_gap_report
 from .reports import equity_report_rows, json_text, long_csv, write_json
 from .scoring import ModelSpace, run_equity_scoring
 
@@ -127,16 +127,15 @@ def _reports_dir(cfg: RunConfig):
 
 def _cmd_audit(args, cfg: RunConfig) -> int:
     preds, labels, groups, y_tt = load_audit_csv(args.input)
-    outcome = eo_violation(preds, labels, groups, cfg.epsilon)
-    doc = {"outcome": outcome.to_dict()}
-    if y_tt is not None:
+    try:
+        outcome, util = audit_reports(preds, labels, groups, y_tt, cfg.epsilon)
+    except ValidationError as exc:  # a non-binary y_tt of an accepted row: name its file row
+        if exc.row is None:
+            raise
         accepted = np.flatnonzero(preds == 1)
-        try:
-            util = utilization_from_labels(y_tt[accepted], groups[accepted])
-        except ValidationError as exc:  # a non-binary y_tt: name its file row
-            if exc.row is None:
-                raise
-            raise DataFormatError(str(exc), row=int(accepted[exc.row]) + 1, column="y_tt") from None
+        raise DataFormatError(str(exc), row=int(accepted[exc.row]) + 1, column="y_tt") from None
+    doc = {"outcome": outcome.to_dict()}
+    if util is not None:
         doc["utilization"] = util.to_dict()
     with _reports_dir(cfg) as out:
         write_json(doc, out / "audit.json")

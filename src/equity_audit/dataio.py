@@ -32,6 +32,7 @@ the README; they make runs reproducible but are not measurements.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import stat
@@ -129,32 +130,53 @@ class StudentTable:
         return self.data[name]
 
 
+def _decoded_lines(raw):
+    """The lines of the binary file ``raw``, decoded from UTF-8 about ``_BLOCK_CHARS`` bytes of whole lines at a time.
+
+    Lines break where a ``newline=""`` text file breaks them: at ``\n``,
+    ``\r`` and ``\r\n``. A block that does not decode is decoded a line
+    at a time, so the lines above its first undecodable byte are yielded
+    before the UnicodeDecodeError is raised.
+    """
+    for block in iter(partial(raw.read, _BLOCK_CHARS), b""):
+        if block[-1:] != b"\n":
+            block += raw.readline()  # whole lines, so no \r\n is split between blocks
+        try:
+            lines = io.StringIO(block.decode("utf-8"), newline="")
+        except UnicodeDecodeError:
+            lines = map(partial(bytes.decode, encoding="utf-8"), block.splitlines(keepends=True))
+        yield from lines
+
+
 @contextmanager
 def _text_file(path: Path, parse):
-    """A UTF-8 file opened for ``csv.reader``; an unopenable path or undecodable bytes raise DataFormatError.
+    """The lines of a UTF-8 file for ``csv.reader``, and the open file: as text when it is regular, else as bytes.
 
-    The text layer decodes ahead of the reader, so an undecodable byte can
-    surface before the rows above it are checked. On that error a regular
-    file is read again as bytes and ``parse`` runs over its lines, each
-    decoded only when the reader asks for it: the rows complete before the
-    line of the first bad byte are checked by the same reader and
-    converters, and a fault among them is raised instead of the decode
-    error. A pipe cannot be read again; it reports the decode error.
+    An unopenable path or undecodable bytes raise DataFormatError. A pipe,
+    or any other file that is not regular, is read as bytes and decoded by
+    ``_decoded_lines``, so the rows above an undecodable byte are checked
+    first. A regular file is read through the text layer, which decodes
+    ahead of the reader, so an undecodable byte can surface before the
+    rows above it are checked. On that error the file is read again by
+    ``_decoded_lines`` and ``parse`` runs over its lines: the rows
+    complete before the line of the first bad byte are checked by the
+    same reader and converters, and a fault among them is raised instead
+    of the decode error.
     """
     try:
-        fh = path.open(newline="", encoding="utf-8")
+        raw = path.open("rb")
     except OSError as exc:
         raise open_error(path, exc) from None
-    with fh:
+    with raw:
+        regular = stat.S_ISREG(os.fstat(raw.fileno()).st_mode)
+        fh = io.TextIOWrapper(raw, encoding="utf-8", newline="") if regular else raw
         try:
-            yield fh
+            yield (fh if regular else _decoded_lines(raw)), fh
         except UnicodeDecodeError as exc:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.buffer.seek(0)
-                # bytes.splitlines breaks where a newline="" text file does: \n, \r and \r\n
-                lines = map(partial(bytes.decode, encoding="utf-8"), fh.buffer.read().splitlines(keepends=True))
+            if regular:
+                raw.seek(0)
                 try:
-                    parse(lines)
+                    parse(_decoded_lines(raw))
                 except UnicodeDecodeError:
                     pass
             raise decode_error(path, exc) from None
@@ -182,8 +204,8 @@ def load_uci_students(path: str | Path) -> StudentTable:
     """
     path = Path(path)
     parse = partial(_student_rows, path=path)
-    with _text_file(path, parse) as fh:
-        columns, rows = parse(fh)
+    with _text_file(path, parse) as (lines, _):
+        columns, rows = parse(lines)
     return StudentTable(columns=columns, data=dict(zip(columns, _student_columns(rows, columns))))
 
 
@@ -663,7 +685,8 @@ _KERNEL_CHARS = 1 << 22
 # characters numpy's reader takes otherwise than csv.reader and int()/float()
 # do: the quote, '\r', and the separators \x1c-\x1f, which numpy's number
 # parser skips as whitespace. Non-ASCII text is kept from numpy as well: its
-# integer parser reads some code points as digits.
+# integer parser reads some code points as digits. The integer kernel's
+# blocks have each \r\n line end made \n before this test.
 _NOT_PLAIN = '"\r\x1c\x1d\x1e\x1f'
 # suffixes numpy's reader opens through a decompressor when given a path
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
@@ -819,16 +842,18 @@ def _whole_file_columns(fh, path: Path, header_lines: int, width: int, cols: lis
       scanned: the same device, inode, size and modification time.
 
     Otherwise None, with ``fh`` rewound to the line after the header. A
-    pipe or any other file that is not regular, and a path numpy would
-    decompress, get None before anything is read.
+    pipe or any other file that is not regular, and a plan for
+    ``np.loadtxt`` whose path numpy would decompress, get None before
+    anything is read; the integer kernel reads a file of any name.
     """
     before = os.fstat(fh.fileno())
-    if not stat.S_ISREG(before.st_mode) or path.suffix in _COMPRESSED_SUFFIXES:
+    ints = all(convert is int for _, _, convert in cols)
+    if not stat.S_ISREG(before.st_mode) or (not ints and path.suffix in _COMPRESSED_SUFFIXES):
         return None
     blocks = iter(partial(_read_block, fh), "")
     values = None
     try:  # on a UnicodeDecodeError the csv path raises it where the row order puts it
-        if all(convert is int for _, _, convert in cols):
+        if ints:
             values = _int_blocks(blocks, width, [i for _, i, _ in cols])
         elif all(map(_is_plain, blocks)):
             values = _loadtxt(os.fspath(path), cols, header_lines)
@@ -850,11 +875,15 @@ def _whole_file_columns(fh, path: Path, header_lines: int, width: int, cols: lis
 def _int_blocks(blocks, width: int, indices: list[int]) -> list[np.ndarray] | None:
     """Columns ``indices`` of the text of ``blocks``, every block plain, read by ``_int_columns``; else None.
 
-    The blocks are decoded about ``_KERNEL_CHARS`` characters at a time,
-    which bounds the kernel's working arrays on a large file.
+    A ``\r\n`` line end is read as ``\n``, as the csv module reads it; a
+    ``\r`` anywhere else leaves its block not plain. The blocks are
+    decoded about ``_KERNEL_CHARS`` characters at a time, which bounds
+    the kernel's working arrays on a large file.
     """
     pieces, chunk, size = [], [], 0
     for block in chain(blocks, [""]):  # "" ends the last chunk
+        if "\r" in block:  # on a 64k block the test takes about 1 us, replace about 100 us
+            block = block.replace("\r\n", "\n")
         if not _is_plain(block):
             return None
         chunk.append(block)
@@ -930,17 +959,18 @@ def _read_csv_columns(path: Path, plan, fault) -> tuple[list[str], list]:
     int64 range is a fault too.
 
     Three readers give the same values and the same faults. A regular
-    file whose name numpy would not decompress and whose text after the
-    header is plain throughout (``_is_plain``) is read whole by a numpy
-    reader (``_whole_file_columns``): the integer kernel
-    (``_int_columns``) when every pair converts by int, else
-    ``np.loadtxt`` from the path. Every other body is read from the line
-    after the header by the header's own ``csv.reader``
-    (``_stored_columns``): a pipe, a compressed suffix, a byte that is not
-    plain, a body the kernel or numpy turns down or numpy warns on, and a
-    file changed since the scan.
+    file whose text after the header is plain throughout (``_is_plain``)
+    is read whole by a numpy reader (``_whole_file_columns``): the
+    integer kernel (``_int_columns``) when every pair converts by int,
+    with ``\r\n`` line ends read as ``\n``; else ``np.loadtxt`` from the
+    path, when numpy would not decompress that name. Every other body is
+    read from the line after the header by the header's own
+    ``csv.reader`` (``_stored_columns``): a pipe (its lines decoded by
+    ``_decoded_lines``), a compressed suffix on a ``np.loadtxt`` plan, a
+    byte that is not plain, a body the kernel or numpy turns down or
+    numpy warns on, and a file changed since the scan.
     """
-    def parse(lines, fh=None):
+    def parse(lines, fh=None):  # fh: the open file, None on the retry after a decode error
         reader = csv.reader(lines)
         header = _header_row(reader, path)
         columns = plan(header)
@@ -951,8 +981,8 @@ def _read_csv_columns(path: Path, plan, fault) -> tuple[list[str], list]:
             values = _stored_columns(reader, cols, fault)
         return header, cols, values
 
-    with _text_file(path, parse) as fh:
-        header, cols, values = parse(fh, fh)
+    with _text_file(path, parse) as (lines, fh):
+        header, cols, values = parse(lines, fh)
     return header, [
         column.tolist() if convert is str else column
         for (_, _, convert), column in zip(cols, values)

@@ -152,13 +152,21 @@ def eo_violation(
         raise ValidationError("preds, labels and groups must be equal-length vectors")
     if not np.all((p == 0) | (p == 1)) or not np.all((y == 0) | (y == 1)):
         raise ValidationError("preds and labels must be binary (0/1)")
+    if not np.all((g == 0) | (g == 1)):
+        raise _groups_missing(sorted(int(v) for v in np.unique(g)))
     # the confusion table of both groups in one pass: cell 4*g + 2*y + p
-    in_pair = np.all((g == 0) | (g == 1))
-    cells = np.bincount(4 * g + 2 * y + p, minlength=8).tolist() if in_pair else []
-    if not in_pair or not sum(cells[:4]) or not sum(cells[4:]):
-        present = sorted(int(v) for v in np.unique(g))
-        raise ValidationError(f"both groups 0 and 1 must be present, got {present}")
+    return _outcome_from_cells(np.bincount(4 * g + 2 * y + p, minlength=8).tolist(), epsilon)
 
+
+def _groups_missing(present: list[int]) -> ValidationError:
+    return ValidationError(f"both groups 0 and 1 must be present, got {present}")
+
+
+def _outcome_from_cells(cells: list[int], epsilon: float) -> OutcomeReport:
+    """omega and the rates of groups 0 and 1 from their confusion table, ``cells[4*g + 2*label + pred]``."""
+    present = [grp for grp in (0, 1) if sum(cells[4 * grp : 4 * grp + 4])]
+    if len(present) < 2:
+        raise _groups_missing(present)
     tpr: dict[int, float] = {}
     fpr: dict[int, float] = {}
     for grp in (0, 1):
@@ -179,6 +187,23 @@ def eo_violation(
     )
 
 
+def _utilization_from_counts(m: int, fp_by_group: dict[int, int]) -> UtilizationReport:
+    """Utilization of ``m`` accepted individuals, ``fp_by_group`` the evaluation negatives among them of each group present."""
+    if m == 0:
+        raise NoPositivesError(
+            "utilization is undefined: no proxy-positive records (m = 0)"
+        )
+    n_fp = sum(fp_by_group.values())
+    agree = m - n_fp
+    return UtilizationReport(
+        zeta=agree / m,
+        m=m,
+        true_positive_share=agree / m,
+        false_positive_share=n_fp / m,
+        per_group_fp_share={k: c / n_fp if n_fp else 0.0 for k, c in fp_by_group.items()},
+    )
+
+
 def utilization_from_labels(y_tt, groups) -> UtilizationReport:
     """Utilization of the accepted individuals, by counting their evaluation labels.
 
@@ -189,31 +214,64 @@ def utilization_from_labels(y_tt, groups) -> UtilizationReport:
     y, g = np.asarray(y_tt), np.asarray(groups)
     if y.ndim != 1 or g.shape != y.shape:
         raise ValidationError("y_tt and groups must be equal-length vectors")
-    m = len(y)
-    if m == 0:
-        raise NoPositivesError(
-            "utilization is undefined: no proxy-positive records (m = 0)"
-        )
     bad = ~np.isin(y, (0, 1))
     if bad.any():
         row = int(np.argmax(bad))
         raise ValidationError(f"y_tt must be 0 or 1, got {y[row].item()!r}", row=row)
-    fp = y == 0
-    n_fp = int(np.count_nonzero(fp))
-    agree = m - n_fp
     keys = np.unique(g)
-    if n_fp:
-        counts = np.bincount(np.searchsorted(keys, g[fp]), minlength=len(keys))
-        per_group_fp = {k: c / n_fp for k, c in zip(keys.tolist(), counts.tolist())}
-    else:
-        per_group_fp = {k: 0.0 for k in keys.tolist()}
-    return UtilizationReport(
-        zeta=agree / m,
-        m=m,
-        true_positive_share=agree / m,
-        false_positive_share=n_fp / m,
-        per_group_fp_share=per_group_fp,
-    )
+    fp_counts = np.bincount(np.searchsorted(keys, g[y == 0]), minlength=len(keys))
+    return _utilization_from_counts(len(y), dict(zip(keys.tolist(), fp_counts.tolist())))
+
+
+def _log_cells(p: np.ndarray, y: np.ndarray, g: np.ndarray, t: np.ndarray | None) -> np.ndarray | None:
+    """The 16-cell count of a log of 0/1 signed-integer columns, cell ``8*(t*p) + 4*g + 2*y + p``; else None.
+
+    None for any other log: another dtype or shape, a value outside 0/1 in
+    ``p``, ``y`` or ``g``, or a ``t`` outside 0/1 where ``p`` is 1. A
+    ``t`` of None counts as 0 throughout.
+    """
+    columns = [c for c in (p, y, g, t) if c is not None]
+    if p.ndim != 1 or any(c.dtype.kind != "i" or c.shape != p.shape for c in columns):
+        return None
+    if any(np.bitwise_or.reduce(c) >> 1 for c in (p, y, g)):
+        return None
+    key = np.zeros_like(p) if t is None else t * p
+    if np.bitwise_or.reduce(key) >> 1:
+        return None
+    for c in (g, y, p):  # shifted in place: one working array for the whole key
+        key <<= 1
+        key |= c
+    return np.bincount(key, minlength=16)
+
+
+def audit_reports(
+    preds, labels, groups, y_tt=None, epsilon: float = DEFAULT_OUTCOME_EPSILON
+) -> tuple[OutcomeReport, UtilizationReport | None]:
+    """The outcome report of a prediction log and, given ``y_tt``, the utilization report of its accepted rows.
+
+    The reports, and any error, are those of :func:`eo_violation` followed
+    by :func:`utilization_from_labels` on the rows with pred 1: a
+    non-binary ``y_tt`` there raises ``ValidationError`` whose ``row`` is
+    the index among those rows. A log of 0/1 signed-integer columns is
+    counted in one ``np.bincount`` (:func:`_log_cells`) and both reports
+    come from that table; any other log goes through the two functions.
+    """
+    p, y, g = (np.asarray(c) for c in (preds, labels, groups))
+    t = None if y_tt is None else np.asarray(y_tt)
+    cells = _log_cells(p, y, g, t)
+    if cells is None:
+        outcome = eo_violation(p, y, g, epsilon)
+        if t is None:
+            return outcome, None
+        accepted = np.flatnonzero(p == 1)
+        return outcome, utilization_from_labels(t[accepted], g[accepted])
+    table = cells.reshape(2, 2, 2, 2)  # axes: t*p, group, label, pred
+    outcome = _outcome_from_cells(table.sum(axis=0).ravel().tolist(), epsilon)
+    if t is None:
+        return outcome, None
+    accepted = table[..., 1].sum(axis=(0, 2)).tolist()  # by group
+    false_pos = table[0, :, :, 1].sum(axis=1).tolist()  # accepted with t = 0, by group
+    return outcome, _utilization_from_counts(sum(accepted), {k: false_pos[k] for k in (0, 1) if accepted[k]})
 
 
 def utilization(records: list[EvaluationRecord]) -> UtilizationReport:

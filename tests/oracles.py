@@ -87,6 +87,15 @@ def zeta_oracle(y_tt_values) -> float:
     return confirmed / m
 
 
+def fp_share_oracle(y_tt_values, groups) -> dict:
+    """Each accepted group's share of the accepted individuals the evaluation model rejects (0 when there are none)."""
+    rejected = {}
+    for value, g in zip(y_tt_values, groups):
+        rejected[g] = rejected.get(g, 0) + (1 if value == 0 else 0)
+    total = sum(rejected.values())
+    return {g: (rejected[g] / total if total else 0.0) for g in sorted(rejected)}
+
+
 def two_branch_sigmoid(scores):
     """1/(1+e^-s) where s >= 0 and e^s/(1+e^s) elsewhere, by boolean masks."""
     out = np.empty_like(scores)

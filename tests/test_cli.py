@@ -1,3 +1,4 @@
+import gzip
 import json
 import os
 import threading
@@ -120,8 +121,8 @@ class TestAudit:
             path.write_bytes(rewrite(text, how).encode())
             assert run_cli("--out", str(tmp_path / how), "audit", str(path)) == 0
             reports[how] = (tmp_path / how / "audit.json").read_bytes()
-            # the integer kernel reads a plain file; CRLF and quotes send it to the csv path
-            assert plain_blocks == (["ints"] if how == "plain" else ["csv"])
+            # the integer kernel reads plain and CRLF files; quotes send a file to the csv path
+            assert plain_blocks == (["csv"] if how == "quoted" else ["ints"])
         assert reports["plain"] == reports["crlf"] == reports["quoted"]
 
     def test_report_is_the_same_whichever_reader_took_the_log(self, tmp_path, monkeypatch, plain_blocks):
@@ -187,6 +188,29 @@ class TestAudit:
         err = capsys.readouterr().err
         assert "(row 7, column 'y_tt')" in err
         assert "got 3" in err
+
+    @pytest.mark.parametrize(
+        "body, code, message",
+        [
+            ("1,1,0,1\n0,0,0,9\n1,0,1,1\n0,1,1,0\n", 0, ""),  # y_tt 9 on a rejected row
+            ("1,1,0,1\n0,0,0,0\n1,0,1,3\n0,1,1,0\n", 2, "error: y_tt must be 0 or 1, got 3 (row 3, column 'y_tt')"),
+            ("1,1,0,1\n0,0,0,0\n1,0,2,1\n0,1,1,0\n", 2, "error: both groups 0 and 1 must be present, got [0, 1, 2]"),
+            ("0,1,0,1\n0,0,0,1\n0,1,1,1\n0,0,1,0\n", 3, "error: utilization is undefined: no proxy-positive records (m = 0)"),
+            ("1,0,0,1\n0,0,0,0\n1,1,1,1\n0,0,1,0\n", 3, "error: TPR undefined for group 0: it has no positives"),
+        ],
+        ids=["y_tt-9-rejected", "y_tt-3-accepted", "group-2", "none-accepted", "undefined-tpr"],
+    )
+    def test_one_count_keeps_every_exit(self, tmp_path, capsys, body, code, message):
+        path = tmp_path / "log.csv"
+        path.write_text("pred,label,group,y_tt\n" + body)
+        assert run_cli("--out", str(tmp_path / "r"), "audit", str(path)) == code
+        assert capsys.readouterr().err == (message and message + "\n")
+
+    def test_compressed_log_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "log.csv.gz"
+        path.write_bytes(gzip.compress(b"pred,label,group\n1,1,0\n0,0,1\n"))
+        assert run_cli("--out", str(tmp_path / "r"), "audit", str(path)) == 2
+        assert capsys.readouterr().err == f"error: {path} is not UTF-8 text (invalid start byte)\n"
 
     def test_undecodable_input_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bin.csv"

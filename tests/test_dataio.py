@@ -1108,7 +1108,51 @@ class TestReadPaths:
         assert as_file[1] == "expected an integer, got 'x' (row 1, column 'pred')"
         assert plain_blocks[0] == "csv"
 
-    @pytest.mark.parametrize("last_line", ['1,"0",1,1\n', "1,0,1,1\r\n"])
+    @needs_fifo
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b"1,x,0\n1,1\xff,1\n", "expected an integer, got 'x' (row 1, column 'label')"),
+            (b"1,x,0\r1,1\xff,1\r\n", "expected an integer, got 'x' (row 1, column 'label')"),
+            (b"1,1,0\n1,1\xff,1\n1,x,0\n", "is not UTF-8 text (invalid start byte)"),
+            (b"1,1,0\n1,1\xe2\x82\n", "is not UTF-8 text (invalid continuation byte)"),
+        ],
+    )
+    def test_first_fault_in_row_order_through_a_pipe(self, tmp_path, body, message):
+        # a bad cell above the line of an undecodable byte is reported, through a pipe as from a file
+        path, fifo = tmp_path / "a.csv", tmp_path / "a.fifo"
+        os.mkfifo(fifo)
+        path.write_bytes(b"pred,label,group\n" + body)
+        outcomes = {
+            (kind, text.replace(str(fifo), "<input>").replace(str(path), "<input>"), row, column)
+            for kind, text, row, column in _three_ways(load_audit_csv, path, fifo)
+        }
+        assert len(outcomes) == 1
+        assert outcomes.pop()[1].endswith(message)
+
+    @pytest.mark.parametrize("block_chars", [8, 40, 1 << 16])
+    @pytest.mark.parametrize(
+        "line_ends, reader",
+        [(["\r\n"], "ints"), (["\n", "\r\n"], "ints"), (["\r\n", "\r\r\n"], "csv"), (["\r\n", "\r"], "csv")],
+        ids=["crlf", "mixed", "cr-crlf", "bare-cr"],
+    )
+    def test_crlf_line_ends_reach_the_integer_kernel(
+        self, tmp_path, monkeypatch, plain_blocks, block_chars, line_ends, reader
+    ):
+        # a \r directly before \n is a line end to the csv module and to the kernel;
+        # a \r anywhere else sends the body to the csv path
+        monkeypatch.setattr(dataio, "_BLOCK_CHARS", block_chars)
+        lines = self._lines(200)
+        path = tmp_path / "a.csv"
+        body = "".join(line + line_ends[k % len(line_ends)] for k, line in enumerate(lines))
+        path.write_bytes(("pred,label,group,y_tt\r\n" + body).encode())
+        as_read = _outcome(load_audit_csv, path)
+        assert plain_blocks == [reader]
+        with _csv_path_only():
+            assert as_read == _outcome(load_audit_csv, path)
+        assert as_read[0][1] == (len(lines),)
+
+    @pytest.mark.parametrize("last_line", ['1,"0",1,1\n', "1,0,1,1\r"])
     def test_one_line_not_plain_sends_the_whole_body_to_the_csv_path(self, tmp_path, plain_blocks, last_line):
         # every scan block but the last is plain; the csv module still reads every line
         lines = self._lines(3 * dataio._BLOCK_CHARS // 8)
@@ -1123,11 +1167,16 @@ class TestReadPaths:
 
     @pytest.mark.parametrize("suffix", dataio._COMPRESSED_SUFFIXES)
     def test_compressed_suffix_is_read_as_text(self, tmp_path, plain_blocks, suffix):
-        # given this path numpy would decompress the file; the csv path reads its text
+        # the integer kernel reads the open file's text whatever its name
         path = tmp_path / f"log.csv{suffix}"
         path.write_text("pred,label,group\n1,1,0\n0,1,1\n")
         assert [a.tolist() for a in load_audit_csv(path)[:3]] == [[1, 0], [1, 1], [0, 1]]
-        assert plain_blocks == ["csv"]
+        assert plain_blocks == ["ints"]
+        # given this path numpy would decompress the file; the csv path reads its text
+        path = tmp_path / f"population.csv{suffix}"
+        path.write_text("id,group,y,y_prime,x_a,z_a\np,0,1,1,0.5,0.5\nq,1,0,1,1.5,2.5\n")
+        assert load_population_csv(path).z_matrix().tolist() == [[0.5], [2.5]]
+        assert plain_blocks == ["ints", "csv"]
 
     @pytest.mark.parametrize("cell", ["\x1c1", "1\x1f", "ᅰ", "1_0", "١"])
     def test_cells_numpy_would_misread(self, tmp_path, cell):

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equity_audit import metrics
 from equity_audit.core import ObstacleModel, Policy, Population, reveal_population
-from equity_audit.errors import NoPositivesError, UndefinedRateError, ValidationError
+from equity_audit.errors import EquityAuditError, NoPositivesError, UndefinedRateError, ValidationError
 from equity_audit.learner import ModelSpec, predict, train
 from equity_audit.metrics import (
     EvaluationRecord,
+    audit_reports,
     compute_gap_report,
     eo_violation,
     equity_score,
@@ -19,7 +21,14 @@ from equity_audit.metrics import (
     utilization,
     utilization_from_labels,
 )
-from oracles import UndefinedRate, eo_violation_masks, eo_violation_oracle, psi_oracle, zeta_oracle
+from oracles import (
+    UndefinedRate,
+    eo_violation_masks,
+    eo_violation_oracle,
+    fp_share_oracle,
+    psi_oracle,
+    zeta_oracle,
+)
 
 
 def population_with_obstacles(magnitudes, groups=None):
@@ -486,3 +495,103 @@ class TestUtilizationKernel:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             utilization_from_labels(np.array([1, 0]), np.array([0]))
+
+
+def _reports_or_error(count, *args):
+    """The report dicts ``count`` returns for a log, or the type, message and row of its error."""
+    try:
+        outcome, util = count(*args)
+    except EquityAuditError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+    return repr(outcome.to_dict()), None if util is None else repr(util.to_dict())
+
+
+def _one_by_one(preds, labels, groups, y_tt, epsilon):
+    """eo_violation, then utilization_from_labels on the rows with pred 1."""
+    outcome = eo_violation(preds, labels, groups, epsilon)
+    if y_tt is None:
+        return outcome, None
+    accepted = np.flatnonzero(np.asarray(preds) == 1)
+    return outcome, utilization_from_labels(np.asarray(y_tt)[accepted], np.asarray(groups)[accepted])
+
+
+def _swapped(rows: list, swaps: list) -> list:
+    """``rows`` with cell ``(k, column)`` set to ``value`` for each swap, ``k`` wrapped to a row."""
+    rows = [list(row) for row in rows]
+    for k, column, value in swaps if rows else ():
+        rows[k % len(rows)][column] = value
+    return rows
+
+
+@given(
+    st.builds(
+        _swapped,
+        st.lists(st.tuples(*[st.integers(0, 1)] * 4), min_size=6, max_size=40),
+        st.lists(st.tuples(st.integers(0, 39), st.integers(0, 3), st.sampled_from([-1, 2])), max_size=2)
+        | st.just([]),
+    ),
+    st.sampled_from(["both"] * 8 + ["no group 0", "no group 1"]),
+    st.sampled_from(["int64", "int64", "int8", "float64", "none"]),
+    st.sampled_from([1e-9, 0.5]),
+)
+@settings(max_examples=300)
+def test_audit_reports_equal_the_two_functions_and_the_oracles(rows, groups_kept, y_tt_dtype, epsilon):
+    """Mostly binary logs, a cell or two swapped for -1 or 2, a group sometimes dropped."""
+    if groups_kept != "both":
+        rows = [r for r in rows if r[2] != (0 if groups_kept == "no group 0" else 1)]
+    preds, labels, groups, y_tt = (np.array(col, dtype=np.int64) for col in zip(*rows)) if rows else [
+        np.zeros(0, dtype=np.int64)
+    ] * 4
+    y_tt = None if y_tt_dtype == "none" else y_tt.astype(y_tt_dtype)
+    got = _reports_or_error(audit_reports, preds, labels, groups, y_tt, epsilon)
+    assert got == _reports_or_error(_one_by_one, preds, labels, groups, y_tt, epsilon)
+    if isinstance(got[0], type):
+        return
+    outcome, util = audit_reports(preds, labels, groups, y_tt, epsilon)
+    assert outcome.eo_violation == eo_violation_oracle(preds.tolist(), labels.tolist(), groups.tolist())
+    if y_tt is not None:
+        accepted = preds == 1
+        assert util.zeta == zeta_oracle(y_tt[accepted].tolist())
+        assert util.m == int(accepted.sum())
+        assert util.per_group_fp_share == fp_share_oracle(y_tt[accepted].tolist(), groups[accepted].tolist())
+
+
+class TestAuditReports:
+    LOG = {
+        "preds": np.array([1, 0, 1, 0, 1, 0, 1, 1]),
+        "labels": np.array([1, 0, 0, 1, 1, 0, 0, 1]),
+        "groups": np.array([0, 0, 0, 0, 1, 1, 1, 1]),
+        "y_tt": np.array([1, 1, 0, 1, 1, 1, 1, 0]),
+    }
+
+    def test_a_binary_integer_log_is_counted_without_the_two_functions(self, monkeypatch):
+        expected = _one_by_one(*self.LOG.values(), 1e-9)
+
+        def refuse(*args):
+            raise AssertionError("the one count fell back")
+
+        monkeypatch.setattr(metrics, "eo_violation", refuse)
+        monkeypatch.setattr(metrics, "utilization_from_labels", refuse)
+        got = audit_reports(*self.LOG.values())
+        assert [r.to_dict() for r in got] == [r.to_dict() for r in expected]
+        assert got[1].per_group_fp_share == {0: 0.5, 1: 0.5}
+
+    def test_non_binary_y_tt_on_a_rejected_row_is_allowed(self):
+        log = dict(self.LOG, y_tt=np.array([1, 9, 0, -4, 1, 2**62, 1, 0]))
+        assert audit_reports(*log.values()) == audit_reports(*self.LOG.values())
+
+    def test_float_y_tt_is_not_truncated(self):
+        log = dict(self.LOG, y_tt=np.array([1, 1, 0.5, 1, 1, 1, 1, 0]))
+        with pytest.raises(ValidationError, match=r"y_tt must be 0 or 1, got 0\.5") as excinfo:
+            audit_reports(*log.values())
+        assert excinfo.value.row == 1  # the second accepted row
+
+    def test_without_y_tt_there_is_no_utilization(self):
+        outcome, util = audit_reports(self.LOG["preds"], self.LOG["labels"], self.LOG["groups"])
+        assert util is None
+        assert outcome == eo_violation(self.LOG["preds"], self.LOG["labels"], self.LOG["groups"])
+
+    def test_an_empty_log_has_no_groups(self):
+        empty = np.zeros(0, dtype=np.int64)
+        with pytest.raises(ValidationError, match=r"both groups 0 and 1 must be present, got \[\]"):
+            audit_reports(empty, empty, empty, empty)
