@@ -47,7 +47,7 @@ from .inputs import is_index, is_list_of, is_number, read_json
 from .learner import ModelSpec
 from .loopsim import REGIMES, default_config, run_inequity_loop, trajectory_to_csv
 from .metrics import audit_reports, compute_gap_report
-from .reports import equity_report_rows, json_text, long_csv, write_json
+from .reports import equity_report_rows, long_csv, write_json
 from .scoring import ModelSpace, run_equity_scoring
 
 USAGE_ERROR = 1
@@ -138,8 +138,8 @@ def _cmd_audit(args, cfg: RunConfig) -> int:
     if util is not None:
         doc["utilization"] = util.to_dict()
     with _reports_dir(cfg) as out:
-        write_json(doc, out / "audit.json")
-    print(json_text(doc, indent=2))
+        text = write_json(doc, out / "audit.json")
+    print(text)
     return 0
 
 
@@ -272,8 +272,8 @@ def _cmd_gaps(args, cfg: RunConfig) -> int:
     )
     doc = report.to_dict()
     with _reports_dir(cfg) as out:
-        write_json(doc, out / "gaps.json")
-    print(json_text(doc, indent=2))
+        text = write_json(doc, out / "gaps.json")
+    print(text)
     return 0
 
 

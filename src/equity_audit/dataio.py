@@ -694,6 +694,11 @@ _INT64 = range(-(2**63), 2**63)
 # the most digits an ``_int_columns`` cell holds: every such number is in int64
 _INT_DIGITS = 18
 _COMMA, _NEWLINE, _MINUS, _ZERO = b",\n-0"
+# a digit and "," read as one little-endian 16-bit pair, XORed with this,
+# give the digit's value; a byte XOR "0" is under 10 only for a digit
+_COMMA_PAIR = _COMMA << 8 | _ZERO
+# XORed in as well, a digit and "\n" give the digit's value
+_NEWLINE_FLIP = (_COMMA ^ _NEWLINE) << 8
 _DTYPES = {int: np.int64, float: np.float64, str: object}
 
 
@@ -771,10 +776,41 @@ def _int_columns(text: str, width: int, indices: list[int]) -> list[np.ndarray] 
     blank, short or long row, a sign or space ``int()`` would strip, a
     longer number) is None, and the csv path reads the text or reports
     its fault.
+
+    Text whose every cell is one digit is read as a byte grid
+    (``_grid_columns``). Any other text, or text the grid turns down,
+    goes to the separator scan (``_separated_columns``), which reads
+    cells of any width; both give the same values.
     """
     data = np.frombuffer(text.encode("ascii"), np.uint8)
     if data.size and data[-1] != _NEWLINE:
         data = np.append(data, np.uint8(_NEWLINE))
+    columns = _grid_columns(data, width, indices)
+    return _separated_columns(data, width, indices) if columns is None else columns
+
+
+def _grid_columns(data: np.ndarray, width: int, indices: list[int]) -> list[np.ndarray] | None:
+    """Columns ``indices`` of newline-ended text whose every cell is one digit, read as a byte grid; else None.
+
+    Such text is rows of ``2 * width`` bytes: a digit at every even
+    offset, and ``,`` at every odd offset but the last, which is ``\\n``.
+    Each cell and the separator after it are read as one 16-bit pair and
+    XORed with its template (``_COMMA_PAIR``, and ``_NEWLINE_FLIP`` too
+    at a row's end), which leaves the digit's value in a pair that fits
+    and 10 or more in any other. The pairs are the one working array.
+    """
+    if data.size % (2 * width):
+        return None
+    pairs = data.view("<u2") ^ np.uint16(_COMMA_PAIR)
+    cells = pairs.reshape(-1, width)
+    cells[:, -1] ^= np.uint16(_NEWLINE_FLIP)
+    if pairs.max(initial=0) > 9:
+        return None
+    return [cells[:, i].astype(np.int64) for i in indices]
+
+
+def _separated_columns(data: np.ndarray, width: int, indices: list[int]) -> list[np.ndarray] | None:
+    """Columns ``indices`` of newline-ended text with cells of any width, found by a scan for separators; else None."""
     newline = data == _NEWLINE
     separator = newline | (data == _COMMA)
     ends = np.flatnonzero(separator)
@@ -834,8 +870,9 @@ def _whole_file_columns(fh, path: Path, header_lines: int, width: int, cols: lis
 
     - an all-integer plan is decoded by ``_int_columns`` as the blocks
       are read, about ``_KERNEL_CHARS`` characters at a time
-      (``_int_blocks``); it reads that very text and never the path
-      again;
+      (``_int_blocks``): as a fixed byte grid when every cell is one
+      digit, else by a scan for separators. It reads that very text and
+      never the path again;
     - any other plan is read by ``np.loadtxt`` from ``path`` once every
       block has passed, and the table is kept only when numpy read it
       without an error or a warning and ``path`` still names the file
@@ -961,14 +998,15 @@ def _read_csv_columns(path: Path, plan, fault) -> tuple[list[str], list]:
     Three readers give the same values and the same faults. A regular
     file whose text after the header is plain throughout (``_is_plain``)
     is read whole by a numpy reader (``_whole_file_columns``): the
-    integer kernel (``_int_columns``) when every pair converts by int,
-    with ``\r\n`` line ends read as ``\n``; else ``np.loadtxt`` from the
-    path, when numpy would not decompress that name. Every other body is
-    read from the line after the header by the header's own
-    ``csv.reader`` (``_stored_columns``): a pipe (its lines decoded by
-    ``_decoded_lines``), a compressed suffix on a ``np.loadtxt`` plan, a
-    byte that is not plain, a body the kernel or numpy turns down or
-    numpy warns on, and a file changed since the scan.
+    integer kernel (``_int_columns``; a byte grid where every cell is one
+    digit) when every pair converts by int, with ``\r\n`` line ends read
+    as ``\n``; else ``np.loadtxt`` from the path, when numpy would not
+    decompress that name. Every other body is read from the line after
+    the header by the header's own ``csv.reader`` (``_stored_columns``):
+    a pipe (its lines decoded by ``_decoded_lines``), a compressed suffix
+    on a ``np.loadtxt`` plan, a byte that is not plain, a body the kernel
+    or numpy turns down or numpy warns on, and a file changed since the
+    scan.
     """
     def parse(lines, fh=None):  # fh: the open file, None on the retry after a decode error
         reader = csv.reader(lines)

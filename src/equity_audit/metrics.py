@@ -145,17 +145,17 @@ def eo_violation(
     preds, labels, groups, epsilon: float = DEFAULT_OUTCOME_EPSILON
 ) -> OutcomeReport:
     """Equalized-odds violation |dTPR| + |dFPR| between groups 0 and 1."""
-    p = np.asarray(preds, dtype=int)
-    y = np.asarray(labels, dtype=int)
-    g = np.asarray(groups, dtype=int)
+    p, y, g = (np.asarray(c) for c in (preds, labels, groups))
     if not (p.shape == y.shape == g.shape) or p.ndim != 1:
         raise ValidationError("preds, labels and groups must be equal-length vectors")
+    # the values are checked as given, so a 1.5 or a group of 0.5 is never truncated to 0/1
     if not np.all((p == 0) | (p == 1)) or not np.all((y == 0) | (y == 1)):
         raise ValidationError("preds and labels must be binary (0/1)")
     if not np.all((g == 0) | (g == 1)):
-        raise _groups_missing(sorted(int(v) for v in np.unique(g)))
+        raise _groups_missing(np.unique(g).tolist())
     # the confusion table of both groups in one pass: cell 4*g + 2*y + p
-    return _outcome_from_cells(np.bincount(4 * g + 2 * y + p, minlength=8).tolist(), epsilon)
+    key = (4 * g + 2 * y + p).astype(np.intp, copy=False)  # 0.0/1.0 floats pass the checks
+    return _outcome_from_cells(np.bincount(key, minlength=8).tolist(), epsilon)
 
 
 def _groups_missing(present: list[int]) -> ValidationError:

@@ -111,5 +111,8 @@ def json_text(doc, indent: int | None = None) -> str:
         raise ValidationError(f"cannot write the report as JSON: {exc}") from None
 
 
-def write_json(doc: dict, path: Path) -> None:
-    path.write_text(json_text(doc, indent=2) + "\n")
+def write_json(doc: dict, path: Path) -> str:
+    """Write ``doc`` to ``path`` as indented JSON text and a newline; return the text without it."""
+    text = json_text(doc, indent=2)
+    path.write_text(text + "\n")
+    return text

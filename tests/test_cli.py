@@ -653,6 +653,19 @@ class TestGaps:
         assert (out / "casestudy.json").exists()
 
 
+@pytest.mark.parametrize("command", ["audit", "gaps"])
+def test_prints_the_report_it_writes_encoded_once(audit_csv, tmp_path, capsys, monkeypatch, command):
+    out = tmp_path / "r"
+    argv = {"audit": ["audit", str(audit_csv)], "gaps": ["gaps", str(tmp_path / "p.json"), str(tmp_path / "i.json")]}
+    for name in ("p.json", "i.json"):
+        (tmp_path / name).write_text(json.dumps({"feature_names": ["a", "b"], "importance": [0.75, 0.25]}))
+    encoded, dumps = [], json.dumps
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: encoded.append(a) or dumps(*a, **k))
+    assert run_cli("--out", str(out), *argv[command]) == 0
+    assert capsys.readouterr().out == (out / f"{command}.json").read_text()
+    assert len(encoded) == 1
+
+
 UNWRITABLE_OUT = ["out-is-a-file", "out-below-a-file", "report-is-a-directory"]
 
 

@@ -1188,6 +1188,76 @@ class TestReadPaths:
         assert _outcome(load_audit_csv, path) == expected
 
 
+def _separator_scan_only():
+    """The integer kernel without its byte grid: every body to the separator scan."""
+    return mock.patch.object(dataio, "_grid_columns", lambda data, width, indices: None)
+
+
+def _perturbed(names: list, rows: list, perturbations: list, crlf: bool, final_newline: bool) -> str:
+    """Header and body of one-byte cells, each ``(kind, row, column)`` of ``perturbations`` applied."""
+    rows = [list(row) for row in rows]
+    for kind, r, c in perturbations:
+        if not rows:
+            break
+        r = r % len(rows)
+        row = rows[r]
+        if kind == "blank line":
+            rows.insert(r, [])
+        elif kind in ("short row", "long row"):
+            rows[r] = row[:-1] if kind == "short row" else row + ["1"]
+        elif kind == "letter in an unused column":
+            if "note" in names and names.index("note") < len(row):
+                row[names.index("note")] = "x"
+        elif row:
+            row[c % len(row)] = {"wide cell": "10", "signed zero": "-0", "empty cell": ""}[kind]
+    end = "\r\n" if crlf else "\n"
+    body = "".join(",".join(row) + end for row in rows)
+    if not final_newline:
+        body = body[: -len(end)]
+    return ",".join(names) + end + body
+
+
+_AUDIT_NAMES = ["pred", "label", "group", "y_tt", "note"]
+_PERTURBATIONS = [
+    "wide cell", "signed zero", "blank line", "empty cell", "letter in an unused column", "short row", "long row",
+]
+
+
+def _one_byte_logs():
+    """Logs of one-digit cells under an audit header, at most two cells or lines perturbed."""
+    names = st.tuples(
+        st.permutations(_AUDIT_NAMES), st.sampled_from([(), ("y_tt",), ("note",), ("y_tt", "note")])
+    ).map(lambda drawn: [n for n in drawn[0] if n not in drawn[1]])
+    return names.flatmap(
+        lambda names: st.builds(
+            _perturbed,
+            st.just(names),
+            st.lists(st.lists(st.sampled_from("01192"), min_size=len(names), max_size=len(names)), max_size=12),
+            st.lists(st.tuples(st.sampled_from(_PERTURBATIONS), st.integers(0, 11), st.integers(0, 4)), max_size=2),
+            st.booleans(),
+            st.booleans(),
+        )
+    )
+
+
+def _as_lists(columns):
+    return None if columns is None else [c.tolist() for c in columns]
+
+
+@pytest.fixture
+def grid_reads(monkeypatch) -> list[bool]:
+    """Whether the byte grid read each chunk the integer kernel was given, in order."""
+    reads, grid = [], dataio._grid_columns
+
+    def spy(data, width, indices):
+        columns = grid(data, width, indices)
+        reads.append(columns is not None)
+        return columns
+
+    monkeypatch.setattr(dataio, "_grid_columns", spy)
+    return reads
+
+
 class TestIntColumns:
     """The integer kernel: what it reads, what it turns down, and the arrays it returns."""
 
@@ -1240,6 +1310,64 @@ class TestIntColumns:
         preds, labels, groups, y_tt = load_audit_csv(path)
         assert plain_blocks == ["ints"]
         assert [preds.tolist(), labels.tolist(), groups.tolist(), y_tt] == [[1, 0, 1], [0, 1, 1], [1, 0, 0], None]
+
+    @pytest.mark.parametrize(
+        "text, width, indices",
+        [("1\n0\n7\n", 1, [0]), ("", 2, [0, 1]), ("1,0,9\n2,3,4\n", 3, [2, 0])],
+    )
+    def test_grid_reads_one_byte_cells(self, text, width, indices):
+        columns = dataio._grid_columns(np.frombuffer(text.encode(), np.uint8), width, indices)
+        with _separator_scan_only():
+            assert _as_lists(columns) == _as_lists(dataio._int_columns(text, width, indices))
+        assert all(c.dtype == np.int64 and c.flags.c_contiguous for c in columns)
+
+    def test_an_aligned_wide_cell_goes_to_the_separator_scan(self, grid_reads):
+        # one row of 2 * width bytes whose first cell is two bytes wide
+        assert _as_lists(dataio._int_columns("10,\n", 2, [0])) == [[10]]
+        assert grid_reads == [False]
+
+    def test_a_y_tt_of_2_on_a_rejected_row_is_read_by_the_grid(self, tmp_path, plain_blocks, grid_reads):
+        path = tmp_path / "a.csv"
+        path.write_text("pred,label,group,y_tt\n0,1,0,2\n1,1,1,1\n")
+        columns = load_audit_csv(path)
+        assert (plain_blocks, grid_reads) == (["ints"], [True])
+        assert columns[3].tolist() == [2, 1]
+        with _csv_path_only():
+            assert _as_lists(columns) == _as_lists(load_audit_csv(path))
+
+    def test_grid_separator_scan_and_csv_path_agree(self, tmp_path_factory, plain_blocks, grid_reads):
+        """One-byte-cell logs, perturbed or not: one outcome whichever reader takes them.
+
+        At the kernel, the byte grid then the separator scan give what the
+        separator scan alone gives, or both turn the body down. For the
+        file, the kernel with its grid, without it, and the csv path give
+        the same values or the same error.
+        """
+        path = tmp_path_factory.mktemp("grid") / "log.csv"
+
+        @given(_one_byte_logs(), st.sampled_from([8, 1 << 16]), st.sampled_from([1, 1 << 22]))
+        @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+        def check(text, block_chars, kernel_chars):
+            header, body = text.split("\n", 1)
+            names = header.rstrip("\r").split(",")
+            indices = [names.index(n) for n in ("pred", "label", "group", "y_tt") if n in names]
+            body = body.replace("\r\n", "\n")
+            columns = dataio._int_columns(body, len(names), indices)
+            with _separator_scan_only():
+                assert _as_lists(columns) == _as_lists(dataio._int_columns(body, len(names), indices))
+            assert columns is None or all(c.dtype == np.int64 and c.flags.c_contiguous for c in columns)
+            path.write_bytes(text.encode())
+            with mock.patch.multiple(dataio, _BLOCK_CHARS=block_chars, _KERNEL_CHARS=kernel_chars):
+                outcome = _outcome(load_audit_csv, path)
+                with _separator_scan_only():
+                    assert _outcome(load_audit_csv, path) == outcome
+                with _csv_path_only():
+                    assert _outcome(load_audit_csv, path) == outcome
+
+        check()
+        # the fuzz reaches the grid, the separator scan and the csv path
+        assert set(grid_reads) == {True, False}
+        assert set(plain_blocks) == {"ints", "csv"}
 
 
 class TestRunConfigToml:

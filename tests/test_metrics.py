@@ -114,6 +114,18 @@ class TestEoViolation:
         labels = [1, 0, 1, 0]
         assert eo_violation(preds, labels, [0, 0, 1, 1]).equal_outcomes
 
+    @pytest.mark.parametrize(
+        "preds, groups, message",
+        [
+            ([1.5, 0, 1, 0.9], [0, 0, 1, 1], r"preds and labels must be binary \(0/1\)"),
+            ([1, 0, 1, 0], [0, 0.5, 1, 1], r"both groups 0 and 1 must be present, got \[0\.0, 0\.5, 1\.0\]"),
+        ],
+    )
+    def test_floats_are_checked_before_any_cast(self, preds, groups, message):
+        # a cast to int first would read 1.5 and 0.9 as 1 and 0, and group 0.5 as group 0
+        with pytest.raises(ValidationError, match=message):
+            eo_violation(preds, [1, 0, 1, 0], groups)
+
     def test_cancellation_cannot_fake_equality(self):
         # dTPR = +0.5 and dFPR = -0.5: a signed sum would cancel to 0
         labels = [1, 1, 0, 0, 1, 1, 0, 0]
@@ -585,6 +597,14 @@ class TestAuditReports:
         with pytest.raises(ValidationError, match=r"y_tt must be 0 or 1, got 0\.5") as excinfo:
             audit_reports(*log.values())
         assert excinfo.value.row == 1  # the second accepted row
+
+    @pytest.mark.parametrize("column, value", [("preds", 0.5), ("labels", 1.5), ("groups", 0.5)])
+    def test_float_columns_are_not_truncated(self, column, value):
+        log = dict(self.LOG)
+        log[column] = log[column].astype(np.float64)
+        log[column][2] = value
+        with pytest.raises(ValidationError):
+            audit_reports(*log.values())
 
     def test_without_y_tt_there_is_no_utilization(self):
         outcome, util = audit_reports(self.LOG["preds"], self.LOG["labels"], self.LOG["groups"])
