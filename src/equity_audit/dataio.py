@@ -32,16 +32,10 @@ the README; they make runs reproducible but are not measurements.
 from __future__ import annotations
 
 import csv
-import io
 import math
-import os
-import stat
-import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice, repeat
-from operator import itemgetter
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +48,8 @@ from .errors import (
     UndefinedRateError,
     ValidationError,
 )
-from .inputs import decode_error, is_index, is_list_of, is_number, open_error, read_json
+from .csvio import _INT64, _header_row, _read_csv_columns, _text_file
+from .inputs import is_index, is_list_of, is_number, read_json
 from .learner import (
     ModelSpec,
     TrainedModel,
@@ -128,68 +123,6 @@ class StudentTable:
 
     def column(self, name: str) -> np.ndarray | list[str]:
         return self.data[name]
-
-
-def _decoded_lines(raw):
-    """The lines of the binary file ``raw``, decoded from UTF-8 about ``_BLOCK_CHARS`` bytes of whole lines at a time.
-
-    Lines break where a ``newline=""`` text file breaks them: at ``\n``,
-    ``\r`` and ``\r\n``. A block that does not decode is decoded a line
-    at a time, so the lines above its first undecodable byte are yielded
-    before the UnicodeDecodeError is raised.
-    """
-    for block in iter(partial(raw.read, _BLOCK_CHARS), b""):
-        if block[-1:] != b"\n":
-            block += raw.readline()  # whole lines, so no \r\n is split between blocks
-        try:
-            lines = io.StringIO(block.decode("utf-8"), newline="")
-        except UnicodeDecodeError:
-            lines = map(partial(bytes.decode, encoding="utf-8"), block.splitlines(keepends=True))
-        yield from lines
-
-
-@contextmanager
-def _text_file(path: Path, parse):
-    """The lines of a UTF-8 file for ``csv.reader``, and the open file: as text when it is regular, else as bytes.
-
-    An unopenable path or undecodable bytes raise DataFormatError. A pipe,
-    or any other file that is not regular, is read as bytes and decoded by
-    ``_decoded_lines``, so the rows above an undecodable byte are checked
-    first. A regular file is read through the text layer, which decodes
-    ahead of the reader, so an undecodable byte can surface before the
-    rows above it are checked. On that error the file is read again by
-    ``_decoded_lines`` and ``parse`` runs over its lines: the rows
-    complete before the line of the first bad byte are checked by the
-    same reader and converters, and a fault among them is raised instead
-    of the decode error.
-    """
-    try:
-        raw = path.open("rb")
-    except OSError as exc:
-        raise open_error(path, exc) from None
-    with raw:
-        regular = stat.S_ISREG(os.fstat(raw.fileno()).st_mode)
-        fh = io.TextIOWrapper(raw, encoding="utf-8", newline="") if regular else raw
-        try:
-            yield (fh if regular else _decoded_lines(raw)), fh
-        except UnicodeDecodeError as exc:
-            if regular:
-                raw.seek(0)
-                try:
-                    parse(_decoded_lines(raw))
-                except UnicodeDecodeError:
-                    pass
-            raise decode_error(path, exc) from None
-
-
-def _header_row(reader, path: Path) -> list[str]:
-    try:
-        header = next(reader, None)
-    except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
-        raise DataFormatError(f"unreadable header row: {exc}") from None
-    if header is None:
-        raise DataFormatError(f"{path} is empty (no header row)")
-    return header
 
 
 def load_uci_students(path: str | Path) -> StudentTable:
@@ -674,357 +607,6 @@ def run_case_study(cfg: RunConfig, views: CaseStudyViews) -> CaseStudyResult:
         proxy_model=proxy_model,
         intended_model=intended_model,
     )
-
-
-# data rows converted at a time; bounds the raw cells held in memory
-_BATCH_ROWS = 4096
-# characters the plain scan reads at a time, completed to a line end
-_BLOCK_CHARS = 1 << 16
-# characters of scanned blocks the integer kernel decodes at a time
-_KERNEL_CHARS = 1 << 22
-# characters numpy's reader takes otherwise than csv.reader and int()/float()
-# do: the quote, '\r', and the separators \x1c-\x1f, which numpy's number
-# parser skips as whitespace. Non-ASCII text is kept from numpy as well: its
-# integer parser reads some code points as digits. The integer kernel's
-# blocks have each \r\n line end made \n before this test.
-_NOT_PLAIN = '"\r\x1c\x1d\x1e\x1f'
-# suffixes numpy's reader opens through a decompressor when given a path
-_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
-_INT64 = range(-(2**63), 2**63)
-# the most digits an ``_int_columns`` cell holds: every such number is in int64
-_INT_DIGITS = 18
-_COMMA, _NEWLINE, _MINUS, _ZERO = b",\n-0"
-# a digit and "," read as one little-endian 16-bit pair, XORed with this,
-# give the digit's value; a byte XOR "0" is under 10 only for a digit
-_COMMA_PAIR = _COMMA << 8 | _ZERO
-# XORed in as well, a digit and "\n" give the digit's value
-_NEWLINE_FLIP = (_COMMA ^ _NEWLINE) << 8
-_DTYPES = {int: np.int64, float: np.float64, str: object}
-
-
-def _convert_batch(batch: list, first_row: int, cols: list, fault) -> list[np.ndarray]:
-    """Convert the chosen columns of non-blank rows numbered from ``first_row``."""
-    try:
-        return [
-            np.fromiter(map(convert, map(itemgetter(i), batch)), _DTYPES[convert], len(batch))
-            for _, i, convert in cols
-        ]
-    except (IndexError, TypeError, ValueError, OverflowError):
-        pass
-    # a short row or a bad cell: convert row by row, so the first fault in
-    # row order (and within a row, in column order) is the one reported
-    values = [[] for _ in cols]
-    for rownum, row in enumerate(batch, start=first_row):
-        for (name, i, convert), out in zip(cols, values):
-            cell = row[i] if i < len(row) else None
-            try:
-                value = convert(cell)
-            except (TypeError, ValueError) as exc:
-                raise fault(exc, cell, rownum, name) from None
-            if convert is int and value not in _INT64:
-                raise DataFormatError(f"integer out of range, got {cell!r}", row=rownum, column=name)
-            out.append(value)
-    return [np.fromiter(out, _DTYPES[convert], len(out)) for (_, _, convert), out in zip(cols, values)]
-
-
-def _is_plain(block: str) -> bool:
-    """Whether a block of whole lines is plain: ASCII, none of ``_NOT_PLAIN``, no line over the field size limit."""
-    limit = csv.field_size_limit()
-    return (
-        block.isascii()
-        and not any(c in block for c in _NOT_PLAIN)
-        and not (len(block) > limit and max(map(len, block.split("\n"))) > limit)
-    )
-
-
-def _loadtxt(path: str, cols: list, skiprows: int) -> list[np.ndarray] | None:
-    """The chosen columns of the file at ``path``, read by ``np.loadtxt``; None on an error or a warning.
-
-    On plain text (``_is_plain``) numpy accepts a subset of what
-    ``csv.reader`` and ``int()``/``float()`` accept and gives the same
-    values, so any other text (a bad cell, a short row, ``1_0``) goes to
-    the csv path, which reports the fault.
-
-    Each column is a view into one structured table. Copying the table
-    into contiguous columns made a 200k-row ``audit`` no faster (2-core
-    VM, numpy 2.4): the copy cost what the strided passes saved. All-integer
-    plans are read by ``_int_columns`` instead.
-    """
-    dtype = [(str(k), _DTYPES[convert]) for k, (_, _, convert) in enumerate(cols)]
-    with warnings.catch_warnings():
-        # e.g. "input contained no data", or an older numpy's float-as-int DeprecationWarning
-        warnings.simplefilter("error")
-        try:
-            table = np.loadtxt(
-                path, dtype=dtype, delimiter=",", comments=None, quotechar=None,
-                usecols=[i for _, i, _ in cols], ndmin=1, skiprows=skiprows, encoding="utf-8",
-            )
-        # what numpy rejects, the csv path reads or reports; OSError: a path gone since the scan
-        except (OSError, ValueError, Warning):
-            return None
-    return [table[name] for name, _ in dtype]
-
-
-def _int_columns(text: str, width: int, indices: list[int]) -> list[np.ndarray] | None:
-    """Columns ``indices`` of plain all-integer text, one C-contiguous int64 array each; else None.
-
-    ``text`` is whole lines the plain scan (``_is_plain``) cleared. It is
-    taken only when every row has exactly ``width`` cells and ends at a
-    newline (the last row may end the text instead) and every cell of
-    ``indices`` matches ``-?[0-9]{1,18}``. Such a cell is one ``int()``
-    reads, to the same value, inside the int64 range. Anything else (a
-    blank, short or long row, a sign or space ``int()`` would strip, a
-    longer number) is None, and the csv path reads the text or reports
-    its fault.
-
-    Text whose every cell is one digit is read as a byte grid
-    (``_grid_columns``). Any other text, or text the grid turns down,
-    goes to the separator scan (``_separated_columns``), which reads
-    cells of any width; both give the same values.
-    """
-    data = np.frombuffer(text.encode("ascii"), np.uint8)
-    if data.size and data[-1] != _NEWLINE:
-        data = np.append(data, np.uint8(_NEWLINE))
-    columns = _grid_columns(data, width, indices)
-    return _separated_columns(data, width, indices) if columns is None else columns
-
-
-def _grid_columns(data: np.ndarray, width: int, indices: list[int]) -> list[np.ndarray] | None:
-    """Columns ``indices`` of newline-ended text whose every cell is one digit, read as a byte grid; else None.
-
-    Such text is rows of ``2 * width`` bytes: a digit at every even
-    offset, and ``,`` at every odd offset but the last, which is ``\\n``.
-    Each cell and the separator after it are read as one 16-bit pair and
-    XORed with its template (``_COMMA_PAIR``, and ``_NEWLINE_FLIP`` too
-    at a row's end), which leaves the digit's value in a pair that fits
-    and 10 or more in any other. The pairs are the one working array.
-    """
-    if data.size % (2 * width):
-        return None
-    pairs = data.view("<u2") ^ np.uint16(_COMMA_PAIR)
-    cells = pairs.reshape(-1, width)
-    cells[:, -1] ^= np.uint16(_NEWLINE_FLIP)
-    if pairs.max(initial=0) > 9:
-        return None
-    return [cells[:, i].astype(np.int64) for i in indices]
-
-
-def _separated_columns(data: np.ndarray, width: int, indices: list[int]) -> list[np.ndarray] | None:
-    """Columns ``indices`` of newline-ended text with cells of any width, found by a scan for separators; else None."""
-    newline = data == _NEWLINE
-    separator = newline | (data == _COMMA)
-    ends = np.flatnonzero(separator)
-    rows = len(ends) // width
-    # rows of the grid are lines only if its last column holds every newline
-    if len(ends) % width or np.count_nonzero(newline) != rows or not newline[ends[width - 1::width]].all():
-        return None
-    # at each separator: the byte before it as a digit (a byte below "0"
-    # wraps past 9) where that byte is its cell's only one, else 255
-    lone = np.concatenate(([np.uint8(255)], data[:-1] - np.uint8(_ZERO)))
-    lone[2:] |= ~separator[:-2] * np.uint8(255)
-    lone = lone[ends].reshape(rows, width)
-    columns = []
-    for i in indices:
-        column = lone[:, i].astype(np.int64)
-        others = np.flatnonzero(column > 9)  # longer cells, and cells that are no integer
-        if others.size:
-            cells = others * width + i
-            values = _int_cells(data, np.where(cells > 0, ends[cells - 1] + 1, 0), ends[cells])
-            if values is None:
-                return None
-            column[others] = values
-        columns.append(column)
-    return columns
-
-
-def _int_cells(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
-    """The integers of the cells ``data[starts:ends]``, decoded by digit position; None if one is no ``-?[0-9]{1,18}``."""
-    digits = ends - starts
-    signed = np.flatnonzero(digits > 1)  # a lone "-" is left to fail as a digit
-    negative = signed[data[starts[signed]] == _MINUS]
-    digits[negative] -= 1
-    if digits.min() < 1 or digits.max() > _INT_DIGITS:
-        return None
-    values = np.zeros(len(ends), np.int64)
-    for k in range(digits.max()):
-        rows = np.flatnonzero(digits > k)
-        place = data[ends[rows] - (k + 1)] - np.uint8(_ZERO)
-        if place.max() > 9:
-            return None
-        values[rows] += place * np.int64(10**k)
-    values[negative] *= -1
-    return values
-
-
-def _file_identity(st: os.stat_result) -> tuple:
-    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
-
-
-def _whole_file_columns(fh, path: Path, header_lines: int, width: int, cols: list) -> list[np.ndarray] | None:
-    """The chosen columns of a plain regular file, read whole by a numpy reader.
-
-    ``fh`` is the file opened at ``path``, read up to the end of its
-    header, which took ``header_lines`` physical lines and names ``width``
-    columns. Its text is read block by block and each block must pass the
-    plain test, so no reader parses text the scan did not clear:
-
-    - an all-integer plan is decoded by ``_int_columns`` as the blocks
-      are read, about ``_KERNEL_CHARS`` characters at a time
-      (``_int_blocks``): as a fixed byte grid when every cell is one
-      digit, else by a scan for separators. It reads that very text and
-      never the path again;
-    - any other plan is read by ``np.loadtxt`` from ``path`` once every
-      block has passed, and the table is kept only when numpy read it
-      without an error or a warning and ``path`` still names the file
-      scanned: the same device, inode, size and modification time.
-
-    Otherwise None, with ``fh`` rewound to the line after the header. A
-    pipe or any other file that is not regular, and a plan for
-    ``np.loadtxt`` whose path numpy would decompress, get None before
-    anything is read; the integer kernel reads a file of any name.
-    """
-    before = os.fstat(fh.fileno())
-    ints = all(convert is int for _, _, convert in cols)
-    if not stat.S_ISREG(before.st_mode) or (not ints and path.suffix in _COMPRESSED_SUFFIXES):
-        return None
-    blocks = iter(partial(_read_block, fh), "")
-    values = None
-    try:  # on a UnicodeDecodeError the csv path raises it where the row order puts it
-        if ints:
-            values = _int_blocks(blocks, width, [i for _, i, _ in cols])
-        elif all(map(_is_plain, blocks)):
-            values = _loadtxt(os.fspath(path), cols, header_lines)
-            try:
-                same = _file_identity(os.stat(path)) == _file_identity(before)
-            except OSError:
-                same = False
-            if not same:
-                values = None
-    except UnicodeDecodeError:
-        pass
-    if values is None:
-        fh.seek(0)
-        for _ in range(header_lines):
-            fh.readline()
-    return values
-
-
-def _int_blocks(blocks, width: int, indices: list[int]) -> list[np.ndarray] | None:
-    """Columns ``indices`` of the text of ``blocks``, every block plain, read by ``_int_columns``; else None.
-
-    A ``\r\n`` line end is read as ``\n``, as the csv module reads it; a
-    ``\r`` anywhere else leaves its block not plain. The blocks are
-    decoded about ``_KERNEL_CHARS`` characters at a time, which bounds
-    the kernel's working arrays on a large file.
-    """
-    pieces, chunk, size = [], [], 0
-    for block in chain(blocks, [""]):  # "" ends the last chunk
-        if "\r" in block:  # on a 64k block the test takes about 1 us, replace about 100 us
-            block = block.replace("\r\n", "\n")
-        if not _is_plain(block):
-            return None
-        chunk.append(block)
-        size += len(block)
-        if size >= _KERNEL_CHARS or not block:
-            text, chunk, size = "".join(chunk), [], 0
-            values = _int_columns(text, width, indices)
-            if values is None:
-                return None
-            pieces.append(values)
-    return pieces[0] if len(pieces) == 1 else [np.concatenate(column) for column in zip(*pieces)]
-
-
-def _read_block(fh) -> str:
-    """About ``_BLOCK_CHARS`` characters of ``fh`` up to a line end (or the end); "" at the end."""
-    block = fh.read(_BLOCK_CHARS)
-    if block and block[-1] != "\n":
-        block += fh.readline()
-    return block
-
-
-def _store(column: np.ndarray, start: int, values: np.ndarray) -> np.ndarray:
-    """``column`` with ``values`` written from ``start``, doubled in length when full.
-
-    Growing one buffer per column, rather than keeping every batch's arrays
-    until the end, leaves no trail of small blocks behind in the heap.
-    """
-    end = start + len(values)
-    if end > len(column):
-        grown = np.empty(max(end, 2 * len(column)), dtype=column.dtype)
-        grown[:start] = column[:start]
-        column = grown
-    column[start:end] = values
-    return column
-
-
-def _stored_columns(reader, cols: list, fault) -> list[np.ndarray]:
-    """The chosen columns of the rows ``reader`` yields, converted ``_BATCH_ROWS`` rows at a time."""
-    stored = [np.empty(_BATCH_ROWS, dtype=_DTYPES[convert]) for _, _, convert in cols]
-    done = 0
-    while True:
-        chunk = []
-        try:
-            chunk.extend(islice(reader, _BATCH_ROWS))
-        except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
-            batch = list(filter(None, chunk))
-            _convert_batch(batch, done + 1, cols, fault)  # a fault in an earlier row comes first
-            raise DataFormatError(f"unreadable row: {exc}", row=done + len(batch) + 1) from None
-        except UnicodeDecodeError:
-            _convert_batch(list(filter(None, chunk)), done + 1, cols, fault)
-            raise
-        if not chunk:
-            return [column[:done] for column in stored]
-        batch = list(filter(None, chunk))
-        for k, values in enumerate(_convert_batch(batch, done + 1, cols, fault)):
-            stored[k] = _store(stored[k], done, values)
-        done += len(batch)
-
-
-def _read_csv_columns(path: Path, plan, fault) -> tuple[list[str], list]:
-    """Read chosen columns of a comma-delimited UTF-8 file.
-
-    ``plan(header)`` checks the header row and returns ``(name, convert)``
-    pairs, ``convert`` being int, float or str, in the order the cells of a
-    row are checked; ``fault(exc, cell, row, name)`` builds the error for a
-    cell ``convert`` rejects. Returns the header and one column per pair:
-    an int64 or float64 array, or a list of str.
-
-    Rows read as ``csv.DictReader`` reads them: blank lines are skipped and
-    not counted, a name given twice reads its last column, a short row
-    reads None in its missing cells and extra cells are ignored. Cells go
-    through Python's own ``int()``/``float()``; an integer outside the
-    int64 range is a fault too.
-
-    Three readers give the same values and the same faults. A regular
-    file whose text after the header is plain throughout (``_is_plain``)
-    is read whole by a numpy reader (``_whole_file_columns``): the
-    integer kernel (``_int_columns``; a byte grid where every cell is one
-    digit) when every pair converts by int, with ``\r\n`` line ends read
-    as ``\n``; else ``np.loadtxt`` from the path, when numpy would not
-    decompress that name. Every other body is read from the line after
-    the header by the header's own ``csv.reader`` (``_stored_columns``):
-    a pipe (its lines decoded by ``_decoded_lines``), a compressed suffix
-    on a ``np.loadtxt`` plan, a byte that is not plain, a body the kernel
-    or numpy turns down or numpy warns on, and a file changed since the
-    scan.
-    """
-    def parse(lines, fh=None):  # fh: the open file, None on the retry after a decode error
-        reader = csv.reader(lines)
-        header = _header_row(reader, path)
-        columns = plan(header)
-        index = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last column
-        cols = [(name, index[name], convert) for name, convert in columns]
-        values = None if fh is None else _whole_file_columns(fh, path, reader.line_num, len(header), cols)
-        if values is None:
-            values = _stored_columns(reader, cols, fault)
-        return header, cols, values
-
-    with _text_file(path, parse) as (lines, fh):
-        header, cols, values = parse(lines, fh)
-    return header, [
-        column.tolist() if convert is str else column
-        for (_, _, convert), column in zip(cols, values)
-    ]
 
 
 def _integer_fault(exc, cell, row, column) -> DataFormatError:

@@ -60,10 +60,10 @@ def plain_blocks(monkeypatch) -> list[str]:
     read. ``"file"``: a whole regular file numpy read from its path.
     ``"csv"``: a file the csv module read, from the line after its header.
     """
-    from equity_audit import dataio
+    from equity_audit import csvio
 
     taken, loadtxt_calls = [], []
-    whole_file_columns, loadtxt = dataio._whole_file_columns, dataio._loadtxt
+    whole_file_columns, loadtxt = csvio._whole_file_columns, csvio._loadtxt
 
     def counted_loadtxt(*args):
         loadtxt_calls.append(args)
@@ -75,6 +75,6 @@ def plain_blocks(monkeypatch) -> list[str]:
         taken.append("csv" if values is None else "file" if loadtxt_calls else "ints")
         return values
 
-    monkeypatch.setattr(dataio, "_loadtxt", counted_loadtxt)
-    monkeypatch.setattr(dataio, "_whole_file_columns", whole_file)
+    monkeypatch.setattr(csvio, "_loadtxt", counted_loadtxt)
+    monkeypatch.setattr(csvio, "_whole_file_columns", whole_file)
     return taken

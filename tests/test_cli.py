@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from equity_audit import dataio
+from equity_audit import csvio
 from equity_audit.cli import main
 
 
@@ -112,7 +112,7 @@ class TestAudit:
         return "pred,label,group,y_tt\n" + "".join(",".join(map(str, r)) + "\n" for r in rows)
 
     def test_plain_crlf_and_quoted_logs_give_one_report(self, tmp_path, monkeypatch, plain_blocks):
-        monkeypatch.setattr(dataio, "_BLOCK_CHARS", 4096)  # the scan takes several blocks
+        monkeypatch.setattr(csvio, "_BLOCK_CHARS", 4096)  # the scan takes several blocks
         text = self._log_text()
         reports = {}
         for how in ("plain", "crlf", "quoted"):
@@ -129,14 +129,14 @@ class TestAudit:
         path = tmp_path / "log.csv"
         path.write_text(self._log_text())
         assert run_cli("--out", str(tmp_path / "ints"), "audit", str(path)) == 0
-        monkeypatch.setattr(dataio, "_int_columns", lambda text, width, indices: None)
+        monkeypatch.setattr(csvio, "_int_columns", lambda text, width, indices: None)
         assert run_cli("--out", str(tmp_path / "csv"), "audit", str(path)) == 0
         assert plain_blocks == ["ints", "csv"]
         assert (tmp_path / "ints" / "audit.json").read_bytes() == (tmp_path / "csv" / "audit.json").read_bytes()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_reads_a_pipe_once(self, tmp_path, monkeypatch, plain_blocks):
-        monkeypatch.setattr(dataio, "_BLOCK_CHARS", 4096)  # the scan takes several blocks
+        monkeypatch.setattr(csvio, "_BLOCK_CHARS", 4096)  # the scan takes several blocks
         text = self._log_text()
         regular = tmp_path / "log.csv"
         regular.write_text(text)
@@ -378,7 +378,7 @@ class TestScore:
         assert access_accepted("flag", from_toml, ("--tau", "0.9")) is False
 
     def test_plain_crlf_and_quoted_populations_give_one_trace(self, tmp_path, monkeypatch, plain_blocks):
-        monkeypatch.setattr(dataio, "_BLOCK_CHARS", 2048)
+        monkeypatch.setattr(csvio, "_BLOCK_CHARS", 2048)
         rng = np.random.default_rng(3)
         n = 300
         x = rng.normal(size=(n, 2)).round(6)

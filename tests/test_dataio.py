@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from equity_audit import dataio
+from equity_audit import csvio, dataio
 from equity_audit.config import RunConfig, parse_toml_subset
 from equity_audit.core import ObstacleModel, Population, dominates
 from equity_audit.dataio import (
@@ -823,7 +823,7 @@ def _float_columns(path):
             raise DataFormatError("missing expected columns")
         return [("a", float), ("b", float), ("id", str)]
 
-    return dataio._read_csv_columns(path, plan, dataio._row_fault)[1]
+    return csvio._read_csv_columns(path, plan, dataio._row_fault)[1]
 
 
 def _outcome(loader, path):
@@ -844,7 +844,7 @@ def _outcome(loader, path):
 
 def _csv_path_only():
     """Every file to the csv path: no integer kernel, no whole-file read by numpy."""
-    return mock.patch.object(dataio, "_whole_file_columns", lambda fh, path, header_lines, width, cols: None)
+    return mock.patch.object(csvio, "_whole_file_columns", lambda fh, path, header_lines, width, cols: None)
 
 
 def _through_fifo(loader, fifo, data: bytes):
@@ -979,7 +979,7 @@ def test_numpy_and_csv_paths_agree(tmp_path_factory, plain_blocks, loader, names
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def check(text, block_chars, kernel_chars):
         path.write_bytes(text.encode())
-        with mock.patch.multiple(dataio, _BLOCK_CHARS=block_chars, _KERNEL_CHARS=kernel_chars):
+        with mock.patch.multiple(csvio, _BLOCK_CHARS=block_chars, _KERNEL_CHARS=kernel_chars):
             as_file, through_pipe, csv_only = _three_ways(loader, path, fifo)
         assert as_file == through_pipe == csv_only
 
@@ -999,7 +999,7 @@ class TestReadPaths:
         return [f"{k % 2},{k // 2 % 2},{k % 3 % 2},1" for k in range(n)]
 
     def test_late_fault_after_plain_blocks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(dataio, "_BLOCK_CHARS", 24)  # three lines a block
+        monkeypatch.setattr(csvio, "_BLOCK_CHARS", 24)  # three lines a block
         lines = self._lines(40)
         lines[33] = "1,1,0,x"
         path = tmp_path / "a.csv"
@@ -1013,7 +1013,7 @@ class TestReadPaths:
         assert str(_raises(load_audit_csv, path)) == "expected an integer, got None (row 34, column 'y_tt')"
 
     def test_quoted_cell_spanning_a_block_end(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(dataio, "_BLOCK_CHARS", 24)
+        monkeypatch.setattr(csvio, "_BLOCK_CHARS", 24)
         lines = self._lines(20)
         lines[9] = '1,"1\n",0,1'  # int() strips the newline in the quoted cell
         path = tmp_path / "a.csv"
@@ -1074,7 +1074,7 @@ class TestReadPaths:
         # a plan with float or str columns is read by numpy from the path, after the scan
         path = tmp_path / "a.csv"
         path.write_text("a,b,id\n1,1,p\n0,1,q\n")
-        loadtxt, read_from = dataio._loadtxt, []
+        loadtxt, read_from = csvio._loadtxt, []
 
         def changing_loadtxt(source, cols, skiprows=0):
             read_from.append(source)
@@ -1088,7 +1088,7 @@ class TestReadPaths:
                     fh.write("1,0,s\n")
             return loadtxt(source, cols, skiprows)
 
-        monkeypatch.setattr(dataio, "_loadtxt", changing_loadtxt)
+        monkeypatch.setattr(csvio, "_loadtxt", changing_loadtxt)
         a, b, ids = _float_columns(path)
         assert read_from == [str(path)]
         # numpy's table is dropped; the open file is read again by the csv path
@@ -1141,7 +1141,7 @@ class TestReadPaths:
     ):
         # a \r directly before \n is a line end to the csv module and to the kernel;
         # a \r anywhere else sends the body to the csv path
-        monkeypatch.setattr(dataio, "_BLOCK_CHARS", block_chars)
+        monkeypatch.setattr(csvio, "_BLOCK_CHARS", block_chars)
         lines = self._lines(200)
         path = tmp_path / "a.csv"
         body = "".join(line + line_ends[k % len(line_ends)] for k, line in enumerate(lines))
@@ -1155,17 +1155,17 @@ class TestReadPaths:
     @pytest.mark.parametrize("last_line", ['1,"0",1,1\n', "1,0,1,1\r"])
     def test_one_line_not_plain_sends_the_whole_body_to_the_csv_path(self, tmp_path, plain_blocks, last_line):
         # every scan block but the last is plain; the csv module still reads every line
-        lines = self._lines(3 * dataio._BLOCK_CHARS // 8)
+        lines = self._lines(3 * csvio._BLOCK_CHARS // 8)
         path = tmp_path / "a.csv"
         path.write_text("pred,label,group,y_tt\n" + "".join(line + "\n" for line in lines) + last_line, newline="")
-        assert path.stat().st_size > 2 * dataio._BLOCK_CHARS
+        assert path.stat().st_size > 2 * csvio._BLOCK_CHARS
         as_read = _outcome(load_audit_csv, path)
         assert plain_blocks == ["csv"]
         with _csv_path_only():
             assert as_read == _outcome(load_audit_csv, path)
         assert as_read[0][1] == (len(lines) + 1,)
 
-    @pytest.mark.parametrize("suffix", dataio._COMPRESSED_SUFFIXES)
+    @pytest.mark.parametrize("suffix", csvio._COMPRESSED_SUFFIXES)
     def test_compressed_suffix_is_read_as_text(self, tmp_path, plain_blocks, suffix):
         # the integer kernel reads the open file's text whatever its name
         path = tmp_path / f"log.csv{suffix}"
@@ -1190,7 +1190,7 @@ class TestReadPaths:
 
 def _separator_scan_only():
     """The integer kernel without its byte grid: every body to the separator scan."""
-    return mock.patch.object(dataio, "_grid_columns", lambda data, width, indices: None)
+    return mock.patch.object(csvio, "_grid_columns", lambda data, width, indices: None)
 
 
 def _perturbed(names: list, rows: list, perturbations: list, crlf: bool, final_newline: bool) -> str:
@@ -1247,14 +1247,14 @@ def _as_lists(columns):
 @pytest.fixture
 def grid_reads(monkeypatch) -> list[bool]:
     """Whether the byte grid read each chunk the integer kernel was given, in order."""
-    reads, grid = [], dataio._grid_columns
+    reads, grid = [], csvio._grid_columns
 
     def spy(data, width, indices):
         columns = grid(data, width, indices)
         reads.append(columns is not None)
         return columns
 
-    monkeypatch.setattr(dataio, "_grid_columns", spy)
+    monkeypatch.setattr(csvio, "_grid_columns", spy)
     return reads
 
 
@@ -1271,7 +1271,7 @@ class TestIntColumns:
         ],
     )
     def test_reads_its_grammar(self, text, expected):
-        assert [c.tolist() for c in dataio._int_columns(text, 2, [0, 1])] == expected
+        assert [c.tolist() for c in csvio._int_columns(text, 2, [0, 1])] == expected
 
     @pytest.mark.parametrize(
         "text",
@@ -1281,11 +1281,11 @@ class TestIntColumns:
         ],
     )
     def test_turns_down_everything_else(self, text):
-        assert dataio._int_columns(text, 2, [0, 1]) is None
+        assert csvio._int_columns(text, 2, [0, 1]) is None
 
     @pytest.mark.parametrize("kernel_chars", [1, 1 << 22])  # a chunk a row, or one chunk
     def test_columns_are_contiguous_int64(self, tmp_path, monkeypatch, plain_blocks, kernel_chars):
-        monkeypatch.setattr(dataio, "_KERNEL_CHARS", kernel_chars)
+        monkeypatch.setattr(csvio, "_KERNEL_CHARS", kernel_chars)
         path = tmp_path / "a.csv"
         path.write_text("pred,label,group,y_tt\n1,0,10,1\n0,1,-3,0\n1,1,123456789012,1\n")
         columns = load_audit_csv(path)
@@ -1316,14 +1316,14 @@ class TestIntColumns:
         [("1\n0\n7\n", 1, [0]), ("", 2, [0, 1]), ("1,0,9\n2,3,4\n", 3, [2, 0])],
     )
     def test_grid_reads_one_byte_cells(self, text, width, indices):
-        columns = dataio._grid_columns(np.frombuffer(text.encode(), np.uint8), width, indices)
+        columns = csvio._grid_columns(np.frombuffer(text.encode(), np.uint8), width, indices)
         with _separator_scan_only():
-            assert _as_lists(columns) == _as_lists(dataio._int_columns(text, width, indices))
+            assert _as_lists(columns) == _as_lists(csvio._int_columns(text, width, indices))
         assert all(c.dtype == np.int64 and c.flags.c_contiguous for c in columns)
 
     def test_an_aligned_wide_cell_goes_to_the_separator_scan(self, grid_reads):
         # one row of 2 * width bytes whose first cell is two bytes wide
-        assert _as_lists(dataio._int_columns("10,\n", 2, [0])) == [[10]]
+        assert _as_lists(csvio._int_columns("10,\n", 2, [0])) == [[10]]
         assert grid_reads == [False]
 
     def test_a_y_tt_of_2_on_a_rejected_row_is_read_by_the_grid(self, tmp_path, plain_blocks, grid_reads):
@@ -1352,12 +1352,12 @@ class TestIntColumns:
             names = header.rstrip("\r").split(",")
             indices = [names.index(n) for n in ("pred", "label", "group", "y_tt") if n in names]
             body = body.replace("\r\n", "\n")
-            columns = dataio._int_columns(body, len(names), indices)
+            columns = csvio._int_columns(body, len(names), indices)
             with _separator_scan_only():
-                assert _as_lists(columns) == _as_lists(dataio._int_columns(body, len(names), indices))
+                assert _as_lists(columns) == _as_lists(csvio._int_columns(body, len(names), indices))
             assert columns is None or all(c.dtype == np.int64 and c.flags.c_contiguous for c in columns)
             path.write_bytes(text.encode())
-            with mock.patch.multiple(dataio, _BLOCK_CHARS=block_chars, _KERNEL_CHARS=kernel_chars):
+            with mock.patch.multiple(csvio, _BLOCK_CHARS=block_chars, _KERNEL_CHARS=kernel_chars):
                 outcome = _outcome(load_audit_csv, path)
                 with _separator_scan_only():
                     assert _outcome(load_audit_csv, path) == outcome
