@@ -2,7 +2,9 @@
 
 ``_read_csv_columns`` reads chosen columns of a UTF-8 CSV file; the
 loaders in :mod:`equity_audit.dataio` give it a plan of columns and
-converters. ``_text_file``, ``_decoded_lines`` and ``_header_row`` also
+converters. Every input is opened as bytes and read once, front to back,
+a regular file and a pipe alike: nothing is seeked, rewound or opened
+twice. ``_binary_file``, ``_decoded_lines`` and ``_header_row`` also
 serve the student-file reader there.
 """
 
@@ -10,8 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
-import stat
 import warnings
 from contextlib import contextmanager
 from functools import partial
@@ -26,18 +26,17 @@ from .inputs import decode_error, open_error
 
 # data rows converted at a time; bounds the raw cells held in memory
 _BATCH_ROWS = 4096
-# characters the plain scan reads at a time, completed to a line end
+# bytes the csv path decodes at a time, completed to a line end
 _BLOCK_CHARS = 1 << 16
-# characters of scanned blocks the integer kernel decodes at a time
+# bytes of body a fast reader takes at a time, completed to a line end;
+# bounds the integer kernel's working arrays
 _KERNEL_CHARS = 1 << 22
-# characters numpy's reader takes otherwise than csv.reader and int()/float()
+# bytes numpy's reader takes otherwise than csv.reader and int()/float()
 # do: the quote, '\r', and the separators \x1c-\x1f, which numpy's number
 # parser skips as whitespace. Non-ASCII text is kept from numpy as well: its
 # integer parser reads some code points as digits. The integer kernel's
-# blocks have each \r\n line end made \n before this test.
-_NOT_PLAIN = '"\r\x1c\x1d\x1e\x1f'
-# suffixes numpy's reader opens through a decompressor when given a path
-_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+# chunks have each \r\n line end made \n before this test.
+_NOT_PLAIN = b'"\r\x1c\x1d\x1e\x1f'
 _INT64 = range(-(2**63), 2**63)
 # the most digits an ``_int_columns`` cell holds: every such number is in int64
 _INT_DIGITS = 18
@@ -75,18 +74,39 @@ def _convert_batch(batch: list, first_row: int, cols: list, fault) -> list[np.nd
     return [np.fromiter(out, _DTYPES[convert], len(out)) for (_, _, convert), out in zip(cols, values)]
 
 
-def _is_plain(block: str) -> bool:
+def _fast_columns(chunk: bytes, width: int, cols: list) -> list[np.ndarray] | None:
+    """The chosen columns of a chunk of whole lines, read by a fast reader; None if it is not plain or the reader turns it down.
+
+    An all-integer plan goes to the integer kernel (``_int_columns``),
+    with each ``\r\n`` line end read as ``\n``, as the csv module reads
+    it. Any other plan goes to ``np.loadtxt`` over the chunk's lines,
+    split at ``\n`` only: ``str.splitlines`` would also split at
+    characters such as ``\x0b`` and ``\x0c``, which are plain and which
+    the csv module keeps inside a cell.
+    """
+    if all(convert is int for _, _, convert in cols):
+        if b"\r" in chunk:  # the test is one memchr; the replace copies the chunk
+            chunk = chunk.replace(b"\r\n", b"\n")
+        return _int_columns(chunk, width, [i for _, i, _ in cols]) if _is_plain(chunk) else None
+    return _loadtxt(chunk.decode("ascii").split("\n"), cols) if _is_plain(chunk) else None
+
+
+def _is_plain(block: bytes) -> bool:
     """Whether a block of whole lines is plain: ASCII, none of ``_NOT_PLAIN``, no line over the field size limit."""
-    limit = csv.field_size_limit()
-    return (
-        block.isascii()
-        and not any(c in block for c in _NOT_PLAIN)
-        and not (len(block) > limit and max(map(len, block.split("\n"))) > limit)
-    )
+    if not block.isascii() or any(c in block for c in _NOT_PLAIN):
+        return False
+    # a line is over the limit where limit + 1 bytes in a row hold no "\n"
+    limit, start = csv.field_size_limit(), 0
+    while len(block) - start > limit:
+        end = block.rfind(b"\n", start, start + limit + 1)
+        if end < 0:
+            return False
+        start = end + 1
+    return True
 
 
-def _loadtxt(path: str, cols: list, skiprows: int) -> list[np.ndarray] | None:
-    """The chosen columns of the file at ``path``, read by ``np.loadtxt``; None on an error or a warning.
+def _loadtxt(lines: list[str], cols: list) -> list[np.ndarray] | None:
+    """The chosen columns of ``lines``, read by ``np.loadtxt``; None on an error or a warning.
 
     On plain text (``_is_plain``) numpy accepts a subset of what
     ``csv.reader`` and ``int()``/``float()`` accept and gives the same
@@ -104,19 +124,18 @@ def _loadtxt(path: str, cols: list, skiprows: int) -> list[np.ndarray] | None:
         warnings.simplefilter("error")
         try:
             table = np.loadtxt(
-                path, dtype=dtype, delimiter=",", comments=None, quotechar=None,
-                usecols=[i for _, i, _ in cols], ndmin=1, skiprows=skiprows, encoding="utf-8",
+                lines, dtype=dtype, delimiter=",", comments=None, quotechar=None,
+                usecols=[i for _, i, _ in cols], ndmin=1,
             )
-        # what numpy rejects, the csv path reads or reports; OSError: a path gone since the scan
-        except (OSError, ValueError, Warning):
+        except (ValueError, Warning):  # what numpy rejects, the csv path reads or reports
             return None
     return [table[name] for name, _ in dtype]
 
 
-def _int_columns(text: str, width: int, indices: list[int]) -> list[np.ndarray] | None:
+def _int_columns(text: bytes, width: int, indices: list[int]) -> list[np.ndarray] | None:
     """Columns ``indices`` of plain all-integer text, one C-contiguous int64 array each; else None.
 
-    ``text`` is whole lines the plain scan (``_is_plain``) cleared. It is
+    ``text`` is whole lines of bytes that ``_is_plain`` cleared. It is
     taken only when every row has exactly ``width`` cells and ends at a
     newline (the last row may end the text instead) and every cell of
     ``indices`` matches ``-?[0-9]{1,18}``. Such a cell is one ``int()``
@@ -130,7 +149,7 @@ def _int_columns(text: str, width: int, indices: list[int]) -> list[np.ndarray] 
     goes to the separator scan (``_separated_columns``), which reads
     cells of any width; both give the same values.
     """
-    data = np.frombuffer(text.encode("ascii"), np.uint8)
+    data = np.frombuffer(text, np.uint8)
     if data.size and data[-1] != _NEWLINE:
         data = np.append(data, np.uint8(_NEWLINE))
     columns = _grid_columns(data, width, indices)
@@ -204,90 +223,28 @@ def _int_cells(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.nda
     return values
 
 
-def _file_identity(st: os.stat_result) -> tuple:
-    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+def _body_columns(raw, head: bytes, width: int, cols: list, fault) -> list[np.ndarray]:
+    """The chosen columns of the body: the bytes ``head``, then the rest of the binary file ``raw``.
 
-
-def _whole_file_columns(fh, path: Path, header_lines: int, width: int, cols: list) -> list[np.ndarray] | None:
-    """The chosen columns of a plain regular file, read whole by a numpy reader.
-
-    ``fh`` is the file opened at ``path``, read up to the end of its
-    header, which took ``header_lines`` physical lines and names ``width``
-    columns. Its text is read block by block and each block must pass the
-    plain test, so no reader parses text the scan did not clear:
-
-    - an all-integer plan is decoded by ``_int_columns`` as the blocks
-      are read, about ``_KERNEL_CHARS`` characters at a time
-      (``_int_blocks``): as a fixed byte grid when every cell is one
-      digit, else by a scan for separators. It reads that very text and
-      never the path again;
-    - any other plan is read by ``np.loadtxt`` from ``path`` once every
-      block has passed, and the table is kept only when numpy read it
-      without an error or a warning and ``path`` still names the file
-      scanned: the same device, inode, size and modification time.
-
-    Otherwise None, with ``fh`` rewound to the line after the header. A
-    pipe or any other file that is not regular, and a plan for
-    ``np.loadtxt`` whose path numpy would decompress, get None before
-    anything is read; the integer kernel reads a file of any name.
+    The body is read in chunks of about ``_KERNEL_CHARS`` bytes of whole
+    lines, and each chunk is offered to a fast reader (``_fast_columns``).
+    From the first chunk it turns down to the end of the file, the csv
+    module reads the body (``_stored_columns`` over ``_decoded_lines``),
+    numbering rows on from those already read: every row a fast reader
+    takes is non-blank and fault-free. An empty body is one empty chunk,
+    which the integer kernel reads as no rows.
     """
-    before = os.fstat(fh.fileno())
-    ints = all(convert is int for _, _, convert in cols)
-    if not stat.S_ISREG(before.st_mode) or (not ints and path.suffix in _COMPRESSED_SUFFIXES):
-        return None
-    blocks = iter(partial(_read_block, fh), "")
-    values = None
-    try:  # on a UnicodeDecodeError the csv path raises it where the row order puts it
-        if ints:
-            values = _int_blocks(blocks, width, [i for _, i, _ in cols])
-        elif all(map(_is_plain, blocks)):
-            values = _loadtxt(os.fspath(path), cols, header_lines)
-            try:
-                same = _file_identity(os.stat(path)) == _file_identity(before)
-            except OSError:
-                same = False
-            if not same:
-                values = None
-    except UnicodeDecodeError:
-        pass
-    if values is None:
-        fh.seek(0)
-        for _ in range(header_lines):
-            fh.readline()
-    return values
-
-
-def _int_blocks(blocks, width: int, indices: list[int]) -> list[np.ndarray] | None:
-    """Columns ``indices`` of the text of ``blocks``, every block plain, read by ``_int_columns``; else None.
-
-    A ``\r\n`` line end is read as ``\n``, as the csv module reads it; a
-    ``\r`` anywhere else leaves its block not plain. The blocks are
-    decoded about ``_KERNEL_CHARS`` characters at a time, which bounds
-    the kernel's working arrays on a large file.
-    """
-    pieces, chunk, size = [], [], 0
-    for block in chain(blocks, [""]):  # "" ends the last chunk
-        if "\r" in block:  # on a 64k block the test takes about 1 us, replace about 100 us
-            block = block.replace("\r\n", "\n")
-        if not _is_plain(block):
-            return None
-        chunk.append(block)
-        size += len(block)
-        if size >= _KERNEL_CHARS or not block:
-            text, chunk, size = "".join(chunk), [], 0
-            values = _int_columns(text, width, indices)
-            if values is None:
-                return None
-            pieces.append(values)
+    read = partial(_whole_lines, raw, _KERNEL_CHARS)
+    pieces, done = [], 0
+    for chunk in chain([head + read()], iter(read, b"")):
+        values = _fast_columns(chunk, width, cols)
+        if values is None:
+            reader = csv.reader(chain(_decoded_lines(io.BytesIO(chunk)), _decoded_lines(raw)))
+            pieces.append(_stored_columns(reader, cols, fault, done + 1))
+            break
+        pieces.append(values)
+        done += len(values[0])
     return pieces[0] if len(pieces) == 1 else [np.concatenate(column) for column in zip(*pieces)]
-
-
-def _read_block(fh) -> str:
-    """About ``_BLOCK_CHARS`` characters of ``fh`` up to a line end (or the end); "" at the end."""
-    block = fh.read(_BLOCK_CHARS)
-    if block and block[-1] != "\n":
-        block += fh.readline()
-    return block
 
 
 def _store(column: np.ndarray, start: int, values: np.ndarray) -> np.ndarray:
@@ -305,8 +262,8 @@ def _store(column: np.ndarray, start: int, values: np.ndarray) -> np.ndarray:
     return column
 
 
-def _stored_columns(reader, cols: list, fault) -> list[np.ndarray]:
-    """The chosen columns of the rows ``reader`` yields, converted ``_BATCH_ROWS`` rows at a time."""
+def _stored_columns(reader, cols: list, fault, first_row: int) -> list[np.ndarray]:
+    """The chosen columns of the rows ``reader`` yields, numbered from ``first_row`` and converted ``_BATCH_ROWS`` rows at a time."""
     stored = [np.empty(_BATCH_ROWS, dtype=_DTYPES[convert]) for _, _, convert in cols]
     done = 0
     while True:
@@ -315,15 +272,15 @@ def _stored_columns(reader, cols: list, fault) -> list[np.ndarray]:
             chunk.extend(islice(reader, _BATCH_ROWS))
         except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
             batch = list(filter(None, chunk))
-            _convert_batch(batch, done + 1, cols, fault)  # a fault in an earlier row comes first
-            raise DataFormatError(f"unreadable row: {exc}", row=done + len(batch) + 1) from None
+            _convert_batch(batch, first_row + done, cols, fault)  # a fault in an earlier row comes first
+            raise DataFormatError(f"unreadable row: {exc}", row=first_row + done + len(batch)) from None
         except UnicodeDecodeError:
-            _convert_batch(list(filter(None, chunk)), done + 1, cols, fault)
+            _convert_batch(list(filter(None, chunk)), first_row + done, cols, fault)
             raise
         if not chunk:
             return [column[:done] for column in stored]
         batch = list(filter(None, chunk))
-        for k, values in enumerate(_convert_batch(batch, done + 1, cols, fault)):
+        for k, values in enumerate(_convert_batch(batch, first_row + done, cols, fault)):
             stored[k] = _store(stored[k], done, values)
         done += len(batch)
 
@@ -343,49 +300,49 @@ def _read_csv_columns(path: Path, plan, fault) -> tuple[list[str], list]:
     through Python's own ``int()``/``float()``; an integer outside the
     int64 range is a fault too.
 
-    Three readers give the same values and the same faults. A regular
-    file whose text after the header is plain throughout (``_is_plain``)
-    is read whole by a numpy reader (``_whole_file_columns``): the
-    integer kernel (``_int_columns``; a byte grid where every cell is one
-    digit) when every pair converts by int, with ``\r\n`` line ends read
-    as ``\n``; else ``np.loadtxt`` from the path, when numpy would not
-    decompress that name. Every other body is read from the line after
-    the header by the header's own ``csv.reader`` (``_stored_columns``):
-    a pipe (its lines decoded by ``_decoded_lines``), a compressed suffix
-    on a ``np.loadtxt`` plan, a byte that is not plain, a body the kernel
-    or numpy turns down or numpy warns on, and a file changed since the
-    scan.
+    One source, three readers. The file, a regular file or a pipe alike,
+    is read once as bytes: the header a line at a time (``_read_header``),
+    then the body in chunks (``_body_columns``). A chunk that is plain
+    throughout (``_is_plain``) is read by the integer kernel
+    (``_int_columns``; a byte grid where every cell is one digit) when
+    every pair converts by int, with ``\r\n`` line ends read as ``\n``,
+    and by ``np.loadtxt`` otherwise. From the first chunk that is not
+    plain, or that the kernel or numpy turns down or numpy warns on, the
+    csv module reads the rest of the file. The three give the same values
+    and the same faults.
     """
-    def parse(lines, fh=None):  # fh: the open file, None on the retry after a decode error
-        reader = csv.reader(lines)
-        header = _header_row(reader, path)
+    with _binary_file(path) as raw:
+        header, head = _read_header(raw, path)
         columns = plan(header)
         index = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last column
         cols = [(name, index[name], convert) for name, convert in columns]
-        values = None if fh is None else _whole_file_columns(fh, path, reader.line_num, len(header), cols)
-        if values is None:
-            values = _stored_columns(reader, cols, fault)
-        return header, cols, values
-
-    with _text_file(path, parse) as (lines, fh):
-        header, cols, values = parse(lines, fh)
+        values = _body_columns(raw, head, len(header), cols, fault)
     return header, [
         column.tolist() if convert is str else column
         for (_, _, convert), column in zip(cols, values)
     ]
 
 
+def _whole_lines(raw, size: int) -> bytes:
+    """About ``size`` bytes of the binary file ``raw`` up to a line end (or the end); b"" at the end.
+
+    Whole lines, so no ``\r\n`` is split between two reads.
+    """
+    block = raw.read(size)
+    if block[-1:] != b"\n":
+        block += raw.readline()
+    return block
+
+
 def _decoded_lines(raw):
-    """The lines of the binary file ``raw``, decoded from UTF-8 about ``_BLOCK_CHARS`` bytes of whole lines at a time.
+    """The lines of the rest of the binary file ``raw``, decoded from UTF-8 about ``_BLOCK_CHARS`` bytes of whole lines at a time.
 
     Lines break where a ``newline=""`` text file breaks them: at ``\n``,
     ``\r`` and ``\r\n``. A block that does not decode is decoded a line
     at a time, so the lines above its first undecodable byte are yielded
     before the UnicodeDecodeError is raised.
     """
-    for block in iter(partial(raw.read, _BLOCK_CHARS), b""):
-        if block[-1:] != b"\n":
-            block += raw.readline()  # whole lines, so no \r\n is split between blocks
+    for block in iter(partial(_whole_lines, raw, _BLOCK_CHARS), b""):
         try:
             lines = io.StringIO(block.decode("utf-8"), newline="")
         except UnicodeDecodeError:
@@ -394,37 +351,43 @@ def _decoded_lines(raw):
 
 
 @contextmanager
-def _text_file(path: Path, parse):
-    """The lines of a UTF-8 file for ``csv.reader``, and the open file: as text when it is regular, else as bytes.
+def _binary_file(path: Path):
+    """The file at ``path`` opened as bytes, a regular file or a pipe alike.
 
-    An unopenable path or undecodable bytes raise DataFormatError. A pipe,
-    or any other file that is not regular, is read as bytes and decoded by
-    ``_decoded_lines``, so the rows above an undecodable byte are checked
-    first. A regular file is read through the text layer, which decodes
-    ahead of the reader, so an undecodable byte can surface before the
-    rows above it are checked. On that error the file is read again by
-    ``_decoded_lines`` and ``parse`` runs over its lines: the rows
-    complete before the line of the first bad byte are checked by the
-    same reader and converters, and a fault among them is raised instead
-    of the decode error.
+    An unopenable path, or bytes that do not decode (a UnicodeDecodeError
+    raised while the file is read), raise DataFormatError. The csv path
+    decodes a line at a time where a block does not decode
+    (``_decoded_lines``), so the rows above an undecodable byte are
+    checked first and a fault among them is raised instead.
     """
     try:
         raw = path.open("rb")
     except OSError as exc:
         raise open_error(path, exc) from None
     with raw:
-        regular = stat.S_ISREG(os.fstat(raw.fileno()).st_mode)
-        fh = io.TextIOWrapper(raw, encoding="utf-8", newline="") if regular else raw
         try:
-            yield (fh if regular else _decoded_lines(raw)), fh
+            yield raw
         except UnicodeDecodeError as exc:
-            if regular:
-                raw.seek(0)
-                try:
-                    parse(_decoded_lines(raw))
-                except UnicodeDecodeError:
-                    pass
             raise decode_error(path, exc) from None
+
+
+def _read_header(raw, path: Path) -> tuple[list[str], bytes]:
+    """The header row of the binary file ``raw``, and the bytes after it on its last line.
+
+    The header is read by ``csv.reader`` over lines taken one
+    ``readline()`` at a time, so when it is done the file is at the start
+    of the next line. The bytes after it are empty unless a bare ``\r``
+    ended the header within that line; they are then the body's start.
+    """
+    rest: list[bytes] = []
+
+    def lines():
+        for line in iter(raw.readline, b""):
+            rest[:] = line.splitlines(keepends=True)
+            while rest:
+                yield rest.pop(0).decode("utf-8")
+
+    return _header_row(csv.reader(lines()), path), b"".join(rest)
 
 
 def _header_row(reader, path: Path) -> list[str]:

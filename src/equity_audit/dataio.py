@@ -27,6 +27,10 @@ that for every obstacle-affected column a larger value is the obstacle-free
 direction. The decision columns that do not exist in the file (test_scores,
 essay, letter_of_recommendation) are derived, seeded mappings documented in
 the README; they make runs reproducible but are not measurements.
+
+The module also holds the loaders of the other inputs: audit logs and
+population files, whose bytes :mod:`equity_audit.csvio` reads, and model
+documents.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import repeat
 from pathlib import Path
 
@@ -48,7 +51,7 @@ from .errors import (
     UndefinedRateError,
     ValidationError,
 )
-from .csvio import _INT64, _header_row, _read_csv_columns, _text_file
+from .csvio import _INT64, _binary_file, _decoded_lines, _header_row, _read_csv_columns
 from .inputs import is_index, is_list_of, is_number, read_json
 from .learner import (
     ModelSpec,
@@ -136,17 +139,16 @@ def load_uci_students(path: str | Path) -> StudentTable:
     with its data row number (1-based) and column name.
     """
     path = Path(path)
-    parse = partial(_student_rows, path=path)
-    with _text_file(path, parse) as (lines, _):
-        columns, rows = parse(lines)
+    with _binary_file(path) as raw:
+        columns, rows = _student_rows(_decoded_lines(raw), path)
     return StudentTable(columns=columns, data=dict(zip(columns, _student_columns(rows, columns))))
 
 
 def _student_rows(lines, path: Path) -> tuple[tuple[str, ...], list[list[str]]]:
     """The header's column names and the raw rows of a student file's ``lines``.
 
-    A fault in the header, or a row the csv module or the text layer
-    cannot read, is raised after any fault in an earlier row.
+    A fault in the header, or a row the csv module cannot read or whose
+    line does not decode, is raised after any fault in an earlier row.
     """
     reader = csv.reader(lines, delimiter=";")
     columns = tuple(col.strip().strip('"') for col in _header_row(reader, path))

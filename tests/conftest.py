@@ -54,27 +54,42 @@ def tp_share_sweep(student_path) -> list[dict]:
 
 @pytest.fixture()
 def plain_blocks(monkeypatch) -> list[str]:
-    """Which reader took each CSV file read, in order, one entry per file.
+    """Which readers took each CSV body read, in order, one entry per read.
 
-    ``"ints"``: a whole regular file whose scanned text the integer kernel
-    read. ``"file"``: a whole regular file numpy read from its path.
-    ``"csv"``: a file the csv module read, from the line after its header.
+    A body is read in chunks, from a regular file or a pipe alike. Each
+    chunk is taken by the integer kernel (``"ints"``) or numpy's reader
+    (``"numpy"``), or else the csv module reads from that chunk to the
+    end (``"csv"``). A read's entry names its readers in that order,
+    joined by ``+``: ``"ints+csv"`` is a body the kernel read up to a
+    chunk it turned down. Reads made with the fast readers patched out
+    (``_csv_path_only``) are not recorded.
     """
     from equity_audit import csvio
 
-    taken, loadtxt_calls = [], []
-    whole_file_columns, loadtxt = csvio._whole_file_columns, csvio._loadtxt
+    taken, readers, loadtxt_calls = [], [], []
+    body_columns, fast_columns, loadtxt = csvio._body_columns, csvio._fast_columns, csvio._loadtxt
 
     def counted_loadtxt(*args):
         loadtxt_calls.append(args)
         return loadtxt(*args)
 
-    def whole_file(fh, path, header_lines, width, cols):
+    def fast(chunk, width, cols):
         loadtxt_calls.clear()
-        values = whole_file_columns(fh, path, header_lines, width, cols)
-        taken.append("csv" if values is None else "file" if loadtxt_calls else "ints")
+        values = fast_columns(chunk, width, cols)
+        reader = "csv" if values is None else "numpy" if loadtxt_calls else "ints"
+        if reader not in readers:
+            readers.append(reader)
         return values
 
+    def body(*args):
+        readers.clear()
+        try:
+            return body_columns(*args)
+        finally:
+            if readers:
+                taken.append("+".join(readers))
+
     monkeypatch.setattr(csvio, "_loadtxt", counted_loadtxt)
-    monkeypatch.setattr(csvio, "_whole_file_columns", whole_file)
+    monkeypatch.setattr(csvio, "_fast_columns", fast)
+    monkeypatch.setattr(csvio, "_body_columns", body)
     return taken

@@ -112,7 +112,7 @@ class TestAudit:
         return "pred,label,group,y_tt\n" + "".join(",".join(map(str, r)) + "\n" for r in rows)
 
     def test_plain_crlf_and_quoted_logs_give_one_report(self, tmp_path, monkeypatch, plain_blocks):
-        monkeypatch.setattr(csvio, "_BLOCK_CHARS", 4096)  # the scan takes several blocks
+        monkeypatch.setattr(csvio, "_BLOCK_CHARS", 4096)  # a csv read decodes several blocks
         text = self._log_text()
         reports = {}
         for how in ("plain", "crlf", "quoted"):
@@ -136,7 +136,7 @@ class TestAudit:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_reads_a_pipe_once(self, tmp_path, monkeypatch, plain_blocks):
-        monkeypatch.setattr(csvio, "_BLOCK_CHARS", 4096)  # the scan takes several blocks
+        monkeypatch.setattr(csvio, "_BLOCK_CHARS", 4096)  # a csv read decodes several blocks
         text = self._log_text()
         regular = tmp_path / "log.csv"
         regular.write_text(text)
@@ -168,8 +168,8 @@ class TestAudit:
             writer.join(timeout=10)
         assert not writer.is_alive() and fed.is_set()
         assert code == 0
-        # a pipe cannot be read twice: it is never handed to a whole-file reader, the csv module reads it
-        assert plain_blocks == ["csv"]
+        # a pipe is read once, as a file is: its plain body reaches the integer kernel
+        assert plain_blocks == ["ints"]
         assert (tmp_path / "fifo" / "audit.json").read_bytes() == (tmp_path / "file" / "audit.json").read_bytes()
 
     def test_degenerate_group_exit_3(self, tmp_path):
@@ -409,7 +409,7 @@ class TestScore:
             )
             assert code == 0
             traces[how] = (folder / "r" / "scoring_trace.json").read_bytes()
-            assert set(plain_blocks) == ({"file"} if how == "plain" else {"csv"})
+            assert set(plain_blocks) == ({"numpy"} if how == "plain" else {"csv"})
         assert traces["plain"] == traces["crlf"] == traces["quoted"]
 
     @pytest.mark.parametrize(

@@ -703,7 +703,7 @@ class TestUnreadableInput:
         assert "UTF-8" in str(_raises(load_uci_students, path))
 
     def test_bad_cell_wins_over_an_undecodable_byte_in_a_later_row(self, tmp_path):
-        # the text layer decodes the whole small file before the reader has row 1
+        # the whole small file is read in one chunk before row 1 is checked
         path = tmp_path / "a.csv"
         path.write_bytes(b"pred,label,group\n1,x,0\n1,1\xff,1\n")
         assert str(_raises(load_audit_csv, path)) == "expected an integer, got 'x' (row 1, column 'label')"
@@ -843,8 +843,8 @@ def _outcome(loader, path):
 
 
 def _csv_path_only():
-    """Every file to the csv path: no integer kernel, no whole-file read by numpy."""
-    return mock.patch.object(csvio, "_whole_file_columns", lambda fh, path, header_lines, width, cols: None)
+    """Every body to the csv path: no chunk read by the integer kernel or by numpy."""
+    return mock.patch.object(csvio, "_fast_columns", lambda chunk, width, cols: None)
 
 
 def _through_fifo(loader, fifo, data: bytes):
@@ -884,7 +884,7 @@ needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named p
 _FIELD_LIMIT = 40
 _CELL_TOKENS = [
     "0", "1", "2", "7", ",", '"', "\r", "\n", " ", "_", ".", "e", "+", "-", "nan", "inf",
-    "\x00", "\x1c", "\x1d", "\x1e", "\x1f", "١", "ᅰ", "1" * (_FIELD_LIMIT + 1),
+    "\x00", "\x1c", "\x1d", "\x1e", "\x1f", "\x0b", "\x0c", "\t", "\u2028", "١", "ᅰ", "1" * (_FIELD_LIMIT + 1),
 ]
 _INT_CELLS = ["0", "1", "1", " 1", "+1", "007", "-0"]
 # cells of the integer kernel's grammar, -?[0-9]{1,18}, and cells at its edges and at int64's
@@ -966,16 +966,20 @@ def _csv_text(header: str, rows: list, last: str) -> str:
 def test_numpy_and_csv_paths_agree(tmp_path_factory, plain_blocks, loader, names, good):
     """Values, or the error with its message, row and column, do not depend on the path taken.
 
-    The same text is read as a regular file (the integer kernel for the
-    all-integer audit plan, numpy's whole-file read for the others, or the
-    csv path when either turns it down), through a pipe (the csv path) and
-    by the csv path alone.
+    The same text is read as a regular file and through a pipe, both by
+    the integer kernel for the all-integer audit plan and by numpy for the
+    others, chunk by chunk, with the csv path from the first chunk either
+    turns down; and it is read by the csv path alone.
     """
     folder = tmp_path_factory.mktemp("paths")
     path, fifo = folder / "input.csv", folder / "input.fifo"
     os.mkfifo(fifo)
 
+    # a line that starts with "\x0c": str.splitlines would break it there and drop the \x0c from an id
+    zeros, ones = (",".join(cell for _ in names) + "\n" for cell in "01")
+
     @given(_csv_texts(names, good), st.sampled_from([8, 40, 1 << 16]), st.sampled_from([1, 30, 1 << 22]))
+    @example(",".join(names) + "\n" + zeros + ones + "\x0c" + zeros, 1 << 16, 1 << 22)
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def check(text, block_chars, kernel_chars):
         path.write_bytes(text.encode())
@@ -988,12 +992,13 @@ def test_numpy_and_csv_paths_agree(tmp_path_factory, plain_blocks, loader, names
         check()
     finally:
         csv.field_size_limit(old_limit)
-    # the fuzz reaches both paths a regular file can take
-    assert set(plain_blocks) == ({"ints", "csv"} if loader is load_audit_csv else {"file", "csv"})
+    # the fuzz reaches each reader, and a resume on the csv path after a fast reader
+    fast = "ints" if loader is load_audit_csv else "numpy"
+    assert set(plain_blocks) == {fast, "csv", f"{fast}+csv"}
 
 
 class TestReadPaths:
-    """Files the whole-file read takes or turns down give what the csv path gives."""
+    """Bodies the fast readers take or turn down give what the csv path gives."""
 
     def _lines(self, n):
         return [f"{k % 2},{k // 2 % 2},{k % 3 % 2},1" for k in range(n)]
@@ -1038,7 +1043,7 @@ class TestReadPaths:
         os.mkfifo(fifo)
         path.write_text('"note\nover\n\nlines",pred,label,group\nx,1,0,1\ny,0,1,0\n')
         as_file, through_pipe, csv_only = _three_ways(load_audit_csv, path, fifo)
-        assert plain_blocks == ["ints", "csv"]
+        assert plain_blocks == ["ints", "ints"]
         assert as_file == through_pipe == csv_only
         assert [a.tolist() for a in load_audit_csv(path)[:3]] == [[1, 0], [0, 1], [1, 0]]
 
@@ -1068,34 +1073,6 @@ class TestReadPaths:
         ]
         # the kernel turns down a blank line, which the csv path skips
         assert plain_blocks[:1] == (["csv"] if "\n\n" in "\n" + body else ["ints"])
-
-    @pytest.mark.parametrize("change", ["replaced", "deleted", "appended"])
-    def test_file_changed_between_the_scan_and_numpys_read(self, tmp_path, monkeypatch, plain_blocks, change):
-        # a plan with float or str columns is read by numpy from the path, after the scan
-        path = tmp_path / "a.csv"
-        path.write_text("a,b,id\n1,1,p\n0,1,q\n")
-        loadtxt, read_from = csvio._loadtxt, []
-
-        def changing_loadtxt(source, cols, skiprows=0):
-            read_from.append(source)
-            if change == "replaced":
-                (tmp_path / "new.csv").write_text("a,b,id\n0,0,r\n")
-                os.replace(tmp_path / "new.csv", path)
-            elif change == "deleted":
-                path.unlink()
-            else:
-                with path.open("a") as fh:
-                    fh.write("1,0,s\n")
-            return loadtxt(source, cols, skiprows)
-
-        monkeypatch.setattr(csvio, "_loadtxt", changing_loadtxt)
-        a, b, ids = _float_columns(path)
-        assert read_from == [str(path)]
-        # numpy's table is dropped; the open file is read again by the csv path
-        assert plain_blocks == ["csv"]
-        # a replaced or deleted file is still the open one, an appended one has grown
-        expected = [[1, 0, 1], [1, 1, 0], ["p", "q", "s"]] if change == "appended" else [[1, 0], [1, 1], ["p", "q"]]
-        assert [a.tolist(), b.tolist(), ids] == expected
 
     @needs_fifo
     def test_bad_cell_wins_over_a_later_undecodable_byte(self, tmp_path, plain_blocks):
@@ -1165,18 +1142,17 @@ class TestReadPaths:
             assert as_read == _outcome(load_audit_csv, path)
         assert as_read[0][1] == (len(lines) + 1,)
 
-    @pytest.mark.parametrize("suffix", csvio._COMPRESSED_SUFFIXES)
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_compressed_suffix_is_read_as_text(self, tmp_path, plain_blocks, suffix):
-        # the integer kernel reads the open file's text whatever its name
+        # the fast readers read the open file's bytes whatever its name; no path is opened twice
         path = tmp_path / f"log.csv{suffix}"
         path.write_text("pred,label,group\n1,1,0\n0,1,1\n")
         assert [a.tolist() for a in load_audit_csv(path)[:3]] == [[1, 0], [1, 1], [0, 1]]
         assert plain_blocks == ["ints"]
-        # given this path numpy would decompress the file; the csv path reads its text
         path = tmp_path / f"population.csv{suffix}"
         path.write_text("id,group,y,y_prime,x_a,z_a\np,0,1,1,0.5,0.5\nq,1,0,1,1.5,2.5\n")
         assert load_population_csv(path).z_matrix().tolist() == [[0.5], [2.5]]
-        assert plain_blocks == ["ints", "csv"]
+        assert plain_blocks == ["ints", "numpy"]
 
     @pytest.mark.parametrize("cell", ["\x1c1", "1\x1f", "ᅰ", "1_0", "١"])
     def test_cells_numpy_would_misread(self, tmp_path, cell):
@@ -1186,6 +1162,49 @@ class TestReadPaths:
         with _csv_path_only():
             expected = _outcome(load_audit_csv, path)
         assert _outcome(load_audit_csv, path) == expected
+
+    @needs_fifo
+    @pytest.mark.parametrize("kernel_chars", [8, 16, 20])
+    @pytest.mark.parametrize(
+        "late, outcome",
+        [
+            ("1,1,0,x\n", ("DataFormatError", "expected an integer, got 'x' (row 5, column 'y_tt')", 5, "y_tt")),
+            ("\n", 8),  # a blank line, skipped and not counted
+            ('1,1,"10\n",1\n', 9),  # with 8-byte chunks, a chunk ends inside the quotes
+        ],
+        ids=["bad-cell", "blank-line", "quoted-newline"],
+    )
+    def test_csv_path_resumes_after_plain_chunks(self, tmp_path, monkeypatch, plain_blocks, kernel_chars, late, outcome):
+        # the kernel takes the chunks above the late line; the csv module reads from its chunk on
+        monkeypatch.setattr(csvio, "_KERNEL_CHARS", kernel_chars)
+        path, fifo = tmp_path / "a.csv", tmp_path / "a.fifo"
+        os.mkfifo(fifo)
+        lines = [line + "\n" for line in self._lines(8)]
+        path.write_text("pred,label,group,y_tt\n" + "".join(lines[:4]) + late + "".join(lines[4:]))
+        as_file, through_pipe, csv_only = _three_ways(load_audit_csv, path, fifo)
+        assert as_file == through_pipe == csv_only
+        assert plain_blocks == ["ints+csv", "ints+csv"]
+        if isinstance(outcome, tuple):
+            assert as_file == outcome
+        else:
+            assert as_file[0][1] == (outcome,)
+            assert load_audit_csv(path)[2][4] == (10 if '"' in late else 1)  # the late row's group, or the next row's
+
+    @needs_fifo
+    @pytest.mark.parametrize(
+        "loader, text, reader",
+        [
+            (load_audit_csv, "pred,label,group,y_tt\n1,0,1,1\n0,1,1,0\n", "ints"),
+            (load_population_csv, "id,group,y,y_prime,x_a,z_a\np,0,1,1,0.5,0.5\nq,1,0,1,1.5,2.5\n", "numpy"),
+        ],
+    )
+    def test_a_pipe_reaches_the_fast_readers(self, tmp_path, plain_blocks, loader, text, reader):
+        path, fifo = tmp_path / "a.csv", tmp_path / "a.fifo"
+        os.mkfifo(fifo)
+        path.write_text(text)
+        as_file, through_pipe, csv_only = _three_ways(loader, path, fifo)
+        assert as_file == through_pipe == csv_only
+        assert plain_blocks == [reader, reader]
 
 
 def _separator_scan_only():
@@ -1271,7 +1290,7 @@ class TestIntColumns:
         ],
     )
     def test_reads_its_grammar(self, text, expected):
-        assert [c.tolist() for c in csvio._int_columns(text, 2, [0, 1])] == expected
+        assert [c.tolist() for c in csvio._int_columns(text.encode(), 2, [0, 1])] == expected
 
     @pytest.mark.parametrize(
         "text",
@@ -1281,7 +1300,7 @@ class TestIntColumns:
         ],
     )
     def test_turns_down_everything_else(self, text):
-        assert csvio._int_columns(text, 2, [0, 1]) is None
+        assert csvio._int_columns(text.encode(), 2, [0, 1]) is None
 
     @pytest.mark.parametrize("kernel_chars", [1, 1 << 22])  # a chunk a row, or one chunk
     def test_columns_are_contiguous_int64(self, tmp_path, monkeypatch, plain_blocks, kernel_chars):
@@ -1318,12 +1337,12 @@ class TestIntColumns:
     def test_grid_reads_one_byte_cells(self, text, width, indices):
         columns = csvio._grid_columns(np.frombuffer(text.encode(), np.uint8), width, indices)
         with _separator_scan_only():
-            assert _as_lists(columns) == _as_lists(csvio._int_columns(text, width, indices))
+            assert _as_lists(columns) == _as_lists(csvio._int_columns(text.encode(), width, indices))
         assert all(c.dtype == np.int64 and c.flags.c_contiguous for c in columns)
 
     def test_an_aligned_wide_cell_goes_to_the_separator_scan(self, grid_reads):
         # one row of 2 * width bytes whose first cell is two bytes wide
-        assert _as_lists(csvio._int_columns("10,\n", 2, [0])) == [[10]]
+        assert _as_lists(csvio._int_columns(b"10,\n", 2, [0])) == [[10]]
         assert grid_reads == [False]
 
     def test_a_y_tt_of_2_on_a_rejected_row_is_read_by_the_grid(self, tmp_path, plain_blocks, grid_reads):
@@ -1351,7 +1370,7 @@ class TestIntColumns:
             header, body = text.split("\n", 1)
             names = header.rstrip("\r").split(",")
             indices = [names.index(n) for n in ("pred", "label", "group", "y_tt") if n in names]
-            body = body.replace("\r\n", "\n")
+            body = body.replace("\r\n", "\n").encode()
             columns = csvio._int_columns(body, len(names), indices)
             with _separator_scan_only():
                 assert _as_lists(columns) == _as_lists(csvio._int_columns(body, len(names), indices))
@@ -1365,9 +1384,9 @@ class TestIntColumns:
                     assert _outcome(load_audit_csv, path) == outcome
 
         check()
-        # the fuzz reaches the grid, the separator scan and the csv path
+        # the fuzz reaches the grid, the separator scan, the csv path and a resume on it
         assert set(grid_reads) == {True, False}
-        assert set(plain_blocks) == {"ints", "csv"}
+        assert set(plain_blocks) == {"ints", "csv", "ints+csv"}
 
 
 class TestRunConfigToml:

@@ -11,17 +11,22 @@ import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py"
-LISTING_SEED_1 = "f8874912ec9ec1b0f03f7b8b3569bbe4be71f451db7e38d50d966b2304825158"
+# the listing at each pinned seed
+LISTINGS = {
+    1: "f8874912ec9ec1b0f03f7b8b3569bbe4be71f451db7e38d50d966b2304825158",
+    2: "373bccbc729c7e7c7d086984c9f96b677da3820c5bb0e8849f81da2e2a07ff09",
+}
 
 
 def test_reports_match_the_pinned_listing():
-    run = subprocess.run(
-        [sys.executable, str(SCRIPT), "--seed", "1"], capture_output=True, text=True, check=True
-    )
-    last = run.stdout.splitlines()[-1]
-    assert last == f"{LISTING_SEED_1}  listing", (
-        "a report byte changed. Save a listing from the parent checkout with "
-        "`python3 scripts/output_digest.py --seed 1 > parent.txt` and rerun this checkout's "
-        "script with `--against parent.txt` to see which files differ. If the output change "
-        "is deliberate, update LISTING_SEED_1 and record why in CHANGES.md."
-    )
+    for seed, listing in LISTINGS.items():
+        run = subprocess.run(
+            [sys.executable, str(SCRIPT), "--seed", str(seed)], capture_output=True, text=True, check=True
+        )
+        last = run.stdout.splitlines()[-1]
+        assert last == f"{listing}  listing", (
+            "a report byte changed. Save a listing from the parent checkout with "
+            f"`python3 scripts/output_digest.py --seed {seed} > parent.txt` and rerun this checkout's "
+            "script with `--against parent.txt` to see which files differ. If the output change "
+            "is deliberate, update LISTINGS and record why in CHANGES.md."
+        )
