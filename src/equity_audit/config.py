@@ -1,10 +1,10 @@
-"""Run configuration and a strict reader for its TOML file format.
+"""Run configuration and its TOML file format.
 
-Python 3.10 has no stdlib TOML parser, so :func:`parse_toml_subset` reads
-the flat subset these config files actually use: comments, one level of
-``[section]`` headers, and ``key = value`` lines whose values are quoted
-strings, integers, floats, booleans, or one-line arrays of those scalars.
-Anything outside that subset is rejected with a line-numbered error.
+A config file is TOML 1.0, read by the standard library's ``tomllib``.
+Text that is not TOML is a DataFormatError naming its line and column.
+The keys of one level of ``[section]`` tables are read as if they were
+top-level keys; every key must name a :class:`RunConfig` field, and every
+value must have its field's type.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import numbers
 import sys
+import tomllib
 import types
 import typing
 from dataclasses import dataclass, fields, replace
@@ -19,104 +20,7 @@ from pathlib import Path
 
 from .errors import DataFormatError, ValidationError
 from .inputs import read_utf8
-
-
-def _parse_scalar(token: str, lineno: int):
-    token = token.strip()
-    if not token:
-        raise DataFormatError("empty value", row=lineno)
-    if token in ("true", "false"):
-        return token == "true"
-    if token == "inf":
-        return float("inf")
-    if (token.startswith('"') and token.endswith('"') and len(token) >= 2) or (
-        token.startswith("'") and token.endswith("'") and len(token) >= 2
-    ):
-        return token[1:-1]
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        raise DataFormatError(f"cannot parse value {token!r}", row=lineno) from None
-
-
-def _split_array_items(body: str, lineno: int) -> list[str]:
-    items, depth, current, quote = [], 0, "", None
-    for ch in body:
-        if quote:
-            current += ch
-            if ch == quote:
-                quote = None
-            continue
-        if ch in "\"'":
-            quote = ch
-            current += ch
-        elif ch == "," and depth == 0:
-            items.append(current)
-            current = ""
-        else:
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            current += ch
-    if quote is not None or depth != 0:
-        raise DataFormatError("unterminated array or string", row=lineno)
-    if current.strip():
-        items.append(current)
-    return items
-
-
-def parse_toml_subset(text: str) -> dict:
-    """Parse the supported TOML subset into nested dicts."""
-    root: dict = {}
-    target = root
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            if not line.endswith("]") or len(line) < 3:
-                raise DataFormatError(f"malformed section header {line!r}", row=lineno)
-            section = line[1:-1].strip()
-            if not section or "[" in section or "]" in section:
-                raise DataFormatError(f"malformed section header {line!r}", row=lineno)
-            target = root.setdefault(section, {})
-            if not isinstance(target, dict):
-                raise DataFormatError(f"section {section!r} clashes with a key", row=lineno)
-            continue
-        if "=" not in line:
-            raise DataFormatError(f"expected 'key = value', got {line!r}", row=lineno)
-        key, _, value = line.partition("=")
-        key = key.strip().strip('"')
-        value = value.strip()
-        # strip trailing comments outside quotes
-        hash_pos, quote = -1, None
-        for i, ch in enumerate(value):
-            if quote:
-                if ch == quote:
-                    quote = None
-            elif ch in "\"'":
-                quote = ch
-            elif ch == "#":
-                hash_pos = i
-                break
-        if hash_pos >= 0:
-            value = value[:hash_pos].strip()
-        if not key:
-            raise DataFormatError("empty key", row=lineno)
-        if value.startswith("["):
-            if not value.endswith("]"):
-                raise DataFormatError("arrays must close on the same line", row=lineno)
-            target[key] = [
-                _parse_scalar(itm, lineno) for itm in _split_array_items(value[1:-1], lineno)
-            ]
-        else:
-            target[key] = _parse_scalar(value, lineno)
-    return root
+from .metrics import DEFAULT_OUTCOME_EPSILON
 
 
 def _has_type(value, hint) -> bool:
@@ -147,7 +51,7 @@ class RunConfig:
     equal_utilization: bool | None = None
     tau: float = 0.85
     tau_o: float = 0.15
-    epsilon: float = 1e-9
+    epsilon: float = DEFAULT_OUTCOME_EPSILON
     seed: int = 7
     out_dir: str = "reports"
     formats: tuple[str, ...] = ("json",)
@@ -187,8 +91,11 @@ class RunConfig:
 
     @classmethod
     def from_toml(cls, path: str | Path) -> "RunConfig":
-        text = read_utf8(path)
-        doc = parse_toml_subset(text)
+        try:
+            doc = tomllib.loads(read_utf8(path))
+        except (ValueError, RecursionError) as exc:
+            # a TOMLDecodeError, an integer over Python's digit limit, or nesting deeper than the stack
+            raise DataFormatError(f"invalid TOML in {path}: {exc}") from None
         flat: dict = {}
         for key, value in doc.items():
             if isinstance(value, dict):

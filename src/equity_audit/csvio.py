@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 import warnings
 from contextlib import contextmanager
 from functools import partial
@@ -47,6 +48,7 @@ _COMMA_PAIR = _COMMA << 8 | _ZERO
 # XORed in as well, a digit and "\n" give the digit's value
 _NEWLINE_FLIP = (_COMMA ^ _NEWLINE) << 8
 _DTYPES = {int: np.int64, float: np.float64, str: object}
+_LINE_END = re.compile(rb"[\r\n]")
 
 
 def _convert_batch(batch: list, first_row: int, cols: list, fault) -> list[np.ndarray]:
@@ -223,8 +225,8 @@ def _int_cells(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.nda
     return values
 
 
-def _body_columns(raw, head: bytes, width: int, cols: list, fault) -> list[np.ndarray]:
-    """The chosen columns of the body: the bytes ``head``, then the rest of the binary file ``raw``.
+def _body_columns(raw, width: int, cols: list, fault) -> list[np.ndarray]:
+    """The chosen columns of the body: the rest of the binary file ``raw``.
 
     The body is read in chunks of about ``_KERNEL_CHARS`` bytes of whole
     lines, and each chunk is offered to a fast reader (``_fast_columns``).
@@ -236,10 +238,10 @@ def _body_columns(raw, head: bytes, width: int, cols: list, fault) -> list[np.nd
     """
     read = partial(_whole_lines, raw, _KERNEL_CHARS)
     pieces, done = [], 0
-    for chunk in chain([head + read()], iter(read, b"")):
+    for chunk in chain([read()], iter(read, b"")):
         values = _fast_columns(chunk, width, cols)
         if values is None:
-            reader = csv.reader(chain(_decoded_lines(io.BytesIO(chunk)), _decoded_lines(raw)))
+            reader = csv.reader(chain(_decoded_lines(io.BufferedReader(io.BytesIO(chunk))), _decoded_lines(raw)))
             pieces.append(_stored_columns(reader, cols, fault, done + 1))
             break
         pieces.append(values)
@@ -312,11 +314,11 @@ def _read_csv_columns(path: Path, plan, fault) -> tuple[list[str], list]:
     and the same faults.
     """
     with _binary_file(path) as raw:
-        header, head = _read_header(raw, path)
+        header = _read_header(raw, path)
         columns = plan(header)
         index = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last column
         cols = [(name, index[name], convert) for name, convert in columns]
-        values = _body_columns(raw, head, len(header), cols, fault)
+        values = _body_columns(raw, len(header), cols, fault)
     return header, [
         column.tolist() if convert is str else column
         for (_, _, convert), column in zip(cols, values)
@@ -324,14 +326,24 @@ def _read_csv_columns(path: Path, plan, fault) -> tuple[list[str], list]:
 
 
 def _whole_lines(raw, size: int) -> bytes:
-    """About ``size`` bytes of the binary file ``raw`` up to a line end (or the end); b"" at the end.
+    """``size`` bytes of the buffered binary file ``raw`` and the rest of the line they end in (or the file); b"" at the end.
 
-    Whole lines, so no ``\r\n`` is split between two reads.
+    A line ends at ``\n``, ``\r\n`` or a bare ``\r``, as in
+    ``_decoded_lines``; a ``\r`` is half of a ``\r\n`` only when the
+    next byte is ``\n``. Whole lines, so no ``\r\n`` is split between two
+    reads, and a file whose lines end in a bare ``\r`` is read in blocks
+    of about ``size`` bytes too. ``_whole_lines(raw, 1)`` is one line.
     """
-    block = raw.read(size)
-    if block[-1:] != b"\n":
-        block += raw.readline()
-    return block
+    parts = [raw.read(size)]
+    while parts[-1] and parts[-1][-1:] != b"\n":
+        if parts[-1][-1:] == b"\r":
+            if raw.peek(1)[:1] == b"\n":
+                parts.append(raw.read(1))
+            break
+        ahead = raw.peek()  # the buffered bytes: at least one unless at the end
+        end = _LINE_END.search(ahead)
+        parts.append(raw.read(end.end() if end else len(ahead)))
+    return b"".join(parts)
 
 
 def _decoded_lines(raw):
@@ -371,23 +383,15 @@ def _binary_file(path: Path):
             raise decode_error(path, exc) from None
 
 
-def _read_header(raw, path: Path) -> tuple[list[str], bytes]:
-    """The header row of the binary file ``raw``, and the bytes after it on its last line.
+def _read_header(raw, path: Path) -> list[str]:
+    """The header row of the binary file ``raw``.
 
-    The header is read by ``csv.reader`` over lines taken one
-    ``readline()`` at a time, so when it is done the file is at the start
-    of the next line. The bytes after it are empty unless a bare ``\r``
-    ended the header within that line; they are then the body's start.
+    The header is read by ``csv.reader`` over lines taken one at a time
+    (``_whole_lines(raw, 1)``), so when it is done the file is at the
+    start of the body.
     """
-    rest: list[bytes] = []
-
-    def lines():
-        for line in iter(raw.readline, b""):
-            rest[:] = line.splitlines(keepends=True)
-            while rest:
-                yield rest.pop(0).decode("utf-8")
-
-    return _header_row(csv.reader(lines()), path), b"".join(rest)
+    lines = map(partial(bytes.decode, encoding="utf-8"), iter(partial(_whole_lines, raw, 1), b""))
+    return _header_row(csv.reader(lines), path)
 
 
 def _header_row(reader, path: Path) -> list[str]:

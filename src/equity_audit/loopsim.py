@@ -219,7 +219,14 @@ class CuratedDataset:
 
 @dataclass(frozen=True)
 class LoopRound:
-    """Metrics observed in one simulated round."""
+    """Metrics observed in one simulated round.
+
+    ``fp_share_by_group[g]`` is the false-positive rate among group g's
+    accepted members this round: the share of them whose evaluation label
+    is 0 (0.0 when none is accepted). It is not the case study's
+    ``UtilizationReport.per_group_fp_share``, each group's share of all
+    false positives, which sums to 1.
+    """
 
     round: int
     psi: float

@@ -3,12 +3,16 @@ import json
 import os
 import threading
 import time
+import tomllib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from equity_audit import csvio
+from equity_audit import __version__, csvio
 from equity_audit.cli import main
+
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 def run_cli(*argv) -> int:
@@ -78,6 +82,13 @@ def write_spaces(path, dataset, proxy_alpha=0.0):
 def spaces_json(tmp_path):
     pop_csv = write_population(tmp_path / "pop.csv")
     return write_spaces(tmp_path / "spaces.json", str(pop_csv))
+
+
+def test_version_is_the_one_pyproject_declares(capsys):
+    # the version is written in both places; --version prints the package's
+    assert tomllib.loads(PYPROJECT.read_text())["project"]["version"] == __version__
+    assert run_cli("--version") == 0
+    assert capsys.readouterr().out == f"equity-audit {__version__}\n"
 
 
 class TestQuestions:
@@ -295,6 +306,20 @@ class TestAudit:
         config.write_bytes(b"seed = 7 # \xff\n")
         assert run_cli("--config", str(config), "--out", str(tmp_path / "r"), "audit", str(audit_csv)) == 2
         assert "UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [("seed = 1\ntau = .5\n", "line 2"), ("seed = " + "[" * 3000 + "\n", "maximum recursion depth"),
+         ("seed = " + "9" * 5000 + "\n", "4300 digits")],
+        ids=["leading-dot", "nested", "long-integer"],
+    )
+    def test_config_that_is_not_toml_exit_2(self, audit_csv, tmp_path, capsys, text, where):
+        config = tmp_path / "run.toml"
+        config.write_text(text)
+        assert run_cli("--config", str(config), "--out", str(tmp_path / "r"), "audit", str(audit_csv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid TOML in {config}: ") and where in err
+        assert "Traceback" not in err and not (tmp_path / "r").exists()
 
     def test_usage_error_exit_1(self):
         assert run_cli("audit") == 1

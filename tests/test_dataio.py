@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import os
+import re
 import threading
 from pathlib import Path
 from unittest import mock
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from equity_audit import csvio, dataio
-from equity_audit.config import RunConfig, parse_toml_subset
+from equity_audit.config import RunConfig
 from equity_audit.core import ObstacleModel, Population, dominates
 from equity_audit.dataio import (
     INTENDED_AFFECTED,
@@ -791,13 +792,7 @@ _DOCUMENT_ALPHABET = st.sampled_from(
 _DOCUMENT_BYTES = st.one_of(st.binary(max_size=200), st.lists(_DOCUMENT_ALPHABET, max_size=30).map(b"".join))
 
 
-def _parse_toml_bytes(path):
-    data = path.read_bytes()
-    for text in (data.decode("utf-8", "surrogateescape"), data.decode("latin-1")):
-        parse_toml_subset(text)
-
-
-@pytest.mark.parametrize("reader", [_parse_toml_bytes, RunConfig.from_toml, load_model_document])
+@pytest.mark.parametrize("reader", [RunConfig.from_toml, load_model_document])
 def test_arbitrary_bytes_in_documents_raise_only_package_errors(tmp_path_factory, reader):
     path = tmp_path_factory.mktemp("fuzz") / "document"
 
@@ -1142,6 +1137,35 @@ class TestReadPaths:
             assert as_read == _outcome(load_audit_csv, path)
         assert as_read[0][1] == (len(lines) + 1,)
 
+    @needs_fifo
+    @pytest.mark.parametrize(
+        "late", ["", "1,x,0,1\n", "\n", '1,"1\n",0,1\n'], ids=["clean", "bad-cell", "blank-line", "quoted-newline"]
+    )
+    def test_bare_cr_lines_read_as_their_newline_twin(self, tmp_path, monkeypatch, late):
+        # a file whose lines end in a bare \r is read a few lines at a time, not as one line
+        monkeypatch.setattr(csvio, "_KERNEL_CHARS", 16)
+        monkeypatch.setattr(csvio, "_BLOCK_CHARS", 16)
+        whole_lines, blocks = csvio._whole_lines, []
+
+        def counted(raw, size):
+            block = whole_lines(raw, size)
+            if size > 1:  # a header line is read whole
+                blocks.append(len(block) - size)
+            return block
+
+        monkeypatch.setattr(csvio, "_whole_lines", counted)
+        text = "pred,label,group,y_tt\n" + "".join(line + "\n" for line in self._lines(20)) + late
+        text += "".join(line + "\n" for line in self._lines(20))
+        path, cr_path, fifo = tmp_path / "a.csv", tmp_path / "cr.csv", tmp_path / "a.fifo"
+        os.mkfifo(fifo)
+        path.write_text(text)
+        cr_path.write_text(text, newline="\r")
+        twin = _three_ways(load_audit_csv, path, fifo)
+        blocks.clear()
+        assert _three_ways(load_audit_csv, cr_path, fifo) == twin
+        # many blocks, and none ran on past the line its last byte is in
+        assert len(blocks) > 10 and max(blocks) < len("1,0,1,1\r")
+
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_compressed_suffix_is_read_as_text(self, tmp_path, plain_blocks, suffix):
         # the fast readers read the open file's bytes whatever its name; no path is opened twice
@@ -1429,9 +1453,53 @@ class TestRunConfigToml:
         with pytest.raises(DataFormatError, match="unknown config keys: input_path"):
             RunConfig.from_toml(path)
 
-    def test_bad_value_line_numbered(self):
-        with pytest.raises(DataFormatError, match="row 2"):
-            parse_toml_subset("a = 1\nb = !!!\n")
+    def test_bad_value_line_numbered(self, tmp_path):
+        path = tmp_path / "run.toml"
+        path.write_text("seed = 1\ntau = !!!\n")
+        with pytest.raises(DataFormatError, match=rf"invalid TOML in {re.escape(str(path))}: .*line 2"):
+            RunConfig.from_toml(path)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("seed = 1\ntau = .5\n", 2), ("seed = 07\n", 1), ("seed = 1\ntau = 0.5\nseed = 2\n", 3),
+         ("tau = 5.\n", 1), ("tau = Infinity\n", 1), ('out_dir = "a" "b"\n', 1),
+         ("[report]\nseed = 1\n[report]\n", 3)],
+        ids=["leading-dot", "leading-zero", "repeated-key", "trailing-dot", "infinity", "two-strings",
+             "repeated-section"],
+    )
+    def test_text_that_is_not_toml_names_its_line(self, tmp_path, text, line):
+        path = tmp_path / "run.toml"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=rf"invalid TOML in {re.escape(str(path))}: .*\(at line {line}, column \d+\)$"):
+            RunConfig.from_toml(path)
+
+    def test_strings_follow_toml_escapes(self, tmp_path):
+        path = tmp_path / "run.toml"
+        path.write_text('out_dir = "a\\tb"\n')
+        assert RunConfig.from_toml(path).out_dir == "a\tb"
+        # a literal string keeps its backslashes, as a Windows path needs
+        path.write_text("out_dir = 'C:\\reports'\n")
+        assert RunConfig.from_toml(path).out_dir == "C:\\reports"
+        path.write_text('out_dir = "C:\\reports"\n')  # \r is a carriage return
+        assert RunConfig.from_toml(path).out_dir == "C:\reports"
+        path.write_text('out_dir = "C:\\data"\n')  # \d is no TOML escape
+        with pytest.raises(DataFormatError, match="invalid TOML.*line 1"):
+            RunConfig.from_toml(path)
+
+    def test_toml_beyond_the_old_subset_loads(self, tmp_path):
+        path = tmp_path / "run.toml"
+        path.write_text('run.tau = 0.5\n[report]\nformats = [\n  "json",\n  "csv",  # both\n]\nseed = 0x1f\n')
+        cfg = RunConfig.from_toml(path)
+        assert (cfg.formats, cfg.seed, cfg.tau) == (("json", "csv"), 31, 0.5)
+
+    @pytest.mark.parametrize(
+        "text", ["seed = 1979-05-27\n", "[report]\nseed = {a = 1}\n"], ids=["date", "inline-table"]
+    )
+    def test_value_of_no_config_type_names_its_field(self, tmp_path, text):
+        path = tmp_path / "run.toml"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match="config value seed must be int, got "):
+            RunConfig.from_toml(path)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
