@@ -3,8 +3,9 @@
 A config file is TOML 1.0, read by the standard library's ``tomllib``.
 Text that is not TOML is a DataFormatError naming its line and column.
 The keys of one level of ``[section]`` tables are read as if they were
-top-level keys; every key must name a :class:`RunConfig` field, and every
-value must have its field's type.
+top-level keys, unless the section is named like a field; every key must
+name a :class:`RunConfig` field, and every value must have its field's
+type.
 """
 
 from __future__ import annotations
@@ -96,13 +97,13 @@ class RunConfig:
         except (ValueError, RecursionError) as exc:
             # a TOMLDecodeError, an integer over Python's digit limit, or nesting deeper than the stack
             raise DataFormatError(f"invalid TOML in {path}: {exc}") from None
+        known = {f.name for f in fields(cls)}
         flat: dict = {}
         for key, value in doc.items():
-            if isinstance(value, dict):
+            if isinstance(value, dict) and key not in known:
                 flat.update(value)
-            else:
+            else:  # a table named like a field is that field's (ill-typed) value
                 flat[key] = value
-        known = {f.name for f in fields(cls)}
         unknown = sorted(set(flat) - known)
         if unknown:
             raise DataFormatError(f"unknown config keys: {', '.join(unknown)}")

@@ -279,8 +279,8 @@ def _stored_columns(reader, cols: list, fault, first_row: int) -> list[np.ndarra
         except UnicodeDecodeError:
             _convert_batch(list(filter(None, chunk)), first_row + done, cols, fault)
             raise
-        if not chunk:
-            return [column[:done] for column in stored]
+        if not chunk:  # a copy releases the spare length the doubling left
+            return [column[:done].copy() if len(column) > done else column for column in stored]
         batch = list(filter(None, chunk))
         for k, values in enumerate(_convert_batch(batch, first_row + done, cols, fault)):
             stored[k] = _store(stored[k], done, values)

@@ -5,17 +5,20 @@ logistic model on standardized features (zero mean, unit variance
 computed from the training rows), which makes coefficient magnitudes
 comparable across features. The fit is damped Newton (iteratively
 reweighted least squares; Hastie, Tibshirani & Friedman, *The Elements of
-Statistical Learning*, 4.4.1) from a zero start, with Armijo backtracking
-on the loss of :func:`logistic_loss_and_gradient`. It stops when the
+Statistical Learning*, 4.4.1), with Armijo backtracking on the loss of
+:func:`logistic_loss_and_gradient`. It starts from zero, or from a given
+earlier model (a warm start; the inequity loop passes the previous
+round's model, and every other caller starts cold). It stops when the
 Newton decrement says the loss is within ``NEWTON_TOL`` times itself of
 its minimum (Boyd & Vandenberghe, *Convex Optimization*, 9.5), so the
-result is a deterministic function of (spec, data) and not of a step
-count; the ``iterations`` hyperparameter only caps the Newton steps. A
-fit that reaches the cap or whose line search fails (separable data with
-``l2 = 0`` has no finite optimum) stops there and reports
-``converged=False``. The fit runs feature-major, on a C-contiguous
-(d, n) copy of the standardized features, so its reductions run along
-the contiguous axis and the result does not depend on the layout of the
+result is a deterministic function of (spec, data, start) and not of a
+step count; the ``iterations`` hyperparameter only caps the Newton steps.
+A fit that reaches the cap or whose line search fails (separable data
+with ``l2 = 0`` has no finite optimum) stops there and reports
+``converged=False``; a warm fit that stops so is fitted again from zero.
+The fit runs feature-major, on a C-contiguous (d, n) copy of the
+features standardized in place, so its reductions run along the
+contiguous axis and the result does not depend on the layout of the
 input. A fit allocates its n-sized and (d, n) buffers once, and every
 Newton step writes into them in the order the formulas name, so reusing
 them changes no bit. A constant column keeps weight 0 and stays out of
@@ -65,6 +68,11 @@ NEWTON_TOL = 1e-12
 # _ARMIJO * t * (Newton decrement); t halves at most _MAX_HALVINGS times
 _ARMIJO = 0.25
 _MAX_HALVINGS = 30
+# a least-norm Newton step certifies convergence only when it accounts for
+# the gradient to this relative precision (the square root of float64's
+# epsilon; a dependent column leaves rounding there, a vanished curvature
+# leaves the gradient itself)
+_RANGE_TOL = 1.5e-8
 
 
 def _is_step_cap(value) -> bool:
@@ -324,10 +332,15 @@ def _logistic_hessian(XT: np.ndarray, proba: np.ndarray, l2: float, work: _Works
     return hess
 
 
+def _range_residual(hess: np.ndarray, direction: np.ndarray, grad: np.ndarray) -> float:
+    """How much of ``grad`` the step ``direction`` leaves out, relative to ``grad``."""
+    return float(np.linalg.norm(hess @ direction - grad) / np.linalg.norm(grad))
+
+
 def _newton_fit(
-    XT: np.ndarray, y: np.ndarray, l2: float, max_steps: int
+    XT: np.ndarray, y: np.ndarray, l2: float, max_steps: int, weights: np.ndarray
 ) -> tuple[np.ndarray, int, float, bool]:
-    """Damped Newton from zero: ``(weights, steps, gradient norm, converged)``.
+    """Damped Newton from ``weights``: ``(weights, steps, gradient norm, converged)``.
 
     ``XT`` is the feature-major design of :func:`_logistic_terms`. With a
     positive ``l2`` the Hessian is positive definite. Without a penalty,
@@ -338,7 +351,6 @@ def _newton_fit(
     Hessian that ``solve`` still finds singular also gets the least-norm
     step.
     """
-    weights = np.zeros(XT.shape[0] + 1)
     work = _Workspace(*XT.shape)
     loss_value, grad, proba = _logistic_terms(weights, XT, y, l2, work)
     hess = _logistic_hessian(XT, proba, l2, work)
@@ -352,13 +364,17 @@ def _newton_fit(
                 direction = np.linalg.solve(hess, grad)
             except np.linalg.LinAlgError:  # singular in floating point after all
                 pass
-        if direction is None:
+        solved = direction is not None
+        if not solved:
             direction = np.linalg.lstsq(hess, grad, rcond=None)[0]
         decrement = float(grad @ direction)
         if not np.isfinite(decrement):
             break
         if decrement / 2.0 <= NEWTON_TOL * loss_value:
-            converged = True
+            # the least-norm step leaves out the part of the gradient outside
+            # the Hessian's range; at a start where every row's curvature
+            # rounds to 0 that part is all of it, and the decrement says nothing
+            converged = solved or _range_residual(hess, direction, grad) <= _RANGE_TOL
             break
         if steps >= max_steps:
             break
@@ -399,16 +415,39 @@ def _validate_training_inputs(spec: ModelSpec, features, labels) -> tuple[np.nda
     return X, y
 
 
-def train(spec: ModelSpec, features, labels, seed: int = 0) -> TrainedModel:
+def _warm_weights(start: TrainedModel, spec: ModelSpec, mu, sigma, varying) -> np.ndarray:
+    """``start``'s scores as weights over the features standardized by ``mu`` and ``sigma``.
+
+    With ``c = coefficients / sigma`` the start scores ``c @ x + intercept
+    - c @ mu``; on the new scale the same score takes the weights ``c *
+    sigma`` and the intercept ``intercept + c @ (mu - start.mu)``.
+    """
+    if not isinstance(start, TrainedModel) or start.spec.function_class != "logistic_regression":
+        raise ValidationError("a start must be a fitted logistic_regression model")
+    if start.spec.feature_names != spec.feature_names:
+        raise ValidationError(
+            f"a start over features {start.spec.feature_names} cannot start a fit over {spec.feature_names}"
+        )
+    c = start.coefficients / start.sigma
+    return np.append((c * sigma)[varying], start.intercept + c @ (mu - start.mu))
+
+
+def train(
+    spec: ModelSpec, features, labels, seed: int = 0, *, start: TrainedModel | None = None
+) -> TrainedModel:
     """Fit a model of the spec's class.
 
-    Logistic regression runs damped Newton steps from a zero start on
-    standardized features until half the Newton decrement is at most
-    ``NEWTON_TOL`` times the loss, taking at most ``iterations`` steps; the
-    model records the steps taken, the final gradient norm and whether the
-    rule was met. The result is a deterministic function of (spec, data);
-    the seed is accepted for interface stability. The threshold class
-    performs no fitting and just validates its inputs.
+    Logistic regression runs damped Newton steps on standardized features
+    until half the Newton decrement is at most ``NEWTON_TOL`` times the
+    loss, taking at most ``iterations`` steps; the model records the steps
+    taken, the final gradient norm and whether the rule was met. Newton
+    starts from zero, or from ``start``, a fitted logistic model over the
+    same feature names, mapped onto this fit's standardization. A warm
+    fit that does not converge is fitted again from zero; ``n_iter`` then
+    counts the steps of both, and ``converged`` describes the returned
+    weights. The result is a deterministic function of (spec, data,
+    start); the seed is accepted for interface stability. The threshold
+    class performs no fitting and just validates its inputs.
     """
     X, y = _validate_training_inputs(spec, features, labels)
     hp = spec.resolved_hyperparams()
@@ -429,22 +468,33 @@ def train(spec: ModelSpec, features, labels, seed: int = 0) -> TrainedModel:
         )
 
     # feature-major: the mean, the variance, the gradient and the Hessian
-    # reduce along the contiguous axis, whatever the layout of ``features``
-    XT = np.ascontiguousarray(X.T)
+    # reduce along the contiguous axis, whatever the layout of ``features``.
+    # ``np.array`` always copies (``ascontiguousarray`` would hand back the
+    # caller's memory for a Fortran-ordered or one-column X), so the copy
+    # is standardized in place
+    XT = np.array(X.T, order="C")
     mu = XT.mean(axis=1)
     var = XT.var(axis=1)
     sigma = np.sqrt(np.maximum(var, _VARIANCE_FLOOR))
-    XsT = XT - mu[:, None]
-    XsT /= sigma[:, None]
+    XT -= mu[:, None]
+    XT /= sigma[:, None]
     # a constant column carries nothing to fit and, with l2 = 0, would make
     # the Hessian singular: it keeps weight 0 and stays out of the fit
     varying = var > _VARIANCE_FLOOR
     if not varying.all():
-        XsT = XsT[varying]
+        XT = XT[varying]
 
-    weights, n_iter, grad_norm, converged = _newton_fit(
-        XsT, y, float(hp["l2"]), int(hp["iterations"])
-    )
+    l2, max_steps = float(hp["l2"]), int(hp["iterations"])
+    n_iter, converged = 0, False
+    if start is not None:
+        warm = _warm_weights(start, spec, mu, sigma, varying)
+        # far from the optimum a Newton step can be so long that a trial
+        # overflows; its loss is then inf or NaN, and Armijo refuses it
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights, n_iter, grad_norm, converged = _newton_fit(XT, y, l2, max_steps, warm)
+    if not converged:  # a cold fit, or a warm one whose line search gave up far from the optimum
+        weights, steps, grad_norm, converged = _newton_fit(XT, y, l2, max_steps, np.zeros(len(XT) + 1))
+        n_iter += steps
     coef = np.zeros(X.shape[1])
     coef[varying] = weights[:-1]
     return TrainedModel(

@@ -356,9 +356,10 @@ def run_inequity_loop(
 ) -> tuple[LoopTrajectory, CuratedDataset]:
     """Simulate the curation feedback loop for a number of rounds.
 
-    Returns the per-round trajectory and the accumulated curated dataset
-    (seed rows excluded; each row keeps its curation round and its row in
-    that round's cohort).
+    Each round's fit is warm-started from the last round's model (see
+    :func:`~equity_audit.learner.train`). Returns the per-round trajectory
+    and the accumulated curated dataset (seed rows excluded; each row keeps
+    its curation round and its row in that round's cohort).
     """
     if regime not in REGIMES:
         raise ValidationError(f"regime must be one of {REGIMES}, got {regime!r}")
@@ -399,6 +400,7 @@ def run_inequity_loop(
     size = n_seed
     batch_rows = [np.empty(0, dtype=np.int64)]  # each round's accepted cohort rows
     records: list[LoopRound] = []
+    model = None  # the last round's model, where each round's fit starts
 
     for t in range(1, rounds + 1):
         events: list[str] = []
@@ -420,7 +422,7 @@ def run_inequity_loop(
             )
             continue
 
-        model = train(spec, X, y, cfg.seed)
+        model = train(spec, X, y, cfg.seed, start=model)
         thresholds = None
         if outcome_equalized:
             try:

@@ -526,6 +526,25 @@ class TestAuditCsvContract:
             [1, 0], [1, 1], [0, 1], [1, 0]
         )
 
+    def test_csv_path_holds_no_spare_buffer(self, tmp_path):
+        # one quoted cell sends the body to the csv module, whose column
+        # buffers grow by doubling: 20,000 rows fill 32,768-row buffers
+        import tracemalloc
+
+        rows = 20_000
+        path = tmp_path / "a.csv"
+        path.write_text('pred,label,group,y_tt\n"1",0,1,1\n' + "0,1,0,1\n" * (rows - 1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            columns = load_audit_csv(path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert [c.tolist() for c in columns] == [[1] + [0] * (rows - 1), [0] + [1] * (rows - 1),
+                                                  [1] + [0] * (rows - 1), [1] * rows]
+        assert held <= 1.1 * sum(c.nbytes for c in columns)
+
     def test_short_row_reads_none(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_text("pred,label,group,y_tt\n1,1,0,1\n1,1\n")
@@ -1493,7 +1512,9 @@ class TestRunConfigToml:
         assert (cfg.formats, cfg.seed, cfg.tau) == (("json", "csv"), 31, 0.5)
 
     @pytest.mark.parametrize(
-        "text", ["seed = 1979-05-27\n", "[report]\nseed = {a = 1}\n"], ids=["date", "inline-table"]
+        "text",
+        ["seed = 1979-05-27\n", "[report]\nseed = {a = 1}\n", "seed = {a = 1}\n", "[seed]\na = 1\n"],
+        ids=["date", "inline-table", "top-level-inline-table", "table-named-like-a-field"],
     )
     def test_value_of_no_config_type_names_its_field(self, tmp_path, text):
         path = tmp_path / "run.toml"

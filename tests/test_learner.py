@@ -415,6 +415,100 @@ class TestFitDiagnostics:
             assert (model.n_iter, model.grad_norm, model.converged) == (None, None, None)
 
 
+
+def _fitted_loss(model: TrainedModel, X, y) -> float:
+    """The training loss at a model's weights, in its own standardized coordinates."""
+    Xs = (X - model.mu) / model.sigma
+    weights = np.append(model.coefficients, model.intercept)
+    return logistic_loss_and_gradient(weights, Xs, y, model.spec.resolved_hyperparams()["l2"])[0]
+
+
+class TestWarmStart:
+    @staticmethod
+    def data(seed, n=300, d=3, scale=1.0, shift=0.0):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d)) * scale + shift
+        y = ((X - shift) @ np.linspace(1.0, -0.5, d) + rng.normal(size=n) > 0).astype(int)
+        return X, y
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n=st.integers(min_value=20, max_value=300),
+        d=st.integers(min_value=1, max_value=4),
+        scale=st.floats(min_value=0.1, max_value=20.0),
+        shift=st.floats(min_value=-20.0, max_value=20.0),
+        reach=st.sampled_from([0.5, 5.0, 200.0]),
+        start_mu=st.floats(min_value=-5.0, max_value=5.0),
+        start_sigma=st.floats(min_value=0.1, max_value=10.0),
+        start_seed=st.integers(min_value=0, max_value=10_000),
+        l2=st.sampled_from([1e-4, 0.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_warm_fit_reaches_the_cold_fits_loss(
+        self, seed, n, d, scale, shift, reach, start_mu, start_sigma, start_seed, l2
+    ):
+        # starts up to +-200 in their own standardized weights, mapped from
+        # another standardization; the far ones saturate every score, where
+        # only the cold refit finds the optimum
+        X, y = self.data(seed, n, d, scale, shift)
+        if y.min() == y.max():
+            return
+        spec = ModelSpec(tuple(f"f{i}" for i in range(d)), hyperparams={"l2": l2})
+        rng = np.random.default_rng(start_seed)
+        start = TrainedModel(
+            spec=spec,
+            coefficients=rng.uniform(-reach, reach, d),
+            intercept=float(rng.uniform(-reach, reach)),
+            mu=np.full(d, start_mu),
+            sigma=np.full(d, start_sigma),
+            importance=np.zeros(d),
+        )
+        cold = train(spec, X, y)
+        warm = train(spec, X, y, start=start)
+        assert np.array_equal(warm.mu, cold.mu) and np.array_equal(warm.sigma, cold.sigma)
+        if cold.converged:
+            assert warm.converged is True
+            cold_loss, warm_loss = _fitted_loss(cold, X, y), _fitted_loss(warm, X, y)
+            assert abs(warm_loss - cold_loss) <= 4 * NEWTON_TOL * cold_loss
+
+    def test_start_at_the_fitted_model_takes_no_step(self):
+        X, y = self.data(4)
+        spec = ModelSpec(("a", "b", "c"))
+        cold = train(spec, X, y)
+        assert cold.converged is True and cold.n_iter > 0
+        again = train(spec, X, y, start=cold)
+        assert (again.n_iter, again.converged) == (0, True)
+
+    def test_start_from_other_rows_takes_fewer_steps(self):
+        # the loop's case: the pool grows by a batch between two fits
+        X, y = self.data(5, n=2000)
+        spec = ModelSpec(("a", "b", "c"))
+        earlier = train(spec, X[:1500], y[:1500])
+        cold, warm = train(spec, X, y), train(spec, X, y, start=earlier)
+        assert warm.converged is True and warm.n_iter < cold.n_iter
+        assert abs(_fitted_loss(warm, X, y) - _fitted_loss(cold, X, y)) <= 4 * NEWTON_TOL * _fitted_loss(cold, X, y)
+
+    def test_start_that_stops_short_is_refitted_from_zero(self):
+        # a one-step cap stops the warm fit unconverged; the cold refit
+        # then takes its own step, and both are counted
+        X, y = separable_1d()
+        spec = ModelSpec(("f",), hyperparams={"iterations": 1})
+        start = TrainedModel.from_coefficients(ModelSpec(("f",)), [-50.0], 10.0)
+        cold = train(spec, X, y)
+        warm = train(spec, X, y, start=start)
+        assert (cold.n_iter, warm.n_iter, warm.converged) == (1, 2, False)
+        assert np.array_equal(warm.coefficients, cold.coefficients) and warm.intercept == cold.intercept
+
+    def test_mismatched_start_is_rejected(self):
+        X, y = self.data(6, d=2)
+        spec = ModelSpec(("a", "b"))
+        with pytest.raises(ValidationError, match="features"):
+            train(spec, X, y, start=train(ModelSpec(("b", "a")), X, y))
+        threshold = train(ModelSpec(("a", "b"), "norm_threshold", {"threshold": 1.0}), X, y)
+        with pytest.raises(ValidationError, match="logistic_regression"):
+            train(spec, X, y, start=threshold)
+
+
 class TestSerialization:
     def test_round_trip(self):
         X, y = separable_1d()
@@ -567,10 +661,23 @@ class TestTrainLayout:
         reference = train(spec, X, y)
         assert reference.converged is True
         for features in layouts[1:]:
+            before = features.copy()
             model = train(spec, features, y)
             assert json_text(model.to_dict()) == json_text(reference.to_dict())
             assert np.array_equal(model.mu, reference.mu)
             assert np.array_equal(model.sigma, reference.sigma)
+            assert np.array_equal(features, before)  # standardized on a copy of its own
+
+    def test_one_column_input_is_left_unchanged(self):
+        # the transpose of one column is C-contiguous already, so only an
+        # explicit copy keeps the in-place standardization off the caller's array
+        X, y = separable_1d()
+        column = X.reshape(-1, 1)
+        before = column.copy()
+        spec = ModelSpec(("f",))
+        model = train(spec, column, y)
+        assert np.array_equal(column, before)
+        assert json_text(model.to_dict()) == json_text(train(spec, before, y).to_dict())
 
 
 HUGE_INT = pytest.param(10**400, id="10**400")  # beyond the float range

@@ -4,6 +4,7 @@ import pytest
 from equity_audit.core import ObstacleModel, Policy, dominates, reveal_population
 from equity_audit.errors import ValidationError
 from equity_audit.loopsim import (
+    REGIMES,
     SyntheticConfig,
     curate_ground_truth,
     default_config,
@@ -158,9 +159,9 @@ class TestRunInequityLoop:
         pools = []
         train = loopsim.train
 
-        def recording_train(spec, X, y, seed=0):
+        def recording_train(spec, X, y, seed=0, *, start=None):
             pools.append((np.array(X), np.array(y)))
-            return train(spec, X, y, seed)
+            return train(spec, X, y, seed, start=start)
 
         monkeypatch.setattr(loopsim, "train", recording_train)
         cfg = small_config()
@@ -171,6 +172,38 @@ class TestRunInequityLoop:
             assert np.array_equal(X, np.vstack([seed.x_matrix(), curated.X[earlier]]))
             assert np.array_equal(y, np.concatenate([seed.labels(), curated.y[earlier]]))
         assert len(pools) == 3 and np.all(np.diff(curated.rounds) >= 0)
+
+    def test_warm_starts_move_no_trajectory_or_curated_row(self, monkeypatch):
+        # each round starts from the last round's model; every decision the
+        # loop takes is a count, so fits that differ from cold ones in their
+        # last digits must leave every output byte as a cold loop leaves it
+        import equity_audit.loopsim as loopsim
+
+        train = loopsim.train
+        fits = []
+
+        def recording_train(spec, X, y, seed=0, *, start=None):
+            model = train(spec, X, y, seed, start=start)
+            fits.append((start, model))
+            return model
+
+        def cold_train(spec, X, y, seed=0, *, start=None):
+            return train(spec, X, y, seed)
+
+        for seed in range(40, 50):
+            for regime in REGIMES:
+                cfg = default_config(seed)
+                fits.clear()
+                monkeypatch.setattr(loopsim, "train", recording_train)
+                warm_trajectory, warm_curated = run_inequity_loop(cfg, 10, regime)
+                assert [start for start, _ in fits] == [None] + [model for _, model in fits[:-1]]
+                assert all(model.converged for _, model in fits)
+                monkeypatch.setattr(loopsim, "train", cold_train)
+                cold_trajectory, cold_curated = run_inequity_loop(cfg, 10, regime)
+                assert trajectory_to_csv(warm_trajectory) == trajectory_to_csv(cold_trajectory)
+                assert repr(warm_trajectory) == repr(cold_trajectory)  # every LoopRound field
+                for name in ("X", "y", "rounds", "source_rows"):
+                    assert np.array_equal(getattr(warm_curated, name), getattr(cold_curated, name))
 
     def test_single_class_seed_skips_rounds(self):
         cfg = small_config(
