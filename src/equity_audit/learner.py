@@ -332,11 +332,6 @@ def _logistic_hessian(XT: np.ndarray, proba: np.ndarray, l2: float, work: _Works
     return hess
 
 
-def _range_residual(hess: np.ndarray, direction: np.ndarray, grad: np.ndarray) -> float:
-    """How much of ``grad`` the step ``direction`` leaves out, relative to ``grad``."""
-    return float(np.linalg.norm(hess @ direction - grad) / np.linalg.norm(grad))
-
-
 def _newton_fit(
     XT: np.ndarray, y: np.ndarray, l2: float, max_steps: int, weights: np.ndarray
 ) -> tuple[np.ndarray, int, float, bool]:
@@ -374,7 +369,9 @@ def _newton_fit(
             # the least-norm step leaves out the part of the gradient outside
             # the Hessian's range; at a start where every row's curvature
             # rounds to 0 that part is all of it, and the decrement says nothing
-            converged = solved or _range_residual(hess, direction, grad) <= _RANGE_TOL
+            converged = solved or bool(
+                np.linalg.norm(hess @ direction - grad) <= _RANGE_TOL * np.linalg.norm(grad)
+            )
             break
         if steps >= max_steps:
             break

@@ -499,6 +499,20 @@ class TestWarmStart:
         assert (cold.n_iter, warm.n_iter, warm.converged) == (1, 2, False)
         assert np.array_equal(warm.coefficients, cold.coefficients) and warm.intercept == cold.intercept
 
+    def test_start_that_saturates_every_score_is_refitted_from_zero(self):
+        # every score of this start is above 1300, where each row's curvature
+        # p(1 - p) rounds to 0: the Hessian is singular, and its least-norm
+        # step sees none of the gradient, so only the decrement would call it
+        # converged
+        X, y = self.data(0, n=20, d=1, shift=6.0)
+        start = TrainedModel.from_coefficients(ModelSpec(("f",)), [100.0], 1000.0)
+        for l2 in (1e-4, 0.0):
+            spec = ModelSpec(("f",), hyperparams={"l2": l2})
+            cold, warm = train(spec, X, y), train(spec, X, y, start=start)
+            assert cold.converged is True and warm.converged is True
+            assert warm.n_iter >= cold.n_iter
+            assert np.array_equal(warm.coefficients, cold.coefficients) and warm.intercept == cold.intercept
+
     def test_mismatched_start_is_rejected(self):
         X, y = self.data(6, d=2)
         spec = ModelSpec(("a", "b"))
