@@ -489,7 +489,7 @@ def train(
         # overflows; its loss is then inf or NaN, and Armijo refuses it
         with np.errstate(over="ignore", invalid="ignore"):
             weights, n_iter, grad_norm, converged = _newton_fit(XT, y, l2, max_steps, warm)
-    if not converged:  # a cold fit, or a warm one whose line search gave up far from the optimum
+    if not converged:  # a cold fit, or a warm one that stopped short of the optimum
         weights, steps, grad_norm, converged = _newton_fit(XT, y, l2, max_steps, np.zeros(len(XT) + 1))
         n_iter += steps
     coef = np.zeros(X.shape[1])

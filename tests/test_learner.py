@@ -415,7 +415,6 @@ class TestFitDiagnostics:
             assert (model.n_iter, model.grad_norm, model.converged) == (None, None, None)
 
 
-
 def _fitted_loss(model: TrainedModel, X, y) -> float:
     """The training loss at a model's weights, in its own standardized coordinates."""
     Xs = (X - model.mu) / model.sigma
@@ -448,7 +447,7 @@ class TestWarmStart:
         self, seed, n, d, scale, shift, reach, start_mu, start_sigma, start_seed, l2
     ):
         # starts up to +-200 in their own standardized weights, mapped from
-        # another standardization; the far ones saturate every score, where
+        # another standardization; some far ones saturate every score, where
         # only the cold refit finds the optimum
         X, y = self.data(seed, n, d, scale, shift)
         if y.min() == y.max():
@@ -486,7 +485,8 @@ class TestWarmStart:
         earlier = train(spec, X[:1500], y[:1500])
         cold, warm = train(spec, X, y), train(spec, X, y, start=earlier)
         assert warm.converged is True and warm.n_iter < cold.n_iter
-        assert abs(_fitted_loss(warm, X, y) - _fitted_loss(cold, X, y)) <= 4 * NEWTON_TOL * _fitted_loss(cold, X, y)
+        cold_loss = _fitted_loss(cold, X, y)
+        assert abs(_fitted_loss(warm, X, y) - cold_loss) <= 4 * NEWTON_TOL * cold_loss
 
     def test_start_that_stops_short_is_refitted_from_zero(self):
         # a one-step cap stops the warm fit unconverged; the cold refit
@@ -685,8 +685,7 @@ class TestTrainLayout:
     def test_one_column_input_is_left_unchanged(self):
         # the transpose of one column is C-contiguous already, so only an
         # explicit copy keeps the in-place standardization off the caller's array
-        X, y = separable_1d()
-        column = X.reshape(-1, 1)
+        column, y = separable_1d()
         before = column.copy()
         spec = ModelSpec(("f",))
         model = train(spec, column, y)

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 
@@ -196,8 +198,9 @@ class TestRunInequityLoop:
                 fits.clear()
                 monkeypatch.setattr(loopsim, "train", recording_train)
                 warm_trajectory, warm_curated = run_inequity_loop(cfg, 10, regime)
-                assert [start for start, _ in fits] == [None] + [model for _, model in fits[:-1]]
-                assert all(model.converged for _, model in fits)
+                starts, models = zip(*fits)
+                assert starts[0] is None and all(map(operator.is_, starts[1:], models))
+                assert all(model.converged for model in models)
                 monkeypatch.setattr(loopsim, "train", cold_train)
                 cold_trajectory, cold_curated = run_inequity_loop(cfg, 10, regime)
                 assert trajectory_to_csv(warm_trajectory) == trajectory_to_csv(cold_trajectory)
