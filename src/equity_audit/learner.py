@@ -540,6 +540,44 @@ def predict(model: TrainedModel, x_rev) -> int | np.ndarray:
     return decided.astype(int)
 
 
+def _sorted_quantiles(s: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.quantile(s, q)`` for ascending ``s`` and ``q`` in [0, 1], read by index.
+
+    The same arithmetic as numpy's default ``"linear"`` method: virtual
+    index ``(n - 1) * q``, its floor and the next index (both the last
+    index at or past it), ``gamma`` the distance from the floor, and
+    numpy's two-sided lerp. Sorted input needs no partition, which is
+    most of ``np.quantile``'s cost.
+    """
+    virtual = (s.size - 1) * q
+    below = np.floor(virtual)
+    above = below + 1
+    at_end = virtual >= s.size - 1
+    below[at_end] = above[at_end] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    a, b = s[below], s[above]
+    gamma = virtual - below
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    if s.size and np.isnan(s[-1]):  # a NaN sorts last and makes every quantile NaN
+        out[:] = s[-1]
+    return out
+
+
+def _binary_values(values, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the 0s and 1s in ``values``, checked as given, before any cast.
+
+    Raises ``ValidationError`` naming every other value, so a 0.9 or a 2
+    is never truncated or counted as a 0.
+    """
+    v = np.asarray(values)
+    zero, one = v == 0, v == 1
+    if np.count_nonzero(zero) + np.count_nonzero(one) != v.size:
+        raise ValidationError(f"{what} must be 0 or 1, got {np.unique(v[~(zero | one)]).tolist()}")
+    return zero, one
+
+
 def _group_threshold_grid(
     model: TrainedModel, features, labels, groups, n_candidates: int
 ) -> tuple[dict, np.ndarray, np.ndarray]:
@@ -548,17 +586,17 @@ def _group_threshold_grid(
     The curves are counted: with each group's positive and negative
     scores sorted once, the rows scoring at least a candidate are those
     past its ``searchsorted`` position, so no candidate-by-row decision
-    matrix is built.
+    matrix is built. Labels and groups are checked as given, so a label
+    of 0.9 or 2 or a group of 0.2 is an error, not a truncated 0.
     """
     scores = np.asarray(predict_proba(model, features), dtype=float)
-    y = np.asarray(labels, dtype=int)
-    g = np.asarray(groups, dtype=int)
+    g = np.asarray(groups)
     masks = (g == 0, g == 1)
     sizes = [int(np.count_nonzero(mask)) for mask in masks]
     if 0 in sizes or sum(sizes) != g.size:
         raise ValidationError(f"need both groups 0 and 1, got {np.unique(g).tolist()}")
+    zero, positive = _binary_values(labels, "labels")
 
-    positive, zero = y == 1, y == 0
     per_group = {}
     for grp, mask in enumerate(masks):
         in_pos = mask & positive
@@ -567,11 +605,9 @@ def _group_threshold_grid(
                 f"group {grp} lacks a label class; per-group thresholds undefined"
             )
         s_pos, s_neg = np.sort(scores[in_pos]), np.sort(scores[mask ^ in_pos])
-        # the group's scores in order: a stable sort merges the two sorted
-        # runs. A quantile depends only on the order statistics; sorted
-        # input makes numpy's partition step cheap
+        # the group's scores in order: a stable sort merges the two sorted runs
         s = np.sort(np.concatenate([s_pos, s_neg]), kind="stable")
-        qs = np.quantile(s, np.linspace(0.0, 1.0, min(n_candidates, s.size)))
+        qs = _sorted_quantiles(s, np.linspace(0.0, 1.0, min(n_candidates, s.size)))
         cands = np.unique(np.concatenate([qs, [model.decision_threshold, 0.0, 1.0 + 1e-12]]))
         # rows of each label class scoring below each candidate
         below_pos = np.searchsorted(s_pos, cands)
@@ -651,14 +687,17 @@ def candidate_group_thresholds(
 def group_cutoffs(groups, thresholds: dict[int, float]) -> np.ndarray:
     """Each row's score cutoff: the threshold of its group.
 
-    Raises ``ValidationError`` naming the first group label that has no
-    threshold.
+    Raises ``ValidationError`` naming every group label that has no
+    threshold. Labels are read as given: a group of 0.5 has none, and is
+    not truncated to group 0.
     """
-    g = np.asarray(groups, dtype=int)
+    g = np.asarray(groups)
+    present = np.unique(g).tolist()
+    missing = [label for label in present if label not in thresholds]
+    if missing:
+        raise ValidationError(f"no decision threshold for group {', '.join(map(repr, missing))}")
     cuts = np.empty(g.shape)
-    for label in np.unique(g).tolist():
-        if label not in thresholds:
-            raise ValidationError(f"no decision threshold for group {label}")
+    for label in present:
         cuts[g == label] = thresholds[label]
     return cuts
 

@@ -32,7 +32,9 @@ labeling that lets the loop feed on its own decisions.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from .errors import UndefinedRateError, ValidationError
 from .learner import (
     ModelSpec,
     TrainedModel,
+    _binary_values,
     fit_group_thresholds,
     predict,
     predict_with_group_thresholds,
@@ -205,9 +208,9 @@ class CuratedDataset:
         their 0/1 evaluation labels and ``source_rows`` their integer rows
         in the round's cohort, in the same order.
         """
-        y = np.asarray(y, dtype=int)
-        if not np.all(np.isin(y, (0, 1))):
-            raise ValidationError("curated labels must be binary")
+        y = np.asarray(y)
+        _binary_values(y, "curated labels")  # as given, so a 0.5 is not truncated to 0
+        y = y.astype(int, copy=False)
         return cls(
             feature_names=tuple(feature_names),
             X=np.asarray(X, dtype=float),
@@ -263,46 +266,91 @@ def _intended_feature_names(cfg: SyntheticConfig) -> tuple[str, ...]:
     return tuple(f"if{i}" for i in range(cfg.d_intended))
 
 
-def generate_cohort(cfg: SyntheticConfig, round: int) -> Cohort:
-    """Draw one cohort; deterministic for a given (cfg.seed, round)."""
+class _CohortDraws(NamedTuple):
+    """Every random number of one cohort, in the order it is drawn.
+
+    ``key`` is ``(seed, round, n_per_round)``. The arrays are the raw
+    draws: latent scores, the group and obstacle uniforms, the (n, d)
+    feature noise and obstacle degradations of both views, and the
+    label-flip uniforms.
+    """
+
+    key: tuple[int, int, int]
+    latent: np.ndarray
+    u_group: np.ndarray
+    u_obstacle: np.ndarray
+    noise_p: np.ndarray
+    noise_t: np.ndarray
+    deg_p: np.ndarray
+    deg_carry: np.ndarray
+    deg_util: np.ndarray
+    u_flip: np.ndarray
+
+
+def _cohort_draws(cfg: SyntheticConfig, round: int) -> _CohortDraws:
+    """Every ``rng`` call of one cohort, and nothing else (see :func:`generate_cohort`)."""
     rng = np.random.default_rng([cfg.seed, round, 101])
     n = cfg.n_per_round
-    latent = rng.normal(size=n)
-    grp = (rng.random(n) < cfg.group_fraction).astype(int)
+    return _CohortDraws(
+        (cfg.seed, round, n),
+        rng.normal(size=n),
+        rng.random(n),
+        rng.random(n),
+        rng.normal(scale=_FEATURE_NOISE, size=(n, cfg.d_proxy)),
+        rng.normal(scale=_FEATURE_NOISE, size=(n, cfg.d_intended)),
+        rng.exponential(scale=cfg.obstacle_severity, size=(n, cfg.d_proxy)),
+        rng.exponential(scale=cfg.obstacle_severity, size=(n, cfg.d_intended)),
+        rng.exponential(scale=cfg.obstacle_severity, size=(n, cfg.d_intended)),
+        rng.random(n),
+    )
+
+
+def generate_cohort(
+    cfg: SyntheticConfig, round: int, *, draws: _CohortDraws | None = None
+) -> Cohort:
+    """Draw one cohort; deterministic for a given (cfg.seed, round).
+
+    ``draws`` are the cohort's random numbers made ahead by
+    :func:`_cohort_draws` (the loop makes them on a worker thread). The
+    cohort is built in their arrays, so a set of draws builds one cohort.
+    """
+    if draws is None:
+        draws = _cohort_draws(cfg, round)
+    elif draws.key != (cfg.seed, round, cfg.n_per_round):
+        raise ValueError(f"draws {draws.key} given for cohort {(cfg.seed, round, cfg.n_per_round)}")
+    grp = (draws.u_group < cfg.group_fraction).astype(int)
     probs = np.array([cfg.obstacle_prob_by_group[0], cfg.obstacle_prob_by_group[1]])
-    flagged = rng.random(n) < probs[grp]
+    flagged = draws.u_obstacle < probs[grp]
+    loaded = draws.latent * _LATENT_LOADING
 
-    z_p = latent[:, None] * _LATENT_LOADING + rng.normal(
-        scale=_FEATURE_NOISE, size=(n, cfg.d_proxy)
-    )
-    z_t = latent[:, None] * _LATENT_LOADING + rng.normal(
-        scale=_FEATURE_NOISE, size=(n, cfg.d_intended)
-    )
-
-    affected_p = np.array([a > 0 for a in cfg.alpha_proxy])
-    affected_t = np.array([a > 0 for a in cfg.alpha_intended])
-    deg_p = rng.exponential(scale=cfg.obstacle_severity, size=(n, cfg.d_proxy))
-    deg_carry = rng.exponential(scale=cfg.obstacle_severity, size=(n, cfg.d_intended))
-    deg_util = rng.exponential(scale=cfg.obstacle_severity, size=(n, cfg.d_intended))
-    mask_p = flagged[:, None] & affected_p[None, :]
-    mask_t = flagged[:, None] & affected_t[None, :]
-
-    # a draw times its 0/1 mask is the draw or +0.0 (draws are finite and
-    # nonnegative), and z - 0.0 == z bit for bit, -0.0 included: each block
-    # is the masked subtraction without a select
-    x_p = z_p - deg_p * mask_p
-    # evaluation-side state: decision-time residue plus evaluation-specific part
-    util = deg_util * mask_t
-    x_t_full = z_t - deg_carry * mask_t - util
-    x_t_after_access = z_t - util
+    # one column at a time. The obstacle-free views are latent plus noise.
+    # An obstacle subtracts its degradation times the 0/1 flag from each
+    # affected column: a draw times 0.0 is +0.0 (draws are finite and
+    # nonnegative) and z - 0.0 == z bit for bit, -0.0 included, so each
+    # view is the masked subtraction without a select
+    z_p, z_t = draws.noise_p, draws.noise_t
+    for z in (z_p, z_t):
+        for j in range(z.shape[1]):
+            z[:, j] += loaded
+    flag = flagged.astype(float)
+    x_p = z_p.copy()
+    for j in np.flatnonzero(np.asarray(cfg.alpha_proxy) > 0):
+        x_p[:, j] -= draws.deg_p[:, j] * flag
+    # evaluation-side state: decision-time residue, then the evaluation-specific part
+    x_t_full, x_t_after_access = z_t.copy(), z_t.copy()
+    for j in np.flatnonzero(np.asarray(cfg.alpha_intended) > 0):
+        util = draws.deg_util[:, j] * flag
+        x_t_full[:, j] -= draws.deg_carry[:, j] * flag
+        x_t_full[:, j] -= util
+        x_t_after_access[:, j] -= util
 
     w_p = np.asarray(cfg.true_model_coefficients[0], dtype=float)
-    flip_p = rng.random(n) < cfg.label_noise
+    flip_p = draws.u_flip < cfg.label_noise
     y_prime_p = ((z_p @ w_p >= 0) ^ flip_p).astype(int)
     y_p = ((x_p @ w_p >= 0) ^ flip_p).astype(int)
 
     proxy = Population(
-        x=x_p, z=z_p, y=y_p, y_prime=y_prime_p, grp=grp, ids=range(n),
+        x=x_p, z=z_p, y=y_p, y_prime=y_prime_p, grp=grp, ids=range(cfg.n_per_round),
         feature_names=_proxy_feature_names(cfg),
     )
     return Cohort(
@@ -312,6 +360,39 @@ def generate_cohort(cfg: SyntheticConfig, round: int) -> Cohort:
         x_intended_after_access=x_t_after_access,
         obstacle_flags=flagged,
     )
+
+
+class _DrawsAhead:
+    """One cohort's draws, made by :func:`_cohort_draws` on a worker thread.
+
+    numpy's generators release the GIL while they fill an array, so the
+    draws run beside the caller's own numpy work. :meth:`result` joins the
+    thread and hands over the draws of the round it was started for, or
+    raises what the worker raised; the draws carry their round in their key.
+    """
+
+    def __init__(self, cfg: SyntheticConfig, round: int):
+        self._outcome: tuple = ()
+        self._thread = threading.Thread(
+            target=self._draw, args=(cfg, round), name=f"cohort-draws-{round}"
+        )
+        self._thread.start()
+
+    def _draw(self, cfg: SyntheticConfig, round: int) -> None:
+        try:
+            self._outcome = (_cohort_draws(cfg, round), None)
+        except BaseException as exc:  # handed to the caller by result()
+            self._outcome = (None, exc)
+
+    def join(self) -> None:
+        self._thread.join()
+
+    def result(self) -> _CohortDraws:
+        self._thread.join()
+        (draws, exc), self._outcome = self._outcome, ()
+        if exc is not None:
+            raise exc
+        return draws
 
 
 def curate_ground_truth(
@@ -338,7 +419,7 @@ def curate_ground_truth(
     return CuratedDataset.from_columns(
         names,
         np.array([np.asarray(feats, dtype=float) for feats in features]),
-        [int(label) for label in labels],
+        labels,
         round,
         rows,
     )
@@ -397,40 +478,22 @@ def run_inequity_loop(
     pool_X[:n_seed] = seed_cohort.proxy.x_matrix()
     pool_y[:n_seed] = seed_cohort.proxy.labels()
     pool_groups[:n_seed] = seed_cohort.proxy.groups()
+    del seed_cohort
     size = n_seed
     batch_rows = [np.empty(0, dtype=np.int64)]  # each round's accepted cohort rows
     records: list[LoopRound] = []
-    model = None  # the last round's model, where each round's fit starts
 
-    for t in range(1, rounds + 1):
-        events: list[str] = []
-        X, y, pool_g = pool_X[:size], pool_y[:size], pool_groups[:size]
+    def play(t: int, model: TrainedModel, thresholds, events: list[str]) -> LoopRound:
+        """Round t from its cohort on: decide, curate into the pool, record.
 
-        if np.all(y == y[0]):
-            records.append(
-                LoopRound(
-                    round=t,
-                    psi=float("nan"),
-                    omega=float("nan"),
-                    zeta=float("nan"),
-                    pos_rate_by_group={0: float("nan"), 1: float("nan")},
-                    fp_share_by_group={0: 0.0, 1: 0.0},
-                    curated_pos_share_by_group={0: 0.0, 1: 0.0},
-                    curated_size=size,
-                    events=("round skipped: single-class training pool",),
-                )
-            )
-            continue
-
-        model = train(spec, X, y, cfg.seed, start=model)
-        thresholds = None
-        if outcome_equalized:
-            try:
-                thresholds = fit_group_thresholds(model, X, y, pool_g, tau_o=0.15)
-            except ValidationError as exc:
-                events.append(f"outcome equalization skipped: {exc}")
-
-        cohort = generate_cohort(cfg, t)
+        The cohort is built from the draws made ahead, and the next round's
+        draws start. The cohort and every array made from it are locals
+        here, so they are released when the round ends, before the next
+        round's fit.
+        """
+        nonlocal size, ahead
+        cohort = generate_cohort(cfg, t, draws=ahead.result())
+        ahead = _DrawsAhead(cfg, t + 1) if t < rounds else None
         x_rev, y_rev, accessed = reveal_population(cohort.proxy, om_p, proxy_policy)
         groups = cohort.proxy.groups()
         psi = float(np.mean(accessed))
@@ -445,6 +508,7 @@ def run_inequity_loop(
         except UndefinedRateError as exc:
             omega = float("nan")
             events.append(f"omega undefined: {exc}")
+        pos_rate = {g: _group_rate(preds, groups, g) for g in (0, 1)}
 
         # evaluation-side features: cleared entirely under full equity;
         # otherwise the decision-time residue depends on the access regime
@@ -459,20 +523,17 @@ def run_inequity_loop(
         m = int(np.sum(b_mask))
         if m == 0:
             events.append("no accepted individuals this round")
-            records.append(
-                LoopRound(
-                    round=t,
-                    psi=psi,
-                    omega=omega,
-                    zeta=float("nan"),
-                    pos_rate_by_group={g: _group_rate(preds, groups, g) for g in (0, 1)},
-                    fp_share_by_group={0: 0.0, 1: 0.0},
-                    curated_pos_share_by_group={0: 0.0, 1: 0.0},
-                    curated_size=size,
-                    events=tuple(events),
-                )
+            return LoopRound(
+                round=t,
+                psi=psi,
+                omega=omega,
+                zeta=float("nan"),
+                pos_rate_by_group=pos_rate,
+                fp_share_by_group={0: 0.0, 1: 0.0},
+                curated_pos_share_by_group={0: 0.0, 1: 0.0},
+                curated_size=size,
+                events=tuple(events),
             )
-            continue
 
         y_tt = np.asarray(predict(env_model, x_eval[b_mask]), dtype=int)
         zeta = float(np.mean(y_tt == 1))
@@ -494,20 +555,56 @@ def run_inequity_loop(
             g: (float(np.sum((y_tt == 1) & (b_groups == g))) / pos_total if pos_total else 0.0)
             for g in (0, 1)
         }
-
-        records.append(
-            LoopRound(
-                round=t,
-                psi=psi,
-                omega=omega,
-                zeta=zeta,
-                pos_rate_by_group={g: _group_rate(preds, groups, g) for g in (0, 1)},
-                fp_share_by_group=fp_share,
-                curated_pos_share_by_group=pos_share,
-                curated_size=size,
-                events=tuple(events),
-            )
+        return LoopRound(
+            round=t,
+            psi=psi,
+            omega=omega,
+            zeta=zeta,
+            pos_rate_by_group=pos_rate,
+            fp_share_by_group=fp_share,
+            curated_pos_share_by_group=pos_share,
+            curated_size=size,
+            events=tuple(events),
         )
+
+    model = None  # the last round's model, where each round's fit starts
+    ahead = None  # the next round's draws, made on a worker thread during this round
+    try:
+        for t in range(1, rounds + 1):
+            X, y, pool_g = pool_X[:size], pool_y[:size], pool_groups[:size]
+            # only a single-class seed pool is skipped, and then every round
+            # is, since a skipped round adds no row; a skipped round draws nothing
+            if np.all(y == y[0]):
+                records.append(
+                    LoopRound(
+                        round=t,
+                        psi=float("nan"),
+                        omega=float("nan"),
+                        zeta=float("nan"),
+                        pos_rate_by_group={0: float("nan"), 1: float("nan")},
+                        fp_share_by_group={0: 0.0, 1: 0.0},
+                        curated_pos_share_by_group={0: 0.0, 1: 0.0},
+                        curated_size=size,
+                        events=("round skipped: single-class training pool",),
+                    )
+                )
+                continue
+            if ahead is None:  # the first round played; play() starts each next round's draws
+                ahead = _DrawsAhead(cfg, t)
+
+            events: list[str] = []
+            model = train(spec, X, y, cfg.seed, start=model)
+            thresholds = None
+            if outcome_equalized:
+                try:
+                    thresholds = fit_group_thresholds(model, X, y, pool_g, tau_o=0.15)
+                except ValidationError as exc:
+                    events.append(f"outcome equalization skipped: {exc}")
+
+            records.append(play(t, model, thresholds, events))
+    finally:
+        if ahead is not None:
+            ahead.join()
 
     trajectory = LoopTrajectory(regime=regime, seed_size=n_seed, rounds=tuple(records))
     curated = CuratedDataset(

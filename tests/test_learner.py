@@ -13,9 +13,11 @@ from equity_audit.learner import (
     _group_threshold_grid,
     _logistic_terms,
     _sigmoid,
+    _sorted_quantiles,
     _Workspace,
     candidate_group_thresholds,
     fit_group_thresholds,
+    group_cutoffs,
     logistic_loss_and_gradient,
     predict,
     predict_proba,
@@ -616,6 +618,28 @@ class TestGroupThresholds:
         assert predict_with_group_thresholds(model, x, g, cuts).tolist() == expected
 
 
+    def test_group_cutoffs_read_groups_as_given(self):
+        with pytest.raises(ValidationError, match="no decision threshold for group 0.5$"):
+            group_cutoffs([0.5, 1.0], {0: 0.3, 1: 0.7})
+        with pytest.raises(ValidationError, match="no decision threshold for group 0.5, 2.0$"):
+            group_cutoffs([0.5, 1.0, 2.0], {0: 0.3, 1: 0.7})
+        assert group_cutoffs([0.0, 1.0, 1], {0: 0.3, 1: 0.7}).tolist() == [0.3, 0.7, 0.7]
+
+    def test_threshold_fit_reads_labels_and_groups_as_given(self):
+        # each of these was once cast to int first: 0.9 -> 0, a group of
+        # 0.2/0.8 -> 0, and label-2 rows counted as negatives
+        x, y, g = self._data()
+        model = train(ModelSpec(("f",)), x, y, seed=0)
+        with pytest.raises(ValidationError, match=r"labels must be 0 or 1, got \[0.9\]"):
+            fit_group_thresholds(model, x, np.where(y == 1, 0.9, 0.0), g, tau_o=0.15)
+        with pytest.raises(ValidationError, match=r"got \[0.2, 0.8\]"):
+            fit_group_thresholds(model, x, y, np.where(g == 1, 0.8, 0.2), tau_o=0.15)
+        with pytest.raises(ValidationError, match=r"labels must be 0 or 1, got \[2\]"):
+            fit_group_thresholds(model, x, np.where(np.arange(y.size) < 5, 2, y), g, tau_o=0.15)
+        as_floats = fit_group_thresholds(model, x, y.astype(float), g.astype(float), tau_o=0.15)
+        assert as_floats == fit_group_thresholds(model, x, y, g, tau_o=0.15)
+
+
 # sigmoid(0) is the default decision threshold exactly, and repeated
 # values tie, so candidates coincide with scores
 _GRID_FEATURES = st.one_of(
@@ -656,6 +680,44 @@ def test_counted_threshold_grid_equals_the_decision_matrix(rows, n_candidates):
         for got, want in zip(curves, expected_curves):
             assert got.dtype == want.dtype and np.array_equal(got, want)
     assert np.array_equal(gap, expected[1]) and np.array_equal(combined_acc, expected[2])
+
+
+@given(
+    n=st.integers(1, 5000),
+    distinct=st.integers(1, 5000),
+    ends=st.sampled_from(["none", "zeros", "ones", "both"]),
+    n_candidates=st.integers(1, 6000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_sorted_quantiles_equal_numpys_bit_for_bit(n, distinct, ends, n_candidates, seed):
+    # scores drawn from a pool of `distinct` values tie when the pool is
+    # small; exact 0.0 and 1.0 scores sit at the ends. A numpy release that
+    # changes its linear method fails here instead of moving a threshold
+    rng = np.random.default_rng(seed)
+    pool = rng.random(min(distinct, n))
+    if ends in ("zeros", "both"):
+        pool[0] = 0.0
+    if ends in ("ones", "both"):
+        pool[-1] = 1.0
+    s = np.sort(rng.choice(pool, size=n))
+    for k in {min(n_candidates, n), n_candidates}:  # as the grid calls it, and beyond the group
+        q = np.linspace(0.0, 1.0, k)
+        assert _sorted_quantiles(s, q).tobytes() == np.quantile(s, q).tobytes()
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60), st.integers(1, 80))
+@settings(max_examples=300, deadline=None)
+def test_sorted_quantiles_of_any_unit_scores(values, n_candidates):
+    s = np.sort(np.array(values))
+    q = np.linspace(0.0, 1.0, n_candidates)
+    assert _sorted_quantiles(s, q).tobytes() == np.quantile(s, q).tobytes()
+
+
+def test_sorted_quantiles_of_a_nan_score_are_nan():
+    s = np.array([0.25, 0.5, np.nan])
+    q = np.linspace(0.0, 1.0, 4)
+    assert _sorted_quantiles(s, q).tobytes() == np.quantile(s, q).tobytes()
 
 
 class TestTrainLayout:

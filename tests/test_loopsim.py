@@ -1,4 +1,6 @@
 import operator
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from equity_audit.core import ObstacleModel, Policy, dominates, reveal_populatio
 from equity_audit.errors import ValidationError
 from equity_audit.loopsim import (
     REGIMES,
+    CuratedDataset,
     SyntheticConfig,
     curate_ground_truth,
     default_config,
@@ -123,6 +126,19 @@ class TestCurateGroundTruth:
         batch = curate_ground_truth([], round=1, feature_names=("a",))
         assert len(batch) == 0
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.0], [0, 2], [0.0, -1.0]])
+    def test_labels_checked_before_any_cast(self, labels):
+        # a 0.5 must not be stored as 0, in either constructor
+        bad = [v for v in labels if v not in (0, 1)]
+        with pytest.raises(ValidationError, match=rf"curated labels must be 0 or 1, got \[{bad[0]}\]"):
+            CuratedDataset.from_columns(("a",), [[1.0], [2.0]], labels, 1, [0, 1])
+        with pytest.raises(ValidationError, match="curated labels"):
+            curate_ground_truth([(k, np.array([1.0]), v) for k, v in enumerate(labels)], round=1)
+
+    def test_integral_float_labels_load_as_ints(self):
+        batch = CuratedDataset.from_columns(("a",), [[1.0], [2.0]], [1.0, 0.0], 1, [0, 1])
+        assert batch.y.dtype == int and batch.y.tolist() == [1, 0]
+
 
 class TestRunInequityLoop:
     def test_single_round_trajectory(self):
@@ -208,18 +224,38 @@ class TestRunInequityLoop:
                 for name in ("X", "y", "rounds", "source_rows"):
                     assert np.array_equal(getattr(warm_curated, name), getattr(cold_curated, name))
 
+    SINGLE_CLASS = small_config(
+        n_per_round=50,
+        obstacle_prob_by_group={0: 0.0, 1: 0.0},
+        true_model_coefficients=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+        label_noise=0.0,
+    )
+
     def test_single_class_seed_skips_rounds(self):
-        cfg = small_config(
-            n_per_round=50,
-            obstacle_prob_by_group={0: 0.0, 1: 0.0},
-            true_model_coefficients=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
-            label_noise=0.0,
-        )
-        traj, curated = run_inequity_loop(cfg, 2, "no_equity")
+        traj, curated = run_inequity_loop(self.SINGLE_CLASS, 2, "no_equity")
         assert len(curated) == 0
         for record in traj.rounds:
             assert record.events and "single-class" in record.events[0]
             assert np.isnan(record.zeta)
+
+    def test_skipped_rounds_draw_nothing(self, monkeypatch):
+        # a skipped round builds no cohort and starts no draws: only the
+        # seed cohort (round 0) is ever drawn
+        import equity_audit.loopsim as loopsim
+
+        drawn, built = [], []
+        draws, generate = loopsim._cohort_draws, loopsim.generate_cohort
+
+        def recording_generate(cfg, t, *, draws=None):
+            built.append((t, draws))
+            return generate(cfg, t, draws=draws)
+
+        monkeypatch.setattr(loopsim, "_cohort_draws", lambda cfg, t: drawn.append(t) or draws(cfg, t))
+        monkeypatch.setattr(loopsim, "generate_cohort", recording_generate)
+        before = threading.active_count()
+        run_inequity_loop(self.SINGLE_CLASS, 3, "no_equity")
+        assert drawn == [0] and built == [(0, None)]
+        assert threading.active_count() == before
 
     def test_regime_ordering_of_mean_utilization(self):
         full = loop_run("full_equity")[0]
@@ -242,6 +278,109 @@ class TestRunInequityLoop:
         traj, _ = run_inequity_loop(small_config(), 2, "access_and_outcome")
         assert len(traj.rounds) == 2
         assert all(not np.isnan(r.zeta) for r in traj.rounds)
+
+
+class TestDrawsAhead:
+    """Each round's random numbers are drawn on a worker thread during the round before."""
+
+    @pytest.mark.parametrize("regime", ["no_equity", "access_and_outcome"])
+    def test_each_cohort_is_built_from_its_own_rounds_draws_in_order(self, monkeypatch, regime):
+        import equity_audit.loopsim as loopsim
+
+        draws, generate = loopsim._cohort_draws, loopsim.generate_cohort
+        made, built = {}, []
+
+        def recording_draws(cfg, t):
+            made[t] = (draws(cfg, t), threading.current_thread() is threading.main_thread())
+            return made[t][0]
+
+        def recording_generate(cfg, t, *, draws=None):
+            built.append((t, draws))
+            return generate(cfg, t, draws=draws)
+
+        monkeypatch.setattr(loopsim, "_cohort_draws", recording_draws)
+        monkeypatch.setattr(loopsim, "generate_cohort", recording_generate)
+        cfg = default_config(seed=42)
+        trajectory, curated = run_inequity_loop(cfg, 4, regime)
+        # the seed cohort draws on the caller's thread; every round draws on a worker
+        assert list(made) == [0, 1, 2, 3, 4]
+        assert [on_main for _, on_main in made.values()] == [True, False, False, False, False]
+        assert [t for t, _ in built] == [0, 1, 2, 3, 4]
+        assert built[0][1] is None
+        for t, given in built[1:]:
+            assert given is made[t][0] and given.key == (cfg.seed, t, cfg.n_per_round)
+        monkeypatch.undo()
+        want_trajectory, want_curated = run_inequity_loop(cfg, 4, regime)
+        assert repr(trajectory) == repr(want_trajectory)
+        for name in ("X", "y", "rounds", "source_rows"):
+            assert np.array_equal(getattr(curated, name), getattr(want_curated, name))
+
+    def test_mismatched_draws_are_refused(self):
+        from equity_audit.loopsim import _cohort_draws
+
+        cfg = small_config()
+        with pytest.raises(ValueError, match="draws"):
+            generate_cohort(cfg, 2, draws=_cohort_draws(cfg, 3))
+
+    def test_no_thread_outlives_the_call(self):
+        before = threading.active_count()
+        run_inequity_loop(small_config(), 3, "access_only")
+        assert threading.active_count() == before
+
+    def test_a_failed_draw_reaches_the_caller_and_no_thread_outlives_it(self, monkeypatch):
+        import equity_audit.loopsim as loopsim
+
+        draws = loopsim._cohort_draws
+
+        def failing_draws(cfg, t):
+            if t == 3:
+                raise MemoryError("round 3")
+            return draws(cfg, t)
+
+        monkeypatch.setattr(loopsim, "_cohort_draws", failing_draws)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="round 3"):
+            run_inequity_loop(small_config(), 5, "full_equity")
+        assert threading.active_count() == before
+
+    def test_a_failed_round_joins_the_draws_it_started(self, monkeypatch):
+        import equity_audit.loopsim as loopsim
+
+        train = loopsim.train
+        fits = []
+
+        def failing_train(spec, X, y, seed=0, *, start=None):
+            fits.append(len(y))
+            if len(fits) == 2:  # round 2's draws were started in round 1
+                raise KeyboardInterrupt
+            return train(spec, X, y, seed, start=start)
+
+        monkeypatch.setattr(loopsim, "train", failing_train)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            run_inequity_loop(small_config(), 5, "no_equity")
+        assert threading.active_count() == before
+
+    def test_earlier_cohorts_are_released_before_each_fit(self, monkeypatch):
+        import equity_audit.loopsim as loopsim
+
+        generate, train = loopsim.generate_cohort, loopsim.train
+        cohorts, alive_at_fit = [], []
+
+        def recording_generate(cfg, t, *, draws=None):
+            cohort = generate(cfg, t, draws=draws)
+            cohorts.append(weakref.ref(cohort.proxy.x_matrix()))
+            cohorts.append(weakref.ref(cohort.x_intended))
+            return cohort
+
+        def recording_train(spec, X, y, seed=0, *, start=None):
+            alive_at_fit.append(sum(ref() is not None for ref in cohorts))
+            return train(spec, X, y, seed, start=start)
+
+        monkeypatch.setattr(loopsim, "generate_cohort", recording_generate)
+        monkeypatch.setattr(loopsim, "train", recording_train)
+        run_inequity_loop(small_config(), 4, "access_and_outcome")
+        assert alive_at_fit == [0, 0, 0, 0]
 
 
 class TestTrajectoryCsv:
