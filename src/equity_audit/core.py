@@ -21,7 +21,9 @@ run it, so they give a person the same bits.
 A :class:`Population` stores people as read-only columns, validated once.
 
 All functions in this module are pure; nothing mutates its inputs, so the
-operations are safe to call concurrently.
+operations are safe to call concurrently. The package starts one thread
+of its own, in ``loopsim.run_inequity_loop``, and that thread only draws
+random numbers; every call into this module stays on the caller's thread.
 """
 
 from __future__ import annotations

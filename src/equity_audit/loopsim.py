@@ -363,36 +363,52 @@ def generate_cohort(
 
 
 class _DrawsAhead:
-    """One cohort's draws, made by :func:`_cohort_draws` on a worker thread.
+    """A worker thread that makes cohorts' draws with :func:`_cohort_draws`, one on request.
 
     numpy's generators release the GIL while they fill an array, so the
-    draws run beside the caller's own numpy work. :meth:`result` joins the
-    thread and hands over the draws of the round it was started for, or
-    raises what the worker raised; the draws carry their round in their key.
+    draws run beside the caller's own numpy work. :meth:`ask` starts one
+    round's draws; :meth:`result` waits for them and hands them over, or
+    raises what the worker raised; :meth:`close` ends and joins the
+    thread. One thread serves a whole loop, since starting one costs more
+    than waking it.
     """
 
-    def __init__(self, cfg: SyntheticConfig, round: int):
+    def __init__(self, cfg: SyntheticConfig):
+        self._cfg = cfg
+        self._round: int | None = None
         self._outcome: tuple = ()
-        self._thread = threading.Thread(
-            target=self._draw, args=(cfg, round), name=f"cohort-draws-{round}"
-        )
+        self._asked, self._done = threading.Event(), threading.Event()
+        self._thread = threading.Thread(target=self._serve, name="cohort-draws")
         self._thread.start()
 
-    def _draw(self, cfg: SyntheticConfig, round: int) -> None:
-        try:
-            self._outcome = (_cohort_draws(cfg, round), None)
-        except BaseException as exc:  # handed to the caller by result()
-            self._outcome = (None, exc)
+    def _serve(self) -> None:
+        while True:
+            self._asked.wait()
+            self._asked.clear()
+            if self._round is None:  # closed
+                return
+            try:
+                self._outcome = (_cohort_draws(self._cfg, self._round), None)
+            except BaseException as exc:  # handed to the caller by result()
+                self._outcome = (None, exc)
+            self._done.set()
 
-    def join(self) -> None:
-        self._thread.join()
+    def ask(self, round: int) -> None:
+        self._round = round
+        self._asked.set()
 
     def result(self) -> _CohortDraws:
-        self._thread.join()
+        self._done.wait()
+        self._done.clear()
         (draws, exc), self._outcome = self._outcome, ()
         if exc is not None:
             raise exc
         return draws
+
+    def close(self) -> None:
+        self._round = None
+        self._asked.set()
+        self._thread.join()
 
 
 def curate_ground_truth(
@@ -474,11 +490,6 @@ def run_inequity_loop(
         raise ValidationError(
             f"rounds={rounds} needs a pool of {capacity} rows, more than can be allocated"
         ) from None
-    seed_cohort = generate_cohort(cfg, 0)
-    pool_X[:n_seed] = seed_cohort.proxy.x_matrix()
-    pool_y[:n_seed] = seed_cohort.proxy.labels()
-    pool_groups[:n_seed] = seed_cohort.proxy.groups()
-    del seed_cohort
     size = n_seed
     batch_rows = [np.empty(0, dtype=np.int64)]  # each round's accepted cohort rows
     records: list[LoopRound] = []
@@ -487,13 +498,14 @@ def run_inequity_loop(
         """Round t from its cohort on: decide, curate into the pool, record.
 
         The cohort is built from the draws made ahead, and the next round's
-        draws start. The cohort and every array made from it are locals
-        here, so they are released when the round ends, before the next
-        round's fit.
+        draws are asked for. The cohort and every array made from it are
+        locals here, so they are released when the round ends, before the
+        next round's fit.
         """
-        nonlocal size, ahead
+        nonlocal size
         cohort = generate_cohort(cfg, t, draws=ahead.result())
-        ahead = _DrawsAhead(cfg, t + 1) if t < rounds else None
+        if t < rounds:
+            ahead.ask(t + 1)
         x_rev, y_rev, accessed = reveal_population(cohort.proxy, om_p, proxy_policy)
         groups = cohort.proxy.groups()
         psi = float(np.mean(accessed))
@@ -568,12 +580,20 @@ def run_inequity_loop(
         )
 
     model = None  # the last round's model, where each round's fit starts
-    ahead = None  # the next round's draws, made on a worker thread during this round
+    # the worker draws round 1 while the seed cohort is drawn here, and each
+    # round asks for the next one's draws once its own cohort is built
+    ahead = _DrawsAhead(cfg)
     try:
+        ahead.ask(1)
+        seed_cohort = generate_cohort(cfg, 0)
+        pool_X[:n_seed] = seed_cohort.proxy.x_matrix()
+        pool_y[:n_seed] = seed_cohort.proxy.labels()
+        pool_groups[:n_seed] = seed_cohort.proxy.groups()
+        del seed_cohort
         for t in range(1, rounds + 1):
             X, y, pool_g = pool_X[:size], pool_y[:size], pool_groups[:size]
             # only a single-class seed pool is skipped, and then every round
-            # is, since a skipped round adds no row; a skipped round draws nothing
+            # is, since a skipped round adds no row: round 1's draws go unused
             if np.all(y == y[0]):
                 records.append(
                     LoopRound(
@@ -589,8 +609,6 @@ def run_inequity_loop(
                     )
                 )
                 continue
-            if ahead is None:  # the first round played; play() starts each next round's draws
-                ahead = _DrawsAhead(cfg, t)
 
             events: list[str] = []
             model = train(spec, X, y, cfg.seed, start=model)
@@ -603,8 +621,7 @@ def run_inequity_loop(
 
             records.append(play(t, model, thresholds, events))
     finally:
-        if ahead is not None:
-            ahead.join()
+        ahead.close()
 
     trajectory = LoopTrajectory(regime=regime, seed_size=n_seed, rounds=tuple(records))
     curated = CuratedDataset(
