@@ -544,10 +544,10 @@ def _sorted_quantiles(s: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``np.quantile(s, q)`` for ascending ``s`` and ``q`` in [0, 1], read by index.
 
     The same arithmetic as numpy's default ``"linear"`` method: virtual
-    index ``(n - 1) * q``, its floor and the next index (both the last
-    index at or past it), ``gamma`` the distance from the floor, and
-    numpy's two-sided lerp. Sorted input needs no partition, which is
-    most of ``np.quantile``'s cost.
+    index ``(n - 1) * q``, its floor and the next index (both -1, the last
+    index, once the virtual index reaches ``n - 1``), ``gamma`` the virtual
+    index less that floor index, and numpy's two-sided lerp. Sorted input
+    needs no partition, which is most of ``np.quantile``'s cost.
     """
     virtual = (s.size - 1) * q
     below = np.floor(virtual)
@@ -687,17 +687,15 @@ def candidate_group_thresholds(
 def group_cutoffs(groups, thresholds: dict[int, float]) -> np.ndarray:
     """Each row's score cutoff: the threshold of its group.
 
-    Raises ``ValidationError`` naming every group label that has no
+    Raises ``ValidationError`` naming the first group label that has no
     threshold. Labels are read as given: a group of 0.5 has none, and is
     not truncated to group 0.
     """
     g = np.asarray(groups)
-    present = np.unique(g).tolist()
-    missing = [label for label in present if label not in thresholds]
-    if missing:
-        raise ValidationError(f"no decision threshold for group {', '.join(map(repr, missing))}")
     cuts = np.empty(g.shape)
-    for label in present:
+    for label in np.unique(g).tolist():
+        if label not in thresholds:
+            raise ValidationError(f"no decision threshold for group {label}")
         cuts[g == label] = thresholds[label]
     return cuts
 

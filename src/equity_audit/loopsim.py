@@ -363,14 +363,14 @@ def generate_cohort(
 
 
 class _DrawsAhead:
-    """A worker thread that makes cohorts' draws with :func:`_cohort_draws`, one on request.
+    """A worker thread that makes one cohort's draws at a time, on request.
 
-    numpy's generators release the GIL while they fill an array, so the
-    draws run beside the caller's own numpy work. :meth:`ask` starts one
-    round's draws; :meth:`result` waits for them and hands them over, or
-    raises what the worker raised; :meth:`close` ends and joins the
-    thread. One thread serves a whole loop, since starting one costs more
-    than waking it.
+    It calls :func:`_cohort_draws` and nothing else. numpy's generators
+    release the GIL while they fill an array, so the draws run beside the
+    caller's own numpy work. :meth:`ask` starts one round's draws;
+    :meth:`result` waits for them and hands them over, or raises what the
+    worker raised; :meth:`close` ends and joins the thread. One thread
+    serves a whole loop, since starting one costs more than waking it.
     """
 
     def __init__(self, cfg: SyntheticConfig):

@@ -621,8 +621,6 @@ class TestGroupThresholds:
     def test_group_cutoffs_read_groups_as_given(self):
         with pytest.raises(ValidationError, match="no decision threshold for group 0.5$"):
             group_cutoffs([0.5, 1.0], {0: 0.3, 1: 0.7})
-        with pytest.raises(ValidationError, match="no decision threshold for group 0.5, 2.0$"):
-            group_cutoffs([0.5, 1.0, 2.0], {0: 0.3, 1: 0.7})
         assert group_cutoffs([0.0, 1.0, 1], {0: 0.3, 1: 0.7}).tolist() == [0.3, 0.7, 0.7]
 
     def test_threshold_fit_reads_labels_and_groups_as_given(self):
