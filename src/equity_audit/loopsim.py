@@ -32,7 +32,6 @@ labeling that lets the loop feed on its own decisions.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -89,6 +88,10 @@ class SyntheticConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("n_per_round", "d_proxy", "d_intended"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.n_per_round < 1:
             raise ValidationError("n_per_round must be >= 1")
         if self.d_proxy < 1 or self.d_intended < 1:
@@ -117,6 +120,14 @@ class SyntheticConfig:
                 "true_model_coefficients must be (proxy-view, intended-view) "
                 "vectors matching d_proxy and d_intended"
             )
+        for name, values in (
+            ("alpha_proxy", self.alpha_proxy),
+            ("alpha_intended", self.alpha_intended),
+            ("obstacle_severity", (self.obstacle_severity,)),
+            ("true_model_coefficients", (*w_p, *w_t)),
+        ):
+            if not all(map(math.isfinite, values)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if max(self.obstacle_prob_by_group.values()) > 0:
             if not any(a > 0 for a in self.alpha_proxy):
                 raise ValidationError(
@@ -208,15 +219,30 @@ class CuratedDataset:
         their 0/1 evaluation labels and ``source_rows`` their integer rows
         in the round's cohort, in the same order.
         """
+        feature_names = tuple(feature_names)
+        try:
+            X = np.asarray(X, dtype=float)
+        except ValueError:  # ragged rows or a cell that is not a number
+            raise ValidationError("curated features must be numeric rows of equal length") from None
+        if X.ndim != 2 or X.shape[1] != len(feature_names):
+            raise ValidationError(
+                f"curated features must be (n, {len(feature_names)}) for feature names "
+                f"{feature_names}, got shape {X.shape}"
+            )
         y = np.asarray(y)
+        source_rows = np.asarray(source_rows, dtype=np.int64)
+        if y.shape != (len(X),) or source_rows.shape != (len(X),):
+            raise ValidationError(
+                f"curated labels and source rows need one entry per feature row ({len(X)}), "
+                f"got shapes {y.shape} and {source_rows.shape}"
+            )
         _binary_values(y, "curated labels")  # as given, so a 0.5 is not truncated to 0
-        y = y.astype(int, copy=False)
         return cls(
-            feature_names=tuple(feature_names),
-            X=np.asarray(X, dtype=float),
-            y=y,
+            feature_names=feature_names,
+            X=X,
+            y=y.astype(int, copy=False),
             rounds=np.full(len(y), round, dtype=int),
-            source_rows=np.asarray(source_rows, dtype=np.int64),
+            source_rows=source_rows,
         )
 
 
@@ -362,55 +388,6 @@ def generate_cohort(
     )
 
 
-class _DrawsAhead:
-    """A worker thread that makes one cohort's draws at a time, on request.
-
-    It calls :func:`_cohort_draws` and nothing else. numpy's generators
-    release the GIL while they fill an array, so the draws run beside the
-    caller's own numpy work. :meth:`ask` starts one round's draws;
-    :meth:`result` waits for them and hands them over, or raises what the
-    worker raised; :meth:`close` ends and joins the thread. One thread
-    serves a whole loop, since starting one costs more than waking it.
-    """
-
-    def __init__(self, cfg: SyntheticConfig):
-        self._cfg = cfg
-        self._round: int | None = None
-        self._outcome: tuple = ()
-        self._asked, self._done = threading.Event(), threading.Event()
-        self._thread = threading.Thread(target=self._serve, name="cohort-draws")
-        self._thread.start()
-
-    def _serve(self) -> None:
-        while True:
-            self._asked.wait()
-            self._asked.clear()
-            if self._round is None:  # closed
-                return
-            try:
-                self._outcome = (_cohort_draws(self._cfg, self._round), None)
-            except BaseException as exc:  # handed to the caller by result()
-                self._outcome = (None, exc)
-            self._done.set()
-
-    def ask(self, round: int) -> None:
-        self._round = round
-        self._asked.set()
-
-    def result(self) -> _CohortDraws:
-        self._done.wait()
-        self._done.clear()
-        (draws, exc), self._outcome = self._outcome, ()
-        if exc is not None:
-            raise exc
-        return draws
-
-    def close(self) -> None:
-        self._round = None
-        self._asked.set()
-        self._thread.join()
-
-
 def curate_ground_truth(
     positives: list[tuple[int, np.ndarray, int]],
     round: int,
@@ -432,13 +409,7 @@ def curate_ground_truth(
         f"pf{i}" for i in range(d)
     )
     rows, features, labels = zip(*positives)
-    return CuratedDataset.from_columns(
-        names,
-        np.array([np.asarray(feats, dtype=float) for feats in features]),
-        labels,
-        round,
-        rows,
-    )
+    return CuratedDataset.from_columns(names, features, labels, round, rows)
 
 
 def _group_rate(values: np.ndarray, groups: np.ndarray, g: int) -> float:
@@ -498,14 +469,13 @@ def run_inequity_loop(
         """Round t from its cohort on: decide, curate into the pool, record.
 
         The cohort is built from the draws made ahead, and the next round's
-        draws are asked for. The cohort and every array made from it are
-        locals here, so they are released when the round ends, before the
-        next round's fit.
+        draws are submitted. The cohort and every array made from it are
+        locals here, and the spent future that held its draws is replaced,
+        so they are released when the round ends, before the next round's fit.
         """
-        nonlocal size
-        cohort = generate_cohort(cfg, t, draws=ahead.result())
-        if t < rounds:
-            ahead.ask(t + 1)
+        nonlocal size, pending
+        cohort = generate_cohort(cfg, t, draws=pending.result())
+        pending = drawer.submit(_cohort_draws, cfg, t + 1) if t < rounds else None
         x_rev, y_rev, accessed = reveal_population(cohort.proxy, om_p, proxy_policy)
         groups = cohort.proxy.groups()
         psi = float(np.mean(accessed))
@@ -579,12 +549,18 @@ def run_inequity_loop(
             events=tuple(events),
         )
 
+    # concurrent.futures imports logging, which no other command needs and
+    # which would add milliseconds to every package import; here it is paid
+    # once per process, by the first loop
+    from concurrent.futures import ThreadPoolExecutor
+
     model = None  # the last round's model, where each round's fit starts
-    # the worker draws round 1 while the seed cohort is drawn here, and each
-    # round asks for the next one's draws once its own cohort is built
-    ahead = _DrawsAhead(cfg)
-    try:
-        ahead.ask(1)
+    # one worker draws round 1 while the seed cohort is drawn here, and each
+    # round submits the next one's draws once its own cohort is built; numpy's
+    # generators release the GIL while they fill an array, so the draws run
+    # beside this thread's fits
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="cohort-draws") as drawer:
+        pending = drawer.submit(_cohort_draws, cfg, 1)
         seed_cohort = generate_cohort(cfg, 0)
         pool_X[:n_seed] = seed_cohort.proxy.x_matrix()
         pool_y[:n_seed] = seed_cohort.proxy.labels()
@@ -620,8 +596,6 @@ def run_inequity_loop(
                     events.append(f"outcome equalization skipped: {exc}")
 
             records.append(play(t, model, thresholds, events))
-    finally:
-        ahead.close()
 
     trajectory = LoopTrajectory(regime=regime, seed_size=n_seed, rounds=tuple(records))
     curated = CuratedDataset(

@@ -1,6 +1,8 @@
 import gzip
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 import tomllib
@@ -89,6 +91,17 @@ def test_version_is_the_one_pyproject_declares(capsys):
     assert tomllib.loads(PYPROJECT.read_text())["project"]["version"] == __version__
     assert run_cli("--version") == 0
     assert capsys.readouterr().out == f"equity-audit {__version__}\n"
+
+
+def test_importing_the_cli_leaves_out_logging_and_concurrent_futures():
+    # concurrent.futures imports logging; the loop imports it when it runs,
+    # so no other command pays for either at start-up
+    code = (
+        f"import sys; sys.path.insert(0, {str(PYPROJECT.parent / 'src')!r}); import equity_audit.cli; "
+        "print(sorted({'logging', 'concurrent.futures'} & sys.modules.keys()))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 class TestQuestions:

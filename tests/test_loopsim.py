@@ -98,6 +98,17 @@ class TestGeneratePopulation:
             small_config(label_noise=0.7)
         with pytest.raises(ValidationError):
             small_config(alpha_proxy=(0.0, 0.0, 0.0))
+        nan, inf = float("nan"), float("inf")
+        for field, value in [
+            ("n_per_round", 2.5), ("n_per_round", True), ("d_proxy", 3.0), ("d_intended", "3"),
+            ("obstacle_severity", nan), ("obstacle_severity", inf),
+            ("alpha_proxy", (nan, 0.0, 0.0)), ("alpha_intended", (inf, 0.0, 0.0)),
+            ("true_model_coefficients", ((nan, 1.0, 1.0), (1.0, 1.0, 1.0))),
+            ("true_model_coefficients", ((1.0, 1.0, 1.0), (1.0, -inf, 1.0))),
+        ]:
+            with pytest.raises(ValidationError, match=field):
+                small_config(**{field: value})
+        assert small_config(n_per_round=np.int64(50)).n_per_round == 50
 
 
 class TestCurateGroundTruth:
@@ -134,6 +145,28 @@ class TestCurateGroundTruth:
             CuratedDataset.from_columns(("a",), [[1.0], [2.0]], labels, 1, [0, 1])
         with pytest.raises(ValidationError, match="curated labels"):
             curate_ground_truth([(k, np.array([1.0]), v) for k, v in enumerate(labels)], round=1)
+
+    @pytest.mark.parametrize(
+        "names, X, y, rows, match",
+        [
+            (("a",), [[1.0], [2.0]], [1], [0, 1, 2], "one entry per feature row"),
+            (("a",), [[1.0], [2.0]], [1, 0], [0], "one entry per feature row"),
+            (("a", "b"), [1.0, 2.0], [1, 0], [0, 1], r"must be \(n, 2\)"),
+            (("a",), [[1.0, 2.0], [3.0, 4.0]], [1, 0], [0, 1], r"must be \(n, 1\)"),
+            (("a", "b"), [[1.0, 2.0], [3.0]], [1, 0], [0, 1], "rows of equal length"),
+        ],
+    )
+    def test_shapes_are_checked(self, names, X, y, rows, match):
+        with pytest.raises(ValidationError, match=match):
+            CuratedDataset.from_columns(names, X, y, 1, rows)
+
+    def test_ragged_or_misnamed_rows_are_refused(self):
+        ragged = [(0, np.array([1.0, 2.0]), 1), (1, np.array([1.0]), 0)]
+        with pytest.raises(ValidationError, match="rows of equal length"):
+            curate_ground_truth(ragged, round=1)
+        wide = [(0, np.array([1.0, 2.0]), 1), (1, np.array([3.0, 4.0]), 0)]
+        with pytest.raises(ValidationError, match=r"must be \(n, 1\)"):
+            curate_ground_truth(wide, round=1, feature_names=("a",))
 
     def test_integral_float_labels_load_as_ints(self):
         batch = CuratedDataset.from_columns(("a",), [[1.0], [2.0]], [1.0, 0.0], 1, [0, 1])
