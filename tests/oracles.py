@@ -14,7 +14,9 @@ terms and the cohort generator, and the per-row population validator:
 they pin the branch-free, buffer-reusing and whole-array replacements.
 The case-study oracle is the package's earlier per-regime loop: it calls
 the package's training, threshold and metric functions and pins only how
-the loop combines them.
+the loop combines them. The inequity-loop oracle does the same for
+``run_inequity_loop``: one thread, a pool grown by concatenation, and
+every rate by masks and means.
 """
 
 from __future__ import annotations
@@ -445,3 +447,113 @@ def population_fault(x, z, y, y_prime, grp, ids):
             if mask[row]:
                 return f"{message} for individual {ids[row]!r}", row
     return None
+
+
+def loop_oracle(cfg, rounds, regime):
+    """The inequity loop written plainly: ``(LoopTrajectory, CuratedDataset)``.
+
+    Each cohort comes from :func:`where_cohort` on this thread, the pool
+    grows by ``np.concatenate``, and each round calls the package's own
+    training (warm-started from the last round's model), threshold, reveal
+    and prediction functions. omega is :func:`~equity_audit.metrics.eo_violation`
+    and every other rate is a per-group mean over boolean masks. It pins
+    how the package's loop combines those functions and counts its rates.
+    """
+    from equity_audit.core import ObstacleModel, Policy, Population, reveal_population
+    from equity_audit.errors import UndefinedRateError, ValidationError
+    from equity_audit.learner import (
+        ModelSpec,
+        TrainedModel,
+        fit_group_thresholds,
+        predict,
+        predict_with_group_thresholds,
+        train,
+    )
+    from equity_audit.loopsim import CuratedDataset, LoopRound, LoopTrajectory
+    from equity_audit.metrics import eo_violation
+
+    names = tuple(f"pf{i}" for i in range(cfg.d_proxy))
+    env_model = TrainedModel.from_coefficients(
+        ModelSpec(tuple(f"if{i}" for i in range(cfg.d_intended))), cfg.true_model_coefficients[1]
+    )
+    obstacles = ObstacleModel.from_alpha(cfg.alpha_proxy)
+    policy = Policy(math.inf) if regime != "no_equity" else Policy(0.0)
+
+    seed = where_cohort(cfg, 0)
+    pool_X, pool_y, pool_g = seed[0], seed[2], seed[4]
+    curated_X = np.empty((0, cfg.d_proxy))
+    curated_y = np.empty(0, dtype=int)
+    curated_rounds = np.empty(0, dtype=int)
+    curated_rows = np.empty(0, dtype=np.int64)
+    model = None
+    records = []
+    for t in range(1, rounds + 1):
+        if len(set(pool_y.tolist())) == 1:
+            nan = float("nan")
+            records.append(LoopRound(
+                round=t, psi=nan, omega=nan, zeta=nan, pos_rate_by_group={0: nan, 1: nan},
+                fp_share_by_group={0: 0.0, 1: 0.0}, curated_pos_share_by_group={0: 0.0, 1: 0.0},
+                curated_size=len(pool_y), events=("round skipped: single-class training pool",),
+            ))
+            continue
+        events = []
+        model = train(ModelSpec(names), pool_X, pool_y, cfg.seed, start=model)
+        thresholds = None
+        if regime in ("access_and_outcome", "full_equity"):
+            try:
+                thresholds = fit_group_thresholds(model, pool_X, pool_y, pool_g, tau_o=0.15)
+            except ValidationError as exc:
+                events.append(f"outcome equalization skipped: {exc}")
+
+        x_p, z_p, y_p, y_prime_p, grp, x_t_full, z_t, x_t_after_access, _ = where_cohort(cfg, t)
+        population = Population(
+            x=x_p, z=z_p, y=y_p, y_prime=y_prime_p, grp=grp, ids=range(cfg.n_per_round),
+            feature_names=names,
+        )
+        x_rev, y_rev, accessed = reveal_population(population, obstacles, policy)
+        if thresholds is None:
+            preds = np.asarray(predict(model, x_rev))
+        else:
+            preds = predict_with_group_thresholds(model, x_rev, grp, thresholds)
+        try:
+            omega = eo_violation(preds, y_rev, grp).eo_violation
+        except UndefinedRateError as exc:
+            omega = float("nan")
+            events.append(f"omega undefined: {exc}")
+        pos_rate = {
+            g: float(np.mean(preds[grp == g])) if np.any(grp == g) else float("nan") for g in (0, 1)
+        }
+
+        x_eval = {"no_equity": x_t_full, "full_equity": z_t}.get(regime, x_t_after_access)
+        accepted = np.flatnonzero(preds == 1)
+        zeta = float("nan")
+        fp_share = {0: 0.0, 1: 0.0}
+        pos_share = {0: 0.0, 1: 0.0}
+        if accepted.size == 0:
+            events.append("no accepted individuals this round")
+        else:
+            y_tt = np.asarray(predict(env_model, x_eval[accepted]), dtype=int)
+            zeta = float(np.mean(y_tt == 1))
+            for g in (0, 1):
+                in_g = grp[accepted] == g
+                if np.any(in_g):
+                    fp_share[g] = float(np.mean(y_tt[in_g] == 0))
+                if np.any(y_tt == 1):
+                    pos_share[g] = int(np.sum(y_tt[in_g] == 1)) / int(np.sum(y_tt == 1))
+            pool_X = np.concatenate([pool_X, x_rev[accepted]])
+            pool_y = np.concatenate([pool_y, y_tt])
+            pool_g = np.concatenate([pool_g, grp[accepted]])
+            curated_X = np.concatenate([curated_X, x_rev[accepted]])
+            curated_y = np.concatenate([curated_y, y_tt])
+            curated_rounds = np.concatenate([curated_rounds, np.full(accepted.size, t, dtype=int)])
+            curated_rows = np.concatenate([curated_rows, accepted])
+        records.append(LoopRound(
+            round=t, psi=float(np.mean(accessed)), omega=omega, zeta=zeta, pos_rate_by_group=pos_rate,
+            fp_share_by_group=fp_share, curated_pos_share_by_group=pos_share,
+            curated_size=len(pool_y), events=tuple(events),
+        ))
+    trajectory = LoopTrajectory(regime=regime, seed_size=cfg.n_per_round, rounds=tuple(records))
+    curated = CuratedDataset(
+        feature_names=names, X=curated_X, y=curated_y, rounds=curated_rounds, source_rows=curated_rows
+    )
+    return trajectory, curated

@@ -1,3 +1,4 @@
+import dataclasses
 import operator
 import threading
 import weakref
@@ -17,7 +18,7 @@ from equity_audit.loopsim import (
     run_inequity_loop,
     trajectory_to_csv,
 )
-from oracles import where_cohort
+from oracles import loop_oracle, where_cohort
 
 
 def small_config(seed=42, **overrides) -> SyntheticConfig:
@@ -312,6 +313,40 @@ class TestRunInequityLoop:
         traj, _ = run_inequity_loop(small_config(), 2, "access_and_outcome")
         assert len(traj.rounds) == 2
         assert all(not np.isnan(r.zeta) for r in traj.rounds)
+
+
+class TestLoopOracle:
+    """The loop agrees with the plain loop of ``tests/oracles.py`` in every field and curated byte."""
+
+    @staticmethod
+    def assert_matches_oracle(cfg, rounds, regime):
+        trajectory, curated = run_inequity_loop(cfg, rounds, regime)
+        want_trajectory, want_curated = loop_oracle(cfg, rounds, regime)
+        assert repr(trajectory) == repr(want_trajectory)  # every LoopRound field, NaN and -0.0 too
+        for name in ("X", "y", "rounds", "source_rows"):
+            have, want = getattr(curated, name), getattr(want_curated, name)
+            assert have.dtype == want.dtype and have.shape == want.shape
+            assert have.tobytes() == want.tobytes(), name
+        return trajectory
+
+    @pytest.mark.parametrize("seed", range(40, 50))
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_default_config(self, seed, regime):
+        self.assert_matches_oracle(default_config(seed), 10, regime)
+
+    def test_every_event(self):
+        events = set()
+        for regime in REGIMES:
+            for cfg, rounds in (
+                (TestRunInequityLoop.SINGLE_CLASS, 2),
+                (dataclasses.replace(default_config(5), n_per_round=6), 5),
+            ):
+                trajectory = self.assert_matches_oracle(cfg, rounds, regime)
+                events.update(e.split(":")[0] for r in trajectory.rounds for e in r.events)
+        assert events == {
+            "round skipped", "outcome equalization skipped", "omega undefined",
+            "no accepted individuals this round",
+        }
 
 
 class TestDrawsAhead:
