@@ -48,7 +48,7 @@ from .learner import (
     predict_with_group_thresholds,
     train,
 )
-from .metrics import eo_violation
+from .metrics import DEFAULT_OUTCOME_EPSILON, _log_cells, _outcome_from_cells
 from .reports import _csv_text
 
 REGIMES = ("no_equity", "access_only", "access_and_outcome", "full_equity")
@@ -412,13 +412,6 @@ def curate_ground_truth(
     return CuratedDataset.from_columns(names, features, labels, round, rows)
 
 
-def _group_rate(values: np.ndarray, groups: np.ndarray, g: int) -> float:
-    mask = groups == g
-    if not np.any(mask):
-        return float("nan")
-    return float(np.mean(values[mask]))
-
-
 def run_inequity_loop(
     cfg: SyntheticConfig, rounds: int, regime: str
 ) -> tuple[LoopTrajectory, CuratedDataset]:
@@ -478,19 +471,11 @@ def run_inequity_loop(
         pending = drawer.submit(_cohort_draws, cfg, t + 1) if t < rounds else None
         x_rev, y_rev, accessed = reveal_population(cohort.proxy, om_p, proxy_policy)
         groups = cohort.proxy.groups()
-        psi = float(np.mean(accessed))
 
         if thresholds is not None:
             preds = predict_with_group_thresholds(model, x_rev, groups, thresholds)
         else:
             preds = np.asarray(predict(model, x_rev))
-
-        try:
-            omega = eo_violation(preds, y_rev, groups).eo_violation
-        except UndefinedRateError as exc:
-            omega = float("nan")
-            events.append(f"omega undefined: {exc}")
-        pos_rate = {g: _group_rate(preds, groups, g) for g in (0, 1)}
 
         # evaluation-side features: cleared entirely under full equity;
         # otherwise the decision-time residue depends on the access regime
@@ -500,51 +485,41 @@ def run_inequity_loop(
             x_eval = cohort.x_intended_after_access
         else:
             x_eval = cohort.x_intended
+        y_eval = predict(env_model, x_eval)
 
-        b_mask = preds == 1
-        m = int(np.sum(b_mask))
+        # axes: evaluation label if accepted, group, revealed label, decision
+        table = _log_cells(preds, y_rev, groups, y_eval).reshape(2, 2, 2, 2)
+        members = table.sum(axis=(0, 2, 3)).tolist()  # by group
+        admitted = table[..., 1].sum(axis=(0, 2)).tolist()
+        confirmed = table[1, ..., 1].sum(axis=1).tolist()  # admitted with evaluation label 1
+        m, positives = sum(admitted), sum(confirmed)
+        cells = table.sum(axis=0).ravel().tolist()  # cell 4*group + 2*label + decision
+        try:
+            omega = _outcome_from_cells(cells, DEFAULT_OUTCOME_EPSILON).eo_violation
+        except UndefinedRateError as exc:
+            omega = float("nan")
+            events.append(f"omega undefined: {exc}")
         if m == 0:
             events.append("no accepted individuals this round")
-            return LoopRound(
-                round=t,
-                psi=psi,
-                omega=omega,
-                zeta=float("nan"),
-                pos_rate_by_group=pos_rate,
-                fp_share_by_group={0: 0.0, 1: 0.0},
-                curated_pos_share_by_group={0: 0.0, 1: 0.0},
-                curated_size=size,
-                events=tuple(events),
-            )
 
-        y_tt = np.asarray(predict(env_model, x_eval[b_mask]), dtype=int)
-        zeta = float(np.mean(y_tt == 1))
-
-        b_groups = groups[b_mask]
+        # an empty batch writes no pool row and adds an empty batch of rows
+        b_mask = preds == 1
         pool_X[size : size + m] = x_rev[b_mask]
-        pool_y[size : size + m] = y_tt
-        pool_groups[size : size + m] = b_groups
+        pool_y[size : size + m] = y_eval[b_mask]
+        pool_groups[size : size + m] = groups[b_mask]
         pool_rounds[size : size + m] = t
         size += m
         batch_rows.append(np.flatnonzero(b_mask))
-
-        fp_share = {}
-        for g in (0, 1):
-            in_g = b_groups == g
-            fp_share[g] = float(np.mean(y_tt[in_g] == 0)) if np.any(in_g) else 0.0
-        pos_total = int(np.sum(y_tt == 1))
-        pos_share = {
-            g: (float(np.sum((y_tt == 1) & (b_groups == g))) / pos_total if pos_total else 0.0)
-            for g in (0, 1)
-        }
         return LoopRound(
             round=t,
-            psi=psi,
+            psi=float(np.mean(accessed)),
             omega=omega,
-            zeta=zeta,
-            pos_rate_by_group=pos_rate,
-            fp_share_by_group=fp_share,
-            curated_pos_share_by_group=pos_share,
+            zeta=positives / m if m else float("nan"),
+            pos_rate_by_group={g: admitted[g] / members[g] if members[g] else float("nan") for g in (0, 1)},
+            fp_share_by_group={
+                g: (admitted[g] - confirmed[g]) / admitted[g] if admitted[g] else 0.0 for g in (0, 1)
+            },
+            curated_pos_share_by_group={g: confirmed[g] / positives if positives else 0.0 for g in (0, 1)},
             curated_size=size,
             events=tuple(events),
         )
