@@ -216,8 +216,8 @@ class CuratedDataset:
         """One curation round's rows, given as columns.
 
         ``X`` holds one row of deployed-view features per individual, ``y``
-        their 0/1 evaluation labels and ``source_rows`` their integer rows
-        in the round's cohort, in the same order.
+        their 0/1 evaluation labels and ``source_rows`` their nonnegative
+        integer rows in the round's cohort, in the same order.
         """
         feature_names = tuple(feature_names)
         try:
@@ -229,20 +229,27 @@ class CuratedDataset:
                 f"curated features must be (n, {len(feature_names)}) for feature names "
                 f"{feature_names}, got shape {X.shape}"
             )
-        y = np.asarray(y)
-        source_rows = np.asarray(source_rows, dtype=np.int64)
-        if y.shape != (len(X),) or source_rows.shape != (len(X),):
+        y, rows = np.asarray(y), np.asarray(source_rows)
+        if y.shape != (len(X),) or rows.shape != (len(X),):
             raise ValidationError(
                 f"curated labels and source rows need one entry per feature row ({len(X)}), "
-                f"got shapes {y.shape} and {source_rows.shape}"
+                f"got shapes {y.shape} and {rows.shape}"
             )
-        _binary_values(y, "curated labels")  # as given, so a 0.5 is not truncated to 0
+        # both checked as given, so a 0.5 is not truncated to 0 nor a row 1.7 to 1
+        _binary_values(y, "curated labels")
+        if rows.dtype.kind not in "iuf":
+            raise ValidationError(f"curated source rows must be integers, got dtype {rows.dtype}")
+        bad = ~((rows >= 0) & (rows == np.trunc(rows)) & (rows < 2**63))
+        if bad.any():
+            raise ValidationError(
+                f"curated source rows must be nonnegative integers, got {np.unique(rows[bad]).tolist()}"
+            )
         return cls(
             feature_names=feature_names,
             X=X,
             y=y.astype(int, copy=False),
             rounds=np.full(len(y), round, dtype=int),
-            source_rows=source_rows,
+            source_rows=rows.astype(np.int64, copy=False),
         )
 
 

@@ -173,6 +173,25 @@ class TestCurateGroundTruth:
         batch = CuratedDataset.from_columns(("a",), [[1.0], [2.0]], [1.0, 0.0], 1, [0, 1])
         assert batch.y.dtype == int and batch.y.tolist() == [1, 0]
 
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            ([0.5, 1.7], r"nonnegative integers, got \[0.5, 1.7\]"),
+            ([-1, 0], r"nonnegative integers, got \[-1\]"),
+            ([float("nan"), 1], r"nonnegative integers, got \[nan\]"),
+            ([1e19, 1], r"nonnegative integers, got \[1e\+19\]"),
+            (["0", "1"], "must be integers, got dtype <U1"),
+        ],
+    )
+    def test_source_rows_checked_before_any_cast(self, rows, match):
+        # a row 1.7 must not be stored as 1, nor a -1 formatted as r1--1
+        with pytest.raises(ValidationError, match=match):
+            CuratedDataset.from_columns(("a",), [[1.0], [2.0]], [1, 0], 1, rows)
+
+    def test_integral_float_rows_load_as_int64(self):
+        batch = CuratedDataset.from_columns(("a",), [[1.0], [2.0]], [1, 0], 1, [3.0, 0.0])
+        assert batch.source_rows.dtype == np.int64 and batch.source_ids == ("r1-3", "r1-0")
+
 
 class TestRunInequityLoop:
     def test_single_round_trajectory(self):
