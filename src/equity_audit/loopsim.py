@@ -358,29 +358,41 @@ def generate_cohort(
 
     # one column at a time. The obstacle-free views are latent plus noise.
     # An obstacle subtracts its degradation times the 0/1 flag from each
-    # affected column: a draw times 0.0 is +0.0 (draws are finite and
-    # nonnegative) and z - 0.0 == z bit for bit, -0.0 included, so each
-    # view is the masked subtraction without a select
+    # affected column: a finite nonnegative draw times 0.0 is +0.0 and
+    # z - 0.0 == z bit for bit, -0.0 included, so each view is the masked
+    # subtraction without a select
     z_p, z_t = draws.noise_p, draws.noise_t
     for z in (z_p, z_t):
         for j in range(z.shape[1]):
             z[:, j] += loaded
     flag = flagged.astype(float)
-    x_p = z_p.copy()
-    for j in np.flatnonzero(np.asarray(cfg.alpha_proxy) > 0):
-        x_p[:, j] -= draws.deg_p[:, j] * flag
-    # evaluation-side state: decision-time residue, then the evaluation-specific part
-    x_t_full, x_t_after_access = z_t.copy(), z_t.copy()
-    for j in np.flatnonzero(np.asarray(cfg.alpha_intended) > 0):
-        util = draws.deg_util[:, j] * flag
-        x_t_full[:, j] -= draws.deg_carry[:, j] * flag
-        x_t_full[:, j] -= util
-        x_t_after_access[:, j] -= util
-
     w_p = np.asarray(cfg.true_model_coefficients[0], dtype=float)
     flip_p = draws.u_flip < cfg.label_noise
-    y_prime_p = ((z_p @ w_p >= 0) ^ flip_p).astype(int)
-    y_p = ((x_p @ w_p >= 0) ^ flip_p).astype(int)
+    # a draw or a score past the float range stops the build before any
+    # warning: an overflow or an inf times 0 raises here, and an inf draw
+    # on a flagged row leaves a view that is not finite
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            x_p = z_p.copy()
+            for j in np.flatnonzero(np.asarray(cfg.alpha_proxy) > 0):
+                x_p[:, j] -= draws.deg_p[:, j] * flag
+            # evaluation-side state: decision-time residue, then the evaluation-specific part
+            x_t_full, x_t_after_access = z_t.copy(), z_t.copy()
+            for j in np.flatnonzero(np.asarray(cfg.alpha_intended) > 0):
+                util = draws.deg_util[:, j] * flag
+                x_t_full[:, j] -= draws.deg_carry[:, j] * flag
+                x_t_full[:, j] -= util
+                x_t_after_access[:, j] -= util
+            y_prime_p = ((z_p @ w_p >= 0) ^ flip_p).astype(int)
+            y_p = ((x_p @ w_p >= 0) ^ flip_p).astype(int)
+        finite = np.isfinite(x_p).all() and np.isfinite(x_t_full).all()
+    except FloatingPointError:
+        finite = False
+    if not finite:
+        raise ValidationError(
+            f"cohort {round} leaves the float range: obstacle_severity={cfg.obstacle_severity!r} "
+            f"or true_model_coefficients={cfg.true_model_coefficients!r} is too large"
+        )
 
     proxy = Population(
         x=x_p, z=z_p, y=y_p, y_prime=y_prime_p, grp=grp, ids=range(cfg.n_per_round),

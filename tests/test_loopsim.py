@@ -1,6 +1,7 @@
 import dataclasses
 import operator
 import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -110,6 +111,18 @@ class TestGeneratePopulation:
             with pytest.raises(ValidationError, match=field):
                 small_config(**{field: value})
         assert small_config(n_per_round=np.int64(50)).n_per_round == 50
+        # finite values whose cohort leaves the float range are refused before any warning
+        for field, value in [
+            ("obstacle_severity", 1e308),
+            ("true_model_coefficients", ((1e308,) * 3, (1.0,) * 3)),
+        ]:
+            cfg = small_config(seed=1, n_per_round=200, **{field: value})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError, match=rf"cohort 1 leaves the float range: .*{field}"):
+                    generate_cohort(cfg, 1)
+                with pytest.raises(ValidationError, match=rf"cohort 0 leaves the float range: .*{field}"):
+                    run_inequity_loop(cfg, 2, "no_equity")
 
 
 class TestCurateGroundTruth:
