@@ -111,12 +111,17 @@ class TestGeneratePopulation:
             with pytest.raises(ValidationError, match=field):
                 small_config(**{field: value})
         assert small_config(n_per_round=np.int64(50)).n_per_round == 50
-        # finite values whose cohort leaves the float range are refused before any warning
-        for field, value in [
-            ("obstacle_severity", 1e308),
-            ("true_model_coefficients", ((1e308,) * 3, (1.0,) * 3)),
+        # finite values whose cohort leaves the float range are refused before any warning.
+        # In the second config everyone is flagged and no sum overflows, so no inf draw is
+        # multiplied by 0 and no operation raises: the views hold the inf
+        everyone = {0: 1.0, 1: 1.0}
+        for field, overrides in [
+            ("obstacle_severity", {"obstacle_severity": 1e308}),
+            ("obstacle_severity", {"obstacle_severity": 1e308, "obstacle_prob_by_group": everyone, "seed": 0,
+                                   "n_per_round": 3}),
+            ("true_model_coefficients", {"true_model_coefficients": ((1e308,) * 3, (1.0,) * 3)}),
         ]:
-            cfg = small_config(seed=1, n_per_round=200, **{field: value})
+            cfg = small_config(**{"seed": 1, "n_per_round": 200} | overrides)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValidationError, match=rf"cohort 1 leaves the float range: .*{field}"):
