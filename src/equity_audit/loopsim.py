@@ -257,11 +257,24 @@ class CuratedDataset:
 class LoopRound:
     """Metrics observed in one simulated round.
 
-    ``fp_share_by_group[g]`` is the false-positive rate among group g's
-    accepted members this round: the share of them whose evaluation label
-    is 0 (0.0 when none is accepted). It is not the case study's
-    ``UtilizationReport.per_group_fp_share``, each group's share of all
-    false positives, which sums to 1.
+    ``psi`` is the share of the cohort with full access. Every other rate
+    is a ratio of the round's count table over (evaluation label if
+    accepted, group, revealed label, decision):
+
+    * ``omega``: |dTPR| + |dFPR| of the decisions against the revealed
+      labels (NaN when a group lacks a label class);
+    * ``zeta``: accepted with evaluation label 1 over accepted (NaN when
+      none is accepted);
+    * ``pos_rate_by_group[g]``: group g's accepted over group g's members;
+    * ``fp_share_by_group[g]``: group g's accepted with evaluation label 0
+      over group g's accepted (0.0 when none is), the false-positive rate
+      among them. It is not the case study's
+      ``UtilizationReport.per_group_fp_share``, each group's share of all
+      false positives, which sums to 1;
+    * ``curated_pos_share_by_group[g]``: group g's accepted with evaluation
+      label 1 over all accepted with evaluation label 1 (0.0 when none is).
+
+    A skipped round counts no table: its rates are NaN and its shares 0.0.
     """
 
     round: int

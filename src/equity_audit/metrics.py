@@ -229,6 +229,11 @@ def _log_cells(p: np.ndarray, y: np.ndarray, g: np.ndarray, t: np.ndarray | None
     None for any other log: another dtype or shape, a value outside 0/1 in
     ``p``, ``y`` or ``g``, or a ``t`` outside 0/1 where ``p`` is 1. A
     ``t`` of None counts as 0 throughout.
+
+    Two callers count with it: :func:`audit_reports`, over a prediction
+    log, and the inequity loop, over each round's cohort. The loop passes
+    an evaluation label for every member; the kernel keeps it only where
+    the decision is 1, so a rejected member's counts as 0.
     """
     columns = [c for c in (p, y, g, t) if c is not None]
     if p.ndim != 1 or any(c.dtype.kind != "i" or c.shape != p.shape for c in columns):
