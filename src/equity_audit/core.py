@@ -234,10 +234,14 @@ def reveal_population(
     Returns ``(X_rev, y_rev, fully_accessed)`` where rows follow the
     population's order: a row whose obstacle magnitude is zero or fully
     alleviated by the policy reveals ``(z, y_prime)`` and is marked
-    accessed; every other row reveals ``(x, y)``. Deterministic.
+    accessed; every other row reveals ``(x, y)``. ``X_rev`` is a new
+    C-contiguous (n, d) block, whatever the layout of the population's
+    columns. Deterministic.
     """
     x, z = pop.x_matrix(), pop.z_matrix()
     accessed = _obstacle_access(x, z, model.alpha, policy.delta, pop._ids)
-    x_rev = np.where(accessed[:, None], z, x)
+    # selected per feature on the (d, n) transposes, whose result transposes
+    # back to a C-contiguous block when the columns are C-contiguous
+    x_rev = np.ascontiguousarray(np.where(accessed, z.T, x.T).T)
     y_rev = np.where(accessed, pop.labels_prime(), pop.labels())
     return x_rev, y_rev, accessed

@@ -19,7 +19,12 @@ with ``l2 = 0`` has no finite optimum) stops there and reports
 The fit runs feature-major, on a C-contiguous (d, n) copy of the
 features standardized in place, so its reductions run along the
 contiguous axis and the result does not depend on the layout of the
-input. A fit allocates its n-sized and (d, n) buffers once, and every
+input. A column whose mean or variance leaves the float range is
+refused with a ``ValidationError`` naming it, before numpy can warn.
+Prediction standardizes a feature-major copy the same way and takes the
+product ``Xs @ coefficients`` on a C-contiguous (n, d) block, so its bits
+do not depend on the layout of the input either. A fit allocates its
+n-sized and (d, n) buffers once, and every
 Newton step writes into them in the order the formulas name, so reusing
 them changes no bit. A constant column keeps weight 0 and stays out of
 the fit; without a penalty, linearly dependent columns (a duplicated
@@ -470,8 +475,16 @@ def train(
     # caller's memory for a Fortran-ordered or one-column X), so the copy
     # is standardized in place
     XT = np.array(X.T, order="C")
-    mu = XT.mean(axis=1)
-    var = XT.var(axis=1)
+    # a column whose mean or variance overflows cannot be standardized; it
+    # is refused here, before numpy warns about it. An overflowed mean
+    # makes the variance inf or NaN, so the variance tells both
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = XT.mean(axis=1)
+        var = XT.var(axis=1)
+    finite = np.isfinite(var)
+    if not finite.all():
+        name = spec.feature_names[int(np.argmin(finite))]
+        raise ValidationError(f"feature {name!r} is too large to standardize: its mean or variance overflows")
     sigma = np.sqrt(np.maximum(var, _VARIANCE_FLOOR))
     XT -= mu[:, None]
     XT /= sigma[:, None]
@@ -509,7 +522,15 @@ def train(
 
 
 def predict_proba(model: TrainedModel, features) -> np.ndarray:
-    """Positive-class scores for one vector or a matrix of rows."""
+    """Positive-class scores for one vector or a matrix of rows.
+
+    The bits do not depend on the layout of ``features``, which is never
+    written. The logistic class standardizes a C-contiguous (d, n) copy in
+    place, as :func:`train` does, and takes the product ``Xs @
+    coefficients`` on its C-contiguous (n, d) transpose: a feature-major
+    operand (``c @ XT``) can round the last bit differently on some BLAS
+    builds.
+    """
     X = np.asarray(features, dtype=float)
     single = X.ndim == 1
     if single:
@@ -519,10 +540,12 @@ def predict_proba(model: TrainedModel, features) -> np.ndarray:
             f"expected {model.dim} features, got {X.shape[1]}"
         )
     if model.spec.function_class == "norm_threshold":
-        scores = np.linalg.norm(X, axis=1)
+        scores = np.linalg.norm(np.ascontiguousarray(X), axis=1)
     else:
-        Xs = (X - model.mu) / model.sigma
-        scores = _sigmoid(Xs @ model.coefficients + model.intercept)
+        XT = np.array(X.T, order="C")
+        XT -= model.mu[:, None]
+        XT /= model.sigma[:, None]
+        scores = _sigmoid(np.ascontiguousarray(XT.T) @ model.coefficients + model.intercept)
     return scores[0] if single else scores
 
 
@@ -586,8 +609,12 @@ def _group_threshold_grid(
     The curves are counted: with each group's positive and negative
     scores sorted once, the rows scoring at least a candidate are those
     past its ``searchsorted`` position, so no candidate-by-row decision
-    matrix is built. Labels and groups are checked as given, so a label
-    of 0.9 or 2 or a group of 0.2 is an error, not a truncated 0.
+    matrix is built. One stable radix ``argsort`` of the int8 key ``2 *
+    group + label`` lays the scores out as four contiguous runs (group 0
+    negatives, group 0 positives, group 1 negatives, group 1 positives),
+    each in row order, and each run is sorted in place. Labels and groups
+    are checked as given, so a label of 0.9 or 2 or a group of 0.2 is an
+    error, not a truncated 0.
     """
     scores = np.asarray(predict_proba(model, features), dtype=float)
     g = np.asarray(groups)
@@ -595,16 +622,28 @@ def _group_threshold_grid(
     sizes = [int(np.count_nonzero(mask)) for mask in masks]
     if 0 in sizes or sum(sizes) != g.size:
         raise ValidationError(f"need both groups 0 and 1, got {np.unique(g).tolist()}")
-    zero, positive = _binary_values(labels, "labels")
-
-    per_group = {}
-    for grp, mask in enumerate(masks):
-        in_pos = mask & positive
-        if not np.any(in_pos) or not np.any(mask & zero):
+    _, positive = _binary_values(labels, "labels")
+    if g.shape != scores.shape or positive.shape != scores.shape:
+        raise ValidationError(
+            f"labels and groups need one entry per feature row ({scores.size}), "
+            f"got shapes {positive.shape} and {g.shape}"
+        )
+    key = masks[1].astype(np.int8) * 2 + positive
+    counts = np.bincount(key, minlength=4).tolist()
+    for grp in (0, 1):
+        if not counts[2 * grp] or not counts[2 * grp + 1]:
             raise ValidationError(
                 f"group {grp} lacks a label class; per-group thresholds undefined"
             )
-        s_pos, s_neg = np.sort(scores[in_pos]), np.sort(scores[mask ^ in_pos])
+    ordered = scores[np.argsort(key, kind="stable")]
+    ends = np.cumsum(counts).tolist()
+
+    per_group = {}
+    for grp in (0, 1):
+        s_neg = ordered[ends[2 * grp] - counts[2 * grp] : ends[2 * grp]]
+        s_pos = ordered[ends[2 * grp] : ends[2 * grp + 1]]
+        s_neg.sort()
+        s_pos.sort()
         # the group's scores in order: a stable sort merges the two sorted runs
         s = np.sort(np.concatenate([s_pos, s_neg]), kind="stable")
         qs = _sorted_quantiles(s, np.linspace(0.0, 1.0, min(n_candidates, s.size)))
@@ -687,16 +726,19 @@ def candidate_group_thresholds(
 def group_cutoffs(groups, thresholds: dict[int, float]) -> np.ndarray:
     """Each row's score cutoff: the threshold of its group.
 
-    Raises ``ValidationError`` naming the first group label that has no
-    threshold. Labels are read as given: a group of 0.5 has none, and is
-    not truncated to group 0.
+    Raises ``ValidationError`` naming the smallest group label that has
+    no threshold. Labels are read as given: a group of 0.5 has none, and
+    is not truncated to group 0.
     """
     g = np.asarray(groups)
     cuts = np.empty(g.shape)
-    for label in np.unique(g).tolist():
-        if label not in thresholds:
-            raise ValidationError(f"no decision threshold for group {label}")
-        cuts[g == label] = thresholds[label]
+    unfilled = np.ones(g.shape, dtype=bool)
+    for label, cut in thresholds.items():
+        rows = g == label
+        cuts[rows] = cut
+        unfilled &= ~rows
+    if unfilled.any():
+        raise ValidationError(f"no decision threshold for group {np.unique(g[unfilled]).tolist()[0]}")
     return cuts
 
 

@@ -128,6 +128,15 @@ class SyntheticConfig:
         ):
             if not all(map(math.isfinite, values)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
+        # the evaluation-view vector becomes a model whose importance divides
+        # by its L1 norm (a proxy-view vector that overflows is caught by the
+        # cohort's own float-range check)
+        with np.errstate(over="ignore"):
+            l1 = float(np.sum(np.abs(np.asarray(w_t, dtype=float))))
+        if not math.isfinite(l1):
+            raise ValidationError(
+                f"true_model_coefficients' evaluation view has an L1 norm past the float range, got {w_t!r}"
+            )
         if max(self.obstacle_prob_by_group.values()) > 0:
             if not any(a > 0 for a in self.alpha_proxy):
                 raise ValidationError(
@@ -534,14 +543,15 @@ def run_inequity_loop(
         if m == 0:
             events.append("no accepted individuals this round")
 
-        # an empty batch writes no pool row and adds an empty batch of rows
-        b_mask = preds == 1
-        pool_X[size : size + m] = x_rev[b_mask]
-        pool_y[size : size + m] = y_eval[b_mask]
-        pool_groups[size : size + m] = groups[b_mask]
+        # the accepted rows are appended by index; an empty batch writes no
+        # pool row and adds an empty batch of rows
+        rows = np.flatnonzero(preds == 1)
+        pool_X[size : size + m] = x_rev[rows]
+        pool_y[size : size + m] = y_eval[rows]
+        pool_groups[size : size + m] = groups[rows]
         pool_rounds[size : size + m] = t
         size += m
-        batch_rows.append(np.flatnonzero(b_mask))
+        batch_rows.append(rows)
         return LoopRound(
             round=t,
             psi=float(np.mean(accessed)),

@@ -227,7 +227,7 @@ def run_equity_scoring(
         ipolicy = intended_space.candidate_policies[ipolicy_id]
         ix_rev, iy_rev, _ = reveal_population(*_spec_view(intended_space, ispec), ipolicy)
         try:
-            imodel = train(ispec, ix_rev[fit_mask], iy_rev[fit_mask], cfg.seed)
+            imodel = train(ispec, ix_rev[fit_rows], iy_rev[fit_rows], cfg.seed)
         except (SingleClassError, ValidationError):
             return None
         y_tt = np.asarray(predict(imodel, ix_rev[b_rows]))
@@ -301,6 +301,7 @@ def run_equity_scoring(
         b_rows = np.array([intended_ids[ind_id] for ind_id in b_ids], dtype=int)
         fit_mask = np.ones(len(intended_space.dataset), dtype=bool)
         fit_mask[b_rows] = False
+        fit_rows = np.flatnonzero(fit_mask)
 
         # the sampler's streams reshuffle independently, so a pair can be
         # drawn twice in one iteration; on the same rows it reaches the same

@@ -12,6 +12,9 @@ package's earlier implementations, kept to pin their counting replacements
 bit for bit. So are the ``np.where`` forms of the sigmoid, the logistic
 terms and the cohort generator, and the per-row population validator:
 they pin the branch-free, buffer-reusing and whole-array replacements.
+So are the boolean-mask threshold grid, the ``np.unique`` group cutoffs
+and the row-major logistic prediction formula: they pin the grid's radix
+ordering, the cutoffs' fill by threshold and feature-major prediction.
 The case-study oracle is the package's earlier per-regime loop: it calls
 the package's training, threshold and metric functions and pins only how
 the loop combines them. The inequity-loop oracle does the same for
@@ -237,6 +240,65 @@ def threshold_grid_dense(scores, labels, groups, decision_threshold, n_candidate
     gap = np.abs(tpr0[:, None] - tpr1[None, :]) + np.abs(fpr0[:, None] - fpr1[None, :])
     combined_acc = w0 * acc0[:, None] + w1 * acc1[None, :]
     return per_group, gap, combined_acc
+
+
+def row_major_proba(model, X):
+    """The package's earlier logistic ``predict_proba``: the formula on a C-ordered (n, d) matrix."""
+    from equity_audit.learner import _sigmoid
+
+    X = np.ascontiguousarray(X, dtype=float)
+    return _sigmoid(((X - model.mu) / model.sigma) @ model.coefficients + model.intercept)
+
+
+def threshold_grid_masks(model, features, labels, groups, n_candidates):
+    """The package's earlier ``_group_threshold_grid``: each group's label classes picked by boolean masks."""
+    from equity_audit.errors import ValidationError
+    from equity_audit.learner import _binary_values, _sorted_quantiles, predict_proba
+
+    scores = np.asarray(predict_proba(model, features), dtype=float)
+    g = np.asarray(groups)
+    masks = (g == 0, g == 1)
+    sizes = [int(np.count_nonzero(mask)) for mask in masks]
+    if 0 in sizes or sum(sizes) != g.size:
+        raise ValidationError(f"need both groups 0 and 1, got {np.unique(g).tolist()}")
+    zero, positive = _binary_values(labels, "labels")
+
+    per_group = {}
+    for grp, mask in enumerate(masks):
+        in_pos = mask & positive
+        if not np.any(in_pos) or not np.any(mask & zero):
+            raise ValidationError(
+                f"group {grp} lacks a label class; per-group thresholds undefined"
+            )
+        s_pos, s_neg = np.sort(scores[in_pos]), np.sort(scores[mask ^ in_pos])
+        s = np.sort(np.concatenate([s_pos, s_neg]), kind="stable")
+        qs = _sorted_quantiles(s, np.linspace(0.0, 1.0, min(n_candidates, s.size)))
+        cands = np.unique(np.concatenate([qs, [model.decision_threshold, 0.0, 1.0 + 1e-12]]))
+        below_pos = np.searchsorted(s_pos, cands)
+        below_neg = np.searchsorted(s_neg, cands)
+        tpr = (s_pos.size - below_pos) / s_pos.size
+        fpr = (s_neg.size - below_neg) / s_neg.size
+        acc = (s_pos.size - below_pos + below_neg) / s.size
+        per_group[grp] = (cands, tpr, fpr, acc, sizes[grp] / g.size)
+
+    c0, tpr0, fpr0, acc0, w0 = per_group[0]
+    c1, tpr1, fpr1, acc1, w1 = per_group[1]
+    gap = np.abs(tpr0[:, None] - tpr1[None, :]) + np.abs(fpr0[:, None] - fpr1[None, :])
+    combined_acc = w0 * acc0[:, None] + w1 * acc1[None, :]
+    return per_group, gap, combined_acc
+
+
+def group_cutoffs_by_label(groups, thresholds):
+    """The package's earlier ``group_cutoffs``: one fill per label ``np.unique`` finds, in its order."""
+    from equity_audit.errors import ValidationError
+
+    g = np.asarray(groups)
+    cuts = np.empty(g.shape)
+    for label in np.unique(g).tolist():
+        if label not in thresholds:
+            raise ValidationError(f"no decision threshold for group {label}")
+        cuts[g == label] = thresholds[label]
+    return cuts
 
 
 def case_study_oracle(cfg, views):

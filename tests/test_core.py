@@ -142,6 +142,17 @@ class TestReveal:
             assert y_rev[i] == y_i
             assert access[i] == access_i
 
+    def test_revealed_block_is_c_contiguous_whatever_the_column_layout(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(30, 4))
+        z = x + rng.exponential(size=(30, 4)) * (np.arange(30) % 2 == 0)[:, None]
+        om = ObstacleModel.from_alpha([1.0, 0.0, 2.0, 0.0])
+        reference = reveal_population(make_population(z=z, x=x), om, Policy(1.5))[0]
+        assert reference.flags.c_contiguous
+        fortran = make_population(z=np.asfortranarray(z), x=np.asfortranarray(x))
+        x_rev = reveal_population(fortran, om, Policy(1.5))[0]
+        assert x_rev.flags.c_contiguous and x_rev.tobytes() == reference.tobytes()
+
 
 class TestValidation:
     def test_binary_fields_checked(self):

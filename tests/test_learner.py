@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -26,10 +28,13 @@ from equity_audit.learner import (
 )
 from equity_audit.reports import json_text
 from oracles import (
+    group_cutoffs_by_label,
     logistic_fit_reference,
     logistic_gradient_oracle,
     logistic_loss_oracle,
+    row_major_proba,
     threshold_grid_dense,
+    threshold_grid_masks,
     two_branch_sigmoid,
     where_logistic_terms,
     where_sigmoid,
@@ -786,3 +791,157 @@ class TestIterationsHyperparameter:
         X, y = separable_1d()
         model = train(ModelSpec(("f",), hyperparams={"iterations": 1.0}), X, y)
         assert model.n_iter == 1
+
+
+def _standardizing_model(d: int, rng) -> TrainedModel:
+    """A logistic model over d features with a standardization that is not the identity."""
+    coef = rng.normal(size=d)
+    return TrainedModel(
+        spec=ModelSpec(tuple(f"f{j}" for j in range(d))),
+        coefficients=coef,
+        intercept=float(rng.normal()),
+        mu=rng.normal(scale=3.0, size=d),
+        sigma=rng.uniform(0.3, 3.0, size=d),
+        importance=coef / np.abs(coef).sum(),
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 395, 4000])
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 10])
+def test_prediction_bits_do_not_depend_on_the_layout(d, n):
+    # every layout gives the row-major formula's bits on the C-ordered matrix;
+    # a Fortran-ordered matrix once took its own product and differed in the last bit
+    rng = np.random.default_rng(10 * n + d)
+    X = rng.normal(scale=rng.uniform(0.5, 20.0, size=d), size=(n, d))
+    model = _standardizing_model(d, rng)
+    reference = row_major_proba(model, X)
+    model = dataclasses.replace(model, decision_threshold=float(np.median(reference)))
+    groups = rng.integers(0, 2, size=n)
+    cuts = {0: float(np.quantile(reference, 0.3)), 1: float(np.quantile(reference, 0.7))}
+    decided = (reference >= model.decision_threshold).astype(int)
+    decided_by_group = (reference >= np.where(groups == 1, cuts[1], cuts[0])).astype(int)
+    layouts = {
+        "C order": X,
+        "Fortran order": np.asfortranarray(X),
+        "row view": np.repeat(X, 2, axis=0)[::2],  # every other row of a larger buffer
+    }
+    for name, features in layouts.items():
+        before = features.copy()
+        assert np.array_equal(_bits(predict_proba(model, features)), _bits(reference)), name
+        assert np.array_equal(predict(model, features), decided), name
+        assert np.array_equal(predict_with_group_thresholds(model, features, groups, cuts), decided_by_group), name
+        assert np.array_equal(_bits(features), _bits(before)), name
+    # one row given as a vector
+    row = X[0].copy()
+    want = row_major_proba(model, X[:1])[0]
+    assert _bits(predict_proba(model, row)) == _bits(want)
+    assert predict(model, row) == int(want >= model.decision_threshold)
+    assert predict_with_group_thresholds(model, row, groups[0], cuts) == int(want >= cuts[int(groups[0])])
+    assert np.array_equal(_bits(row), _bits(X[0]))
+
+
+def _assert_grids_equal(got, want):
+    (per_group, gap, combined_acc), (want_per_group, want_gap, want_combined) = got, want
+    for grp in (0, 1):
+        *curves, weight = per_group[grp]
+        *want_curves, want_weight = want_per_group[grp]
+        assert weight == want_weight
+        for have, expected in zip(curves, want_curves, strict=True):
+            assert have.dtype == expected.dtype and have.tobytes() == expected.tobytes()
+    for have, expected in ((gap, want_gap), (combined_acc, want_combined)):
+        assert have.dtype == expected.dtype and have.tobytes() == expected.tobytes()
+
+
+def test_radix_ordered_threshold_grid_equals_the_mask_grid():
+    # logits of +-800 and +-40 score exactly 0.0 and 1.0, and drawing them
+    # from a few values ties scores across labels and groups
+    rng = np.random.default_rng(31)
+    model = TrainedModel.from_coefficients(ModelSpec(("f",)), [1.0])
+    tied = np.array([-800.0, -40.0, -2.0, 0.0, 0.0, 0.5, 3.0, 40.0, 800.0])
+    ends_seen = set()
+    for case in range(240):
+        n = int(rng.integers(4, 400))
+        x = rng.choice(tied, size=n) if case % 2 else rng.normal(scale=4.0, size=n)
+        groups = rng.integers(0, 2, size=n)
+        labels = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(int)
+        if case % 3 == 0:  # one group has a single row of one label class
+            grp, cls = int(rng.integers(0, 2)), int(rng.integers(0, 2))
+            members = np.flatnonzero(groups == grp)
+            if members.size < 2:
+                continue
+            labels[members] = 1 - cls
+            labels[rng.choice(members)] = cls
+        sizes = {(g, y) for g, y in zip(groups.tolist(), labels.tolist())}
+        if len(sizes) < 4:
+            continue
+        if case % 5 == 0:
+            labels, groups = labels.astype(float), groups.astype(float)
+        n_candidates = int(rng.integers(1, 80))
+        features = x[:, None]
+        ends_seen.update({0.0, 1.0} & set(predict_proba(model, features).tolist()))
+        _assert_grids_equal(
+            _group_threshold_grid(model, features, labels, groups, n_candidates),
+            threshold_grid_masks(model, features, labels, groups, n_candidates),
+        )
+    assert ends_seen == {0.0, 1.0}
+
+
+@pytest.mark.parametrize("missing", [0, 1])
+@pytest.mark.parametrize("grp", [0, 1])
+def test_threshold_grid_names_the_group_lacking_a_label_class(grp, missing):
+    model = TrainedModel.from_coefficients(ModelSpec(("f",)), [1.0])
+    x = np.linspace(-2.0, 2.0, 12)[:, None]
+    groups = np.tile([0, 1], 6)
+    labels = np.tile([0, 0, 1, 1], 3)  # both classes in both groups
+    labels[groups == grp] = 1 - missing
+    message = f"group {grp} lacks a label class; per-group thresholds undefined"
+    for grid in (_group_threshold_grid, threshold_grid_masks):
+        with pytest.raises(ValidationError) as excinfo:
+            grid(model, x, labels, groups, 8)
+        assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "groups, thresholds, message",
+    [
+        ([0.5, 1.0, 0.0], {0: 0.3, 1: 0.7}, "no decision threshold for group 0.5"),
+        ([np.nan, 1.0, 0.5], {0: 0.3, 1: 0.7}, "no decision threshold for group 0.5"),  # NaN sorts last
+        ([np.nan, 1.0, 0.0], {0: 0.3, 1: 0.7}, "no decision threshold for group nan"),
+        ([0, 3, 1, 2], {0: 0.3, 1: 0.7, 5: 0.9}, "no decision threshold for group 2"),
+        ([1, 0, 1], {0: 0.3, 1: 0.7, 2: 0.9}, None),  # group 2 only in the thresholds
+        ([1.0, 0.0, 1.0], {0: 0.3, 1: 0.7}, None),
+    ],
+)
+def test_group_cutoffs_equal_the_fill_by_label(groups, thresholds, message):
+    if message is not None:
+        for cutoffs in (group_cutoffs, group_cutoffs_by_label):
+            with pytest.raises(ValidationError) as excinfo:
+                cutoffs(groups, thresholds)
+            assert str(excinfo.value) == message
+    else:
+        assert group_cutoffs(groups, thresholds).tobytes() == group_cutoffs_by_label(groups, thresholds).tobytes()
+
+
+class TestOverflowingFeatures:
+    @pytest.mark.parametrize(
+        "column",
+        [
+            pytest.param(lambda x: 1e300 * x, id="variance"),  # squared deviations past 1e308
+            pytest.param(lambda x: np.full_like(x, 1e308), id="mean"),  # the sum overflows
+        ],
+    )
+    def test_a_column_that_overflows_is_refused_before_any_warning(self, column):
+        X, y = separable_1d()
+        features = np.hstack([X, column(X)])
+        assert np.isfinite(features).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"feature 'big' is too large to standardize"):
+                train(ModelSpec(("f", "big")), features, y)
+
+    def test_a_large_column_that_stays_in_range_is_fitted(self):
+        X, y = separable_1d()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train(ModelSpec(("f",)), 1e150 * X, y)
+        assert model.converged is True and np.array_equal(predict(model, 1e150 * X), y)

@@ -129,6 +129,21 @@ class TestGeneratePopulation:
                 with pytest.raises(ValidationError, match=rf"cohort 0 leaves the float range: .*{field}"):
                     run_inequity_loop(cfg, 2, "no_equity")
 
+    def test_finite_inputs_that_overflow_the_learner_are_refused_before_any_warning(self):
+        # the evaluation model's importance divides by its coefficients' L1 norm, and a
+        # cohort that stays finite can still hold a column whose variance overflows
+        for overrides, message in [
+            ({"true_model_coefficients": ((1.0,) * 3, (1e308,) * 3)}, "true_model_coefficients"),
+            ({"obstacle_severity": 1e300}, "feature 'pf0' is too large to standardize"),
+        ]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError, match=message):
+                    cfg = dataclasses.replace(default_config(1), n_per_round=200, **overrides)
+                    run_inequity_loop(cfg, 2, "no_equity")
+        # the proxy view builds no model: its overflow is left to the cohort's check
+        small_config(true_model_coefficients=((1e308,) * 3, (1.0,) * 3))
+
 
 class TestCurateGroundTruth:
     def test_cardinality_and_labels(self):
