@@ -16,7 +16,10 @@ whose residual after alleviation is zero, interacts with the decision model
 at full capacity and reveals ``(z, y_prime)``; everyone else reveals
 ``(x, y)``. One kernel, :func:`_obstacle_access`, applies that rule to a
 block of rows; :func:`reveal_population` and ``metrics.model_access`` both
-run it, so they give a person the same bits.
+run it, so they give a person the same bits. :func:`reveal_population`
+chooses between ``z`` and ``x`` per feature and returns the revealed
+features as a new C-contiguous (n, d) block, whatever the layout of the
+population's columns.
 
 A :class:`Population` stores people as read-only columns, validated once.
 

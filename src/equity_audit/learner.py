@@ -635,13 +635,11 @@ def _group_threshold_grid(
             raise ValidationError(
                 f"group {grp} lacks a label class; per-group thresholds undefined"
             )
-    ordered = scores[np.argsort(key, kind="stable")]
-    ends = np.cumsum(counts).tolist()
+    runs = np.split(scores[np.argsort(key, kind="stable")], np.cumsum(counts)[:3])
 
     per_group = {}
     for grp in (0, 1):
-        s_neg = ordered[ends[2 * grp] - counts[2 * grp] : ends[2 * grp]]
-        s_pos = ordered[ends[2 * grp] : ends[2 * grp + 1]]
+        s_neg, s_pos = runs[2 * grp], runs[2 * grp + 1]
         s_neg.sort()
         s_pos.sort()
         # the group's scores in order: a stable sort merges the two sorted runs
@@ -734,7 +732,9 @@ def group_cutoffs(groups, thresholds: dict[int, float]) -> np.ndarray:
     cuts = np.empty(g.shape)
     unfilled = np.ones(g.shape, dtype=bool)
     for label, cut in thresholds.items():
-        rows = g == label
+        # a 0-d array is compared at the wider of the two dtypes, as the key
+        # is when it is looked up: a float32 0.1 is not the threshold of 0.1
+        rows = g == np.asarray(label)
         cuts[rows] = cut
         unfilled &= ~rows
     if unfilled.any():

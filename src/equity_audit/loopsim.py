@@ -24,8 +24,8 @@ mechanism the regimes toggle:
 Each round trains the deployed model on everything curated so far (the
 round-0 seed data is kept so training never starves), scores a fresh
 cohort, sends its accepted members to the evaluation model, and appends
-(deployed-view features, evaluation label) rows for accepted members only.
-Rejected members contribute nothing, which is exactly the selective
+(deployed-view features, evaluation label) rows for accepted members only,
+by their row indices in the cohort. Rejected members contribute nothing, which is exactly the selective
 labeling that lets the loop feed on its own decisions.
 """
 

@@ -810,7 +810,7 @@ def _standardizing_model(d: int, rng) -> TrainedModel:
 @pytest.mark.parametrize("d", [1, 2, 3, 6, 10])
 def test_prediction_bits_do_not_depend_on_the_layout(d, n):
     # every layout gives the row-major formula's bits on the C-ordered matrix;
-    # a Fortran-ordered matrix once took its own product and differed in the last bit
+    # a product on a Fortran-ordered operand can round the last bit differently
     rng = np.random.default_rng(10 * n + d)
     X = rng.normal(scale=rng.uniform(0.5, 20.0, size=d), size=(n, d))
     model = _standardizing_model(d, rng)
@@ -838,6 +838,16 @@ def test_prediction_bits_do_not_depend_on_the_layout(d, n):
     assert predict(model, row) == int(want >= model.decision_threshold)
     assert predict_with_group_thresholds(model, row, groups[0], cuts) == int(want >= cuts[int(groups[0])])
     assert np.array_equal(_bits(row), _bits(X[0]))
+
+
+@pytest.mark.parametrize("d", [9, 33])
+def test_norm_scores_do_not_depend_on_the_layout(d):
+    # numpy sums a contiguous row of 8 or more terms in 8 partial sums, a strided one in order
+    X = np.random.default_rng(d).normal(size=(395, d))
+    model = train(ModelSpec(tuple(f"f{j}" for j in range(d)), "norm_threshold", {"threshold": 3.0}), X, X[:, 0] > 0)
+    reference = np.linalg.norm(X, axis=1)
+    for features in (np.asfortranarray(X), np.repeat(X, 2, axis=0)[::2]):
+        assert np.array_equal(_bits(predict_proba(model, features)), _bits(reference))
 
 
 def _assert_grids_equal(got, want):
@@ -901,6 +911,15 @@ def test_threshold_grid_names_the_group_lacking_a_label_class(grp, missing):
         assert str(excinfo.value) == message
 
 
+def test_threshold_grid_needs_a_label_and_a_group_per_row():
+    model = TrainedModel.from_coefficients(ModelSpec(("f",)), [1.0])
+    x = np.linspace(-2.0, 2.0, 12)[:, None]
+    groups, labels = np.tile([0, 1], 6), np.tile([0, 0, 1, 1], 3)
+    for short_labels, short_groups in ((labels[:-4], groups), (labels, groups[:-4])):
+        with pytest.raises(ValidationError, match="one entry per feature row"):
+            _group_threshold_grid(model, x, short_labels, short_groups, 8)
+
+
 @pytest.mark.parametrize(
     "groups, thresholds, message",
     [
@@ -910,6 +929,8 @@ def test_threshold_grid_names_the_group_lacking_a_label_class(grp, missing):
         ([0, 3, 1, 2], {0: 0.3, 1: 0.7, 5: 0.9}, "no decision threshold for group 2"),
         ([1, 0, 1], {0: 0.3, 1: 0.7, 2: 0.9}, None),  # group 2 only in the thresholds
         ([1.0, 0.0, 1.0], {0: 0.3, 1: 0.7}, None),
+        ([True, False], {0: 0.3, 1: 0.7}, None),
+        (np.float32([0.1, 1.0]), {0.1: 0.3, 1: 0.7}, "no decision threshold for group 0.10000000149011612"),
     ],
 )
 def test_group_cutoffs_equal_the_fill_by_label(groups, thresholds, message):
