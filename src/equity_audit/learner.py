@@ -475,18 +475,20 @@ def train(
     # caller's memory for a Fortran-ordered or one-column X), so the copy
     # is standardized in place
     XT = np.array(X.T, order="C")
-    # a column whose mean or variance overflows cannot be standardized; it
-    # is refused here, before numpy warns about it. An overflowed mean
-    # makes the variance inf or NaN, so the variance tells both
+    # np.mean's and np.var's arithmetic, with the copy centered once, in
+    # place. A column whose mean or variance overflows cannot be
+    # standardized; it is refused here, before numpy warns about it. An
+    # overflowed mean makes the variance inf or NaN, so the variance tells both
+    n = XT.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = XT.mean(axis=1)
-        var = XT.var(axis=1)
+        mu = XT.sum(axis=1) / n
+        XT -= mu[:, None]
+        var = np.square(XT).sum(axis=1) / n
     finite = np.isfinite(var)
     if not finite.all():
         name = spec.feature_names[int(np.argmin(finite))]
         raise ValidationError(f"feature {name!r} is too large to standardize: its mean or variance overflows")
     sigma = np.sqrt(np.maximum(var, _VARIANCE_FLOOR))
-    XT -= mu[:, None]
     XT /= sigma[:, None]
     # a constant column carries nothing to fit and, with l2 = 0, would make
     # the Hessian singular: it keeps weight 0 and stays out of the fit

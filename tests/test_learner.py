@@ -747,6 +747,17 @@ class TestTrainLayout:
             assert np.array_equal(model.sigma, reference.sigma)
             assert np.array_equal(features, before)  # standardized on a copy of its own
 
+    @pytest.mark.parametrize("n, d", [(2, 1), (37, 3), (1000, 2), (4003, 6)])
+    def test_standardization_is_numpys_mean_and_variance(self, n, d):
+        # the fit spells out np.mean and np.var to center its copy once
+        rng = np.random.default_rng(n)
+        X = rng.normal(loc=rng.uniform(-1e3, 1e3, size=d), scale=rng.uniform(1e-3, 1e2, size=d), size=(n, d))
+        y = np.arange(n) % 2
+        model = train(ModelSpec(tuple(f"f{j}" for j in range(d))), X, y)
+        XT = np.ascontiguousarray(X.T)
+        assert model.mu.tobytes() == XT.mean(axis=1).tobytes()
+        assert model.sigma.tobytes() == np.sqrt(np.maximum(XT.var(axis=1), 1e-12)).tobytes()
+
     def test_one_column_input_is_left_unchanged(self):
         # the transpose of one column is C-contiguous already, so only an
         # explicit copy keeps the in-place standardization off the caller's array
