@@ -39,6 +39,8 @@ _KERNEL_CHARS = 1 << 22
 # chunks have each \r\n line end made \n before this test.
 _NOT_PLAIN = b'"\r\x1c\x1d\x1e\x1f'
 _INT64 = range(-(2**63), 2**63)
+# an integer column whose every value lies here is int8, any other int64
+_INT8 = np.iinfo(np.int8)
 # the most digits an ``_int_columns`` cell holds: every such number is in int64
 _INT_DIGITS = 18
 _COMMA, _NEWLINE, _MINUS, _ZERO = b",\n-0"
@@ -135,7 +137,7 @@ def _loadtxt(lines: list[str], cols: list) -> list[np.ndarray] | None:
 
 
 def _int_columns(text: bytes, width: int, indices: list[int]) -> list[np.ndarray] | None:
-    """Columns ``indices`` of plain all-integer text, one C-contiguous int64 array each; else None.
+    """Columns ``indices`` of plain all-integer text, one C-contiguous array each; else None.
 
     ``text`` is whole lines of bytes that ``_is_plain`` cleared. It is
     taken only when every row has exactly ``width`` cells and ends at a
@@ -149,7 +151,8 @@ def _int_columns(text: bytes, width: int, indices: list[int]) -> list[np.ndarray
     Text whose every cell is one digit is read as a byte grid
     (``_grid_columns``). Any other text, or text the grid turns down,
     goes to the separator scan (``_separated_columns``), which reads
-    cells of any width; both give the same values.
+    cells of any width; both give the same values, the grid as int8 and
+    the scan as int64. ``_read_csv_columns`` sets each column's width.
     """
     data = np.frombuffer(text, np.uint8)
     if data.size and data[-1] != _NEWLINE:
@@ -166,7 +169,9 @@ def _grid_columns(data: np.ndarray, width: int, indices: list[int]) -> list[np.n
     Each cell and the separator after it are read as one 16-bit pair and
     XORed with its template (``_COMMA_PAIR``, and ``_NEWLINE_FLIP`` too
     at a row's end), which leaves the digit's value in a pair that fits
-    and 10 or more in any other. The pairs are the one working array.
+    and 10 or more in any other. The pairs are the one working array, and
+    each column is int8: a digit always fits, and a wider column would
+    only be narrowed again (``_narrowed``).
     """
     if data.size % (2 * width):
         return None
@@ -175,7 +180,7 @@ def _grid_columns(data: np.ndarray, width: int, indices: list[int]) -> list[np.n
     cells[:, -1] ^= np.uint16(_NEWLINE_FLIP)
     if pairs.max(initial=0) > 9:
         return None
-    return [cells[:, i].astype(np.int64) for i in indices]
+    return [cells[:, i].astype(np.int8) for i in indices]
 
 
 def _separated_columns(data: np.ndarray, width: int, indices: list[int]) -> list[np.ndarray] | None:
@@ -249,6 +254,13 @@ def _body_columns(raw, width: int, cols: list, fault) -> list[np.ndarray]:
     return pieces[0] if len(pieces) == 1 else [np.concatenate(column) for column in zip(*pieces)]
 
 
+def _narrowed(column: np.ndarray) -> np.ndarray:
+    """An integer column at its width: int8 when every value lies in [-128, 127] (an empty column too), else int64 as read."""
+    if column.dtype == np.int8 or not column.size or _INT8.min <= column.min() and column.max() <= _INT8.max:
+        return column.astype(np.int8, copy=False)
+    return column
+
+
 def _store(column: np.ndarray, start: int, values: np.ndarray) -> np.ndarray:
     """``column`` with ``values`` written from ``start``, doubled in length when full.
 
@@ -294,7 +306,9 @@ def _read_csv_columns(path: Path, plan, fault) -> tuple[list[str], list]:
     pairs, ``convert`` being int, float or str, in the order the cells of a
     row are checked; ``fault(exc, cell, row, name)`` builds the error for a
     cell ``convert`` rejects. Returns the header and one column per pair:
-    an int64 or float64 array, or a list of str.
+    for int, an int8 array when every value lies in [-128, 127] (an empty
+    column too) and an int64 array otherwise, whichever reader took the
+    body; for float, a float64 array; for str, a list of str.
 
     Rows read as ``csv.DictReader`` reads them: blank lines are skipped and
     not counted, a name given twice reads its last column, a short row
@@ -320,7 +334,7 @@ def _read_csv_columns(path: Path, plan, fault) -> tuple[list[str], list]:
         cols = [(name, index[name], convert) for name, convert in columns]
         values = _body_columns(raw, len(header), cols, fault)
     return header, [
-        column.tolist() if convert is str else column
+        column.tolist() if convert is str else _narrowed(column) if convert is int else column
         for (_, _, convert), column in zip(cols, values)
     ]
 

@@ -619,7 +619,10 @@ def load_audit_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """Read a generic audit file: comma-delimited UTF-8 with pred,label,group.
 
     An optional ``y_tt`` column enables the utilization report. Returns
-    (preds, labels, groups, y_tt-or-None) as int64 arrays.
+    (preds, labels, groups, y_tt-or-None), each an int8 array when every
+    value in it lies in [-128, 127] (an empty column too, and every column
+    of a valid log) and an int64 array otherwise, whichever reader took
+    the file.
     """
     path = Path(path)
 

@@ -532,6 +532,11 @@ def predict_proba(model: TrainedModel, features) -> np.ndarray:
     coefficients`` on its C-contiguous (n, d) transpose: a feature-major
     operand (``c @ XT``) can round the last bit differently on some BLAS
     builds.
+
+    A row of finite features whose standardized values or score overflow
+    the float range is refused with a ValidationError naming the row,
+    before numpy warns about it. A non-finite feature scores as numpy
+    computes it.
     """
     X = np.asarray(features, dtype=float)
     single = X.ndim == 1
@@ -541,13 +546,24 @@ def predict_proba(model: TrainedModel, features) -> np.ndarray:
         raise ValidationError(
             f"expected {model.dim} features, got {X.shape[1]}"
         )
-    if model.spec.function_class == "norm_threshold":
-        scores = np.linalg.norm(np.ascontiguousarray(X), axis=1)
-    else:
-        XT = np.array(X.T, order="C")
-        XT -= model.mu[:, None]
-        XT /= model.sigma[:, None]
-        scores = _sigmoid(np.ascontiguousarray(XT.T) @ model.coefficients + model.intercept)
+    norm = model.spec.function_class == "norm_threshold"
+    # an overflow leaves the score inf or NaN: it is refused below, by row
+    with np.errstate(over="ignore", invalid="ignore"):
+        if norm:
+            scores = np.linalg.norm(np.ascontiguousarray(X), axis=1)
+        else:
+            XT = np.array(X.T, order="C")
+            XT -= model.mu[:, None]
+            XT /= model.sigma[:, None]
+            scores = np.ascontiguousarray(XT.T) @ model.coefficients + model.intercept
+    finite = np.isfinite(scores)
+    if not finite.all():
+        overflowed = ~finite & np.isfinite(X).all(axis=1)
+        if overflowed.any():
+            row = int(np.argmax(overflowed))
+            raise ValidationError(f"features of row {row} are too large to score: the score overflows", row=row)
+    if not norm:
+        scores = _sigmoid(scores)
     return scores[0] if single else scores
 
 

@@ -234,6 +234,11 @@ def _log_cells(p: np.ndarray, y: np.ndarray, g: np.ndarray, t: np.ndarray | None
     log, and the inequity loop, over each round's cohort. The loop passes
     an evaluation label for every member; the kernel keeps it only where
     the decision is 1, so a rejected member's counts as 0.
+
+    The key is built at the columns' own width: int8 columns, as
+    :func:`~equity_audit.dataio.load_audit_csv` returns them, make an
+    int8 key, and the only n-sized widening is ``np.bincount``'s cast of
+    it to intp.
     """
     columns = [c for c in (p, y, g, t) if c is not None]
     if p.ndim != 1 or any(c.dtype.kind != "i" or c.shape != p.shape for c in columns):

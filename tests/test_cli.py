@@ -7,12 +7,18 @@ import threading
 import time
 import tomllib
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from equity_audit import __version__, csvio
+from equity_audit import __version__, cli, csvio
 from equity_audit.cli import main
+from equity_audit.dataio import load_audit_csv
+from equity_audit.errors import EquityAuditError
+from equity_audit.metrics import audit_reports
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -195,6 +201,77 @@ class TestAudit:
         # a pipe is read once, as a file is: its plain body reaches the integer kernel
         assert plain_blocks == ["ints"]
         assert (tmp_path / "fifo" / "audit.json").read_bytes() == (tmp_path / "file" / "audit.json").read_bytes()
+
+    @staticmethod
+    def _runs(path, out, capsys) -> tuple:
+        """The exit code, stdout, stderr and ``audit.json`` bytes (None if not written) of an ``audit`` of ``path``."""
+        report = out / "audit.json"
+        report.unlink(missing_ok=True)
+        code = run_cli("--out", str(out), "audit", str(path))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, report.read_bytes() if report.exists() else None
+
+    @staticmethod
+    def _int64_runs(path, out, capsys) -> tuple:
+        """``_runs`` with every column the loader returns copied to int64."""
+        def widened(path):
+            return tuple(None if c is None else c.astype(np.int64) for c in load_audit_csv(path))
+
+        with mock.patch.object(cli, "load_audit_csv", widened):
+            return TestAudit._runs(path, out, capsys)
+
+    def test_a_y_tt_of_300_on_a_rejected_row_is_audited_as_before(self, tmp_path, capsys):
+        path = tmp_path / "log.csv"
+        path.write_text("pred,label,group,y_tt\n0,1,0,300\n1,1,0,1\n1,0,0,0\n0,0,0,1\n1,1,1,1\n0,0,1,1\n1,0,1,1\n0,1,1,0\n")
+        assert load_audit_csv(path)[3].dtype == np.int64
+        runs = self._runs(path, tmp_path / "r", capsys)
+        assert runs[0] == 0 and runs[2] == ""
+        assert runs == self._int64_runs(path, tmp_path / "r", capsys)
+
+    def test_narrow_columns_audit_as_their_int64_copies(self, tmp_path_factory, capsys):
+        """Mostly binary logs, up to three cells at the edges of int8, a group sometimes dropped.
+
+        ``audit_reports`` on the loader's columns gives the reports, or the
+        error, that it gives on int64 copies of them, and so does the
+        ``audit`` command: its exit code, output and report bytes.
+        """
+        folder = tmp_path_factory.mktemp("narrow")
+        path, out = folder / "log.csv", folder / "r"
+        seen = set()
+
+        def reports(columns):
+            try:
+                return tuple(map(repr, audit_reports(*columns)))
+            except EquityAuditError as exc:
+                return type(exc), str(exc), getattr(exc, "row", None)
+
+        @given(
+            st.lists(st.tuples(*[st.integers(0, 1)] * 4), min_size=4, max_size=24),
+            st.lists(
+                st.tuples(st.integers(0, 23), st.integers(0, 3), st.sampled_from([-129, -128, -1, 2, 127, 128])),
+                max_size=3,
+            ),
+            st.sampled_from(["both"] * 6 + ["no group 0", "no group 1"]),
+        )
+        @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+        def check(rows, swaps, groups_kept):
+            rows = [list(row) for row in rows]
+            for k, column, value in swaps:
+                rows[k % len(rows)][column] = value
+            if groups_kept != "both":
+                rows = [row for row in rows if row[2] != (0 if groups_kept == "no group 0" else 1)]
+            path.write_text("pred,label,group,y_tt\n" + "".join(",".join(map(str, row)) + "\n" for row in rows))
+            columns = load_audit_csv(path)
+            assert reports(columns) == reports([c.astype(np.int64) for c in columns])
+            assert self._runs(path, out, capsys) == self._int64_runs(path, out, capsys)
+            seen.update(f"y_tt {row[3]} on a {('rejected', 'accepted')[row[0]]} row"
+                        for row in rows if row[0] in (0, 1) and row[3] not in (0, 1))
+            seen.update({"int64 column"} if any(c.dtype == np.int64 for c in columns) else ())
+            seen.update({"missing group"} if groups_kept != "both" else ())
+
+        check()
+        assert {"int64 column", "missing group"} <= seen
+        assert any("rejected" in case for case in seen) and any("accepted" in case for case in seen)
 
     def test_degenerate_group_exit_3(self, tmp_path):
         path = tmp_path / "bad.csv"

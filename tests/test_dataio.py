@@ -1356,7 +1356,9 @@ class TestIntColumns:
         path.write_text("pred,label,group,y_tt\n1,0,10,1\n0,1,-3,0\n1,1,123456789012,1\n")
         columns = load_audit_csv(path)
         assert plain_blocks == ["ints"]
-        assert all(c.dtype == np.int64 and c.flags.c_contiguous for c in columns)
+        # int8 where every value fits, int64 in the column that holds 123456789012
+        assert [c.dtype for c in columns] == [np.int8, np.int8, np.int64, np.int8]
+        assert all(c.flags.c_contiguous for c in columns)
         with _csv_path_only():
             assert [c.tolist() for c in columns] == [c.tolist() for c in load_audit_csv(path)]
 
@@ -1385,7 +1387,7 @@ class TestIntColumns:
         columns = csvio._grid_columns(np.frombuffer(text.encode(), np.uint8), width, indices)
         with _separator_scan_only():
             assert _as_lists(columns) == _as_lists(csvio._int_columns(text.encode(), width, indices))
-        assert all(c.dtype == np.int64 and c.flags.c_contiguous for c in columns)
+        assert all(c.dtype == np.int8 and c.flags.c_contiguous for c in columns)
 
     def test_an_aligned_wide_cell_goes_to_the_separator_scan(self, grid_reads):
         # one row of 2 * width bytes whose first cell is two bytes wide
@@ -1400,6 +1402,77 @@ class TestIntColumns:
         assert columns[3].tolist() == [2, 1]
         with _csv_path_only():
             assert _as_lists(columns) == _as_lists(load_audit_csv(path))
+
+    @pytest.mark.parametrize(
+        "groups, width",
+        [([127, -128, 1], np.int8), ([128, 0, 1], np.int64), ([-129, 0, 1], np.int64)],
+    )
+    def test_a_column_is_int8_where_every_value_fits(self, tmp_path, plain_blocks, groups, width):
+        # the group column holds the values; the other columns are one digit
+        path = tmp_path / "a.csv"
+        path.write_text("pred,label,group,y_tt\n" + "".join(f"1,0,{g},1\n" for g in groups))
+        columns = load_audit_csv(path)
+        assert plain_blocks == ["ints"]
+        assert [c.dtype for c in columns] == [np.int8, np.int8, width, np.int8]
+        assert columns[2].tolist() == groups
+        outcome = _outcome(load_audit_csv, path)
+        with _separator_scan_only():
+            assert _outcome(load_audit_csv, path) == outcome
+        with _csv_path_only():
+            assert _outcome(load_audit_csv, path) == outcome
+
+    @pytest.mark.parametrize("k, width", [(127, np.int8), (-128, np.int8), (128, np.int64), (-129, np.int64)])
+    def test_numpys_reader_follows_the_width_rule(self, tmp_path, plain_blocks, k, width):
+        # a plan with a float column goes to np.loadtxt, as a population file's does
+        path = tmp_path / "a.csv"
+        path.write_text(f"x,k\n0.5,{k}\n1.5,0\n")
+
+        def read(path):
+            return csvio._read_csv_columns(path, lambda header: [("x", float), ("k", int)], None)[1]
+
+        outcome = _outcome(read, path)
+        assert plain_blocks == ["numpy"]
+        assert [dtype for dtype, _, _ in outcome] == [np.dtype(np.float64).str, np.dtype(width).str]
+        with _csv_path_only():
+            assert _outcome(read, path) == outcome
+
+    def test_population_labels_stay_int(self, tmp_path, plain_blocks):
+        path = tmp_path / "pop.csv"
+        path.write_text("id,group,y,y_prime,x_a,z_a\nu1,0,1,1,1.0,1.0\nu2,1,0,0,2.0,2.0\n")
+        pop = load_population_csv(path)
+        assert plain_blocks == ["numpy"]
+        assert {c.dtype for c in (pop.labels(), pop.labels_prime(), pop.groups())} == {np.dtype(int)}
+
+    def test_an_empty_body_reads_int8_columns(self, tmp_path, plain_blocks):
+        path = tmp_path / "a.csv"
+        path.write_text("pred,label,group,y_tt\n")
+        outcome = _outcome(load_audit_csv, path)
+        assert plain_blocks == ["ints"]
+        assert outcome == [(np.dtype(np.int8).str, (0,), b"")] * 4
+        with _csv_path_only():
+            assert _outcome(load_audit_csv, path) == outcome
+
+    @pytest.mark.parametrize("y_tt, width", [("1", np.int8), ("300", np.int64)])
+    def test_a_grid_chunk_then_a_csv_chunk(self, tmp_path, monkeypatch, plain_blocks, grid_reads, y_tt, width):
+        # 8-byte chunks: the grid reads two rows, then a quoted cell sends the rest to the csv module
+        monkeypatch.setattr(csvio, "_KERNEL_CHARS", 8)
+        path = tmp_path / "a.csv"
+        path.write_text(f'pred,label,group,y_tt\n1,0,1,1\n0,1,0,0\n"1",1,0,{y_tt}\n1,1,1,1\n')
+        columns = load_audit_csv(path)
+        assert (plain_blocks, grid_reads) == (["ints+csv"], [True, True])
+        assert [c.dtype for c in columns] == [np.int8, np.int8, np.int8, width]
+        assert columns[3].tolist() == [1, 0, int(y_tt), 1]
+        outcome = _outcome(load_audit_csv, path)
+        with _csv_path_only():
+            assert _outcome(load_audit_csv, path) == outcome
+
+    def test_a_y_tt_of_300_on_a_rejected_row_widens_that_column_only(self, tmp_path, plain_blocks):
+        path = tmp_path / "a.csv"
+        path.write_text("pred,label,group,y_tt\n0,1,0,300\n1,1,1,1\n")
+        columns = load_audit_csv(path)
+        assert plain_blocks == ["ints"]
+        assert [c.dtype for c in columns] == [np.int8, np.int8, np.int8, np.int64]
+        assert _as_lists(columns) == [[0, 1], [1, 1], [0, 1], [300, 1]]
 
     def test_grid_separator_scan_and_csv_path_agree(self, tmp_path_factory, plain_blocks, grid_reads):
         """One-byte-cell logs, perturbed or not: one outcome whichever reader takes them.
@@ -1421,7 +1494,9 @@ class TestIntColumns:
             columns = csvio._int_columns(body, len(names), indices)
             with _separator_scan_only():
                 assert _as_lists(columns) == _as_lists(csvio._int_columns(body, len(names), indices))
-            assert columns is None or all(c.dtype == np.int64 and c.flags.c_contiguous for c in columns)
+            # at the kernel, the grid gives int8 and the separator scan int64
+            width = np.int8 if grid_reads[-1] else np.int64
+            assert columns is None or all(c.dtype == width and c.flags.c_contiguous for c in columns)
             path.write_bytes(text.encode())
             with mock.patch.multiple(csvio, _BLOCK_CHARS=block_chars, _KERNEL_CHARS=kernel_chars):
                 outcome = _outcome(load_audit_csv, path)

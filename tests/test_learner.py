@@ -954,6 +954,9 @@ def test_group_cutoffs_equal_the_fill_by_label(groups, thresholds, message):
         assert group_cutoffs(groups, thresholds).tobytes() == group_cutoffs_by_label(groups, thresholds).tobytes()
 
 
+_HYPERPARAMS = {"logistic_regression": {}, "norm_threshold": {"threshold": 1.0}}
+
+
 class TestOverflowingFeatures:
     @pytest.mark.parametrize(
         "column",
@@ -977,3 +980,38 @@ class TestOverflowingFeatures:
             warnings.simplefilter("error")
             model = train(ModelSpec(("f",)), 1e150 * X, y)
         assert model.converged is True and np.array_equal(predict(model, 1e150 * X), y)
+
+    @pytest.mark.parametrize(
+        "function_class, row",
+        [("logistic_regression", [1e308, -1e308]), ("norm_threshold", [1e308, 1e308])],
+    )
+    def test_a_row_whose_score_overflows_is_refused_before_any_warning(self, function_class, row):
+        X, y = separable_1d()
+        features = np.hstack([X, -X])
+        model = train(ModelSpec(("f", "g"), function_class, _HYPERPARAMS[function_class]), features, y)
+        rows = np.array([features[0], row, features[1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for score in (
+                lambda rows: predict_proba(model, rows),
+                lambda rows: predict(model, rows),
+                lambda rows: predict_with_group_thresholds(model, rows, np.zeros(len(rows), int), {0: 0.5}),
+            ):
+                with pytest.raises(ValidationError) as excinfo:
+                    score(rows)
+                assert (str(excinfo.value), excinfo.value.row) == (
+                    "features of row 1 are too large to score: the score overflows", 1
+                )
+            with pytest.raises(ValidationError, match="row 0 are too large"):
+                predict_proba(model, np.array(row))
+            # the rows in range score as they do alone
+            assert predict_proba(model, rows[[0, 2]]).tobytes() == np.array(
+                [predict_proba(model, rows[0]), predict_proba(model, rows[2])]
+            ).tobytes()
+
+    @pytest.mark.parametrize("function_class", ["logistic_regression", "norm_threshold"])
+    def test_a_non_finite_feature_still_scores(self, function_class):
+        X, y = separable_1d()
+        model = train(ModelSpec(("f",), function_class, _HYPERPARAMS[function_class]), X, y)
+        scores = predict_proba(model, [[np.nan], [np.inf], [0.5]])
+        assert np.isnan(scores[0]) and scores[1] == (1.0 if function_class == "logistic_regression" else np.inf)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from equity_audit import metrics
 from equity_audit.core import ObstacleModel, Policy, Population, reveal_population
+from equity_audit.dataio import load_audit_csv
 from equity_audit.errors import EquityAuditError, NoPositivesError, UndefinedRateError, ValidationError
 from equity_audit.learner import ModelSpec, predict, train
 from equity_audit.metrics import (
@@ -615,3 +616,25 @@ class TestAuditReports:
         empty = np.zeros(0, dtype=np.int64)
         with pytest.raises(ValidationError, match=r"both groups 0 and 1 must be present, got \[\]"):
             audit_reports(empty, empty, empty, empty)
+
+    def test_a_200k_row_log_is_held_and_counted_at_byte_width(self, tmp_path):
+        # one byte a cell: four int64 columns held 6.10 MiB, and the count
+        # peaked at 7.63 MiB with them
+        import tracemalloc
+
+        cells = np.random.default_rng(28).integers(0, 2, size=(200_000, 4))
+        path = tmp_path / "log.csv"
+        path.write_text("pred,label,group,y_tt\n" + "".join(f"{a},{b},{c},{d}\n" for a, b, c, d in cells.tolist()))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            columns = load_audit_csv(path)
+            held = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            reports = audit_reports(*columns)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 1 << 20
+        assert peak < 3 << 20
+        assert reports == audit_reports(*cells.T)
