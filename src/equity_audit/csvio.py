@@ -256,7 +256,7 @@ def _body_columns(raw, width: int, cols: list, fault) -> list[np.ndarray]:
 
 def _narrowed(column: np.ndarray) -> np.ndarray:
     """An integer column at its width: int8 when every value lies in [-128, 127] (an empty column too), else int64 as read."""
-    if column.dtype == np.int8 or not column.size or _INT8.min <= column.min() and column.max() <= _INT8.max:
+    if column.dtype == np.int8 or not column.size or (_INT8.min <= column.min() and column.max() <= _INT8.max):
         return column.astype(np.int8, copy=False)
     return column
 
