@@ -216,27 +216,6 @@ class TrainedModel:
             "converged": self.converged,
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrainedModel":
-        spec = ModelSpec(
-            tuple(doc["feature_names"]),
-            doc["function_class"],
-            dict(doc.get("hyperparams", {})),
-        )
-        return cls(
-            spec=spec,
-            coefficients=np.asarray(doc["coefficients"], dtype=float),
-            intercept=float(doc["intercept"]),
-            mu=np.asarray(doc["mu"], dtype=float),
-            sigma=np.asarray(doc["sigma"], dtype=float),
-            importance=np.asarray(doc["importance"], dtype=float),
-            decision_threshold=float(doc.get("decision_threshold", 0.5)),
-            threshold=None if doc.get("threshold") is None else float(doc["threshold"]),
-            n_iter=None if doc.get("n_iter") is None else int(doc["n_iter"]),
-            grad_norm=None if doc.get("grad_norm") is None else float(doc["grad_norm"]),
-            converged=None if doc.get("converged") is None else bool(doc["converged"]),
-        )
-
 
 def _normalize_importance(coefficients: np.ndarray) -> np.ndarray:
     total = float(np.sum(np.abs(coefficients)))

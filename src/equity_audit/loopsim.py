@@ -48,7 +48,7 @@ from .learner import (
     predict_with_group_thresholds,
     train,
 )
-from .metrics import DEFAULT_OUTCOME_EPSILON, _log_cells, _outcome_from_cells
+from .metrics import DEFAULT_OUTCOME_EPSILON, _count_log, _group_counts, _outcome_from_table
 from .reports import _csv_text
 
 REGIMES = ("no_equity", "access_only", "access_and_outcome", "full_equity")
@@ -181,7 +181,6 @@ class Cohort:
     x_intended: np.ndarray
     z_intended: np.ndarray
     x_intended_after_access: np.ndarray
-    obstacle_flags: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -201,11 +200,6 @@ class CuratedDataset:
 
     def __len__(self) -> int:
         return int(self.X.shape[0])
-
-    @property
-    def source_ids(self) -> tuple[str, ...]:
-        """Each row's provenance as ``r<round>-<row>``, formatted when read."""
-        return tuple(map("r{}-{}".format, self.rounds.tolist(), self.source_rows.tolist()))
 
     @classmethod
     def empty(cls, feature_names: tuple[str, ...]) -> "CuratedDataset":
@@ -375,7 +369,6 @@ def generate_cohort(
         raise ValueError(f"draws {draws.key} given for cohort {(cfg.seed, round, cfg.n_per_round)}")
     grp = (draws.u_group < cfg.group_fraction).astype(int)
     probs = np.array([cfg.obstacle_prob_by_group[0], cfg.obstacle_prob_by_group[1]])
-    flagged = draws.u_obstacle < probs[grp]
     loaded = draws.latent * _LATENT_LOADING
 
     # one column at a time. The obstacle-free views are latent plus noise.
@@ -387,7 +380,7 @@ def generate_cohort(
     for z in (z_p, z_t):
         for j in range(z.shape[1]):
             z[:, j] += loaded
-    flag = flagged.astype(float)
+    flag = (draws.u_obstacle < probs[grp]).astype(float)
     w_p = np.asarray(cfg.true_model_coefficients[0], dtype=float)
     flip_p = draws.u_flip < cfg.label_noise
     # a draw or a score past the float range stops the build before any
@@ -425,7 +418,6 @@ def generate_cohort(
         x_intended=x_t_full,
         z_intended=z_t,
         x_intended_after_access=x_t_after_access,
-        obstacle_flags=flagged,
     )
 
 
@@ -528,15 +520,12 @@ def run_inequity_loop(
             x_eval = cohort.x_intended
         y_eval = predict(env_model, x_eval)
 
-        # axes: evaluation label if accepted, group, revealed label, decision
-        table = _log_cells(preds, y_rev, groups, y_eval).reshape(2, 2, 2, 2)
-        members = table.sum(axis=(0, 2, 3)).tolist()  # by group
-        admitted = table[..., 1].sum(axis=(0, 2)).tolist()
-        confirmed = table[1, ..., 1].sum(axis=1).tolist()  # admitted with evaluation label 1
+        # one count over (evaluation label if admitted, group, revealed label, decision)
+        table = _count_log(preds, y_rev, groups, y_eval)
+        members, admitted, confirmed = _group_counts(table)  # by group
         m, positives = sum(admitted), sum(confirmed)
-        cells = table.sum(axis=0).ravel().tolist()  # cell 4*group + 2*label + decision
         try:
-            omega = _outcome_from_cells(cells, DEFAULT_OUTCOME_EPSILON).eo_violation
+            omega = _outcome_from_table(table, DEFAULT_OUTCOME_EPSILON).eo_violation
         except UndefinedRateError as exc:
             omega = float("nan")
             events.append(f"omega undefined: {exc}")

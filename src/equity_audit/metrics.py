@@ -10,9 +10,7 @@ Definitions, all computed by exact counting:
   undefined) or no negatives (FPR undefined) raises
   :class:`~equity_audit.errors.UndefinedRateError` rather than defaulting.
 * model utilization ``zeta``: among individuals the deployed model accepted,
-  the fraction the evaluation model also marks positive, counted from the
-  evaluation labels and groups of the accepted rows
-  (:func:`utilization_from_labels`).
+  the fraction the evaluation model also marks positive.
 * feature gap ``gamma_x``: per evaluation-model feature, 0 when the deployed
   model reads a feature of the same (normalized) name, 1 otherwise.
 * label gap ``gamma_l``: per evaluation-model feature, the importance
@@ -24,6 +22,12 @@ Definitions, all computed by exact counting:
   is reported, never folded into the score.
 * equity score: ``psi + (1 - min(omega, 1)) + zeta`` in [0, 3]; 3 exactly at
   the perfect point psi=1, omega=0, zeta=1.
+
+Omega and zeta are counted in one place, :func:`_count_log`: a 16-cell
+table over (evaluation label where accepted, group, label, prediction),
+with groups 0 and 1. :func:`eo_violation`, :func:`utilization_from_labels`
+and :func:`audit_reports` read their reports from it, and so does the
+inequity loop.
 
 All reports are immutable :class:`~equity_audit.reports.Record` values, whose
 ``to_dict`` gives their JSON form.
@@ -145,32 +149,83 @@ def eo_violation(
     preds, labels, groups, epsilon: float = DEFAULT_OUTCOME_EPSILON
 ) -> OutcomeReport:
     """Equalized-odds violation |dTPR| + |dFPR| between groups 0 and 1."""
-    p, y, g = (np.asarray(c) for c in (preds, labels, groups))
-    if not (p.shape == y.shape == g.shape) or p.ndim != 1:
-        raise ValidationError("preds, labels and groups must be equal-length vectors")
-    # the values are checked as given, so a 1.5 or a group of 0.5 is never truncated to 0/1
-    if not np.all((p == 0) | (p == 1)) or not np.all((y == 0) | (y == 1)):
-        raise ValidationError("preds and labels must be binary (0/1)")
-    if not np.all((g == 0) | (g == 1)):
-        raise _groups_missing(np.unique(g).tolist())
-    # the confusion table of both groups in one pass: cell 4*g + 2*y + p
-    key = (4 * g + 2 * y + p).astype(np.intp, copy=False)  # 0.0/1.0 floats pass the checks
-    return _outcome_from_cells(np.bincount(key, minlength=8).tolist(), epsilon)
+    return audit_reports(preds, labels, groups, None, epsilon)[0]
 
 
 def _groups_missing(present: list[int]) -> ValidationError:
     return ValidationError(f"both groups 0 and 1 must be present, got {present}")
 
 
-def _outcome_from_cells(cells: list[int], epsilon: float) -> OutcomeReport:
-    """omega and the rates of groups 0 and 1 from their confusion table, ``cells[4*g + 2*label + pred]``."""
-    present = [grp for grp in (0, 1) if sum(cells[4 * grp : 4 * grp + 4])]
+def _binary(c: np.ndarray) -> bool:
+    """Whether every value of ``c`` is 0 or 1: one OR-reduction for a signed-integer column, ``==`` for any other."""
+    if c.dtype.kind == "i":
+        return not np.bitwise_or.reduce(c) >> 1
+    return bool(np.all((c == 0) | (c == 1)))
+
+
+def _count_log(p: np.ndarray, y: np.ndarray, g: np.ndarray, t: np.ndarray | None) -> np.ndarray:
+    """The count of a log: a (2, 2, 2, 2) table over (t where p is 1, group, label, pred).
+
+    ``p``, ``y`` and ``g`` must be 0/1 vectors of one length, and ``t``, if
+    given, a vector of that length that is 0 or 1 wherever ``p`` is 1. The
+    values are checked as given, so a 1.5 or a group of 0.5 is never
+    truncated to 0/1. A rejected row's ``t``, and every ``t`` when it is
+    None, counts as 0. Every omega and zeta the package reports is read
+    from this count, by :func:`_outcome_from_table`,
+    :func:`_utilization_from_table` and :func:`_group_counts`.
+
+    Signed-integer columns are counted at their own width: the int8
+    columns of :func:`~equity_audit.dataio.load_audit_csv` make an int8
+    key, and the only n-sized widening is ``np.bincount``'s cast of it to
+    intp. A column of another dtype is cast to int8 once checked.
+    """
+    if not (p.shape == y.shape == g.shape) or p.ndim != 1:
+        raise ValidationError("preds, labels and groups must be equal-length vectors")
+    if t is not None and t.shape != p.shape:
+        raise ValidationError(f"y_tt must be a vector as long as preds ({p.size}), got shape {t.shape}")
+    if not (_binary(p) and _binary(y)):
+        raise ValidationError("preds and labels must be binary (0/1)")
+    if not _binary(g):
+        raise _groups_missing(np.unique(g).tolist())
+    p, y, g = (c if c.dtype.kind == "i" else c.astype(np.int8) for c in (p, y, g))
+    if t is None:
+        key, t_ok = np.zeros_like(p), True
+    elif t.dtype.kind == "i":
+        key = t * p
+        t_ok = not np.bitwise_or.reduce(key) >> 1
+    else:  # compared only where p is 1, so a NaN on a rejected row passes
+        accepted = p == 1
+        t_ok = np.all((t == 0) | (t == 1) | ~accepted)
+        key = (accepted & (t == 1)).view(np.int8)
+    if not t_ok:  # name the first bad value by its index among the rows with p 1
+        t = t[p == 1]
+        row = int(np.argmax(~((t == 0) | (t == 1))))
+        raise ValidationError(f"y_tt must be 0 or 1, got {t[row].item()!r}", row=row)
+    for c in (g, y, p):  # shifted in place: one working array for the whole key
+        key <<= 1
+        key |= c
+    return np.bincount(key, minlength=16).reshape(2, 2, 2, 2)
+
+
+def _group_counts(table: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """Members, accepted (pred 1) and confirmed (accepted with t 1) of groups 0 and 1 in a count table."""
+    return (
+        table.sum(axis=(0, 2, 3)).tolist(),
+        table[..., 1].sum(axis=(0, 2)).tolist(),
+        table[1, ..., 1].sum(axis=1).tolist(),
+    )
+
+
+def _outcome_from_table(table: np.ndarray, epsilon: float) -> OutcomeReport:
+    """omega and the rates of groups 0 and 1 from a count table."""
+    cells = table.sum(axis=0).reshape(2, 4).tolist()  # per group: (label, pred) 00, 01, 10, 11
+    present = [grp for grp in (0, 1) if sum(cells[grp])]
     if len(present) < 2:
         raise _groups_missing(present)
     tpr: dict[int, float] = {}
     fpr: dict[int, float] = {}
     for grp in (0, 1):
-        neg_0, neg_1, pos_0, pos_1 = cells[4 * grp : 4 * grp + 4]
+        neg_0, neg_1, pos_0, pos_1 = cells[grp]
         if not pos_0 + pos_1:
             raise UndefinedRateError(grp, "tpr")
         if not neg_0 + neg_1:
@@ -187,20 +242,23 @@ def _outcome_from_cells(cells: list[int], epsilon: float) -> OutcomeReport:
     )
 
 
-def _utilization_from_counts(m: int, fp_by_group: dict[int, int]) -> UtilizationReport:
-    """Utilization of ``m`` accepted individuals, ``fp_by_group`` the evaluation negatives among them of each group present."""
+def _utilization_from_table(table: np.ndarray) -> UtilizationReport:
+    """Utilization of the accepted rows of a count table; ``per_group_fp_share`` keys the groups among them."""
+    _, accepted, confirmed = _group_counts(table)
+    m = sum(accepted)
     if m == 0:
         raise NoPositivesError(
             "utilization is undefined: no proxy-positive records (m = 0)"
         )
-    n_fp = sum(fp_by_group.values())
+    false_pos = [a - c for a, c in zip(accepted, confirmed)]
+    n_fp = sum(false_pos)
     agree = m - n_fp
     return UtilizationReport(
         zeta=agree / m,
         m=m,
         true_positive_share=agree / m,
         false_positive_share=n_fp / m,
-        per_group_fp_share={k: c / n_fp if n_fp else 0.0 for k, c in fp_by_group.items()},
+        per_group_fp_share={k: false_pos[k] / n_fp if n_fp else 0.0 for k in (0, 1) if accepted[k]},
     )
 
 
@@ -208,50 +266,15 @@ def utilization_from_labels(y_tt, groups) -> UtilizationReport:
     """Utilization of the accepted individuals, by counting their evaluation labels.
 
     ``y_tt[k]`` is what the evaluation model said of the k-th individual the
-    deployed model accepted, and ``groups[k]`` is that individual's group.
-    A non-binary label raises ``ValidationError`` whose ``row`` is its index.
+    deployed model accepted, and ``groups[k]`` is that individual's group,
+    0 or 1. A non-binary label raises ``ValidationError`` whose ``row`` is
+    its index.
     """
     y, g = np.asarray(y_tt), np.asarray(groups)
     if y.ndim != 1 or g.shape != y.shape:
         raise ValidationError("y_tt and groups must be equal-length vectors")
-    bad = ~np.isin(y, (0, 1))
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise ValidationError(f"y_tt must be 0 or 1, got {y[row].item()!r}", row=row)
-    keys = np.unique(g)
-    fp_counts = np.bincount(np.searchsorted(keys, g[y == 0]), minlength=len(keys))
-    return _utilization_from_counts(len(y), dict(zip(keys.tolist(), fp_counts.tolist())))
-
-
-def _log_cells(p: np.ndarray, y: np.ndarray, g: np.ndarray, t: np.ndarray | None) -> np.ndarray | None:
-    """The 16-cell count of a log of 0/1 signed-integer columns, cell ``8*(t*p) + 4*g + 2*y + p``; else None.
-
-    None for any other log: another dtype or shape, a value outside 0/1 in
-    ``p``, ``y`` or ``g``, or a ``t`` outside 0/1 where ``p`` is 1. A
-    ``t`` of None counts as 0 throughout.
-
-    Two callers count with it: :func:`audit_reports`, over a prediction
-    log, and the inequity loop, over each round's cohort. The loop passes
-    an evaluation label for every member; the kernel keeps it only where
-    the decision is 1, so a rejected member's counts as 0.
-
-    The key is built at the columns' own width: int8 columns, as
-    :func:`~equity_audit.dataio.load_audit_csv` returns them, make an
-    int8 key, and the only n-sized widening is ``np.bincount``'s cast of
-    it to intp.
-    """
-    columns = [c for c in (p, y, g, t) if c is not None]
-    if p.ndim != 1 or any(c.dtype.kind != "i" or c.shape != p.shape for c in columns):
-        return None
-    if any(np.bitwise_or.reduce(c) >> 1 for c in (p, y, g)):
-        return None
-    key = np.zeros_like(p) if t is None else t * p
-    if np.bitwise_or.reduce(key) >> 1:
-        return None
-    for c in (g, y, p):  # shifted in place: one working array for the whole key
-        key <<= 1
-        key |= c
-    return np.bincount(key, minlength=16)
+    accepted = np.ones(len(g), dtype=np.int8)
+    return _utilization_from_table(_count_log(accepted, np.zeros_like(accepted), g, y))
 
 
 def audit_reports(
@@ -259,29 +282,23 @@ def audit_reports(
 ) -> tuple[OutcomeReport, UtilizationReport | None]:
     """The outcome report of a prediction log and, given ``y_tt``, the utilization report of its accepted rows.
 
-    The reports, and any error, are those of :func:`eo_violation` followed
-    by :func:`utilization_from_labels` on the rows with pred 1: a
-    non-binary ``y_tt`` there raises ``ValidationError`` whose ``row`` is
-    the index among those rows. A log of 0/1 signed-integer columns is
-    counted in one ``np.bincount`` (:func:`_log_cells`) and both reports
-    come from that table; any other log goes through the two functions.
+    Both come from one count (:func:`_count_log`). The reports, and any
+    error, are those of :func:`eo_violation` followed by
+    :func:`utilization_from_labels` on the rows with pred 1: a non-binary
+    ``y_tt`` there raises ``ValidationError`` whose ``row`` is the index
+    among those rows, after any error of the outcome report. A ``y_tt``
+    of another shape than ``preds`` is a ``ValidationError``.
     """
     p, y, g = (np.asarray(c) for c in (preds, labels, groups))
     t = None if y_tt is None else np.asarray(y_tt)
-    cells = _log_cells(p, y, g, t)
-    if cells is None:
-        outcome = eo_violation(p, y, g, epsilon)
-        if t is None:
-            return outcome, None
-        accepted = np.flatnonzero(p == 1)
-        return outcome, utilization_from_labels(t[accepted], g[accepted])
-    table = cells.reshape(2, 2, 2, 2)  # axes: t*p, group, label, pred
-    outcome = _outcome_from_cells(table.sum(axis=0).ravel().tolist(), epsilon)
-    if t is None:
-        return outcome, None
-    accepted = table[..., 1].sum(axis=(0, 2)).tolist()  # by group
-    false_pos = table[0, :, :, 1].sum(axis=1).tolist()  # accepted with t = 0, by group
-    return outcome, _utilization_from_counts(sum(accepted), {k: false_pos[k] for k in (0, 1) if accepted[k]})
+    try:
+        table = _count_log(p, y, g, t)
+    except ValidationError as exc:
+        if exc.row is not None:  # a bad y_tt value: an outcome error is reported first
+            _outcome_from_table(_count_log(p, y, g, None), epsilon)
+        raise
+    outcome = _outcome_from_table(table, epsilon)
+    return outcome, None if t is None else _utilization_from_table(table)
 
 
 def utilization(records: list[EvaluationRecord]) -> UtilizationReport:

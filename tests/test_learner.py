@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import warnings
 
 import numpy as np
@@ -528,30 +527,6 @@ class TestWarmStart:
         threshold = train(ModelSpec(("a", "b"), "norm_threshold", {"threshold": 1.0}), X, y)
         with pytest.raises(ValidationError, match="logistic_regression"):
             train(spec, X, y, start=threshold)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        X, y = separable_1d()
-        model = train(ModelSpec(("f",), hyperparams={"iterations": 300}), X, y, seed=0)
-        clone = TrainedModel.from_dict(json.loads(json_text(model.to_dict())))
-        assert np.array_equal(clone.coefficients, model.coefficients)
-        assert clone.mu.tolist() == model.mu.tolist()
-        assert np.array_equal(predict(clone, X), predict(model, X))
-        assert (clone.n_iter, clone.grad_norm, clone.converged) == (
-            model.n_iter, model.grad_norm, model.converged
-        )
-        assert isinstance(clone.n_iter, int) and isinstance(clone.converged, bool)
-
-    def test_document_without_diagnostics_loads(self):
-        # a model document as versions before the Newton fit wrote it
-        X, y = separable_1d()
-        doc = train(ModelSpec(("f",)), X, y).to_dict()
-        for key in ("n_iter", "grad_norm", "converged"):
-            del doc[key]
-        clone = TrainedModel.from_dict(doc)
-        assert (clone.n_iter, clone.grad_norm, clone.converged) == (None, None, None)
-        assert np.array_equal(predict(clone, X), predict(TrainedModel.from_dict(doc), X))
 
 
 class TestGroupThresholds:

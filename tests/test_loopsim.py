@@ -63,13 +63,14 @@ class TestGeneratePopulation:
     def test_dominance_for_flagged_individuals(self):
         cfg = small_config()
         cohort = generate_cohort(cfg, 2)
+        flags = where_cohort(cfg, 2)[-1]
         views = (
             (cohort.proxy.z_matrix(), cohort.proxy.x_matrix()),
             (cohort.z_intended, cohort.x_intended),
             (cohort.z_intended, cohort.x_intended_after_access),
         )
         for z, x in views:
-            for z_row, x_row, flagged in zip(z, x, cohort.obstacle_flags):
+            for z_row, x_row, flagged in zip(z, x, flags, strict=True):
                 if flagged:
                     assert dominates(z_row, x_row)
                 else:
@@ -86,9 +87,9 @@ class TestGeneratePopulation:
             pop = cohort.proxy
             got = (
                 pop.x_matrix(), pop.z_matrix(), pop.labels(), pop.labels_prime(), pop.groups(),
-                cohort.x_intended, cohort.z_intended, cohort.x_intended_after_access, cohort.obstacle_flags,
+                cohort.x_intended, cohort.z_intended, cohort.x_intended_after_access,
             )
-            for have, want in zip(got, where_cohort(cfg, round), strict=True):
+            for have, want in zip(got, where_cohort(cfg, round)[:-1], strict=True):
                 assert have.dtype == want.dtype and have.shape == want.shape
                 assert have.tobytes() == want.tobytes()
             assert pop.ids() == list(range(cfg.n_per_round))
@@ -164,8 +165,8 @@ class TestCurateGroundTruth:
         seed_size = traj.seed_size
         sizes = [seed_size] + [r.curated_size for r in traj.rounds]
         assert np.bincount(curated.rounds, minlength=4)[1:].tolist() == np.diff(sizes).tolist()
-        assert len(set(curated.source_ids)) == len(curated) == sizes[-1] - seed_size
-        assert all(i.startswith(f"r{r}-") for i, r in zip(curated.source_ids, curated.rounds))
+        provenance = list(zip(curated.rounds.tolist(), curated.source_rows.tolist()))
+        assert len(set(provenance)) == len(curated) == sizes[-1] - seed_size
 
     def test_empty_batch(self):
         batch = curate_ground_truth([], round=1, feature_names=("a",))
@@ -217,13 +218,13 @@ class TestCurateGroundTruth:
         ],
     )
     def test_source_rows_checked_before_any_cast(self, rows, match):
-        # a row 1.7 must not be stored as 1, nor a -1 formatted as r1--1
+        # a row 1.7 must not be stored as 1, nor a -1 kept as a row
         with pytest.raises(ValidationError, match=match):
             CuratedDataset.from_columns(("a",), [[1.0], [2.0]], [1, 0], 1, rows)
 
     def test_integral_float_rows_load_as_int64(self):
         batch = CuratedDataset.from_columns(("a",), [[1.0], [2.0]], [1, 0], 1, [3.0, 0.0])
-        assert batch.source_rows.dtype == np.int64 and batch.source_ids == ("r1-3", "r1-0")
+        assert batch.source_rows.dtype == np.int64 and batch.source_rows.tolist() == [3, 0]
 
 
 class TestRunInequityLoop:
@@ -248,7 +249,7 @@ class TestRunInequityLoop:
         cfg = small_config()
         _, curated = run_inequity_loop(cfg, 3, "no_equity")
         assert curated.source_rows.dtype == np.int64
-        assert len(set(curated.source_ids)) == len(curated)
+        assert len(set(zip(curated.rounds.tolist(), curated.source_rows.tolist()))) == len(curated)
         for r in (1, 2, 3):
             cohort = generate_cohort(cfg, r).proxy
             rows = curated.source_rows[curated.rounds == r]

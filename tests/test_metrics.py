@@ -1,13 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equity_audit import metrics
+from equity_audit import loopsim, metrics
 from equity_audit.core import ObstacleModel, Policy, Population, reveal_population
 from equity_audit.dataio import load_audit_csv
 from equity_audit.errors import EquityAuditError, NoPositivesError, UndefinedRateError, ValidationError
 from equity_audit.learner import ModelSpec, predict, train
+from equity_audit.loopsim import SyntheticConfig, default_config, run_inequity_loop
 from equity_audit.metrics import (
     EvaluationRecord,
     audit_reports,
@@ -474,7 +477,7 @@ def test_eo_violation_counts_like_the_masks_and_the_oracle(rows, shape):
     assert report.eo_violation == eo_violation_oracle(preds, labels, groups)
 
 
-@given(st.lists(st.tuples(st.integers(0, 1), st.integers(-2, 3)), max_size=60))
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), max_size=60))
 @settings(max_examples=200)
 def test_utilization_kernel_matches_records_and_oracle(rows):
     y_tt = [t for t, _ in rows]
@@ -495,9 +498,17 @@ def test_utilization_kernel_matches_records_and_oracle(rows):
 
 class TestUtilizationKernel:
     def test_single_group(self):
-        report = utilization_from_labels(np.array([1, 0, 0, 1, 1]), np.array([4, 4, 4, 4, 4]))
+        report = utilization_from_labels(np.array([1, 0, 0, 1, 1]), np.array([1, 1, 1, 1, 1]))
         assert (report.zeta, report.m, report.false_positive_share) == (0.6, 5, 0.4)
-        assert report.per_group_fp_share == {4: 1.0}
+        assert report.per_group_fp_share == {1: 1.0}
+
+    @pytest.mark.parametrize("groups", [[0, 1, 2, 1], [4, 4, 4, 4], [0, 1, -1, 0], [0, 1, 0.5, 1]])
+    def test_groups_other_than_0_and_1_are_refused(self, groups):
+        with pytest.raises(ValidationError, match="both groups 0 and 1 must be present"):
+            utilization_from_labels(np.array([1, 0, 0, 1]), np.array(groups))
+        records = [EvaluationRecord(id=f"r{i}", y_pt=1, y_tt=1, grp=g) for i, g in enumerate(groups)]
+        with pytest.raises(ValidationError, match="both groups 0 and 1 must be present"):
+            utilization(records)
 
     def test_non_binary_label_names_its_index(self):
         with pytest.raises(ValidationError) as excinfo:
@@ -544,29 +555,55 @@ def _swapped(rows: list, swaps: list) -> list:
         | st.just([]),
     ),
     st.sampled_from(["both"] * 8 + ["no group 0", "no group 1"]),
+    st.sampled_from(["int64", "int64", "int8", "bool", "float64"]),
     st.sampled_from(["int64", "int64", "int8", "float64", "none"]),
     st.sampled_from([1e-9, 0.5]),
 )
 @settings(max_examples=300)
-def test_audit_reports_equal_the_two_functions_and_the_oracles(rows, groups_kept, y_tt_dtype, epsilon):
-    """Mostly binary logs, a cell or two swapped for -1 or 2, a group sometimes dropped."""
+def test_audit_reports_equal_the_two_functions_and_the_oracles(rows, groups_kept, dtype, y_tt_dtype, epsilon):
+    """Mostly binary logs, a cell or two swapped for -1 or 2, a group sometimes dropped.
+
+    A bool column turns a swapped -1 or 2 into True.
+    """
     if groups_kept != "both":
         rows = [r for r in rows if r[2] != (0 if groups_kept == "no group 0" else 1)]
-    preds, labels, groups, y_tt = (np.array(col, dtype=np.int64) for col in zip(*rows)) if rows else [
-        np.zeros(0, dtype=np.int64)
-    ] * 4
-    y_tt = None if y_tt_dtype == "none" else y_tt.astype(y_tt_dtype)
+    columns = [np.array(col, dtype=np.int64) for col in zip(*rows)] if rows else [np.zeros(0, dtype=np.int64)] * 4
+    preds, labels, groups = (c.astype(dtype) for c in columns[:3])
+    y_tt = None if y_tt_dtype == "none" else columns[3].astype(y_tt_dtype)
     got = _reports_or_error(audit_reports, preds, labels, groups, y_tt, epsilon)
     assert got == _reports_or_error(_one_by_one, preds, labels, groups, y_tt, epsilon)
-    if isinstance(got[0], type):
+
+    # the outcome error, if any, is the mask oracle's, and comes first
+    try:
+        expected = eo_violation_masks(preds, labels, groups)
+    except ValueError as exc:
+        assert (got[0], got[2]) == (ValidationError, None)
+        # the oracle casts to int, so it names a float column's groups as ints
+        assert got[1].split(" got ")[0] == str(exc).split(" got ")[0]
+        if dtype != "float64":
+            assert got[1] == str(exc)
+        return
+    except UndefinedRate as exc:
+        assert got == (UndefinedRateError, str(UndefinedRateError(exc.group, exc.rate)), None)
+        return
+    # then the first accepted row whose y_tt is not 0 or 1, counted among the accepted rows
+    accepted_t = [] if y_tt is None else [t for p, t in zip(preds.tolist(), y_tt.tolist()) if p == 1]
+    bad = [k for k, t in enumerate(accepted_t) if t not in (0, 1)]
+    if bad:
+        assert got == (ValidationError, f"y_tt must be 0 or 1, got {accepted_t[bad[0]]!r}", bad[0])
+        return
+    if y_tt is not None and not accepted_t:
+        assert got[0] is NoPositivesError
         return
     outcome, util = audit_reports(preds, labels, groups, y_tt, epsilon)
+    assert (outcome.eo_violation, outcome.tpr_by_group, outcome.fpr_by_group) == expected
     assert outcome.eo_violation == eo_violation_oracle(preds.tolist(), labels.tolist(), groups.tolist())
+    assert outcome.equal_outcomes == (outcome.eo_violation <= epsilon)
     if y_tt is not None:
         accepted = preds == 1
-        assert util.zeta == zeta_oracle(y_tt[accepted].tolist())
-        assert util.m == int(accepted.sum())
-        assert util.per_group_fp_share == fp_share_oracle(y_tt[accepted].tolist(), groups[accepted].tolist())
+        assert util.zeta == zeta_oracle(accepted_t)
+        assert util.m == len(accepted_t)
+        assert util.per_group_fp_share == fp_share_oracle(accepted_t, groups[accepted].tolist())
 
 
 class TestAuditReports:
@@ -577,27 +614,64 @@ class TestAuditReports:
         "y_tt": np.array([1, 1, 0, 1, 1, 1, 1, 0]),
     }
 
-    def test_a_binary_integer_log_is_counted_without_the_two_functions(self, monkeypatch):
-        expected = _one_by_one(*self.LOG.values(), 1e-9)
+    def test_every_caller_counts_the_log_once(self, monkeypatch):
+        # a second count beside metrics._count_log would show as a caller
+        # that does not go through it, or goes through it twice
+        count, calls = metrics._count_log, []
 
-        def refuse(*args):
-            raise AssertionError("the one count fell back")
+        def counting(*args):
+            calls.append(len(args[0]))
+            return count(*args)
 
-        monkeypatch.setattr(metrics, "eo_violation", refuse)
-        monkeypatch.setattr(metrics, "utilization_from_labels", refuse)
-        got = audit_reports(*self.LOG.values())
-        assert [r.to_dict() for r in got] == [r.to_dict() for r in expected]
-        assert got[1].per_group_fp_share == {0: 0.5, 1: 0.5}
+        monkeypatch.setattr(metrics, "_count_log", counting)
+        monkeypatch.setattr(loopsim, "_count_log", counting)
+        log = self.LOG
+        cfg = SyntheticConfig(**default_config(seed=3).__dict__ | {"n_per_round": 200})
+        runs = {
+            f"audit_reports {dtype}": lambda dtype=dtype: audit_reports(*(c.astype(dtype) for c in log.values()))
+            for dtype in ("int8", "int64", "float64")
+        } | {
+            "eo_violation": lambda: eo_violation(log["preds"], log["labels"], log["groups"]),
+            "utilization_from_labels": lambda: utilization_from_labels(log["y_tt"], log["groups"]),
+            "one loop round": lambda: run_inequity_loop(cfg, 1, "no_equity"),
+        }
+        for name, run in runs.items():
+            calls.clear()
+            run()
+            assert calls == [200 if name == "one loop round" else 8], name
+        assert audit_reports(*log.values())[1].per_group_fp_share == {0: 0.5, 1: 0.5}
 
     def test_non_binary_y_tt_on_a_rejected_row_is_allowed(self):
+        expected = audit_reports(*self.LOG.values())
         log = dict(self.LOG, y_tt=np.array([1, 9, 0, -4, 1, 2**62, 1, 0]))
-        assert audit_reports(*log.values()) == audit_reports(*self.LOG.values())
+        assert audit_reports(*log.values()) == expected
+        for value in (float("nan"), float("inf"), float("-inf")):
+            y_tt = self.LOG["y_tt"].astype(np.float64)
+            y_tt[[1, 5]] = value  # rows with pred 0
+            assert audit_reports(*dict(self.LOG, y_tt=y_tt).values()) == expected
+
+    @pytest.mark.parametrize(
+        "y_tt", [np.ones(3, dtype=int), np.ones(20, dtype=int), np.ones((8, 1), dtype=int), np.ones((2, 8))],
+        ids=["shorter", "longer", "a column", "2-D"],
+    )
+    def test_y_tt_of_another_shape_is_refused_before_counting(self, y_tt):
+        # a shorter one must not raise IndexError, nor a longer one be read at the accepted rows
+        message = f"y_tt must be a vector as long as preds (8), got shape {y_tt.shape}"
+        with pytest.raises(ValidationError, match=re.escape(message)) as excinfo:
+            audit_reports(self.LOG["preds"], self.LOG["labels"], self.LOG["groups"], y_tt)
+        assert excinfo.value.row is None
 
     def test_float_y_tt_is_not_truncated(self):
         log = dict(self.LOG, y_tt=np.array([1, 1, 0.5, 1, 1, 1, 1, 0]))
         with pytest.raises(ValidationError, match=r"y_tt must be 0 or 1, got 0\.5") as excinfo:
             audit_reports(*log.values())
         assert excinfo.value.row == 1  # the second accepted row
+
+    def test_text_y_tt_is_refused_by_its_value(self):
+        log = dict(self.LOG, y_tt=self.LOG["y_tt"].astype(str))
+        with pytest.raises(ValidationError, match="y_tt must be 0 or 1, got '1'") as excinfo:
+            audit_reports(*log.values())
+        assert excinfo.value.row == 0
 
     @pytest.mark.parametrize("column, value", [("preds", 0.5), ("labels", 1.5), ("groups", 0.5)])
     def test_float_columns_are_not_truncated(self, column, value):
