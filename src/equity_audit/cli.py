@@ -17,6 +17,7 @@ the data cannot define).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from contextlib import contextmanager
@@ -63,6 +64,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the command line; :func:`main` builds one per process."""
     parser = _Parser(prog="equity-audit", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
@@ -96,6 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("questions", help="print the pre-deployment checklist")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls: every call starts a fresh namespace
+    return build_parser()
 
 
 def _load_config(args) -> RunConfig:
@@ -278,7 +286,7 @@ def _cmd_gaps(args, cfg: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -152,7 +152,8 @@ def _int_columns(text: bytes, width: int, indices: list[int]) -> list[np.ndarray
     (``_grid_columns``). Any other text, or text the grid turns down,
     goes to the separator scan (``_separated_columns``), which reads
     cells of any width; both give the same values, the grid as int8 and
-    the scan as int64. ``_read_csv_columns`` sets each column's width.
+    the scan as int8 where every value of a column fits and int64
+    otherwise. ``_read_csv_columns`` sets each column's width.
     """
     data = np.frombuffer(text, np.uint8)
     if data.size and data[-1] != _NEWLINE:
@@ -199,14 +200,17 @@ def _separated_columns(data: np.ndarray, width: int, indices: list[int]) -> list
     lone = lone[ends].reshape(rows, width)
     columns = []
     for i in indices:
-        column = lone[:, i].astype(np.int64)
-        others = np.flatnonzero(column > 9)  # longer cells, and cells that are no integer
-        if others.size:
-            cells = others * width + i
-            values = _int_cells(data, np.where(cells > 0, ends[cells - 1] + 1, 0), ends[cells])
-            if values is None:
-                return None
-            column[others] = values
+        others = np.flatnonzero(lone[:, i] > 9)  # longer cells, and cells that are no integer
+        if not others.size:
+            columns.append(lone[:, i].astype(np.int8))
+            continue
+        cells = others * width + i
+        values = _int_cells(data, np.where(cells > 0, ends[cells - 1] + 1, 0), ends[cells])
+        if values is None:
+            return None
+        wide = values.min() < _INT8.min or values.max() > _INT8.max
+        column = lone[:, i].astype(np.int64 if wide else np.int8)
+        column[others] = values
         columns.append(column)
     return columns
 

@@ -10,6 +10,7 @@ which holds no ``NaN`` or ``Infinity``.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -25,6 +26,7 @@ if TYPE_CHECKING:
 LONG_CSV_COLUMNS = ("regime", "metric", "group", "value")
 
 _SCALARS = frozenset({bool, int, float, str, type(None)})
+_CONTAINERS = (list, tuple, dict)
 
 
 class Record:
@@ -99,16 +101,61 @@ def long_csv(rows: list[tuple]) -> str:
 
 
 def json_text(doc, indent: int | None = None) -> str:
-    """``doc`` as JSON text with sorted keys.
+    """``doc`` as ``json.dumps(doc, sort_keys=True, indent=indent)`` writes it, byte for byte.
 
-    JSON has no non-finite number, so a NaN or an infinity in ``doc`` is a
+    Indented text is built by :func:`_indented` at the C encoder's speed,
+    where ``json.dumps`` would fall back to its pure-Python encoder. JSON
+    has no non-finite number, so a NaN or an infinity in ``doc`` is a
     ValidationError (exit 2) instead of the ``NaN``/``Infinity`` tokens
     Python's encoder writes by default.
     """
     try:
+        if indent is not None:
+            try:
+                return _indented(doc, " " * indent, 0)
+            except (ValueError, RecursionError):
+                pass  # json.dumps below raises it again, with a message naming an out-of-range float
         return json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False)
     except ValueError as exc:
         raise ValidationError(f"cannot write the report as JSON: {exc}") from None
+
+
+@functools.cache
+def _encoder(item_separator: str) -> json.JSONEncoder:
+    """The C encoder, writing ``item_separator`` between the items of a container."""
+    return json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(item_separator, ": "))
+
+
+def _key_text(key) -> str:
+    """A dict key as ``json.dumps`` writes it: a JSON string, a scalar key as its JSON text."""
+    encoder = _encoder(", ")
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = encoder.encode(key)
+    return encoder.encode(key)
+
+
+def _indented(value, pad: str, depth: int) -> str:
+    """``value`` as ``json.dumps`` writes it with indent ``pad``, ``depth`` levels in.
+
+    A container whose items are all str, int, float, bool or None is one C
+    encoder call, whose item separator holds the newline and padding of
+    its items; only other containers are joined here, item by item.
+    """
+    if not isinstance(value, _CONTAINERS):
+        return _encoder(", ").encode(value)
+    inner = "\n" + pad * (depth + 1)
+    is_dict = isinstance(value, dict)
+    if _SCALARS.issuperset(map(type, value.values() if is_dict else value)):
+        text = _encoder("," + inner).encode(value)
+        return text if len(text) == 2 else f"{text[0]}{inner}{text[1:-1]}\n{pad * depth}{text[-1]}"
+    if is_dict:
+        parts = [f"{_key_text(k)}: {_indented(v, pad, depth + 1)}" for k, v in sorted(value.items())]
+    else:
+        parts = [_indented(v, pad, depth + 1) for v in value]
+    opening, closing = "{}" if is_dict else "[]"
+    return f"{opening}{inner}{(',' + inner).join(parts)}\n{pad * depth}{closing}"
 
 
 def write_json(doc: dict, path: Path) -> str:

@@ -1494,9 +1494,12 @@ class TestIntColumns:
             columns = csvio._int_columns(body, len(names), indices)
             with _separator_scan_only():
                 assert _as_lists(columns) == _as_lists(csvio._int_columns(body, len(names), indices))
-            # at the kernel, the grid gives int8 and the separator scan int64
-            width = np.int8 if grid_reads[-1] else np.int64
-            assert columns is None or all(c.dtype == width and c.flags.c_contiguous for c in columns)
+            # at the kernel, the grid and the separator scan give int8 where every value fits
+            assert columns is None or all(
+                c.dtype == (np.int8 if c.size == 0 or (-128 <= c.min() and c.max() <= 127) else np.int64)
+                and c.flags.c_contiguous
+                for c in columns
+            )
             path.write_bytes(text.encode())
             with mock.patch.multiple(csvio, _BLOCK_CHARS=block_chars, _KERNEL_CHARS=kernel_chars):
                 outcome = _outcome(load_audit_csv, path)
@@ -1509,6 +1512,11 @@ class TestIntColumns:
         # the fuzz reaches the grid, the separator scan, the csv path and a resume on it
         assert set(grid_reads) == {True, False}
         assert set(plain_blocks) == {"ints", "csv", "ints+csv"}
+        # the separator scan widens only a column holding a value past int8
+        with _separator_scan_only():
+            columns = csvio._int_columns(b"1,127,-128,128\n0,10,-1,-129\n", 4, [0, 1, 2, 3])
+        assert [c.dtype for c in columns] == [np.int8, np.int8, np.int8, np.int64]
+        assert _as_lists(columns) == [[1, 0], [127, 10], [-128, -1], [128, -129]]
 
 
 class TestRunConfigToml:

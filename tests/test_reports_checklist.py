@@ -2,7 +2,10 @@ import json
 import re
 from dataclasses import fields
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import equity_audit.cli  # noqa: F401  (imports every module a record class lives in)
 from equity_audit.checklist import SECTIONS, emit_checklist
@@ -114,6 +117,28 @@ RECORD_KEYS = {
 }
 
 
+# str keys with non-ASCII text, quotes, backslashes and control characters
+JSON_KEYS = st.text(st.sampled_from('ab"\\\n\t\x00\x1f\x7fé中😀\u2028') | st.characters(), max_size=6)
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63, max_value=2**200)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+    | st.sampled_from([-0.0, 1e-300, 5e-324, np.float64(-0.0)])
+    | JSON_KEYS
+)
+# nested dicts, lists and tuples, empty ones included
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(JSON_KEYS, inner, max_size=5),
+    max_leaves=40,
+)
+
+
 class TestJsonText:
     def test_sorted_keys_and_python_float_text(self):
         doc = {"b": [0.1, 1e-300, -0.0], "a": {"2": None, "10": True}}
@@ -124,6 +149,38 @@ class TestJsonText:
     def test_a_non_finite_number_is_a_validation_error(self, value):
         with pytest.raises(ValidationError, match="cannot write the report as JSON"):
             json_text({"gap": [0.5, value]})
+        # indented, the message names the value, as json.dumps' indented encoder does
+        message = f"cannot write the report as JSON: Out of range float values are not JSON compliant: {value!r}"
+        for doc in ({"gap": [0.5, value]}, {"a": "x", "rates": {"by_group": [[1.0, value]]}}, {"a": {value: 1}}):
+            with pytest.raises(ValidationError) as info:
+                json_text(doc, indent=2)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("doc", [{"a": [{1, 2}]}, {"a": {"b": [np.int64(3)]}}, {"a": {(1,): [1]}}])
+    def test_an_unencodable_value_raises_what_json_dumps_raises(self, doc):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+        with pytest.raises(TypeError) as got:
+            json_text(doc, indent=2)
+        assert str(got.value) == str(expected.value)
+
+    def test_a_cycle_is_a_validation_error(self):
+        doc = {"a": [1]}
+        doc["a"].append(doc)
+        with pytest.raises(ValidationError, match="cannot write the report as JSON: Circular reference detected"):
+            json_text(doc, indent=2)
+
+    @pytest.mark.parametrize(
+        "doc", [{2: [1], 10: {"a": []}}, {0.5: [1], -0.0: [[]], np.float64(2.5): (3,)}, {None: [1]}, {True: [1], False: [2]}]
+    )
+    def test_scalar_keys_are_written_as_json_dumps_writes_them(self, doc):
+        assert json_text(doc, indent=2) == json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=JSON_DOCS)
+    def test_indented_text_is_what_json_dumps_writes(self, doc):
+        for indent in (0, 1, 2, 4):
+            assert json_text(doc, indent=indent) == json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False)
 
 
 class TestJsonForm:
