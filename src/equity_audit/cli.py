@@ -17,7 +17,6 @@ the data cannot define).
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import sys
 from contextlib import contextmanager
@@ -64,7 +63,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser for the command line; :func:`main` builds one per process."""
     parser = _Parser(prog="equity-audit", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
@@ -98,12 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("questions", help="print the pre-deployment checklist")
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # parse_args keeps no state between calls: every call starts a fresh namespace
-    return build_parser()
 
 
 def _load_config(args) -> RunConfig:
@@ -286,7 +278,7 @@ def _cmd_gaps(args, cfg: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -113,8 +113,8 @@ def json_text(doc, indent: int | None = None) -> str:
         if indent is not None:
             try:
                 return _indented(doc, " " * indent, 0)
-            except (ValueError, RecursionError):
-                pass  # json.dumps below raises it again, with a message naming an out-of-range float
+            except (ValueError, TypeError, RecursionError):
+                pass  # json.dumps below writes it, or raises its own error naming the value
         return json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False)
     except ValueError as exc:
         raise ValidationError(f"cannot write the report as JSON: {exc}") from None
@@ -127,13 +127,10 @@ def _encoder(item_separator: str) -> json.JSONEncoder:
 
 
 def _key_text(key) -> str:
-    """A dict key as ``json.dumps`` writes it: a JSON string, a scalar key as its JSON text."""
-    encoder = _encoder(", ")
+    """A str dict key as a JSON string; any other key raises, for ``json.dumps`` to write or refuse."""
     if not isinstance(key, str):
-        if key is not None and not isinstance(key, (int, float)):
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-        key = encoder.encode(key)
-    return encoder.encode(key)
+        raise TypeError(key)
+    return _encoder(", ").encode(key)
 
 
 def _indented(value, pad: str, depth: int) -> str:

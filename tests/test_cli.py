@@ -781,53 +781,6 @@ def test_prints_the_report_it_writes_encoded_once(audit_csv, tmp_path, capsys, m
     assert len(encoded) == 1
 
 
-def test_every_report_document_is_written_as_json_dumps_writes_it(audit_csv, spaces_json, student_path, tmp_path, monkeypatch):
-    docs, json_text = [], reports.json_text
-    monkeypatch.setattr(reports, "json_text", lambda doc, indent=None: docs.append(doc) or json_text(doc, indent))
-    out = tmp_path / "r"
-    for argv in (
-        ["casestudy", str(student_path)],
-        ["gaps", str(out / "proxy_model.json"), str(out / "intended_model.json")],
-        ["score", str(spaces_json)],
-        ["audit", str(audit_csv)],
-    ):
-        assert run_cli("--seed", "1", "--out", str(out), *argv) == 0
-    assert sorted(p.name for p in out.iterdir()) == [
-        "audit.json", "casestudy.json", "gaps.json", "intended_model.json", "proxy_model.json", "scoring_trace.json",
-    ]
-    assert len(docs) == 6
-    for doc in docs:
-        for indent in (0, 1, 2, 4):
-            assert json_text(doc, indent) == json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False)
-
-
-def _run_into(out, argv, capsys):
-    """Exit code, printed text and report bytes of one command writing into ``out``."""
-    code = run_cli("--out", str(out), *argv)
-    printed = capsys.readouterr()
-    written = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
-    return code, printed.out, printed.err, written
-
-
-@pytest.mark.parametrize("first, code", [
-    (["score", "SPACES", "--tau", "0.99", "--max-outer", "3"], 0),
-    (["score", "SPACES", "--tau", "0.99", "--no-such-flag"], cli.USAGE_ERROR),
-    (["--version"], 0),
-])
-@pytest.mark.parametrize("later", [["audit", "AUDIT"], ["score", "SPACES"]])
-def test_the_cached_parser_carries_nothing_between_commands(audit_csv, spaces_json, tmp_path, capsys, first, code, later):
-    paths = {"SPACES": str(spaces_json), "AUDIT": str(audit_csv)}
-    first, later = ([paths.get(a, a) for a in argv] for argv in (first, later))
-    cli._parser.cache_clear()
-    alone = _run_into(tmp_path / "alone", later, capsys)
-    cli._parser.cache_clear()
-    assert _run_into(tmp_path / "first", first, capsys)[0] == code
-    assert cli._parser() is cli._parser()
-    assert _run_into(tmp_path / "later", later, capsys) == alone
-    assert alone[0] == 0 and alone[3]
-    assert cli.build_parser() is not cli.build_parser()
-
-
 UNWRITABLE_OUT = ["out-is-a-file", "out-below-a-file", "report-is-a-directory"]
 
 
