@@ -46,8 +46,14 @@ def clopper_pearson(k: int, n: int, confidence: float = CONFIDENCE) -> tuple[flo
     """Exact two-sided binomial interval for k successes in n trials."""
     tail = (1.0 - confidence) / 2.0
 
-    def cdf(j: int, p: float) -> float:  # P(X <= j)
-        return sum(math.comb(n, i) * p**i * (1.0 - p) ** (n - i) for i in range(j + 1))
+    log_n = math.lgamma(n + 1)
+
+    def cdf(j: int, p: float) -> float:  # P(X <= j), each term taken in log space so none overflows
+        log_p, log_q = math.log(p), math.log1p(-p)
+        return math.fsum(
+            math.exp(log_n - math.lgamma(i + 1) - math.lgamma(n - i + 1) + i * log_p + (n - i) * log_q)
+            for i in range(j + 1)
+        )
 
     def solve(f, target: float) -> float:  # the p in [0, 1] where the increasing f crosses target
         lo, hi = 0.0, 1.0

@@ -60,7 +60,6 @@ from .learner import (
     group_cutoffs,
     predict,
     predict_proba,
-    predict_with_group_thresholds,
     train,
 )
 from .metrics import (
@@ -307,9 +306,14 @@ def _uplift(
     return z
 
 
+_TOO_FEW_STUDENTS = "case study needs at least 10 students"
+
+
 def build_case_study_views(table: StudentTable, cfg: RunConfig) -> CaseStudyViews:
     """Construct both feature views, labels and obstacle structure."""
     n = len(table)
+    if n == 0:  # refused before any draw; a short table meets run_case_study's check
+        raise ValidationError(_TOO_FEW_STUDENTS)
     rng = np.random.default_rng([cfg.seed, 7919])
     flags = derive_obstacle_flags(table)
 
@@ -455,17 +459,18 @@ def run_case_study(cfg: RunConfig, views: CaseStudyViews) -> CaseStudyResult:
     decision time carry into the evaluation (``ACCESS_CARRY_FRACTION``).
 
     Each side is computed once per setting of the switches it depends on:
-    the revealed data and the access report per access setting, the
-    threshold walk, the outcome report and the admits per (access,
-    outcome), and only the evaluation per regime. Regimes come in the
-    order of ``itertools.product`` over the three switches.
+    the revealed data, the access report and the decision model's scores
+    per access setting, the threshold walk, the outcome report and the
+    admits, one cut of those scores, per (access, outcome), and only the
+    evaluation per regime. Regimes come in the order of
+    ``itertools.product`` over the three switches.
 
     ``cfg.seed`` seeds the train/test split; views built with another
     seed vary the uplift draws apart from the split.
     """
     n = len(views.proxy)
     if n < 10:
-        raise ValidationError("case study needs at least 10 students")
+        raise ValidationError(_TOO_FEW_STUDENTS)
     train_idx, test_idx = split_indices(n, cfg.train_fraction, cfg.seed)
 
     groups = views.proxy.groups()
@@ -511,60 +516,46 @@ def run_case_study(cfg: RunConfig, views: CaseStudyViews) -> CaseStudyResult:
         access_policy = Policy(float("inf")) if eq_access else Policy(0.0)
         x_rev, y_rev, accessed = reveal_population(views.proxy, views.om_proxy, access_policy)
         access_report = access_from_mask(accessed, groups)
-        base_preds = np.asarray(predict(proxy_model, x_rev[test_idx]))
+        # one score per student: every deployment of this setting cuts it
+        scores = predict_proba(proxy_model, x_rev)
 
         for eq_outcome in outcome_axis:
             degenerate: list[str] = []
-            preds_test = base_preds
+            cutoffs = proxy_model.decision_threshold
             outcome_report = None
-            selected_thresholds = None
             if eq_outcome:
                 # the decision-maker walks threshold pairs ranked on the data
                 # they receive, stopping once the audited gap clears tau_o;
                 # failing that, the best pair found within the cap stands
                 try:
                     pairs = candidate_group_thresholds(
-                        proxy_model,
-                        x_rev[train_idx],
-                        y_rev[train_idx],
-                        groups[train_idx],
-                        tau_o=cfg.tau_o,
-                        k=25,
+                        proxy_model, x_rev[train_idx], y_rev[train_idx], groups[train_idx], tau_o=cfg.tau_o, k=25
                     )
                 except ValidationError as exc:
                     degenerate.append(f"outcome equalization skipped: {exc}")
                     pairs = []
-                best = None
-                # scored once, cut per pair as predict_with_group_thresholds cuts
-                test_scores = np.asarray(predict_proba(proxy_model, x_rev[test_idx]), dtype=float)
                 for thresholds in pairs:
-                    candidate_preds = (test_scores >= group_cutoffs(groups[test_idx], thresholds)).astype(int)
+                    pair_cutoffs = group_cutoffs(groups, thresholds)
                     try:
-                        candidate_report = audited_outcome(candidate_preds)
+                        candidate = audited_outcome((scores[test_idx] >= pair_cutoffs[test_idx]).astype(int))
                     except UndefinedRateError as exc:
                         degenerate.append(f"omega undefined: {exc}")
                         break
-                    if best is None or candidate_report.eo_violation < best[0].eo_violation:
-                        best = (candidate_report, candidate_preds, thresholds)
-                    if candidate_report.eo_violation <= cfg.tau_o:
+                    if outcome_report is None or candidate.eo_violation < outcome_report.eo_violation:
+                        outcome_report, cutoffs = candidate, pair_cutoffs
+                    if candidate.eo_violation <= cfg.tau_o:
                         break
-                if best is not None:
-                    outcome_report, preds_test, selected_thresholds = best
+
+            # admissibility is a population-level figure: who would this
+            # deployment admit, across every student in the file
+            preds_all = (scores >= cutoffs).astype(int)
+            admissibility = {g: float(np.mean(preds_all[groups == g])) for g in (0, 1)}
+            preds_test = preds_all[test_idx]
             if outcome_report is None:
                 try:
                     outcome_report = audited_outcome(preds_test)
                 except UndefinedRateError as exc:
                     degenerate.append(f"omega undefined: {exc}")
-
-            # admissibility is a population-level figure: who would this
-            # deployment admit, across every student in the file
-            if selected_thresholds is not None:
-                preds_all = predict_with_group_thresholds(
-                    proxy_model, x_rev, groups, selected_thresholds
-                )
-            else:
-                preds_all = np.asarray(predict(proxy_model, x_rev))
-            admissibility = {g: float(np.mean(preds_all[groups == g])) for g in (0, 1)}
 
             accepted_rows = test_idx[preds_test == 1]
             if accepted_rows.size == 0:
@@ -573,21 +564,14 @@ def run_case_study(cfg: RunConfig, views: CaseStudyViews) -> CaseStudyResult:
 
             for eq_util in util_axis:
                 util_report = None
-                tp_share = fp_share = None
-                fp_by_group: dict[int, float] = {}
                 if accepted_rows.size:
                     alleviated = ACCESS_CARRY_FRACTION * eq_access + (1 - ACCESS_CARRY_FRACTION) * eq_util
                     y_tt = np.asarray(predict(intended_model, x_accepted + alleviated * uplift_accepted))
                     util_report = utilization_from_labels(y_tt, groups[accepted_rows])
-                    tp_share = util_report.true_positive_share
-                    fp_share = util_report.false_positive_share
-                    fp_by_group = util_report.per_group_fp_share
 
                 report = None
                 if outcome_report is not None and util_report is not None:
-                    report = EquityReport.from_reports(
-                        access_report, outcome_report, util_report, gaps
-                    )
+                    report = EquityReport.from_reports(access_report, outcome_report, util_report, gaps)
                 regimes.append(
                     RegimeResult(
                         name=regime_name(eq_access, eq_outcome, eq_util),
@@ -596,9 +580,9 @@ def run_case_study(cfg: RunConfig, views: CaseStudyViews) -> CaseStudyResult:
                         equal_utilization=eq_util,
                         report=report,
                         admissibility_by_group=dict(admissibility),
-                        tp_share=tp_share,
-                        fp_share=fp_share,
-                        fp_share_by_group=fp_by_group,
+                        tp_share=None if util_report is None else util_report.true_positive_share,
+                        fp_share=None if util_report is None else util_report.false_positive_share,
+                        fp_share_by_group={} if util_report is None else util_report.per_group_fp_share,
                         degenerate=tuple(degenerate),
                     )
                 )

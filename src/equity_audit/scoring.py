@@ -252,41 +252,32 @@ def run_equity_scoring(
         # outcome phase: re-sample the model function while omega > tau_o.
         # A re-sampled spec may read different features, so its access rate
         # is re-checked; a spec that breaks the access gate is rejected
-        # within this phase.
+        # within this phase. Each draw records one reason, "" if accepted.
         accepted_omega = None
-        preds_test = None
         for _ in range(max_inner_iters):
             if spent():
                 break
             budget -= 1
-            if psi < cfg.tau:
-                record("outcome", spec_id, policy_id, psi, None, None, REJECT_ACCESS)
-                spec_id = proxy_sampler.next_spec()
-                spec, x_rev, y_rev, psi = spec_view(spec_id, policy)
-                continue
-            try:
-                model = train(spec, x_rev[train_idx], y_rev[train_idx], cfg.seed)
-                preds = np.asarray(predict(model, x_rev[test_idx]))
-                report = eo_violation(preds, y_rev[test_idx], groups[test_idx], cfg.epsilon)
-            except (SingleClassError, UndefinedRateError):
-                record("outcome", spec_id, policy_id, psi, None, None, REJECT_DEGENERATE)
-                spec_id = proxy_sampler.next_spec()
-                spec, x_rev, y_rev, psi = spec_view(spec_id, policy)
-                continue
-            omega = report.eo_violation
-            if omega <= cfg.tau_o:
+            omega, reason = None, REJECT_ACCESS
+            if psi >= cfg.tau:
+                try:
+                    model = train(spec, x_rev[train_idx], y_rev[train_idx], cfg.seed)
+                    preds_test = np.asarray(predict(model, x_rev[test_idx]))
+                    omega = eo_violation(preds_test, y_rev[test_idx], groups[test_idx], cfg.epsilon).eo_violation
+                    reason = "" if omega <= cfg.tau_o else REJECT_OUTCOME
+                except (SingleClassError, UndefinedRateError):
+                    reason = REJECT_DEGENERATE
+            record("outcome", spec_id, policy_id, psi, omega, None, reason)
+            if not reason:
                 accepted_omega = omega
-                preds_test = preds
-                record("outcome", spec_id, policy_id, psi, omega, None)
                 break
-            record("outcome", spec_id, policy_id, psi, omega, None, REJECT_OUTCOME)
             spec_id = proxy_sampler.next_spec()
             spec, x_rev, y_rev, psi = spec_view(spec_id, policy)
         if accepted_omega is None:
             continue
 
         # utilization phase on the accepted model's held-out positives
-        positive_rows = test_idx[np.asarray(preds_test) == 1]
+        positive_rows = test_idx[preds_test == 1]
         if positive_rows.size == 0:
             record("utilization", spec_id, policy_id, psi, accepted_omega, None, REJECT_DEGENERATE)
             continue

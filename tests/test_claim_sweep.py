@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,14 @@ def test_clopper_pearson_matches_closed_forms_and_tables():
     assert cp(20, 20) == pytest.approx((0.025 ** (1 / 20), 1.0), abs=1e-9)
     # published exact 95 % interval for 8 of 20
     assert cp(8, 20) == pytest.approx((0.1911901, 0.6394574), abs=1e-6)
+
+
+def test_clopper_pearson_at_two_thousand_trials():
+    # math.comb(2000, 1000) is past the float range; the terms are summed in log space
+    lo, hi = load_script().clopper_pearson(1000, 2000)
+    assert math.isfinite(lo) and math.isfinite(hi)
+    assert lo < 0.5 < hi
+    assert (lo, hi) == pytest.approx((0.4779, 0.5221), abs=1e-4)
 
 
 def test_sweep_json_matches_the_pinned_hash(tmp_path):

@@ -385,6 +385,21 @@ class TestAudit:
         assert f"error: {field} is too large: the largest uplift draw overflows" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_header_only_student_file_exit_2(self, student_path, tmp_path):
+        # in a process of its own, so a numpy RuntimeWarning would reach stderr
+        path = tmp_path / "students.csv"
+        path.write_text(student_path.read_text().splitlines()[0] + "\n")
+        argv = ["--out", str(tmp_path / "r"), "casestudy", str(path)]
+        code = (
+            f"import sys; sys.path.insert(0, {str(PYPROJECT.parent / 'src')!r}); "
+            f"from equity_audit.cli import main; sys.exit(main({argv!r}))"
+        )
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert run.returncode == 2
+        assert "RuntimeWarning" not in run.stderr
+        assert run.stderr == "error: case study needs at least 10 students\n"
+        assert not (tmp_path / "r").exists()
+
     def test_directory_input_exit_2(self, tmp_path, capsys):
         folder = tmp_path / "some_dir.csv"
         folder.mkdir()

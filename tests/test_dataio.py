@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import os
 import re
+import sys
 import threading
 from pathlib import Path
 from unittest import mock
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from equity_audit import csvio, dataio
+from equity_audit import csvio, dataio, learner
 from equity_audit.config import RunConfig
 from equity_audit.core import ObstacleModel, Population, dominates
 from equity_audit.dataio import (
@@ -74,6 +75,9 @@ class TestLoader:
         path.write_text(UCI_HEADER + "\n")
         table = load_uci_students(path)
         assert len(table) == 0
+        # refused before any draw, whose np.std of an empty column would warn
+        with pytest.raises(ValidationError, match="^case study needs at least 10 students$"):
+            build_case_study_views(table, RunConfig())
 
     def test_non_numeric_cell_cites_row_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -328,6 +332,27 @@ class TestRunCaseStudy:
                 for outcome in (True, False):
                     assert tp[regime_name(access, outcome, True)] > tp[regime_name(access, outcome, False)]
             assert tp[regime_name(True, True, True)] >= tp[regime_name(True, False, False)]
+
+    def test_each_access_setting_scores_the_students_once(self, student_path, monkeypatch):
+        """Outside the threshold grid the decision model scores every student
+        once per access setting, and each deployment cuts those scores."""
+        calls = []
+        real = learner.predict_proba
+
+        def spy(model, features):
+            calls.append((model, sys._getframe(1).f_code.co_name))
+            return real(model, features)
+
+        monkeypatch.setattr(learner, "predict_proba", spy)
+        monkeypatch.setattr(dataio, "predict_proba", spy)
+        cfg = RunConfig(seed=7)
+        result = run_case_study(cfg, build_case_study_views(load_uci_students(student_path), cfg))
+        assert len(result.regimes) == 8
+        assert not hasattr(dataio, "predict_with_group_thresholds")
+        # a call through predict or predict_with_group_thresholds would name them
+        callers = [caller for model, caller in calls if model is result.proxy_model]
+        assert [c for c in callers if c != "_group_threshold_grid"] == ["run_case_study"] * 2
+        assert callers.count("_group_threshold_grid") == 2
 
     def test_regime_filter(self, student_path):
         cfg = RunConfig(seed=7, equal_access=True, equal_utilization=True)

@@ -261,3 +261,52 @@ def test_repeated_utilization_candidates_fitted_once(monkeypatch):
     )
     assert len(fits) == outcome_fits + len(set(util))
     assert hashlib.sha256(trace.to_json().encode()).hexdigest() == REPEATING_TRACE_SHA256
+
+
+def outcome_phase_spaces():
+    """100 rows and four proxy specs that the outcome phase rejects for every reason.
+
+    ``y_prime`` is all 1, so a spec that reads only the obstacle-free
+    feature ``b`` reveals one label class and cannot be trained
+    (``degenerate_metric``). 40 % of the rows face an obstacle on ``a``
+    and 80 % on ``c``, so under the one policy, which alleviates nothing,
+    a spec reading ``c`` fails the access gate at ``tau = 0.5``
+    (``access_gate``) while ``a`` and ``a, b`` pass it and train on mixed
+    labels, their omegas straddling ``tau_o`` (``outcome_gate`` or accepted).
+    """
+    n = 100
+    k = np.arange(n)
+    rng = np.random.default_rng(5)
+    y = rng.integers(0, 2, n)
+    x = rng.normal(size=(n, 3)) + y[:, None] * [0.5, 0.0, 0.0]
+    z = x.copy()
+    z[k % 5 < 2, 0] += 1.0
+    z[k % 5 < 4, 2] += 1.0
+    pop = Population(x, z, y, np.ones(n, dtype=int), k % 2, [f"r{i}" for i in k], ("a", "b", "c"))
+    space = ModelSpace(
+        (ModelSpec(("a",)), ModelSpec(("b",)), ModelSpec(("c",)), ModelSpec(("a", "b"))),
+        pop,
+        ObstacleModel.from_alpha([1.0, 0.0, 1.0]),
+        (Policy(0.0),),
+    )
+    return space, space
+
+
+# sha256 of each trace's JSON, pinned before the outcome phase's three
+# rejection branches became one
+OUTCOME_PHASE_TRACES = {
+    # converges after one outcome-phase record of each rejection reason
+    (6, 0.2, 4, 6): "d2266f37d415a0a3264e2b33c9977f0ce57a1839f947f5fece0ceaa99a2dd449",
+    # no omega clears tau_o: every outer iteration spends its outcome draws
+    (0, 0.05, 3, 6): "364a363a90a2f06dd0a6111d66962a70e49ba946d695faaa3eae4db2ec434e9e",
+}
+
+
+@pytest.mark.parametrize("seed, tau_o, max_outer, max_inner", OUTCOME_PHASE_TRACES)
+def test_outcome_phase_rejections_are_pinned(seed, tau_o, max_outer, max_inner):
+    cfg = RunConfig(seed=seed, tau=0.5, tau_o=tau_o)
+    trace = run_equity_scoring(*outcome_phase_spaces(), cfg, max_outer, max_inner)
+    reasons = {r.reason for r in trace.records if r.phase == "outcome" and not r.accepted}
+    assert reasons == {"access_gate", "degenerate_metric", "outcome_gate"}
+    key = (seed, tau_o, max_outer, max_inner)
+    assert hashlib.sha256(trace.to_json().encode()).hexdigest() == OUTCOME_PHASE_TRACES[key]
