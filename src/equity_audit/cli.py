@@ -228,10 +228,8 @@ def _cmd_casestudy(args, cfg: RunConfig) -> int:
     result = run_case_study(cfg, build_case_study_views(load_uci_students(args.input), cfg))
     with _reports_dir(cfg) as out:
         # fitted models are saved in the document format the gaps command reads
-        if result.proxy_model is not None:
-            write_json(result.proxy_model.to_dict(), out / "proxy_model.json")
-        if result.intended_model is not None:
-            write_json(result.intended_model.to_dict(), out / "intended_model.json")
+        write_json(result.proxy_model.to_dict(), out / "proxy_model.json")
+        write_json(result.intended_model.to_dict(), out / "intended_model.json")
         if "json" in cfg.formats:
             write_json(result.to_dict(), out / "casestudy.json")
         if "csv" in cfg.formats:

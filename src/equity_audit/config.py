@@ -8,9 +8,7 @@ name a :class:`RunConfig` field, and every value must have its field's
 type.
 """
 
-from __future__ import annotations
-
-import functools
+# no ``from __future__ import annotations``: RunConfig checks values against its own annotations
 import numbers
 import sys
 import tomllib
@@ -62,10 +60,11 @@ class RunConfig:
     train_fraction: float = 0.7
 
     def __post_init__(self):
-        for name, hint, text in _field_types():
-            value = getattr(self, name)
-            if not _has_type(value, hint):
-                raise DataFormatError(f"config value {name} must be {text}, got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, f.type):
+                text = f.type.__name__ if isinstance(f.type, type) else str(f.type)
+                raise DataFormatError(f"config value {f.name} must be {text}, got {value!r}")
         if not 0 < self.tau <= 1:
             raise ValidationError("tau must be in (0, 1]")
         if not 0 <= self.tau_o < 1:
@@ -115,14 +114,3 @@ class RunConfig:
     def override(self, **kwargs) -> "RunConfig":
         updates = {k: v for k, v in kwargs.items() if v is not None}
         return replace(self, **updates) if updates else self
-
-
-@functools.cache
-def _field_types() -> tuple[tuple[str, object, str], ...]:
-    """``(name, annotation, annotation text)`` of every RunConfig field.
-
-    The annotations are strings until resolved; resolving them once per
-    process keeps ``typing.get_type_hints`` out of every construction.
-    """
-    hints = typing.get_type_hints(RunConfig)
-    return tuple((f.name, hints[f.name], f.type) for f in fields(RunConfig))

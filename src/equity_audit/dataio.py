@@ -354,14 +354,7 @@ def build_case_study_views(table: StudentTable, cfg: RunConfig) -> CaseStudyView
     # label is y; the obstacle-free label applies the same uplift rule to
     # the final grade before the pass mark
     y = (g3 >= cfg.pass_mark).astype(int)
-    g3_free = g3.copy()
-    _check_largest_draw(
-        _UPLIFT_SPREAD[1] * cfg.uplift_std_fraction * float(np.std(g3)), "uplift_std_fraction"
-    )
-    g3_severity = rng.uniform(*_UPLIFT_SPREAD, size=int(np.sum(flags)))
-    g3_free[flags] = np.clip(
-        g3[flags] + g3_severity * cfg.uplift_std_fraction * float(np.std(g3)), 0.0, 20.0
-    )
+    g3_free = _uplift(g3[:, None], flags, ("G3",), ("G3",), {"G3": (0.0, 20.0)}, cfg, rng)[:, 0]
     y_prime = (g3_free >= cfg.pass_mark).astype(int)
     ids = [f"s{i}" for i in range(n)]
     groups = sex.astype(int)
@@ -415,8 +408,8 @@ class RegimeResult(Record):
 class CaseStudyResult:
     regimes: tuple[RegimeResult, ...]
     gaps: GapReport
-    proxy_model: TrainedModel | None = None
-    intended_model: TrainedModel | None = None
+    proxy_model: TrainedModel
+    intended_model: TrainedModel
 
     def regime(self, name: str) -> RegimeResult:
         for r in self.regimes:

@@ -202,17 +202,6 @@ class CuratedDataset:
         return int(self.X.shape[0])
 
     @classmethod
-    def empty(cls, feature_names: tuple[str, ...]) -> "CuratedDataset":
-        d = len(feature_names)
-        return cls(
-            feature_names=feature_names,
-            X=np.empty((0, d)),
-            y=np.empty((0,), dtype=int),
-            rounds=np.empty((0,), dtype=int),
-            source_rows=np.empty((0,), dtype=np.int64),
-        )
-
-    @classmethod
     def from_columns(
         cls, feature_names: tuple[str, ...], X, y, round: int, source_rows
     ) -> "CuratedDataset":
@@ -436,7 +425,8 @@ def curate_ground_truth(
     if not positives:
         if feature_names is None:
             raise ValidationError("feature_names required for an empty curation batch")
-        return CuratedDataset.empty(tuple(feature_names))
+        names = tuple(feature_names)
+        return CuratedDataset.from_columns(names, np.empty((0, len(names))), [], round, [])
     d = len(positives[0][1])
     names = tuple(feature_names) if feature_names is not None else tuple(
         f"pf{i}" for i in range(d)
@@ -463,6 +453,14 @@ def run_inequity_loop(
     access_alleviated = regime != "no_equity"
     outcome_equalized = regime in ("access_and_outcome", "full_equity")
     utilization_alleviated = regime == "full_equity"
+    # evaluation-side features: cleared entirely under full equity;
+    # otherwise the decision-time residue depends on the access regime
+    if utilization_alleviated:
+        eval_view = "z_intended"
+    elif access_alleviated:
+        eval_view = "x_intended_after_access"
+    else:
+        eval_view = "x_intended"
 
     om_p = ObstacleModel.from_alpha(cfg.alpha_proxy)
     proxy_policy = Policy(math.inf) if access_alleviated else Policy(0.0)
@@ -510,15 +508,7 @@ def run_inequity_loop(
         else:
             preds = np.asarray(predict(model, x_rev))
 
-        # evaluation-side features: cleared entirely under full equity;
-        # otherwise the decision-time residue depends on the access regime
-        if utilization_alleviated:
-            x_eval = cohort.z_intended
-        elif access_alleviated:
-            x_eval = cohort.x_intended_after_access
-        else:
-            x_eval = cohort.x_intended
-        y_eval = predict(env_model, x_eval)
+        y_eval = predict(env_model, getattr(cohort, eval_view))
 
         # one count over (evaluation label if admitted, group, revealed label, decision)
         table = _count_log(preds, y_rev, groups, y_eval)

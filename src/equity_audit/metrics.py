@@ -457,6 +457,9 @@ def equity_score(
     access: AccessReport, outcome: OutcomeReport, util: UtilizationReport
 ) -> float:
     """Composite score ``psi + (1 - min(omega, 1)) + zeta`` in [0, 3]."""
-    return float(
-        access.psi + (1.0 - min(outcome.eo_violation, 1.0)) + util.zeta
-    )
+    return _score(access.psi, outcome.eo_violation, util.zeta)
+
+
+def _score(psi: float, omega: float, zeta: float) -> float:
+    """``psi + (1 - min(omega, 1)) + zeta``: the one formula of every equity score."""
+    return float(psi + (1.0 - min(omega, 1.0)) + zeta)

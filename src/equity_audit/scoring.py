@@ -17,9 +17,10 @@ a gate fails:
 
 Every candidate evaluation appends one trace record, so a finished
 :class:`ScoringTrace` is a complete audit log of what was tried, in which
-phase, and why it was rejected. A global budget of
-``max_outer_iters * max_inner_iters`` candidate evaluations bounds the run;
-exhausting it ends the trace with ``terminated_reason="iteration_cap"``.
+phase, and why it was rejected. The trace is the run's budget: it holds at
+most ``max_outer_iters * max_inner_iters`` records, the record of an
+accepted model that admits no held-out row included, and a run that fills
+it ends with ``terminated_reason="iteration_cap"``.
 
 The evaluation model is fitted on evaluation-dataset rows whose ids are
 not currently under evaluation, so accepted individuals are never scored
@@ -36,7 +37,7 @@ from .config import RunConfig
 from .core import ObstacleModel, Policy, Population, reveal_population
 from .errors import JoinError, SingleClassError, UndefinedRateError, ValidationError
 from .learner import ModelSpec, predict, train
-from .metrics import access_from_mask, eo_violation, utilization_from_labels
+from .metrics import _score, access_from_mask, eo_violation, utilization_from_labels
 from .reports import Record, _csv_text, json_text
 
 REJECT_ACCESS = "access_gate"
@@ -184,8 +185,9 @@ def run_equity_scoring(
 
     Returns a trace of every candidate evaluation. On convergence the final
     score is ``psi + (1 - min(omega, 1)) + zeta`` for the accepted
-    configuration; if no configuration clears all three gates inside the
-    evaluation budget, the trace ends with ``iteration_cap`` and no score.
+    configuration; if no configuration clears all three gates within
+    ``max_outer_iters * max_inner_iters`` trace records, the trace ends
+    with ``iteration_cap`` and no score.
     """
     if max_outer_iters < 1 or max_inner_iters < 1:
         raise ValidationError("iteration caps must be positive")
@@ -203,10 +205,9 @@ def run_equity_scoring(
     groups = proxy_space.dataset.groups()
 
     records: list[IterationRecord] = []
-    budget = max_outer_iters * max_inner_iters
 
     def spent() -> bool:
-        return budget <= 0
+        return len(records) >= max_outer_iters * max_inner_iters
 
     def record(phase, spec_id, policy_id, psi, omega, zeta, reason=""):
         """Log one candidate evaluation; an empty reason means accepted."""
@@ -243,7 +244,6 @@ def run_equity_scoring(
         policy = proxy_space.candidate_policies[policy_id]
         spec, x_rev, y_rev, psi = spec_view(spec_id, policy)
 
-        budget -= 1
         if psi < cfg.tau:
             record("access", spec_id, policy_id, psi, None, None, REJECT_ACCESS)
             continue
@@ -257,7 +257,6 @@ def run_equity_scoring(
         for _ in range(max_inner_iters):
             if spent():
                 break
-            budget -= 1
             omega, reason = None, REJECT_ACCESS
             if psi >= cfg.tau:
                 try:
@@ -279,7 +278,8 @@ def run_equity_scoring(
         # utilization phase on the accepted model's held-out positives
         positive_rows = test_idx[preds_test == 1]
         if positive_rows.size == 0:
-            record("utilization", spec_id, policy_id, psi, accepted_omega, None, REJECT_DEGENERATE)
+            if not spent():
+                record("utilization", spec_id, policy_id, psi, accepted_omega, None, REJECT_DEGENERATE)
             continue
         b_ids = [proxy_ids[int(row)] for row in positive_rows]
         missing = [ind_id for ind_id in b_ids if ind_id not in intended_ids]
@@ -303,7 +303,6 @@ def run_equity_scoring(
             if spent():
                 break
             candidate = intended_sampler.sample()
-            budget -= 1
             if candidate not in zetas:
                 zetas[candidate] = evaluation_zeta(*candidate)
             zeta = zetas[candidate]
@@ -318,7 +317,6 @@ def run_equity_scoring(
         if converged_zeta is None:
             continue
 
-        score = psi + (1.0 - min(accepted_omega, 1.0)) + converged_zeta
-        return ScoringTrace(tuple(records), float(score), "converged")
+        return ScoringTrace(tuple(records), _score(psi, accepted_omega, converged_zeta), "converged")
 
     return ScoringTrace(tuple(records), None, "iteration_cap")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -122,6 +123,18 @@ class TestRunEquityScoring:
         _, intended_space = perfect_spaces()
         trace = run_equity_scoring(proxy_space, intended_space, RunConfig(seed=0), 7, 3)
         assert len(trace.records) <= 7 * 3
+
+    @pytest.mark.parametrize("max_outer, max_inner", [(1, 1), (1, 2), (2, 1), (3, 2), (5, 4)])
+    def test_trace_never_outgrows_its_budget(self, max_outer, max_inner):
+        # a rule no row reaches admits no one, so every model passes the
+        # outcome gate (omega 0) and then has no held-out row to evaluate:
+        # that no-admits record counts toward the budget like any other
+        proxy_space, intended_space = perfect_spaces()
+        unreachable = ModelSpec(("f1", "f2"), "norm_threshold", {"threshold": 1e9})
+        proxy_space = dataclasses.replace(proxy_space, candidate_specs=(unreachable,))
+        trace = run_equity_scoring(proxy_space, intended_space, RunConfig(), max_outer, max_inner)
+        assert trace.terminated_reason == "iteration_cap"
+        assert len(trace.records) <= max_outer * max_inner
 
     def test_trace_serialization(self):
         proxy_space, intended_space = perfect_spaces()
