@@ -293,17 +293,15 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_simulate_loop(args, cfg)
         if args.command == "gaps":
             return _cmd_gaps(args, cfg)
-        if args.command == "questions":
-            print(emit_checklist(), end="")
-            return 0
-        parser.error(f"unknown command {args.command!r}")
+        # argparse admits no command but the five above and this one
+        print(emit_checklist(), end="")
+        return 0
     except (UndefinedRateError, NoPositivesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DEGENERATE_ERROR
     except EquityAuditError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    return 0
 
 
 if __name__ == "__main__":

@@ -151,11 +151,7 @@ def _student_rows(lines, path: Path) -> tuple[tuple[str, ...], list[list[str]]]:
     """
     reader = csv.reader(lines, delimiter=";")
     columns = tuple(col.strip().strip('"') for col in _header_row(reader, path))
-    missing = [c for c in REQUIRED_COLUMNS if c not in columns]
-    if missing:
-        raise DataFormatError(
-            f"missing expected columns: {', '.join(missing)}"
-        )
+    _require_columns(columns, REQUIRED_COLUMNS)
     rows: list[list[str]] = []
     try:
         rows.extend(reader)
@@ -503,6 +499,14 @@ def run_case_study(cfg: RunConfig, views: CaseStudyViews) -> CaseStudyResult:
     def audited_outcome(preds):
         return eo_violation(preds, y_free[test_idx], groups[test_idx], cfg.epsilon)
 
+    # omega's definedness rests on the held-out labels and groups, never on
+    # a cut: decided once, it skips every walk and each regime records it once
+    omega_undefined = None
+    try:
+        audited_outcome(np.zeros(test_idx.size, dtype=int))
+    except UndefinedRateError as exc:
+        omega_undefined = f"omega undefined: {exc}"
+
     access_axis, outcome_axis, util_axis = _regime_axes(cfg)
     regimes: list[RegimeResult] = []
     for eq_access in access_axis:
@@ -527,13 +531,9 @@ def run_case_study(cfg: RunConfig, views: CaseStudyViews) -> CaseStudyResult:
                 except ValidationError as exc:
                     degenerate.append(f"outcome equalization skipped: {exc}")
                     pairs = []
-                for thresholds in pairs:
+                for thresholds in () if omega_undefined else pairs:
                     pair_cutoffs = group_cutoffs(groups, thresholds)
-                    try:
-                        candidate = audited_outcome((scores[test_idx] >= pair_cutoffs[test_idx]).astype(int))
-                    except UndefinedRateError as exc:
-                        degenerate.append(f"omega undefined: {exc}")
-                        break
+                    candidate = audited_outcome((scores[test_idx] >= pair_cutoffs[test_idx]).astype(int))
                     if outcome_report is None or candidate.eo_violation < outcome_report.eo_violation:
                         outcome_report, cutoffs = candidate, pair_cutoffs
                     if candidate.eo_violation <= cfg.tau_o:
@@ -544,11 +544,10 @@ def run_case_study(cfg: RunConfig, views: CaseStudyViews) -> CaseStudyResult:
             preds_all = (scores >= cutoffs).astype(int)
             admissibility = {g: float(np.mean(preds_all[groups == g])) for g in (0, 1)}
             preds_test = preds_all[test_idx]
-            if outcome_report is None:
-                try:
-                    outcome_report = audited_outcome(preds_test)
-                except UndefinedRateError as exc:
-                    degenerate.append(f"omega undefined: {exc}")
+            if omega_undefined:
+                degenerate.append(omega_undefined)
+            elif outcome_report is None:
+                outcome_report = audited_outcome(preds_test)
 
             accepted_rows = test_idx[preds_test == 1]
             if accepted_rows.size == 0:
@@ -588,6 +587,13 @@ def run_case_study(cfg: RunConfig, views: CaseStudyViews) -> CaseStudyResult:
     )
 
 
+def _require_columns(header, names) -> None:
+    """Refuse a header without every one of ``names``, naming each missing one in order."""
+    missing = [c for c in names if c not in header]
+    if missing:
+        raise DataFormatError(f"missing expected columns: {', '.join(missing)}")
+
+
 def _integer_fault(exc, cell, row, column) -> DataFormatError:
     return DataFormatError(f"expected an integer, got {cell!r}", row=row, column=column)
 
@@ -604,9 +610,7 @@ def load_audit_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray
     path = Path(path)
 
     def plan(header):
-        missing = [c for c in ("pred", "label", "group") if c not in header]
-        if missing:
-            raise DataFormatError(f"missing expected columns: {', '.join(missing)}")
+        _require_columns(header, ("pred", "label", "group"))
         names = ("pred", "label", "group", "y_tt") if "y_tt" in header else ("pred", "label", "group")
         return [(name, int) for name in names]
 
@@ -630,12 +634,7 @@ def load_population_csv(path: str | Path) -> Population:
         feature_names = _x_features(header)
         if not feature_names:
             raise DataFormatError("no x_<feature> columns found")
-        for f in feature_names:
-            if f"z_{f}" not in header:
-                raise DataFormatError(f"missing expected columns: z_{f}")
-        for col in ("id", "group", "y", "y_prime"):
-            if col not in header:
-                raise DataFormatError(f"missing expected columns: {col}")
+        _require_columns(header, [f"z_{f}" for f in feature_names] + ["id", "group", "y", "y_prime"])
         features = [f"x_{f}" for f in feature_names] + [f"z_{f}" for f in feature_names]
         labels = [("y", int), ("y_prime", int), ("group", int), ("id", str)]
         return [(name, float) for name in features] + labels
@@ -657,10 +656,10 @@ def load_model_document(path: str | Path) -> tuple[list[str], np.ndarray, Obstac
     """Read a model JSON document for gap computation.
 
     Accepts either a serialized trained model or a minimal document with
-    ``feature_names`` and ``importance`` (optionally ``alpha`` /
-    ``affected_features`` describing its obstacle structure). The shape of
-    every field is checked before any value is converted: each fault is a
-    DataFormatError (exit 2) naming the field.
+    ``feature_names`` and ``importance`` (optionally ``alpha``, and only
+    beside it ``affected_features``, describing its obstacle structure).
+    The shape of every field is checked before any value is converted:
+    each fault is a DataFormatError (exit 2) naming the field.
     """
     path = Path(path)
     doc = read_json(path)
@@ -676,6 +675,8 @@ def load_model_document(path: str | Path) -> tuple[list[str], np.ndarray, Obstac
             )
     if "affected_features" in doc and not is_list_of(doc["affected_features"], is_index):
         raise DataFormatError(f"{path}: 'affected_features' must be a list of feature indices")
+    if "affected_features" in doc and "alpha" not in doc:
+        raise DataFormatError(f"{path}: 'affected_features' needs 'alpha'")
     importance = np.asarray(doc["importance"], dtype=float)
     om = None
     if "alpha" in doc:

@@ -45,7 +45,7 @@ the evaluation model it stands in for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -389,8 +389,7 @@ def _validate_training_inputs(spec: ModelSpec, features, labels) -> tuple[np.nda
         raise ValidationError("need at least 2 training rows")
     if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
         raise ValidationError("training data contains non-finite values")
-    if not ((y == 0.0) | (y == 1.0)).all():
-        raise ValidationError("labels must be binary (0/1)")
+    _binary_values(y, "labels")
     if np.all(y == y[0]):
         raise SingleClassError("training labels contain a single class")
     return X, y
@@ -436,17 +435,9 @@ def train(
     if spec.function_class == "norm_threshold":
         if "threshold" not in hp:
             raise ValidationError("norm_threshold requires a 'threshold' hyperparam")
-        d = len(spec.feature_names)
-        return TrainedModel(
-            spec=spec,
-            coefficients=np.zeros(d),
-            intercept=0.0,
-            mu=np.zeros(d),
-            sigma=np.ones(d),
-            importance=np.zeros(d),
-            decision_threshold=float(hp["decision_threshold"]),
-            threshold=float(hp["threshold"]),
-        )
+        zeros = np.zeros(len(spec.feature_names))
+        unfitted = TrainedModel.from_coefficients(spec, zeros, 0.0, float(hp["decision_threshold"]))
+        return replace(unfitted, threshold=float(hp["threshold"]))
 
     # feature-major: the mean, the variance, the gradient and the Hessian
     # reduce along the contiguous axis, whatever the layout of ``features``.

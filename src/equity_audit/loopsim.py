@@ -472,21 +472,19 @@ def run_inequity_loop(
     )
 
     # the training pool, seed rows first and then each round's curated
-    # rows with their round, grows in place; every round trains on a
-    # leading view of it
+    # rows, grows in place; every round trains on a leading view of it
     n_seed = cfg.n_per_round
     capacity = n_seed + rounds * cfg.n_per_round
     try:
         pool_X = np.empty((capacity, cfg.d_proxy))
         pool_y = np.empty(capacity, dtype=int)
         pool_groups = np.empty(capacity, dtype=int)
-        pool_rounds = np.zeros(capacity, dtype=int)
     except (ValueError, OverflowError, MemoryError):
         raise ValidationError(
             f"rounds={rounds} needs a pool of {capacity} rows, more than can be allocated"
         ) from None
     size = n_seed
-    batch_rows = [np.empty(0, dtype=np.int64)]  # each round's accepted cohort rows
+    batch_rows = [np.empty(0, dtype=np.int64)]  # batch t: round t's accepted cohort rows; batch 0 is the seed's
     records: list[LoopRound] = []
 
     def play(t: int, model: TrainedModel, thresholds, events: list[str]) -> LoopRound:
@@ -528,7 +526,6 @@ def run_inequity_loop(
         pool_X[size : size + m] = x_rev[rows]
         pool_y[size : size + m] = y_eval[rows]
         pool_groups[size : size + m] = groups[rows]
-        pool_rounds[size : size + m] = t
         size += m
         batch_rows.append(rows)
         return LoopRound(
@@ -598,7 +595,7 @@ def run_inequity_loop(
         feature_names=feature_names,
         X=pool_X[n_seed:size].copy(),
         y=pool_y[n_seed:size].copy(),
-        rounds=pool_rounds[n_seed:size].copy(),
+        rounds=np.repeat(np.arange(len(batch_rows)), [len(r) for r in batch_rows]),
         source_rows=np.concatenate(batch_rows),
     )
     return trajectory, curated

@@ -389,8 +389,7 @@ def case_study_oracle(cfg, views):
                 )
                 try:
                     candidate_report = audited_outcome(candidate_preds)
-                except UndefinedRateError as exc:
-                    degenerate.append(f"omega undefined: {exc}")
+                except UndefinedRateError:  # the fallback below records it
                     break
                 if best is None or candidate_report.eo_violation < best[0].eo_violation:
                     best = (candidate_report, candidate_preds, thresholds)

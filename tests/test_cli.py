@@ -460,6 +460,7 @@ class TestScore:
             (b"5", "must hold a JSON object"),
             (b'{"proxy": \xff}', "UTF-8"),
             (b'{"proxy": 5, "intended": 5}', "proxy space must be a JSON object"),
+            (b'{"proxy": {}, "intended": {}}', "proxy space is missing 'dataset'"),
         ],
     )
     def test_malformed_spaces_file_exit_2(self, tmp_path, capsys, content, message):
@@ -555,10 +556,12 @@ class TestScore:
             ("specs", [{"features": "a0"}], "spec 0: 'features' must be a list of feature names"),
             ("dataset", 5, "'dataset' must be a path string"),
             ("affected_features", ["x"], "'affected_features' must be a list of feature indices"),
+            ("specs", [{"features": ["a"], "function_class": 5}], "spec 0: 'function_class' must be a string"),
         ],
         ids=[
             "alpha-string", "alpha-short", "policy-list", "policy-null", "policy-object",
             "policy-bool", "spec-number", "features-string", "dataset-number", "affected-string",
+            "class-number",
         ],
     )
     def test_malformed_space_exit_2(self, tmp_path, capsys, key, value, message):
@@ -570,6 +573,27 @@ class TestScore:
         assert run_cli("--out", str(tmp_path / "r"), "score", str(spaces)) == 2
         assert f"error: proxy space: {message}" in capsys.readouterr().err
 
+
+    def test_declared_affected_features_bound_the_alpha(self, tmp_path, capsys):
+        # every other row is obstructed; declaring the support of alpha gives
+        # the trace its absence gives, and a weight outside it is refused
+        pop_csv = write_population(tmp_path / "pop.csv", obstructed=range(0, 40, 2))
+        spaces = write_spaces(tmp_path / "spaces.json", str(pop_csv), proxy_alpha=1.0)
+        doc = json.loads(spaces.read_text())
+        traces = []
+        for affected in (None, [0]):
+            if affected is not None:
+                doc["proxy"]["affected_features"] = affected
+            spaces.write_text(json.dumps(doc))
+            out = tmp_path / f"r{len(traces)}"
+            assert run_cli("--out", str(out), "score", str(spaces), "--max-outer", "2", "--max-inner", "2") == 0
+            traces.append((out / "scoring_trace.json").read_bytes())
+        assert traces[0] == traces[1]
+        doc["proxy"]["affected_features"] = []
+        spaces.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("--out", str(tmp_path / "r"), "score", str(spaces)) == 2
+        assert "error: alpha[0] > 0 but feature 0 is not in affected_features" in capsys.readouterr().err
 
     def test_non_integral_iterations_exit_2(self, tmp_path, capsys):
         pop_csv = write_population(tmp_path / "pop.csv")
@@ -707,10 +731,12 @@ class TestGaps:
             ({"alpha": [1.0, 0.0], "affected_features": 5}, "'affected_features' must be a list of feature indices"),
             ({"affected_features": 5}, "'affected_features' must be a list of feature indices"),
             ({"alpha": [1.0, 0.0], "affected_features": ["x"]}, "'affected_features' must be a list of feature indices"),
+            ({"affected_features": [0]}, "'affected_features' needs 'alpha'"),
         ],
         ids=[
             "names-number", "names-lists", "importance-strings", "importance-short", "importance-bool",
             "alpha-string", "affected-number", "affected-without-alpha", "affected-string",
+            "affected-list-without-alpha",
         ],
     )
     def test_misshapen_model_document_exit_2(self, tmp_path, capsys, fields, message):

@@ -104,6 +104,21 @@ class TestLoader:
         with pytest.raises(DataFormatError):
             load_uci_students(path)
 
+    def test_file_without_activities_draws_extracurricular(self, student_path, tmp_path):
+        lines = student_path.read_text().splitlines()
+        drop = lines[0].split(";").index('"activities"')
+        path = tmp_path / "no_activities.csv"
+        path.write_text("".join(";".join(c for k, c in enumerate(line.split(";")) if k != drop) + "\n" for line in lines))
+        table = load_uci_students(path)
+        assert "activities" not in table.columns
+        n, cfg = len(table), RunConfig(seed=5)
+        drawn = build_case_study_views(table, cfg).proxy.x_matrix()[:, PROXY_FEATURES.index("extracurricular")]
+        # a fair coin per student from the views' stream, after the essay draw
+        rng = np.random.default_rng([cfg.seed, 7919])
+        rng.uniform(0.0, 2.0, size=n)
+        assert drawn.tolist() == (rng.random(n) < 0.5).astype(float).tolist()
+        assert 0 < drawn.sum() < n
+
 
 class TestObstacleFlags:
     def _table(self, rows):
@@ -454,6 +469,15 @@ class TestCaseStudyAgainstOracle:
             "omega undefined", "no admitted students to evaluate", "outcome equalization skipped",
         }
 
+    def test_each_degenerate_reason_is_recorded_once(self):
+        # omega's definedness rests on the held-out labels and groups alone,
+        # so the threshold walk and the untuned cut may not both record it
+        for name, views in _degenerate_views().items():
+            for seed in (0, 1):
+                for filters in ALL_FILTERS:
+                    for r in run_case_study(RunConfig(seed=seed, **filters), views).regimes:
+                        assert len(set(r.degenerate)) == len(r.degenerate), (name, seed, r.name, r.degenerate)
+
 
 class TestAuxiliaryLoaders:
     def test_audit_csv(self, tmp_path):
@@ -509,6 +533,9 @@ class TestAuxiliaryLoaders:
         path.write_text("id,group,y,y_prime,x_a\nu1,0,1,1,1.0\n")
         with pytest.raises(DataFormatError, match="z_a"):
             load_population_csv(path)
+        # every missing column is named: each z_<f>, then id, group, y, y_prime
+        path.write_text("group,y,y_prime,x_a\n0,1,1,1.0\n")
+        assert str(_raises(load_population_csv, path)) == "missing expected columns: z_a, id"
 
     def test_model_document(self, tmp_path):
         path = tmp_path / "model.json"
@@ -781,6 +808,19 @@ class TestUnreadableInput:
         assert _raises(load_population_csv, path).row == 1
         path.write_text(UCI_HEADER + "\n" + uci_row() + "\n" + uci_row(G3=huge) + "\n")
         assert _raises(load_uci_students, path).row == 2
+
+    def test_oversized_header_cell_is_an_unreadable_header(self, tmp_path):
+        huge = "h" * 200_000
+        path = tmp_path / "a.csv"
+        for loader, header, row in [
+            (load_audit_csv, f"pred,label,group,{huge}", "1,1,0"),
+            (load_population_csv, f"id,group,y,y_prime,x_a,z_a,{huge}", "u1,0,1,1,1.0,1.0"),
+            (load_uci_students, f'{UCI_HEADER};"{huge}"', uci_row()),
+        ]:
+            path.write_text(f"{header}\n{row}\n")
+            err = _raises(loader, path)
+            assert str(err).startswith("unreadable header row: field larger than field limit")
+            assert err.row is None
 
     def test_integer_beyond_int64_names_the_cell(self, tmp_path):
         path = tmp_path / "a.csv"

@@ -80,6 +80,33 @@ class TestTrain:
         with pytest.raises(ValidationError):
             train(ModelSpec(("f",), "norm_threshold"), X, y, seed=0)
 
+    @pytest.mark.parametrize(
+        "X, y, message",
+        [
+            (np.ones(4), [0, 1, 0, 1], r"^features must be 2-D, got shape \(4,\)$"),
+            (np.ones((4, 2)), [0, 1, 0, 1], r"^features have 2 columns, spec names 1$"),
+            (np.ones((4, 1)), [0, 1, 0], r"^labels must be a vector matching the feature rows$"),
+            (np.ones((4, 1)), [0, 1, 2, 1], r"^labels must be 0 or 1, got \[2.0\]$"),
+        ],
+        ids=["1-d", "columns", "label-count", "label-2"],
+    )
+    def test_misshapen_training_inputs_are_named(self, X, y, message):
+        with pytest.raises(ValidationError, match=message):
+            train(ModelSpec(("f",)), X, np.asarray(y), seed=0)
+
+    @pytest.mark.parametrize(
+        "names, function_class, message",
+        [
+            ((), "logistic_regression", r"^feature_names must be nonempty$"),
+            (("f", "f"), "logistic_regression", r"^feature_names must be unique$"),
+            (("f",), "forest", r"^unknown function_class 'forest'; expected one of \('logistic_regression', "),
+        ],
+        ids=["empty", "duplicate", "unknown-class"],
+    )
+    def test_malformed_spec_is_refused(self, names, function_class, message):
+        with pytest.raises(ValidationError, match=message):
+            ModelSpec(names, function_class)
+
 
 class TestPredict:
     def test_norm_threshold_rules(self):

@@ -237,6 +237,10 @@ class TestRunInequityLoop:
         with pytest.raises(ValidationError):
             run_inequity_loop(small_config(), 1, "sideways")
 
+    def test_no_round_rejected(self):
+        with pytest.raises(ValidationError, match="^rounds must be >= 1$"):
+            run_inequity_loop(small_config(), 0, "no_equity")
+
     def test_conservation_of_curated_rows(self):
         cfg = small_config()
         traj, curated = run_inequity_loop(cfg, 3, "access_only")

@@ -320,6 +320,13 @@ class TestObstacleGap:
         assert gap.unmatched_affected_features == 0
         assert gap.alpha_l1_distance_on_matched == 1.0
 
+    @pytest.mark.parametrize("side", ["proxy", "intended"])
+    def test_model_longer_than_its_feature_list_is_refused(self, side):
+        short, om = ObstacleModel.from_alpha([1.0]), ObstacleModel.from_alpha([1.0, 2.0])
+        args = (short, ["a", "b"], om, ["a", "b"]) if side == "proxy" else (om, ["a", "b"], short, ["a", "b"])
+        with pytest.raises(ValidationError, match=f"^{side} obstacle model does not match its feature list$"):
+            obstacle_gap(*args)
+
 
 class TestEquityScore:
     def _access(self, psi):

@@ -7,7 +7,7 @@ import pytest
 from equity_audit import scoring
 from equity_audit.config import RunConfig
 from equity_audit.core import ObstacleModel, Policy, Population
-from equity_audit.errors import ValidationError
+from equity_audit.errors import JoinError, ValidationError
 from equity_audit.learner import ModelSpec
 from equity_audit.loopsim import default_config, generate_cohort
 from equity_audit.scoring import (
@@ -152,6 +152,38 @@ class TestRunEquityScoring:
         for caps in ((0, 25), (100, 0)):
             with pytest.raises(ValidationError, match="iteration caps must be positive"):
                 run_equity_scoring(*perfect_spaces(), RunConfig(), *caps)
+
+    def test_one_row_proxy_dataset_is_refused(self):
+        proxy_space, intended_space = perfect_spaces()
+        one = Population([[3.0, 0.0]], [[3.0, 0.0]], [1], [1], [0], ["p0"], ("f1", "f2"))
+        proxy_space = dataclasses.replace(proxy_space, dataset=one)
+        with pytest.raises(ValidationError, match="^proxy dataset needs at least 2 rows$"):
+            run_equity_scoring(proxy_space, intended_space, RunConfig(), *CAPS)
+
+    def test_accepted_ids_missing_from_the_evaluation_dataset_are_refused(self):
+        proxy_space, intended_space = perfect_spaces()
+        pop = intended_space.dataset
+        renamed = Population(
+            pop.x_matrix(), pop.z_matrix(), pop.labels(), pop.labels_prime(), pop.groups(),
+            [f"q{i}" for i in range(len(pop))], pop.feature_names,
+        )
+        intended_space = dataclasses.replace(intended_space, dataset=renamed)
+        with pytest.raises(JoinError, match=r"accepted ids missing from the evaluation dataset \(first: 'p\d+'\)$"):
+            run_equity_scoring(proxy_space, intended_space, RunConfig(), *CAPS)
+
+    @pytest.mark.parametrize(
+        "specs, policies, message",
+        [
+            ((), (Policy(0.0),), "^model space needs at least one candidate spec$"),
+            ((ModelSpec(("f1",)),), (), "^model space needs at least one candidate policy$"),
+            ((ModelSpec(("f1", "g9")),), (Policy(0.0),), r"^spec features \['g9'\] not present in the dataset$"),
+        ],
+        ids=["no-spec", "no-policy", "absent-feature"],
+    )
+    def test_malformed_space_is_refused(self, specs, policies, message):
+        proxy_space, _ = perfect_spaces()
+        with pytest.raises(ValidationError, match=message):
+            ModelSpace(specs, proxy_space.dataset, proxy_space.obstacle_model, policies)
 
 
 def assert_phase_order(trace):
