@@ -36,7 +36,8 @@ _KERNEL_CHARS = 1 << 22
 # do: the quote, '\r', and the separators \x1c-\x1f, which numpy's number
 # parser skips as whitespace. Non-ASCII text is kept from numpy as well: its
 # integer parser reads some code points as digits. The integer kernel's
-# chunks have each \r\n line end made \n before this test.
+# chunks have each \r\n line end made \n before this test, and on the chunks
+# the byte grid reads, its own check (only digits, "," and "\n") stands in for it.
 _NOT_PLAIN = b'"\r\x1c\x1d\x1e\x1f'
 _INT64 = range(-(2**63), 2**63)
 # an integer column whose every value lies here is int8, any other int64
@@ -83,15 +84,16 @@ def _fast_columns(chunk: bytes, width: int, cols: list) -> list[np.ndarray] | No
 
     An all-integer plan goes to the integer kernel (``_int_columns``),
     with each ``\r\n`` line end read as ``\n``, as the csv module reads
-    it. Any other plan goes to ``np.loadtxt`` over the chunk's lines,
-    split at ``\n`` only: ``str.splitlines`` would also split at
-    characters such as ``\x0b`` and ``\x0c``, which are plain and which
-    the csv module keeps inside a cell.
+    it; the kernel checks the chunk is plain itself. Any other plan goes
+    to ``np.loadtxt`` over the chunk's lines, split at ``\n`` only:
+    ``str.splitlines`` would also split at characters such as ``\x0b``
+    and ``\x0c``, which are plain and which the csv module keeps inside a
+    cell.
     """
     if all(convert is int for _, _, convert in cols):
         if b"\r" in chunk:  # the test is one memchr; the replace copies the chunk
             chunk = chunk.replace(b"\r\n", b"\n")
-        return _int_columns(chunk, width, [i for _, i, _ in cols]) if _is_plain(chunk) else None
+        return _int_columns(chunk, width, [i for _, i, _ in cols])
     return _loadtxt(chunk.decode("ascii").split("\n"), cols) if _is_plain(chunk) else None
 
 
@@ -139,8 +141,8 @@ def _loadtxt(lines: list[str], cols: list) -> list[np.ndarray] | None:
 def _int_columns(text: bytes, width: int, indices: list[int]) -> list[np.ndarray] | None:
     """Columns ``indices`` of plain all-integer text, one C-contiguous array each; else None.
 
-    ``text`` is whole lines of bytes that ``_is_plain`` cleared. It is
-    taken only when every row has exactly ``width`` cells and ends at a
+    ``text`` is whole lines of bytes. It is taken only when it is plain
+    (``_is_plain``), every row has exactly ``width`` cells and ends at a
     newline (the last row may end the text instead) and every cell of
     ``indices`` matches ``-?[0-9]{1,18}``. Such a cell is one ``int()``
     reads, to the same value, inside the int64 range. Anything else (a
@@ -149,17 +151,22 @@ def _int_columns(text: bytes, width: int, indices: list[int]) -> list[np.ndarray
     its fault.
 
     Text whose every cell is one digit is read as a byte grid
-    (``_grid_columns``). Any other text, or text the grid turns down,
-    goes to the separator scan (``_separated_columns``), which reads
-    cells of any width; both give the same values, the grid as int8 and
-    the scan as int8 where every value of a column fits and int64
-    otherwise. ``_read_csv_columns`` sets each column's width.
+    (``_grid_columns``), which vouches for its own bytes: a digit, ``,``
+    and ``\n`` are plain, so the grid runs first and no other check of
+    the text is made. Text the grid turns down is checked by
+    ``_is_plain``, then goes to the separator scan
+    (``_separated_columns``), which reads cells of any width; both give
+    the same values, the grid as int8 and the scan as int8 where every
+    value of a column fits and int64 otherwise. ``_read_csv_columns``
+    sets each column's width.
     """
     data = np.frombuffer(text, np.uint8)
     if data.size and data[-1] != _NEWLINE:
         data = np.append(data, np.uint8(_NEWLINE))
     columns = _grid_columns(data, width, indices)
-    return _separated_columns(data, width, indices) if columns is None else columns
+    if columns is None and _is_plain(text):
+        return _separated_columns(data, width, indices)
+    return columns
 
 
 def _grid_columns(data: np.ndarray, width: int, indices: list[int]) -> list[np.ndarray] | None:
@@ -170,18 +177,23 @@ def _grid_columns(data: np.ndarray, width: int, indices: list[int]) -> list[np.n
     Each cell and the separator after it are read as one 16-bit pair and
     XORed with its template (``_COMMA_PAIR``, and ``_NEWLINE_FLIP`` too
     at a row's end), which leaves the digit's value in a pair that fits
-    and 10 or more in any other. The pairs are the one working array, and
-    each column is int8: a digit always fits, and a wider column would
-    only be narrowed again (``_narrowed``).
+    and 10 or more in any other. So text the grid takes is plain
+    (``_is_plain``): it holds only digits, ``,`` and ``\\n``, and it is
+    turned down when its rows are over the field size limit. The pairs
+    are the one working array; one cast of their transpose gives every
+    column as a C-contiguous int8 row of one block, which holds the
+    columns not in ``indices`` too: a digit always fits, and a wider
+    column would only be narrowed again (``_narrowed``).
     """
-    if data.size % (2 * width):
+    if data.size % (2 * width) or 2 * width - 1 > csv.field_size_limit():
         return None
     pairs = data.view("<u2") ^ np.uint16(_COMMA_PAIR)
     cells = pairs.reshape(-1, width)
     cells[:, -1] ^= np.uint16(_NEWLINE_FLIP)
     if pairs.max(initial=0) > 9:
         return None
-    return [cells[:, i].astype(np.int8) for i in indices]
+    columns = cells.T.astype(np.int8, order="C")
+    return [columns[i] for i in indices]
 
 
 def _separated_columns(data: np.ndarray, width: int, indices: list[int]) -> list[np.ndarray] | None:
@@ -322,14 +334,15 @@ def _read_csv_columns(path: Path, plan, fault) -> tuple[list[str], list]:
 
     One source, three readers. The file, a regular file or a pipe alike,
     is read once as bytes: the header a line at a time (``_read_header``),
-    then the body in chunks (``_body_columns``). A chunk that is plain
-    throughout (``_is_plain``) is read by the integer kernel
-    (``_int_columns``; a byte grid where every cell is one digit) when
-    every pair converts by int, with ``\r\n`` line ends read as ``\n``,
-    and by ``np.loadtxt`` otherwise. From the first chunk that is not
-    plain, or that the kernel or numpy turns down or numpy warns on, the
-    csv module reads the rest of the file. The three give the same values
-    and the same faults.
+    then the body in chunks (``_body_columns``). When every pair converts
+    by int, a chunk goes to the integer kernel (``_int_columns``), with
+    ``\r\n`` line ends read as ``\n``: first to a byte grid, which takes
+    a chunk whose every cell is one digit and so is plain, then, if the
+    chunk is plain throughout (``_is_plain``), to a scan for separators.
+    Otherwise a plain chunk is read by ``np.loadtxt``. From the first
+    chunk that is not plain, or that the kernel or numpy turns down or
+    numpy warns on, the csv module reads the rest of the file. The three
+    give the same values and the same faults.
     """
     with _binary_file(path) as raw:
         header = _read_header(raw, path)

@@ -697,16 +697,34 @@ def candidate_group_thresholds(
     per_group, gap, combined_acc = _group_threshold_grid(
         model, features, labels, groups, n_candidates
     )
-    feasible = gap <= tau_o
-    # two-block ordering: feasible by accuracy, infeasible by gap
-    primary = np.where(feasible, 0.0, 1.0)
-    secondary = np.where(feasible, -combined_acc, gap)
-    order = np.lexsort((gap.ravel(), secondary.ravel(), primary.ravel()))
     pairs = []
-    for flat in order[: max(1, k)]:
+    for flat in _first_pairs(gap, combined_acc, tau_o, max(1, k)):
         i, j = np.unravel_index(int(flat), gap.shape)
         pairs.append({0: float(per_group[0][0][i]), 1: float(per_group[1][0][j])})
     return pairs
+
+
+def _first_pairs(gap: np.ndarray, combined_acc: np.ndarray, tau_o: float, k: int) -> np.ndarray:
+    """The flat indices of the first ``k`` pairs: feasible ones by (accuracy descending, gap), then the rest by gap, ties in index order.
+
+    This is ``np.lexsort`` of the whole grid by (feasibility, that key,
+    gap), read to its ``k``-th entry, without sorting the pairs past it:
+    in each block ``np.partition`` finds the key of the last pair wanted,
+    and only the pairs at or under it, ties included, are sorted.
+    """
+    gap = gap.ravel()
+    feasible = gap <= tau_o
+    picked = []
+    for rows, key in ((np.flatnonzero(feasible), -combined_acc.ravel()), (np.flatnonzero(~feasible), gap)):
+        key = key[rows]
+        if k < rows.size:
+            cut = np.partition(key, k - 1)[k - 1]
+            rows, key = rows[key <= cut], key[key <= cut]
+        picked.append(rows[np.lexsort((gap[rows], key))][:k])
+        k -= picked[-1].size
+        if not k:
+            break
+    return np.concatenate(picked)
 
 
 def group_cutoffs(groups, thresholds: dict[int, float]) -> np.ndarray:

@@ -549,9 +549,11 @@ def run_inequity_loop(
 
     model = None  # the last round's model, where each round's fit starts
     # one worker draws round 1 while the seed cohort is drawn here, and each
-    # round submits the next one's draws once its own cohort is built; numpy's
-    # generators release the GIL while they fill an array, so the draws run
-    # beside this thread's fits
+    # round submits the next one's draws once its own cohort is built. numpy's
+    # generators release the GIL while they fill an array, but each thread
+    # takes it back between numpy calls, and that hand-off costs this thread
+    # what the overlap saves: the loop takes no less time than with the
+    # draws made here (README, "Feedback-loop simulation")
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="cohort-draws") as drawer:
         pending = drawer.submit(_cohort_draws, cfg, 1)
         seed_cohort = generate_cohort(cfg, 0)

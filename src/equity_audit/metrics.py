@@ -176,8 +176,11 @@ def _count_log(p: np.ndarray, y: np.ndarray, g: np.ndarray, t: np.ndarray | None
 
     Signed-integer columns are counted at their own width: the int8
     columns of :func:`~equity_audit.dataio.load_audit_csv` make an int8
-    key, and the only n-sized widening is ``np.bincount``'s cast of it to
-    intp. A column of another dtype is cast to int8 once checked.
+    key, and a column of another dtype is cast to int8 once checked. The
+    key is counted two rows at a time: each pair of int8 cells read as
+    one 16-bit number is under 4096, so ``np.bincount`` widens half as
+    many values to intp, and summing the 16 x 16 corner of that count
+    along both axes gives each cell's count, on either byte order.
     """
     if not (p.shape == y.shape == g.shape) or p.ndim != 1:
         raise ValidationError("preds, labels and groups must be equal-length vectors")
@@ -204,7 +207,13 @@ def _count_log(p: np.ndarray, y: np.ndarray, g: np.ndarray, t: np.ndarray | None
     for c in (g, y, p):  # shifted in place: one working array for the whole key
         key <<= 1
         key |= c
-    return np.bincount(key, minlength=16).reshape(2, 2, 2, 2)
+    key = key.astype(np.int8, copy=False)
+    odd = key.size & 1  # the last row of an odd length is counted on its own
+    pairs = np.bincount(key[: key.size - odd].view(np.uint16), minlength=4096).reshape(16, 256)[:, :16]
+    table = pairs.sum(axis=0) + pairs.sum(axis=1)
+    if odd:
+        table[key[-1]] += 1
+    return table.reshape(2, 2, 2, 2)
 
 
 def _group_counts(table: np.ndarray) -> tuple[list[int], list[int], list[int]]:

@@ -1414,6 +1414,24 @@ class TestIntColumns:
     def test_turns_down_everything_else(self, text):
         assert csvio._int_columns(text.encode(), 2, [0, 1]) is None
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_the_grid_accepts_only_plain_bytes(self, width):
+        # the kernel tries the grid before any plain check: every text the
+        # grid takes must be plain, and hold one digit a cell
+        text = ((",".join("0123456789"[:width]) + "\n") * 2).encode()
+        row = 2 * width
+        for offset in range(len(text)):
+            wanted = b"\n" if offset % row == row - 1 else b"," if offset % 2 else b"0123456789"
+            for byte in range(256):
+                mutated = bytearray(text)
+                mutated[offset] = byte
+                columns = csvio._grid_columns(np.frombuffer(mutated, np.uint8), width, list(range(width)))
+                assert (columns is not None) == (byte in wanted), (offset, byte)
+                if columns is not None:
+                    assert csvio._is_plain(bytes(mutated))
+                    rows = [line.split(b",") for line in bytes(mutated).splitlines()]
+                    assert [c.tolist() for c in columns] == [[int(r[i]) for r in rows] for i in range(width)]
+
     @pytest.mark.parametrize("kernel_chars", [1, 1 << 22])  # a chunk a row, or one chunk
     def test_columns_are_contiguous_int64(self, tmp_path, monkeypatch, plain_blocks, kernel_chars):
         monkeypatch.setattr(csvio, "_KERNEL_CHARS", kernel_chars)
@@ -1519,12 +1537,12 @@ class TestIntColumns:
 
     @pytest.mark.parametrize("y_tt, width", [("1", np.int8), ("300", np.int64)])
     def test_a_grid_chunk_then_a_csv_chunk(self, tmp_path, monkeypatch, plain_blocks, grid_reads, y_tt, width):
-        # 8-byte chunks: the grid reads two rows, then a quoted cell sends the rest to the csv module
+        # 8-byte chunks: the grid reads two rows, then turns down a quoted cell, which sends the rest to the csv module
         monkeypatch.setattr(csvio, "_KERNEL_CHARS", 8)
         path = tmp_path / "a.csv"
         path.write_text(f'pred,label,group,y_tt\n1,0,1,1\n0,1,0,0\n"1",1,0,{y_tt}\n1,1,1,1\n')
         columns = load_audit_csv(path)
-        assert (plain_blocks, grid_reads) == (["ints+csv"], [True, True])
+        assert (plain_blocks, grid_reads) == (["ints+csv"], [True, True, False])
         assert [c.dtype for c in columns] == [np.int8, np.int8, np.int8, width]
         assert columns[3].tolist() == [1, 0, int(y_tt), 1]
         outcome = _outcome(load_audit_csv, path)

@@ -15,6 +15,7 @@ from equity_audit.learner import (
     _logistic_terms,
     _sigmoid,
     _sorted_quantiles,
+    _first_pairs,
     _Workspace,
     candidate_group_thresholds,
     fit_group_thresholds,
@@ -602,6 +603,22 @@ class TestGroupThresholds:
         pairs = candidate_group_thresholds(model, x, y, g, k=10)
         assert 1 <= len(pairs) <= 10
         assert all(set(p) == {0, 1} for p in pairs)
+
+    def test_first_pairs_read_the_full_lexsort(self):
+        # grids of few distinct values force ties inside and across the two blocks
+        rng = np.random.default_rng(704)
+        for _ in range(3000):
+            shape = tuple(rng.integers(1, 70, size=2))
+            k = int(rng.integers(0, 40))
+            tau_o = float(rng.choice([0.0, 0.15, 0.5, 1.0, 3.0]))
+            levels = int(rng.integers(1, 8))
+            gap = rng.integers(0, levels, size=shape) * (2.0 / levels)
+            acc = rng.integers(0, levels, size=shape) / levels
+            feasible = gap <= tau_o
+            secondary = np.where(feasible, -acc, gap)
+            order = np.lexsort((gap.ravel(), secondary.ravel(), (~feasible).ravel()))
+            got = _first_pairs(gap, acc, tau_o, max(1, k))
+            assert got.tolist() == order[: max(1, k)].tolist(), (shape, k, tau_o, levels)
 
     def test_missing_group_rejected(self):
         x, y, _ = self._data()

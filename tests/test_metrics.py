@@ -693,6 +693,24 @@ class TestAuditReports:
         assert util is None
         assert outcome == eo_violation(self.LOG["preds"], self.LOG["labels"], self.LOG["groups"])
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4095, 4096, 200_001])
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, bool, np.float64])
+    def test_the_two_row_count_is_bincount(self, n, dtype):
+        # the first 16 rows reach every cell, the rest are drawn
+        cells = np.random.default_rng(n).integers(0, 16, size=n)
+        cells[:16] = np.arange(16)[:n]
+        t, g, y, p = (cells >> np.arange(3, -1, -1)[:, None]) & 1
+        t |= 1 - p  # a rejected row's t is free; with p 0 it counts as 0
+        columns = [c.astype(dtype) for c in (p, y, g, t)]
+        for given_t, key in ((columns[3], cells & ~(8 * (1 - p))), (None, cells & 7)):
+            expected = np.bincount(key, minlength=16)
+            table = metrics._count_log(*columns[:3], given_t)
+            assert table.dtype == expected.dtype
+            assert table.ravel().tolist() == expected.tolist()
+        # a reversed view: the count makes its own contiguous key
+        reversed_table = metrics._count_log(*(c[::-1] for c in columns))
+        assert reversed_table.ravel().tolist() == np.bincount(cells & ~(8 * (1 - p)), minlength=16).tolist()
+
     def test_an_empty_log_has_no_groups(self):
         empty = np.zeros(0, dtype=np.int64)
         with pytest.raises(ValidationError, match=r"both groups 0 and 1 must be present, got \[\]"):
