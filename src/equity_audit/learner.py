@@ -718,8 +718,8 @@ def _first_pairs(gap: np.ndarray, combined_acc: np.ndarray, tau_o: float, k: int
     for rows, key in ((np.flatnonzero(feasible), -combined_acc.ravel()), (np.flatnonzero(~feasible), gap)):
         key = key[rows]
         if k < rows.size:
-            cut = np.partition(key, k - 1)[k - 1]
-            rows, key = rows[key <= cut], key[key <= cut]
+            kept = key <= np.partition(key, k - 1)[k - 1]
+            rows, key = rows[kept], key[kept]
         picked.append(rows[np.lexsort((gap[rows], key))][:k])
         k -= picked[-1].size
         if not k:
