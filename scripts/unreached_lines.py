@@ -3,8 +3,7 @@
 
 Runs pytest on ``tests/`` in this process with a small plugin that
 records every line executed in ``src/equity_audit/``, through
-``sys.settrace`` and ``threading.settrace`` (so the loop's cohort-drawing
-thread is seen too). The trace function is set again before each test's
+``sys.settrace``. The trace function is set again before each test's
 setup and call: a test or a library that sets a trace function of its own
 would otherwise end the recording for every later test. When pytest is
 done it prints ``<file>:<line>  <statement>`` for each statement that
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import ast
 import sys
-import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -95,7 +93,6 @@ class Recorder:
 
     def install(self) -> None:
         sys.settrace(self._trace_call)
-        threading.settrace(self._trace_call)
 
     def pytest_runtest_setup(self, item):
         self.install()
@@ -114,7 +111,6 @@ def main(argv: list[str]) -> int:
         status = pytest.main([str(ROOT / "tests"), "-q", "-p", "no:cacheprovider", *argv], plugins=[recorder])
     finally:
         sys.settrace(None)
-        threading.settrace(None)
     count = 0
     for name, lines in recorder.ran.items():
         path = Path(name)

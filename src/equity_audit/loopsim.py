@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -304,74 +303,35 @@ def _intended_feature_names(cfg: SyntheticConfig) -> tuple[str, ...]:
     return tuple(f"if{i}" for i in range(cfg.d_intended))
 
 
-class _CohortDraws(NamedTuple):
-    """Every random number of one cohort, in the order it is drawn.
-
-    ``key`` is ``(seed, round, n_per_round)``. The arrays are the raw
-    draws: latent scores, the group and obstacle uniforms, the (n, d)
-    feature noise and obstacle degradations of both views, and the
-    label-flip uniforms.
-    """
-
-    key: tuple[int, int, int]
-    latent: np.ndarray
-    u_group: np.ndarray
-    u_obstacle: np.ndarray
-    noise_p: np.ndarray
-    noise_t: np.ndarray
-    deg_p: np.ndarray
-    deg_carry: np.ndarray
-    deg_util: np.ndarray
-    u_flip: np.ndarray
-
-
-def _cohort_draws(cfg: SyntheticConfig, round: int) -> _CohortDraws:
-    """Every ``rng`` call of one cohort, and nothing else (see :func:`generate_cohort`)."""
+def generate_cohort(cfg: SyntheticConfig, round: int) -> Cohort:
+    """Draw one cohort; deterministic for a given (cfg.seed, round)."""
     rng = np.random.default_rng([cfg.seed, round, 101])
     n = cfg.n_per_round
-    return _CohortDraws(
-        (cfg.seed, round, n),
-        rng.normal(size=n),
-        rng.random(n),
-        rng.random(n),
-        rng.normal(scale=_FEATURE_NOISE, size=(n, cfg.d_proxy)),
-        rng.normal(scale=_FEATURE_NOISE, size=(n, cfg.d_intended)),
-        rng.exponential(scale=cfg.obstacle_severity, size=(n, cfg.d_proxy)),
-        rng.exponential(scale=cfg.obstacle_severity, size=(n, cfg.d_intended)),
-        rng.exponential(scale=cfg.obstacle_severity, size=(n, cfg.d_intended)),
-        rng.random(n),
-    )
+    latent = rng.normal(size=n)
+    u_group = rng.random(n)
+    u_obstacle = rng.random(n)
+    z_p = rng.normal(scale=_FEATURE_NOISE, size=(n, cfg.d_proxy))
+    z_t = rng.normal(scale=_FEATURE_NOISE, size=(n, cfg.d_intended))
+    deg_p = rng.exponential(scale=cfg.obstacle_severity, size=(n, cfg.d_proxy))
+    deg_carry = rng.exponential(scale=cfg.obstacle_severity, size=(n, cfg.d_intended))
+    deg_util = rng.exponential(scale=cfg.obstacle_severity, size=(n, cfg.d_intended))
+    u_flip = rng.random(n)
 
-
-def generate_cohort(
-    cfg: SyntheticConfig, round: int, *, draws: _CohortDraws | None = None
-) -> Cohort:
-    """Draw one cohort; deterministic for a given (cfg.seed, round).
-
-    ``draws`` are the cohort's random numbers made ahead by
-    :func:`_cohort_draws` (the loop makes them on a worker thread). The
-    cohort is built in their arrays, so a set of draws builds one cohort.
-    """
-    if draws is None:
-        draws = _cohort_draws(cfg, round)
-    elif draws.key != (cfg.seed, round, cfg.n_per_round):
-        raise ValueError(f"draws {draws.key} given for cohort {(cfg.seed, round, cfg.n_per_round)}")
-    grp = (draws.u_group < cfg.group_fraction).astype(int)
+    grp = (u_group < cfg.group_fraction).astype(int)
     probs = np.array([cfg.obstacle_prob_by_group[0], cfg.obstacle_prob_by_group[1]])
-    loaded = draws.latent * _LATENT_LOADING
+    loaded = latent * _LATENT_LOADING
 
     # one column at a time. The obstacle-free views are latent plus noise.
     # An obstacle subtracts its degradation times the 0/1 flag from each
     # affected column: a finite nonnegative draw times 0.0 is +0.0 and
     # z - 0.0 == z bit for bit, -0.0 included, so each view is the masked
     # subtraction without a select
-    z_p, z_t = draws.noise_p, draws.noise_t
     for z in (z_p, z_t):
         for j in range(z.shape[1]):
             z[:, j] += loaded
-    flag = (draws.u_obstacle < probs[grp]).astype(float)
+    flag = (u_obstacle < probs[grp]).astype(float)
     w_p = np.asarray(cfg.true_model_coefficients[0], dtype=float)
-    flip_p = draws.u_flip < cfg.label_noise
+    flip_p = u_flip < cfg.label_noise
     # a draw or a score past the float range stops the build before any
     # warning: an overflow or an inf times 0 raises here, and an inf draw
     # on a flagged row leaves a view that is not finite
@@ -379,12 +339,12 @@ def generate_cohort(
         with np.errstate(over="raise", invalid="raise"):
             x_p = z_p.copy()
             for j in np.flatnonzero(np.asarray(cfg.alpha_proxy) > 0):
-                x_p[:, j] -= draws.deg_p[:, j] * flag
+                x_p[:, j] -= deg_p[:, j] * flag
             # evaluation-side state: decision-time residue, then the evaluation-specific part
             x_t_full, x_t_after_access = z_t.copy(), z_t.copy()
             for j in np.flatnonzero(np.asarray(cfg.alpha_intended) > 0):
-                util = draws.deg_util[:, j] * flag
-                x_t_full[:, j] -= draws.deg_carry[:, j] * flag
+                util = deg_util[:, j] * flag
+                x_t_full[:, j] -= deg_carry[:, j] * flag
                 x_t_full[:, j] -= util
                 x_t_after_access[:, j] -= util
             y_prime_p = ((z_p @ w_p >= 0) ^ flip_p).astype(int)
@@ -399,7 +359,7 @@ def generate_cohort(
         )
 
     proxy = Population(
-        x=x_p, z=z_p, y=y_p, y_prime=y_prime_p, grp=grp, ids=range(cfg.n_per_round),
+        x=x_p, z=z_p, y=y_p, y_prime=y_prime_p, grp=grp, ids=range(n),
         feature_names=_proxy_feature_names(cfg),
     )
     return Cohort(
@@ -490,14 +450,11 @@ def run_inequity_loop(
     def play(t: int, model: TrainedModel, thresholds, events: list[str]) -> LoopRound:
         """Round t from its cohort on: decide, curate into the pool, record.
 
-        The cohort is built from the draws made ahead, and the next round's
-        draws are submitted. The cohort and every array made from it are
-        locals here, and the spent future that held its draws is replaced,
-        so they are released when the round ends, before the next round's fit.
+        The cohort and every array made from it are locals here, so they
+        are released when the round ends, before the next round's fit.
         """
-        nonlocal size, pending
-        cohort = generate_cohort(cfg, t, draws=pending.result())
-        pending = drawer.submit(_cohort_draws, cfg, t + 1) if t < rounds else None
+        nonlocal size
+        cohort = generate_cohort(cfg, t)
         x_rev, y_rev, accessed = reveal_population(cohort.proxy, om_p, proxy_policy)
         groups = cohort.proxy.groups()
 
@@ -542,55 +499,42 @@ def run_inequity_loop(
             events=tuple(events),
         )
 
-    # concurrent.futures imports logging, which no other command needs and
-    # which would add milliseconds to every package import; here it is paid
-    # once per process, by the first loop
-    from concurrent.futures import ThreadPoolExecutor
-
     model = None  # the last round's model, where each round's fit starts
-    # one worker draws round 1 while the seed cohort is drawn here, and each
-    # round submits the next one's draws once its own cohort is built. numpy's
-    # generators release the GIL while they fill an array, but each thread
-    # takes it back between numpy calls, and that hand-off costs this thread
-    # what the overlap saves: the loop takes no less time than with the
-    # draws made here (README, "Feedback-loop simulation")
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="cohort-draws") as drawer:
-        pending = drawer.submit(_cohort_draws, cfg, 1)
-        seed_cohort = generate_cohort(cfg, 0)
-        pool_X[:n_seed] = seed_cohort.proxy.x_matrix()
-        pool_y[:n_seed] = seed_cohort.proxy.labels()
-        pool_groups[:n_seed] = seed_cohort.proxy.groups()
-        del seed_cohort
-        for t in range(1, rounds + 1):
-            X, y, pool_g = pool_X[:size], pool_y[:size], pool_groups[:size]
-            # only a single-class seed pool is skipped, and then every round
-            # is, since a skipped round adds no row: round 1's draws go unused
-            if np.all(y == y[0]):
-                records.append(
-                    LoopRound(
-                        round=t,
-                        psi=float("nan"),
-                        omega=float("nan"),
-                        zeta=float("nan"),
-                        pos_rate_by_group={0: float("nan"), 1: float("nan")},
-                        fp_share_by_group={0: 0.0, 1: 0.0},
-                        curated_pos_share_by_group={0: 0.0, 1: 0.0},
-                        curated_size=size,
-                        events=("round skipped: single-class training pool",),
-                    )
+    seed_cohort = generate_cohort(cfg, 0)
+    pool_X[:n_seed] = seed_cohort.proxy.x_matrix()
+    pool_y[:n_seed] = seed_cohort.proxy.labels()
+    pool_groups[:n_seed] = seed_cohort.proxy.groups()
+    del seed_cohort
+    for t in range(1, rounds + 1):
+        X, y, pool_g = pool_X[:size], pool_y[:size], pool_groups[:size]
+        # only a single-class seed pool is skipped, and then every round
+        # is, since a skipped round adds no row and builds no cohort
+        if np.all(y == y[0]):
+            records.append(
+                LoopRound(
+                    round=t,
+                    psi=float("nan"),
+                    omega=float("nan"),
+                    zeta=float("nan"),
+                    pos_rate_by_group={0: float("nan"), 1: float("nan")},
+                    fp_share_by_group={0: 0.0, 1: 0.0},
+                    curated_pos_share_by_group={0: 0.0, 1: 0.0},
+                    curated_size=size,
+                    events=("round skipped: single-class training pool",),
                 )
-                continue
+            )
+            continue
 
-            events: list[str] = []
-            model = train(spec, X, y, cfg.seed, start=model)
-            thresholds = None
-            if outcome_equalized:
-                try:
-                    thresholds = fit_group_thresholds(model, X, y, pool_g, tau_o=0.15)
-                except ValidationError as exc:
-                    events.append(f"outcome equalization skipped: {exc}")
+        events: list[str] = []
+        model = train(spec, X, y, cfg.seed, start=model)
+        thresholds = None
+        if outcome_equalized:
+            try:
+                thresholds = fit_group_thresholds(model, X, y, pool_g, tau_o=0.15)
+            except ValidationError as exc:
+                events.append(f"outcome equalization skipped: {exc}")
 
-            records.append(play(t, model, thresholds, events))
+        records.append(play(t, model, thresholds, events))
 
     trajectory = LoopTrajectory(regime=regime, seed_size=n_seed, rounds=tuple(records))
     curated = CuratedDataset(

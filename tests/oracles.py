@@ -18,8 +18,8 @@ ordering, the cutoffs' fill by threshold and feature-major prediction.
 The case-study oracle is the package's earlier per-regime loop: it calls
 the package's training, threshold and metric functions and pins only how
 the loop combines them. The inequity-loop oracle does the same for
-``run_inequity_loop``: one thread, a pool grown by concatenation, and
-every rate by masks and means.
+``run_inequity_loop``: a pool grown by concatenation, and every rate by
+masks and means.
 """
 
 from __future__ import annotations

@@ -100,14 +100,33 @@ def test_version_is_the_one_pyproject_declares(capsys):
 
 
 def test_importing_the_cli_leaves_out_logging_and_concurrent_futures():
-    # concurrent.futures imports logging; the loop imports it when it runs,
-    # so no other command pays for either at start-up
+    # no command uses logging or concurrent.futures (which imports it), so
+    # start-up pays for neither
     code = (
         f"import sys; sys.path.insert(0, {str(PYPROJECT.parent / 'src')!r}); import equity_audit.cli; "
         "print(sorted({'logging', 'concurrent.futures'} & sys.modules.keys()))"
     )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
+
+
+def test_a_loop_starts_no_thread_and_imports_no_executor():
+    # every cohort is drawn on the caller's thread, so each fit sees that
+    # thread alone and the run leaves logging and concurrent.futures out
+    code = (
+        f"import sys, threading; sys.path.insert(0, {str(PYPROJECT.parent / 'src')!r})\n"
+        "from dataclasses import replace\n"
+        "from equity_audit import loopsim\n"
+        "train, threads = loopsim.train, []\n"
+        "def spy(*args, **kwargs):\n"
+        "    threads.append(threading.active_count())\n"
+        "    return train(*args, **kwargs)\n"
+        "loopsim.train = spy\n"
+        "loopsim.run_inequity_loop(replace(loopsim.default_config(42), n_per_round=400), 3, 'access_and_outcome')\n"
+        "print(threads, sorted({'logging', 'concurrent.futures'} & sys.modules.keys()))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert run.stdout == "[1, 1, 1] []\n"
 
 
 class TestQuestions:
