@@ -4,8 +4,12 @@
 loaders in :mod:`equity_audit.dataio` give it a plan of columns and
 converters. Every input is opened as bytes and read once, front to back,
 a regular file and a pipe alike: nothing is seeked, rewound or opened
-twice. ``_binary_file``, ``_decoded_lines`` and ``_header_row`` also
-serve the student-file reader there.
+twice. Each chunk of the body goes down one ladder of readers, the same
+for every plan (``_fast_columns``): a byte grid and a separator scan,
+which read integer cells of one digit, then ``np.loadtxt``; the csv
+module reads on from the first chunk none of them takes.
+``_binary_file``, ``_decoded_lines`` and ``_header_row`` also serve the
+student-file reader there.
 """
 
 from __future__ import annotations
@@ -35,16 +39,15 @@ _KERNEL_CHARS = 1 << 22
 # bytes numpy's reader takes otherwise than csv.reader and int()/float()
 # do: the quote, '\r', and the separators \x1c-\x1f, which numpy's number
 # parser skips as whitespace. Non-ASCII text is kept from numpy as well: its
-# integer parser reads some code points as digits. The integer kernel's
-# chunks have each \r\n line end made \n before this test, and on the chunks
-# the byte grid reads, its own check (only digits, "," and "\n") stands in for it.
+# integer parser reads some code points as digits. For an all-integer plan,
+# each \r\n line end of a chunk is made \n before this test, and on the
+# chunks the byte grid reads, its own check (only digits, "," and "\n")
+# stands in for it. The separator scan and numpy read only plain chunks.
 _NOT_PLAIN = b'"\r\x1c\x1d\x1e\x1f'
 _INT64 = range(-(2**63), 2**63)
 # an integer column whose every value lies here is int8, any other int64
 _INT8 = np.iinfo(np.int8)
-# the most digits an ``_int_columns`` cell holds: every such number is in int64
-_INT_DIGITS = 18
-_COMMA, _NEWLINE, _MINUS, _ZERO = b",\n-0"
+_COMMA, _NEWLINE, _ZERO = b",\n0"
 # a digit and "," read as one little-endian 16-bit pair, XORed with this,
 # give the digit's value; a byte XOR "0" is under 10 only for a digit
 _COMMA_PAIR = _COMMA << 8 | _ZERO
@@ -80,21 +83,35 @@ def _convert_batch(batch: list, first_row: int, cols: list, fault) -> list[np.nd
 
 
 def _fast_columns(chunk: bytes, width: int, cols: list) -> list[np.ndarray] | None:
-    """The chosen columns of a chunk of whole lines, read by a fast reader; None if it is not plain or the reader turns it down.
+    """The chosen columns of a chunk of whole lines, read by the first fast reader that takes it; None if none does.
 
-    An all-integer plan goes to the integer kernel (``_int_columns``),
-    with each ``\r\n`` line end read as ``\n``, as the csv module reads
-    it; the kernel checks the chunk is plain itself. Any other plan goes
-    to ``np.loadtxt`` over the chunk's lines, split at ``\n`` only:
-    ``str.splitlines`` would also split at characters such as ``\x0b``
-    and ``\x0c``, which are plain and which the csv module keeps inside a
-    cell.
+    For an all-integer plan, each ``\r\n`` line end is read as ``\n``,
+    as the csv module reads it, and the byte grid (``_grid_columns``),
+    which vouches for its own bytes, goes first. Then, only if the chunk
+    is plain (``_is_plain``), an all-integer plan goes to the separator
+    scan (``_separated_columns``), and any plan to ``np.loadtxt`` over
+    the chunk's lines, split at ``\n`` only: ``str.splitlines`` would
+    also split at characters such as ``\x0b`` and ``\x0c``, which are
+    plain and which the csv module keeps inside a cell.
     """
-    if all(convert is int for _, _, convert in cols):
+    integers = all(convert is int for _, _, convert in cols)
+    if integers:
         if b"\r" in chunk:  # the test is one memchr; the replace copies the chunk
             chunk = chunk.replace(b"\r\n", b"\n")
-        return _int_columns(chunk, width, [i for _, i, _ in cols])
-    return _loadtxt(chunk.decode("ascii").split("\n"), cols) if _is_plain(chunk) else None
+        data = np.frombuffer(chunk, np.uint8)
+        if data.size and data[-1] != _NEWLINE:
+            data = np.append(data, np.uint8(_NEWLINE))
+        indices = [i for _, i, _ in cols]
+        columns = _grid_columns(data, width, indices)
+        if columns is not None:
+            return columns
+    if not _is_plain(chunk):
+        return None
+    if integers:
+        columns = _separated_columns(data, width, indices)
+        if columns is not None:
+            return columns
+    return _loadtxt(chunk.decode("ascii").split("\n"), cols)
 
 
 def _is_plain(block: bytes) -> bool:
@@ -121,8 +138,9 @@ def _loadtxt(lines: list[str], cols: list) -> list[np.ndarray] | None:
 
     Each column is a view into one structured table. Copying the table
     into contiguous columns made a 200k-row ``audit`` no faster (2-core
-    VM, numpy 2.4): the copy cost what the strided passes saved. All-integer
-    plans are read by ``_int_columns`` instead.
+    VM, numpy 2.4): the copy cost what the strided passes saved. An
+    all-integer chunk comes here only when the byte grid and the
+    separator scan turn it down.
     """
     dtype = [(str(k), _DTYPES[convert]) for k, (_, _, convert) in enumerate(cols)]
     with warnings.catch_warnings():
@@ -136,37 +154,6 @@ def _loadtxt(lines: list[str], cols: list) -> list[np.ndarray] | None:
         except (ValueError, Warning):  # what numpy rejects, the csv path reads or reports
             return None
     return [table[name] for name, _ in dtype]
-
-
-def _int_columns(text: bytes, width: int, indices: list[int]) -> list[np.ndarray] | None:
-    """Columns ``indices`` of plain all-integer text, one C-contiguous array each; else None.
-
-    ``text`` is whole lines of bytes. It is taken only when it is plain
-    (``_is_plain``), every row has exactly ``width`` cells and ends at a
-    newline (the last row may end the text instead) and every cell of
-    ``indices`` matches ``-?[0-9]{1,18}``. Such a cell is one ``int()``
-    reads, to the same value, inside the int64 range. Anything else (a
-    blank, short or long row, a sign or space ``int()`` would strip, a
-    longer number) is None, and the csv path reads the text or reports
-    its fault.
-
-    Text whose every cell is one digit is read as a byte grid
-    (``_grid_columns``), which vouches for its own bytes: a digit, ``,``
-    and ``\n`` are plain, so the grid runs first and no other check of
-    the text is made. Text the grid turns down is checked by
-    ``_is_plain``, then goes to the separator scan
-    (``_separated_columns``), which reads cells of any width; both give
-    the same values, the grid as int8 and the scan as int8 where every
-    value of a column fits and int64 otherwise. ``_read_csv_columns``
-    sets each column's width.
-    """
-    data = np.frombuffer(text, np.uint8)
-    if data.size and data[-1] != _NEWLINE:
-        data = np.append(data, np.uint8(_NEWLINE))
-    columns = _grid_columns(data, width, indices)
-    if columns is None and _is_plain(text):
-        return _separated_columns(data, width, indices)
-    return columns
 
 
 def _grid_columns(data: np.ndarray, width: int, indices: list[int]) -> list[np.ndarray] | None:
@@ -197,7 +184,10 @@ def _grid_columns(data: np.ndarray, width: int, indices: list[int]) -> list[np.n
 
 
 def _separated_columns(data: np.ndarray, width: int, indices: list[int]) -> list[np.ndarray] | None:
-    """Columns ``indices`` of newline-ended text with cells of any width, found by a scan for separators; else None."""
+    """Columns ``indices`` of newline-ended rows of ``width`` cells, found by a scan for separators; else None.
+
+    Each cell of ``indices`` must be one digit; the columns are int8 rows of one block, as the grid gives them.
+    """
     newline = data == _NEWLINE
     separator = newline | (data == _COMMA)
     ends = np.flatnonzero(separator)
@@ -209,41 +199,10 @@ def _separated_columns(data: np.ndarray, width: int, indices: list[int]) -> list
     # wraps past 9) where that byte is its cell's only one, else 255
     lone = np.concatenate(([np.uint8(255)], data[:-1] - np.uint8(_ZERO)))
     lone[2:] |= ~separator[:-2] * np.uint8(255)
-    lone = lone[ends].reshape(rows, width)
-    columns = []
-    for i in indices:
-        others = np.flatnonzero(lone[:, i] > 9)  # longer cells, and cells that are no integer
-        if not others.size:
-            columns.append(lone[:, i].astype(np.int8))
-            continue
-        cells = others * width + i
-        values = _int_cells(data, np.where(cells > 0, ends[cells - 1] + 1, 0), ends[cells])
-        if values is None:
-            return None
-        wide = values.min() < _INT8.min or values.max() > _INT8.max
-        column = lone[:, i].astype(np.int64 if wide else np.int8)
-        column[others] = values
-        columns.append(column)
-    return columns
-
-
-def _int_cells(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
-    """The integers of the cells ``data[starts:ends]``, decoded by digit position; None if one is no ``-?[0-9]{1,18}``."""
-    digits = ends - starts
-    signed = np.flatnonzero(digits > 1)  # a lone "-" is left to fail as a digit
-    negative = signed[data[starts[signed]] == _MINUS]
-    digits[negative] -= 1
-    if digits.min() < 1 or digits.max() > _INT_DIGITS:
+    cells = lone[ends].reshape(rows, width)[:, indices]
+    if cells.max(initial=0) > 9:  # a longer cell, or one that is no digit
         return None
-    values = np.zeros(len(ends), np.int64)
-    for k in range(digits.max()):
-        rows = np.flatnonzero(digits > k)
-        place = data[ends[rows] - (k + 1)] - np.uint8(_ZERO)
-        if place.max() > 9:
-            return None
-        values[rows] += place * np.int64(10**k)
-    values[negative] *= -1
-    return values
+    return list(cells.T.astype(np.int8, order="C"))
 
 
 def _body_columns(raw, width: int, cols: list, fault) -> list[np.ndarray]:
@@ -255,7 +214,7 @@ def _body_columns(raw, width: int, cols: list, fault) -> list[np.ndarray]:
     module reads the body (``_stored_columns`` over ``_decoded_lines``),
     numbering rows on from those already read: every row a fast reader
     takes is non-blank and fault-free. An empty body is one empty chunk,
-    which the integer kernel reads as no rows.
+    which the byte grid reads as no rows for an all-integer plan.
     """
     read = partial(_whole_lines, raw, _KERNEL_CHARS)
     pieces, done = [], 0
@@ -332,17 +291,15 @@ def _read_csv_columns(path: Path, plan, fault) -> tuple[list[str], list]:
     through Python's own ``int()``/``float()``; an integer outside the
     int64 range is a fault too.
 
-    One source, three readers. The file, a regular file or a pipe alike,
-    is read once as bytes: the header a line at a time (``_read_header``),
-    then the body in chunks (``_body_columns``). When every pair converts
-    by int, a chunk goes to the integer kernel (``_int_columns``), with
-    ``\r\n`` line ends read as ``\n``: first to a byte grid, which takes
-    a chunk whose every cell is one digit and so is plain, then, if the
-    chunk is plain throughout (``_is_plain``), to a scan for separators.
-    Otherwise a plain chunk is read by ``np.loadtxt``. From the first
-    chunk that is not plain, or that the kernel or numpy turns down or
-    numpy warns on, the csv module reads the rest of the file. The three
-    give the same values and the same faults.
+    One source, one ladder of readers. The file, a regular file or a pipe
+    alike, is read once as bytes: the header a line at a time
+    (``_read_header``), then the body in chunks (``_body_columns``), each
+    offered to the fast readers in one order (``_fast_columns``): when
+    every pair converts by int, a byte grid and then a scan for
+    separators, which read one digit a planned cell; then, for any plan,
+    ``np.loadtxt``. From the first chunk that every fast reader turns down,
+    the csv module reads the rest of the file. All give the same values
+    and the same faults.
     """
     with _binary_file(path) as raw:
         header = _read_header(raw, path)

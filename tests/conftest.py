@@ -56,13 +56,15 @@ def tp_share_sweep(student_path) -> list[dict]:
 def plain_blocks(monkeypatch) -> list[str]:
     """Which readers took each CSV body read, in order, one entry per read.
 
-    A body is read in chunks, from a regular file or a pipe alike. Each
-    chunk is taken by the integer kernel (``"ints"``) or numpy's reader
-    (``"numpy"``), or else the csv module reads from that chunk to the
-    end (``"csv"``). A read's entry names its readers in that order,
-    joined by ``+``: ``"ints+csv"`` is a body the kernel read up to a
-    chunk it turned down. Reads made with the fast readers patched out
-    (``_csv_path_only``) are not recorded.
+    A body is read in chunks, from a regular file or a pipe alike, and
+    each chunk goes down one ladder of readers. It is taken by the integer
+    kernel, the byte grid or the separator scan of an all-integer plan
+    (``"ints"``), or by numpy's reader (``"numpy"``), or else the csv
+    module reads from that chunk to the end (``"csv"``). A read's entry
+    names its readers in the order they first took a chunk, joined by
+    ``+``: ``"ints+csv"`` is a body the kernel read up to a chunk that
+    every fast reader turned down. Reads made with the fast readers
+    patched out (``_csv_path_only``) are not recorded.
     """
     from equity_audit import csvio
 

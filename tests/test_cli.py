@@ -174,14 +174,37 @@ class TestAudit:
             assert plain_blocks == (["csv"] if how == "quoted" else ["ints"])
         assert reports["plain"] == reports["crlf"] == reports["quoted"]
 
-    def test_report_is_the_same_whichever_reader_took_the_log(self, tmp_path, monkeypatch, plain_blocks):
+    @staticmethod
+    def _log_shape(text: str, shape: str) -> str:
+        """``text``, a one-digit log from ``_log_text``, reshaped as ``shape``."""
+        header, *rows = text.splitlines()
+        if shape == "id-column":  # cells of any width, in a column no plan reads
+            header, rows = "id," + header, [f"u{k},{row}" for k, row in enumerate(rows)]
+        elif shape == "y_tt-300":  # on one rejected row, the only cell past one digit
+            k = next(k for k, row in enumerate(rows) if row.startswith("0,"))
+            rows[k] = rows[k][:-1] + "300"
+        elif shape == "plus-signs":
+            rows = [row.replace("1", "+1") for row in rows]
+        elif shape == "blank-lines":  # one before every 97th row
+            rows = [line for k, row in enumerate(rows) for line in ["", row][k % 97 > 0:]]
+        text = "".join(line + "\n" for line in [header, *rows])
+        return rewrite(text, "crlf") if shape == "crlf" else text
+
+    @pytest.mark.parametrize(
+        "shape, reader",
+        [("one-digit", "ints"), ("id-column", "ints"), ("y_tt-300", "numpy"), ("plus-signs", "numpy"),
+         ("blank-lines", "numpy"), ("crlf", "ints")],
+        ids=["one-digit", "id-column", "y_tt-300", "plus-signs", "blank-lines", "crlf"],
+    )
+    def test_report_is_the_same_whichever_reader_took_the_log(self, tmp_path, monkeypatch, plain_blocks, shape, reader):
+        # the ladder's report against the csv module's, byte for byte
         path = tmp_path / "log.csv"
-        path.write_text(self._log_text())
-        assert run_cli("--out", str(tmp_path / "ints"), "audit", str(path)) == 0
-        monkeypatch.setattr(csvio, "_int_columns", lambda text, width, indices: None)
+        path.write_bytes(self._log_shape(self._log_text(), shape).encode())
+        assert run_cli("--out", str(tmp_path / "ladder"), "audit", str(path)) == 0
+        monkeypatch.setattr(csvio, "_fast_columns", lambda chunk, width, cols: None)
         assert run_cli("--out", str(tmp_path / "csv"), "audit", str(path)) == 0
-        assert plain_blocks == ["ints", "csv"]
-        assert (tmp_path / "ints" / "audit.json").read_bytes() == (tmp_path / "csv" / "audit.json").read_bytes()
+        assert plain_blocks == [reader]  # a read with the fast readers patched out is not recorded
+        assert (tmp_path / "ladder" / "audit.json").read_bytes() == (tmp_path / "csv" / "audit.json").read_bytes()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_reads_a_pipe_once(self, tmp_path, monkeypatch, plain_blocks):

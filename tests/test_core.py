@@ -193,6 +193,10 @@ class TestValidation:
         with pytest.raises(ValidationError):
             ObstacleModel(np.array([1.0, 0.0]), frozenset())
 
+    def test_affected_feature_index_must_be_in_range(self):
+        with pytest.raises(ValidationError, match="^affected feature index 2 out of range$"):
+            ObstacleModel(np.zeros(2), frozenset({2}))
+
 
 # valid values drawn more often, so rows and columns with and without faults mix
 _FEATURE_VALUES = st.sampled_from([0.0, 1.0, -0.0, 3.0, 0.5, 2.0, -1.0, np.nan, np.inf, -np.inf])

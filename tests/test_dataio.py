@@ -1045,10 +1045,11 @@ def _csv_text(header: str, rows: list, last: str) -> str:
 def test_numpy_and_csv_paths_agree(tmp_path_factory, plain_blocks, loader, names, good):
     """Values, or the error with its message, row and column, do not depend on the path taken.
 
-    The same text is read as a regular file and through a pipe, both by
-    the integer kernel for the all-integer audit plan and by numpy for the
-    others, chunk by chunk, with the csv path from the first chunk either
-    turns down; and it is read by the csv path alone.
+    The same text is read as a regular file and through a pipe, chunk by
+    chunk down the ladder of fast readers (for the all-integer audit plan
+    the byte grid and the separator scan, then numpy for every plan), with
+    the csv path from the first chunk they all turn down; and it is read by
+    the csv path alone.
     """
     folder = tmp_path_factory.mktemp("paths")
     path, fifo = folder / "input.csv", folder / "input.fifo"
@@ -1075,9 +1076,9 @@ def test_numpy_and_csv_paths_agree(tmp_path_factory, plain_blocks, loader, names
         check()
     finally:
         csv.field_size_limit(old_limit)
-    # the fuzz reaches each reader, and a resume on the csv path after a fast reader
-    fast = "ints" if loader is load_audit_csv else "numpy"
-    assert set(plain_blocks) == {fast, "csv", f"{fast}+csv"}
+    # the fuzz reaches each reader, and a resume on the csv path after each fast reader
+    fast = ["ints", "numpy"] if loader is load_audit_csv else ["numpy"]
+    assert {*fast, "csv", *(f"{reader}+csv" for reader in fast)} <= set(plain_blocks)
 
 
 class TestReadPaths:
@@ -1154,8 +1155,8 @@ class TestReadPaths:
         assert [preds.tolist(), labels.tolist(), groups.tolist()] == [
             [int(row[k]) for row in rows] for k in range(3)
         ]
-        # the kernel turns down a blank line, which the csv path skips
-        assert plain_blocks[:1] == (["csv"] if "\n\n" in "\n" + body else ["ints"])
+        # numpy skips a blank line, as the csv path does; a body of blank lines alone is no data to numpy
+        assert plain_blocks[:1] == (["ints"] if not body else ["numpy"] if body.strip() else ["csv"])
 
     @needs_fifo
     def test_bad_cell_wins_over_a_later_undecodable_byte(self, tmp_path, plain_blocks):
@@ -1278,16 +1279,22 @@ class TestReadPaths:
     @needs_fifo
     @pytest.mark.parametrize("kernel_chars", [8, 16, 20])
     @pytest.mark.parametrize(
-        "late, outcome",
+        "late, outcome, readers",
         [
-            ("1,1,0,x\n", ("DataFormatError", "expected an integer, got 'x' (row 5, column 'y_tt')", 5, "y_tt")),
-            ("\n", 8),  # a blank line, skipped and not counted
-            ('1,1,"10\n",1\n', 9),  # with 8-byte chunks, a chunk ends inside the quotes
+            (
+                "1,1,0,x\n", ("DataFormatError", "expected an integer, got 'x' (row 5, column 'y_tt')", 5, "y_tt"),
+                "ints+csv",
+            ),
+            ("\n", 8, "ints+numpy"),  # a blank line, skipped and not counted
+            ('1,1,"10\n",1\n', 9, "ints+csv"),  # with 8-byte chunks, a chunk ends inside the quotes
         ],
         ids=["bad-cell", "blank-line", "quoted-newline"],
     )
-    def test_csv_path_resumes_after_plain_chunks(self, tmp_path, monkeypatch, plain_blocks, kernel_chars, late, outcome):
-        # the kernel takes the chunks above the late line; the csv module reads from its chunk on
+    def test_csv_path_resumes_after_plain_chunks(
+        self, tmp_path, monkeypatch, plain_blocks, kernel_chars, late, outcome, readers
+    ):
+        # the grid takes the chunks above the late line; numpy takes a blank
+        # line's chunk, and the csv module reads on from a chunk numpy turns down
         monkeypatch.setattr(csvio, "_KERNEL_CHARS", kernel_chars)
         path, fifo = tmp_path / "a.csv", tmp_path / "a.fifo"
         os.mkfifo(fifo)
@@ -1295,7 +1302,7 @@ class TestReadPaths:
         path.write_text("pred,label,group,y_tt\n" + "".join(lines[:4]) + late + "".join(lines[4:]))
         as_file, through_pipe, csv_only = _three_ways(load_audit_csv, path, fifo)
         assert as_file == through_pipe == csv_only
-        assert plain_blocks == ["ints+csv", "ints+csv"]
+        assert plain_blocks == [readers, readers]
         if isinstance(outcome, tuple):
             assert as_file == outcome
         else:
@@ -1320,8 +1327,19 @@ class TestReadPaths:
 
 
 def _separator_scan_only():
-    """The integer kernel without its byte grid: every body to the separator scan."""
+    """The ladder without its byte grid: every all-integer chunk to the separator scan, then numpy."""
     return mock.patch.object(csvio, "_grid_columns", lambda data, width, indices: None)
+
+
+def _int_pair(path):
+    """The columns ``a`` and ``b`` of ``path``, both planned as int: an all-integer plan, as ``audit``'s is."""
+    return csvio._read_csv_columns(path, lambda header: [("a", int), ("b", int)], dataio._integer_fault)[1]
+
+
+def _one_digit_readers(text: bytes, width: int, indices: list[int]) -> tuple:
+    """What the byte grid and the separator scan each make of newline-ended ``text``: columns as lists, or None."""
+    data = np.frombuffer(text, np.uint8)
+    return tuple(_as_lists(read(data, width, indices)) for read in (csvio._grid_columns, csvio._separated_columns))
 
 
 def _perturbed(names: list, rows: list, perturbations: list, crlf: bool, final_newline: bool) -> str:
@@ -1390,7 +1408,7 @@ def grid_reads(monkeypatch) -> list[bool]:
 
 
 class TestIntColumns:
-    """The integer kernel: what it reads, what it turns down, and the arrays it returns."""
+    """The integer kernel (byte grid and separator scan) and the ladder: what each reads, turns down and returns."""
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -1401,18 +1419,31 @@ class TestIntColumns:
             ("9" * 18 + ",-" + "9" * 18 + "\n", [[10**18 - 1], [1 - 10**18]]),
         ],
     )
-    def test_reads_its_grammar(self, text, expected):
-        assert [c.tolist() for c in csvio._int_columns(text.encode(), 2, [0, 1])] == expected
+    def test_reads_its_grammar(self, tmp_path, plain_blocks, text, expected):
+        # cells past one digit are numpy's; the ladder reads them as the csv path does
+        path = tmp_path / "a.csv"
+        path.write_text("a,b\n" + text)
+        outcome = _outcome(_int_pair, path)
+        assert [c.tolist() for c in _int_pair(path)] == expected
+        assert plain_blocks == [("ints" if not text else "numpy")] * 2
+        with _csv_path_only():
+            assert _outcome(_int_pair, path) == outcome
 
     @pytest.mark.parametrize(
         "text",
         [
-            "+1,2\n", " 1,2\n", "1 ,2\n", "-,2\n", "--1,2\n", "1-2,2\n", ",2\n", "1" * 19 + ",2\n",
+            "+1,2\n", " 1,2\n", "1 ,2\n", "-,2\n", "--1,2\n", "1-2,2\n", ",2\n", "1" * 19 + ",2\n", "1_0,2\n",
             "1\n", "1,2,3\n", "1,2\n\n", "\n1,2\n", "1,2\n3\n4,5\n", "1,2\n3,4\n\n",
         ],
     )
-    def test_turns_down_everything_else(self, text):
-        assert csvio._int_columns(text.encode(), 2, [0, 1]) is None
+    def test_turns_down_everything_else(self, tmp_path, text):
+        # neither one-digit reader takes these; the ladder gives what the csv path gives
+        assert _one_digit_readers(text.encode(), 2, [0, 1]) == (None, None)
+        path = tmp_path / "a.csv"
+        path.write_text("a,b\n" + text)
+        outcome = _outcome(_int_pair, path)
+        with _csv_path_only():
+            assert _outcome(_int_pair, path) == outcome
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
     def test_the_grid_accepts_only_plain_bytes(self, width):
@@ -1438,22 +1469,32 @@ class TestIntColumns:
         path = tmp_path / "a.csv"
         path.write_text("pred,label,group,y_tt\n1,0,10,1\n0,1,-3,0\n1,1,123456789012,1\n")
         columns = load_audit_csv(path)
-        assert plain_blocks == ["ints"]
+        # the wide cells go to numpy, in one chunk or a row at a time
+        assert plain_blocks == ["numpy"]
         # int8 where every value fits, int64 in the column that holds 123456789012
         assert [c.dtype for c in columns] == [np.int8, np.int8, np.int64, np.int8]
-        assert all(c.flags.c_contiguous for c in columns)
+        # the int8 columns are narrowed copies; numpy's int64 column is a view of
+        # its table when one chunk holds the body, and contiguous when pieces are joined
+        assert all(c.flags.c_contiguous for c in columns if c.dtype == np.int8 or kernel_chars == 1)
+        outcome = _outcome(load_audit_csv, path)
         with _csv_path_only():
-            assert [c.tolist() for c in columns] == [c.tolist() for c in load_audit_csv(path)]
+            assert _outcome(load_audit_csv, path) == outcome
 
     def test_int64_bounds(self, tmp_path, plain_blocks):
-        # 19 digits are past the kernel's grammar: the csv path reads the bounds exactly
+        # numpy reads the bounds exactly; past them it turns the chunk down and the csv path reports the cell
         path = tmp_path / "a.csv"
         path.write_text("pred,label,group\n1,9223372036854775807,0\n0,-9223372036854775808,1\n")
         assert load_audit_csv(path)[1].tolist() == [2**63 - 1, -(2**63)]
+        outcome = _outcome(load_audit_csv, path)
+        with _csv_path_only():
+            assert _outcome(load_audit_csv, path) == outcome
         path.write_text("pred,label,group\n1,1,0\n0,9223372036854775808,1\n")
         err = _raises(load_audit_csv, path)
         assert str(err) == "integer out of range, got '9223372036854775808' (row 2, column 'label')"
-        assert plain_blocks == ["csv", "csv"]
+        outcome = _outcome(load_audit_csv, path)
+        with _csv_path_only():
+            assert _outcome(load_audit_csv, path) == outcome
+        assert plain_blocks == ["numpy", "numpy", "csv", "csv"]
 
     def test_unused_columns_may_hold_anything_plain(self, tmp_path, plain_blocks):
         path = tmp_path / "a.csv"
@@ -1467,15 +1508,18 @@ class TestIntColumns:
         [("1\n0\n7\n", 1, [0]), ("", 2, [0, 1]), ("1,0,9\n2,3,4\n", 3, [2, 0])],
     )
     def test_grid_reads_one_byte_cells(self, text, width, indices):
-        columns = csvio._grid_columns(np.frombuffer(text.encode(), np.uint8), width, indices)
-        with _separator_scan_only():
-            assert _as_lists(columns) == _as_lists(csvio._int_columns(text.encode(), width, indices))
-        assert all(c.dtype == np.int8 and c.flags.c_contiguous for c in columns)
+        data = np.frombuffer(text.encode(), np.uint8)
+        columns, scanned = csvio._grid_columns(data, width, indices), csvio._separated_columns(data, width, indices)
+        assert _as_lists(columns) == _as_lists(scanned)
+        assert all(c.dtype == np.int8 and c.flags.c_contiguous for c in columns + scanned)
 
-    def test_an_aligned_wide_cell_goes_to_the_separator_scan(self, grid_reads):
-        # one row of 2 * width bytes whose first cell is two bytes wide
-        assert _as_lists(csvio._int_columns(b"10,\n", 2, [0])) == [[10]]
-        assert grid_reads == [False]
+    def test_an_aligned_wide_cell_goes_to_the_separator_scan(self, monkeypatch, grid_reads):
+        # one row of 2 * width bytes whose first cell is two bytes wide: the
+        # grid turns it down, the scan turns down a cell past one digit, numpy reads it
+        scan, scans = csvio._separated_columns, []
+        monkeypatch.setattr(csvio, "_separated_columns", lambda *args: scans.append(scan(*args)))
+        assert _as_lists(csvio._fast_columns(b"10,\n", 2, [("a", 0, int)])) == [[10]]
+        assert (grid_reads, scans) == ([False], [None])
 
     def test_a_y_tt_of_2_on_a_rejected_row_is_read_by_the_grid(self, tmp_path, plain_blocks, grid_reads):
         path = tmp_path / "a.csv"
@@ -1495,7 +1539,7 @@ class TestIntColumns:
         path = tmp_path / "a.csv"
         path.write_text("pred,label,group,y_tt\n" + "".join(f"1,0,{g},1\n" for g in groups))
         columns = load_audit_csv(path)
-        assert plain_blocks == ["ints"]
+        assert plain_blocks == ["numpy"]  # the scan turns down a cell past one digit
         assert [c.dtype for c in columns] == [np.int8, np.int8, width, np.int8]
         assert columns[2].tolist() == groups
         outcome = _outcome(load_audit_csv, path)
@@ -1553,17 +1597,19 @@ class TestIntColumns:
         path = tmp_path / "a.csv"
         path.write_text("pred,label,group,y_tt\n0,1,0,300\n1,1,1,1\n")
         columns = load_audit_csv(path)
-        assert plain_blocks == ["ints"]
+        assert plain_blocks == ["numpy"]
         assert [c.dtype for c in columns] == [np.int8, np.int8, np.int8, np.int64]
         assert _as_lists(columns) == [[0, 1], [1, 1], [0, 1], [300, 1]]
+        outcome = _outcome(load_audit_csv, path)
+        with _csv_path_only():
+            assert _outcome(load_audit_csv, path) == outcome
 
     def test_grid_separator_scan_and_csv_path_agree(self, tmp_path_factory, plain_blocks, grid_reads):
         """One-byte-cell logs, perturbed or not: one outcome whichever reader takes them.
 
-        At the kernel, the byte grid then the separator scan give what the
-        separator scan alone gives, or both turn the body down. For the
-        file, the kernel with its grid, without it, and the csv path give
-        the same values or the same error.
+        A body the byte grid reads, the separator scan reads to the same
+        columns. For the file, the ladder with its grid, without it, and
+        the csv path give the same values or the same error.
         """
         path = tmp_path_factory.mktemp("grid") / "log.csv"
 
@@ -1574,15 +1620,10 @@ class TestIntColumns:
             names = header.rstrip("\r").split(",")
             indices = [names.index(n) for n in ("pred", "label", "group", "y_tt") if n in names]
             body = body.replace("\r\n", "\n").encode()
-            columns = csvio._int_columns(body, len(names), indices)
-            with _separator_scan_only():
-                assert _as_lists(columns) == _as_lists(csvio._int_columns(body, len(names), indices))
-            # at the kernel, the grid and the separator scan give int8 where every value fits
-            assert columns is None or all(
-                c.dtype == (np.int8 if c.size == 0 or (-128 <= c.min() and c.max() <= 127) else np.int64)
-                and c.flags.c_contiguous
-                for c in columns
-            )
+            if body and not body.endswith(b"\n"):
+                body += b"\n"
+            grid, scanned = _one_digit_readers(body, len(names), indices)
+            assert grid is None or grid == scanned
             path.write_bytes(text.encode())
             with mock.patch.multiple(csvio, _BLOCK_CHARS=block_chars, _KERNEL_CHARS=kernel_chars):
                 outcome = _outcome(load_audit_csv, path)
@@ -1592,12 +1633,12 @@ class TestIntColumns:
                     assert _outcome(load_audit_csv, path) == outcome
 
         check()
-        # the fuzz reaches the grid, the separator scan, the csv path and a resume on it
+        # the fuzz reaches the grid, the other readers of the ladder, the csv path and a resume on it
         assert set(grid_reads) == {True, False}
-        assert set(plain_blocks) == {"ints", "csv", "ints+csv"}
-        # the separator scan widens only a column holding a value past int8
-        with _separator_scan_only():
-            columns = csvio._int_columns(b"1,127,-128,128\n0,10,-1,-129\n", 4, [0, 1, 2, 3])
+        assert {"ints", "numpy", "csv", "ints+csv"} <= set(plain_blocks)
+        # the ladder widens only a column holding a value past int8
+        path.write_text("pred,label,group,y_tt\n1,127,-128,128\n0,10,-1,-129\n")
+        columns = load_audit_csv(path)
         assert [c.dtype for c in columns] == [np.int8, np.int8, np.int8, np.int64]
         assert _as_lists(columns) == [[1, 0], [127, 10], [-128, -1], [128, -129]]
 
@@ -1697,6 +1738,11 @@ class TestRunConfigToml:
             RunConfig(tau=2.0)
         with pytest.raises(ValidationError):
             RunConfig(formats=("yaml",))
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_train_fraction_must_lie_inside_0_1(self, fraction):
+        with pytest.raises(ValidationError, match=r"^train_fraction must be in \(0, 1\)$"):
+            RunConfig(train_fraction=fraction)
 
     @pytest.mark.parametrize(
         "line", ['tau = "abc"', "seed = 1.5", "seed = true", "equal_access = 1", 'formats = ["json", 2]']
