@@ -17,9 +17,7 @@ checkout. The exit status is pytest's.
 
 Only this process is seen. A command a test runs in a subprocess is not:
 ``run_case_study``'s "at least 10 students" check, for one, is reached
-only by a subprocess test in ``tests/test_cli.py``, so it is listed. A
-statement that only a Hypothesis test's random examples reach may come
-and go between runs.
+only by a subprocess test in ``tests/test_cli.py``, so it is listed.
 
 A statement counts as run when any line of its own ran: every line of a
 simple statement, the header of a compound one (its decorators, and the

@@ -11,13 +11,14 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error (an
 unwritable output directory included), 3 degenerate-metric error (a rate
-the data cannot define).
+the data cannot define). The commands parse no input themselves:
+:mod:`equity_audit.dataio` reads the data files and JSON documents, and
+:class:`~equity_audit.config.RunConfig` the TOML config.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -27,12 +28,11 @@ import numpy as np
 from . import __version__
 from .checklist import emit_checklist
 from .config import RunConfig
-from .core import ObstacleModel, Policy
 from .dataio import (
     build_case_study_views,
     load_audit_csv,
     load_model_document,
-    load_population_csv,
+    load_spaces_document,
     load_uci_students,
     run_case_study,
 )
@@ -43,12 +43,10 @@ from .errors import (
     UndefinedRateError,
     ValidationError,
 )
-from .inputs import is_index, is_list_of, is_number, read_json
-from .learner import ModelSpec
 from .loopsim import REGIMES, default_config, run_inequity_loop, trajectory_to_csv
 from .metrics import audit_reports, compute_gap_report
 from .reports import equity_report_rows, long_csv, write_json
-from .scoring import ModelSpace, run_equity_scoring
+from .scoring import run_equity_scoring
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -143,75 +141,9 @@ def _cmd_audit(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _policy_from_value(value, where: str) -> Policy:
-    if value == "inf":
-        return Policy(math.inf)
-    if not is_number(value):
-        raise DataFormatError(f"{where}: policy delta must be a number or 'inf', got {value!r}")
-    return Policy(float(value))
-
-
-def _spec_from_doc(spec, where: str) -> ModelSpec:
-    if not isinstance(spec, dict) or "features" not in spec:
-        raise DataFormatError(f"{where} must be a JSON object with 'features'")
-    if not is_list_of(spec["features"], lambda f: isinstance(f, str)):
-        raise DataFormatError(f"{where}: 'features' must be a list of feature names")
-    function_class = spec.get("function_class", "logistic_regression")
-    if not isinstance(function_class, str):
-        raise DataFormatError(f"{where}: 'function_class' must be a string")
-    hyperparams = spec.get("hyperparams", {})
-    if not isinstance(hyperparams, dict) or not all(map(is_number, hyperparams.values())):
-        raise DataFormatError(f"{where}: 'hyperparams' must be an object of numbers")
-    return ModelSpec(tuple(spec["features"]), function_class, dict(hyperparams))
-
-
-def _space_from_doc(doc: dict, label: str, base: Path) -> ModelSpace:
-    """Build one space from its document, its shape checked first.
-
-    A relative ``dataset`` path is read from ``base``. Every fault in the
-    document is a DataFormatError (exit 2).
-    """
-    if not isinstance(doc, dict):
-        raise DataFormatError(f"{label} space must be a JSON object")
-    for key in ("dataset", "alpha", "specs", "policies"):
-        if key not in doc:
-            raise DataFormatError(f"{label} space is missing {key!r}")
-    if not isinstance(doc["dataset"], str):
-        raise DataFormatError(f"{label} space: 'dataset' must be a path string")
-    pop = load_population_csv(base / doc["dataset"])
-    d = len(pop.feature_names)
-    if not is_list_of(doc["alpha"], is_number) or len(doc["alpha"]) != d:
-        raise DataFormatError(f"{label} space: 'alpha' must list one number per dataset feature ({d})")
-    alpha = np.asarray(doc["alpha"], dtype=float)
-    if "affected_features" in doc:
-        affected = doc["affected_features"]
-        if not is_list_of(affected, is_index):
-            raise DataFormatError(f"{label} space: 'affected_features' must be a list of feature indices")
-        om = ObstacleModel(alpha, frozenset(affected))
-    else:
-        om = ObstacleModel.from_alpha(alpha)
-    if not isinstance(doc["specs"], list):
-        raise DataFormatError(f"{label} space: 'specs' must be a list")
-    specs = tuple(_spec_from_doc(spec, f"{label} space: spec {k}") for k, spec in enumerate(doc["specs"]))
-    if not isinstance(doc["policies"], list):
-        raise DataFormatError(f"{label} space: 'policies' must be a list")
-    policies = tuple(_policy_from_value(v, f"{label} space") for v in doc["policies"])
-    return ModelSpace(specs, pop, om, policies)
-
-
 def _cmd_score(args, cfg: RunConfig) -> int:
-    path = Path(args.spaces)
-    doc = read_json(path)
-    for key in ("proxy", "intended"):
-        if key not in doc:
-            raise DataFormatError(f"spaces document is missing {key!r}")
-    trace = run_equity_scoring(
-        _space_from_doc(doc["proxy"], "proxy", path.parent),
-        _space_from_doc(doc["intended"], "intended", path.parent),
-        cfg,
-        args.max_outer,
-        args.max_inner,
-    )
+    proxy, intended = load_spaces_document(args.spaces)
+    trace = run_equity_scoring(proxy, intended, cfg, args.max_outer, args.max_inner)
     with _reports_dir(cfg) as out:
         if "csv" in cfg.formats:
             (out / "scoring_trace.csv").write_text(trace.to_csv())

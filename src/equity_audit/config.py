@@ -9,8 +9,6 @@ type.
 """
 
 # no ``from __future__ import annotations``: RunConfig checks values against its own annotations
-import numbers
-import sys
 import tomllib
 import types
 import typing
@@ -18,21 +16,21 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import DataFormatError, ValidationError
-from .inputs import read_utf8
+from .inputs import is_index, is_number, read_utf8
 from .metrics import DEFAULT_OUTCOME_EPSILON
 
 
 def _has_type(value, hint) -> bool:
-    """``isinstance`` against an annotation; bool is no int, an int in the float range is a float."""
+    """``isinstance`` against an annotation, with ``inputs``' rule for an int (an index) and a float (a number)."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return any(_has_type(value, arg) for arg in args)
     if origin is tuple:  # tuple[T, ...]
         return isinstance(value, tuple) and all(_has_type(v, args[0]) for v in value)
-    if hint in (int, float):
-        number = numbers.Integral if hint is int else numbers.Real
-        too_big = hint is float and isinstance(value, int) and abs(value) > sys.float_info.max
-        return isinstance(value, number) and not isinstance(value, bool) and not too_big
+    if hint is int:
+        return is_index(value)
+    if hint is float:
+        return is_number(value)
     return isinstance(value, hint)
 
 

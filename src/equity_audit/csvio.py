@@ -230,10 +230,13 @@ def _body_columns(raw, width: int, cols: list, fault) -> list[np.ndarray]:
 
 
 def _narrowed(column: np.ndarray) -> np.ndarray:
-    """An integer column at its width: int8 when every value lies in [-128, 127] (an empty column too), else int64 as read."""
+    """An integer column at its width, in a block of its own: int8 when every value lies in [-128, 127] (an empty column too), else int64.
+
+    An int64 column of numpy's table is copied, not left a view that keeps the whole table alive.
+    """
     if column.dtype == np.int8 or not column.size or (_INT8.min <= column.min() and column.max() <= _INT8.max):
         return column.astype(np.int8, copy=False)
-    return column
+    return np.ascontiguousarray(column)
 
 
 def _store(column: np.ndarray, start: int, values: np.ndarray) -> np.ndarray:

@@ -29,8 +29,9 @@ essay, letter_of_recommendation) are derived, seeded mappings documented in
 the README; they make runs reproducible but are not measurements.
 
 The module also holds the loaders of the other inputs: audit logs and
-population files, whose bytes :mod:`equity_audit.csvio` reads, and model
-documents.
+population files, whose bytes :mod:`equity_audit.csvio` reads, and the
+model documents of ``gaps`` and spaces documents of ``score``, whose
+obstacle declarations (``alpha``, ``affected_features``) one reader checks.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from .metrics import (
     utilization_from_labels,
 )
 from .reports import Record, json_form
-from .scoring import split_indices
+from .scoring import ModelSpace, split_indices
 
 UCI_NUMERIC_COLUMNS = (
     "age", "Medu", "Fedu", "traveltime", "studytime", "failures", "famrel",
@@ -652,6 +653,19 @@ def load_population_csv(path: str | Path) -> Population:
         raise DataFormatError(f"bad row: {exc}", row=exc.row + 1) from None
 
 
+def _obstacle_model(doc: dict, where: str, n: int, per: str) -> ObstacleModel | None:
+    """The obstacle model of ``doc``'s ``alpha`` (``n`` numbers) and ``affected_features``; None without ``alpha``."""
+    if "alpha" in doc and not (is_list_of(doc["alpha"], is_number) and len(doc["alpha"]) == n):
+        raise DataFormatError(f"{where}: 'alpha' must list one number per {per} ({n})")
+    if "affected_features" not in doc:
+        return ObstacleModel.from_alpha(np.asarray(doc["alpha"], dtype=float)) if "alpha" in doc else None
+    if not is_list_of(doc["affected_features"], is_index):
+        raise DataFormatError(f"{where}: 'affected_features' must be a list of feature indices")
+    if "alpha" not in doc:
+        raise DataFormatError(f"{where}: 'affected_features' needs 'alpha'")
+    return ObstacleModel(np.asarray(doc["alpha"], dtype=float), frozenset(doc["affected_features"]))
+
+
 def load_model_document(path: str | Path) -> tuple[list[str], np.ndarray, ObstacleModel | None]:
     """Read a model JSON document for gap computation.
 
@@ -668,21 +682,61 @@ def load_model_document(path: str | Path) -> tuple[list[str], np.ndarray, Obstac
     if not is_list_of(doc["feature_names"], lambda f: isinstance(f, str)):
         raise DataFormatError(f"{path}: 'feature_names' must be a list of feature names")
     features = doc["feature_names"]
-    for key in ("importance", "alpha"):
-        if key in doc and not (is_list_of(doc[key], is_number) and len(doc[key]) == len(features)):
-            raise DataFormatError(
-                f"{path}: '{key}' must list one number per feature name ({len(features)})"
-            )
-    if "affected_features" in doc and not is_list_of(doc["affected_features"], is_index):
-        raise DataFormatError(f"{path}: 'affected_features' must be a list of feature indices")
-    if "affected_features" in doc and "alpha" not in doc:
-        raise DataFormatError(f"{path}: 'affected_features' needs 'alpha'")
-    importance = np.asarray(doc["importance"], dtype=float)
-    om = None
-    if "alpha" in doc:
-        alpha = np.asarray(doc["alpha"], dtype=float)
-        if "affected_features" in doc:
-            om = ObstacleModel(alpha, frozenset(doc["affected_features"]))
-        else:
-            om = ObstacleModel.from_alpha(alpha)
-    return features, importance, om
+    if not (is_list_of(doc["importance"], is_number) and len(doc["importance"]) == len(features)):
+        raise DataFormatError(f"{path}: 'importance' must list one number per feature name ({len(features)})")
+    om = _obstacle_model(doc, str(path), len(features), "feature name")
+    return features, np.asarray(doc["importance"], dtype=float), om
+
+
+def _policy(value, where: str) -> Policy:
+    if value != "inf" and not is_number(value):
+        raise DataFormatError(f"{where}: policy delta must be a number or 'inf', got {value!r}")
+    return Policy(float(value))
+
+
+def _model_spec(spec, where: str) -> ModelSpec:
+    if not isinstance(spec, dict) or "features" not in spec:
+        raise DataFormatError(f"{where} must be a JSON object with 'features'")
+    if not is_list_of(spec["features"], lambda f: isinstance(f, str)):
+        raise DataFormatError(f"{where}: 'features' must be a list of feature names")
+    function_class = spec.get("function_class", "logistic_regression")
+    if not isinstance(function_class, str):
+        raise DataFormatError(f"{where}: 'function_class' must be a string")
+    hyperparams = spec.get("hyperparams", {})
+    if not isinstance(hyperparams, dict) or not all(map(is_number, hyperparams.values())):
+        raise DataFormatError(f"{where}: 'hyperparams' must be an object of numbers")
+    return ModelSpec(tuple(spec["features"]), function_class, dict(hyperparams))
+
+
+def _model_space(doc, label: str, base: Path) -> ModelSpace:
+    """Build one space from its document, its shape checked first; a relative ``dataset`` is read from ``base``."""
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{label} space must be a JSON object")
+    for key in ("dataset", "alpha", "specs", "policies"):
+        if key not in doc:
+            raise DataFormatError(f"{label} space is missing {key!r}")
+    if not isinstance(doc["dataset"], str):
+        raise DataFormatError(f"{label} space: 'dataset' must be a path string")
+    pop = load_population_csv(base / doc["dataset"])
+    om = _obstacle_model(doc, f"{label} space", len(pop.feature_names), "dataset feature")
+    if not isinstance(doc["specs"], list):
+        raise DataFormatError(f"{label} space: 'specs' must be a list")
+    specs = tuple(_model_spec(spec, f"{label} space: spec {k}") for k, spec in enumerate(doc["specs"]))
+    if not isinstance(doc["policies"], list):
+        raise DataFormatError(f"{label} space: 'policies' must be a list")
+    policies = tuple(_policy(v, f"{label} space") for v in doc["policies"])
+    return ModelSpace(specs, pop, om, policies)
+
+
+def load_spaces_document(path: str | Path) -> tuple[ModelSpace, ModelSpace]:
+    """Read the ``proxy`` and ``intended`` model spaces of a spaces JSON document for ``score``.
+
+    A relative ``dataset`` path is read from the document's directory. Every
+    fault in the document is a DataFormatError (exit 2) naming the space and the key.
+    """
+    path = Path(path)
+    doc = read_json(path)
+    for key in ("proxy", "intended"):
+        if key not in doc:
+            raise DataFormatError(f"spaces document is missing {key!r}")
+    return _model_space(doc["proxy"], "proxy", path.parent), _model_space(doc["intended"], "intended", path.parent)

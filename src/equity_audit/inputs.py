@@ -1,16 +1,19 @@
-"""How an input file is opened and decoded.
+"""How an input file is opened and decoded, and what a number and an index are.
 
 Every file the CLI reads (CSV logs and cohorts, the student file, model
 and spaces documents, TOML configs) is UTF-8 text. A path that cannot be
 opened or bytes that do not decode are data errors, raised as
 :class:`DataFormatError` (exit 2), never as a bare ``OSError`` or
-``UnicodeDecodeError``. The JSON documents are shape-checked with
-:func:`is_number` and :func:`is_list_of` before any value is converted.
+``UnicodeDecodeError``. :func:`is_number` and :func:`is_index` are the one
+rule for every input, documents and configs alike: a bool is never a
+number, and numpy scalars count.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from pathlib import Path
 
 from .errors import DataFormatError
@@ -52,8 +55,8 @@ def read_json(path) -> dict:
 
 
 def is_number(value) -> bool:
-    """A JSON number that converts to a float; a bool is no number, as in ``RunConfig``."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    """A real number, not a bool, that converts to a float."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         return False
     try:
         float(value)
@@ -62,11 +65,16 @@ def is_number(value) -> bool:
     return True
 
 
+def is_finite_number(value) -> bool:
+    """A number (:func:`is_number`) that is finite as a float."""
+    return is_number(value) and math.isfinite(value)
+
+
 def is_list_of(value, check) -> bool:
     """A JSON list whose every item passes ``check``."""
     return isinstance(value, list) and all(map(check, value))
 
 
 def is_index(value) -> bool:
-    """A JSON integer; a bool is no index."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """An integer, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

@@ -44,12 +44,12 @@ the evaluation model it stands in for.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import SingleClassError, ValidationError
+from .inputs import is_finite_number, is_index, is_number
 
 FUNCTION_CLASSES = ("logistic_regression", "norm_threshold")
 
@@ -80,25 +80,6 @@ _MAX_HALVINGS = 30
 _RANGE_TOL = 1.5e-8
 
 
-def _is_step_cap(value) -> bool:
-    """An integer, or a float with no fractional part; a bool is neither."""
-    if isinstance(value, (bool, np.bool_)):
-        return False
-    if isinstance(value, (int, np.integer)):
-        return True
-    return isinstance(value, (float, np.floating)) and float(value).is_integer()
-
-
-def _is_finite_number(value) -> bool:
-    """A real number that is finite as a float; a bool is no number."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, float, np.integer, np.floating)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """A candidate model: which features it reads and how it decides."""
@@ -119,15 +100,13 @@ class ModelSpec:
                 f"expected one of {FUNCTION_CLASSES}"
             )
         hp = self.hyperparams
-        if "iterations" in hp and not _is_step_cap(hp["iterations"]):
-            raise ValidationError(
-                "hyperparameter 'iterations' must be a whole number of Newton steps, "
-                f"got {hp['iterations']!r}"
-            )
-        if "l2" in hp and not (_is_finite_number(hp["l2"]) and hp["l2"] >= 0):
+        cap = hp.get("iterations", 0)
+        if not (is_index(cap) or is_number(cap) and float(cap).is_integer()):
+            raise ValidationError(f"hyperparameter 'iterations' must be a whole number of Newton steps, got {cap!r}")
+        if "l2" in hp and not (is_finite_number(hp["l2"]) and hp["l2"] >= 0):
             raise ValidationError(f"hyperparameter 'l2' must be a finite number >= 0, got {hp['l2']!r}")
         for name in ("decision_threshold", "threshold"):
-            if name in hp and not _is_finite_number(hp[name]):
+            if name in hp and not is_finite_number(hp[name]):
                 raise ValidationError(f"hyperparameter {name!r} must be a finite number, got {hp[name]!r}")
 
     def resolved_hyperparams(self) -> dict:

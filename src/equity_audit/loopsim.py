@@ -38,6 +38,7 @@ import numpy as np
 
 from .core import ObstacleModel, Policy, Population, reveal_population
 from .errors import UndefinedRateError, ValidationError
+from .inputs import is_finite_number, is_index
 from .learner import (
     ModelSpec,
     TrainedModel,
@@ -87,10 +88,24 @@ class SyntheticConfig:
     seed: int
 
     def __post_init__(self):
-        for name in ("n_per_round", "d_proxy", "d_intended"):
+        for name in ("n_per_round", "d_proxy", "d_intended", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not is_index(value):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValidationError(f"seed must be >= 0, got {self.seed!r}")
+        w_p, w_t = self.true_model_coefficients
+        for name, values in (
+            ("group_fraction", (self.group_fraction,)),
+            ("obstacle_prob_by_group", tuple(self.obstacle_prob_by_group.values())),
+            ("alpha_proxy", self.alpha_proxy),
+            ("alpha_intended", self.alpha_intended),
+            ("obstacle_severity", (self.obstacle_severity,)),
+            ("true_model_coefficients", (*w_p, *w_t)),
+            ("label_noise", (self.label_noise,)),
+        ):
+            if not all(map(is_finite_number, values)):
+                raise ValidationError(f"{name} must be finite and numeric, got {getattr(self, name)!r}")
         if self.n_per_round < 1:
             raise ValidationError("n_per_round must be >= 1")
         if self.d_proxy < 1 or self.d_intended < 1:
@@ -113,20 +128,11 @@ class SyntheticConfig:
             raise ValidationError("obstacle_severity must be >= 0")
         if not 0 <= self.label_noise < 0.5:
             raise ValidationError("label_noise must be in [0, 0.5)")
-        w_p, w_t = self.true_model_coefficients
         if len(w_p) != self.d_proxy or len(w_t) != self.d_intended:
             raise ValidationError(
                 "true_model_coefficients must be (proxy-view, intended-view) "
                 "vectors matching d_proxy and d_intended"
             )
-        for name, values in (
-            ("alpha_proxy", self.alpha_proxy),
-            ("alpha_intended", self.alpha_intended),
-            ("obstacle_severity", (self.obstacle_severity,)),
-            ("true_model_coefficients", (*w_p, *w_t)),
-        ):
-            if not all(map(math.isfinite, values)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
         # the evaluation-view vector becomes a model whose importance divides
         # by its L1 norm (a proxy-view vector that overflows is caught by the
         # cohort's own float-range check)
@@ -136,15 +142,9 @@ class SyntheticConfig:
             raise ValidationError(
                 f"true_model_coefficients' evaluation view has an L1 norm past the float range, got {w_t!r}"
             )
-        if max(self.obstacle_prob_by_group.values()) > 0:
-            if not any(a > 0 for a in self.alpha_proxy):
-                raise ValidationError(
-                    "obstacle probabilities are positive but alpha_proxy has no support"
-                )
-            if not any(a > 0 for a in self.alpha_intended):
-                raise ValidationError(
-                    "obstacle probabilities are positive but alpha_intended has no support"
-                )
+        for name in ("alpha_proxy", "alpha_intended"):
+            if max(self.obstacle_prob_by_group.values()) > 0 and not any(a > 0 for a in getattr(self, name)):
+                raise ValidationError(f"obstacle probabilities are positive but {name} has no support")
 
 
 def default_config(seed: int = 42) -> SyntheticConfig:

@@ -637,6 +637,26 @@ class TestScore:
         assert run_cli("--out", str(tmp_path / "r"), "score", str(spaces)) == 2
         assert "error: alpha[0] > 0 but feature 0 is not in affected_features" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["specs", "policies"])
+    def test_specs_or_policies_not_a_list_exit_2(self, tmp_path, capsys, key):
+        pop_csv = write_population(tmp_path / "pop.csv")
+        spaces = write_spaces(tmp_path / "spaces.json", str(pop_csv))
+        doc = json.loads(spaces.read_text())
+        doc["intended"][key] = {"0": 1}
+        spaces.write_text(json.dumps(doc))
+        assert run_cli("--out", str(tmp_path / "r"), "score", str(spaces)) == 2
+        assert f"error: intended space: '{key}' must be a list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hyperparams", [{"l2": "0.1"}, {"l2": True}, {"l2": None}, [1.0]])
+    def test_hyperparams_not_an_object_of_numbers_exit_2(self, tmp_path, capsys, hyperparams):
+        pop_csv = write_population(tmp_path / "pop.csv")
+        spaces = write_spaces(tmp_path / "spaces.json", str(pop_csv))
+        doc = json.loads(spaces.read_text())
+        doc["proxy"]["specs"] = [{"features": ["a"], "hyperparams": hyperparams}]
+        spaces.write_text(json.dumps(doc))
+        assert run_cli("--out", str(tmp_path / "r"), "score", str(spaces)) == 2
+        assert "error: proxy space: spec 0: 'hyperparams' must be an object of numbers" in capsys.readouterr().err
+
     def test_non_integral_iterations_exit_2(self, tmp_path, capsys):
         pop_csv = write_population(tmp_path / "pop.csv")
         spaces = write_spaces(tmp_path / "spaces.json", str(pop_csv))
@@ -728,6 +748,15 @@ def test_negative_seed_exit_2(student_path, spaces_json, tmp_path, capsys, comma
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("pass_mark", [21, -1])
+def test_pass_mark_off_the_grade_scale_exit_2(student_path, tmp_path, capsys, pass_mark):
+    config = tmp_path / "run.toml"
+    config.write_text(f"pass_mark = {pass_mark}\n")
+    assert run_cli("--config", str(config), "--out", str(tmp_path / "r"), "casestudy", str(student_path)) == 2
+    assert "error: pass_mark must be within the 0-20 grade scale" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 class TestGaps:
     def test_gap_report(self, tmp_path, capsys):
         proxy = tmp_path / "proxy.json"
@@ -790,6 +819,26 @@ class TestGaps:
         capsys.readouterr()
         assert run_cli("--out", str(tmp_path / "r"), "gaps", str(bad), str(good)) == 2
         assert f"error: {bad}: {message}" in capsys.readouterr().err
+
+    def test_model_document_without_importance_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"feature_names": ["a", "b"]}))
+        assert run_cli("--out", str(tmp_path / "r"), "gaps", str(path), str(path)) == 2
+        assert f"error: {path} must contain feature_names and importance" in capsys.readouterr().err
+
+    def test_an_integer_past_the_float_range_is_no_number_exit_2(self, tmp_path, capsys):
+        # JSON reads the 400-digit integer exactly; it has no float, so it is no number
+        path = tmp_path / "m.json"
+        path.write_text('{"feature_names": ["a", "b"], "importance": [1' + "0" * 400 + ", 0.5]}")
+        assert run_cli("--out", str(tmp_path / "r"), "gaps", str(path), str(path)) == 2
+        assert f"error: {path}: 'importance' must list one number per feature name (2)" in capsys.readouterr().err
+
+    def test_an_alpha_that_reads_as_infinity_exit_2(self, tmp_path, capsys):
+        # 1e400 is a JSON number that Python reads as inf
+        path = tmp_path / "m.json"
+        path.write_text('{"feature_names": ["a", "b"], "importance": [0.5, 0.5], "alpha": [1e400, 0]}')
+        assert run_cli("--out", str(tmp_path / "r"), "gaps", str(path), str(path)) == 2
+        assert "error: alpha contains non-finite values" in capsys.readouterr().err
 
     def test_alpha_distance_past_the_float_range_exit_2(self, tmp_path, capsys):
         # each alpha is finite, their L1 distance is not; JSON has no Infinity to write it with

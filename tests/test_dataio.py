@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import json
 import os
 import re
 import sys
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from equity_audit import csvio, dataio, learner
 from equity_audit.config import RunConfig
-from equity_audit.core import ObstacleModel, Population, dominates
+from equity_audit.core import ObstacleModel, Policy, Population, dominates
 from equity_audit.dataio import (
     INTENDED_AFFECTED,
     INTENDED_FEATURES,
@@ -27,6 +28,7 @@ from equity_audit.dataio import (
     load_audit_csv,
     load_model_document,
     load_population_csv,
+    load_spaces_document,
     load_uci_students,
     run_case_study,
 )
@@ -548,6 +550,36 @@ class TestAuxiliaryLoaders:
         assert importance.tolist() == [0.6, -0.4]
         assert om is not None and om.affected_features == frozenset({0})
 
+    def test_population_csv_without_feature_columns(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        path.write_text("id,group,y,y_prime\nu1,0,1,1\n")
+        assert str(_raises(load_population_csv, path)) == "no x_<feature> columns found"
+
+    def test_model_document_needs_feature_names_and_importance(self, tmp_path):
+        path = tmp_path / "model.json"
+        for doc in ('{"feature_names": ["a"]}', '{"importance": [1.0]}'):
+            path.write_text(doc)
+            assert str(_raises(load_model_document, path)) == f"{path} must contain feature_names and importance"
+
+    def test_spaces_document(self, tmp_path):
+        (tmp_path / "pop.csv").write_text("id,group,y,y_prime,x_a,x_b,z_a,z_b\nu1,0,1,1,1.0,2.0,1.5,2.0\n")
+        space = {"dataset": "pop.csv", "alpha": [1.0, 0.0], "specs": [{"features": ["a"]}], "policies": [0, 2.5, "inf"]}
+        path = tmp_path / "spaces.json"
+        path.write_text(json.dumps({"proxy": space, "intended": space | {
+            "alpha": [1.0, 2.0], "affected_features": [0, 1],
+            "specs": [{"features": ["b", "a"], "function_class": "norm_threshold", "hyperparams": {"threshold": 1}}],
+        }}))
+        proxy, intended = load_spaces_document(path)
+        assert proxy.dataset.ids() == intended.dataset.ids() == ["u1"]
+        assert proxy.candidate_specs == (learner.ModelSpec(("a",)),)
+        assert proxy.candidate_policies == (Policy(0.0), Policy(2.5), Policy(float("inf")))
+        assert proxy.obstacle_model.affected_features == frozenset({0})
+        assert intended.candidate_specs == (learner.ModelSpec(("b", "a"), "norm_threshold", {"threshold": 1}),)
+        assert intended.obstacle_model.affected_features == frozenset({0, 1})
+        assert intended.obstacle_model.alpha.tolist() == [1.0, 2.0]
+        path.write_text(json.dumps({"proxy": space}))
+        assert str(_raises(load_spaces_document, path)) == "spaces document is missing 'intended'"
+
 
 def _error_text(convert, cell) -> str:
     """The message Python's own ``int()``/``float()`` gives for a bad cell."""
@@ -704,6 +736,14 @@ class TestPopulationCsvContract:
         path = self._write(tmp_path, "u1,0,1,1,1.0,1.0", "u2,1,0,0,1.0")
         err = _raises(load_population_csv, path)
         assert str(err) == f"bad row: {_error_text(float, None)} (row 2)"
+
+    def test_short_row_missing_only_its_text_cell(self, tmp_path):
+        # numpy turns the short row down; the csv path's batch conversion fails at the
+        # missing id and goes row by row, where str() reads the missing cell's None as text
+        path = self._write(tmp_path, "1.0,1.0,0,1,1,u1", "2.0,2.0,1,0,0", header="x_a,z_a,group,y,y_prime,id")
+        pop = load_population_csv(path)
+        assert pop.ids() == ["u1", "None"]
+        assert pop.x_matrix().tolist() == [[1.0], [2.0]]
 
     def test_extra_cells_ignored(self, tmp_path):
         path = self._write(tmp_path, "u1,0,1,1,1.0,1.5,junk,9", "u2,1,0,0,2.0,2.0,")
@@ -1473,9 +1513,9 @@ class TestIntColumns:
         assert plain_blocks == ["numpy"]
         # int8 where every value fits, int64 in the column that holds 123456789012
         assert [c.dtype for c in columns] == [np.int8, np.int8, np.int64, np.int8]
-        # the int8 columns are narrowed copies; numpy's int64 column is a view of
-        # its table when one chunk holds the body, and contiguous when pieces are joined
-        assert all(c.flags.c_contiguous for c in columns if c.dtype == np.int8 or kernel_chars == 1)
+        # every column owns contiguous data: the int8 columns are narrowed copies,
+        # and numpy's int64 column is copied out of its table, not left a view of it
+        assert all(c.flags.c_contiguous for c in columns)
         outcome = _outcome(load_audit_csv, path)
         with _csv_path_only():
             assert _outcome(load_audit_csv, path) == outcome

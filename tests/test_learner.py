@@ -597,6 +597,23 @@ class TestGroupThresholds:
             if abs(tpr0 - tpr1) + abs(fpr0 - fpr1) <= tau_o - 1e-12:
                 assert (right0 + right1) / len(y) <= accuracy + 1e-12, pair
 
+    def test_no_pair_under_tau_o_falls_back_to_the_smallest_gap(self):
+        # no gap is negative, so no pair clears a tau_o below 0, and the pair of least gap wins
+        x, y, g = self._data()
+        model = train(ModelSpec(("f",)), x, y, seed=0)
+        scores = predict_proba(model, x)
+
+        def gap(pair):  # |dTPR| + |dFPR| of the decisions at one pair, counted
+            dec = scores >= np.where(g == 1, pair[1], pair[0])
+            rates = [(dec[(g == grp) & (y == 1)].mean(), dec[(g == grp) & (y == 0)].mean()) for grp in (0, 1)]
+            return abs(rates[0][0] - rates[1][0]) + abs(rates[0][1] - rates[1][1])
+
+        smallest = min(map(gap, candidate_group_thresholds(model, x, y, g, k=10**6)))
+        cuts = fit_group_thresholds(model, x, y, g, tau_o=-1.0)
+        assert gap(cuts) == pytest.approx(smallest, abs=1e-12)
+        # the first such pair is the corner that admits everyone, cutoff 0 in both groups
+        assert cuts == {0: 0.0, 1: 0.0}
+
     def test_candidates_ranked_by_gap(self):
         x, y, g = self._data()
         model = train(ModelSpec(("f",)), x, y, seed=0)

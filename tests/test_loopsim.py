@@ -129,6 +129,25 @@ class TestGeneratePopulation:
                 with pytest.raises(ValidationError, match=rf"cohort 0 leaves the float range: .*{field}"):
                     run_inequity_loop(cfg, 2, "no_equity")
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("group_fraction", "0.5", "group_fraction must be finite and numeric, got '0.5'"),
+            ("label_noise", None, "label_noise must be finite and numeric, got None"),
+            ("obstacle_severity", "1", "obstacle_severity must be finite and numeric, got '1'"),
+            ("alpha_proxy", (1.0, "a", 0.0), r"alpha_proxy must be finite and numeric, got \(1.0, 'a', 0.0\)"),
+            ("obstacle_prob_by_group", {0: "0.1", 1: 0.2}, "obstacle_prob_by_group must be finite and numeric"),
+            ("true_model_coefficients", ((1.0, "x", 1.0), (1.0, 1.0, 1.0)), "true_model_coefficients must be finite and numeric"),
+            ("seed", -1, "seed must be >= 0, got -1"),
+            ("seed", "a", "seed must be an integer, got 'a'"),
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ],
+    )
+    def test_a_value_of_the_wrong_kind_is_a_validation_error_naming_its_field(self, field, value, message):
+        # each of these once raised a bare TypeError here, or passed and failed inside numpy
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            small_config(**{field: value})
+
     def test_finite_inputs_that_overflow_the_learner_are_refused_before_any_warning(self):
         # the evaluation model's importance divides by its coefficients' L1 norm, and a
         # cohort that stays finite can still hold a column whose variance overflows

@@ -113,6 +113,13 @@ class TestEoViolation:
         with pytest.raises(ValidationError):
             eo_violation([1, 0], [1, 0], [0, 0])
 
+    @pytest.mark.parametrize(
+        "preds, labels, groups", [([1, 0, 1], [1, 0], [0, 1, 1]), ([[1, 0], [0, 1]], [[1, 0], [0, 1]], [[0, 1], [0, 1]])]
+    )
+    def test_columns_must_be_vectors_of_one_length(self, preds, labels, groups):
+        with pytest.raises(ValidationError, match="^preds, labels and groups must be equal-length vectors$"):
+            eo_violation(preds, labels, groups)
+
     def test_equal_outcomes_flag_uses_epsilon(self):
         preds = [1, 0, 1, 0]
         labels = [1, 0, 1, 0]

@@ -106,6 +106,21 @@ class TestRunEquityScoring:
         assert all(r.phase == "access" for r in trace.records)
         assert all(r.reason == "access_gate" and not r.accepted for r in trace.records)
 
+    def test_an_evaluation_model_that_cannot_be_fitted_is_a_degenerate_metric(self):
+        # the evaluation dataset holds label 0 only, so no logistic model can be fitted on it
+        proxy, intended = perfect_spaces()
+        pop = intended.dataset
+        zeros = np.zeros(len(pop), dtype=int)
+        unlabeled = Population(pop.x_matrix(), pop.z_matrix(), zeros, zeros, pop.groups(), pop.ids(), pop.feature_names)
+        intended = dataclasses.replace(intended, candidate_specs=(ModelSpec(("g1",)),), dataset=unlabeled)
+        trace = run_equity_scoring(proxy, intended, RunConfig(), 1, 3)
+        assert trace.terminated_reason == "iteration_cap" and trace.final_score is None
+        assert [(r.phase, r.zeta, r.accepted, r.reason) for r in trace.records] == [
+            ("access", None, True, ""),
+            ("outcome", None, True, ""),
+            ("utilization", None, False, "degenerate_metric"),
+        ]
+
     def test_phase_ordering_in_traces(self):
         proxy_space, intended_space = perfect_spaces()
         trace = run_equity_scoring(proxy_space, intended_space, RunConfig(seed=1), *CAPS)
