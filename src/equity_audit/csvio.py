@@ -73,6 +73,8 @@ def _convert_batch(batch: list, first_row: int, cols: list, fault) -> list[np.nd
         for (name, i, convert), out in zip(cols, values):
             cell = row[i] if i < len(row) else None
             try:
+                if cell is None and convert is str:  # str() would read the missing cell as 'None'
+                    raise ValueError(f"no {name!r} cell")
                 value = convert(cell)
             except (TypeError, ValueError) as exc:
                 raise fault(exc, cell, rownum, name) from None

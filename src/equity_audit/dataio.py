@@ -57,7 +57,7 @@ from .inputs import is_index, is_list_of, is_number, read_json
 from .learner import (
     ModelSpec,
     TrainedModel,
-    candidate_group_thresholds,
+    _ranked_pairs,
     group_cutoffs,
     predict,
     predict_proba,
@@ -226,6 +226,21 @@ def _levels(table: StudentTable, column: str, codes: dict, expected: str) -> np.
         ) from None
 
 
+def _median(values) -> float:
+    """``np.median`` of a nonempty vector, read off one ``np.sort``.
+
+    The middle value, or ``(a + b) / 2`` of the two middle values, in float,
+    as ``np.median`` computes them; NaN if any value is NaN. Unlike
+    ``np.median``, it does not import ``numpy.ma`` (numpy 2.4 does on the
+    first call).
+    """
+    s = np.sort(np.asarray(values, dtype=float))
+    if np.isnan(s[-1]):  # a NaN sorts last
+        return s[-1]
+    mid = s.size // 2
+    return s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2
+
+
 def derive_obstacle_flags(table: StudentTable) -> np.ndarray:
     """Flag students whose family-background sum is strictly below median.
 
@@ -245,7 +260,7 @@ def derive_obstacle_flags(table: StudentTable) -> np.ndarray:
         raise min(faults)[2]
     if len(table) == 0:
         return np.zeros(0, dtype=bool)
-    return sums < np.median(sums)
+    return sums < _median(sums)
 
 
 @dataclass(frozen=True)
@@ -450,9 +465,10 @@ def run_case_study(cfg: RunConfig, views: CaseStudyViews) -> CaseStudyResult:
 
     Each side is computed once per setting of the switches it depends on:
     the revealed data, the access report and the decision model's scores
-    per access setting, the threshold walk, the outcome report and the
-    admits, one cut of those scores, per (access, outcome), and only the
-    evaluation per regime. Regimes come in the order of
+    per access setting (the threshold grid reads the train rows' scores),
+    the threshold walk, the outcome report and the admits, one cut of
+    those scores, per (access, outcome), and only the evaluation per
+    regime. Regimes come in the order of
     ``itertools.product`` over the three switches.
 
     ``cfg.seed`` seeds the train/test split; views built with another
@@ -526,8 +542,9 @@ def run_case_study(cfg: RunConfig, views: CaseStudyViews) -> CaseStudyResult:
                 # they receive, stopping once the audited gap clears tau_o;
                 # failing that, the best pair found within the cap stands
                 try:
-                    pairs = candidate_group_thresholds(
-                        proxy_model, x_rev[train_idx], y_rev[train_idx], groups[train_idx], tau_o=cfg.tau_o, k=25
+                    pairs = _ranked_pairs(
+                        scores[train_idx], y_rev[train_idx], groups[train_idx],
+                        proxy_model.decision_threshold, cfg.tau_o, k=25,
                     )
                 except ValidationError as exc:
                     degenerate.append(f"outcome equalization skipped: {exc}")

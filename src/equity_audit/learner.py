@@ -48,6 +48,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .core import _distinct
 from .errors import SingleClassError, ValidationError
 from .inputs import is_finite_number, is_index, is_number
 
@@ -564,31 +565,32 @@ def _binary_values(values, what: str) -> tuple[np.ndarray, np.ndarray]:
     v = np.asarray(values)
     zero, one = v == 0, v == 1
     if np.count_nonzero(zero) + np.count_nonzero(one) != v.size:
-        raise ValidationError(f"{what} must be 0 or 1, got {np.unique(v[~(zero | one)]).tolist()}")
+        raise ValidationError(f"{what} must be 0 or 1, got {_distinct(v[~(zero | one)]).tolist()}")
     return zero, one
 
 
 def _group_threshold_grid(
-    model: TrainedModel, features, labels, groups, n_candidates: int
+    scores, labels, groups, decision_threshold: float, n_candidates: int
 ) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Per-group cutoff candidates with their TPR/FPR/accuracy curves.
+    """Per-group cutoff candidates with their TPR/FPR/accuracy curves, from the rows' scores.
 
-    The curves are counted: with each group's positive and negative
-    scores sorted once, the rows scoring at least a candidate are those
-    past its ``searchsorted`` position, so no candidate-by-row decision
-    matrix is built. One stable radix ``argsort`` of the int8 key ``2 *
-    group + label`` lays the scores out as four contiguous runs (group 0
-    negatives, group 0 positives, group 1 negatives, group 1 positives),
-    each in row order, and each run is sorted in place. Labels and groups
-    are checked as given, so a label of 0.9 or 2 or a group of 0.2 is an
-    error, not a truncated 0.
+    Each group's candidates are ``n_candidates`` quantiles of its scores,
+    ``decision_threshold``, 0.0 and just over 1.0. The curves are counted:
+    with each group's positive and negative scores sorted once, the rows
+    scoring at least a candidate are those past its ``searchsorted``
+    position, so no candidate-by-row decision matrix is built. One stable
+    radix ``argsort`` of the int8 key ``2 * group + label`` lays the scores
+    out as four contiguous runs (group 0 negatives, group 0 positives,
+    group 1 negatives, group 1 positives), each in row order, and each run
+    is sorted in place. Labels and groups are checked as given, so a label
+    of 0.9 or 2 or a group of 0.2 is an error, not a truncated 0.
     """
-    scores = np.asarray(predict_proba(model, features), dtype=float)
+    scores = np.asarray(scores, dtype=float)
     g = np.asarray(groups)
     masks = (g == 0, g == 1)
     sizes = [int(np.count_nonzero(mask)) for mask in masks]
     if 0 in sizes or sum(sizes) != g.size:
-        raise ValidationError(f"need both groups 0 and 1, got {np.unique(g).tolist()}")
+        raise ValidationError(f"need both groups 0 and 1, got {_distinct(g).tolist()}")
     _, positive = _binary_values(labels, "labels")
     if g.shape != scores.shape or positive.shape != scores.shape:
         raise ValidationError(
@@ -612,7 +614,7 @@ def _group_threshold_grid(
         # the group's scores in order: a stable sort merges the two sorted runs
         s = np.sort(np.concatenate([s_pos, s_neg]), kind="stable")
         qs = _sorted_quantiles(s, np.linspace(0.0, 1.0, min(n_candidates, s.size)))
-        cands = np.unique(np.concatenate([qs, [model.decision_threshold, 0.0, 1.0 + 1e-12]]))
+        cands = _distinct(np.concatenate([qs, [decision_threshold, 0.0, 1.0 + 1e-12]]))
         # rows of each label class scoring below each candidate
         below_pos = np.searchsorted(s_pos, cands)
         below_neg = np.searchsorted(s_neg, cands)
@@ -636,23 +638,22 @@ def fit_group_thresholds(
     tau_o: float,
     n_candidates: int = 64,
 ) -> dict[int, float]:
-    """Pick per-group decision thresholds that shrink the odds gap.
+    """Pick the most accurate per-group decision thresholds whose odds gap clears ``tau_o``.
 
-    Scans quantile-spaced score cutoffs per group and returns the pair with
-    the smallest |TPR0-TPR1| + |FPR0-FPR1| on the given data; among pairs
-    already under ``tau_o`` the most accurate wins. Raises if either group
-    lacks positives or negatives (the gap would be undefined).
+    Scans quantile-spaced score cutoffs per group and returns, among the
+    pairs whose |TPR0-TPR1| + |FPR0-FPR1| on the given data is at most
+    ``tau_o``, the most accurate. Such a pair always exists: each group's
+    grid holds cutoff 0.0, and the pair that accepts everyone has gap 0.
+    Raises ``ValidationError`` for a ``tau_o`` that is not >= 0 and if
+    either group lacks positives or negatives (the gap would be undefined).
     """
+    if not tau_o >= 0:
+        raise ValidationError(f"tau_o must be >= 0, got {tau_o!r}")
     per_group, gap, combined_acc = _group_threshold_grid(
-        model, features, labels, groups, n_candidates
+        predict_proba(model, features), labels, groups, model.decision_threshold, n_candidates
     )
-    ok = gap <= tau_o
-    if np.any(ok):
-        score_grid = np.where(ok, combined_acc, -np.inf)
-    else:
-        score_grid = -gap
-    flat = int(np.argmax(score_grid))
-    i, j = np.unravel_index(flat, score_grid.shape)
+    flat = int(np.argmax(np.where(gap <= tau_o, combined_acc, -np.inf)))
+    i, j = np.unravel_index(flat, gap.shape)
     return {0: float(per_group[0][0][i]), 1: float(per_group[1][0][j])}
 
 
@@ -673,9 +674,16 @@ def candidate_group_thresholds(
     winning); remaining pairs follow by ascending gap. Callers walk the
     list until a pair also clears their reported-metric gate.
     """
-    per_group, gap, combined_acc = _group_threshold_grid(
-        model, features, labels, groups, n_candidates
+    return _ranked_pairs(
+        predict_proba(model, features), labels, groups, model.decision_threshold, tau_o, k, n_candidates
     )
+
+
+def _ranked_pairs(
+    scores, labels, groups, decision_threshold: float, tau_o: float, k: int, n_candidates: int = 64
+) -> list[dict[int, float]]:
+    """:func:`candidate_group_thresholds` on the rows' scores, for a caller that holds them."""
+    per_group, gap, combined_acc = _group_threshold_grid(scores, labels, groups, decision_threshold, n_candidates)
     pairs = []
     for flat in _first_pairs(gap, combined_acc, tau_o, max(1, k)):
         i, j = np.unravel_index(int(flat), gap.shape)
@@ -723,7 +731,7 @@ def group_cutoffs(groups, thresholds: dict[int, float]) -> np.ndarray:
         cuts[rows] = cut
         unfilled &= ~rows
     if unfilled.any():
-        raise ValidationError(f"no decision threshold for group {np.unique(g[unfilled]).tolist()[0]}")
+        raise ValidationError(f"no decision threshold for group {_distinct(g[unfilled]).tolist()[0]}")
     return cuts
 
 

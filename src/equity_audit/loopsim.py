@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObstacleModel, Policy, Population, reveal_population
+from .core import ObstacleModel, Policy, Population, _distinct, reveal_population
 from .errors import UndefinedRateError, ValidationError
 from .inputs import is_finite_number, is_index
 from .learner import (
@@ -186,9 +186,10 @@ class Cohort:
 class CuratedDataset:
     """Feature/label rows harvested from accepted individuals.
 
-    Provenance keeps, per row, the round it was curated in (``rounds``)
-    and the individual's row in that round's cohort (``source_rows``, an
-    int64 array).
+    ``y`` holds the 0/1 labels as an int8 array. Provenance keeps, per
+    row, the round it was curated in (``rounds``, an int32 array) and the
+    individual's row in that round's cohort (``source_rows``, an int64
+    array).
     """
 
     feature_names: tuple[str, ...]
@@ -208,8 +209,11 @@ class CuratedDataset:
 
         ``X`` holds one row of deployed-view features per individual, ``y``
         their 0/1 evaluation labels and ``source_rows`` their nonnegative
-        integer rows in the round's cohort, in the same order.
+        integer rows in the round's cohort, in the same order; ``round`` is
+        an integer in [0, 2**31).
         """
+        if not is_index(round) or not 0 <= round <= np.iinfo(np.int32).max:
+            raise ValidationError(f"round must be an integer in [0, 2**31), got {round!r}")
         feature_names = tuple(feature_names)
         try:
             X = np.asarray(X, dtype=float)
@@ -233,13 +237,13 @@ class CuratedDataset:
         bad = ~((rows >= 0) & (rows == np.trunc(rows)) & (rows < 2**63))
         if bad.any():
             raise ValidationError(
-                f"curated source rows must be nonnegative integers, got {np.unique(rows[bad]).tolist()}"
+                f"curated source rows must be nonnegative integers, got {_distinct(rows[bad]).tolist()}"
             )
         return cls(
             feature_names=feature_names,
             X=X,
-            y=y.astype(int, copy=False),
-            rounds=np.full(len(y), round, dtype=int),
+            y=y.astype(np.int8, copy=False),
+            rounds=np.full(len(y), round, dtype=np.int32),
             source_rows=rows.astype(np.int64, copy=False),
         )
 
@@ -432,13 +436,15 @@ def run_inequity_loop(
     )
 
     # the training pool, seed rows first and then each round's curated
-    # rows, grows in place; every round trains on a leading view of it
+    # rows, grows in place; every round trains on a leading view of it.
+    # Labels and groups are 0/1, so they are held as int8 (train reads
+    # its own float copy of the labels)
     n_seed = cfg.n_per_round
     capacity = n_seed + rounds * cfg.n_per_round
     try:
         pool_X = np.empty((capacity, cfg.d_proxy))
-        pool_y = np.empty(capacity, dtype=int)
-        pool_groups = np.empty(capacity, dtype=int)
+        pool_y = np.empty(capacity, dtype=np.int8)
+        pool_groups = np.empty(capacity, dtype=np.int8)
     except (ValueError, OverflowError, MemoryError):
         raise ValidationError(
             f"rounds={rounds} needs a pool of {capacity} rows, more than can be allocated"
@@ -541,7 +547,7 @@ def run_inequity_loop(
         feature_names=feature_names,
         X=pool_X[n_seed:size].copy(),
         y=pool_y[n_seed:size].copy(),
-        rounds=np.repeat(np.arange(len(batch_rows)), [len(r) for r in batch_rows]),
+        rounds=np.repeat(np.arange(len(batch_rows), dtype=np.int32), [len(r) for r in batch_rows]),
         source_rows=np.concatenate(batch_rows),
     )
     return trajectory, curated

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObstacleModel, Policy, Population, _obstacle_access
+from .core import ObstacleModel, Policy, Population, _distinct, _obstacle_access
 from .errors import NoPositivesError, UndefinedRateError, ValidationError
 from .reports import Record
 
@@ -128,7 +128,7 @@ def access_from_mask(accessed: np.ndarray, groups: np.ndarray) -> AccessReport:
     returns, so a caller that reveals need not compute access again.
     """
     per_group = {
-        int(g): float(np.mean(accessed[groups == g])) for g in np.unique(groups)
+        int(g): float(np.mean(accessed[groups == g])) for g in _distinct(groups)
     }
     return AccessReport(
         psi=float(np.mean(accessed)),
@@ -189,7 +189,7 @@ def _count_log(p: np.ndarray, y: np.ndarray, g: np.ndarray, t: np.ndarray | None
     if not (_binary(p) and _binary(y)):
         raise ValidationError("preds and labels must be binary (0/1)")
     if not _binary(g):
-        raise _groups_missing(np.unique(g).tolist())
+        raise _groups_missing(_distinct(g).tolist())
     p, y, g = (c if c.dtype.kind == "i" else c.astype(np.int8) for c in (p, y, g))
     if t is None:
         key, t_ok = np.zeros_like(p), True

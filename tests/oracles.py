@@ -518,7 +518,9 @@ def loop_oracle(cfg, rounds, regime):
     training (warm-started from the last round's model), threshold, reveal
     and prediction functions. omega is :func:`~equity_audit.metrics.eo_violation`
     and every other rate is a per-group mean over boolean masks. It pins
-    how the package's loop combines those functions and counts its rates.
+    how the package's loop combines those functions and counts its rates,
+    and the curated dataset's dtypes: int8 labels, int32 rounds and int64
+    source rows.
     """
     from equity_audit.core import ObstacleModel, Policy, Population, reveal_population
     from equity_audit.errors import UndefinedRateError, ValidationError
@@ -543,8 +545,8 @@ def loop_oracle(cfg, rounds, regime):
     seed = where_cohort(cfg, 0)
     pool_X, pool_y, pool_g = seed[0], seed[2], seed[4]
     curated_X = np.empty((0, cfg.d_proxy))
-    curated_y = np.empty(0, dtype=int)
-    curated_rounds = np.empty(0, dtype=int)
+    curated_y = np.empty(0, dtype=np.int8)
+    curated_rounds = np.empty(0, dtype=np.int32)
     curated_rows = np.empty(0, dtype=np.int64)
     model = None
     records = []
@@ -605,8 +607,8 @@ def loop_oracle(cfg, rounds, regime):
             pool_y = np.concatenate([pool_y, y_tt])
             pool_g = np.concatenate([pool_g, grp[accepted]])
             curated_X = np.concatenate([curated_X, x_rev[accepted]])
-            curated_y = np.concatenate([curated_y, y_tt])
-            curated_rounds = np.concatenate([curated_rounds, np.full(accepted.size, t, dtype=int)])
+            curated_y = np.concatenate([curated_y, y_tt.astype(np.int8)])
+            curated_rounds = np.concatenate([curated_rounds, np.full(accepted.size, t, dtype=np.int32)])
             curated_rows = np.concatenate([curated_rows, accepted])
         records.append(LoopRound(
             round=t, psi=float(np.mean(accessed)), omega=omega, zeta=zeta, pos_rate_by_group=pos_rate,

@@ -11,13 +11,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from equity_audit import __version__, cli, csvio, reports
 from equity_audit.cli import main
 from equity_audit.dataio import load_audit_csv
 from equity_audit.errors import EquityAuditError
+from equity_audit.loopsim import REGIMES
 from equity_audit.metrics import audit_reports
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -108,6 +109,40 @@ def test_importing_the_cli_leaves_out_logging_and_concurrent_futures():
     )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
+
+
+def test_no_command_imports_numpy_ma(tmp_path, student_path, audit_csv):
+    # np.unique and np.median import numpy.ma on their first call (numpy 2.4),
+    # about 1 MiB and 8-13 ms; no command uses masked arrays, so none pays for them.
+    # Each command runs in turn in one process; after each, the line says
+    # whether numpy.ma has been imported so far
+    population = write_population(tmp_path / "pop.csv", obstructed=(1, 2))
+    spaces = write_spaces(tmp_path / "spaces.json", str(population), proxy_alpha=1.0)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"feature_names": ["a", "b"], "importance": [0.5, 0.5]}))
+    commands = [
+        ["audit", str(audit_csv)],
+        ["score", str(spaces)],
+        ["casestudy", str(student_path)],
+        ["gaps", str(model), str(model)],
+        ["questions"],
+        *(["simulate-loop", "--regime", regime, "--rounds", "3"] for regime in REGIMES),
+    ]
+    code = (
+        f"import contextlib, io, json, sys; sys.path.insert(0, {str(PYPROJECT.parent / 'src')!r})\n"
+        "from dataclasses import replace\n"
+        "from equity_audit import cli, loopsim\n"
+        "cli.default_config = lambda seed: replace(loopsim.default_config(seed), n_per_round=300)\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(['--out', sys.argv[2], *argv])\n"
+        "    print(*argv[:3], code, 'numpy.ma' in sys.modules)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands), str(tmp_path / "out")],
+        capture_output=True, text=True, check=True,
+    )
+    assert run.stdout.splitlines() == [" ".join([*argv[:3], "0 False"]) for argv in commands]
 
 
 def test_a_loop_starts_no_thread_and_imports_no_executor():
@@ -280,6 +315,8 @@ class TestAudit:
         folder = tmp_path_factory.mktemp("narrow")
         path, out = folder / "log.csv", folder / "r"
         seen = set()
+        # pred, label, group, y_tt: both label classes in both groups, rows 0 and 2 accepted
+        BOTH_GROUPS = [(1, 1, 0, 1), (0, 0, 0, 1), (1, 0, 1, 1), (0, 1, 1, 0)]
 
         def reports(columns):
             try:
@@ -295,6 +332,11 @@ class TestAudit:
             ),
             st.sampled_from(["both"] * 6 + ["no group 0", "no group 1"]),
         )
+        # one fixed example for each case the assertions after the search need
+        @example(rows=BOTH_GROUPS, swaps=[(0, 1, 128)], groups_kept="both")  # an int64 column
+        @example(rows=BOTH_GROUPS, swaps=[], groups_kept="no group 1")  # a missing group
+        @example(rows=BOTH_GROUPS, swaps=[(1, 3, 2)], groups_kept="both")  # y_tt 2 on a rejected row
+        @example(rows=BOTH_GROUPS, swaps=[(0, 3, 2)], groups_kept="both")  # y_tt 2 on an accepted row
         @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
         def check(rows, swaps, groups_kept):
             rows = [list(row) for row in rows]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equity_audit.core import ObstacleModel, Policy, Population, dominates, reveal_population
+from equity_audit.core import ObstacleModel, Policy, Population, _distinct, dominates, reveal_population
 from equity_audit.errors import DominanceError, ValidationError
 from equity_audit.metrics import model_access
 from oracles import magnitude_oracle, population_fault, psi_oracle, reveal_oracle
@@ -346,3 +346,24 @@ def test_access_paths_agree_at_the_boundary(case):
     assert vectorized.tolist() == per_row
     assert vectorized.tolist() == list(model_access(pop, om, policy).per_individual)
     assert vectorized.tolist() == oracle
+
+
+def _vectors_with_repeats(rng, n_vectors):
+    """Random int and float vectors, repeats, NaNs, infinities and -0.0 beside 0.0 among them."""
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -2.0])
+    for k in range(n_vectors):
+        n = int(rng.integers(0, 80)) if k else 0
+        if k % 2:
+            yield rng.integers(-4, 5, size=n)
+        else:
+            v = np.concatenate([rng.choice(specials, size=n), rng.normal(size=int(rng.integers(0, 6)))])
+            rng.shuffle(v)
+            yield v
+
+
+def test_distinct_values_are_np_unique_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for v in [*_vectors_with_repeats(rng, 3000), np.tile([0.0, -0.0, np.nan], 2000), np.arange(12.0).reshape(3, 4)]:
+        got, want = _distinct(v), np.unique(v)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), v

@@ -597,22 +597,23 @@ class TestGroupThresholds:
             if abs(tpr0 - tpr1) + abs(fpr0 - fpr1) <= tau_o - 1e-12:
                 assert (right0 + right1) / len(y) <= accuracy + 1e-12, pair
 
-    def test_no_pair_under_tau_o_falls_back_to_the_smallest_gap(self):
-        # no gap is negative, so no pair clears a tau_o below 0, and the pair of least gap wins
+    def test_a_tau_o_under_zero_is_refused(self):
+        # a gap is never negative, so no pair could clear such a tau_o
+        x, y, g = self._data()
+        model = train(ModelSpec(("f",)), x, y, seed=0)
+        for tau_o in (-1.0, -1e-300, float("nan")):
+            with pytest.raises(ValidationError, match="tau_o must be >= 0"):
+                fit_group_thresholds(model, x, y, g, tau_o=tau_o)
+
+    def test_the_accept_everyone_pair_clears_a_tau_o_of_zero(self):
+        # each grid holds cutoff 0.0, so a pair of gap 0 always exists
         x, y, g = self._data()
         model = train(ModelSpec(("f",)), x, y, seed=0)
         scores = predict_proba(model, x)
-
-        def gap(pair):  # |dTPR| + |dFPR| of the decisions at one pair, counted
-            dec = scores >= np.where(g == 1, pair[1], pair[0])
-            rates = [(dec[(g == grp) & (y == 1)].mean(), dec[(g == grp) & (y == 0)].mean()) for grp in (0, 1)]
-            return abs(rates[0][0] - rates[1][0]) + abs(rates[0][1] - rates[1][1])
-
-        smallest = min(map(gap, candidate_group_thresholds(model, x, y, g, k=10**6)))
-        cuts = fit_group_thresholds(model, x, y, g, tau_o=-1.0)
-        assert gap(cuts) == pytest.approx(smallest, abs=1e-12)
-        # the first such pair is the corner that admits everyone, cutoff 0 in both groups
-        assert cuts == {0: 0.0, 1: 0.0}
+        cuts = fit_group_thresholds(model, x, y, g, tau_o=0.0)
+        dec = scores >= np.where(g == 1, cuts[1], cuts[0])
+        rates = [(dec[(g == grp) & (y == 1)].mean(), dec[(g == grp) & (y == 0)].mean()) for grp in (0, 1)]
+        assert abs(rates[0][0] - rates[1][0]) + abs(rates[0][1] - rates[1][1]) == 0.0
 
     def test_candidates_ranked_by_gap(self):
         x, y, g = self._data()
@@ -681,6 +682,13 @@ class TestGroupThresholds:
 
 # sigmoid(0) is the default decision threshold exactly, and repeated
 # values tie, so candidates coincide with scores
+def model_grid(model, features, labels, groups, n_candidates):
+    """The package's threshold grid over ``model``'s scores of ``features``."""
+    return _group_threshold_grid(
+        predict_proba(model, features), labels, groups, model.decision_threshold, n_candidates
+    )
+
+
 _GRID_FEATURES = st.one_of(
     st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.5]),
     st.floats(min_value=-40, max_value=40, allow_nan=False),
@@ -708,10 +716,10 @@ def test_counted_threshold_grid_equals_the_decision_matrix(rows, n_candidates):
         )
     except ValueError as exc:
         with pytest.raises(ValidationError) as excinfo:
-            _group_threshold_grid(model, features, labels, groups, n_candidates)
+            model_grid(model, features, labels, groups, n_candidates)
         assert str(excinfo.value) == str(exc)
         return
-    per_group, gap, combined_acc = _group_threshold_grid(model, features, labels, groups, n_candidates)
+    per_group, gap, combined_acc = model_grid(model, features, labels, groups, n_candidates)
     for grp in (0, 1):
         *curves, weight = per_group[grp]
         *expected_curves, expected_weight = expected[0][grp]
@@ -937,7 +945,7 @@ def test_radix_ordered_threshold_grid_equals_the_mask_grid():
         features = x[:, None]
         ends_seen.update({0.0, 1.0} & set(predict_proba(model, features).tolist()))
         _assert_grids_equal(
-            _group_threshold_grid(model, features, labels, groups, n_candidates),
+            model_grid(model, features, labels, groups, n_candidates),
             threshold_grid_masks(model, features, labels, groups, n_candidates),
         )
     assert ends_seen == {0.0, 1.0}
@@ -952,7 +960,7 @@ def test_threshold_grid_names_the_group_lacking_a_label_class(grp, missing):
     labels = np.tile([0, 0, 1, 1], 3)  # both classes in both groups
     labels[groups == grp] = 1 - missing
     message = f"group {grp} lacks a label class; per-group thresholds undefined"
-    for grid in (_group_threshold_grid, threshold_grid_masks):
+    for grid in (model_grid, threshold_grid_masks):
         with pytest.raises(ValidationError) as excinfo:
             grid(model, x, labels, groups, 8)
         assert str(excinfo.value) == message
@@ -964,7 +972,7 @@ def test_threshold_grid_needs_a_label_and_a_group_per_row():
     groups, labels = np.tile([0, 1], 6), np.tile([0, 0, 1, 1], 3)
     for short_labels, short_groups in ((labels[:-4], groups), (labels, groups[:-4])):
         with pytest.raises(ValidationError, match="one entry per feature row"):
-            _group_threshold_grid(model, x, short_labels, short_groups, 8)
+            model_grid(model, x, short_labels, short_groups, 8)
 
 
 @pytest.mark.parametrize(

@@ -222,8 +222,16 @@ class TestCurateGroundTruth:
             curate_ground_truth(wide, round=1, feature_names=("a",))
 
     def test_integral_float_labels_load_as_ints(self):
+        # labels are held at byte width and rounds at int32, as the loop holds them
         batch = CuratedDataset.from_columns(("a",), [[1.0], [2.0]], [1.0, 0.0], 1, [0, 1])
-        assert batch.y.dtype == int and batch.y.tolist() == [1, 0]
+        assert batch.y.dtype == np.int8 and batch.y.tolist() == [1, 0]
+        assert batch.rounds.dtype == np.int32 and batch.rounds.tolist() == [1, 1]
+
+    @pytest.mark.parametrize("round", [-1, 2**31, 1.0, True])
+    def test_round_must_be_an_int32_index(self, round):
+        with pytest.raises(ValidationError, match=r"round must be an integer in \[0, 2\*\*31\)"):
+            CuratedDataset.from_columns(("a",), [[1.0]], [1], round, [0])
+        assert CuratedDataset.from_columns(("a",), [[1.0]], [1], 2**31 - 1, [0]).rounds.tolist() == [2**31 - 1]
 
     @pytest.mark.parametrize(
         "rows, match",
