@@ -57,7 +57,7 @@ from .inputs import is_index, is_list_of, is_number, read_json
 from .learner import (
     ModelSpec,
     TrainedModel,
-    _ranked_pairs,
+    candidate_group_thresholds,
     group_cutoffs,
     predict,
     predict_proba,
@@ -465,10 +465,9 @@ def run_case_study(cfg: RunConfig, views: CaseStudyViews) -> CaseStudyResult:
 
     Each side is computed once per setting of the switches it depends on:
     the revealed data, the access report and the decision model's scores
-    per access setting (the threshold grid reads the train rows' scores),
-    the threshold walk, the outcome report and the admits, one cut of
-    those scores, per (access, outcome), and only the evaluation per
-    regime. Regimes come in the order of
+    per access setting, the threshold walk, the outcome report and the
+    admits, one cut of those scores, per (access, outcome), and only the
+    evaluation per regime. Regimes come in the order of
     ``itertools.product`` over the three switches.
 
     ``cfg.seed`` seeds the train/test split; views built with another
@@ -542,9 +541,8 @@ def run_case_study(cfg: RunConfig, views: CaseStudyViews) -> CaseStudyResult:
                 # they receive, stopping once the audited gap clears tau_o;
                 # failing that, the best pair found within the cap stands
                 try:
-                    pairs = _ranked_pairs(
-                        scores[train_idx], y_rev[train_idx], groups[train_idx],
-                        proxy_model.decision_threshold, cfg.tau_o, k=25,
+                    pairs = candidate_group_thresholds(
+                        proxy_model, x_rev[train_idx], y_rev[train_idx], groups[train_idx], tau_o=cfg.tau_o, k=25
                     )
                 except ValidationError as exc:
                     degenerate.append(f"outcome equalization skipped: {exc}")

@@ -674,16 +674,9 @@ def candidate_group_thresholds(
     winning); remaining pairs follow by ascending gap. Callers walk the
     list until a pair also clears their reported-metric gate.
     """
-    return _ranked_pairs(
-        predict_proba(model, features), labels, groups, model.decision_threshold, tau_o, k, n_candidates
+    per_group, gap, combined_acc = _group_threshold_grid(
+        predict_proba(model, features), labels, groups, model.decision_threshold, n_candidates
     )
-
-
-def _ranked_pairs(
-    scores, labels, groups, decision_threshold: float, tau_o: float, k: int, n_candidates: int = 64
-) -> list[dict[int, float]]:
-    """:func:`candidate_group_thresholds` on the rows' scores, for a caller that holds them."""
-    per_group, gap, combined_acc = _group_threshold_grid(scores, labels, groups, decision_threshold, n_candidates)
     pairs = []
     for flat in _first_pairs(gap, combined_acc, tau_o, max(1, k)):
         i, j = np.unravel_index(int(flat), gap.shape)

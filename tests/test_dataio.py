@@ -366,8 +366,8 @@ class TestRunCaseStudy:
             assert tp[regime_name(True, True, True)] >= tp[regime_name(True, False, False)]
 
     def test_each_access_setting_scores_the_students_once(self, student_path, monkeypatch):
-        """The decision model scores every student once per access setting, and
-        each deployment, and the threshold grid of its train rows, reads those scores."""
+        """Outside the threshold grid the decision model scores every student
+        once per access setting, and each deployment cuts those scores."""
         calls = []
         real = learner.predict_proba
 
@@ -383,7 +383,9 @@ class TestRunCaseStudy:
         assert not hasattr(dataio, "predict_with_group_thresholds")
         # a call through predict or predict_with_group_thresholds would name them
         callers = [caller for model, caller in calls if model is result.proxy_model]
-        assert callers == ["run_case_study"] * 2
+        # the threshold grid reads the scores candidate_group_thresholds takes of the train rows
+        assert [c for c in callers if c != "candidate_group_thresholds"] == ["run_case_study"] * 2
+        assert callers.count("candidate_group_thresholds") == 2
 
     def test_regime_filter(self, student_path):
         cfg = RunConfig(seed=7, equal_access=True, equal_utilization=True)

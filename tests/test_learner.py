@@ -680,8 +680,6 @@ class TestGroupThresholds:
         assert as_floats == fit_group_thresholds(model, x, y, g, tau_o=0.15)
 
 
-# sigmoid(0) is the default decision threshold exactly, and repeated
-# values tie, so candidates coincide with scores
 def model_grid(model, features, labels, groups, n_candidates):
     """The package's threshold grid over ``model``'s scores of ``features``."""
     return _group_threshold_grid(
@@ -689,6 +687,8 @@ def model_grid(model, features, labels, groups, n_candidates):
     )
 
 
+# sigmoid(0) is the default decision threshold exactly, and repeated
+# values tie, so candidates coincide with scores
 _GRID_FEATURES = st.one_of(
     st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.5]),
     st.floats(min_value=-40, max_value=40, allow_nan=False),

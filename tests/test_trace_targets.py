@@ -50,14 +50,12 @@ def test_every_trace_target_resolves_and_is_restored():
 
 
 # the targets no workload's operation calls, so their spans read 0 (ROADMAP
-# item 2): no command calls the first five (the case study ranks its
-# threshold pairs from the scores it holds, through learner._ranked_pairs),
-# and the last two run only under ``--format csv``, which no workload asks for
+# item 2): no command calls the first four, and the last two run only under
+# ``--format csv``, which no workload asks for
 UNREACHED = {
     ("metrics", "model_access"),
     ("metrics", "utilization"),
     ("loopsim", "curate_ground_truth"),
-    ("learner", "candidate_group_thresholds"),
     ("scoring", "ScoringTrace.to_json"),
     ("scoring", "ScoringTrace.to_csv"),
     ("reports", "long_csv"),
