@@ -66,11 +66,11 @@ def _convert_batch(batch: list, first_row: int, cols: list, fault) -> list[np.nd
         ]
     except (IndexError, TypeError, ValueError, OverflowError):
         pass
-    # a short row or a bad cell: convert row by row, so the first fault in
-    # row order (and within a row, in column order) is the one reported
-    values = [[] for _ in cols]
+    # a short row or a bad cell: check row by row, so the first fault in row
+    # order (and within a row, in column order) is the one reported; every
+    # batch the column pass rejects has one
     for rownum, row in enumerate(batch, start=first_row):
-        for (name, i, convert), out in zip(cols, values):
+        for name, i, convert in cols:
             cell = row[i] if i < len(row) else None
             try:
                 if cell is None and convert is str:  # str() would read the missing cell as 'None'
@@ -80,8 +80,6 @@ def _convert_batch(batch: list, first_row: int, cols: list, fault) -> list[np.nd
                 raise fault(exc, cell, rownum, name) from None
             if convert is int and value not in _INT64:
                 raise DataFormatError(f"integer out of range, got {cell!r}", row=rownum, column=name)
-            out.append(value)
-    return [np.fromiter(out, _DTYPES[convert], len(out)) for (_, _, convert), out in zip(cols, values)]
 
 
 def _fast_columns(chunk: bytes, width: int, cols: list) -> list[np.ndarray] | None:

@@ -529,7 +529,8 @@ def run_case_study(cfg: RunConfig, views: CaseStudyViews) -> CaseStudyResult:
         access_policy = Policy(float("inf")) if eq_access else Policy(0.0)
         x_rev, y_rev, accessed = reveal_population(views.proxy, views.om_proxy, access_policy)
         access_report = access_from_mask(accessed, groups)
-        # one score per student: every deployment of this setting cuts it
+        # one score per student: the threshold search ranks pairs on the
+        # train rows' scores, and every deployment of this setting cuts them
         scores = predict_proba(proxy_model, x_rev)
 
         for eq_outcome in outcome_axis:
@@ -542,7 +543,8 @@ def run_case_study(cfg: RunConfig, views: CaseStudyViews) -> CaseStudyResult:
                 # failing that, the best pair found within the cap stands
                 try:
                     pairs = candidate_group_thresholds(
-                        proxy_model, x_rev[train_idx], y_rev[train_idx], groups[train_idx], tau_o=cfg.tau_o, k=25
+                        scores[train_idx], y_rev[train_idx], groups[train_idx],
+                        proxy_model.decision_threshold, tau_o=cfg.tau_o, k=25,
                     )
                 except ValidationError as exc:
                     degenerate.append(f"outcome equalization skipped: {exc}")

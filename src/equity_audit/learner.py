@@ -79,6 +79,8 @@ _MAX_HALVINGS = 30
 # epsilon; a dependent column leaves rounding there, a vanished curvature
 # leaves the gradient itself)
 _RANGE_TOL = 1.5e-8
+# score quantiles per group in the threshold search's cutoff grid
+_N_CANDIDATES = 64
 
 
 @dataclass(frozen=True)
@@ -594,7 +596,7 @@ def _group_threshold_grid(
     _, positive = _binary_values(labels, "labels")
     if g.shape != scores.shape or positive.shape != scores.shape:
         raise ValidationError(
-            f"labels and groups need one entry per feature row ({scores.size}), "
+            f"labels and groups need one entry per score ({scores.size}), "
             f"got shapes {positive.shape} and {g.shape}"
         )
     key = masks[1].astype(np.int8) * 2 + positive
@@ -630,27 +632,22 @@ def _group_threshold_grid(
     return per_group, gap, combined_acc
 
 
-def fit_group_thresholds(
-    model: TrainedModel,
-    features,
-    labels,
-    groups,
-    tau_o: float,
-    n_candidates: int = 64,
-) -> dict[int, float]:
-    """Pick the most accurate per-group decision thresholds whose odds gap clears ``tau_o``.
+def fit_group_thresholds(scores, labels, groups, decision_threshold: float, tau_o: float) -> dict[int, float]:
+    """Pick the most accurate per-group cutoffs on ``scores`` whose odds gap clears ``tau_o``.
 
-    Scans quantile-spaced score cutoffs per group and returns, among the
-    pairs whose |TPR0-TPR1| + |FPR0-FPR1| on the given data is at most
-    ``tau_o``, the most accurate. Such a pair always exists: each group's
-    grid holds cutoff 0.0, and the pair that accepts everyone has gap 0.
-    Raises ``ValidationError`` for a ``tau_o`` that is not >= 0 and if
-    either group lacks positives or negatives (the gap would be undefined).
+    ``scores`` are a model's scores of the rows (``predict_proba``) and
+    ``decision_threshold`` its single cutoff. Scans quantile-spaced score
+    cutoffs per group and returns, among the pairs whose |TPR0-TPR1| +
+    |FPR0-FPR1| on the given rows is at most ``tau_o``, the most accurate.
+    Such a pair always exists: each group's grid holds cutoff 0.0, and the
+    pair that accepts everyone has gap 0. Raises ``ValidationError`` for a
+    ``tau_o`` that is not >= 0 and if either group lacks positives or
+    negatives (the gap would be undefined).
     """
     if not tau_o >= 0:
         raise ValidationError(f"tau_o must be >= 0, got {tau_o!r}")
     per_group, gap, combined_acc = _group_threshold_grid(
-        predict_proba(model, features), labels, groups, model.decision_threshold, n_candidates
+        scores, labels, groups, decision_threshold, _N_CANDIDATES
     )
     flat = int(np.argmax(np.where(gap <= tau_o, combined_acc, -np.inf)))
     i, j = np.unravel_index(flat, gap.shape)
@@ -658,24 +655,19 @@ def fit_group_thresholds(
 
 
 def candidate_group_thresholds(
-    model: TrainedModel,
-    features,
-    labels,
-    groups,
-    tau_o: float = 0.15,
-    k: int = 25,
-    n_candidates: int = 64,
+    scores, labels, groups, decision_threshold: float, tau_o: float = 0.15, k: int = 25
 ) -> list[dict[int, float]]:
-    """Top-k per-group threshold pairs for the odds-gap search.
+    """Top-k per-group cutoff pairs on ``scores`` for the odds-gap search.
 
-    Pairs whose gap on the given data clears ``tau_o`` come first, most
-    accurate first (this keeps the degenerate accept-everyone and
+    Reads ``scores`` and ``decision_threshold`` as ``fit_group_thresholds``
+    does. Pairs whose gap on the given rows clears ``tau_o`` come first,
+    most accurate first (this keeps the degenerate accept-everyone and
     reject-everyone corners, which zero the gap at useless accuracy, from
     winning); remaining pairs follow by ascending gap. Callers walk the
     list until a pair also clears their reported-metric gate.
     """
     per_group, gap, combined_acc = _group_threshold_grid(
-        predict_proba(model, features), labels, groups, model.decision_threshold, n_candidates
+        scores, labels, groups, decision_threshold, _N_CANDIDATES
     )
     pairs = []
     for flat in _first_pairs(gap, combined_acc, tau_o, max(1, k)):

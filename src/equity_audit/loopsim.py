@@ -45,6 +45,7 @@ from .learner import (
     _binary_values,
     fit_group_thresholds,
     predict,
+    predict_proba,
     predict_with_group_thresholds,
     train,
 )
@@ -536,7 +537,9 @@ def run_inequity_loop(
         thresholds = None
         if outcome_equalized:
             try:
-                thresholds = fit_group_thresholds(model, X, y, pool_g, tau_o=0.15)
+                thresholds = fit_group_thresholds(
+                    predict_proba(model, X), y, pool_g, model.decision_threshold, tau_o=0.15
+                )
             except ValidationError as exc:
                 events.append(f"outcome equalization skipped: {exc}")
 

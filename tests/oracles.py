@@ -242,6 +242,31 @@ def threshold_grid_dense(scores, labels, groups, decision_threshold, n_candidate
     return per_group, gap, combined_acc
 
 
+# score quantiles per group in the package's threshold search
+GRID_QUANTILES = 64
+
+
+def ranked_threshold_pairs(scores, labels, groups, decision_threshold, tau_o, k):
+    """The first ``k`` cutoff pairs of the dense grid in the order the case study walks them.
+
+    One ``np.lexsort`` of the whole grid: pairs whose gap is at most
+    ``tau_o`` first, by accuracy descending, then the rest by gap; ties by
+    gap, then in flat index order.
+    """
+    per_group, gap, acc = threshold_grid_dense(scores, labels, groups, decision_threshold, GRID_QUANTILES)
+    feasible = gap <= tau_o
+    order = np.lexsort((gap.ravel(), np.where(feasible, -acc, gap).ravel(), (~feasible).ravel()))
+    rows, cols = np.unravel_index(order[:k], gap.shape)
+    return [{0: float(per_group[0][0][i]), 1: float(per_group[1][0][j])} for i, j in zip(rows, cols)]
+
+
+def best_threshold_pair(scores, labels, groups, decision_threshold, tau_o):
+    """The most accurate cutoff pair of the dense grid whose gap is at most ``tau_o``; of ties, the first by ``np.argmax``."""
+    per_group, gap, acc = threshold_grid_dense(scores, labels, groups, decision_threshold, GRID_QUANTILES)
+    i, j = np.unravel_index(np.argmax(np.where(gap <= tau_o, acc, -np.inf)), gap.shape)
+    return {0: float(per_group[0][0][i]), 1: float(per_group[1][0][j])}
+
+
 def row_major_proba(model, X):
     """The package's earlier logistic ``predict_proba``: the formula on a C-ordered (n, d) matrix."""
     from equity_audit.learner import _sigmoid
@@ -250,12 +275,12 @@ def row_major_proba(model, X):
     return _sigmoid(((X - model.mu) / model.sigma) @ model.coefficients + model.intercept)
 
 
-def threshold_grid_masks(model, features, labels, groups, n_candidates):
+def threshold_grid_masks(scores, labels, groups, decision_threshold, n_candidates):
     """The package's earlier ``_group_threshold_grid``: each group's label classes picked by boolean masks."""
     from equity_audit.errors import ValidationError
-    from equity_audit.learner import _binary_values, _sorted_quantiles, predict_proba
+    from equity_audit.learner import _binary_values, _sorted_quantiles
 
-    scores = np.asarray(predict_proba(model, features), dtype=float)
+    scores = np.asarray(scores, dtype=float)
     g = np.asarray(groups)
     masks = (g == 0, g == 1)
     sizes = [int(np.count_nonzero(mask)) for mask in masks]
@@ -273,7 +298,7 @@ def threshold_grid_masks(model, features, labels, groups, n_candidates):
         s_pos, s_neg = np.sort(scores[in_pos]), np.sort(scores[mask ^ in_pos])
         s = np.sort(np.concatenate([s_pos, s_neg]), kind="stable")
         qs = _sorted_quantiles(s, np.linspace(0.0, 1.0, min(n_candidates, s.size)))
-        cands = np.unique(np.concatenate([qs, [model.decision_threshold, 0.0, 1.0 + 1e-12]]))
+        cands = np.unique(np.concatenate([qs, [decision_threshold, 0.0, 1.0 + 1e-12]]))
         below_pos = np.searchsorted(s_pos, cands)
         below_neg = np.searchsorted(s_neg, cands)
         tpr = (s_pos.size - below_pos) / s_pos.size
@@ -306,7 +331,8 @@ def case_study_oracle(cfg, views):
 
     The package's earlier ``run_case_study`` loop, kept to pin the one that
     computes each side once per setting of the axes it depends on. It calls
-    the package's own training, reveal, threshold and metric functions.
+    the package's own training, reveal, cutoff and metric functions, and
+    ranks threshold pairs itself (:func:`ranked_threshold_pairs`).
     """
     from itertools import product
 
@@ -322,8 +348,8 @@ def case_study_oracle(cfg, views):
     from equity_audit.errors import SingleClassError, UndefinedRateError, ValidationError
     from equity_audit.learner import (
         ModelSpec,
-        candidate_group_thresholds,
         predict,
+        predict_proba,
         predict_with_group_thresholds,
         train,
     )
@@ -376,10 +402,11 @@ def case_study_oracle(cfg, views):
         selected = None
         if eq_outcome:
             try:
-                pairs = candidate_group_thresholds(
-                    proxy_model, x_rev[train_idx], y_rev[train_idx], groups[train_idx], tau_o=cfg.tau_o, k=25
+                pairs = ranked_threshold_pairs(
+                    predict_proba(proxy_model, x_rev[train_idx]), y_rev[train_idx], groups[train_idx],
+                    proxy_model.decision_threshold, cfg.tau_o, k=25,
                 )
-            except ValidationError as exc:
+            except ValueError as exc:
                 degenerate.append(f"outcome equalization skipped: {exc}")
                 pairs = []
             best = None
@@ -515,20 +542,21 @@ def loop_oracle(cfg, rounds, regime):
 
     Each cohort comes from :func:`where_cohort` on this thread, the pool
     grows by ``np.concatenate``, and each round calls the package's own
-    training (warm-started from the last round's model), threshold, reveal
-    and prediction functions. omega is :func:`~equity_audit.metrics.eo_violation`
+    training (warm-started from the last round's model), reveal and
+    prediction functions. The thresholds come from
+    :func:`best_threshold_pair`. omega is :func:`~equity_audit.metrics.eo_violation`
     and every other rate is a per-group mean over boolean masks. It pins
     how the package's loop combines those functions and counts its rates,
     and the curated dataset's dtypes: int8 labels, int32 rounds and int64
     source rows.
     """
     from equity_audit.core import ObstacleModel, Policy, Population, reveal_population
-    from equity_audit.errors import UndefinedRateError, ValidationError
+    from equity_audit.errors import UndefinedRateError
     from equity_audit.learner import (
         ModelSpec,
         TrainedModel,
-        fit_group_thresholds,
         predict,
+        predict_proba,
         predict_with_group_thresholds,
         train,
     )
@@ -564,8 +592,10 @@ def loop_oracle(cfg, rounds, regime):
         thresholds = None
         if regime in ("access_and_outcome", "full_equity"):
             try:
-                thresholds = fit_group_thresholds(model, pool_X, pool_y, pool_g, tau_o=0.15)
-            except ValidationError as exc:
+                thresholds = best_threshold_pair(
+                    predict_proba(model, pool_X), pool_y, pool_g, model.decision_threshold, 0.15
+                )
+            except ValueError as exc:
                 events.append(f"outcome equalization skipped: {exc}")
 
         x_p, z_p, y_p, y_prime_p, grp, x_t_full, z_t, x_t_after_access, _ = where_cohort(cfg, t)

@@ -799,6 +799,15 @@ def test_pass_mark_off_the_grade_scale_exit_2(student_path, tmp_path, capsys, pa
     assert not (tmp_path / "r").exists()
 
 
+def test_a_pass_mark_every_student_clears_exit_2(student_path, tmp_path, capsys):
+    # every grade is >= 0, so every training label is 1
+    config = tmp_path / "run.toml"
+    config.write_text("pass_mark = 0\n")
+    assert run_cli("--config", str(config), "--out", str(tmp_path / "r"), "casestudy", str(student_path)) == 2
+    assert capsys.readouterr().err == "error: case study training degenerate: training labels contain a single class\n"
+    assert not (tmp_path / "r").exists()
+
+
 class TestGaps:
     def test_gap_report(self, tmp_path, capsys):
         proxy = tmp_path / "proxy.json"

@@ -175,6 +175,8 @@ class TestValidation:
             pop.x_matrix()[0, 0] = 5.0
         with pytest.raises(ValueError):
             pop.restrict(["f0"]).z_matrix()[0, 0] = 5.0
+        with pytest.raises(AttributeError, match="^Population is immutable; cannot set 'feature_names'$"):
+            pop.feature_names = ("g0",)
 
     def test_array_constructor_names_the_bad_row(self):
         with pytest.raises(ValidationError) as excinfo:
@@ -188,6 +190,10 @@ class TestValidation:
     def test_alpha_must_be_nonnegative(self):
         with pytest.raises(ValidationError):
             ObstacleModel.from_alpha([-1.0])
+
+    def test_alpha_must_be_a_vector(self):
+        with pytest.raises(ValidationError, match=r"^alpha must be a 1-D vector, got shape \(1, 2\)$"):
+            ObstacleModel.from_alpha([[1.0, 1.0]])
 
     def test_alpha_support_must_be_affected(self):
         with pytest.raises(ValidationError):

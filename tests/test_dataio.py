@@ -139,6 +139,11 @@ class TestObstacleFlags:
         flags = derive_obstacle_flags(self._table([low, high]))
         assert flags.tolist() == [True, False]
 
+    def test_an_empty_table_flags_nobody(self):
+        columns = tuple(self._row("no", 3, "other", "other", 2, 2))
+        flags = derive_obstacle_flags(StudentTable(columns=columns, data={c: [] for c in columns}))
+        assert flags.dtype == bool and flags.shape == (0,)
+
     def test_identical_students_flag_nobody(self):
         rows = [self._row("no", 3, "other", "other", 2, 2) for _ in range(5)]
         flags = derive_obstacle_flags(self._table(rows))
@@ -333,6 +338,9 @@ class TestRunCaseStudy:
     def test_all_eight_regimes(self, result):
         assert len(result.regimes) == 8
         assert len({r.name for r in result.regimes}) == 8
+        assert all(result.regime(r.name) is r for r in result.regimes)
+        with pytest.raises(KeyError, match="sideways"):
+            result.regime("sideways")
 
     def test_equal_access_raises_admissibility_for_both_groups(self, result):
         for eq_out in (True, False):
@@ -366,8 +374,9 @@ class TestRunCaseStudy:
             assert tp[regime_name(True, True, True)] >= tp[regime_name(True, False, False)]
 
     def test_each_access_setting_scores_the_students_once(self, student_path, monkeypatch):
-        """Outside the threshold grid the decision model scores every student
-        once per access setting, and each deployment cuts those scores."""
+        """The decision model scores every student once per access setting;
+        the threshold search ranks its pairs on the train rows' share of
+        those scores, and each deployment cuts them."""
         calls = []
         real = learner.predict_proba
 
@@ -381,11 +390,10 @@ class TestRunCaseStudy:
         result = run_case_study(cfg, build_case_study_views(load_uci_students(student_path), cfg))
         assert len(result.regimes) == 8
         assert not hasattr(dataio, "predict_with_group_thresholds")
-        # a call through predict or predict_with_group_thresholds would name them
+        # a call through predict, predict_with_group_thresholds or the
+        # threshold search would name them
         callers = [caller for model, caller in calls if model is result.proxy_model]
-        # the threshold grid reads the scores candidate_group_thresholds takes of the train rows
-        assert [c for c in callers if c != "candidate_group_thresholds"] == ["run_case_study"] * 2
-        assert callers.count("candidate_group_thresholds") == 2
+        assert callers == ["run_case_study"] * 2
 
     def test_regime_filter(self, student_path):
         cfg = RunConfig(seed=7, equal_access=True, equal_utilization=True)

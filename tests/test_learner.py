@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -28,10 +29,12 @@ from equity_audit.learner import (
 )
 from equity_audit.reports import json_text
 from oracles import (
+    best_threshold_pair,
     group_cutoffs_by_label,
     logistic_fit_reference,
     logistic_gradient_oracle,
     logistic_loss_oracle,
+    ranked_threshold_pairs,
     row_major_proba,
     threshold_grid_dense,
     threshold_grid_masks,
@@ -323,6 +326,11 @@ class TestImportance:
         model = TrainedModel.from_coefficients(spec, [0.0, 0.0])
         assert np.array_equal(model.importance, [0.0, 0.0])
 
+    @pytest.mark.parametrize("coefficients, shape", [([1.0], r"\(1,\)"), ([[1.0, 2.0]], r"\(1, 2\)")])
+    def test_one_coefficient_per_feature(self, coefficients, shape):
+        with pytest.raises(ValidationError, match=f"^expected 2 coefficients, got {shape}$"):
+            TrainedModel.from_coefficients(ModelSpec(("a", "b")), coefficients)
+
     def test_already_normalized_fixture_unchanged(self):
         spec = ModelSpec(("code experience", "team player", "references", "gender", "race"))
         weights = [0.5, 0.2, 0.2, 0.05, 0.05]
@@ -566,6 +574,12 @@ class TestGroupThresholds:
         y = (x[:, 0] > 0.4).astype(int)
         return x, y, g
 
+    def _scored(self):
+        """The data with a model fitted to it and that model's scores of its rows."""
+        x, y, g = self._data()
+        model = train(ModelSpec(("f",)), x, y, seed=0)
+        return model, x, predict_proba(model, x), y, g
+
     def test_reduces_gap(self):
         """The pair returned is the most accurate candidate whose gap clears tau_o.
 
@@ -574,15 +588,13 @@ class TestGroupThresholds:
         """
         from equity_audit.metrics import eo_violation
 
-        x, y, g = self._data()
-        model = train(ModelSpec(("f",)), x, y, seed=0)
+        model, x, scores, y, g = self._scored()
         tau_o = 0.1
-        cuts = fit_group_thresholds(model, x, y, g, tau_o=tau_o)
+        cuts = fit_group_thresholds(scores, y, g, model.decision_threshold, tau_o=tau_o)
         preds = predict_with_group_thresholds(model, x, g, cuts)
         assert eo_violation(preds, y, g).eo_violation <= tau_o
         accuracy = float(np.mean(preds == y))
 
-        scores = predict_proba(model, x)
         counted = {}
 
         def rates(grp, cut):  # (TPR, FPR, correct decisions) of one group at one cutoff
@@ -591,7 +603,7 @@ class TestGroupThresholds:
                 counted[grp, cut] = (dec[pos].mean(), dec[~pos].mean(), int(np.sum(dec == pos)))
             return counted[grp, cut]
 
-        for pair in candidate_group_thresholds(model, x, y, g, tau_o=tau_o, k=10**6):
+        for pair in candidate_group_thresholds(scores, y, g, model.decision_threshold, tau_o=tau_o, k=10**6):
             tpr0, fpr0, right0 = rates(0, pair[0])
             tpr1, fpr1, right1 = rates(1, pair[1])
             if abs(tpr0 - tpr1) + abs(fpr0 - fpr1) <= tau_o - 1e-12:
@@ -599,26 +611,22 @@ class TestGroupThresholds:
 
     def test_a_tau_o_under_zero_is_refused(self):
         # a gap is never negative, so no pair could clear such a tau_o
-        x, y, g = self._data()
-        model = train(ModelSpec(("f",)), x, y, seed=0)
+        model, _, scores, y, g = self._scored()
         for tau_o in (-1.0, -1e-300, float("nan")):
             with pytest.raises(ValidationError, match="tau_o must be >= 0"):
-                fit_group_thresholds(model, x, y, g, tau_o=tau_o)
+                fit_group_thresholds(scores, y, g, model.decision_threshold, tau_o=tau_o)
 
     def test_the_accept_everyone_pair_clears_a_tau_o_of_zero(self):
         # each grid holds cutoff 0.0, so a pair of gap 0 always exists
-        x, y, g = self._data()
-        model = train(ModelSpec(("f",)), x, y, seed=0)
-        scores = predict_proba(model, x)
-        cuts = fit_group_thresholds(model, x, y, g, tau_o=0.0)
+        model, _, scores, y, g = self._scored()
+        cuts = fit_group_thresholds(scores, y, g, model.decision_threshold, tau_o=0.0)
         dec = scores >= np.where(g == 1, cuts[1], cuts[0])
         rates = [(dec[(g == grp) & (y == 1)].mean(), dec[(g == grp) & (y == 0)].mean()) for grp in (0, 1)]
         assert abs(rates[0][0] - rates[1][0]) + abs(rates[0][1] - rates[1][1]) == 0.0
 
     def test_candidates_ranked_by_gap(self):
-        x, y, g = self._data()
-        model = train(ModelSpec(("f",)), x, y, seed=0)
-        pairs = candidate_group_thresholds(model, x, y, g, k=10)
+        model, _, scores, y, g = self._scored()
+        pairs = candidate_group_thresholds(scores, y, g, model.decision_threshold, k=10)
         assert 1 <= len(pairs) <= 10
         assert all(set(p) == {0, 1} for p in pairs)
 
@@ -638,12 +646,32 @@ class TestGroupThresholds:
             got = _first_pairs(gap, acc, tau_o, max(1, k))
             assert got.tolist() == order[: max(1, k)].tolist(), (shape, k, tau_o, levels)
 
+    def test_search_picks_what_the_whole_grid_ranks_first(self):
+        # scores drawn from a few values tie cutoffs, gaps and accuracies
+        rng = np.random.default_rng(77)
+        for case in range(120):
+            n = int(rng.integers(4, 300))
+            levels = rng.random(int(rng.integers(1, 12)))
+            scores = rng.choice(levels, size=n) if case % 2 else rng.random(n)
+            labels = (rng.random(n) < 0.5).astype(int)
+            groups = rng.integers(0, 2, size=n)
+            threshold = float(rng.choice([0.5, *levels]))
+            tau_o = float(rng.choice([0.0, 0.05, 0.15, 0.5]))
+            k = int(rng.integers(1, 60))
+            try:
+                want = ranked_threshold_pairs(scores, labels, groups, threshold, tau_o, k)
+            except ValueError as exc:
+                with pytest.raises(ValidationError, match=re.escape(str(exc))):
+                    candidate_group_thresholds(scores, labels, groups, threshold, tau_o, k)
+                continue
+            assert candidate_group_thresholds(scores, labels, groups, threshold, tau_o, k) == want
+            best = best_threshold_pair(scores, labels, groups, threshold, tau_o)
+            assert fit_group_thresholds(scores, labels, groups, threshold, tau_o) == best
+
     def test_missing_group_rejected(self):
-        x, y, _ = self._data()
-        with pytest.raises(ValidationError):
-            fit_group_thresholds(
-                train(ModelSpec(("f",)), x, y, seed=0), x, y, np.zeros(len(y)), tau_o=0.1
-            )
+        model, _, scores, y, _ = self._scored()
+        with pytest.raises(ValidationError, match=r"need both groups 0 and 1, got \[0.0\]"):
+            fit_group_thresholds(scores, y, np.zeros(len(y)), model.decision_threshold, tau_o=0.1)
 
     def test_group_without_threshold_named(self):
         x, y, g = self._data()
@@ -668,23 +696,18 @@ class TestGroupThresholds:
     def test_threshold_fit_reads_labels_and_groups_as_given(self):
         # each of these was once cast to int first: 0.9 -> 0, a group of
         # 0.2/0.8 -> 0, and label-2 rows counted as negatives
-        x, y, g = self._data()
-        model = train(ModelSpec(("f",)), x, y, seed=0)
+        model, _, scores, y, g = self._scored()
+
+        def fit(labels, groups):
+            return fit_group_thresholds(scores, labels, groups, model.decision_threshold, tau_o=0.15)
+
         with pytest.raises(ValidationError, match=r"labels must be 0 or 1, got \[0.9\]"):
-            fit_group_thresholds(model, x, np.where(y == 1, 0.9, 0.0), g, tau_o=0.15)
+            fit(np.where(y == 1, 0.9, 0.0), g)
         with pytest.raises(ValidationError, match=r"got \[0.2, 0.8\]"):
-            fit_group_thresholds(model, x, y, np.where(g == 1, 0.8, 0.2), tau_o=0.15)
+            fit(y, np.where(g == 1, 0.8, 0.2))
         with pytest.raises(ValidationError, match=r"labels must be 0 or 1, got \[2\]"):
-            fit_group_thresholds(model, x, np.where(np.arange(y.size) < 5, 2, y), g, tau_o=0.15)
-        as_floats = fit_group_thresholds(model, x, y.astype(float), g.astype(float), tau_o=0.15)
-        assert as_floats == fit_group_thresholds(model, x, y, g, tau_o=0.15)
-
-
-def model_grid(model, features, labels, groups, n_candidates):
-    """The package's threshold grid over ``model``'s scores of ``features``."""
-    return _group_threshold_grid(
-        predict_proba(model, features), labels, groups, model.decision_threshold, n_candidates
-    )
+            fit(np.where(np.arange(y.size) < 5, 2, y), g)
+        assert fit(y.astype(float), g.astype(float)) == fit(y, g)
 
 
 # sigmoid(0) is the default decision threshold exactly, and repeated
@@ -709,17 +732,15 @@ def test_counted_threshold_grid_equals_the_decision_matrix(rows, n_candidates):
     # third group all occur among these draws
     x, labels, groups = (np.array(col) for col in zip(*rows))
     model = TrainedModel.from_coefficients(ModelSpec(("f",)), [1.0])
-    features = x[:, None]
+    grid_args = (predict_proba(model, x[:, None]), labels, groups, model.decision_threshold, n_candidates)
     try:
-        expected = threshold_grid_dense(
-            predict_proba(model, features), labels, groups, model.decision_threshold, n_candidates
-        )
+        expected = threshold_grid_dense(*grid_args)
     except ValueError as exc:
         with pytest.raises(ValidationError) as excinfo:
-            model_grid(model, features, labels, groups, n_candidates)
+            _group_threshold_grid(*grid_args)
         assert str(excinfo.value) == str(exc)
         return
-    per_group, gap, combined_acc = model_grid(model, features, labels, groups, n_candidates)
+    per_group, gap, combined_acc = _group_threshold_grid(*grid_args)
     for grp in (0, 1):
         *curves, weight = per_group[grp]
         *expected_curves, expected_weight = expected[0][grp]
@@ -941,38 +962,33 @@ def test_radix_ordered_threshold_grid_equals_the_mask_grid():
             continue
         if case % 5 == 0:
             labels, groups = labels.astype(float), groups.astype(float)
-        n_candidates = int(rng.integers(1, 80))
-        features = x[:, None]
-        ends_seen.update({0.0, 1.0} & set(predict_proba(model, features).tolist()))
-        _assert_grids_equal(
-            model_grid(model, features, labels, groups, n_candidates),
-            threshold_grid_masks(model, features, labels, groups, n_candidates),
-        )
+        scores = predict_proba(model, x[:, None])
+        ends_seen.update({0.0, 1.0} & set(scores.tolist()))
+        grid_args = (scores, labels, groups, model.decision_threshold, int(rng.integers(1, 80)))
+        _assert_grids_equal(_group_threshold_grid(*grid_args), threshold_grid_masks(*grid_args))
     assert ends_seen == {0.0, 1.0}
 
 
 @pytest.mark.parametrize("missing", [0, 1])
 @pytest.mark.parametrize("grp", [0, 1])
 def test_threshold_grid_names_the_group_lacking_a_label_class(grp, missing):
-    model = TrainedModel.from_coefficients(ModelSpec(("f",)), [1.0])
-    x = np.linspace(-2.0, 2.0, 12)[:, None]
+    scores = np.linspace(0.1, 0.9, 12)
     groups = np.tile([0, 1], 6)
     labels = np.tile([0, 0, 1, 1], 3)  # both classes in both groups
     labels[groups == grp] = 1 - missing
     message = f"group {grp} lacks a label class; per-group thresholds undefined"
-    for grid in (model_grid, threshold_grid_masks):
+    for grid in (_group_threshold_grid, threshold_grid_masks):
         with pytest.raises(ValidationError) as excinfo:
-            grid(model, x, labels, groups, 8)
+            grid(scores, labels, groups, 0.5, 8)
         assert str(excinfo.value) == message
 
 
 def test_threshold_grid_needs_a_label_and_a_group_per_row():
-    model = TrainedModel.from_coefficients(ModelSpec(("f",)), [1.0])
-    x = np.linspace(-2.0, 2.0, 12)[:, None]
+    scores = np.linspace(0.1, 0.9, 12)
     groups, labels = np.tile([0, 1], 6), np.tile([0, 0, 1, 1], 3)
     for short_labels, short_groups in ((labels[:-4], groups), (labels, groups[:-4])):
-        with pytest.raises(ValidationError, match="one entry per feature row"):
-            model_grid(model, x, short_labels, short_groups, 8)
+        with pytest.raises(ValidationError, match=r"one entry per score \(12\)"):
+            _group_threshold_grid(scores, short_labels, short_groups, 0.5, 8)
 
 
 @pytest.mark.parametrize(

@@ -94,12 +94,6 @@ class TestGeneratePopulation:
             assert pop.ids() == list(range(cfg.n_per_round))
 
     def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            small_config(group_fraction=0.0)
-        with pytest.raises(ValidationError):
-            small_config(label_noise=0.7)
-        with pytest.raises(ValidationError):
-            small_config(alpha_proxy=(0.0, 0.0, 0.0))
         nan, inf = float("nan"), float("inf")
         for field, value in [
             ("n_per_round", 2.5), ("n_per_round", True), ("d_proxy", 3.0), ("d_intended", "3"),
@@ -148,6 +142,29 @@ class TestGeneratePopulation:
         with pytest.raises(ValidationError, match=f"^{message}"):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"n_per_round": 0}, "n_per_round must be >= 1"),
+            ({"d_proxy": 0}, "feature dimensions must be >= 1"),
+            ({"d_intended": 0}, "feature dimensions must be >= 1"),
+            ({"group_fraction": 0.0}, r"group_fraction must be in \(0, 1\)"),
+            ({"obstacle_prob_by_group": {0: 1.5, 1: 0.2}}, r"obstacle_prob_by_group\[0\] must be a probability"),
+            ({"obstacle_prob_by_group": {0: 0.1}}, r"obstacle_prob_by_group\[1\] must be a probability"),
+            ({"alpha_proxy": (1.0, 1.0)}, "alpha_proxy length must equal d_proxy"),
+            ({"alpha_intended": (1.0,)}, "alpha_intended length must equal d_intended"),
+            ({"alpha_intended": (1.0, -0.5, 1.0)}, "alpha weights must be nonnegative"),
+            ({"obstacle_severity": -1.0}, "obstacle_severity must be >= 0"),
+            ({"label_noise": 0.7}, r"label_noise must be in \[0, 0.5\)"),
+            ({"true_model_coefficients": ((1.0, 1.0), (1.0, 1.0, 1.0))},
+             r"true_model_coefficients must be \(proxy-view, intended-view\) vectors matching"),
+            ({"alpha_proxy": (0.0, 0.0, 0.0)}, "obstacle probabilities are positive but alpha_proxy has no support"),
+        ],
+    )
+    def test_a_value_out_of_its_range_is_refused(self, overrides, message):
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            small_config(**overrides)
+
     def test_finite_inputs_that_overflow_the_learner_are_refused_before_any_warning(self):
         # the evaluation model's importance divides by its coefficients' L1 norm, and a
         # cohort that stays finite can still hold a column whose variance overflows
@@ -189,6 +206,8 @@ class TestCurateGroundTruth:
     def test_empty_batch(self):
         batch = curate_ground_truth([], round=1, feature_names=("a",))
         assert len(batch) == 0
+        with pytest.raises(ValidationError, match="^feature_names required for an empty curation batch$"):
+            curate_ground_truth([], round=1)
 
     @pytest.mark.parametrize("labels", [[0.5, 1.0], [0, 2], [0.0, -1.0]])
     def test_labels_checked_before_any_cast(self, labels):
@@ -266,6 +285,13 @@ class TestRunInequityLoop:
     def test_no_round_rejected(self):
         with pytest.raises(ValidationError, match="^rounds must be >= 1$"):
             run_inequity_loop(small_config(), 0, "no_equity")
+
+    def test_a_trajectory_holds_its_rounds_in_order(self):
+        traj, _ = run_inequity_loop(small_config(), 2, "no_equity")
+        first, second = traj.rounds
+        for rounds in ((second, first), (first, first)):
+            with pytest.raises(ValidationError, match="^round indices must be strictly increasing$"):
+                dataclasses.replace(traj, rounds=rounds)
 
     def test_conservation_of_curated_rows(self):
         cfg = small_config()

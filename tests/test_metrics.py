@@ -223,6 +223,10 @@ class TestUtilization:
         with pytest.raises(ValidationError):
             utilization(bad)
 
+    def test_non_binary_evaluation_label_rejected(self):
+        with pytest.raises(ValidationError, match="^record 'r1' has non-binary y_tt$"):
+            utilization(self._records([1, 2, 1]))
+
     def test_fp_share_decomposition_by_group(self):
         report = utilization(self._records([0, 0, 0, 1], groups=[0, 0, 1, 1]))
         assert report.per_group_fp_share == {0: pytest.approx(2 / 3), 1: pytest.approx(1 / 3)}
