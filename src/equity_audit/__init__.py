@@ -72,4 +72,22 @@ from .loopsim import (
     run_inequity_loop,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # core
+    "ObstacleModel", "Policy", "Population", "dominates", "reveal_population",
+    # errors
+    "DataFormatError", "DominanceError", "EquityAuditError", "JoinError", "NoPositivesError",
+    "SingleClassError", "UndefinedRateError", "ValidationError",
+    # learner
+    "ModelSpec", "TrainedModel", "predict", "predict_proba", "train",
+    # metrics
+    "AccessReport", "EquityReport", "EvaluationRecord", "GapReport", "ObstacleGap", "OutcomeReport",
+    "UtilizationReport", "audit_reports", "compute_gap_report", "eo_violation", "equity_score",
+    "feature_proxy_gap", "label_proxy_gap", "match_features", "model_access", "obstacle_gap",
+    "utilization", "utilization_from_labels",
+    # scoring
+    "CandidateSampler", "ModelSpace", "ScoringTrace", "run_equity_scoring",
+    # loopsim
+    "CuratedDataset", "LoopTrajectory", "SyntheticConfig", "curate_ground_truth", "default_config",
+    "generate_cohort", "run_inequity_loop",
+]

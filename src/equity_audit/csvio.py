@@ -4,10 +4,13 @@
 loaders in :mod:`equity_audit.dataio` give it a plan of columns and
 converters. Every input is opened as bytes and read once, front to back,
 a regular file and a pipe alike: nothing is seeked, rewound or opened
-twice. Each chunk of the body goes down one ladder of readers, the same
-for every plan (``_fast_columns``): a byte grid and a separator scan,
-which read integer cells of one digit, then ``np.loadtxt``; the csv
-module reads on from the first chunk none of them takes.
+twice. The body is one stream of column chunks (``_column_chunks``).
+Each chunk goes down one ladder of readers, the same for every plan
+(``_fast_columns``): a byte grid and a separator scan, which read
+integer cells of one digit, then ``np.loadtxt``; the csv module reads on
+from the first chunk none of them takes, in batches of rows. Every
+chunk's integer columns are narrowed as they arrive, and each column is
+joined from its pieces the same way, whichever readers took the body.
 ``_binary_file``, ``_decoded_lines`` and ``_header_row`` also serve the
 student-file reader there.
 """
@@ -205,28 +208,60 @@ def _separated_columns(data: np.ndarray, width: int, indices: list[int]) -> list
     return list(cells.T.astype(np.int8, order="C"))
 
 
-def _body_columns(raw, width: int, cols: list, fault) -> list[np.ndarray]:
-    """The chosen columns of the body: the rest of the binary file ``raw``.
+def _column_chunks(raw, width: int, cols: list, fault):
+    """The chosen columns of the body, the rest of the binary file ``raw``, one chunk of rows at a time.
 
     The body is read in chunks of about ``_KERNEL_CHARS`` bytes of whole
-    lines, and each chunk is offered to a fast reader (``_fast_columns``).
-    From the first chunk it turns down to the end of the file, the csv
-    module reads the body (``_stored_columns`` over ``_decoded_lines``),
-    numbering rows on from those already read: every row a fast reader
-    takes is non-blank and fault-free. An empty body is one empty chunk,
-    which the byte grid reads as no rows for an all-integer plan.
+    lines, and each chunk the fast readers take (``_fast_columns``) is
+    yielded. From the first chunk they all turn down to the end of the
+    file, the csv module reads the body (``_decoded_lines``), and its rows
+    are converted and yielded ``_BATCH_ROWS`` at a time, the last batch
+    empty, numbered on from the rows already read: every row a fast reader
+    takes is non-blank and fault-free. So an empty body yields one empty
+    chunk: the byte grid's for an all-integer plan, else the csv module's.
     """
     read = partial(_whole_lines, raw, _KERNEL_CHARS)
-    pieces, done = [], 0
+    done = 0
     for chunk in chain([read()], iter(read, b"")):
         values = _fast_columns(chunk, width, cols)
         if values is None:
-            reader = csv.reader(chain(_decoded_lines(io.BufferedReader(io.BytesIO(chunk))), _decoded_lines(raw)))
-            pieces.append(_stored_columns(reader, cols, fault, done + 1))
             break
-        pieces.append(values)
+        yield values
         done += len(values[0])
-    return pieces[0] if len(pieces) == 1 else [np.concatenate(column) for column in zip(*pieces)]
+    else:
+        return
+    reader = csv.reader(chain(_decoded_lines(io.BufferedReader(io.BytesIO(chunk))), _decoded_lines(raw)))
+    while True:
+        rows = []
+        try:
+            rows.extend(islice(reader, _BATCH_ROWS))
+        except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
+            batch = list(filter(None, rows))
+            _convert_batch(batch, done + 1, cols, fault)  # a fault in an earlier row comes first
+            raise DataFormatError(f"unreadable row: {exc}", row=done + 1 + len(batch)) from None
+        except UnicodeDecodeError:
+            _convert_batch(list(filter(None, rows)), done + 1, cols, fault)
+            raise
+        batch = list(filter(None, rows))
+        yield _convert_batch(batch, done + 1, cols, fault)
+        if not rows:
+            return
+        done += len(batch)
+
+
+def _body_columns(raw, width: int, cols: list, fault) -> list[np.ndarray]:
+    """The chosen columns of the body, joined from its chunks (``_column_chunks``).
+
+    Each chunk's integer columns are narrowed as they arrive
+    (``_narrowed``), so every piece held is at its own width, and one
+    ``np.concatenate`` per column joins the pieces: an int8 column where
+    every piece is int8, else int64.
+    """
+    pieces = [[] for _ in cols]
+    for values in _column_chunks(raw, width, cols, fault):
+        for piece, (_, _, convert), column in zip(pieces, cols, values):
+            piece.append(_narrowed(column) if convert is int else column)
+    return [piece[0] if len(piece) == 1 else np.concatenate(piece) for piece in pieces]
 
 
 def _narrowed(column: np.ndarray) -> np.ndarray:
@@ -237,44 +272,6 @@ def _narrowed(column: np.ndarray) -> np.ndarray:
     if column.dtype == np.int8 or not column.size or (_INT8.min <= column.min() and column.max() <= _INT8.max):
         return column.astype(np.int8, copy=False)
     return np.ascontiguousarray(column)
-
-
-def _store(column: np.ndarray, start: int, values: np.ndarray) -> np.ndarray:
-    """``column`` with ``values`` written from ``start``, doubled in length when full.
-
-    Growing one buffer per column, rather than keeping every batch's arrays
-    until the end, leaves no trail of small blocks behind in the heap.
-    """
-    end = start + len(values)
-    if end > len(column):
-        grown = np.empty(max(end, 2 * len(column)), dtype=column.dtype)
-        grown[:start] = column[:start]
-        column = grown
-    column[start:end] = values
-    return column
-
-
-def _stored_columns(reader, cols: list, fault, first_row: int) -> list[np.ndarray]:
-    """The chosen columns of the rows ``reader`` yields, numbered from ``first_row`` and converted ``_BATCH_ROWS`` rows at a time."""
-    stored = [np.empty(_BATCH_ROWS, dtype=_DTYPES[convert]) for _, _, convert in cols]
-    done = 0
-    while True:
-        chunk = []
-        try:
-            chunk.extend(islice(reader, _BATCH_ROWS))
-        except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
-            batch = list(filter(None, chunk))
-            _convert_batch(batch, first_row + done, cols, fault)  # a fault in an earlier row comes first
-            raise DataFormatError(f"unreadable row: {exc}", row=first_row + done + len(batch)) from None
-        except UnicodeDecodeError:
-            _convert_batch(list(filter(None, chunk)), first_row + done, cols, fault)
-            raise
-        if not chunk:  # a copy releases the spare length the doubling left
-            return [column[:done].copy() if len(column) > done else column for column in stored]
-        batch = list(filter(None, chunk))
-        for k, values in enumerate(_convert_batch(batch, first_row + done, cols, fault)):
-            stored[k] = _store(stored[k], done, values)
-        done += len(batch)
 
 
 def _read_csv_columns(path: Path, plan, fault) -> tuple[list[str], list]:
@@ -294,15 +291,17 @@ def _read_csv_columns(path: Path, plan, fault) -> tuple[list[str], list]:
     through Python's own ``int()``/``float()``; an integer outside the
     int64 range is a fault too.
 
-    One source, one ladder of readers. The file, a regular file or a pipe
+    One source, one stream of chunks. The file, a regular file or a pipe
     alike, is read once as bytes: the header a line at a time
-    (``_read_header``), then the body in chunks (``_body_columns``), each
-    offered to the fast readers in one order (``_fast_columns``): when
-    every pair converts by int, a byte grid and then a scan for
-    separators, which read one digit a planned cell; then, for any plan,
-    ``np.loadtxt``. From the first chunk that every fast reader turns down,
-    the csv module reads the rest of the file. All give the same values
-    and the same faults.
+    (``_read_header``), then the body as one stream of column chunks
+    (``_column_chunks``). Each chunk is offered to the fast readers in one
+    order (``_fast_columns``): when every pair converts by int, a byte
+    grid and then a scan for separators, which read one digit a planned
+    cell; then, for any plan, ``np.loadtxt``. From the first chunk that
+    every fast reader turns down, the csv module reads the rest of the
+    file, ``_BATCH_ROWS`` rows a chunk. All give the same values and the
+    same faults, and ``_body_columns`` joins every column from its chunks
+    the same way.
     """
     with _binary_file(path) as raw:
         header = _read_header(raw, path)
@@ -310,10 +309,7 @@ def _read_csv_columns(path: Path, plan, fault) -> tuple[list[str], list]:
         index = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last column
         cols = [(name, index[name], convert) for name, convert in columns]
         values = _body_columns(raw, len(header), cols, fault)
-    return header, [
-        column.tolist() if convert is str else _narrowed(column) if convert is int else column
-        for (_, _, convert), column in zip(cols, values)
-    ]
+    return header, [column.tolist() if convert is str else column for (_, _, convert), column in zip(cols, values)]
 
 
 def _whole_lines(raw, size: int) -> bytes:

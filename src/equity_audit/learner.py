@@ -106,6 +106,8 @@ class ModelSpec:
         cap = hp.get("iterations", 0)
         if not (is_index(cap) or is_number(cap) and float(cap).is_integer()):
             raise ValidationError(f"hyperparameter 'iterations' must be a whole number of Newton steps, got {cap!r}")
+        if cap < 0:
+            raise ValidationError(f"hyperparameter 'iterations' must be >= 0, got {cap!r}")
         if "l2" in hp and not (is_finite_number(hp["l2"]) and hp["l2"] >= 0):
             raise ValidationError(f"hyperparameter 'l2' must be a finite number >= 0, got {hp['l2']!r}")
         for name in ("decision_threshold", "threshold"):

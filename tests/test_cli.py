@@ -703,10 +703,11 @@ class TestScore:
         pop_csv = write_population(tmp_path / "pop.csv")
         spaces = write_spaces(tmp_path / "spaces.json", str(pop_csv))
         doc = json.loads(spaces.read_text())
-        doc["proxy"]["specs"] = [{"features": ["a"], "hyperparams": {"iterations": 2.5}}]
-        spaces.write_text(json.dumps(doc))
-        assert run_cli("--out", str(tmp_path / "r"), "score", str(spaces)) == 2
-        assert "hyperparameter 'iterations' must be a whole number" in capsys.readouterr().err
+        for cap, rule in [(2.5, "a whole number of Newton steps"), (-1, ">= 0")]:
+            doc["proxy"]["specs"] = [{"features": ["a"], "hyperparams": {"iterations": cap}}]
+            spaces.write_text(json.dumps(doc))
+            assert run_cli("--out", str(tmp_path / "r"), "score", str(spaces)) == 2
+            assert f"hyperparameter 'iterations' must be {rule}, got {cap}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "function_class, name, value",

@@ -187,6 +187,15 @@ class TestValidation:
         assert excinfo.value.row == 1
         assert "'b'" in str(excinfo.value)
 
+    def test_a_text_or_object_label_column_names_the_bad_row(self):
+        # no text cell equals 0 or 1, so a text column fails at its first row;
+        # an object column holds 0 and 1 and fails at its None
+        features = {"x": [[1.0]] * 3, "z": [[1.0]] * 3, "ids": ["a", "b", "c"], "feature_names": ("f",)}
+        for y, row in [(["0", "1", "1"], 0), (np.array([0, 1, None], dtype=object), 2)]:
+            with pytest.raises(ValidationError) as excinfo:
+                Population(y=y, y_prime=[0, 1, 1], grp=[0, 1, 1], **features)
+            assert (str(excinfo.value), excinfo.value.row) == (f"y must be 0 or 1 for individual {'abc'[row]!r}", row)
+
     def test_alpha_must_be_nonnegative(self):
         with pytest.raises(ValidationError):
             ObstacleModel.from_alpha([-1.0])

@@ -635,8 +635,9 @@ class TestAuditCsvContract:
         )
 
     def test_csv_path_holds_no_spare_buffer(self, tmp_path):
-        # one quoted cell sends the body to the csv module, whose column
-        # buffers grow by doubling: 20,000 rows fill 32,768-row buffers
+        # one quoted cell sends the body to the csv module, whose 4096-row
+        # batches are kept as int8 pieces and joined into one array per
+        # column: once read, only the columns themselves are held
         import tracemalloc
 
         rows = 20_000
@@ -1658,15 +1659,21 @@ class TestIntColumns:
             assert _outcome(load_audit_csv, path) == outcome
 
     def test_a_y_tt_of_300_on_a_rejected_row_widens_that_column_only(self, tmp_path, plain_blocks):
+        # in 8-byte chunks the grid reads the first row and numpy the second,
+        # so an int8 piece of each column is joined to a piece numpy read,
+        # int64 for y_tt only
         path = tmp_path / "a.csv"
-        path.write_text("pred,label,group,y_tt\n0,1,0,300\n1,1,1,1\n")
-        columns = load_audit_csv(path)
-        assert plain_blocks == ["numpy"]
-        assert [c.dtype for c in columns] == [np.int8, np.int8, np.int8, np.int64]
-        assert _as_lists(columns) == [[0, 1], [1, 1], [0, 1], [300, 1]]
-        outcome = _outcome(load_audit_csv, path)
-        with _csv_path_only():
-            assert _outcome(load_audit_csv, path) == outcome
+        for kernel_chars, body, readers in [(1 << 22, "0,1,0,300\n1,1,1,1\n", "numpy"), (8, "1,1,1,1\n0,1,0,300\n", "ints+numpy")]:
+            with mock.patch.object(csvio, "_KERNEL_CHARS", kernel_chars):
+                path.write_text("pred,label,group,y_tt\n" + body)
+                columns = load_audit_csv(path)
+                assert plain_blocks[-1] == readers
+                assert [c.dtype for c in columns] == [np.int8, np.int8, np.int8, np.int64]
+                rows = [[int(cell) for cell in line.split(",")] for line in body.splitlines()]
+                assert _as_lists(columns) == [list(column) for column in zip(*rows)]
+                outcome = _outcome(load_audit_csv, path)
+                with _csv_path_only():
+                    assert _outcome(load_audit_csv, path) == outcome
 
     def test_grid_separator_scan_and_csv_path_agree(self, tmp_path_factory, plain_blocks, grid_reads):
         """One-byte-cell logs, perturbed or not: one outcome whichever reader takes them.
@@ -1705,6 +1712,64 @@ class TestIntColumns:
         columns = load_audit_csv(path)
         assert [c.dtype for c in columns] == [np.int8, np.int8, np.int8, np.int64]
         assert _as_lists(columns) == [[1, 0], [127, 10], [-128, -1], [128, -129]]
+
+
+class TestChunkStream:
+    """The body as one stream of column chunks: rows numbered on across them, and byte-wide pieces on the csv path."""
+
+    def test_csv_path_peak_grows_by_about_two_bytes_a_cell(self, tmp_path):
+        # one quoted cell sends the body to the csv module; each batch's
+        # columns are held as int8 pieces until one join, so 100k more rows
+        # of four planned cells raise the traced peak by at most about 2
+        # bytes a cell
+        import tracemalloc
+
+        peaks = []
+        for rows in (100_000, 200_000):
+            path = tmp_path / f"{rows}.csv"
+            path.write_text('pred,label,group,y_tt\n"1",0,1,1\n' + "0,1,0,1\n" * (rows - 1))
+            tracemalloc.start()
+            try:
+                columns = load_audit_csv(path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert [c.dtype for c in columns] == [np.int8] * 4
+        assert peaks[1] - peaks[0] <= 2.2 * 4 * 100_000
+
+    @pytest.mark.parametrize("kernel_chars, readers", [(1 << 22, "csv"), (16, "ints+csv")])
+    def test_a_bad_cell_in_a_later_batch_names_its_file_row(self, tmp_path, monkeypatch, plain_blocks, kernel_chars, readers):
+        # batches of three lines, blank ones too; in 16-byte chunks the grid
+        # reads rows 1-4 first, and the csv module reads on from row 5
+        monkeypatch.setattr(csvio, "_BATCH_ROWS", 3)
+        monkeypatch.setattr(csvio, "_KERNEL_CHARS", kernel_chars)
+        lines = [f"{k % 2},{k // 2 % 2},{k % 3 % 2},1" for k in range(20)]
+        lines[4] = '"1",0,1,1'
+        path = tmp_path / "a.csv"
+
+        def write(lines):
+            path.write_text("pred,label,group,y_tt\n" + "\n".join(lines[:7] + ["", ""] + lines[7:12] + [""] + lines[12:]) + "\n")
+
+        write(lines)
+        columns = load_audit_csv(path)
+        assert plain_blocks == [readers]
+        assert _as_lists(columns) == [list(column) for column in zip(*(map(int, line.replace('"', "").split(",")) for line in lines))]
+        outcome = _outcome(load_audit_csv, path)
+        with _csv_path_only():
+            assert _outcome(load_audit_csv, path) == outcome
+        lines[16] = "1,1,0,x"
+        write(lines)
+        err = _raises(load_audit_csv, path)
+        assert (str(err), err.row, err.column) == ("expected an integer, got 'x' (row 17, column 'y_tt')", 17, "y_tt")
+
+    def test_a_header_only_population_file_reads_empty_columns_of_the_plan(self, tmp_path, plain_blocks):
+        # numpy turns the empty body down, and the csv module's one batch is empty
+        path = tmp_path / "pop.csv"
+        path.write_text("id,group,y,y_prime,x_a,z_a\n")
+        assert len(load_population_csv(path)) == 0
+        x, y, ids = csvio._read_csv_columns(path, lambda header: [("x_a", float), ("y", int), ("id", str)], None)[1]
+        assert plain_blocks == ["csv", "csv"]
+        assert (x.dtype, x.shape, y.dtype, y.shape, ids) == (np.float64, (0,), np.int8, (0,), [])
 
 
 class TestRunConfigToml:

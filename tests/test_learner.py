@@ -409,11 +409,12 @@ class TestFitDiagnostics:
         assert model.n_iter == 1
         assert model.converged is False
 
-    def test_negative_cap_takes_no_step(self):
-        X, y = separable_1d()
-        model = train(ModelSpec(("f",), hyperparams={"iterations": -1}), X, y)
-        assert model.n_iter == 0
-        assert model.converged is False
+    def test_negative_cap_is_refused(self):
+        for cap in (-1, -5, -1.0):
+            message = f"hyperparameter 'iterations' must be >= 0, got {cap!r}"
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                ModelSpec(("f",), hyperparams={"iterations": cap})
+        assert train(ModelSpec(("f",), hyperparams={"iterations": 0}), *separable_1d()).n_iter == 0
 
     @staticmethod
     def noisy_two_features(n=500, seed=0):

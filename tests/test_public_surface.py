@@ -4,9 +4,9 @@ search functions of ``equity_audit.learner``.
 
 A name added, removed or renamed, or a parameter added, dropped, reordered,
 renamed or given another default, fails here, so an API change is made on
-purpose and shows in this file's diff. A module is pinned as
-``"<module>"``, and a class whose signature ``inspect`` cannot read (an
-exception that keeps ``Exception``'s) as ``"<no signature>"``.
+purpose and shows in this file's diff. A class whose signature
+``inspect`` cannot read (an exception that keeps ``Exception``'s) is
+pinned as ``"<no signature>"``.
 """
 
 import inspect
@@ -87,8 +87,6 @@ SURFACE = {
         "om_proxy: 'ObstacleModel | None' = None, "
         "om_intended: 'ObstacleModel | None' = None) -> 'GapReport'"
     ),
-    "config": "<module>",
-    "core": "<module>",
     "curate_ground_truth": (
         "(positives: 'list[tuple[int, np.ndarray, int]]', round: 'int', feature_names: 'tuple[str, "
         "...] | None' = None) -> 'CuratedDataset'"
@@ -99,17 +97,12 @@ SURFACE = {
     "equity_score": (
         "(access: 'AccessReport', outcome: 'OutcomeReport', util: 'UtilizationReport') -> 'float'"
     ),
-    "errors": "<module>",
     "feature_proxy_gap": "(proxy_features: 'list[str]', intended_features: 'list[str]') -> 'np.ndarray'",
     "generate_cohort": "(cfg: 'SyntheticConfig', round: 'int') -> 'Cohort'",
-    "inputs": "<module>",
     "label_proxy_gap": "(omega_p, omega_t, matching: 'dict[int, int | None]') -> 'np.ndarray'",
-    "learner": "<module>",
-    "loopsim": "<module>",
     "match_features": (
         "(proxy_features: 'list[str]', intended_features: 'list[str]') -> 'dict[int, int | None]'"
     ),
-    "metrics": "<module>",
     "model_access": "(pop: 'Population', om: 'ObstacleModel', policy: 'Policy') -> 'AccessReport'",
     "obstacle_gap": (
         "(om_proxy: 'ObstacleModel', proxy_features: 'list[str]', om_intended: 'ObstacleModel', "
@@ -117,7 +110,6 @@ SURFACE = {
     ),
     "predict": "(model: 'TrainedModel', x_rev) -> 'int | np.ndarray'",
     "predict_proba": "(model: 'TrainedModel', features) -> 'np.ndarray'",
-    "reports": "<module>",
     "reveal_population": (
         "(pop: 'Population', model: 'ObstacleModel', policy: 'Policy') "
         "-> 'tuple[np.ndarray, np.ndarray, np.ndarray]'"
@@ -130,7 +122,6 @@ SURFACE = {
         "(cfg: 'SyntheticConfig', rounds: 'int', regime: 'str') "
         "-> 'tuple[LoopTrajectory, CuratedDataset]'"
     ),
-    "scoring": "<module>",
     "train": (
         "(spec: 'ModelSpec', features, labels, seed: 'int' = 0, *, "
         "start: 'TrainedModel | None' = None) -> 'TrainedModel'"
@@ -152,8 +143,6 @@ THRESHOLD_SEARCH = {
 
 
 def signature(obj) -> str:
-    if inspect.ismodule(obj):
-        return "<module>"
     try:
         return str(inspect.signature(obj))
     except ValueError:

@@ -91,6 +91,9 @@ class TestEmitReport:
         lines = text.splitlines()
         assert lines[1] == "r,psi,,0.75"
         assert lines[2] == "r,flag,1,1"
+        # None and NaN are empty cells; an int or a str is written by str()
+        text = long_csv([("r", "m", "", None), ("r", "m", "", float("nan")), ("r", "m", 0, 3), ("r", "m", "", "x")])
+        assert text.splitlines()[1:] == ["r,m,,", "r,m,,", "r,m,0,3", "r,m,,x"]
 
     def test_deterministic_bytes(self, tmp_path):
         report = sample_report()
@@ -194,6 +197,12 @@ class TestJsonForm:
         assert json_form(True) is True and json_form(False) is False
         assert json_form((True, 0)) == [True, 0]
         assert [type(v) for v in json_form((True, 0))] == [bool, int]
+
+    def test_other_values_are_returned_unconverted(self):
+        # a numpy scalar or any other object is left as it is, for the JSON writer to write or refuse
+        for value in (np.float64(1.5), np.int64(2), object()):
+            assert json_form(value) is value
+            assert json_form({1: [value]}) == {"1": [value]}
 
     def test_nested_records_and_none_convert(self):
         report = GapReport((0, 1), (0.5, -0.25), ObstacleGap(2, 0.75), ("note",))
